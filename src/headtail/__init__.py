@@ -9,7 +9,6 @@ from .core import (
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
-    count_correct,
     merge_datasets,
 )
 from .rewards import (

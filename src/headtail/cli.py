@@ -28,13 +28,14 @@ from .harness import (
     RunConfig,
     SchemaError,
     emit_report,
+    load_snapshot,
     rebalance_offline,
     run as run_mode,
 )
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_RULES, load_alias_table
 from .strategies import STRATEGY_KINDS, StrategyConfig
-from .core import ROLE_TRAIN, QueryRecord, Trajectory, TrajectoryDataset
+from .core import ROLE_SAMPLE, ROLE_TRAIN, TrajectoryDataset
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -42,21 +43,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg = RunConfig.from_json_file(args.config)
     else:
         cfg = RunConfig()
-    updates = {}
-    if args.n is not None:
-        updates["n_queries"] = args.n
-    if args.k is not None:
-        updates["k_samples"] = args.k
-    if args.t is not None:
-        updates["iterations"] = args.t
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if args.restart is not None:
-        updates["restart_each_iteration"] = args.restart
+    flags = {"n": "n_queries", "k": "k_samples", "t": "iterations", "mode": "mode",
+             "restart": "restart_each_iteration", "output_dir": "output_dir"}
+    updates = {key: getattr(args, flag) for flag, key in flags.items() if getattr(args, flag) is not None}
     if args.seed is not None:
         updates["seeds"] = (args.seed,)
-    if args.output_dir is not None:
-        updates["output_dir"] = args.output_dir
     if args.strategy is not None or args.l is not None or args.s is not None:
         st = cfg.strategy
         st = dataclasses.replace(
@@ -134,7 +125,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for k in k_values:
             for L in l_values:
                 for S in s_values:
-                    if kind in ("tc", "gr") and L > k:
+                    if L > k:  # every strategy rejects a tail threshold above K
                         continue
                     variant = dataclasses.replace(
                         cfg,
@@ -162,8 +153,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    strategy = StrategyConfig(kind=args.strategy, L=args.l, S=2 if args.s is None else args.s,
-                              K=args.k, min_cot_tokens=args.min_cot_tokens, seed=args.seed)
+    strategy = StrategyConfig(kind=args.strategy, L=args.l, K=args.k,
+                              min_cot_tokens=args.min_cot_tokens, seed=args.seed)
     rules = DEFAULT_RULES
     if args.alias_table:
         rules = dataclasses.replace(rules, symbol_aliases=load_alias_table(args.alias_table))
@@ -197,37 +188,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     snapshot = run_dir / "datasets" / (args.dataset + ".jsonl")
     if not snapshot.exists():
         raise SchemaError(f"no snapshot at {snapshot}")
-    entries = []
-    with open(snapshot, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                record = QueryRecord(
-                    id=data["query_id"], gt_answer="", level=data.get("level")
-                )
-                traj = Trajectory(
-                    query_id=data["query_id"],
-                    sample_index=data["sample_index"],
-                    iteration=data["iteration"],
-                    length_tokens=data["length_tokens"],
-                    extracted_answer="",
-                    correct=data["correct"],
-                    origin=data.get("origin", "explored"),
-                    prefix_steps=data.get("prefix_steps", 0)
-                    if data.get("origin") == "resampled_gr"
-                    else 0,
-                )
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from exc
-            entries.append((record, traj))
+    entries = load_snapshot(snapshot)
     if not entries:
         print(rows_to_csv([]))
         return EXIT_OK
-    dataset = TrajectoryDataset.from_entries(entries, ROLE_TRAIN) if all(
-        t.correct for _, t in entries
-    ) else TrajectoryDataset.from_entries(entries, "sample")
+    role = ROLE_TRAIN if all(t.correct for _, t in entries) else ROLE_SAMPLE
+    dataset = TrajectoryDataset.from_entries(entries, role)
     counts = dataset.counts_by_query()
     row = build_row(max(t.iteration for _, t in entries), dataset.role, dataset, cfg.k_samples, counts)
     print(rows_to_csv([row]), end="")
@@ -258,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reb.add_argument("--strategy", required=True, choices=STRATEGY_KINDS)
     p_reb.add_argument("--k", type=int, required=True, help="sampling number K of the log")
     p_reb.add_argument("--l", type=int, default=4, help="tail threshold L (tc)")
-    p_reb.add_argument("--s", type=int, default=None, help="step count S (unused offline)")
     p_reb.add_argument("--min-cot-tokens", type=int, default=0, help="reasoning length floor")
     p_reb.add_argument("--seed", type=int, default=0, help="truncation seed (tc)")
     p_reb.add_argument("--alias-table", help="two-column answer alias file (pattern<TAB>canonical)")

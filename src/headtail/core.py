@@ -15,7 +15,7 @@ with origin rank explored < resampled_ar < resampled_gr < corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 ORIGIN_EXPLORED = "explored"
@@ -94,7 +94,6 @@ class Trajectory:
     origin: str = ORIGIN_EXPLORED
     prefix_steps: int = 0
     prefix_tokens: int = 0
-    step_boundaries: tuple[int, ...] = ()
     corrected_from: int | None = None
 
     def __post_init__(self) -> None:
@@ -112,12 +111,6 @@ class Trajectory:
             raise ValueError("prefix_steps is only meaningful for guided resamples")
         if self.prefix_steps < 0:
             raise ValueError("prefix_steps must be >= 0")
-        bounds = self.step_boundaries
-        if bounds:
-            if any(b >= self.length_tokens for b in bounds):
-                raise ValueError("step boundaries must fall strictly inside the response")
-            if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-                raise ValueError("step boundaries must be strictly ascending")
 
     @property
     def cot_length(self) -> int:
@@ -179,28 +172,8 @@ class TrajectoryDataset:
             counts[t.query_id] = counts.get(t.query_id, 0) + 1
         return counts
 
-    def entries_for(self, query_id: int) -> tuple[Entry, ...]:
-        return tuple(e for e in self.entries if e[1].query_id == query_id)
-
     def records_by_id(self) -> dict[int, QueryRecord]:
         return {r.id: r for r, _ in self.entries}
-
-    def with_levels(self, levels: dict[int, int]) -> "TrajectoryDataset":
-        """Re-attach calibrated difficulty levels to every query record."""
-        updated = tuple(
-            (replace(r, level=levels.get(r.id, r.level)), t) for r, t in self.entries
-        )
-        return TrajectoryDataset.from_entries(updated, self.role, presorted=True)
-
-
-def count_correct(dataset: TrajectoryDataset, query_id: int) -> int:
-    """Number of retained correct responses for one query (its k_i).
-
-    Only defined on filter datasets; absent queries count zero.
-    """
-    if dataset.role != ROLE_FILTER:
-        raise ValueError(f"count_correct expects a filter dataset, got role {dataset.role!r}")
-    return sum(1 for _, t in dataset.entries if t.query_id == query_id)
 
 
 def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryDataset:

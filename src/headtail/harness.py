@@ -9,15 +9,18 @@ Modes
 -----
 self_improve    the standard loop; the strategy reshapes each iteration's
                 filtered set before training.
-batch_baseline  draw all T*K samples from the initial policy in one pass,
-                filter, train once.
+batch_baseline  one iteration of T*K draws from the initial policy:
+                filter, rebalance and train once; its rows are recorded
+                against K, like the other modes' rows.
 iterative_union train each iteration on the union of every filtered set so
                 far (the strategy applies per iteration or on the union,
                 per ``apply_point``); the final training step therefore
                 sees the full union.
 
-Offline mode applies the sampler-free reshaping strategies to real
-trajectory logs (JSONL, one record per sampled response).
+All three modes run through one loop (``_run_loop``).  Offline mode
+applies the sampler-free reshaping strategies to real trajectory logs
+(JSONL, one record per sampled response); logs and dataset snapshots are
+decoded by one JSONL codec that reports any bad line as a SchemaError.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .core import (
+    ORIGIN_EXPLORED,
     ROLE_FILTER,
     ROLE_SAMPLE,
     ROLE_TRAIN,
+    Entry,
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
@@ -148,41 +153,20 @@ class RunConfig:
         return cfg
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_queries": self.n_queries,
-            "k_samples": self.k_samples,
-            "iterations": self.iterations,
-            "strategy": dataclasses.asdict(self.strategy),
-            "mode": self.mode,
-            "restart_each_iteration": self.restart_each_iteration,
-            "seeds": list(self.seeds),
-            "learner": dataclasses.asdict(self.learner),
-            "corpus": dataclasses.asdict(self.corpus),
-            "calibration_shots": self.calibration_shots,
-            "apply_point": self.apply_point,
-            "output_dir": self.output_dir,
-        }
+        return {**dataclasses.asdict(self), "seeds": list(self.seeds)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
         data = dict(data)
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "strategy" in data and isinstance(data["strategy"], dict):
-            data["strategy"] = _from_dict(StrategyConfig, data["strategy"], "strategy")
-        if "learner" in data and isinstance(data["learner"], dict):
-            data["learner"] = _from_dict(LearnerParams, data["learner"], "learner")
-        if "corpus" in data and isinstance(data["corpus"], dict):
-            data["corpus"] = _from_dict(CorpusParams, data["corpus"], "corpus")
+        for key, part in (("strategy", StrategyConfig), ("learner", LearnerParams), ("corpus", CorpusParams)):
+            if isinstance(data.get(key), dict):
+                data[key] = _from_dict(part, data[key], key)
         if "seeds" in data:
             data["seeds"] = tuple(int(s) for s in data["seeds"])
         try:
-            cfg = cls(**data)
+            return _from_dict(cls, data, "config")
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-        return cfg
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunConfig":
@@ -285,75 +269,73 @@ def _train_next(
     return current.train(train_set, config.k_samples)
 
 
+def _check_mode(config: RunConfig, mode: str, name: str) -> None:
+    if config.mode != mode:
+        raise ConfigError(f"{name} requires mode={mode}, got {config.mode!r}")
+
+
 def run_self_improvement(
     config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
 ) -> RunReport:
     """The exploration / filtering / learning loop with a rebalancing strategy."""
-    config.validate()
-    if config.mode != "self_improve":
-        raise ConfigError(f"run_self_improvement requires mode=self_improve, got {config.mode!r}")
-    return _run_loop(config, seed if seed is not None else config.seeds[0], rules, union=False)
+    _check_mode(config, "self_improve", "run_self_improvement")
+    return run(config, seed, rules)
 
 
 def run_iterative_union(
     config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
 ) -> RunReport:
     """Loop variant that trains on the union of all filtered sets so far."""
-    config.validate()
-    if config.mode != "iterative_union":
-        raise ConfigError(f"run_iterative_union requires mode=iterative_union, got {config.mode!r}")
-    return _run_loop(config, seed if seed is not None else config.seeds[0], rules, union=True)
+    _check_mode(config, "iterative_union", "run_iterative_union")
+    return run(config, seed, rules)
 
 
-def _run_loop(
-    config: RunConfig, seed: int, rules: AnswerNormalizationRules, union: bool
+def run_batch_baseline(
+    config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
 ) -> RunReport:
+    """Spend the whole T*K budget on the initial policy in a single pass."""
+    _check_mode(config, "batch_baseline", "run_batch_baseline")
+    return run(config, seed, rules)
+
+
+def run(
+    config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
+) -> RunReport:
+    """Validate the config and run its mode with ``seed`` (default: first config seed)."""
+    config.validate()
+    return _run_loop(config, seed if seed is not None else config.seeds[0], rules)
+
+
+def _run_loop(config: RunConfig, seed: int, rules: AnswerNormalizationRules) -> RunReport:
     corpus, learner = _prepared_corpus_and_learner(config, seed)
     base = learner.clone()
     strategy = config.resolved_strategy(seed)
     report = RunReport(config=config.to_dict(), seed=seed)
+    union = config.mode == "iterative_union"
+    if config.mode == "batch_baseline":
+        rounds, draws = 1, config.iterations * config.k_samples
+    else:
+        rounds, draws = config.iterations, config.k_samples
     solved: set[int] = set()
     union_filter: TrajectoryDataset | None = None
-    union_reshaped: TrajectoryDataset | None = None
+    union_train: TrajectoryDataset | None = None
     filtered = None
     train_set = None
     try:
-        for t in range(1, config.iterations + 1):
-            sample = learner.sample_batch(corpus, config.k_samples)
+        for t in range(1, rounds + 1):
+            sample = learner.sample_batch(corpus, draws)
             filtered = filter_dataset(sample, rules)
             discarded = discard_dataset(sample, rules)
-            solved.update(filtered.counts_by_query())
-            if union:
-                union_filter = (
-                    filtered.retagged(ROLE_TRAIN)
-                    if union_filter is None
-                    else merge_datasets(union_filter, filtered)
-                )
-                if config.apply_point == "per_iteration":
-                    reshaped = _apply_strategy(
-                        strategy, t, filtered, discarded, corpus, learner, rules
-                    )
-                    union_reshaped = (
-                        reshaped
-                        if union_reshaped is None
-                        else merge_datasets(union_reshaped, reshaped)
-                    )
-                    train_set = union_reshaped
-                else:
-                    train_set = _apply_strategy(
-                        strategy,
-                        t,
-                        union_filter.retagged(ROLE_FILTER),
-                        discarded,
-                        corpus,
-                        learner,
-                        rules,
-                    )
+            if union and config.apply_point == "on_union":
+                union_filter = filtered if union_filter is None else merge_datasets(union_filter, filtered)
+                pool = union_filter.retagged(ROLE_FILTER)
+                train_set = _apply_strategy(strategy, t, pool, discarded, corpus, learner, rules)
             else:
-                train_set = _apply_strategy(
-                    strategy, t, filtered, discarded, corpus, learner, rules
-                )
-            _record_iteration(report, t, config.k_samples, sample, filtered, train_set)
+                train_set = _apply_strategy(strategy, t, filtered, discarded, corpus, learner, rules)
+                if union:  # per_iteration: train on the union of every reshaped set
+                    union_train = train_set if union_train is None else merge_datasets(union_train, train_set)
+                    train_set = union_train
+            solved.update(_record_iteration(report, t, config.k_samples, sample, filtered, train_set))
             if len(train_set) == 0:
                 report.warnings.append(f"iteration {t}: empty training set, forgetting only")
             learner = _train_next(config, base, learner, train_set)
@@ -374,54 +356,98 @@ def _run_loop(
     return report
 
 
-def run_batch_baseline(
-    config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
-) -> RunReport:
-    """Spend the whole T*K budget on the initial policy in a single pass."""
-    config.validate()
-    if config.mode != "batch_baseline":
-        raise ConfigError(f"run_batch_baseline requires mode=batch_baseline, got {config.mode!r}")
-    seed = seed if seed is not None else config.seeds[0]
-    corpus, learner = _prepared_corpus_and_learner(config, seed)
-    base = learner.clone()
-    strategy = config.resolved_strategy(seed)
-    report = RunReport(config=config.to_dict(), seed=seed)
-    budget = config.iterations * config.k_samples
+# -- JSONL codec ------------------------------------------------------------
+
+
+def _decode_line(
+    line: str,
+    lineno: int,
+    fields: set[str],
+    required: set[str],
+    build: Callable[[dict[str, Any]], Any],
+) -> Any:
+    """Decode one JSONL line into the value ``build`` makes of it.
+
+    The line must be a JSON object whose keys are among ``fields`` and
+    include every ``required`` one; any failure, ``build``'s included, is a
+    SchemaError naming the line.
+    """
     try:
-        sample = learner.sample_batch(corpus, budget)
-        filtered = filter_dataset(sample, rules)
-        discarded = discard_dataset(sample, rules)
-        train_set = _apply_strategy(strategy, 1, filtered, discarded, corpus, learner, rules)
-        _record_iteration(report, 1, config.k_samples, sample, filtered, train_set)
-        if len(train_set) == 0:
-            report.warnings.append("iteration 1: empty training set, forgetting only")
-        learner = _train_next(config, base, learner, train_set)
-        report.evals.append(
-            IterationEval(
-                iteration=1,
-                greedy_pass1=learner.eval_greedy_pass1(corpus),
-                sampled_pass1=learner.eval_sampled_pass1(corpus, 1),
-            )
-        )
-    except SamplerError as exc:
-        report.incomplete = True
-        raise RunAborted(str(exc), report) from exc
-    report.distinct_solved = len(filtered.counts_by_query())
-    report.final_filter = filtered
-    report.final_train = train_set
-    report.final_state = learner
-    return report
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"line {lineno}: expected a JSON object")
+    unknown = set(data) - fields
+    if unknown:
+        raise SchemaError(f"line {lineno}: unknown fields {sorted(unknown)}")
+    missing = required - set(data)
+    if missing:
+        raise SchemaError(f"line {lineno}: missing fields {sorted(missing)}")
+    try:
+        return build(data)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"line {lineno}: {exc}") from exc
 
 
-def run(config: RunConfig, seed: int | None = None) -> RunReport:
-    """Dispatch on config.mode."""
-    config.validate()
-    runner = {
-        "self_improve": run_self_improvement,
-        "batch_baseline": run_batch_baseline,
-        "iterative_union": run_iterative_union,
-    }[config.mode]
-    return runner(config, seed)
+def _read_jsonl(path: str | Path, parse: Callable[[str, int], Any]) -> list[Any]:
+    """Parse every non-blank line of a JSONL file, numbering lines from 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [parse(line, lineno) for lineno, line in enumerate(fh, start=1) if line.strip()]
+
+
+_SNAPSHOT_FIELDS = {
+    "query_id", "sample_index", "iteration", "origin", "prefix_steps", "length_tokens", "level", "correct"
+}
+_SNAPSHOT_REQUIRED = {"query_id", "sample_index", "iteration", "length_tokens", "correct"}
+
+
+def _snapshot_entry(record: QueryRecord, traj: Trajectory) -> dict[str, Any]:
+    return {
+        "query_id": traj.query_id,
+        "sample_index": traj.sample_index,
+        "iteration": traj.iteration,
+        "origin": traj.origin,
+        "prefix_steps": traj.prefix_steps,
+        "length_tokens": traj.length_tokens,
+        "level": record.level,
+        "correct": traj.correct,
+    }
+
+
+def _entry_from_snapshot(data: dict[str, Any]) -> Entry:
+    if not isinstance(data["correct"], bool):
+        raise TypeError("correct must be true or false")
+    level = data.get("level")
+    qid = int(data["query_id"])
+    record = QueryRecord(id=qid, gt_answer="", level=None if level is None else int(level))
+    traj = Trajectory(
+        query_id=qid,
+        sample_index=int(data["sample_index"]),
+        iteration=int(data["iteration"]),
+        length_tokens=int(data["length_tokens"]),
+        extracted_answer="",
+        correct=data["correct"],
+        origin=data.get("origin", ORIGIN_EXPLORED),
+        prefix_steps=int(data.get("prefix_steps", 0)),
+    )
+    return record, traj
+
+
+def parse_snapshot_line(line: str, lineno: int) -> Entry:
+    """Inverse of the snapshot encoding, up to the fields a snapshot omits."""
+    return _decode_line(line, lineno, _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _entry_from_snapshot)
+
+
+def load_snapshot(path: str | Path) -> list[Entry]:
+    """Read a ``datasets/*.jsonl`` snapshot back into (query, trajectory) pairs."""
+    return _read_jsonl(path, parse_snapshot_line)
+
+
+def _write_jsonl(path: Path, dataset: TrajectoryDataset) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for record, traj in dataset.entries:
+            fh.write(json.dumps(_snapshot_entry(record, traj), sort_keys=True) + "\n")
 
 
 # -- offline mode -----------------------------------------------------------
@@ -429,7 +455,11 @@ def run(config: RunConfig, seed: int | None = None) -> RunReport:
 
 @dataclass(frozen=True)
 class TrajectoryLogRecord:
-    """One line of an offline trajectory log."""
+    """One line of an offline trajectory log.
+
+    ``step_offsets`` inside ``(0, token_count)`` must be strictly ascending;
+    offsets outside that range are ignored.
+    """
 
     query_id: int
     gt_answer: str
@@ -443,46 +473,32 @@ class TrajectoryLogRecord:
             raise ValueError("token_count must be >= 0")
         if self.iteration < 1:
             raise ValueError("iteration must be >= 1")
+        inner = [b for b in self.step_offsets if 0 < b < self.token_count]
+        if any(b2 <= b1 for b1, b2 in zip(inner, inner[1:])):
+            raise ValueError("step_offsets must be strictly ascending")
 
 
 _LOG_FIELDS = {"query_id", "gt_answer", "extracted_answer", "token_count", "step_offsets", "iteration"}
 _LOG_REQUIRED = {"query_id", "gt_answer", "extracted_answer", "token_count"}
 
 
+def _log_record(data: dict[str, Any]) -> TrajectoryLogRecord:
+    return TrajectoryLogRecord(
+        query_id=int(data["query_id"]),
+        gt_answer=str(data["gt_answer"]),
+        extracted_answer=str(data["extracted_answer"]),
+        token_count=int(data["token_count"]),
+        step_offsets=tuple(int(x) for x in data.get("step_offsets", ())),
+        iteration=int(data.get("iteration", 1)),
+    )
+
+
 def parse_log_line(line: str, lineno: int) -> TrajectoryLogRecord:
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
-    if not isinstance(data, dict):
-        raise SchemaError(f"line {lineno}: expected a JSON object")
-    unknown = set(data) - _LOG_FIELDS
-    if unknown:
-        raise SchemaError(f"line {lineno}: unknown fields {sorted(unknown)}")
-    missing = _LOG_REQUIRED - set(data)
-    if missing:
-        raise SchemaError(f"line {lineno}: missing fields {sorted(missing)}")
-    try:
-        return TrajectoryLogRecord(
-            query_id=int(data["query_id"]),
-            gt_answer=str(data["gt_answer"]),
-            extracted_answer=str(data["extracted_answer"]),
-            token_count=int(data["token_count"]),
-            step_offsets=tuple(int(x) for x in data.get("step_offsets", ())),
-            iteration=int(data.get("iteration", 1)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"line {lineno}: {exc}") from exc
+    return _decode_line(line, lineno, _LOG_FIELDS, _LOG_REQUIRED, _log_record)
 
 
 def load_log(path: str | Path) -> list[TrajectoryLogRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            records.append(parse_log_line(line, lineno))
-    return records
+    return _read_jsonl(path, parse_log_line)
 
 
 def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
@@ -497,7 +513,6 @@ def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
     entries = []
     for rec in records:
         indices[rec.query_id] = indices.get(rec.query_id, 0) + 1
-        boundaries = tuple(b for b in rec.step_offsets if 0 < b < rec.token_count)
         traj = Trajectory(
             query_id=rec.query_id,
             sample_index=indices[rec.query_id],
@@ -505,7 +520,6 @@ def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
             length_tokens=rec.token_count,
             extracted_answer=rec.extracted_answer,
             correct=False,
-            step_boundaries=boundaries,
         )
         entries.append((queries[rec.query_id], traj))
     return TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
@@ -530,7 +544,10 @@ def rebalance_offline(
         raise ConfigError("strategy requires a sampler; offline mode supports reshaping only")
     if K < 1:
         raise ConfigError("K must be >= 1")
-    strategy.validate(K)
+    try:
+        strategy.validate(K)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     records = load_log(input_path)
     sample = log_to_dataset(records)
     filtered = filter_dataset(sample, rules)
@@ -540,9 +557,7 @@ def rebalance_offline(
     train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed)
     out = Path(output_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for record, traj in train.entries:
-            fh.write(json.dumps(_snapshot_entry(record, traj), sort_keys=True) + "\n")
+    _write_jsonl(out, train)
     k_counts = filtered.counts_by_query()
     row = build_row(1, ROLE_TRAIN, train, K, k_counts)
     return {
@@ -554,26 +569,7 @@ def rebalance_offline(
     }
 
 
-# -- serialization ----------------------------------------------------------
-
-
-def _snapshot_entry(record: QueryRecord, traj: Trajectory) -> dict[str, Any]:
-    return {
-        "query_id": traj.query_id,
-        "sample_index": traj.sample_index,
-        "iteration": traj.iteration,
-        "origin": traj.origin,
-        "prefix_steps": traj.prefix_steps,
-        "length_tokens": traj.length_tokens,
-        "level": record.level,
-        "correct": traj.correct,
-    }
-
-
-def _write_jsonl(path: Path, dataset: TrajectoryDataset) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record, traj in dataset.entries:
-            fh.write(json.dumps(_snapshot_entry(record, traj), sort_keys=True) + "\n")
+# -- report files -----------------------------------------------------------
 
 
 def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
@@ -582,47 +578,33 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
     Output is byte-stable: identical reports produce identical files.
     """
     outdir = Path(os.environ.get(OUTPUT_DIR_ENV) or output_dir)
+    summary = {
+        "seed": report.seed,
+        "incomplete": report.incomplete,
+        "warnings": report.warnings,
+        "distinct_solved": report.distinct_solved,
+        "evals": [dataclasses.asdict(e) for e in report.evals],
+        "reference_targets": REFERENCE_TARGETS,
+    }
+    written: list[Path] = []
+
+    def write(name: str, text: str) -> None:
+        path = outdir / name
+        path.write_text(text, encoding="utf-8", newline="\n")
+        written.append(path)
+
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "datasets").mkdir(exist_ok=True)
-        written: list[Path] = []
-
-        csv_path = outdir / "metrics.csv"
-        csv_path.write_text(rows_to_csv(report.rows), encoding="utf-8", newline="\n")
-        written.append(csv_path)
-
+        (outdir / "datasets").mkdir(parents=True, exist_ok=True)
+        write("metrics.csv", rows_to_csv(report.rows))
         for name, ds in (("train_final", report.final_train), ("filter_final", report.final_filter)):
             if ds is not None:
-                p = outdir / "datasets" / f"{name}.jsonl"
-                _write_jsonl(p, ds)
-                written.append(p)
-
-        cfg_path = outdir / "config.json"
-        cfg_payload = dict(report.config)
-        cfg_payload["seed"] = report.seed
-        cfg_path.write_text(
-            json.dumps(cfg_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
-        )
-        written.append(cfg_path)
-
+                path = outdir / "datasets" / f"{name}.jsonl"
+                _write_jsonl(path, ds)
+                written.append(path)
+        write("config.json", json.dumps({**report.config, "seed": report.seed}, sort_keys=True, indent=2) + "\n")
         if report.final_state is not None:
-            state_path = outdir / "learner_final.json"
-            state_path.write_text(report.final_state.to_json() + "\n", encoding="utf-8", newline="\n")
-            written.append(state_path)
-
-        summary = {
-            "seed": report.seed,
-            "incomplete": report.incomplete,
-            "warnings": report.warnings,
-            "distinct_solved": report.distinct_solved,
-            "evals": [dataclasses.asdict(e) for e in report.evals],
-            "reference_targets": REFERENCE_TARGETS,
-        }
-        summary_path = outdir / "summary.json"
-        summary_path.write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
-        )
-        written.append(summary_path)
+            write("learner_final.json", report.final_state.to_json() + "\n")
+        write("summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
         return written
     except OSError as exc:
         raise OSError(f"failed writing report under {outdir}: {exc}") from exc

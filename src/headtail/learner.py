@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -503,11 +502,3 @@ def calibrate_difficulty(pass_rates: dict[int, float]) -> dict[int, int]:
             levels[qid] = level
         pos += size
     return levels
-
-
-def save_state(state: LearnerState, path: str | Path) -> None:
-    Path(path).write_text(state.to_json(), encoding="utf-8")
-
-
-def load_state(path: str | Path) -> LearnerState:
-    return LearnerState.from_json(Path(path).read_text(encoding="utf-8"))

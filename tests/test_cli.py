@@ -102,6 +102,34 @@ class TestRebalanceVerb:
         )
         assert code == 2
 
+    def test_unordered_step_offsets_exit_schema(self, tmp_path, capsys):
+        src = tmp_path / "log.jsonl"
+        src.write_text(
+            '{"query_id": 1, "gt_answer": "a", "extracted_answer": "a", "token_count": 20}\n'
+            '{"query_id": 1, "gt_answer": "a", "extracted_answer": "a", "token_count": 20,'
+            ' "step_offsets": [10, 5]}\n'
+        )
+        out = tmp_path / "train.jsonl"
+        code = main(
+            ["rebalance", "--input", str(src), "--output", str(out),
+             "--strategy", "vanilla", "--k", "4"]
+        )
+        assert code == 3
+        assert "line 2: step_offsets must be strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_knobs_exit_config(self, tmp_path, capsys):
+        src = write_log(tmp_path, {1: 4}, K=8)
+        out = tmp_path / "o.jsonl"
+        for knobs in (["--l", "9"], ["--min-cot-tokens", "-1"]):
+            code = main(
+                ["rebalance", "--input", str(src), "--output", str(out),
+                 "--strategy", "tc", "--k", "8", *knobs]
+            )
+            assert code == 2
+            assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_summary_csv(self, tmp_path):
         src = write_log(tmp_path, {1: 4}, K=4)
         summary = tmp_path / "summary.csv"
@@ -128,6 +156,18 @@ class TestReportVerb:
     def test_missing_snapshot(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 3
 
+    def test_malformed_snapshot_lines(self, tmp_path, capsys):
+        good = {"query_id": 1, "sample_index": 1, "iteration": 1, "origin": "explored",
+                "prefix_steps": 0, "length_tokens": 30, "level": 2, "correct": True}
+        snapshot = tmp_path / "datasets" / "train_final.jsonl"
+        snapshot.parent.mkdir()
+        for bad in ([1, 2], {**good, "sample_index": "x"}):
+            snapshot.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+            assert main(["report", "--run-dir", str(tmp_path)]) == 3
+            captured = capsys.readouterr()
+            assert "line 2" in captured.err
+            assert captured.out == ""
+
 
 class TestSweepVerb:
     def test_small_grid(self, tmp_path):
@@ -142,3 +182,15 @@ class TestSweepVerb:
         assert len(summary) == 1 + 4
         assert (out / "vanilla_k4_l4_s4_seed0" / "metrics.csv").exists()
         assert (out / "rp_k4_l4_s4_seed1" / "metrics.csv").exists()
+
+    def test_points_with_l_above_k_skipped(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(cfg), "--seeds", "0", "--strategies", "vanilla,tc",
+             "--k-values", "4", "--l-values", "2,8", "--output-dir", str(out)]
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+            "tc_k4_l2_s4_seed0", "vanilla_k4_l2_s4_seed0"
+        ]

@@ -9,7 +9,6 @@ from headtail.core import (
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
-    count_correct,
     entry_sort_key,
     merge_datasets,
 )
@@ -27,10 +26,6 @@ class TestTypes:
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             make_traj(1, k=0)
-        with pytest.raises(ValueError):
-            Trajectory(1, 1, 1, 10, "x", True, step_boundaries=(4, 2))
-        with pytest.raises(ValueError):
-            Trajectory(1, 1, 1, 10, "x", True, step_boundaries=(3, 10))
         with pytest.raises(ValueError):
             Trajectory(1, 1, 1, 10, "x", True, prefix_tokens=11)
         with pytest.raises(ValueError):
@@ -76,17 +71,19 @@ class TestCanonicalOrder:
 
 
 class TestCountCorrect:
+    """k_i, the retained correct responses per query: counts_by_query of a filter set."""
+
     def test_direct_count(self):
         ds, _ = make_filter({2: 3})
-        assert count_correct(ds, 2) == 3
+        assert ds.counts_by_query() == {2: 3}
 
     def test_empty_dataset(self):
         ds = TrajectoryDataset.empty(ROLE_FILTER)
-        assert count_correct(ds, 7) == 0
+        assert ds.counts_by_query().get(7, 0) == 0
 
     def test_absent_query_is_zero(self):
         ds, _ = make_filter({1: 4})
-        assert count_correct(ds, 99) == 0
+        assert ds.counts_by_query().get(99, 0) == 0
 
     def test_from_eight_sample_fixture(self):
         # brute-force count over a hand-built 8-sample fixture
@@ -94,12 +91,8 @@ class TestCountCorrect:
         correct_entries = [(r, t) for r, t in sample if t.correct]
         assert len(correct_entries) == 6
         ds = TrajectoryDataset.from_entries(correct_entries, ROLE_FILTER)
-        assert count_correct(ds, 1) == 6
-
-    def test_requires_filter_role(self):
-        ds, _ = make_sample({1: 2}, K=4)
-        with pytest.raises(ValueError):
-            count_correct(ds, 1)
+        assert ds.counts_by_query() == {1: 6}
+        assert sample.counts_by_query() == {1: 8}  # a sample set counts every draw
 
 
 class TestMergeDatasets:
@@ -145,9 +138,10 @@ class TestMergeDatasets:
 def test_filter_counts_sum_to_size(k_correct):
     k_correct = {q: k for q, k in k_correct.items() if k > 0}
     ds, _ = make_filter(k_correct)
-    total = sum(count_correct(ds, qid) for qid in k_correct)
+    counts = ds.counts_by_query()
+    total = sum(counts.get(qid, 0) for qid in k_correct)
     assert total == len(ds)
-    assert all(0 <= count_correct(ds, qid) <= 8 for qid in k_correct)
+    assert all(0 <= counts.get(qid, 0) <= 8 for qid in k_correct)
 
 
 @given(

@@ -12,8 +12,10 @@ from headtail.harness import (
     TrajectoryLogRecord,
     emit_report,
     load_log,
+    load_snapshot,
     log_to_dataset,
     parse_log_line,
+    parse_snapshot_line,
     rebalance_offline,
     run,
     run_batch_baseline,
@@ -280,6 +282,41 @@ class TestOfflineLogs:
     def test_parse_rejects_missing_fields(self):
         with pytest.raises(SchemaError, match="missing fields"):
             parse_log_line('{"query_id": 1}', 7)
+
+    def test_step_offsets_must_ascend_inside_response(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            TrajectoryLogRecord(1, "a", "a", 10, step_offsets=(4, 2))
+        # offsets outside (0, token_count) are ignored, as they always were
+        assert TrajectoryLogRecord(1, "a", "a", 10, step_offsets=(3, 10)).step_offsets == (3, 10)
+        assert TrajectoryLogRecord(1, "a", "a", 10, step_offsets=(0, 3, 12, 5)).token_count == 10
+
+
+class TestSnapshotCodec:
+    def test_round_trip_every_origin(self, tmp_path):
+        from headtail.harness import _snapshot_entry
+
+        for kind in ("gr", "sc", "ar"):
+            rep = run_self_improvement(small_config(strategy=StrategyConfig(kind=kind)), seed=0)
+            emit_report(rep, tmp_path / kind)
+            decoded = load_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl")
+            assert [_snapshot_entry(r, t) for r, t in decoded] == [
+                _snapshot_entry(r, t) for r, t in rep.final_train
+            ]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"query_id": 1, "sample_index": 1, "iteration": 1, "length_tokens": 5, "correct": "yes"}',
+             "correct must be true or false"),
+            ('{"query_id": 1, "sample_index": 1, "iteration": 1, "length_tokens": 5, "correct": true, "x": 0}',
+             "unknown fields"),
+            ('{"query_id": 1, "sample_index": 1, "iteration": 1, "length_tokens": 5, "correct": true, "level": 9}',
+             "level must be in"),
+        ],
+    )
+    def test_bad_lines_are_schema_errors(self, line, message):
+        with pytest.raises(SchemaError, match=f"line 4: .*{message}"):
+            parse_snapshot_line(line, 4)
 
 
 class TestEmitReport:
