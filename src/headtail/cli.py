@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -29,6 +28,7 @@ from .harness import (
     SchemaError,
     emit_report,
     load_snapshot,
+    read_config_json,
     rebalance_offline,
     run as run_mode,
 )
@@ -125,7 +125,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for k in k_values:
             for L in l_values:
                 for S in s_values:
-                    if L > k:  # every strategy rejects a tail threshold above K
+                    # L > K is invalid for tc/gr and, for the kinds that never
+                    # read L, repeats the run at a lower L
+                    if L > k:
                         continue
                     variant = dataclasses.replace(
                         cfg,
@@ -180,7 +182,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg_path = run_dir / "config.json"
     if cfg_path.exists():
-        data = json.loads(cfg_path.read_text(encoding="utf-8"))
+        data = read_config_json(cfg_path)
         data.pop("seed", None)  # emit_report appends the resolved seed
         cfg = RunConfig.from_dict(data)
     else:

@@ -162,7 +162,12 @@ class RunConfig:
             if isinstance(data.get(key), dict):
                 data[key] = _from_dict(part, data[key], key)
         if "seeds" in data:
-            data["seeds"] = tuple(int(s) for s in data["seeds"])
+            seeds = data["seeds"]
+            if not isinstance(seeds, (list, tuple)) or not all(
+                isinstance(s, int) and not isinstance(s, bool) for s in seeds
+            ):
+                raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+            data["seeds"] = tuple(seeds)
         try:
             return _from_dict(cls, data, "config")
         except TypeError as exc:
@@ -170,13 +175,18 @@ class RunConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_json(path))
+
+
+def read_config_json(path: str | Path) -> dict[str, Any]:
+    """The JSON object in a config file; anything else is a ConfigError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
 
 
 @dataclass
@@ -209,7 +219,7 @@ def _apply_strategy(
     cfg: StrategyConfig,
     iteration: int,
     filtered: TrajectoryDataset,
-    discarded: TrajectoryDataset,
+    discarded: TrajectoryDataset | None,
     corpus: list[QueryRecord],
     sampler: LearnerState,
     rules: AnswerNormalizationRules,
@@ -325,7 +335,7 @@ def _run_loop(config: RunConfig, seed: int, rules: AnswerNormalizationRules) -> 
         for t in range(1, rounds + 1):
             sample = learner.sample_batch(corpus, draws)
             filtered = filter_dataset(sample, rules)
-            discarded = discard_dataset(sample, rules)
+            discarded = discard_dataset(sample, rules) if strategy.kind == "sc" else None
             if union and config.apply_point == "on_union":
                 union_filter = filtered if union_filter is None else merge_datasets(union_filter, filtered)
                 pool = union_filter.retagged(ROLE_FILTER)
@@ -444,10 +454,13 @@ def load_snapshot(path: str | Path) -> list[Entry]:
     return _read_jsonl(path, parse_snapshot_line)
 
 
+_SNAPSHOT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds one per call
+
+
 def _write_jsonl(path: Path, dataset: TrajectoryDataset) -> None:
+    encode = _SNAPSHOT_ENCODER.encode
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record, traj in dataset.entries:
-            fh.write(json.dumps(_snapshot_entry(record, traj), sort_keys=True) + "\n")
+        fh.writelines(encode(_snapshot_entry(record, traj)) + "\n" for record, traj in dataset.entries)
 
 
 # -- offline mode -----------------------------------------------------------

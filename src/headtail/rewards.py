@@ -4,6 +4,13 @@ Grading is exact string match after a deterministic normalization pass.
 The default normalization exists because raw exact match misgrades answers
 that differ only in formatting (LaTeX ``\\pi`` vs the glyph, stray math
 wrappers, spacing around fraction slashes).
+
+Normalization is a pure function of the string and the rules, so grading
+skips it where it cannot change the outcome: an answer whose raw string
+equals the ground truth is graded correct without normalizing, and within
+one ``reward``, ``filter_dataset`` or ``discard_dataset`` call each distinct
+answer and ground-truth string is normalized at most once (the memo lives
+only as long as that call).
 """
 
 from __future__ import annotations
@@ -71,9 +78,21 @@ def normalize_answer(raw: str, rules: AnswerNormalizationRules = DEFAULT_RULES) 
     return s
 
 
+def _normalized(raw: str, rules: AnswerNormalizationRules, memo: dict[str, str]) -> str:
+    norm = memo.get(raw)
+    if norm is None:
+        norm = memo[raw] = normalize_answer(raw, rules)
+    return norm
+
+
+def _grade(gt: str, extracted: str, rules: AnswerNormalizationRules, memo: dict[str, str]) -> int:
+    """1 iff ``extracted`` matches ``gt`` after normalization, memoized in ``memo``."""
+    return int(extracted == gt or _normalized(extracted, rules, memo) == _normalized(gt, rules, memo))
+
+
 def reward(query: QueryRecord, extracted: str, rules: AnswerNormalizationRules = DEFAULT_RULES) -> int:
     """Binary reward: 1 iff the extracted answer matches ground truth."""
-    return int(normalize_answer(extracted, rules) == normalize_answer(query.gt_answer, rules))
+    return _grade(query.gt_answer, extracted, rules, {})
 
 
 def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
@@ -103,10 +122,11 @@ def filter_dataset(
     out_role = _FILTER_OUT_ROLE.get(sampled.role)
     if out_role is None:
         raise ValueError(f"filter_dataset expects a sample or resample dataset, got {sampled.role!r}")
+    memo: dict[str, str] = {}
     kept = [
         (r, t if t.correct else replace(t, correct=True))
         for r, t in sampled.entries
-        if reward(r, t.extracted_answer, rules) == 1
+        if _grade(r.gt_answer, t.extracted_answer, rules, memo)
     ]
     return TrajectoryDataset.from_entries(kept, out_role, presorted=True)
 
@@ -117,10 +137,11 @@ def discard_dataset(
     """Complement of :func:`filter_dataset`: the reward-0 entries."""
     if sampled.role not in _FILTER_OUT_ROLE:
         raise ValueError(f"discard_dataset expects a sample or resample dataset, got {sampled.role!r}")
+    memo: dict[str, str] = {}
     dropped = [
         (r, replace(t, correct=False) if t.correct else t)
         for r, t in sampled.entries
-        if reward(r, t.extracted_answer, rules) == 0
+        if not _grade(r.gt_answer, t.extracted_answer, rules, memo)
     ]
     return TrajectoryDataset.from_entries(dropped, ROLE_DISCARD, presorted=True)
 

@@ -48,6 +48,7 @@ from .rewards import AnswerNormalizationRules, DEFAULT_RULES, filter_dataset, re
 RESHAPING_KINDS = ("vanilla", "tc", "hc", "rp", "ri")
 RESAMPLING_KINDS = ("ar", "gr", "sc")
 STRATEGY_KINDS = RESHAPING_KINDS + RESAMPLING_KINDS
+TAIL_THRESHOLD_KINDS = ("tc", "gr")  # the kinds that read L
 
 
 class SamplerError(RuntimeError):
@@ -91,7 +92,7 @@ class StrategyConfig:
         if k is not None:
             if k < 1:
                 raise ValueError("K must be >= 1")
-            if self.L > k:
+            if self.kind in TAIL_THRESHOLD_KINDS and self.L > k:
                 raise ValueError(f"L must not exceed K ({self.L} > {k})")
         if self.min_cot_tokens < 0:
             raise ValueError("min_cot_tokens must be >= 0")

@@ -57,7 +57,7 @@ class TestRunVerb:
         assert cfg["seed"] == 1
 
     def test_k_below_threshold_is_config_error(self):
-        assert main(["run", "--n", "10", "--k", "2", "--t", "1"]) == 2
+        assert main(["run", "--n", "10", "--k", "2", "--t", "1", "--strategy", "tc"]) == 2
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, mode="wat")
@@ -68,6 +68,12 @@ class TestRunVerb:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mystery": 1}))
         assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_bad_seeds_exit_config(self, tmp_path, capsys):
+        for seeds in (["x"], 3, "12", [True]):
+            cfg = write_cfg(tmp_path, seeds=seeds)
+            assert main(["run", "--config", str(cfg)]) == 2
+            assert "seeds must be a list of integers" in capsys.readouterr().err
 
 
 class TestRebalanceVerb:
@@ -130,6 +136,17 @@ class TestRebalanceVerb:
             assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_strategies_without_l_take_small_k(self, tmp_path):
+        src = write_log(tmp_path, {1: 1, 2: 2}, K=2)
+        for kind in ("vanilla", "rp"):
+            out = tmp_path / f"{kind}.jsonl"
+            code = main(
+                ["rebalance", "--input", str(src), "--output", str(out),
+                 "--strategy", kind, "--k", "2"]
+            )
+            assert code == 0
+            assert out.exists()
+
     def test_summary_csv(self, tmp_path):
         src = write_log(tmp_path, {1: 4}, K=4)
         summary = tmp_path / "summary.csv"
@@ -152,6 +169,17 @@ class TestReportVerb:
         text = capsys.readouterr().out
         assert text.startswith("iteration,role,total")
         assert len(text.strip().splitlines()) == 2
+
+    def test_bad_config_file_exit_config(self, tmp_path, capsys):
+        snapshot = tmp_path / "datasets" / "train_final.jsonl"
+        snapshot.parent.mkdir()
+        snapshot.write_text("")
+        for text in ("{broken", "[1]"):
+            (tmp_path / "config.json").write_text(text)
+            assert main(["report", "--run-dir", str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert "config error" in captured.err
+            assert captured.out == ""
 
     def test_missing_snapshot(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 3

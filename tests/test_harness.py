@@ -120,6 +120,22 @@ class TestSelfImprovement:
             for row in rep.rows_for("train"):
                 assert row.total >= 0
 
+    def test_discard_set_built_only_for_sc(self, monkeypatch):
+        from headtail import harness
+
+        calls = []
+        real = harness.discard_dataset
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].role)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "discard_dataset", counting)
+        run_self_improvement(small_config(), seed=0)
+        assert calls == []
+        run_self_improvement(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
+        assert len(calls) == SMALL["iterations"]
+
     def test_restart_semantics_pure_function_of_init_and_train_set(self):
         cfg = small_config(restart_each_iteration=True)
         rep = run_self_improvement(cfg, seed=3)

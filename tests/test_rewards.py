@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from headtail.core import ROLE_DISCARD, ROLE_FILTER, TrajectoryDataset
+from headtail import rewards
+from headtail.core import ROLE_DISCARD, ROLE_FILTER, ROLE_SAMPLE, TrajectoryDataset
 from headtail.rewards import (
     AnswerNormalizationRules,
     DEFAULT_RULES,
@@ -17,6 +20,9 @@ from headtail.rewards import (
 from conftest import make_query, make_sample, make_traj
 
 NO_ALIAS_RULES = AnswerNormalizationRules(symbol_aliases=())
+CUSTOM_ALIAS_RULES = AnswerNormalizationRules(
+    lowercase=False, symbol_aliases=(("half", "1/2"), (r"\s+", " "), ("^a", "A"))
+)
 
 
 class TestNormalizeAnswer:
@@ -122,6 +128,85 @@ class TestFilterDiscard:
             + [(t.query_id, t.sample_index) for _, t in d]
         )
         assert recovered == [(t.query_id, t.sample_index) for _, t in sample]
+
+
+# Small alphabets make alias hits common; short ground truths repeat across
+# rows; padded or recased copies of the ground truth make matches that only
+# normalization finds.
+_ALPHABET = " aAbh$\\/lfp\u03c0i"
+_ANSWER_TEXT = st.text(alphabet=_ALPHABET, max_size=8)
+_PADDING = st.text(alphabet=" $", max_size=2)
+
+
+@st.composite
+def _graded_row(draw):
+    gt = draw(st.text(alphabet=_ALPHABET, max_size=3))
+    extracted = draw(
+        st.one_of(
+            _ANSWER_TEXT,
+            st.just(gt),
+            st.just(gt.upper()),
+            st.tuples(_PADDING, _PADDING).map(lambda pad: pad[0] + gt + pad[1]),
+        )
+    )
+    return gt, extracted, draw(st.booleans())
+
+
+def _graded_sample(rows):
+    """Sample dataset: one query per distinct ground truth, one draw per row."""
+    qids: dict[str, int] = {}
+    entries = []
+    for j, (gt, extracted, flag) in enumerate(rows, start=1):
+        qid = qids.setdefault(gt, len(qids) + 1)
+        traj = make_traj(qid, j, correct=flag)
+        entries.append((make_query(qid, gt=gt), dataclasses.replace(traj, extracted_answer=extracted)))
+    return TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
+
+
+class TestGradingContract:
+    @given(
+        st.lists(_graded_row(), max_size=30),
+        st.sampled_from([DEFAULT_RULES, EXACT_MATCH_RULES, CUSTOM_ALIAS_RULES]),
+    )
+    @settings(max_examples=300)
+    def test_partition_matches_per_entry_oracle(self, rows, rules):
+        sample = _graded_sample(rows)
+        oracle = [
+            int(normalize_answer(t.extracted_answer, rules) == normalize_answer(r.gt_answer, rules))
+            for r, t in sample.entries
+        ]
+        expect_kept = [
+            (r, dataclasses.replace(t, correct=True)) for (r, t), ok in zip(sample.entries, oracle) if ok
+        ]
+        expect_dropped = [
+            (r, dataclasses.replace(t, correct=False)) for (r, t), ok in zip(sample.entries, oracle) if not ok
+        ]
+        assert filter_dataset(sample, rules).entries == tuple(expect_kept)
+        assert discard_dataset(sample, rules).entries == tuple(expect_dropped)
+        assert [reward(r, t.extracted_answer, rules) for r, t in sample.entries] == oracle
+
+    def test_each_distinct_string_normalized_once(self, monkeypatch):
+        rows = [(f"g{j % 3}", answer, False) for j, answer in enumerate(["x", "y", "x", "G0", "y", "z"] * 4)]
+        rows += [("g1", "g1", True), ("g2", "g2", True)]
+        sample = _graded_sample(rows)
+        calls: list[str] = []
+        real = rewards.normalize_answer
+
+        def counting(raw, rules=DEFAULT_RULES):
+            calls.append(raw)
+            return real(raw, rules)
+
+        monkeypatch.setattr(rewards, "normalize_answer", counting)
+        kept = filter_dataset(sample)
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= {"x", "y", "z", "G0", "g0", "g1", "g2"}
+        # "G0" normalizes to its ground truth "g0"
+        assert sorted((t.query_id, t.extracted_answer) for _, t in kept) == [
+            (1, "G0"), (1, "G0"), (1, "G0"), (1, "G0"), (2, "g1"), (3, "g2")
+        ]
+        calls.clear()
+        assert len(filter_dataset(_graded_sample([("g1", "g1", False)] * 3))) == 3
+        assert calls == []  # a raw match with ground truth is graded without normalizing
 
 
 class TestCotLengthFilter:

@@ -375,4 +375,8 @@ def test_strategy_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig(kind="tc", L=9).validate(8)
     with pytest.raises(ValueError):
+        StrategyConfig(kind="gr", L=9).validate(8)
+    with pytest.raises(ValueError):
         StrategyConfig(kind="gr", S=1).validate(8)
+    for kind in ("vanilla", "hc", "rp", "ri", "ar", "sc"):  # these never read L
+        StrategyConfig(kind=kind, L=9).validate(8)
