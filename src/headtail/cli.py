@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -22,6 +23,7 @@ from .harness import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SCHEMA,
+    OUTPUT_DIR_ENV,
     ConfigError,
     RunAborted,
     RunConfig,
@@ -62,6 +64,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _output_dir(cfg: RunConfig, default: str) -> Path:
+    """--output-dir or the config's output_dir; else $HEADTAIL_OUTPUT_DIR, else ``default``."""
+    return Path(cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or default)
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (strict keys)")
     p.add_argument("--n", type=int, help="corpus size")
@@ -72,7 +79,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l", type=int, help="tail threshold L")
     p.add_argument("--s", type=int, help="guided resampling step count S")
     p.add_argument("--seed", type=int, help="single seed override")
-    p.add_argument("--output-dir", help="where to write the report")
+    p.add_argument("--output-dir", help="where to write the report "
+                   "(default: $HEADTAIL_OUTPUT_DIR, else runs/run or runs/sweep)")
     restart = p.add_mutually_exclusive_group()
     restart.add_argument("--restart", dest="restart", action="store_true", default=None)
     restart.add_argument("--no-restart", dest="restart", action="store_false", default=None)
@@ -81,7 +89,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     cfg.validate()
-    outdir = Path(cfg.output_dir or "runs/run")
+    outdir = _output_dir(cfg, "runs/run")
     try:
         report = run_mode(cfg, cfg.seeds[0])
     except RunAborted as exc:
@@ -119,7 +127,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     k_values = [int(x) for x in args.k_values.split(",")] if args.k_values else [cfg.k_samples]
     l_values = [int(x) for x in args.l_values.split(",")] if args.l_values else [cfg.strategy.L]
     s_values = [int(x) for x in args.s_values.split(",")] if args.s_values else [cfg.strategy.S]
-    base_out = Path(args.output_dir or cfg.output_dir or "runs/sweep")
+    base_out = _output_dir(cfg, "runs/sweep")
     jobs: list[tuple[dict, int, str]] = []
     for kind in strategies:
         for k in k_values:
@@ -185,6 +193,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         data = read_config_json(cfg_path)
         data.pop("seed", None)  # emit_report appends the resolved seed
         cfg = RunConfig.from_dict(data)
+        cfg.validate()
     else:
         cfg = RunConfig()
     snapshot = run_dir / "datasets" / (args.dataset + ".jsonl")

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -71,7 +72,7 @@ EXIT_CONFIG = 2
 EXIT_SCHEMA = 3
 EXIT_ABORT = 4
 
-OUTPUT_DIR_ENV = "HEADTAIL_OUTPUT_DIR"
+OUTPUT_DIR_ENV = "HEADTAIL_OUTPUT_DIR"  # default output base of the CLI verbs
 
 
 class ConfigError(ValueError):
@@ -95,7 +96,40 @@ def _from_dict(cls, data: dict[str, Any], where: str):
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _has_type(value: Any, hint: Any) -> bool:
+    """Whether ``value`` fits a field annotation; a bool is never a number."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        return any(_has_type(value, a) for a in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_has_type(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_has_type, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _check_types(obj: Any, where: str = "") -> None:
+    """Raise ConfigError on the first field of a config dataclass (nested
+    ones included) whose value does not fit its annotation."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not _has_type(value, hints[f.name]):
+            raise ConfigError(f"{where}{f.name} must be {f.type}, got {value!r}")
+        if dataclasses.is_dataclass(value):
+            _check_types(value, f"{where}{f.name}.")
 
 
 @dataclass(frozen=True)
@@ -123,6 +157,7 @@ class RunConfig:
     output_dir: str | None = None
 
     def validate(self) -> None:
+        _check_types(self)
         if self.n_queries < 1:
             raise ConfigError("n_queries must be >= 1")
         if self.k_samples < 1:
@@ -168,10 +203,7 @@ class RunConfig:
             ):
                 raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
             data["seeds"] = tuple(seeds)
-        try:
-            return _from_dict(cls, data, "config")
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _from_dict(cls, data, "config")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunConfig":
@@ -226,8 +258,7 @@ def _apply_strategy(
 ) -> TrajectoryDataset:
     kind = cfg.kind
     if kind in RESHAPING_KINDS:
-        # vary the truncation subset across iterations while staying replayable
-        return reshape(kind, filtered, cfg.K, cfg.L, seed=(cfg.seed or 0) + iteration)
+        return reshape(kind, filtered, cfg.K, cfg.L, seed=cfg.seed, iteration=iteration)
     if kind == "ar":
         return adaptive_resample(filtered, corpus, sampler, cfg.K, rules)[2]
     if kind == "gr":
@@ -567,7 +598,7 @@ def rebalance_offline(
     if min_cot_tokens > 0:
         filtered = cot_length_filter(filtered, min_cot_tokens)
     seed = strategy.seed if strategy.seed is not None else 0
-    train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed)
+    train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed, iteration=1)
     out = Path(output_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_jsonl(out, train)
@@ -590,7 +621,7 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
 
     Output is byte-stable: identical reports produce identical files.
     """
-    outdir = Path(os.environ.get(OUTPUT_DIR_ENV) or output_dir)
+    outdir = Path(output_dir)
     summary = {
         "seed": report.seed,
         "incomplete": report.incomplete,

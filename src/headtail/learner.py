@@ -232,26 +232,42 @@ class LearnerState:
         self.draw_counter[query_id] = ctr + 1
         return ctr
 
-    def _length_from(self, mu: float, z: float, scale: float = 1.0) -> int:
-        return max(1, int(round(math.exp(mu + self.params.sigma_log_len * z) * scale)))
+    def _draw(
+        self,
+        query: QueryRecord,
+        prob: float,
+        mu: float,
+        *,
+        scale: float = 1.0,
+        prefix_tokens: int = 0,
+        **fields,
+    ) -> Trajectory:
+        """One keyed draw: correct w.p. ``prob``, length lognormal around ``mu``.
+
+        The generated length exp(mu + sigma * z) is scaled by ``scale``,
+        rounded, floored at one token and appended to ``prefix_tokens``.
+        The keys stay scalar: one-element arrays cost about 1.5x per draw.
+        """
+        ctr = self._next_counter(query.id)
+        correct = bool(rng.uniform(self.root_seed, rng.CORRECT, query.id, ctr) < prob)
+        z = float(rng.normal(self.root_seed, rng.LENGTH, query.id, ctr))
+        length = max(1, int(round(math.exp(mu + self.params.sigma_log_len * z) * scale)))
+        return Trajectory(
+            query_id=query.id,
+            sample_index=1,
+            iteration=self.iteration + 1,
+            length_tokens=prefix_tokens + length,
+            extracted_answer=query.gt_answer if correct else f"wrong-{query.id}-{ctr}",
+            correct=correct,
+            prefix_tokens=prefix_tokens,
+            **fields,
+        )
 
     # -- sampling ----------------------------------------------------------
 
     def sample_response(self, query: QueryRecord) -> Trajectory:
         """One fresh draw: correct w.p. p_i, length lognormal around the level mean."""
-        p = self._p_of(query)
-        ctr = self._next_counter(query.id)
-        correct = rng.uniform_scalar(self.root_seed, rng.CORRECT, query.id, ctr) < p
-        z = rng.normal_scalar(self.root_seed, rng.LENGTH, query.id, ctr)
-        length = self._length_from(self._mu_of(query), z)
-        return Trajectory(
-            query_id=query.id,
-            sample_index=1,
-            iteration=self.iteration + 1,
-            length_tokens=length,
-            extracted_answer=query.gt_answer if correct else f"wrong-{query.id}-{ctr}",
-            correct=correct,
-        )
+        return self._draw(query, self._p_of(query), self._mu_of(query))
 
     def guided_sample(
         self, query: QueryRecord, prefix: Trajectory, step: int, total_steps: int
@@ -267,23 +283,16 @@ class LearnerState:
         if not prefix.correct:
             raise ValueError("guided sampling requires a successful prefix")
         p = self._p_of(query)
-        f = (step - 1) / total_steps
         p_cond = guided_success_probability(p, step, total_steps, self.params.prefix_gain)
         prefix_tokens = 0 if step == 1 else split_steps(prefix, total_steps)[step - 1]
-        ctr = self._next_counter(query.id)
-        correct = rng.uniform_scalar(self.root_seed, rng.CORRECT, query.id, ctr) < p_cond
-        z = rng.normal_scalar(self.root_seed, rng.LENGTH, query.id, ctr)
-        continuation = self._length_from(self._mu_of(query), z, scale=1.0 - f)
-        return Trajectory(
-            query_id=query.id,
-            sample_index=1,
-            iteration=self.iteration + 1,
-            length_tokens=prefix_tokens + continuation,
-            extracted_answer=query.gt_answer if correct else f"wrong-{query.id}-{ctr}",
-            correct=correct,
+        return self._draw(
+            query,
+            p_cond,
+            self._mu_of(query),
+            scale=1.0 - (step - 1) / total_steps,
+            prefix_tokens=prefix_tokens,
             origin=ORIGIN_RESAMPLED_GR,
             prefix_steps=step - 1,
-            prefix_tokens=prefix_tokens,
         )
 
     def correct_response(self, query: QueryRecord, wrong: Trajectory) -> Trajectory:
@@ -292,19 +301,8 @@ class LearnerState:
             raise ValueError("correct_response expects a failed trajectory")
         p = self._p_of(query)
         prob = min(1.0, max(0.0, self.params.correction_base + self.params.correction_slope * p))
-        ctr = self._next_counter(query.id)
-        correct = rng.uniform_scalar(self.root_seed, rng.CORRECT, query.id, ctr) < prob
-        z = rng.normal_scalar(self.root_seed, rng.LENGTH, query.id, ctr)
         mu = self._mu_of(query) + math.log1p(self.params.correction_length_boost)
-        return Trajectory(
-            query_id=query.id,
-            sample_index=1,
-            iteration=self.iteration + 1,
-            length_tokens=self._length_from(mu, z),
-            extracted_answer=query.gt_answer if correct else f"wrong-{query.id}-{ctr}",
-            correct=correct,
-            origin=ORIGIN_CORRECTED,
-        )
+        return self._draw(query, prob, mu, origin=ORIGIN_CORRECTED)
 
     def sample_batch(
         self, corpus: list[QueryRecord], k: int, *, role: str = ROLE_SAMPLE

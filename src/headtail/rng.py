@@ -7,8 +7,9 @@ replayed in isolation, evaluated out of order, or vectorized over whole
 corpora without changing a single bit of the result.
 
 Stream tags keep the independent kinds of randomness (correctness coin,
-length noise, calibration shots, ...) from ever colliding on the same key.
-Tags are part of the reproducibility contract: never renumber them.
+length noise, calibration shots, threshold-clip truncation, ...) from ever
+colliding on the same key.  Tags are part of the reproducibility contract:
+never renumber them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ PASS_RATE = 4        # calibration shots (pass@M estimation)
 EVAL = 5             # held-out end-of-iteration evaluation draw
 CORPUS_DIFFICULTY = 6
 CORPUS_LENGTH = 7
+THRESHOLD_CLIP = 8   # per-entry truncation key of threshold clipping (tc)
 
 
 def _squeeze(z: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
@@ -69,11 +71,3 @@ def normal(root_seed, tag, query_id, counter):
     u1 = (np.asarray(h1 >> np.uint64(11), dtype=np.float64) + 1.0) / _TWO53
     u2 = np.asarray(h2 >> np.uint64(11), dtype=np.float64) / _TWO53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
-def uniform_scalar(root_seed, tag, query_id, counter) -> float:
-    return float(uniform(root_seed, tag, query_id, counter))
-
-
-def normal_scalar(root_seed, tag, query_id, counter) -> float:
-    return float(normal(root_seed, tag, query_id, counter))

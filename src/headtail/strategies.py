@@ -5,7 +5,7 @@ resampling family, a sampler capability) to a train dataset.  Writing k_i
 for the number of correct responses a query kept out of K draws:
 
 * ``vanilla``         -- train on the filtered set unchanged.
-* ``threshold_clip``  -- cap every query at L entries by seeded random truncation.
+* ``threshold_clip``  -- cap every query at L entries by keyed random truncation.
 * ``head_clip``       -- drop queries that went K for K.
 * ``repeat_pad``      -- cycle each solved query's responses up to exactly K entries.
 * ``repeat_invert``   -- keep or pad to K - k_i entries per query.
@@ -16,9 +16,9 @@ for the number of correct responses a query kept out of K draws:
   join training twice (correction pair + plain corrected response).
 
 Determinism: identical (input, config, seed) always yields the identical
-entry list.  Random truncation draws a per-query Fisher-Yates subset keyed
-by (seed, query_id); resampling randomness lives entirely in the sampler's
-per-(query, counter) streams.
+entry list.  Random truncation draws one counter-keyed ``rng`` value per
+entry, keyed by (seed, query_id, iteration, position); resampling
+randomness lives entirely in the sampler's per-(query, counter) streams.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Protocol
 
 import numpy as np
 
+from . import rng
 from .core import (
     ORIGIN_CORRECTED,
     ORIGIN_RESAMPLED_AR,
@@ -116,25 +117,29 @@ def vanilla(filtered: TrajectoryDataset) -> TrajectoryDataset:
     return filtered.retagged(ROLE_TRAIN)
 
 
-def threshold_clip(filtered: TrajectoryDataset, L: int, seed: int) -> TrajectoryDataset:
+def threshold_clip(
+    filtered: TrajectoryDataset, L: int, seed: int, iteration: int = 1
+) -> TrajectoryDataset:
     """Keep at most L correct responses per query, randomly truncated.
 
-    Queries at or under the threshold pass through untouched; above it, a
-    uniform random subset of size L survives, chosen by a Fisher-Yates
-    shuffle keyed by (seed, query_id) so reruns replay exactly.
+    Every entry draws ``rng.uniform`` on the THRESHOLD_CLIP stream, keyed by
+    the seed, its query id and a counter that packs the iteration (high 32
+    bits) with the entry's position within its query (low 32 bits).  Each
+    query keeps its L smallest draws, a uniform random L-subset, in input
+    order; queries at or under the threshold pass through untouched.
     """
     _require_filter(filtered)
     if L < 1:
         raise ValueError("L must be >= 1")
-    kept: list[Entry] = []
-    for qid, entries in _by_query(filtered).items():
-        if len(entries) <= L:
-            kept.extend(entries)
-            continue
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, qid])
-        chosen = np.sort(rng.permutation(len(entries))[:L])
-        kept.extend(entries[i] for i in chosen)
-    return TrajectoryDataset.from_entries(kept, ROLE_TRAIN)
+    n = len(filtered)
+    # canonical order sorts by query id, so each query is one contiguous run
+    qids = np.fromiter((t.query_id for _, t in filtered.entries), dtype=np.int64, count=n)
+    position = np.arange(n) - np.searchsorted(qids, qids)
+    u = rng.uniform(seed, rng.THRESHOLD_CLIP, qids, (iteration << 32) + position)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((u, qids))] = position  # a query's sorted run keeps its slots
+    kept = [filtered.entries[i] for i in np.flatnonzero(rank < L)]
+    return TrajectoryDataset.from_entries(kept, ROLE_TRAIN, presorted=True)
 
 
 def head_clip(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
@@ -339,12 +344,13 @@ def reshape(
     K: int,
     L: int = 4,
     seed: int = 0,
+    iteration: int = 1,
 ) -> TrajectoryDataset:
     """Dispatch for the sampler-free strategies (vanilla/tc/hc/rp/ri)."""
     if kind == "vanilla":
         return vanilla(filtered)
     if kind == "tc":
-        return threshold_clip(filtered, L, seed)
+        return threshold_clip(filtered, L, seed, iteration)
     if kind == "hc":
         return head_clip(filtered, K)
     if kind == "rp":

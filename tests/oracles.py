@@ -1,17 +1,17 @@
 """Independent brute-force evaluations of the reshaping set-builder rules.
 
 These deliberately avoid the library's dataset machinery: plain dicts of
-lists, straight loops.  Threshold clipping shares the library's pinned
-random-subset derivation (a Fisher-Yates permutation keyed by
-(seed, query_id)) because the subset choice is part of the definition; the
-set-builder logic around it is re-derived here from scratch.
+lists, straight loops.  Threshold clipping shares the library's pinned draw key
+(one ``rng.uniform`` per entry on the THRESHOLD_CLIP stream) because the
+subset choice is part of the definition; the per-entry counters and the
+keep-the-L-smallest rule around it are re-derived here with scalar draws.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
+from headtail import rng
 
 
 def group(entries):
@@ -41,15 +41,18 @@ def same_multiset(a_entries, b_entries) -> bool:
     return Counter(map(entry_key, a_entries)) == Counter(map(entry_key, b_entries))
 
 
-def oracle_tc(filter_entries, L, seed):
+def oracle_tc(filter_entries, L, seed, iteration=1):
+    """Each entry draws one scalar uniform keyed by (seed, query id,
+    iteration * 2**32 + its position in the query); a query keeps the L
+    entries with the smallest draws, in input order."""
     out = []
     for qid, items in group(filter_entries).items():
-        if len(items) <= L:
-            out.extend(items)
-        else:
-            rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, qid])
-            keep = sorted(rng.permutation(len(items))[:L])
-            out.extend(items[i] for i in keep)
+        draws = [
+            float(rng.uniform(seed, rng.THRESHOLD_CLIP, qid, iteration * 2**32 + pos))
+            for pos in range(len(items))
+        ]
+        smallest = sorted(range(len(items)), key=lambda i: draws[i])[:L]
+        out.extend(items[i] for i in sorted(smallest))
     return out
 
 

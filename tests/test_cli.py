@@ -1,6 +1,8 @@
 import json
+from pathlib import Path
 
 from headtail.cli import main
+from headtail.harness import OUTPUT_DIR_ENV
 
 SMALL_CFG = {
     "n_queries": 40,
@@ -74,6 +76,26 @@ class TestRunVerb:
             cfg = write_cfg(tmp_path, seeds=seeds)
             assert main(["run", "--config", str(cfg)]) == 2
             assert "seeds must be a list of integers" in capsys.readouterr().err
+
+    def test_mistyped_integer_exit_config(self, tmp_path, capsys):
+        for value in ("x", True, 2.5):
+            cfg = write_cfg(tmp_path, k_samples=value)
+            assert main(["run", "--config", str(cfg)]) == 2
+            assert "k_samples must be int" in capsys.readouterr().err
+
+    def test_non_object_strategy_exit_config(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, strategy=[1])
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "strategy must be StrategyConfig" in capsys.readouterr().err
+
+    def test_env_output_dir_is_only_a_default(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        env_dir, given = tmp_path / "env", tmp_path / "given"
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))
+        assert main(["run", "--config", str(cfg), "--output-dir", str(given)]) == 0
+        assert (given / "metrics.csv").exists() and not env_dir.exists()
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert (env_dir / "metrics.csv").exists()
 
 
 class TestRebalanceVerb:
@@ -181,6 +203,17 @@ class TestReportVerb:
             assert "config error" in captured.err
             assert captured.out == ""
 
+    def test_invalid_config_values_exit_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--output-dir", str(out)]) == 0
+        saved = json.loads((out / "config.json").read_text())
+        (out / "config.json").write_text(json.dumps({**saved, "k_samples": 0}))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "k_samples must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_missing_snapshot(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 3
 
@@ -222,3 +255,15 @@ class TestSweepVerb:
         assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
             "tc_k4_l2_s4_seed0", "vanilla_k4_l2_s4_seed0"
         ]
+
+    def test_env_output_dir_is_the_sweep_base(self, tmp_path, monkeypatch):
+        base = tmp_path / "env"
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(base))
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--seeds", "0,1",
+                     "--strategies", "vanilla,rp"])
+        assert code == 0
+        run_dirs = [line.split(",")[0] for line in
+                    (base / "sweep_summary.csv").read_text().splitlines()[1:]]
+        assert len(set(run_dirs)) == 4
+        for run_dir in run_dirs:
+            assert (Path(run_dir) / "metrics.csv").exists()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from headtail.harness import (
+    OUTPUT_DIR_ENV,
     ConfigError,
     RunAborted,
     RunConfig,
@@ -23,6 +24,7 @@ from headtail.harness import (
     run_self_improvement,
 )
 from headtail.learner import CorpusParams, LearnerParams, LearnerState
+from headtail.rewards import DEFAULT_RULES
 from headtail.strategies import StrategyConfig
 
 SMALL = dict(n_queries=60, k_samples=4, iterations=2, calibration_shots=16)
@@ -135,6 +137,17 @@ class TestSelfImprovement:
         assert calls == []
         run_self_improvement(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
         assert len(calls) == SMALL["iterations"]
+
+    def test_tc_stream_not_shared_by_next_seed_one_iteration_back(self, hand_filter):
+        from headtail.harness import _apply_strategy
+
+        f, queries = hand_filter
+
+        def clip(seed, iteration):
+            cfg = StrategyConfig(kind="tc", L=2, K=8, seed=seed)
+            return _apply_strategy(cfg, iteration, f, None, list(queries.values()), None, DEFAULT_RULES)
+
+        assert any(clip(s, 2).entries != clip(s + 1, 1).entries for s in range(10))
 
     def test_restart_semantics_pure_function_of_init_and_train_set(self):
         cfg = small_config(restart_each_iteration=True)
@@ -367,13 +380,13 @@ class TestEmitReport:
         b = emit_report(run_self_improvement(cfg, seed=4), tmp_path / "b")
         assert file_hashes(a) == file_hashes(b)
 
-    def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
+    def test_writes_where_told_despite_env_var(self, tmp_path, monkeypatch):
         rep = run_self_improvement(small_config(), seed=0)
-        override = tmp_path / "env_dir"
-        monkeypatch.setenv("HEADTAIL_OUTPUT_DIR", str(override))
-        emit_report(rep, tmp_path / "ignored")
-        assert (override / "metrics.csv").exists()
-        assert not (tmp_path / "ignored").exists()
+        env_dir = tmp_path / "env_dir"
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))
+        emit_report(rep, tmp_path / "given")
+        assert (tmp_path / "given" / "metrics.csv").exists()
+        assert not env_dir.exists()
 
     def test_snapshot_schema(self, tmp_path):
         rep = run_self_improvement(small_config(), seed=0)

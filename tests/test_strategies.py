@@ -94,6 +94,21 @@ class TestThresholdClip:
         pool = set(id(e[1]) for e in f.entries)
         assert all(id(t) in pool for _, t in out.entries)
 
+    @given(
+        st.dictionaries(st.integers(-5, 30), st.integers(1, 12), min_size=1, max_size=10),
+        st.integers(1, 12),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 1000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_keeps_min_k_l_per_query_in_input_order(self, k_correct, L, seed, iteration):
+        f, _ = make_filter(k_correct)
+        out = threshold_clip(f, L, seed, iteration)
+        assert per_query_counts(out) == {q: min(k, L) for q, k in k_correct.items()}
+        # an ordered subsequence of the input, by identity
+        remaining = iter(f.entries)
+        assert all(any(kept is e for e in remaining) for kept in out.entries)
+
 
 class TestHeadClip:
     def test_hand_fixture(self):
@@ -293,12 +308,13 @@ class TestOracleEquivalence:
         st.dictionaries(st.integers(0, 20), st.integers(1, 8), min_size=1, max_size=12),
         st.integers(1, 8),
         st.integers(0, 2**32),
+        st.integers(1, 50),
     )
     @settings(max_examples=150, deadline=None)
-    def test_tc_matches_oracle(self, k_correct, L, seed):
+    def test_tc_matches_oracle(self, k_correct, L, seed, iteration):
         f, _ = make_filter(k_correct)
-        ours = threshold_clip(f, L, seed)
-        assert same_multiset(ours.entries, oracle_tc(list(f.entries), L, seed))
+        ours = threshold_clip(f, L, seed, iteration)
+        assert list(ours.entries) == oracle_tc(list(f.entries), L, seed, iteration)
 
     @given(st.dictionaries(st.integers(0, 20), st.integers(1, 8), min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
