@@ -33,6 +33,7 @@ from .harness import (
     read_config_json,
     rebalance_offline,
     run as run_mode,
+    write_atomic,
 )
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_RULES, load_alias_table
@@ -120,13 +121,31 @@ def _one_sweep_run(payload: tuple[dict, int, str]) -> tuple[str, int, list[str] 
     return outdir, seed, train_rows[-1].to_csv_fields() if train_rows else None
 
 
+def _int_list(text: str | None, flag: str, default: list[int]) -> list[int]:
+    """A comma-separated integer flag; a malformed one is a ConfigError."""
+    if text is None:
+        return default
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
+def _worker_count(jobs: int, runs: int) -> int:
+    """Processes for a sweep: no more than asked for, runs to do, or CPUs."""
+    return max(1, min(jobs, runs, os.cpu_count() or 1))
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(cfg.seeds)
+    cfg.validate()
+    seeds = _int_list(args.seeds, "--seeds", list(cfg.seeds))
     strategies = args.strategies.split(",") if args.strategies else [cfg.strategy.kind]
-    k_values = [int(x) for x in args.k_values.split(",")] if args.k_values else [cfg.k_samples]
-    l_values = [int(x) for x in args.l_values.split(",")] if args.l_values else [cfg.strategy.L]
-    s_values = [int(x) for x in args.s_values.split(",")] if args.s_values else [cfg.strategy.S]
+    k_values = _int_list(args.k_values, "--k-values", [cfg.k_samples])
+    l_values = _int_list(args.l_values, "--l-values", [cfg.strategy.L])
+    s_values = _int_list(args.s_values, "--s-values", [cfg.strategy.S])
     base_out = _output_dir(cfg, "runs/sweep")
     jobs: list[tuple[dict, int, str]] = []
     for kind in strategies:
@@ -146,9 +165,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     for seed in seeds:
                         outdir = base_out / f"{kind}_k{k}_l{L}_s{S}_seed{seed}"
                         jobs.append((variant.to_dict(), seed, str(outdir)))
-    results = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _worker_count(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_sweep_run, jobs))
     else:
         results = [_one_sweep_run(j) for j in jobs]
@@ -157,7 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if fields is not None:
             lines.append(f"{outdir},{seed}," + ",".join(fields))
     base_out.mkdir(parents=True, exist_ok=True)
-    (base_out / "sweep_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(base_out / "sweep_summary.csv", "\n".join(lines) + "\n")
     print(f"{len(jobs)} runs under {base_out}")
     return EXIT_OK
 
@@ -178,7 +197,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     )
     row = summary.pop("metrics_row")
     if args.summary:
-        Path(args.summary).write_text(rows_to_csv([row]), encoding="utf-8", newline="\n")
+        write_atomic(args.summary, rows_to_csv([row]))
     print(
         f"{summary['input_records']} records in, {summary['filtered']} kept by reward, "
         f"{summary['output_records']} written to {args.output}"
@@ -204,9 +223,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(rows_to_csv([]))
         return EXIT_OK
     role = ROLE_TRAIN if all(t.correct for _, t in entries) else ROLE_SAMPLE
-    dataset = TrajectoryDataset.from_entries(entries, role)
+    try:
+        dataset = TrajectoryDataset.from_entries(entries, role)
+    except ValueError as exc:  # lines of one query that disagree on its level
+        raise SchemaError(f"{snapshot}: {exc}") from exc
     counts = dataset.counts_by_query()
-    row = build_row(max(t.iteration for _, t in entries), dataset.role, dataset, cfg.k_samples, counts)
+    iteration = int(dataset.columns["iteration"].max())
+    row = build_row(iteration, dataset.role, dataset, cfg.k_samples, counts)
     print(rows_to_csv([row]), end="")
     return EXIT_OK
 
@@ -226,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k-values", help="comma-separated K grid")
     p_sweep.add_argument("--l-values", help="comma-separated L grid")
     p_sweep.add_argument("--s-values", help="comma-separated S grid")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel worker count (capped at the run count and the CPU count)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_reb = sub.add_parser("rebalance", help="offline reshaping of a trajectory log")

@@ -10,25 +10,49 @@ byte-for-byte:
     prefix_steps, correction linkage)
 
 with origin rank explored < resampled_ar < resampled_gr < corrected.
+
+Layout
+------
+A dataset is stored column-wise: one read-only numpy array per field
+(``COLUMNS``: query id, level with 0 for unset, iteration, origin rank,
+sample index, prefix steps and tokens, length, correct flag, and
+corrected_from with -1 for unset), an object array of extracted answers,
+and a table from query id to its :class:`QueryRecord`.  Every transform is
+index arithmetic on those columns: select rows, repeat them, concatenate
+two datasets, and restore canonical order with one stable ``np.lexsort``
+over the ``entry_sort_key`` fields, so entries with equal keys keep their
+relative order.
+
+Python objects exist only at the edges:
+
+* :meth:`TrajectoryDataset.from_entries` packs pairs made elsewhere (the
+  scalar samplers, decoded snapshots, hand-built fixtures) into columns and
+  keeps the tuple it was given;
+* :attr:`TrajectoryDataset.entries` builds the pairs on first access and
+  caches them; a dataset selected from one whose entries exist reuses
+  those very objects;
+* :meth:`TrajectoryDataset.take_entries` builds the pairs of a few rows
+  without caching them (guided-resampling donors, responses to correct).
+
+The simulation loop itself never builds entries for its sampled, filtered
+or train sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 ORIGIN_EXPLORED = "explored"
 ORIGIN_RESAMPLED_AR = "resampled_ar"
 ORIGIN_RESAMPLED_GR = "resampled_gr"
 ORIGIN_CORRECTED = "corrected"
 
-ORIGIN_RANK = {
-    ORIGIN_EXPLORED: 0,
-    ORIGIN_RESAMPLED_AR: 1,
-    ORIGIN_RESAMPLED_GR: 2,
-    ORIGIN_CORRECTED: 3,
-}
+ORIGINS = (ORIGIN_EXPLORED, ORIGIN_RESAMPLED_AR, ORIGIN_RESAMPLED_GR, ORIGIN_CORRECTED)
+ORIGIN_RANK = {origin: rank for rank, origin in enumerate(ORIGINS)}
 
 ROLE_SAMPLE = "sample"
 ROLE_FILTER = "filter"
@@ -111,6 +135,8 @@ class Trajectory:
             raise ValueError("prefix_steps is only meaningful for guided resamples")
         if self.prefix_steps < 0:
             raise ValueError("prefix_steps must be >= 0")
+        if self.corrected_from is not None and self.corrected_from < 1:
+            raise ValueError("corrected_from must be >= 1 when set")
 
     @property
     def cot_length(self) -> int:
@@ -127,64 +153,254 @@ def entry_sort_key(entry: Entry) -> tuple:
     return (t.query_id, t.iteration, ORIGIN_RANK[t.origin], t.sample_index, t.prefix_steps, link)
 
 
-@dataclass(frozen=True)
+# one int64 column per field ("correct" is bool); level 0 and corrected_from
+# -1 stand for unset, origin holds the rank
+COLUMNS = (
+    "query_id", "level", "iteration", "origin", "sample_index",
+    "prefix_steps", "prefix_tokens", "length_tokens", "correct", "corrected_from",
+)
+# entry_sort_key's fields, least significant first as np.lexsort wants them
+_SORT_COLUMNS = ("corrected_from", "prefix_steps", "sample_index", "origin", "iteration", "query_id")
+_ALL_CORRECT_ROLES = (ROLE_FILTER, ROLE_REFILTER, ROLE_TRAIN)
+
+
+def object_array(values: Iterable[Any]) -> np.ndarray:
+    """1-D object array of ``values`` (np.array would make strings fixed-width)."""
+    values = list(values)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _check_columns(role: str, c: dict[str, np.ndarray]) -> None:
+    """The Trajectory and role invariants, as whole-column checks."""
+    origin, steps = c["origin"], c["prefix_steps"]
+    prefix, length = c["prefix_tokens"], c["length_tokens"]
+    if np.any(c["sample_index"] < 1):
+        raise ValueError("sample_index must be >= 1")
+    if np.any(c["iteration"] < 1):
+        raise ValueError("iteration must be >= 1")
+    if np.any(length < 0):
+        raise ValueError("length_tokens must be >= 0")
+    if np.any((origin < 0) | (origin >= len(ORIGINS))):
+        raise ValueError("unknown origin rank")
+    if np.any((prefix < 0) | (prefix > length)):
+        raise ValueError("prefix_tokens must be in [0, length_tokens]")
+    if np.any((steps != 0) & (origin != ORIGIN_RANK[ORIGIN_RESAMPLED_GR])):
+        raise ValueError("prefix_steps is only meaningful for guided resamples")
+    if np.any(steps < 0):
+        raise ValueError("prefix_steps must be >= 0")
+    if np.any((c["level"] < 0) | (c["level"] > LEVELS[-1])):
+        raise ValueError(f"level must be in {LEVELS} when set")
+    if np.any((c["corrected_from"] < 1) & (c["corrected_from"] != -1)):
+        raise ValueError("corrected_from must be >= 1 when set")
+    if role in _ALL_CORRECT_ROLES and not np.all(c["correct"]):
+        raise ValueError(f"{role} datasets may only contain correct trajectories")
+    if role == ROLE_DISCARD and np.any(c["correct"]):
+        raise ValueError("discard datasets may only contain incorrect trajectories")
+
+
 class TrajectoryDataset:
-    """An immutable, canonically ordered multiset of (query, trajectory) pairs."""
+    """An immutable, canonically ordered multiset of (query, trajectory) pairs.
 
-    entries: tuple[Entry, ...]
-    role: str
+    ``columns`` maps each name in ``COLUMNS`` to a read-only array with one
+    row per entry, ``answers`` holds the extracted answers and ``records``
+    maps every query id in the columns (possibly more) to its record.  The
+    constructor checks every invariant and, with ``sort``, puts the rows in
+    canonical order; ``entries``, when given, are the same rows as pairs.
+    """
 
-    @classmethod
-    def from_entries(cls, entries, role: str, *, presorted: bool = False) -> "TrajectoryDataset":
+    __slots__ = ("role", "columns", "answers", "records", "_entries")
+
+    def __init__(
+        self,
+        role: str,
+        columns: dict[str, Any],
+        answers: np.ndarray,
+        records: dict[int, QueryRecord],
+        *,
+        entries: tuple[Entry, ...] | None = None,
+        sort: bool = True,
+    ):
         if role not in ROLES:
             raise ValueError(f"unknown dataset role {role!r}")
-        items = tuple(entries) if presorted else tuple(sorted(entries, key=entry_sort_key))
+        try:
+            cols = {
+                name: np.asarray(columns[name], dtype=bool if name == "correct" else np.int64)
+                for name in COLUMNS
+            }
+        except OverflowError:
+            raise ValueError("dataset fields must fit in 64-bit integers") from None
+        if any(len(col) != len(answers) for col in cols.values()):
+            raise ValueError("dataset columns differ in length")
+        _check_columns(role, cols)
+        if sort and len(answers) > 1:
+            order = np.lexsort([cols[name] for name in _SORT_COLUMNS])
+            cols = {name: col[order] for name, col in cols.items()}
+            answers = answers[order]
+            if entries is not None:
+                entries = tuple(entries[i] for i in order.tolist())
+        for col in (*cols.values(), answers):
+            col.flags.writeable = False
+        self.role = role
+        self.columns = cols
+        self.answers = answers
+        self.records = records
+        self._entries = entries
+
+    @classmethod
+    def from_entries(cls, entries: Iterable[Entry], role: str) -> "TrajectoryDataset":
+        """Pack (QueryRecord, Trajectory) pairs into canonical order.
+
+        Every pair of one query must carry equal records.
+        """
+        items = tuple(entries)
+        records: dict[int, QueryRecord] = {}
         for record, traj in items:
             if record.id != traj.query_id:
                 raise ValueError(
                     f"trajectory query_id {traj.query_id} does not match record id {record.id}"
                 )
-        if role in (ROLE_FILTER, ROLE_REFILTER, ROLE_TRAIN):
-            if any(not t.correct for _, t in items):
-                raise ValueError(f"{role} datasets may only contain correct trajectories")
-        elif role == ROLE_DISCARD:
-            if any(t.correct for _, t in items):
-                raise ValueError("discard datasets may only contain incorrect trajectories")
-        return cls(entries=items, role=role)
+            prior = records.setdefault(record.id, record)
+            if prior is not record and prior != record:
+                raise ValueError(f"conflicting records for query {record.id}")
+        trajs = [t for _, t in items]
+        columns = {
+            "query_id": [t.query_id for t in trajs],
+            "level": [r.level or 0 for r, _ in items],
+            "iteration": [t.iteration for t in trajs],
+            "origin": [ORIGIN_RANK[t.origin] for t in trajs],
+            "sample_index": [t.sample_index for t in trajs],
+            "prefix_steps": [t.prefix_steps for t in trajs],
+            "prefix_tokens": [t.prefix_tokens for t in trajs],
+            "length_tokens": [t.length_tokens for t in trajs],
+            "correct": [t.correct for t in trajs],
+            "corrected_from": [-1 if t.corrected_from is None else t.corrected_from for t in trajs],
+        }
+        answers = object_array(t.extracted_answer for t in trajs)
+        return cls(role, columns, answers, records, entries=items)
 
     @classmethod
     def empty(cls, role: str) -> "TrajectoryDataset":
-        return cls.from_entries((), role, presorted=True)
+        return cls.from_entries((), role)
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        """The rows as (QueryRecord, Trajectory) pairs, built once on first access."""
+        if self._entries is None:
+            self._entries = tuple(self.take_entries(np.arange(len(self))))
+        return self._entries
+
+    def take_entries(self, rows: np.ndarray) -> list[Entry]:
+        """The given rows as pairs; built fresh (not cached) unless ``entries`` exist."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if self._entries is not None:
+            return [self._entries[i] for i in rows.tolist()]
+        c = {name: col[rows].tolist() for name, col in self.columns.items()}
+        records = self.records
+        return [
+            (records[q], Trajectory(q, s, it, n, a, ok, ORIGINS[o], ps, pt, None if cf < 0 else cf))
+            for q, s, it, n, a, ok, o, ps, pt, cf in zip(
+                c["query_id"], c["sample_index"], c["iteration"], c["length_tokens"],
+                self.answers[rows].tolist(), c["correct"], c["origin"], c["prefix_steps"],
+                c["prefix_tokens"], c["corrected_from"],
+            )
+        ]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.answers)
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(self.entries)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrajectoryDataset):
+            return NotImplemented
+        return self.role == other.role and self.entries == other.entries
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TrajectoryDataset(role={self.role!r}, rows={len(self)})"
+
+    def select(
+        self, rows: np.ndarray, role: str, *, correct: bool | None = None, sort: bool = False
+    ) -> "TrajectoryDataset":
+        """The given rows (repeats allowed) under ``role``.
+
+        ``correct`` overwrites the rows' correct flag.  Pass ``sort`` unless
+        ``rows`` ascend, to restore canonical order.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        columns = {name: col[rows] for name, col in self.columns.items()}
+        entries = None if self._entries is None else tuple(self.take_entries(rows))
+        if correct is not None:
+            columns["correct"] = np.full(len(rows), correct)
+            if entries is not None:
+                entries = tuple(
+                    (r, t if t.correct == correct else replace(t, correct=correct)) for r, t in entries
+                )
+        return TrajectoryDataset(
+            role, columns, self.answers[rows], self.records, entries=entries, sort=sort
+        )
+
     def retagged(self, role: str) -> "TrajectoryDataset":
         """Same entries under a different role tag."""
-        return TrajectoryDataset.from_entries(self.entries, role, presorted=True)
+        return TrajectoryDataset(
+            role, self.columns, self.answers, self.records, entries=self._entries, sort=False
+        )
+
+    def query_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(query id, first row, row count) of each query's contiguous run of rows."""
+        qids = self.columns["query_id"]
+        starts = np.flatnonzero(np.concatenate(([True], qids[1:] != qids[:-1])))[: len(qids)]
+        return qids[starts], starts, np.diff(np.append(starts, len(qids)))
+
+    def row_counts(self) -> np.ndarray:
+        """Per row: how many rows its query has in this dataset."""
+        _, _, counts = self.query_runs()
+        return np.repeat(counts, counts)
 
     def counts_by_query(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for _, t in self.entries:
-            counts[t.query_id] = counts.get(t.query_id, 0) + 1
-        return counts
+        ids, _, counts = self.query_runs()
+        return dict(zip(ids.tolist(), counts.tolist()))
 
-    def records_by_id(self) -> dict[int, QueryRecord]:
-        return {r.id: r for r, _ in self.entries}
+    def gt_answers(self) -> np.ndarray:
+        """Per row: the ground-truth answer of its query (object array)."""
+        ids, _, counts = self.query_runs()
+        return np.repeat(object_array(self.records[q].gt_answer for q in ids.tolist()), counts)
+
+
+def lookup_counts(counts: dict[int, int], qids: np.ndarray) -> np.ndarray:
+    """Per query id in ``qids``: its value in ``counts``, 0 when absent."""
+    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    if len(keys) == 0:
+        return np.zeros(len(qids), dtype=np.int64)
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    pos = np.minimum(np.searchsorted(keys, qids), len(keys) - 1)
+    return np.where(keys[pos] == qids, values[pos], 0)
 
 
 def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryDataset:
     """Multiset union of two datasets over the same corpus, tagged train.
 
     Duplicates are preserved and the result is re-sorted into canonical
-    order, so the operation is associative and commutative up to that order.
+    order (entries of ``a`` before equal-keyed entries of ``b``), so the
+    operation is associative and commutative up to that order.
     """
-    seen = a.records_by_id()
-    for r, _ in b.entries:
-        prior = seen.get(r.id)
-        if prior is not None and prior != r:
-            raise CorpusMismatchError("corpus mismatch")
-    return TrajectoryDataset.from_entries(a.entries + b.entries, ROLE_TRAIN)
+    records = a.records
+    if b.records is not records:
+        for qid, record in b.records.items():
+            prior = records.get(qid)
+            if prior is not None and prior is not record and prior != record:
+                raise CorpusMismatchError("corpus mismatch")
+        records = {**records, **b.records}
+    columns = {name: np.concatenate((a.columns[name], b.columns[name])) for name in COLUMNS}
+    entries = None
+    if a._entries is not None and b._entries is not None:
+        entries = a._entries + b._entries
+    return TrajectoryDataset(
+        ROLE_TRAIN, columns, np.concatenate((a.answers, b.answers)), records, entries=entries
+    )

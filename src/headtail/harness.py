@@ -27,14 +27,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import types
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from .core import (
+    LEVELS,
     ORIGIN_EXPLORED,
+    ORIGINS,
     ROLE_FILTER,
     ROLE_SAMPLE,
     ROLE_TRAIN,
@@ -43,6 +48,7 @@ from .core import (
     Trajectory,
     TrajectoryDataset,
     merge_datasets,
+    object_array,
 )
 from .learner import (
     CorpusParams,
@@ -485,13 +491,50 @@ def load_snapshot(path: str | Path) -> list[Entry]:
     return _read_jsonl(path, parse_snapshot_line)
 
 
-_SNAPSHOT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds one per call
+# json.dumps(_snapshot_entry(...), sort_keys=True) of a row, filled from columns
+_SNAPSHOT_LINE = (
+    '{"correct": %s, "iteration": %d, "length_tokens": %d, "level": %s, '
+    '"origin": "%s", "prefix_steps": %d, "query_id": %d, "sample_index": %d}\n'
+)
+_JSON_BOOL = ("false", "true")
+_JSON_LEVEL = ("null",) + tuple(str(lv) for lv in LEVELS)  # level 0 is unset
+_SNAPSHOT_CHUNK = 4096  # rows formatted per write
+
+
+def _snapshot_chunks(dataset: TrajectoryDataset) -> Iterator[str]:
+    """The snapshot lines of ``dataset``, a few thousand rows per string."""
+    c = dataset.columns
+    for lo in range(0, len(dataset), _SNAPSHOT_CHUNK):
+        part = {name: col[lo : lo + _SNAPSHOT_CHUNK].tolist() for name, col in c.items()}
+        yield "".join(
+            _SNAPSHOT_LINE % (_JSON_BOOL[ok], it, n, _JSON_LEVEL[lv], ORIGINS[o], ps, q, s)
+            for ok, it, n, lv, o, ps, q, s in zip(
+                part["correct"], part["iteration"], part["length_tokens"], part["level"],
+                part["origin"], part["prefix_steps"], part["query_id"], part["sample_index"],
+            )
+        )
+
+
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text`` (a string or string chunks) to ``path`` all or nothing.
+
+    The text goes to a new temporary file in the same directory, which then
+    replaces ``path`` in one ``os.replace``; on any failure the temporary
+    file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.writelines((text,) if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_jsonl(path: Path, dataset: TrajectoryDataset) -> None:
-    encode = _SNAPSHOT_ENCODER.encode
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(encode(_snapshot_entry(record, traj)) + "\n" for record, traj in dataset.entries)
+    write_atomic(path, _snapshot_chunks(dataset))
 
 
 # -- offline mode -----------------------------------------------------------
@@ -517,6 +560,8 @@ class TrajectoryLogRecord:
             raise ValueError("token_count must be >= 0")
         if self.iteration < 1:
             raise ValueError("iteration must be >= 1")
+        if not -(2**63) <= self.query_id < 2**63 or max(self.token_count, self.iteration) >= 2**63:
+            raise ValueError("query_id, token_count and iteration must fit in 64 bits")
         inner = [b for b in self.step_offsets if 0 < b < self.token_count]
         if any(b2 <= b1 for b1, b2 in zip(inner, inner[1:])):
             raise ValueError("step_offsets must be strictly ascending")
@@ -546,27 +591,37 @@ def load_log(path: str | Path) -> list[TrajectoryLogRecord]:
 
 
 def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
-    """Assemble log records into a sample dataset; gt conflicts are schema errors."""
+    """Assemble log records into a sample dataset; gt conflicts are schema errors.
+
+    Each query's responses are numbered 1, 2, ... in log order.
+    """
     gt: dict[int, str] = {}
     for i, rec in enumerate(records, start=1):
         prior = gt.setdefault(rec.query_id, rec.gt_answer)
         if prior != rec.gt_answer:
             raise SchemaError(f"record {i}: conflicting gt_answer for query {rec.query_id}")
+    n = len(records)
+    qids = np.array([rec.query_id for rec in records], dtype=np.int64)
+    by_query = np.argsort(qids, kind="stable")
+    _, starts, counts = np.unique(qids[by_query], return_index=True, return_counts=True)
+    sample_index = np.empty(n, dtype=np.int64)
+    sample_index[by_query] = np.arange(1, n + 1) - np.repeat(starts, counts)
+    zeros = np.zeros(n, dtype=np.int64)
+    columns = {
+        "query_id": qids,
+        "level": zeros,
+        "iteration": [rec.iteration for rec in records],
+        "origin": zeros,
+        "sample_index": sample_index,
+        "prefix_steps": zeros,
+        "prefix_tokens": zeros,
+        "length_tokens": [rec.token_count for rec in records],
+        "correct": np.zeros(n, dtype=bool),
+        "corrected_from": np.full(n, -1),
+    }
+    answers = object_array(rec.extracted_answer for rec in records)
     queries = {qid: QueryRecord(id=qid, gt_answer=ans) for qid, ans in gt.items()}
-    indices: dict[int, int] = {}
-    entries = []
-    for rec in records:
-        indices[rec.query_id] = indices.get(rec.query_id, 0) + 1
-        traj = Trajectory(
-            query_id=rec.query_id,
-            sample_index=indices[rec.query_id],
-            iteration=rec.iteration,
-            length_tokens=rec.token_count,
-            extracted_answer=rec.extracted_answer,
-            correct=False,
-        )
-        entries.append((queries[rec.query_id], traj))
-    return TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
+    return TrajectoryDataset(ROLE_SAMPLE, columns, answers, queries)
 
 
 def rebalance_offline(
@@ -634,7 +689,7 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
 
     def write(name: str, text: str) -> None:
         path = outdir / name
-        path.write_text(text, encoding="utf-8", newline="\n")
+        write_atomic(path, text)
         written.append(path)
 
     try:

@@ -41,6 +41,7 @@ from .core import (
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
+    object_array,
 )
 from .strategies import split_steps
 
@@ -325,30 +326,29 @@ class LearnerState:
             1, np.rint(np.exp(mus + self.params.sigma_log_len * z)).astype(np.int64)
         )
         correct = u < p
-        iteration = self.iteration + 1
-        entries = []
-        idx = 0
-        for record in records:
-            for j in range(1, k + 1):
-                ctr = int(counters[idx])
-                ok = bool(correct[idx])
-                entries.append(
-                    (
-                        record,
-                        Trajectory(
-                            query_id=record.id,
-                            sample_index=j,
-                            iteration=iteration,
-                            length_tokens=int(lengths[idx]),
-                            extracted_answer=record.gt_answer if ok else f"wrong-{record.id}-{ctr}",
-                            correct=ok,
-                        ),
-                    )
-                )
-                idx += 1
-        for record, start in zip(records, starts):
-            self.draw_counter[record.id] = int(start) + k
-        return TrajectoryDataset.from_entries(entries, role, presorted=True)
+        answers = np.repeat(object_array(r.gt_answer for r in records), k)
+        wrong = np.flatnonzero(~correct)
+        answers[wrong] = [
+            f"wrong-{q}-{c}" for q, c in zip(qids[wrong].tolist(), counters[wrong].tolist())
+        ]
+        size = n * k
+        zeros = np.zeros(size, dtype=np.int64)
+        columns = {
+            "query_id": qids,
+            "level": np.repeat([r.level or 0 for r in records], k),
+            "iteration": np.full(size, self.iteration + 1),
+            "origin": zeros,
+            "sample_index": np.tile(np.arange(1, k + 1), n),
+            "prefix_steps": zeros,
+            "prefix_tokens": zeros,
+            "length_tokens": lengths,
+            "correct": correct,
+            "corrected_from": np.full(size, -1),
+        }
+        for record, start in zip(records, starts.tolist()):
+            self.draw_counter[record.id] = start + k
+        # rows come out in canonical order: query id, then sample index
+        return TrajectoryDataset(role, columns, answers, {r.id: r for r in records}, sort=False)
 
     # -- measurement -------------------------------------------------------
 
@@ -415,20 +415,17 @@ class LearnerState:
                 new_p[qid] = (1.0 - pr.forget_rate) * p
         new_mu = dict(self.mu_log_len)
         if len(training_set) > 0:
-            by_level: dict[int, list[float]] = {}
-            all_logs: list[float] = []
-            for record, traj in training_set.entries:
-                ll = math.log(max(1, traj.length_tokens))
-                all_logs.append(ll)
-                if record.level is not None:
-                    by_level.setdefault(record.level, []).append(ll)
-            global_mean = float(np.mean(all_logs))
+            # math.log, not np.log (they differ in the last bit for some
+            # integers), taken once per distinct length
+            distinct, where = np.unique(training_set.columns["length_tokens"], return_inverse=True)
+            logs = np.array([math.log(max(1, n)) for n in distinct.tolist()])[where]
+            level = training_set.columns["level"]
+            global_mean = float(np.mean(logs))
             lam = pr.length_imitation
-            for level in new_mu:
-                target = (
-                    float(np.mean(by_level[level])) if level in by_level else global_mean
-                )
-                new_mu[level] = (1.0 - lam) * new_mu[level] + lam * target
+            for lv in new_mu:
+                at_level = logs[level == lv]
+                target = float(np.mean(at_level)) if len(at_level) else global_mean
+                new_mu[lv] = (1.0 - lam) * new_mu[lv] + lam * target
         return LearnerState(
             iteration=self.iteration + 1,
             p=new_p,

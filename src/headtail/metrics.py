@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LEVELS, TrajectoryDataset
+from .core import LEVELS, TrajectoryDataset, lookup_counts
 
 REFERENCE_TARGETS = {
     "head_share_unbalanced": 0.511,
@@ -56,15 +56,20 @@ def level_distribution(
     dataset: TrajectoryDataset, levels: tuple[int, ...] = LEVELS
 ) -> tuple[float, ...]:
     """Entry share per difficulty level; requires every query to be leveled."""
-    counts = dict.fromkeys(levels, 0)
-    for record, _ in dataset.entries:
-        if record.level is None:
-            raise ValueError("run calibrate_difficulty first")
-        counts[record.level] += 1
     total = len(dataset)
     if total == 0:
         return tuple(0.0 for _ in levels)
-    return tuple(counts[lv] / total for lv in levels)
+    level = dataset.columns["level"]
+    if np.any(level == 0):
+        raise ValueError("run calibrate_difficulty first")
+    counts = np.bincount(level, minlength=max(LEVELS) + 1)
+    return tuple((counts[list(levels)] / total).tolist())
+
+
+def _repeated_sums(step: float, counts: list[int]) -> list[float]:
+    """``step`` added to 0.0 c times in a row, for each count c."""
+    sums = np.cumsum(np.full(max(counts, default=0), step))
+    return [float(sums[c - 1]) if c else 0.0 for c in counts]
 
 
 def accuracy_bucket_shares(filtered: TrajectoryDataset, K: int) -> dict[float, float]:
@@ -75,15 +80,11 @@ def accuracy_bucket_shares(filtered: TrajectoryDataset, K: int) -> dict[float, f
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    counts = filtered.counts_by_query()
     total = len(filtered)
-    shares: dict[float, float] = {}
     if total == 0:
-        return shares
-    for _, traj in filtered.entries:
-        frac = counts[traj.query_id] / K
-        shares[frac] = shares.get(frac, 0.0) + 1.0 / total
-    return shares
+        return {}
+    fracs, counts = np.unique(filtered.row_counts() / K, return_counts=True)
+    return dict(zip(fracs.tolist(), _repeated_sums(1.0 / total, counts.tolist())))
 
 
 def length_stats(
@@ -92,14 +93,12 @@ def length_stats(
     """Mean token length overall and per level; empty groups are absent."""
     if len(dataset) == 0:
         return None, {}
-    lengths = np.array([t.length_tokens for _, t in dataset.entries], dtype=float)
-    by_level: dict[int, list[int]] = {}
-    for record, traj in dataset.entries:
-        if record.level is not None:
-            by_level.setdefault(record.level, []).append(traj.length_tokens)
-    return float(lengths.mean()), {
-        lv: float(np.mean(v)) for lv, v in sorted(by_level.items())
-    }
+    lengths, level = dataset.columns["length_tokens"], dataset.columns["level"]
+    # the overall mean over floats and each level's over ints, in row order,
+    # so that numpy sums exactly the values it always summed
+    present = np.flatnonzero(np.bincount(level)[1:]) + 1
+    by_level = {lv: float(np.mean(lengths[level == lv])) for lv in present.tolist()}
+    return float(lengths.astype(float).mean()), by_level
 
 
 @dataclass(frozen=True)
@@ -164,16 +163,11 @@ def build_row(
         shares: tuple[float, ...] | None = level_distribution(dataset)
     except ValueError:
         shares = None
-    buckets = [0.0, 0.0, 0.0, 0.0]
-    if total > 0:
-        for _, traj in dataset.entries:
-            frac = k_counts.get(traj.query_id, 0) / K
-            if frac <= 0.0:
-                continue
-            for b, edge in enumerate(_BUCKET_EDGES):
-                if frac <= edge + 1e-12:
-                    buckets[b] += 1.0 / total
-                    break
+    frac = lookup_counts(k_counts, dataset.columns["query_id"]) / K
+    # bucket b holds (edge_(b-1), edge_b]; 0 and fractions above 1 hold none
+    bucket = np.searchsorted(np.array(_BUCKET_EDGES) + 1e-12, frac[frac > 0.0])
+    counts = np.bincount(bucket, minlength=len(_BUCKET_EDGES) + 1)[: len(_BUCKET_EDGES)]
+    buckets = _repeated_sums(1.0 / total, counts.tolist()) if total > 0 else [0.0] * len(_BUCKET_EDGES)
     mean_len, by_level = length_stats(dataset)
     return MetricsRow(
         iteration=iteration,

@@ -7,18 +7,21 @@ wrappers, spacing around fraction slashes).
 
 Normalization is a pure function of the string and the rules, so grading
 skips it where it cannot change the outcome: an answer whose raw string
-equals the ground truth is graded correct without normalizing, and within
-one ``reward``, ``filter_dataset`` or ``discard_dataset`` call each distinct
-answer and ground-truth string is normalized at most once (the memo lives
-only as long as that call).
+equals the ground truth is graded correct without normalizing (one
+whole-column comparison for a dataset), and within one ``reward``,
+``filter_dataset`` or ``discard_dataset`` call each distinct answer and
+ground-truth string is normalized at most once (the memo lives only as long
+as that call).  Filtering then selects the graded rows by mask.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from .core import (
     ROLE_DISCARD,
@@ -111,6 +114,16 @@ def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
 _FILTER_OUT_ROLE = {ROLE_SAMPLE: ROLE_FILTER, ROLE_RESAMPLE: ROLE_REFILTER}
 
 
+def _graded(sampled: TrajectoryDataset, rules: AnswerNormalizationRules) -> np.ndarray:
+    """Per row: True iff its extracted answer earns reward 1."""
+    answers, gts = sampled.answers, sampled.gt_answers()
+    ok = np.asarray(answers == gts, dtype=bool)
+    rest = np.flatnonzero(~ok)
+    memo: dict[str, str] = {}
+    ok[rest] = [_grade(g, a, rules, memo) for a, g in zip(answers[rest].tolist(), gts[rest].tolist())]
+    return ok
+
+
 def filter_dataset(
     sampled: TrajectoryDataset, rules: AnswerNormalizationRules = DEFAULT_RULES
 ) -> TrajectoryDataset:
@@ -122,13 +135,7 @@ def filter_dataset(
     out_role = _FILTER_OUT_ROLE.get(sampled.role)
     if out_role is None:
         raise ValueError(f"filter_dataset expects a sample or resample dataset, got {sampled.role!r}")
-    memo: dict[str, str] = {}
-    kept = [
-        (r, t if t.correct else replace(t, correct=True))
-        for r, t in sampled.entries
-        if _grade(r.gt_answer, t.extracted_answer, rules, memo)
-    ]
-    return TrajectoryDataset.from_entries(kept, out_role, presorted=True)
+    return sampled.select(np.flatnonzero(_graded(sampled, rules)), out_role, correct=True)
 
 
 def discard_dataset(
@@ -137,13 +144,7 @@ def discard_dataset(
     """Complement of :func:`filter_dataset`: the reward-0 entries."""
     if sampled.role not in _FILTER_OUT_ROLE:
         raise ValueError(f"discard_dataset expects a sample or resample dataset, got {sampled.role!r}")
-    memo: dict[str, str] = {}
-    dropped = [
-        (r, replace(t, correct=False) if t.correct else t)
-        for r, t in sampled.entries
-        if not _grade(r.gt_answer, t.extracted_answer, rules, memo)
-    ]
-    return TrajectoryDataset.from_entries(dropped, ROLE_DISCARD, presorted=True)
+    return sampled.select(np.flatnonzero(~_graded(sampled, rules)), ROLE_DISCARD, correct=False)
 
 
 def cot_length_filter(dataset: TrajectoryDataset, min_tokens: int) -> TrajectoryDataset:
@@ -154,5 +155,5 @@ def cot_length_filter(dataset: TrajectoryDataset, min_tokens: int) -> Trajectory
     """
     if min_tokens < 0:
         raise ValueError("min_tokens must be >= 0")
-    kept = [(r, t) for r, t in dataset.entries if t.cot_length >= min_tokens]
-    return TrajectoryDataset.from_entries(kept, dataset.role, presorted=True)
+    c = dataset.columns
+    return dataset.select(np.flatnonzero(c["length_tokens"] - c["prefix_tokens"] >= min_tokens), dataset.role)

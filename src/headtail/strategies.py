@@ -15,6 +15,11 @@ for the number of correct responses a query kept out of K draws:
 * ``self_correct_augment`` -- revise discarded responses; verified revisions
   join training twice (correction pair + plain corrected response).
 
+The five sampler-free strategies are index maps on the dataset's columns:
+select rows, repeat them per query, restore canonical order.  The
+resampling family calls a scalar sampler, so it builds (QueryRecord,
+Trajectory) pairs for the rows it resamples or corrects, and only those.
+
 Determinism: identical (input, config, seed) always yields the identical
 entry list.  Random truncation draws one counter-keyed ``rng`` value per
 entry, keyed by (seed, query_id, iteration, position); resampling
@@ -42,6 +47,7 @@ from .core import (
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
+    lookup_counts,
     merge_datasets,
 )
 from .rewards import AnswerNormalizationRules, DEFAULT_RULES, filter_dataset, reward
@@ -104,13 +110,6 @@ def _require_filter(filtered: TrajectoryDataset) -> None:
         raise ValueError(f"expected a filter dataset, got role {filtered.role!r}")
 
 
-def _by_query(filtered: TrajectoryDataset) -> dict[int, list[Entry]]:
-    groups: dict[int, list[Entry]] = {}
-    for entry in filtered.entries:
-        groups.setdefault(entry[1].query_id, []).append(entry)
-    return groups
-
-
 def vanilla(filtered: TrajectoryDataset) -> TrajectoryDataset:
     """Train on the filtered set as-is."""
     _require_filter(filtered)
@@ -131,15 +130,13 @@ def threshold_clip(
     _require_filter(filtered)
     if L < 1:
         raise ValueError("L must be >= 1")
-    n = len(filtered)
     # canonical order sorts by query id, so each query is one contiguous run
-    qids = np.fromiter((t.query_id for _, t in filtered.entries), dtype=np.int64, count=n)
-    position = np.arange(n) - np.searchsorted(qids, qids)
+    qids = filtered.columns["query_id"]
+    position = np.arange(len(qids)) - np.searchsorted(qids, qids)
     u = rng.uniform(seed, rng.THRESHOLD_CLIP, qids, (iteration << 32) + position)
-    rank = np.empty(n, dtype=np.int64)
+    rank = np.empty(len(qids), dtype=np.int64)
     rank[np.lexsort((u, qids))] = position  # a query's sorted run keeps its slots
-    kept = [filtered.entries[i] for i in np.flatnonzero(rank < L)]
-    return TrajectoryDataset.from_entries(kept, ROLE_TRAIN, presorted=True)
+    return filtered.select(np.flatnonzero(rank < L), ROLE_TRAIN)
 
 
 def head_clip(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
@@ -147,14 +144,20 @@ def head_clip(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
     _require_filter(filtered)
     if K < 1:
         raise ValueError("K must be >= 1")
-    counts = filtered.counts_by_query()
-    kept = [e for e in filtered.entries if counts[e[1].query_id] != K]
-    return TrajectoryDataset.from_entries(kept, ROLE_TRAIN, presorted=True)
+    return filtered.select(np.flatnonzero(filtered.row_counts() != K), ROLE_TRAIN)
 
 
-def _cycle(entries: list[Entry], target: int) -> list[Entry]:
-    # index ((k - 1) mod k_i) + 1 for k = 1..target, zero-based here
-    return [entries[(k - 1) % len(entries)] for k in range(1, target + 1)]
+def _cycled(filtered: TrajectoryDataset, targets) -> TrajectoryDataset:
+    """Each query's rows cycled to its target count, re-sorted, tagged train.
+
+    A query with rows r_1..r_k and target m contributes r_((j-1) mod k)+1
+    for j = 1..m, so the first m rows when m <= k.
+    """
+    _, starts, counts = filtered.query_runs()
+    targets = np.broadcast_to(np.maximum(targets, 0), counts.shape)
+    j = np.arange(targets.sum()) - np.repeat(np.cumsum(targets) - targets, targets)
+    rows = np.repeat(starts, targets) + j % np.repeat(counts, targets)
+    return filtered.select(rows, ROLE_TRAIN, sort=True)
 
 
 def repeat_pad(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
@@ -166,10 +169,7 @@ def repeat_pad(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
     _require_filter(filtered)
     if K < 1:
         raise ValueError("K must be >= 1")
-    out: list[Entry] = []
-    for _, entries in _by_query(filtered).items():
-        out.extend(_cycle(entries, K))
-    return TrajectoryDataset.from_entries(out, ROLE_TRAIN)
+    return _cycled(filtered, K)
 
 
 def repeat_invert(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
@@ -181,16 +181,8 @@ def repeat_invert(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
     _require_filter(filtered)
     if K < 1:
         raise ValueError("K must be >= 1")
-    out: list[Entry] = []
-    for _, entries in _by_query(filtered).items():
-        target = K - len(entries)
-        if target <= 0:
-            continue
-        if len(entries) >= target:
-            out.extend(entries[:target])
-        else:
-            out.extend(_cycle(entries, target))
-    return TrajectoryDataset.from_entries(out, ROLE_TRAIN)
+    _, _, counts = filtered.query_runs()
+    return _cycled(filtered, K - counts)
 
 
 def adaptive_resample(
@@ -264,11 +256,8 @@ def guided_resample(
         raise ValueError("L must be >= 1")
     if S < 2:
         raise ValueError("S must be >= 2")
-    counts = filtered.counts_by_query()
     drawn: list[Entry] = []
-    for record, donor in filtered.entries:
-        if counts[donor.query_id] >= L:
-            continue
+    for record, donor in filtered.take_entries(np.flatnonzero(filtered.row_counts() < L)):
         steps = S if donor.length_tokens >= S else 1
         for step in range(1, steps + 1):
             try:
@@ -313,11 +302,9 @@ def self_correct_augment(
         raise ValueError(f"expected a discard dataset, got role {discard.role!r}")
     if K < 1:
         raise ValueError("K must be >= 1")
-    counts = filtered.counts_by_query()
+    k_i = lookup_counts(filtered.counts_by_query(), discard.columns["query_id"])
     kept: list[Entry] = []
-    for record, wrong in discard.entries:
-        if counts.get(wrong.query_id, 0) >= K:
-            continue
+    for record, wrong in discard.take_entries(np.flatnonzero(k_i < K)):
         try:
             corrected = sampler.correct_response(record, wrong)
         except Exception as exc:

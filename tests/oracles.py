@@ -97,3 +97,36 @@ def oracle_gr_draws(filter_entries, L, S) -> int:
 
 def oracle_sc_attempts(discard_entries, k_counts, K) -> int:
     return sum(1 for _, t in discard_entries if k_counts.get(t.query_id, 0) < K)
+
+
+def oracle_build_row(entries, K, k_counts):
+    """(total, level shares, bucket shares, mean length, per-level mean lengths).
+
+    Straight loops over the entries: level shares are None when a query is
+    unleveled, each bucket share is 1/total added once per entry, means
+    are integer sums over counts.
+    """
+    total = len(entries)
+    levels = [r.level for r, _ in entries]
+    if total == 0:
+        shares = (0.0,) * 5
+    elif None in levels:
+        shares = None
+    else:
+        shares = tuple(levels.count(lv) / total for lv in range(1, 6))
+    buckets = [0.0, 0.0, 0.0, 0.0]
+    for _, t in entries:
+        frac = k_counts.get(t.query_id, 0) / K
+        if frac <= 0.0:
+            continue
+        for b, edge in enumerate((0.25, 0.50, 0.75, 1.00)):
+            if frac <= edge + 1e-12:
+                buckets[b] += 1.0 / total
+                break
+    lengths = [t.length_tokens for _, t in entries]
+    mean = sum(lengths) / total if total else None
+    level_means = []
+    for lv in range(1, 6):
+        at_level = [t.length_tokens for r, t in entries if r.level == lv]
+        level_means.append(sum(at_level) / len(at_level) if at_level else None)
+    return total, shares, tuple(buckets), mean, tuple(level_means)

@@ -1,7 +1,10 @@
 import json
+import os
 from pathlib import Path
 
-from headtail.cli import main
+import pytest
+
+from headtail.cli import _worker_count, main
 from headtail.harness import OUTPUT_DIR_ENV
 
 SMALL_CFG = {
@@ -146,6 +149,17 @@ class TestRebalanceVerb:
         assert "line 2: step_offsets must be strictly ascending" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_query_id_beyond_64_bits_exit_schema(self, tmp_path, capsys):
+        log = write_log(tmp_path, {1: 2}, K=2)
+        with open(log, "a") as fh:
+            fh.write(json.dumps({"query_id": 2**64, "gt_answer": "a", "extracted_answer": "a",
+                                 "token_count": 30}) + "\n")
+        out = tmp_path / "out.jsonl"
+        code = main(["rebalance", "--input", str(log), "--output", str(out), "--strategy", "rp", "--k", "2"])
+        assert code == 3
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_knobs_exit_config(self, tmp_path, capsys):
         src = write_log(tmp_path, {1: 4}, K=8)
         out = tmp_path / "o.jsonl"
@@ -229,6 +243,27 @@ class TestReportVerb:
             assert "line 2" in captured.err
             assert captured.out == ""
 
+    def test_conflicting_levels_exit_schema(self, tmp_path, capsys):
+        line = {"query_id": 1, "sample_index": 1, "iteration": 1, "origin": "explored",
+                "prefix_steps": 0, "length_tokens": 30, "level": 2, "correct": True}
+        snapshot = tmp_path / "datasets" / "train_final.jsonl"
+        snapshot.parent.mkdir()
+        other = {**line, "sample_index": 2, "level": 3}
+        snapshot.write_text(json.dumps(line) + "\n" + json.dumps(other) + "\n")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "conflicting records for query 1" in captured.err
+        assert captured.out == ""
+
+    def test_values_beyond_64_bits_exit_schema(self, tmp_path, capsys):
+        line = {"query_id": 1, "sample_index": 1, "iteration": 1, "origin": "explored",
+                "prefix_steps": 0, "length_tokens": 2**64, "level": 2, "correct": True}
+        snapshot = tmp_path / "datasets" / "train_final.jsonl"
+        snapshot.parent.mkdir()
+        snapshot.write_text(json.dumps(line) + "\n")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 3
+        assert "64-bit" in capsys.readouterr().err
+
 
 class TestSweepVerb:
     def test_small_grid(self, tmp_path):
@@ -267,3 +302,39 @@ class TestSweepVerb:
         assert len(set(run_dirs)) == 4
         for run_dir in run_dirs:
             assert (Path(run_dir) / "metrics.csv").exists()
+
+    def test_mistyped_config_exit_config(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, k_samples="x")), "--output-dir", str(out)])
+        assert code == 2
+        assert "k_samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seeds", "a"), ("--k-values", "x"), ("--l-values", "1,b"), ("--s-values", "2.5")],
+    )
+    def test_malformed_list_flag_exit_config(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), flag, value, "--output-dir", str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_exit_config(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--jobs", jobs, "--output-dir", str(out)])
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        # the pure helper only; no process is started
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _worker_count(1, 10) == 1
+        assert _worker_count(4, 10) == 2
+        assert _worker_count(4, 1) == 1
+        assert _worker_count(2, 3) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(4, 10) == 1

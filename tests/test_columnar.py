@@ -1,0 +1,167 @@
+"""Property tests of the columnar dataset core against scalar references.
+
+The references work on (QueryRecord, Trajectory) objects only: the metrics
+row against ``oracles.oracle_build_row``, snapshot lines against
+``json.dumps`` of each entry, merging against ``sorted`` on
+``entry_sort_key``.  Datasets are checked both with the entries they were
+built from and rebuilt from bare columns, so the lazily built entries are
+exercised as well.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from headtail import harness
+from headtail.core import (
+    ORIGIN_CORRECTED,
+    ORIGIN_RESAMPLED_GR,
+    ORIGINS,
+    ROLE_FILTER,
+    ROLE_SAMPLE,
+    QueryRecord,
+    Trajectory,
+    TrajectoryDataset,
+    entry_sort_key,
+    merge_datasets,
+)
+from headtail.harness import _snapshot_entry
+from headtail.metrics import build_row
+from headtail.strategies import head_clip, repeat_invert, repeat_pad, threshold_clip
+
+from oracles import oracle_build_row, oracle_ri, oracle_rp
+
+
+@st.composite
+def corpora(draw, leveled=None):
+    """Query id -> record; levels drawn per query (None allowed unless leveled)."""
+    level = st.integers(1, 5) if leveled else st.one_of(st.none(), st.integers(1, 5))
+    qids = draw(st.lists(st.integers(-3, 40), min_size=1, max_size=6, unique=True))
+    return {q: QueryRecord(id=q, gt_answer=f"a{q}", level=draw(level)) for q in qids}
+
+
+@st.composite
+def trajectories(draw, qid, correct=None):
+    origin = draw(st.sampled_from(ORIGINS))
+    length = draw(st.integers(0, 3000))
+    return Trajectory(
+        query_id=qid,
+        sample_index=draw(st.integers(1, 4)),
+        iteration=draw(st.integers(1, 3)),
+        length_tokens=length,
+        extracted_answer=draw(st.sampled_from(["", f"a{qid}", "x", "wrong-1-2"])),
+        correct=draw(st.booleans()) if correct is None else correct,
+        origin=origin,
+        prefix_steps=draw(st.integers(0, 3)) if origin == ORIGIN_RESAMPLED_GR else 0,
+        prefix_tokens=draw(st.integers(0, length)),
+        corrected_from=draw(st.one_of(st.none(), st.integers(1, 4))) if origin == ORIGIN_CORRECTED else None,
+    )
+
+
+@st.composite
+def entry_lists(draw, records, correct=None, max_size=30):
+    qids = draw(st.lists(st.sampled_from(sorted(records)), max_size=max_size))
+    return [(records[q], draw(trajectories(q, correct))) for q in qids]
+
+
+@st.composite
+def datasets(draw, role=ROLE_SAMPLE, leveled=None):
+    records = draw(corpora(leveled))
+    correct = True if role == ROLE_FILTER else None
+    return TrajectoryDataset.from_entries(draw(entry_lists(records, correct)), role)
+
+
+def bare(ds):
+    """The same rows rebuilt from columns alone, with no entries cached."""
+    return TrajectoryDataset(ds.role, ds.columns, ds.answers, ds.records, sort=False)
+
+
+@given(st.data(), st.integers(1, 8), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_build_row_matches_oracle(data, K, leveled):
+    ds = data.draw(datasets(leveled=leveled or None))
+    qids = sorted(ds.records)
+    k_counts = data.draw(st.dictionaries(st.sampled_from(qids + [99]), st.integers(0, 2 * K)))
+    total, shares, buckets, mean, level_means = oracle_build_row(list(ds.entries), K, k_counts)
+    row = build_row(3, ROLE_SAMPLE, bare(ds), K, k_counts)
+    assert row.total == total
+    assert row.level_share == shares
+    assert row.bucket_share == buckets  # exact: the same sequential sums
+    assert row.mean_length == mean
+    assert row.level_mean_length == level_means
+
+
+def test_bucket_shares_are_sequential_sums():
+    # 1/7 added seven times is not 1.0; the row keeps the sequential sum
+    records = {1: QueryRecord(id=1, gt_answer="a1", level=1)}
+    entries = [(records[1], Trajectory(1, j, 1, 10, "a1", True)) for j in range(1, 8)]
+    ds = TrajectoryDataset.from_entries(entries, ROLE_FILTER)
+    row = build_row(1, ROLE_FILTER, bare(ds), 8, {1: 7})
+    expected = 0.0
+    for _ in range(7):
+        expected += 1.0 / 7
+    assert row.bucket_share == (0.0, 0.0, 0.0, expected)
+    assert expected != 1.0
+
+
+@given(datasets(), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_snapshot_lines_equal_json_dumps(ds, chunk):
+    expected = "".join(json.dumps(_snapshot_entry(r, t), sort_keys=True) + "\n" for r, t in ds.entries)
+    real = harness._SNAPSHOT_CHUNK
+    harness._SNAPSHOT_CHUNK = chunk  # several chunks per dataset
+    try:
+        assert "".join(harness._snapshot_chunks(bare(ds))) == expected
+    finally:
+        harness._SNAPSHOT_CHUNK = real
+
+
+def test_snapshot_lines_cover_every_origin_and_unset_level(tmp_path):
+    records = {1: QueryRecord(id=1, gt_answer="a1"), 2: QueryRecord(id=2, gt_answer="a2", level=5)}
+    entries = [
+        (records[1], Trajectory(1, 1, 1, 40, "a1", True)),
+        (records[1], Trajectory(1, 2, 1, 40, "x", False, origin=ORIGINS[1])),
+        (records[2], Trajectory(2, 1, 2, 40, "a2", True, origin=ORIGINS[2], prefix_steps=3,
+                                prefix_tokens=30)),
+        (records[2], Trajectory(2, 1, 2, 9, "a2", True, origin=ORIGINS[3], corrected_from=1)),
+    ]
+    ds = TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
+    path = tmp_path / "snap.jsonl"
+    harness._write_jsonl(path, bare(ds))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(_snapshot_entry(r, t), sort_keys=True) for r, t in entries]
+    assert '"level": null' in lines[0] and '"prefix_steps": 3' in lines[2]
+
+
+@given(datasets())
+@settings(max_examples=200, deadline=None)
+def test_from_entries_round_trip(ds):
+    assert TrajectoryDataset.from_entries(ds.entries, ds.role).entries == ds.entries
+    assert bare(ds).entries == ds.entries  # built from the columns alone
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_merge_equals_sorted_concatenation(data):
+    records = data.draw(corpora())
+    a = TrajectoryDataset.from_entries(data.draw(entry_lists(records, correct=True)), ROLE_FILTER)
+    b = TrajectoryDataset.from_entries(data.draw(entry_lists(records, correct=True)), ROLE_FILTER)
+    expected = tuple(sorted(a.entries + b.entries, key=entry_sort_key))
+    assert merge_datasets(a, b).entries == expected
+    assert merge_datasets(bare(a), bare(b)).entries == expected
+
+
+@given(datasets(role=ROLE_FILTER), st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_reshaping_same_from_columns_alone(ds, K, seed):
+    for reshape in (
+        lambda f: threshold_clip(f, min(K, 3), seed),
+        lambda f: head_clip(f, K),
+        lambda f: repeat_pad(f, K),
+        lambda f: repeat_invert(f, K),
+    ):
+        assert reshape(bare(ds)).entries == reshape(ds).entries
+    # padded copies sit in construction order among equal keys (a stable sort)
+    entries = list(ds.entries)
+    assert repeat_pad(bare(ds), K).entries == tuple(sorted(oracle_rp(entries, K), key=entry_sort_key))
+    assert repeat_invert(bare(ds), K).entries == tuple(sorted(oracle_ri(entries, K), key=entry_sort_key))

@@ -22,6 +22,7 @@ from headtail.harness import (
     run_batch_baseline,
     run_iterative_union,
     run_self_improvement,
+    write_atomic,
 )
 from headtail.learner import CorpusParams, LearnerParams, LearnerState
 from headtail.rewards import DEFAULT_RULES
@@ -404,3 +405,35 @@ class TestEmitReport:
             "level",
             "correct",
         }
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def failing_chunks():
+        yield "first chunk\n"
+        raise OSError("disk full")
+
+    def test_failure_mid_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(tmp_path / "out.jsonl", self.failing_chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_the_previous_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(target, self.failing_chunks())
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old\n"
+        write_atomic(target, "new\n")
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "new\n"
+
+    def test_emit_report_failing_snapshot_leaves_no_partial(self, tmp_path, monkeypatch):
+        from headtail import harness
+
+        rep = run_self_improvement(small_config(), seed=0)
+        monkeypatch.setattr(harness, "_snapshot_chunks", lambda ds: self.failing_chunks())
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(rep, tmp_path / "out")
+        assert sorted(p.name for p in (tmp_path / "out").rglob("*")) == ["datasets", "metrics.csv"]
