@@ -22,6 +22,7 @@ from .rewards import (
     reward,
 )
 from .strategies import (
+    Draws,
     Sampler,
     SamplerError,
     StrategyConfig,

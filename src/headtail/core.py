@@ -25,17 +25,15 @@ relative order.
 
 Python objects exist only at the edges:
 
-* :meth:`TrajectoryDataset.from_entries` packs pairs made elsewhere (the
-  scalar samplers, decoded snapshots, hand-built fixtures) into columns and
-  keeps the tuple it was given;
+* :meth:`TrajectoryDataset.from_entries` packs pairs made elsewhere
+  (decoded snapshots, hand-built fixtures) into columns and keeps the
+  tuple it was given;
 * :attr:`TrajectoryDataset.entries` builds the pairs on first access and
   caches them; a dataset selected from one whose entries exist reuses
-  those very objects;
-* :meth:`TrajectoryDataset.take_entries` builds the pairs of a few rows
-  without caching them (guided-resampling donors, responses to correct).
+  those very objects.
 
-The simulation loop itself never builds entries for its sampled, filtered
-or train sets.
+The simulation loop itself never builds entries: sampling, resampling and
+correction all come back from the sampler as columns.
 """
 
 from __future__ import annotations
@@ -369,6 +367,12 @@ class TrajectoryDataset:
         """Per row: the ground-truth answer of its query (object array)."""
         ids, _, counts = self.query_runs()
         return np.repeat(object_array(self.records[q].gt_answer for q in ids.tolist()), counts)
+
+
+def run_positions(counts: np.ndarray) -> np.ndarray:
+    """Each row's 0-based position within its run, for consecutive runs of ``counts`` rows."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def lookup_counts(counts: dict[int, int], qids: np.ndarray) -> np.ndarray:

@@ -18,9 +18,10 @@ phenomenology (see README); they are knobs, not measurements.
 
 Every draw is keyed by (root_seed, query_id, draw counter), so the
 trajectory sequence of a query is a pure function of its counter sequence
-no matter how draws interleave across queries.  Bulk helpers
-(:meth:`LearnerState.sample_batch`, :meth:`LearnerState.pass_rates`) replay
-exactly the same draws as scalar calls, just vectorized.
+no matter how draws interleave across queries.  The batched samplers
+(:meth:`LearnerState.sample_batch`, ``sample_fresh``, ``sample_guided``,
+``sample_corrections``) and :meth:`LearnerState.pass_rates` replay exactly
+the same draws as a loop of the scalar calls, just vectorized.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -42,8 +44,9 @@ from .core import (
     Trajectory,
     TrajectoryDataset,
     object_array,
+    run_positions,
 )
-from .strategies import split_steps
+from .strategies import Draws, split_steps
 
 
 @dataclass(frozen=True)
@@ -305,6 +308,101 @@ class LearnerState:
         mu = self._mu_of(query) + math.log1p(self.params.correction_length_boost)
         return self._draw(query, prob, mu, origin=ORIGIN_CORRECTED)
 
+    def _query_columns(
+        self, records: Mapping[int, QueryRecord], query_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row: p, log-length mean and ground-truth answer of its query."""
+        ids, inverse = np.unique(query_ids, return_inverse=True)
+        recs = [records[q] for q in ids.tolist()]
+        p = np.array([self._p_of(r) for r in recs], dtype=np.float64)
+        mu = np.array([self._mu_of(r) for r in recs], dtype=np.float64)
+        return p[inverse], mu[inverse], object_array(r.gt_answer for r in recs)[inverse]
+
+    def _draw_rows(
+        self,
+        query_ids: np.ndarray,
+        prob: np.ndarray,
+        mu: np.ndarray,
+        gt: np.ndarray,
+        *,
+        scale: np.ndarray | float = 1.0,
+        prefix_tokens: np.ndarray | int = 0,
+    ) -> Draws:
+        """Vectorized ``_draw``: one keyed draw per row, rows in call order.
+
+        Row i of query q takes counter draw_counter[q] plus the number of
+        earlier rows of q, and the length arithmetic follows ``_draw`` op
+        for op, so the rows equal a loop of scalar draws.  One
+        ``rng.uniform`` and one ``rng.normal`` call serve all rows.
+        """
+        query_ids = np.asarray(query_ids, dtype=np.int64)
+        if len(query_ids) == 0:
+            empty = np.zeros(0, dtype=np.int64)
+            return Draws(self.iteration + 1, empty, empty.astype(bool), object_array(()))
+        ids, inverse, counts = np.unique(query_ids, return_inverse=True, return_counts=True)
+        rank = np.empty(len(query_ids), dtype=np.int64)
+        rank[np.argsort(inverse, kind="stable")] = run_positions(counts)
+        starts = np.array([self.draw_counter.get(q, 0) for q in ids.tolist()], dtype=np.int64)
+        counters = (starts[inverse] + rank).astype(np.uint64)
+        keys = query_ids.astype(np.uint64)
+        correct = rng.uniform(self.root_seed, rng.CORRECT, keys, counters) < prob
+        z = rng.normal(self.root_seed, rng.LENGTH, keys, counters)
+        # np.exp, unlike _draw's math.exp, may be off in the last bit; that
+        # moves a rounded length only when exp(...) * scale lies within an
+        # ulp of a half-integer, and the golden hashes pin the lengths
+        lengths = np.maximum(
+            1, np.rint(np.exp(mu + self.params.sigma_log_len * z) * scale).astype(np.int64)
+        )
+        answers = gt.copy()
+        wrong = np.flatnonzero(~correct)
+        answers[wrong] = [
+            f"wrong-{q}-{c}" for q, c in zip(query_ids[wrong].tolist(), counters[wrong].tolist())
+        ]
+        self.draw_counter.update(zip(ids.tolist(), (starts + counts).tolist()))
+        return Draws(self.iteration + 1, prefix_tokens + lengths, correct, answers)
+
+    def sample_fresh(self, records: Mapping[int, QueryRecord], query_ids: np.ndarray) -> Draws:
+        """Batched :meth:`sample_response`: one fresh draw per row."""
+        p, mu, gt = self._query_columns(records, query_ids)
+        return self._draw_rows(query_ids, p, mu, gt)
+
+    def sample_guided(
+        self,
+        records: Mapping[int, QueryRecord],
+        query_ids: np.ndarray,
+        prefix_tokens: np.ndarray,
+        steps: np.ndarray,
+        total_steps: int,
+    ) -> Draws:
+        """Batched :meth:`guided_sample`: row i continues the prefix before
+        step ``steps[i]``, ``prefix_tokens[i]`` tokens of a successful response."""
+        steps = np.asarray(steps, dtype=np.int64)
+        if np.any((steps < 1) | (steps > total_steps)):
+            raise ValueError(f"steps must be in [1, {total_steps}]")
+        p, mu, gt = self._query_columns(records, query_ids)
+        # per step in Python floats, as guided_success_probability and
+        # guided_sample compute them
+        kept = [(step - 1) / total_steps for step in range(1, total_steps + 1)]
+        factor = np.array([(1.0 - f) ** self.params.prefix_gain for f in kept])[steps - 1]
+        scale = np.array([1.0 - f for f in kept])[steps - 1]
+        return self._draw_rows(
+            query_ids,
+            1.0 - (1.0 - p) * factor,
+            mu,
+            gt,
+            scale=scale,
+            prefix_tokens=np.asarray(prefix_tokens, dtype=np.int64),
+        )
+
+    def sample_corrections(
+        self, records: Mapping[int, QueryRecord], query_ids: np.ndarray
+    ) -> Draws:
+        """Batched :meth:`correct_response`: one revision of a failed response per row."""
+        pr = self.params
+        p, mu, gt = self._query_columns(records, query_ids)
+        prob = np.minimum(1.0, np.maximum(0.0, pr.correction_base + pr.correction_slope * p))
+        return self._draw_rows(query_ids, prob, mu + math.log1p(pr.correction_length_boost), gt)
+
     def sample_batch(
         self, corpus: list[QueryRecord], k: int, *, role: str = ROLE_SAMPLE
     ) -> TrajectoryDataset:
@@ -313,42 +411,30 @@ class LearnerState:
             raise ValueError("k must be >= 1")
         records = sorted(corpus, key=lambda r: r.id)
         n = len(records)
-        qids = np.repeat([r.id for r in records], k).astype(np.uint64)
-        starts = np.array([self.draw_counter.get(r.id, 0) for r in records], dtype=np.uint64)
-        counters = (np.repeat(starts, k) + np.tile(np.arange(k, dtype=np.uint64), n)).astype(
-            np.uint64
+        qids = np.repeat(np.array([r.id for r in records], dtype=np.int64), k)
+        # per-query columns repeated k times: cheaper than sample_fresh's lookup by id
+        draws = self._draw_rows(
+            qids,
+            np.repeat([self._p_of(r) for r in records], k),
+            np.repeat([self._mu_of(r) for r in records], k),
+            np.repeat(object_array(r.gt_answer for r in records), k),
         )
-        p = np.repeat([self.p[r.id] for r in records], k)
-        mus = np.repeat([self._mu_of(r) for r in records], k)
-        u = rng.uniform(self.root_seed, rng.CORRECT, qids, counters)
-        z = rng.normal(self.root_seed, rng.LENGTH, qids, counters)
-        lengths = np.maximum(
-            1, np.rint(np.exp(mus + self.params.sigma_log_len * z)).astype(np.int64)
-        )
-        correct = u < p
-        answers = np.repeat(object_array(r.gt_answer for r in records), k)
-        wrong = np.flatnonzero(~correct)
-        answers[wrong] = [
-            f"wrong-{q}-{c}" for q, c in zip(qids[wrong].tolist(), counters[wrong].tolist())
-        ]
         size = n * k
         zeros = np.zeros(size, dtype=np.int64)
         columns = {
             "query_id": qids,
             "level": np.repeat([r.level or 0 for r in records], k),
-            "iteration": np.full(size, self.iteration + 1),
+            "iteration": np.full(size, draws.iteration),
             "origin": zeros,
             "sample_index": np.tile(np.arange(1, k + 1), n),
             "prefix_steps": zeros,
             "prefix_tokens": zeros,
-            "length_tokens": lengths,
-            "correct": correct,
+            "length_tokens": draws.length_tokens,
+            "correct": draws.correct,
             "corrected_from": np.full(size, -1),
         }
-        for record, start in zip(records, starts.tolist()):
-            self.draw_counter[record.id] = start + k
         # rows come out in canonical order: query id, then sample index
-        return TrajectoryDataset(role, columns, answers, {r.id: r for r in records}, sort=False)
+        return TrajectoryDataset(role, columns, draws.answers, {r.id: r for r in records}, sort=False)
 
     # -- measurement -------------------------------------------------------
 

@@ -17,8 +17,10 @@ for the number of correct responses a query kept out of K draws:
 
 The five sampler-free strategies are index maps on the dataset's columns:
 select rows, repeat them per query, restore canonical order.  The
-resampling family calls a scalar sampler, so it builds (QueryRecord,
-Trajectory) pairs for the rows it resamples or corrects, and only those.
+resampling family builds one pass's requests as columns (query ids, plus
+prefix lengths and steps for guided draws), makes them in one batched
+sampler call, and assembles the returned :class:`Draws` into a resample
+dataset that goes through the shared grader like any other.
 
 Determinism: identical (input, config, seed) always yields the identical
 entry list.  Random truncation draws one counter-keyed ``rng`` value per
@@ -28,14 +30,16 @@ randomness lives entirely in the sampler's per-(query, counter) streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Protocol
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Protocol
 
 import numpy as np
 
 from . import rng
 from .core import (
+    COLUMNS,
     ORIGIN_CORRECTED,
+    ORIGIN_RANK,
     ORIGIN_RESAMPLED_AR,
     ORIGIN_RESAMPLED_GR,
     ROLE_DISCARD,
@@ -43,18 +47,23 @@ from .core import (
     ROLE_REFILTER,
     ROLE_RESAMPLE,
     ROLE_TRAIN,
-    Entry,
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
     lookup_counts,
     merge_datasets,
+    run_positions,
 )
-from .rewards import AnswerNormalizationRules, DEFAULT_RULES, filter_dataset, reward
+from .rewards import (
+    AnswerNormalizationRules,
+    DEFAULT_RULES,
+    cot_length_filter,
+    filter_dataset,
+    reward,  # noqa: F401 -- unused here; perfbench/tracer.py wraps strategies.reward
+)
 
 RESHAPING_KINDS = ("vanilla", "tc", "hc", "rp", "ri")
-RESAMPLING_KINDS = ("ar", "gr", "sc")
-STRATEGY_KINDS = RESHAPING_KINDS + RESAMPLING_KINDS
+STRATEGY_KINDS = ("vanilla", "tc", "hc", "rp", "ri", "ar", "gr", "sc")
 TAIL_THRESHOLD_KINDS = ("tc", "gr")  # the kinds that read L
 
 
@@ -62,16 +71,46 @@ class SamplerError(RuntimeError):
     """A sampler call failed; the strategy aborts without a partial train set."""
 
 
+class Draws(NamedTuple):
+    """A batch of sampled responses, one row per request in request order."""
+
+    iteration: int  # the loop iteration the draws belong to
+    length_tokens: np.ndarray  # full response length, kept prefix included
+    correct: np.ndarray  # the sampler's own correctness flag
+    answers: np.ndarray  # extracted answers (object array)
+
+
 class Sampler(Protocol):
-    """Sampling capability bound to the current-iteration policy."""
+    """Sampling capability bound to the current-iteration policy.
 
-    def sample_response(self, query: QueryRecord) -> Trajectory: ...
+    Each method makes one pass's requests in one call.  ``records`` maps
+    every requested query id to its record and ``query_ids`` holds one
+    request per row; row i of the returned :class:`Draws` answers request
+    i, and requests for one query are drawn in row order.
+    """
 
-    def guided_sample(
-        self, query: QueryRecord, prefix: Trajectory, step: int, total_steps: int
-    ) -> Trajectory: ...
+    def sample_fresh(self, records: Mapping[int, QueryRecord], query_ids: np.ndarray) -> Draws:
+        """One fresh response per row."""
+        ...
 
-    def correct_response(self, query: QueryRecord, wrong: Trajectory) -> Trajectory: ...
+    def sample_guided(
+        self,
+        records: Mapping[int, QueryRecord],
+        query_ids: np.ndarray,
+        prefix_tokens: np.ndarray,
+        steps: np.ndarray,
+        total_steps: int,
+    ) -> Draws:
+        """Per row: continue a successful response of the query from the
+        prefix before step ``steps[i]`` of ``total_steps``, which is
+        ``prefix_tokens[i]`` tokens long."""
+        ...
+
+    def sample_corrections(
+        self, records: Mapping[int, QueryRecord], query_ids: np.ndarray
+    ) -> Draws:
+        """Per row: a revision of a failed response of the query."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -155,8 +194,7 @@ def _cycled(filtered: TrajectoryDataset, targets) -> TrajectoryDataset:
     """
     _, starts, counts = filtered.query_runs()
     targets = np.broadcast_to(np.maximum(targets, 0), counts.shape)
-    j = np.arange(targets.sum()) - np.repeat(np.cumsum(targets) - targets, targets)
-    rows = np.repeat(starts, targets) + j % np.repeat(counts, targets)
+    rows = np.repeat(starts, targets) + run_positions(targets) % np.repeat(counts, targets)
     return filtered.select(rows, ROLE_TRAIN, sort=True)
 
 
@@ -185,6 +223,41 @@ def repeat_invert(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
     return _cycled(filtered, K - counts)
 
 
+def _drawn(method, *requests) -> Draws:
+    """One batched sampler call; any failure becomes a SamplerError."""
+    try:
+        return method(*requests)
+    except Exception as exc:
+        raise SamplerError("sampler error") from exc
+
+
+def _resampled(
+    draws: Draws, records: dict[int, QueryRecord], origin: str, **columns: np.ndarray
+) -> TrajectoryDataset:
+    """The draws as a resample dataset.
+
+    ``columns`` gives query_id, level and sample_index per row and, for
+    guided draws, prefix_steps and prefix_tokens (0 otherwise).
+    """
+    n = len(draws.answers)
+    zeros = np.zeros(n, dtype=np.int64)
+    return TrajectoryDataset(
+        ROLE_RESAMPLE,
+        {
+            "iteration": np.full(n, draws.iteration),
+            "origin": np.full(n, ORIGIN_RANK[origin]),
+            "prefix_steps": zeros,
+            "prefix_tokens": zeros,
+            "length_tokens": draws.length_tokens,
+            "correct": draws.correct,
+            "corrected_from": np.full(n, -1),
+            **columns,
+        },
+        draws.answers,
+        records,
+    )
+
+
 def adaptive_resample(
     filtered: TrajectoryDataset,
     corpus: list[QueryRecord],
@@ -195,25 +268,26 @@ def adaptive_resample(
     """Draw K - k_i fresh responses per corpus query, refilter, merge.
 
     Resampling weight follows the fail rate: queries the policy already
-    masters get nothing, unsolved queries get the full K extra draws.
+    masters get nothing, unsolved queries get the full K extra draws.  A
+    query holding K or more rows (a union pool can) gets nothing either.
     Returns (resampled, refiltered, train).
     """
     _require_filter(filtered)
     if K < 1:
         raise ValueError("K must be >= 1")
-    counts = filtered.counts_by_query()
-    drawn: list[Entry] = []
-    for record in sorted(corpus, key=lambda r: r.id):
-        deficit = K - counts.get(record.id, 0)
-        for j in range(1, deficit + 1):
-            try:
-                traj = sampler.sample_response(record)
-            except Exception as exc:
-                raise SamplerError("sampler error") from exc
-            drawn.append(
-                (record, replace(traj, origin=ORIGIN_RESAMPLED_AR, sample_index=j))
-            )
-    resampled = TrajectoryDataset.from_entries(drawn, ROLE_RESAMPLE)
+    records = sorted(corpus, key=lambda r: r.id)
+    ids = np.array([r.id for r in records], dtype=np.int64)
+    deficit = np.maximum(K - lookup_counts(filtered.counts_by_query(), ids), 0)
+    query_ids = np.repeat(ids, deficit)
+    table = {r.id: r for r in records}
+    resampled = _resampled(
+        _drawn(sampler.sample_fresh, table, query_ids),
+        table,
+        ORIGIN_RESAMPLED_AR,
+        query_id=query_ids,
+        level=np.repeat(np.array([r.level or 0 for r in records], dtype=np.int64), deficit),
+        sample_index=run_positions(deficit) + 1,
+    )
     refiltered = filter_dataset(resampled, rules)
     train = merge_datasets(filtered, refiltered)
     return resampled, refiltered, train
@@ -256,26 +330,25 @@ def guided_resample(
         raise ValueError("L must be >= 1")
     if S < 2:
         raise ValueError("S must be >= 2")
-    drawn: list[Entry] = []
-    for record, donor in filtered.take_entries(np.flatnonzero(filtered.row_counts() < L)):
-        steps = S if donor.length_tokens >= S else 1
-        for step in range(1, steps + 1):
-            try:
-                traj = sampler.guided_sample(record, donor, step, S)
-            except Exception as exc:
-                raise SamplerError("sampler error") from exc
-            drawn.append(
-                (
-                    record,
-                    replace(
-                        traj,
-                        origin=ORIGIN_RESAMPLED_GR,
-                        sample_index=donor.sample_index,
-                        prefix_steps=step - 1,
-                    ),
-                )
-            )
-    resampled = TrajectoryDataset.from_entries(drawn, ROLE_RESAMPLE)
+    c = filtered.columns
+    donors = np.flatnonzero(filtered.row_counts() < L)
+    n_steps = np.where(c["length_tokens"][donors] >= S, S, 1)
+    rows = np.repeat(donors, n_steps)
+    kept = run_positions(n_steps)  # steps kept from the donor, 0..S-1
+    base, extra = np.divmod(c["length_tokens"][rows], S)
+    # split_steps' offsets in closed form: i * base + min(i, extra)
+    prefix_tokens = kept * base + np.minimum(kept, extra)
+    query_ids = c["query_id"][rows]
+    resampled = _resampled(
+        _drawn(sampler.sample_guided, filtered.records, query_ids, prefix_tokens, kept + 1, S),
+        filtered.records,
+        ORIGIN_RESAMPLED_GR,
+        query_id=query_ids,
+        level=c["level"][rows],
+        sample_index=c["sample_index"][rows],
+        prefix_steps=kept,
+        prefix_tokens=prefix_tokens,
+    )
     refiltered = filter_dataset(resampled, rules)
     train = merge_datasets(filtered, refiltered)
     return resampled, refiltered, train
@@ -302,26 +375,25 @@ def self_correct_augment(
         raise ValueError(f"expected a discard dataset, got role {discard.role!r}")
     if K < 1:
         raise ValueError("K must be >= 1")
-    k_i = lookup_counts(filtered.counts_by_query(), discard.columns["query_id"])
-    kept: list[Entry] = []
-    for record, wrong in discard.take_entries(np.flatnonzero(k_i < K)):
-        try:
-            corrected = sampler.correct_response(record, wrong)
-        except Exception as exc:
-            raise SamplerError("sampler error") from exc
-        if reward(record, corrected.extracted_answer, rules) != 1:
-            continue
-        if corrected.cot_length < min_cot_tokens:
-            continue
-        corrected = replace(
-            corrected,
-            origin=ORIGIN_CORRECTED,
-            sample_index=wrong.sample_index,
-            correct=True,
-        )
-        kept.append((record, replace(corrected, corrected_from=wrong.sample_index)))
-        kept.append((record, corrected))
-    corrections = TrajectoryDataset.from_entries(kept, ROLE_REFILTER)
+    c = discard.columns
+    rows = np.flatnonzero(lookup_counts(filtered.counts_by_query(), c["query_id"]) < K)
+    query_ids = c["query_id"][rows]
+    attempts = _resampled(
+        _drawn(sampler.sample_corrections, discard.records, query_ids),
+        discard.records,
+        ORIGIN_CORRECTED,
+        query_id=query_ids,
+        level=c["level"][rows],
+        sample_index=c["sample_index"][rows],
+    )
+    kept = cot_length_filter(filter_dataset(attempts, rules), min_cot_tokens)
+    pairs = dict(kept.columns, corrected_from=kept.columns["sample_index"])
+    corrections = TrajectoryDataset(
+        ROLE_REFILTER,
+        {name: np.concatenate((pairs[name], kept.columns[name])) for name in COLUMNS},
+        np.concatenate((kept.answers, kept.answers)),
+        kept.records,
+    )
     return merge_datasets(filtered, corrections)
 
 

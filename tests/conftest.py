@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from headtail.core import (
@@ -12,7 +13,9 @@ from headtail.core import (
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
+    object_array,
 )
+from headtail.strategies import Draws
 
 
 def make_query(qid: int, gt: str | None = None, level: int | None = None, **kw) -> QueryRecord:
@@ -78,7 +81,11 @@ def hand_sample():
 
 
 class ScriptedSampler:
-    """Sampler returning pre-set correctness; counts every call."""
+    """Sampler returning pre-set correctness; counts every draw.
+
+    The pattern is consumed one draw at a time in row order, and the
+    ``*_calls`` counters count draws, not batched calls.
+    """
 
     def __init__(self, correct_pattern=itertools.repeat(True), length: int = 50):
         self._pattern = iter(correct_pattern)
@@ -87,38 +94,33 @@ class ScriptedSampler:
         self.guided_calls = 0
         self.correct_calls = 0
 
-    def _draw(self, query, origin_kwargs=None):
-        ok = next(self._pattern)
-        answer = query.gt_answer if ok else f"wrong-{query.id}-s{self.fresh_calls}"
-        return Trajectory(
-            query_id=query.id,
-            sample_index=1,
-            iteration=1,
-            length_tokens=self.length,
-            extracted_answer=answer,
-            correct=ok,
-            **(origin_kwargs or {}),
-        )
+    def _draws(self, records, query_ids, counter, prefix_tokens=0):
+        correct, answers = [], []
+        for q in np.asarray(query_ids).tolist():
+            setattr(self, counter, getattr(self, counter) + 1)
+            ok = next(self._pattern)
+            correct.append(ok)
+            answers.append(records[q].gt_answer if ok else f"wrong-{q}-s{self.fresh_calls}")
+        n = len(correct)
+        lengths = np.asarray(prefix_tokens, dtype=np.int64) + np.full(n, self.length)
+        return Draws(1, lengths, np.array(correct, dtype=bool), object_array(answers))
 
-    def sample_response(self, query):
-        self.fresh_calls += 1
-        return self._draw(query)
+    def sample_fresh(self, records, query_ids):
+        return self._draws(records, query_ids, "fresh_calls")
 
-    def guided_sample(self, query, prefix, step, total_steps):
-        self.guided_calls += 1
-        return self._draw(query)
+    def sample_guided(self, records, query_ids, prefix_tokens, steps, total_steps):
+        return self._draws(records, query_ids, "guided_calls", prefix_tokens)
 
-    def correct_response(self, query, wrong):
-        self.correct_calls += 1
-        return self._draw(query)
+    def sample_corrections(self, records, query_ids):
+        return self._draws(records, query_ids, "correct_calls")
 
 
 class FailingSampler:
-    def sample_response(self, query):
+    def sample_fresh(self, records, query_ids):
         raise RuntimeError("backend down")
 
-    def guided_sample(self, query, prefix, step, total_steps):
+    def sample_guided(self, records, query_ids, prefix_tokens, steps, total_steps):
         raise RuntimeError("backend down")
 
-    def correct_response(self, query, wrong):
+    def sample_corrections(self, records, query_ids):
         raise RuntimeError("backend down")

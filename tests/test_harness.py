@@ -166,14 +166,25 @@ class TestSelfImprovement:
         assert replay.p == rep.final_state.p
         assert replay.mu_log_len == rep.final_state.mu_log_len
 
+    def test_ar_on_union_pool_completes(self):
+        # the union pool holds up to T*K rows per query, more than K: such a
+        # query asks for no adaptive resamples rather than a negative count
+        cfg = small_config(
+            mode="iterative_union", apply_point="on_union", strategy=StrategyConfig(kind="ar")
+        )
+        rep = run(cfg, seed=1)
+        assert not rep.incomplete
+        assert len(rep.rows) == 3 * cfg.iterations
+        assert max(rep.final_train.counts_by_query().values()) > cfg.k_samples
+
     def test_sampler_failure_marks_report_incomplete(self, monkeypatch):
         cfg = small_config(strategy=StrategyConfig(kind="ar"))
         from headtail.learner import LearnerState as LS
 
-        def boom(self, query):
+        def boom(self, records, query_ids):
             raise RuntimeError("backend down")
 
-        monkeypatch.setattr(LS, "sample_response", boom)
+        monkeypatch.setattr(LS, "sample_fresh", boom)
         with pytest.raises(RunAborted) as exc_info:
             run_self_improvement(cfg, seed=0)
         assert exc_info.value.report.incomplete

@@ -14,6 +14,7 @@ from headtail.learner import (
     init_learner,
     synth_corpus,
 )
+from headtail.strategies import split_steps
 
 from conftest import make_query, make_traj
 
@@ -202,6 +203,114 @@ class TestCorrectResponse:
         st_ = state_with({1: 0.5})
         with pytest.raises(ValueError):
             st_.correct_response(make_query(1), make_traj(1, correct=True))
+
+
+@st.composite
+def batched_requests(draw):
+    """A learner state and one pass's requests, grouped per query in call order.
+
+    Queries may carry prior draw counters, unset or set levels (with or
+    without a learned level mean) and appear in several groups; a group
+    asking for <= 0 draws contributes no rows, as an adaptive-resampling
+    deficit does.
+    """
+    n = draw(st.integers(1, 6))
+    records = {
+        q: make_query(
+            q,
+            level=draw(st.one_of(st.none(), st.integers(1, 5))),
+            base_log_length=draw(st.floats(2.0, 7.0)),
+        )
+        for q in range(n)
+    }
+    mu = {lv: draw(st.floats(2.0, 7.0)) for lv in draw(st.sets(st.integers(1, 5)))}
+    state = LearnerState(
+        iteration=draw(st.integers(0, 3)),
+        p={q: draw(st.floats(0.0, 1.0)) for q in records},
+        mu_log_len=mu,
+        params=LearnerParams(prefix_gain=draw(st.sampled_from([0.5, 1.0, 2.0]))),
+        root_seed=draw(st.integers(0, 2**32)),
+        draw_counter={q: draw(st.integers(0, 5)) for q in draw(st.sets(st.sampled_from(sorted(records))))},
+    )
+    groups = draw(st.lists(st.tuples(st.sampled_from(sorted(records)), st.integers(-2, 4)), max_size=8))
+    query_ids = np.array([q for q, count in groups for _ in range(count)], dtype=np.int64)
+    return state, records, query_ids
+
+
+def assert_replays(draws, scalar, iteration):
+    assert draws.iteration == iteration
+    assert draws.length_tokens.tolist() == [t.length_tokens for t in scalar]
+    assert draws.correct.tolist() == [t.correct for t in scalar]
+    assert draws.answers.tolist() == [t.extracted_answer for t in scalar]
+
+
+class TestBatchedSamplers:
+    """Each batched sampler equals a loop of its scalar method on a clone."""
+
+    @given(batched_requests())
+    @settings(max_examples=80, deadline=None)
+    def test_fresh_replays_sample_response(self, request):
+        state, records, query_ids = request
+        loop = state.clone()
+        draws = state.sample_fresh(records, query_ids)
+        scalar = [loop.sample_response(records[q]) for q in query_ids.tolist()]
+        assert_replays(draws, scalar, state.iteration + 1)
+        assert state.draw_counter == loop.draw_counter
+
+    @given(batched_requests(), st.integers(2, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_guided_replays_guided_sample(self, request, S, data):
+        state, records, query_ids = request
+        # one donor per row, some shorter than S (those continue only from step 1)
+        lengths = [data.draw(st.integers(1, 12)) for _ in query_ids]
+        steps = [data.draw(st.integers(1, S)) if n >= S else 1 for n in lengths]
+        donors = [make_traj(q, length=n) for q, n in zip(query_ids.tolist(), lengths)]
+        prefix = [0 if s == 1 else split_steps(d, S)[s - 1] for d, s in zip(donors, steps)]
+        loop = state.clone()
+        draws = state.sample_guided(records, query_ids, np.array(prefix), np.array(steps), S)
+        scalar = [
+            loop.guided_sample(records[d.query_id], d, s, S) for d, s in zip(donors, steps)
+        ]
+        assert_replays(draws, scalar, state.iteration + 1)
+        assert [t.prefix_tokens for t in scalar] == prefix
+        assert state.draw_counter == loop.draw_counter
+
+    @given(batched_requests())
+    @settings(max_examples=80, deadline=None)
+    def test_corrections_replay_correct_response(self, request):
+        state, records, query_ids = request
+        loop = state.clone()
+        draws = state.sample_corrections(records, query_ids)
+        scalar = [
+            loop.correct_response(records[q], make_traj(q, correct=False)) for q in query_ids.tolist()
+        ]
+        assert_replays(draws, scalar, state.iteration + 1)
+        assert state.draw_counter == loop.draw_counter
+
+    def test_guided_rejects_steps_out_of_range(self):
+        st_ = state_with({1: 0.5})
+        with pytest.raises(ValueError, match="steps must be in"):
+            st_.sample_guided({1: make_query(1)}, np.array([1]), np.array([0]), np.array([5]), 4)
+
+    def test_empty_request_makes_no_rng_call(self, monkeypatch):
+        from headtail import rng
+
+        def no_call(*args):
+            raise AssertionError("rng called for an empty request")
+
+        monkeypatch.setattr(rng, "uniform", no_call)
+        monkeypatch.setattr(rng, "normal", no_call)
+        st_ = state_with({1: 0.5})
+        st_.draw_counter[1] = 3
+        none = np.zeros(0, dtype=np.int64)
+        records = {1: make_query(1)}
+        for draws in (
+            st_.sample_fresh(records, none),
+            st_.sample_guided(records, none, none, none, 4),
+            st_.sample_corrections(records, none),
+        ):
+            assert len(draws.length_tokens) == len(draws.correct) == len(draws.answers) == 0
+        assert st_.draw_counter == {1: 3}
 
 
 def train_set_for(qid_counts, level=None, length=60):

@@ -269,6 +269,20 @@ class TestGuidedResample:
         with pytest.raises(SamplerError):
             guided_resample(f, FailingSampler(), L=4, S=4)
 
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=6), st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_tokens_are_split_steps_offsets(self, lengths, S):
+        entries = [(make_query(1), make_traj(1, j, length=n)) for j, n in enumerate(lengths, 1)]
+        f = TrajectoryDataset.from_entries(entries, "filter")
+        resampled, _, _ = guided_resample(f, ScriptedSampler(), L=len(lengths) + 1, S=S)
+        expected = [
+            (t.sample_index, step, offset)
+            for _, t in entries
+            for step, offset in enumerate(split_steps(t, S) if t.length_tokens >= S else (0,))
+        ]
+        got = [(t.sample_index, t.prefix_steps, t.prefix_tokens) for _, t in resampled]
+        assert got == expected
+
 
 class TestSelfCorrectAugment:
     def test_hand_count(self):
