@@ -29,8 +29,8 @@ from .harness import (
     RunConfig,
     SchemaError,
     emit_report,
-    load_snapshot,
     read_config_json,
+    read_snapshot,
     rebalance_offline,
     run as run_mode,
     write_atomic,
@@ -38,7 +38,7 @@ from .harness import (
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_RULES, load_alias_table
 from .strategies import STRATEGY_KINDS, StrategyConfig
-from .core import ROLE_SAMPLE, ROLE_TRAIN, TrajectoryDataset
+from .core import ROLE_SAMPLE, ROLE_TRAIN
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -218,15 +218,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     snapshot = run_dir / "datasets" / (args.dataset + ".jsonl")
     if not snapshot.exists():
         raise SchemaError(f"no snapshot at {snapshot}")
-    entries = load_snapshot(snapshot)
-    if not entries:
+    dataset = read_snapshot(snapshot, ROLE_SAMPLE)
+    if len(dataset) == 0:
         print(rows_to_csv([]))
         return EXIT_OK
-    role = ROLE_TRAIN if all(t.correct for _, t in entries) else ROLE_SAMPLE
-    try:
-        dataset = TrajectoryDataset.from_entries(entries, role)
-    except ValueError as exc:  # lines of one query that disagree on its level
-        raise SchemaError(f"{snapshot}: {exc}") from exc
+    if dataset.columns["correct"].all():
+        dataset = dataset.retagged(ROLE_TRAIN)
     counts = dataset.counts_by_query()
     iteration = int(dataset.columns["iteration"].max())
     row = build_row(iteration, dataset.role, dataset, cfg.k_samples, counts)

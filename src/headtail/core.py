@@ -26,8 +26,9 @@ relative order.
 Python objects exist only at the edges:
 
 * :meth:`TrajectoryDataset.from_entries` packs pairs made elsewhere
-  (decoded snapshots, hand-built fixtures) into columns and keeps the
-  tuple it was given;
+  (hand-built fixtures, the per-line snapshot reference) into columns and
+  keeps the tuple it was given; logs and snapshots read from disk are
+  decoded straight into columns and never pass through it;
 * :attr:`TrajectoryDataset.entries` builds the pairs on first access and
   caches them; a dataset selected from one whose entries exist reuses
   those very objects.

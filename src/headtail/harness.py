@@ -19,18 +19,27 @@ iterative_union train each iteration on the union of every filtered set so
 
 All three modes run through one loop (``_run_loop``).  Offline mode
 applies the sampler-free reshaping strategies to real trajectory logs
-(JSONL, one record per sampled response); logs and dataset snapshots are
-decoded by one JSONL codec that reports any bad line as a SchemaError.
+(JSONL, one record per sampled response).
+
+Logs and dataset snapshots are read by one chunked reader
+(``_read_columns``): it decodes a fixed number of lines per pass straight
+into dataset columns and checks them column by column, building no
+per-line objects.  A file that fails any check is read again by the
+per-line codec (``parse_log_line``, ``parse_snapshot_line``), which raises
+the SchemaError naming the first bad line, so a file is taken whole or not
+at all.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import types
 import typing
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -39,6 +48,7 @@ import numpy as np
 from .core import (
     LEVELS,
     ORIGIN_EXPLORED,
+    ORIGIN_RANK,
     ORIGINS,
     ROLE_FILTER,
     ROLE_SAMPLE,
@@ -433,7 +443,7 @@ def _decode_line(
         raise SchemaError(f"line {lineno}: missing fields {sorted(missing)}")
     try:
         return build(data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of Infinity
         raise SchemaError(f"line {lineno}: {exc}") from exc
 
 
@@ -441,6 +451,65 @@ def _read_jsonl(path: str | Path, parse: Callable[[str, int], Any]) -> list[Any]
     """Parse every non-blank line of a JSONL file, numbering lines from 1."""
     with open(path, "r", encoding="utf-8") as fh:
         return [parse(line, lineno) for lineno, line in enumerate(fh, start=1) if line.strip()]
+
+
+_READ_CHUNK = 1024  # non-blank lines per json.loads pass of a columnar read
+
+
+def _read_columns(
+    path: str | Path,
+    fields: set[str],
+    required: set[str],
+    pull: Callable[[list[dict[str, Any]]], dict[str, np.ndarray]],
+    build: Callable[[dict[str, np.ndarray]], TrajectoryDataset],
+    reference: Callable[[], Any],
+) -> TrajectoryDataset:
+    """Decode a JSONL file straight into a dataset, ``_READ_CHUNK`` lines at a time.
+
+    Each chunk's lines must be JSON objects whose keys are among ``fields``
+    and include every ``required`` one; ``pull`` turns the chunk into
+    arrays by name, and ``build`` makes the dataset of their concatenation.
+    Any failure re-reads the file with the per-line ``reference``, which
+    raises the SchemaError that names the first bad line; a reference that
+    accepts the file instead is a bug, and the columnar error is re-raised.
+    """
+    try:
+        parts: list[dict[str, np.ndarray]] = []
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = filter(str.strip, fh)
+            while chunk := list(itertools.islice(lines, _READ_CHUNK)):
+                rows = list(map(json.loads, chunk))
+                if not (
+                    set(map(type, rows)) == {dict}
+                    and all(map(fields.issuperset, rows))
+                    and all(map(required.issubset, rows))
+                ):
+                    raise ValueError("a line is not an object with the expected fields")
+                parts.append(pull(rows))
+        if not parts:
+            parts.append(pull([]))
+        return build({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
+    except (TypeError, ValueError, OverflowError) as exc:
+        rejected = exc
+    reference()
+    raise rejected
+
+
+def _int64(values: Iterable[Any]) -> np.ndarray:
+    """``int(v)`` of each value as an int64 array; OverflowError past 64 bits."""
+    return np.array(list(map(int, values)), dtype=np.int64)
+
+
+def _first_rows(qids: np.ndarray, values: np.ndarray, what: str) -> tuple[list[int], list[Any]]:
+    """Each query id with the value of its first row, in order of first rows.
+
+    A row whose value differs from its query's first is a ValueError.
+    """
+    ids, first, inverse = np.unique(qids, return_index=True, return_inverse=True)
+    if np.any(values != values[first][inverse]):
+        raise ValueError(f"conflicting {what}")
+    order = np.argsort(first)
+    return ids[order].tolist(), values[first[order]].tolist()
 
 
 _SNAPSHOT_FIELDS = {
@@ -489,6 +558,59 @@ def parse_snapshot_line(line: str, lineno: int) -> Entry:
 def load_snapshot(path: str | Path) -> list[Entry]:
     """Read a ``datasets/*.jsonl`` snapshot back into (query, trajectory) pairs."""
     return _read_jsonl(path, parse_snapshot_line)
+
+
+def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
+    correct = list(map(itemgetter("correct"), rows))
+    if not all(type(ok) is bool for ok in correct):
+        raise ValueError("correct must be true or false")
+    levels = [r.get("level") for r in rows]
+    level = _int64(0 if lv is None else lv for lv in levels)
+    given = np.array([lv is not None for lv in levels], dtype=bool)
+    if np.any(given & ((level < LEVELS[0]) | (level > LEVELS[-1]))):
+        raise ValueError(f"level must be in {LEVELS} when set")
+    return {
+        "query_id": _int64(map(itemgetter("query_id"), rows)),
+        "level": level,
+        "iteration": _int64(map(itemgetter("iteration"), rows)),
+        # an unknown origin ranks -1, which the dataset constructor rejects
+        "origin": np.array([ORIGIN_RANK.get(r.get("origin", ORIGIN_EXPLORED), -1) for r in rows], dtype=np.int64),
+        "sample_index": _int64(map(itemgetter("sample_index"), rows)),
+        "prefix_steps": _int64(r.get("prefix_steps", 0) for r in rows),
+        "length_tokens": _int64(map(itemgetter("length_tokens"), rows)),
+        "correct": np.array(correct, dtype=bool),
+    }
+
+
+def _snapshot_dataset(c: dict[str, np.ndarray], role: str) -> TrajectoryDataset:
+    n = len(c["query_id"])
+    ids, levels = _first_rows(c["query_id"], c["level"], "levels")
+    records = {q: QueryRecord(id=q, gt_answer="", level=lv or None) for q, lv in zip(ids, levels)}
+    columns = {**c, "prefix_tokens": np.zeros(n, dtype=np.int64), "corrected_from": np.full(n, -1)}
+    return TrajectoryDataset(role, columns, np.full(n, "", dtype=object), records)
+
+
+def _snapshot_reference(path: str | Path, role: str) -> TrajectoryDataset:
+    entries = load_snapshot(path)
+    try:
+        return TrajectoryDataset.from_entries(entries, role)
+    except ValueError as exc:  # levels that differ within a query, 64-bit overflow, role invariants
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def read_snapshot(path: str | Path, role: str) -> TrajectoryDataset:
+    """A ``datasets/*.jsonl`` snapshot as a dataset tagged ``role``.
+
+    Decoded straight into columns, it equals ``from_entries`` of
+    :func:`load_snapshot`'s pairs.  A bad line is a SchemaError naming it;
+    lines that break a dataset invariant together (two levels for one
+    query, a value past 64 bits, a wrong row for ``role``) are a SchemaError
+    naming the file.
+    """
+    return _read_columns(
+        path, _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _snapshot_chunk,
+        lambda c: _snapshot_dataset(c, role), lambda: _snapshot_reference(path, role),
+    )
 
 
 # json.dumps(_snapshot_entry(...), sort_keys=True) of a row, filled from columns
@@ -586,22 +708,11 @@ def parse_log_line(line: str, lineno: int) -> TrajectoryLogRecord:
     return _decode_line(line, lineno, _LOG_FIELDS, _LOG_REQUIRED, _log_record)
 
 
-def load_log(path: str | Path) -> list[TrajectoryLogRecord]:
-    return _read_jsonl(path, parse_log_line)
-
-
-def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
-    """Assemble log records into a sample dataset; gt conflicts are schema errors.
-
-    Each query's responses are numbered 1, 2, ... in log order.
-    """
-    gt: dict[int, str] = {}
-    for i, rec in enumerate(records, start=1):
-        prior = gt.setdefault(rec.query_id, rec.gt_answer)
-        if prior != rec.gt_answer:
-            raise SchemaError(f"record {i}: conflicting gt_answer for query {rec.query_id}")
-    n = len(records)
-    qids = np.array([rec.query_id for rec in records], dtype=np.int64)
+def _sample_dataset(
+    qids: np.ndarray, iteration: Any, length_tokens: Any, answers: np.ndarray, gt: dict[int, str]
+) -> TrajectoryDataset:
+    """A sample dataset of log rows; each query's responses are numbered 1, 2, ... in log order."""
+    n = len(answers)
     by_query = np.argsort(qids, kind="stable")
     _, starts, counts = np.unique(qids[by_query], return_index=True, return_counts=True)
     sample_index = np.empty(n, dtype=np.int64)
@@ -610,18 +721,79 @@ def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
     columns = {
         "query_id": qids,
         "level": zeros,
-        "iteration": [rec.iteration for rec in records],
+        "iteration": iteration,
         "origin": zeros,
         "sample_index": sample_index,
         "prefix_steps": zeros,
         "prefix_tokens": zeros,
-        "length_tokens": [rec.token_count for rec in records],
+        "length_tokens": length_tokens,
         "correct": np.zeros(n, dtype=bool),
         "corrected_from": np.full(n, -1),
     }
-    answers = object_array(rec.extracted_answer for rec in records)
     queries = {qid: QueryRecord(id=qid, gt_answer=ans) for qid, ans in gt.items()}
     return TrajectoryDataset(ROLE_SAMPLE, columns, answers, queries)
+
+
+def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
+    """Assemble log records into a sample dataset; gt conflicts are schema errors."""
+    gt: dict[int, str] = {}
+    for i, rec in enumerate(records, start=1):
+        prior = gt.setdefault(rec.query_id, rec.gt_answer)
+        if prior != rec.gt_answer:
+            raise SchemaError(f"record {i}: conflicting gt_answer for query {rec.query_id}")
+    return _sample_dataset(
+        np.array([rec.query_id for rec in records], dtype=np.int64),
+        [rec.iteration for rec in records],
+        [rec.token_count for rec in records],
+        object_array(rec.extracted_answer for rec in records),
+        gt,
+    )
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
+    token_count = _int64(map(itemgetter("token_count"), rows))
+    iteration = _int64(r.get("iteration", 1) for r in rows)
+    if np.any(token_count < 0) or np.any(iteration < 1):
+        raise ValueError("token_count must be >= 0 and iteration >= 1")
+    offsets = [r.get("step_offsets", ()) for r in rows]
+    flat = list(map(int, itertools.chain.from_iterable(offsets)))
+    try:
+        flat = np.array(flat, dtype=np.int64)
+    except OverflowError:  # clamped to [0, 2**63-1], an offset is inside (0, token_count) iff it was
+        flat = np.array([min(max(x, 0), _INT64_MAX) for x in flat], dtype=np.int64)
+    owner = np.repeat(np.arange(len(rows)), list(map(len, offsets)))
+    inside = (flat > 0) & (flat < token_count[owner])
+    b, o = flat[inside], owner[inside]
+    if np.any((o[1:] == o[:-1]) & (b[1:] <= b[:-1])):
+        raise ValueError("step_offsets must be strictly ascending")
+    return {
+        "query_id": _int64(map(itemgetter("query_id"), rows)),
+        "iteration": iteration,
+        "length_tokens": token_count,
+        "gt_answer": object_array(map(str, map(itemgetter("gt_answer"), rows))),
+        "answers": object_array(map(str, map(itemgetter("extracted_answer"), rows))),
+    }
+
+
+def _log_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
+    ids, gts = _first_rows(c["query_id"], c["gt_answer"], "gt_answer")
+    return _sample_dataset(c["query_id"], c["iteration"], c["length_tokens"], c["answers"], dict(zip(ids, gts)))
+
+
+def load_log(path: str | Path) -> TrajectoryDataset:
+    """A trajectory log as a sample dataset, decoded straight into columns.
+
+    It equals :func:`log_to_dataset` of the log's :func:`parse_log_line`
+    records, and a bad line or a gt conflict is the SchemaError that path
+    raises.  Its length is the log's record count.
+    """
+    return _read_columns(
+        path, _LOG_FIELDS, _LOG_REQUIRED, _log_chunk, _log_dataset,
+        lambda: log_to_dataset(_read_jsonl(path, parse_log_line)),
+    )
 
 
 def rebalance_offline(
@@ -647,8 +819,7 @@ def rebalance_offline(
         strategy.validate(K)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    records = load_log(input_path)
-    sample = log_to_dataset(records)
+    sample = load_log(input_path)
     filtered = filter_dataset(sample, rules)
     if min_cot_tokens > 0:
         filtered = cot_length_filter(filtered, min_cot_tokens)
@@ -660,7 +831,7 @@ def rebalance_offline(
     k_counts = filtered.counts_by_query()
     row = build_row(1, ROLE_TRAIN, train, K, k_counts)
     return {
-        "input_records": len(records),
+        "input_records": len(sample),
         "filtered": len(filtered),
         "output_records": len(train),
         "distinct_queries": len(k_counts),

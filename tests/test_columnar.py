@@ -9,6 +9,9 @@ exercised as well.
 """
 
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +22,7 @@ from headtail.core import (
     ORIGINS,
     ROLE_FILTER,
     ROLE_SAMPLE,
+    ROLE_TRAIN,
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
@@ -131,6 +135,24 @@ def test_snapshot_lines_cover_every_origin_and_unset_level(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == [json.dumps(_snapshot_entry(r, t), sort_keys=True) for r, t in entries]
     assert '"level": null' in lines[0] and '"prefix_steps": 3' in lines[2]
+
+
+@given(datasets(role=ROLE_FILTER), datasets())
+@settings(max_examples=100, deadline=None)
+def test_snapshot_round_trip_through_emit_report(filtered, train):
+    train = TrajectoryDataset.from_entries(
+        [(r, replace(t, correct=True)) for r, t in train.entries], ROLE_TRAIN
+    )
+    report = harness.RunReport(config={}, seed=0, final_filter=filtered, final_train=train)
+    with tempfile.TemporaryDirectory() as tmp:
+        harness.emit_report(report, tmp)
+        for name, ds in (("filter_final", filtered), ("train_final", train)):
+            decoded = harness.read_snapshot(Path(tmp, "datasets", f"{name}.jsonl"), ds.role)
+            assert [_snapshot_entry(r, t) for r, t in decoded.entries] == [
+                _snapshot_entry(r, t) for r, t in ds.entries
+            ]
+            assert not decoded.columns["prefix_tokens"].any()
+            assert (decoded.columns["corrected_from"] == -1).all()
 
 
 @given(datasets())
