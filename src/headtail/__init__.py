@@ -19,6 +19,7 @@ from .rewards import (
     filter_dataset,
     load_alias_table,
     normalize_answer,
+    partition_dataset,
     reward,
 )
 from .strategies import (

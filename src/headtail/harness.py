@@ -69,7 +69,14 @@ from .learner import (
     synth_corpus,
 )
 from .metrics import REFERENCE_TARGETS, MetricsRow, build_row, rows_to_csv
-from .rewards import AnswerNormalizationRules, DEFAULT_RULES, cot_length_filter, discard_dataset, filter_dataset
+from .rewards import (
+    AnswerNormalizationRules,
+    DEFAULT_RULES,
+    cot_length_filter,
+    discard_dataset,  # noqa: F401 -- unused here; perfbench/tracer.py wraps harness.discard_dataset
+    filter_dataset,
+    partition_dataset,
+)
 from .strategies import (
     RESHAPING_KINDS,
     SamplerError,
@@ -381,8 +388,10 @@ def _run_loop(config: RunConfig, seed: int, rules: AnswerNormalizationRules) -> 
     try:
         for t in range(1, rounds + 1):
             sample = learner.sample_batch(corpus, draws)
-            filtered = filter_dataset(sample, rules)
-            discarded = discard_dataset(sample, rules) if strategy.kind == "sc" else None
+            if strategy.kind == "sc":
+                filtered, discarded = partition_dataset(sample, rules)
+            else:
+                filtered, discarded = filter_dataset(sample, rules), None
             if union and config.apply_point == "on_union":
                 union_filter = filtered if union_filter is None else merge_datasets(union_filter, filtered)
                 pool = union_filter.retagged(ROLE_FILTER)

@@ -9,9 +9,11 @@ Normalization is a pure function of the string and the rules, so grading
 skips it where it cannot change the outcome: an answer whose raw string
 equals the ground truth is graded correct without normalizing (one
 whole-column comparison for a dataset), and within one ``reward``,
-``filter_dataset`` or ``discard_dataset`` call each distinct answer and
-ground-truth string is normalized at most once (the memo lives only as long
-as that call).  Filtering then selects the graded rows by mask.
+``filter_dataset``, ``partition_dataset`` or ``discard_dataset`` call each
+distinct answer and ground-truth string is normalized at most once (the
+memo lives only as long as that call).  Filtering then selects the graded
+rows by mask; ``partition_dataset`` selects both the kept and the
+discarded rows from one grading.
 """
 
 from __future__ import annotations
@@ -124,6 +126,14 @@ def _graded(sampled: TrajectoryDataset, rules: AnswerNormalizationRules) -> np.n
     return ok
 
 
+def _graded_role(sampled: TrajectoryDataset, name: str) -> str:
+    """The role that ``sampled``'s reward-1 rows take; only sample and resample sets are graded."""
+    out_role = _FILTER_OUT_ROLE.get(sampled.role)
+    if out_role is None:
+        raise ValueError(f"{name} expects a sample or resample dataset, got {sampled.role!r}")
+    return out_role
+
+
 def filter_dataset(
     sampled: TrajectoryDataset, rules: AnswerNormalizationRules = DEFAULT_RULES
 ) -> TrajectoryDataset:
@@ -132,19 +142,27 @@ def filter_dataset(
     Sample datasets filter to role ``filter``; resample datasets to
     ``refilter``.
     """
-    out_role = _FILTER_OUT_ROLE.get(sampled.role)
-    if out_role is None:
-        raise ValueError(f"filter_dataset expects a sample or resample dataset, got {sampled.role!r}")
+    out_role = _graded_role(sampled, "filter_dataset")
     return sampled.select(np.flatnonzero(_graded(sampled, rules)), out_role, correct=True)
+
+
+def partition_dataset(
+    sampled: TrajectoryDataset, rules: AnswerNormalizationRules = DEFAULT_RULES
+) -> tuple[TrajectoryDataset, TrajectoryDataset]:
+    """(:func:`filter_dataset`, :func:`discard_dataset`) of ``sampled``, grading each row once."""
+    out_role = _graded_role(sampled, "partition_dataset")
+    ok = _graded(sampled, rules)
+    return (
+        sampled.select(np.flatnonzero(ok), out_role, correct=True),
+        sampled.select(np.flatnonzero(~ok), ROLE_DISCARD, correct=False),
+    )
 
 
 def discard_dataset(
     sampled: TrajectoryDataset, rules: AnswerNormalizationRules = DEFAULT_RULES
 ) -> TrajectoryDataset:
     """Complement of :func:`filter_dataset`: the reward-0 entries."""
-    if sampled.role not in _FILTER_OUT_ROLE:
-        raise ValueError(f"discard_dataset expects a sample or resample dataset, got {sampled.role!r}")
-    return sampled.select(np.flatnonzero(~_graded(sampled, rules)), ROLE_DISCARD, correct=False)
+    return partition_dataset(sampled, rules)[1]
 
 
 def cot_length_filter(dataset: TrajectoryDataset, min_tokens: int) -> TrajectoryDataset:

@@ -127,17 +127,31 @@ class TestSelfImprovement:
         from headtail import harness
 
         calls = []
-        real = harness.discard_dataset
+        real = harness.partition_dataset
 
         def counting(*args, **kwargs):
             calls.append(args[0].role)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "discard_dataset", counting)
+        monkeypatch.setattr(harness, "partition_dataset", counting)
         run_self_improvement(small_config(), seed=0)
         assert calls == []
         run_self_improvement(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
         assert len(calls) == SMALL["iterations"]
+
+    def test_sc_grades_each_sample_once(self, monkeypatch):
+        from headtail import rewards
+
+        graded = []
+        real = rewards._graded
+
+        def counting(sampled, rules):
+            graded.append(sampled.role)
+            return real(sampled, rules)
+
+        monkeypatch.setattr(rewards, "_graded", counting)
+        run_self_improvement(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
+        assert graded.count("sample") == SMALL["iterations"]
 
     def test_tc_stream_not_shared_by_next_seed_one_iteration_back(self, hand_filter):
         from headtail.harness import _apply_strategy
