@@ -4,7 +4,7 @@ Verbs:
   run        execute one configured run (all modes) and write its report
   sweep      grid of runs over seeds / strategies / K / L / S values
   rebalance  offline reshaping of a trajectory log (JSONL in, JSONL out)
-  report     recompute a metrics row from a written dataset snapshot
+  report     recompute a run's last train or filter metrics row from its snapshot
 
 Exit codes: 0 success, 2 config error, 3 schema error, 4 internal abort.
 """
@@ -38,7 +38,7 @@ from .harness import (
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_RULES, load_alias_table
 from .strategies import STRATEGY_KINDS, StrategyConfig
-from .core import ROLE_SAMPLE, ROLE_TRAIN
+from .core import ROLE_FILTER, ROLE_TRAIN
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -205,6 +205,10 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the role of each snapshot's rows, as the run's metrics.csv records them
+_SNAPSHOT_ROLES = {"train_final": ROLE_TRAIN, "filter_final": ROLE_FILTER}
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg_path = run_dir / "config.json"
@@ -218,13 +222,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     snapshot = run_dir / "datasets" / (args.dataset + ".jsonl")
     if not snapshot.exists():
         raise SchemaError(f"no snapshot at {snapshot}")
-    dataset = read_snapshot(snapshot, ROLE_SAMPLE)
+    dataset = read_snapshot(snapshot, _SNAPSHOT_ROLES[args.dataset])
     if len(dataset) == 0:
         print(rows_to_csv([]))
         return EXIT_OK
-    if dataset.columns["correct"].all():
-        dataset = dataset.retagged(ROLE_TRAIN)
-    counts = dataset.counts_by_query()
+    # per-query counts come from the final filtered set, as in metrics.csv
+    filtered_path = run_dir / "datasets" / "filter_final.jsonl"
+    filtered = dataset
+    if dataset.role != ROLE_FILTER and filtered_path.exists():
+        filtered = read_snapshot(filtered_path, ROLE_FILTER)
+    counts = filtered.counts_by_query()
     iteration = int(dataset.columns["iteration"].max())
     row = build_row(iteration, dataset.role, dataset, cfg.k_samples, counts)
     print(rows_to_csv([row]), end="")
@@ -264,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="recompute metrics from a snapshot")
     p_rep.add_argument("--run-dir", required=True)
-    p_rep.add_argument("--dataset", default="train_final", help="snapshot name under datasets/")
+    p_rep.add_argument("--dataset", default="train_final", choices=tuple(_SNAPSHOT_ROLES),
+                       help="snapshot under datasets/ (its name sets the role of its rows)")
     p_rep.set_defaults(fn=_cmd_report)
     return parser
 

@@ -206,6 +206,39 @@ class TestReportVerb:
         assert text.startswith("iteration,role,total")
         assert len(text.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize(
+        "mode, kind", [("self_improve", "rp"), ("iterative_union", "gr"), ("batch_baseline", "sc")]
+    )
+    def test_rows_agree_with_metrics_csv(self, tmp_path, capsys, mode, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_queries": 50, "k_samples": 4, "iterations": 2,
+                                   "mode": mode, "strategy": {"kind": kind}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--seed", "0", "--output-dir", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()
+        for name, role in (("filter_final", "filter"), ("train_final", "train")):
+            capsys.readouterr()
+            assert main(["report", "--run-dir", str(out), "--dataset", name]) == 0
+            last = [row for row in rows if row.split(",")[1] == role][-1]
+            assert capsys.readouterr().out.splitlines() == [rows[0], last]
+
+    def test_unknown_snapshot_name_exit_config(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--run-dir", str(tmp_path), "--dataset", "sample_final"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("name", ["train_final", "filter_final"])
+    def test_incorrect_row_in_all_correct_snapshot_exit_schema(self, tmp_path, capsys, name):
+        line = {"query_id": 1, "sample_index": 1, "iteration": 1, "origin": "explored",
+                "prefix_steps": 0, "length_tokens": 30, "level": 2, "correct": True}
+        snapshot = tmp_path / "datasets" / f"{name}.jsonl"
+        snapshot.parent.mkdir()
+        snapshot.write_text(json.dumps(line) + "\n" + json.dumps({**line, "correct": False}) + "\n")
+        assert main(["report", "--run-dir", str(tmp_path), "--dataset", name]) == 3
+        captured = capsys.readouterr()
+        assert "may only contain correct trajectories" in captured.err
+        assert captured.out == ""
+
     def test_bad_config_file_exit_config(self, tmp_path, capsys):
         snapshot = tmp_path / "datasets" / "train_final.jsonl"
         snapshot.parent.mkdir()
