@@ -759,9 +759,6 @@ def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
     )
 
 
-_INT64_MAX = 2**63 - 1
-
-
 def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     token_count = _int64(map(itemgetter("token_count"), rows))
     iteration = _int64(r.get("iteration", 1) for r in rows)
@@ -772,7 +769,7 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     try:
         flat = np.array(flat, dtype=np.int64)
     except OverflowError:  # clamped to [0, 2**63-1], an offset is inside (0, token_count) iff it was
-        flat = np.array([min(max(x, 0), _INT64_MAX) for x in flat], dtype=np.int64)
+        flat = np.array([min(max(x, 0), 2**63 - 1) for x in flat], dtype=np.int64)
     owner = np.repeat(np.arange(len(rows)), list(map(len, offsets)))
     inside = (flat > 0) & (flat < token_count[owner])
     b, o = flat[inside], owner[inside]

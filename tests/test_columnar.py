@@ -138,7 +138,7 @@ def test_snapshot_lines_cover_every_origin_and_unset_level(tmp_path):
 
 
 @given(datasets(role=ROLE_FILTER), datasets())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 def test_snapshot_round_trip_through_emit_report(filtered, train):
     train = TrajectoryDataset.from_entries(
         [(r, replace(t, correct=True)) for r, t in train.entries], ROLE_TRAIN

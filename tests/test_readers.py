@@ -77,17 +77,30 @@ def log_records(draw):
     return record
 
 
-LOG_HOSTILE = {
-    "query_id": st.one_of(HOSTILE_INTS, st.sampled_from([-(2**63), 2**63 - 1])),
-    "gt_answer": st.sampled_from(["b", [1], 3]),
-    "extracted_answer": st.sampled_from([[1], {"a": 1}, 2.5]),
-    "token_count": HOSTILE_INTS,
-    "step_offsets": st.one_of(
-        st.sampled_from([[5, 3], [2, 2], ["3a"], [None], None, 5, 2.5, "3a", "21", {"x": 1}, [2**70, 3]]),
-        st.lists(HOSTILE_INTS, min_size=1, max_size=3),
-    ),
-    "iteration": HOSTILE_INTS,
-}
+DROP = object()  # a fault that removes the field
+
+
+def faults(**values):
+    """A fault: each named field takes a value drawn from its strategy."""
+    return st.fixed_dictionaries(values)
+
+
+def missing(required):
+    return st.sampled_from(sorted(required)).map(lambda name: {name: DROP})
+
+
+LOG_FAULTS = (
+    # inner offsets out of order, spelled as int() would read them
+    faults(token_count=st.just(10), step_offsets=st.sampled_from([[5, 3], [2, 2], [4, "4"], [9, 1.5], [1, True]])),
+    faults(step_offsets=st.sampled_from([["3a"], [None], [[1]], None, 5, 2.5, "3a", {"x": 1}])),
+    faults(gt_answer=st.sampled_from(["b", [1], 3])),  # conflicts with the query's other records
+    faults(token_count=st.one_of(st.sampled_from([-1, 2**63, -(2**64)]), HOSTILE_INTS)),
+    faults(iteration=st.one_of(st.sampled_from([0, -3, 2**63]), HOSTILE_INTS)),
+    faults(query_id=st.one_of(st.sampled_from([2**63, -(2**63) - 1]), HOSTILE_INTS)),
+    faults(extracted_answer=st.sampled_from([[1], {"a": 1}, 2.5])),
+    missing(harness._LOG_REQUIRED),
+    st.just({"mystery": 1}),
+)
 
 
 @st.composite
@@ -112,39 +125,41 @@ def snapshot_records(draw):
     return record
 
 
-SNAPSHOT_HOSTILE = {
-    "query_id": st.one_of(HOSTILE_INTS, st.sampled_from([-(2**63), 2**63 - 1])),
-    "sample_index": HOSTILE_INTS,
-    "iteration": HOSTILE_INTS,
-    "origin": st.sampled_from(["bogus", 3, None, ["explored"]]),
-    "prefix_steps": HOSTILE_INTS,
-    "length_tokens": HOSTILE_INTS,
-    "level": st.one_of(HOSTILE_INTS, st.sampled_from([0, 9, 1, 4])),
-    "correct": st.sampled_from(["yes", 1, None]),
-}
+SNAPSHOT_FAULTS = (
+    faults(level=st.sampled_from([1, 4, "4"])),  # a second level for a query
+    faults(level=st.one_of(st.sampled_from([0, 9, -1, False, "0", 0.5]), HOSTILE_INTS)),
+    faults(origin=st.sampled_from(["bogus", 3, None, ["explored"]])),
+    faults(origin=st.just("explored"), prefix_steps=st.sampled_from([1, "2", True])),
+    faults(prefix_steps=st.one_of(st.just(-1), HOSTILE_INTS)),
+    faults(correct=st.sampled_from(["yes", 1, None, 0])),
+    faults(length_tokens=st.one_of(st.sampled_from([-1, 2**63]), HOSTILE_INTS)),
+    faults(sample_index=st.one_of(st.sampled_from([0, 2**64]), HOSTILE_INTS)),
+    faults(iteration=st.one_of(st.just(0), HOSTILE_INTS)),
+    faults(query_id=st.one_of(st.just(2**63), HOSTILE_INTS)),
+    missing(harness._SNAPSHOT_REQUIRED),
+    st.just({"mystery": 1}),
+)
 
 
 @st.composite
-def damaged(draw, records, hostile, required):
-    """A record with one field given a hostile value, dropped, or joined by an unknown one."""
+def damaged(draw, records, fault_list):
+    """A valid record with one fault applied."""
     record = draw(records)
-    how = draw(st.sampled_from(["value", "value", "drop", "unknown"]))
-    if how == "value":
-        name = draw(st.sampled_from(sorted(hostile)))
-        record[name] = draw(hostile[name])
-    elif how == "drop":
-        record.pop(draw(st.sampled_from(sorted(required))))
-    else:
-        record["mystery"] = 1
+    for name, value in draw(st.one_of(fault_list)).items():
+        if value is DROP:
+            record.pop(name)
+        else:
+            record[name] = value
     return json.dumps(record)
 
 
 @st.composite
-def jsonl_files(draw, records, hostile, required):
-    """Valid records with up to three blank lines, junk lines or damaged records among them."""
+def jsonl_files(draw, records, fault_list):
+    """Valid records with blank lines and at most two junk lines or faulty records among them."""
     lines = draw(st.lists(records.map(json.dumps), max_size=10))
-    for _ in range(draw(st.integers(0, 3))):
-        extra = draw(st.one_of(BLANK, JUNK, damaged(records, hostile, required)))
+    bad = st.one_of(JUNK, damaged(records, fault_list), damaged(records, fault_list))
+    extras = draw(st.lists(BLANK, max_size=2)) + draw(st.lists(bad, max_size=2))
+    for extra in extras:
         lines.insert(draw(st.integers(0, len(lines))), extra)
     return "".join(line + "\n" for line in lines)
 
@@ -171,16 +186,16 @@ def log_reference(path):
     return harness.log_to_dataset(harness._read_jsonl(path, harness.parse_log_line))
 
 
-@given(jsonl_files(log_records(), LOG_HOSTILE, harness._LOG_REQUIRED), st.integers(1, 3))
-@settings(max_examples=200, deadline=None)
+@given(jsonl_files(log_records(), LOG_FAULTS), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
 def test_log_reader_matches_per_line_reference(text, chunk):
     got, expected = both_outcomes(text, chunk, load_log, log_reference)
     assert got == expected
 
 
-@given(jsonl_files(snapshot_records(), SNAPSHOT_HOSTILE, harness._SNAPSHOT_REQUIRED), st.integers(1, 3),
+@given(jsonl_files(snapshot_records(), SNAPSHOT_FAULTS), st.integers(1, 3),
        st.sampled_from([ROLE_SAMPLE, ROLE_FILTER, ROLE_TRAIN]))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_snapshot_reader_matches_per_line_reference(text, chunk, role):
     got, expected = both_outcomes(
         text, chunk, lambda p: read_snapshot(p, role), lambda p: harness._snapshot_reference(p, role)
@@ -209,6 +224,7 @@ def test_valid_log_never_reaches_the_per_line_decoder(tmp_path, monkeypatch):
         (_log_line(2, offsets=(5, 3)), "line 5: step_offsets must be strictly ascending"),
         (_log_line(2, gt="b"), "record 4: conflicting gt_answer for query 2"),
         (_log_line(2, tokens=2**63), "line 5: query_id, token_count and iteration must fit in 64 bits"),
+        (_log_line(2, tokens=float("inf")), "line 5: cannot convert float infinity to integer"),
     ],
 )
 def test_log_error_past_the_first_chunk(tmp_path, monkeypatch, bad, message):
