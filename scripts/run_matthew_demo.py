@@ -9,7 +9,7 @@ Reports land under --output-dir, one subdirectory per strategy.
 import argparse
 from pathlib import Path
 
-from headtail.harness import RunConfig, emit_report, run_self_improvement
+from headtail.harness import RunConfig, emit_report, run
 from headtail.metrics import REFERENCE_TARGETS, matthew_series
 from headtail.strategies import StrategyConfig
 
@@ -38,7 +38,7 @@ def main() -> None:
             iterations=args.t,
             strategy=StrategyConfig(kind=kind),
         )
-        report = run_self_improvement(cfg, seed=args.seed)
+        report = run(cfg, seed=args.seed)
         emit_report(report, base / kind)
         trend = matthew_series(report.rows_for("filter"))
         final = report.rows_for("train")[-1]

@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from headtail.harness import RunConfig, run_self_improvement
+from headtail.harness import RunConfig, run
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
         per_iter = []
         for seed in seeds:
             cfg = RunConfig(n_queries=args.n, k_samples=k, iterations=args.t)
-            report = run_self_improvement(cfg, seed=seed)
+            report = run(cfg, seed=seed)
             per_iter.append([e.sampled_pass1 for e in report.evals])
         means = np.mean(per_iter, axis=0)
         print(f"{k:>4} | " + "  ".join(f"{m:.3f}" for m in means))

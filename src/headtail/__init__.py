@@ -47,10 +47,7 @@ from .learner import (
 )
 from .metrics import (
     MetricsRow,
-    accuracy_bucket_shares,
     build_row,
-    length_stats,
-    level_distribution,
     matthew_series,
     rows_to_csv,
 )
@@ -64,9 +61,6 @@ from .harness import (
     emit_report,
     rebalance_offline,
     run,
-    run_batch_baseline,
-    run_iterative_union,
-    run_self_improvement,
 )
 
 __version__ = "0.1.0"

@@ -122,11 +122,13 @@ def _one_sweep_run(payload: tuple[dict, int, str]) -> tuple[str, int, list[str] 
 
 
 def _int_list(text: str | None, flag: str, default: list[int]) -> list[int]:
-    """A comma-separated integer flag; a malformed one is a ConfigError."""
+    """A comma-separated integer flag, or ``default`` without one, with
+    repeats dropped (a repeat would rerun a grid point into the same
+    directory); a malformed flag is a ConfigError."""
     if text is None:
-        return default
+        return list(dict.fromkeys(default))
     try:
-        return [int(x) for x in text.split(",")]
+        return list(dict.fromkeys(int(x) for x in text.split(",")))
     except ValueError:
         raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
@@ -142,7 +144,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     cfg.validate()
     seeds = _int_list(args.seeds, "--seeds", list(cfg.seeds))
-    strategies = args.strategies.split(",") if args.strategies else [cfg.strategy.kind]
+    kinds = args.strategies.split(",") if args.strategies else [cfg.strategy.kind]
+    strategies = list(dict.fromkeys(kinds))  # first-seen order, repeats dropped
     k_values = _int_list(args.k_values, "--k-values", [cfg.k_samples])
     l_values = _int_list(args.l_values, "--l-values", [cfg.strategy.L])
     s_values = _int_list(args.s_values, "--s-values", [cfg.strategy.S])
@@ -187,14 +190,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     rules = DEFAULT_RULES
     if args.alias_table:
         rules = dataclasses.replace(rules, symbol_aliases=load_alias_table(args.alias_table))
-    summary = rebalance_offline(
-        args.input,
-        strategy,
-        args.k,
-        args.output,
-        min_cot_tokens=args.min_cot_tokens,
-        rules=rules,
-    )
+    summary = rebalance_offline(args.input, strategy, args.k, args.output, rules=rules)
     row = summary.pop("metrics_row")
     if args.summary:
         write_atomic(args.summary, rows_to_csv([row]))
@@ -223,16 +219,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not snapshot.exists():
         raise SchemaError(f"no snapshot at {snapshot}")
     dataset = read_snapshot(snapshot, _SNAPSHOT_ROLES[args.dataset])
-    if len(dataset) == 0:
-        print(rows_to_csv([]))
-        return EXIT_OK
     # per-query counts come from the final filtered set, as in metrics.csv
     filtered_path = run_dir / "datasets" / "filter_final.jsonl"
     filtered = dataset
     if dataset.role != ROLE_FILTER and filtered_path.exists():
         filtered = read_snapshot(filtered_path, ROLE_FILTER)
     counts = filtered.counts_by_query()
-    iteration = int(dataset.columns["iteration"].max())
+    if len(dataset):
+        iteration = int(dataset.columns["iteration"].max())
+    else:  # the iteration of the run's last metrics row
+        iteration = 1 if cfg.mode == "batch_baseline" else cfg.iterations
     row = build_row(iteration, dataset.role, dataset, cfg.k_samples, counts)
     print(rows_to_csv([row]), end="")
     return EXIT_OK

@@ -26,12 +26,12 @@ relative order.
 Python objects exist only at the edges:
 
 * :meth:`TrajectoryDataset.from_entries` packs pairs made elsewhere
-  (hand-built fixtures, the per-line snapshot reference) into columns and
-  keeps the tuple it was given; logs and snapshots read from disk are
-  decoded straight into columns and never pass through it;
-* :attr:`TrajectoryDataset.entries` builds the pairs on first access and
-  caches them; a dataset selected from one whose entries exist reuses
-  those very objects.
+  (hand-built fixtures, the per-line snapshot reference) into columns; logs
+  and snapshots read from disk are decoded straight into columns and never
+  pass through it;
+* :attr:`TrajectoryDataset.entries` builds fresh pairs from the columns on
+  first access and caches them on that dataset only; no object is carried
+  over from the dataset a transform started from.
 
 The simulation loop itself never builds entries: sampling, resampling and
 correction all come back from the sampler as columns.
@@ -40,7 +40,7 @@ correction all come back from the sampler as columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -206,7 +206,7 @@ class TrajectoryDataset:
     row per entry, ``answers`` holds the extracted answers and ``records``
     maps every query id in the columns (possibly more) to its record.  The
     constructor checks every invariant and, with ``sort``, puts the rows in
-    canonical order; ``entries``, when given, are the same rows as pairs.
+    canonical order.
     """
 
     __slots__ = ("role", "columns", "answers", "records", "_entries")
@@ -218,7 +218,6 @@ class TrajectoryDataset:
         answers: np.ndarray,
         records: dict[int, QueryRecord],
         *,
-        entries: tuple[Entry, ...] | None = None,
         sort: bool = True,
     ):
         if role not in ROLES:
@@ -237,15 +236,13 @@ class TrajectoryDataset:
             order = np.lexsort([cols[name] for name in _SORT_COLUMNS])
             cols = {name: col[order] for name, col in cols.items()}
             answers = answers[order]
-            if entries is not None:
-                entries = tuple(entries[i] for i in order.tolist())
         for col in (*cols.values(), answers):
             col.flags.writeable = False
         self.role = role
         self.columns = cols
         self.answers = answers
         self.records = records
-        self._entries = entries
+        self._entries: tuple[Entry, ...] | None = None
 
     @classmethod
     def from_entries(cls, entries: Iterable[Entry], role: str) -> "TrajectoryDataset":
@@ -277,7 +274,7 @@ class TrajectoryDataset:
             "corrected_from": [-1 if t.corrected_from is None else t.corrected_from for t in trajs],
         }
         answers = object_array(t.extracted_answer for t in trajs)
-        return cls(role, columns, answers, records, entries=items)
+        return cls(role, columns, answers, records)
 
     @classmethod
     def empty(cls, role: str) -> "TrajectoryDataset":
@@ -287,24 +284,17 @@ class TrajectoryDataset:
     def entries(self) -> tuple[Entry, ...]:
         """The rows as (QueryRecord, Trajectory) pairs, built once on first access."""
         if self._entries is None:
-            self._entries = tuple(self.take_entries(np.arange(len(self))))
-        return self._entries
-
-    def take_entries(self, rows: np.ndarray) -> list[Entry]:
-        """The given rows as pairs; built fresh (not cached) unless ``entries`` exist."""
-        rows = np.asarray(rows, dtype=np.intp)
-        if self._entries is not None:
-            return [self._entries[i] for i in rows.tolist()]
-        c = {name: col[rows].tolist() for name, col in self.columns.items()}
-        records = self.records
-        return [
-            (records[q], Trajectory(q, s, it, n, a, ok, ORIGINS[o], ps, pt, None if cf < 0 else cf))
-            for q, s, it, n, a, ok, o, ps, pt, cf in zip(
-                c["query_id"], c["sample_index"], c["iteration"], c["length_tokens"],
-                self.answers[rows].tolist(), c["correct"], c["origin"], c["prefix_steps"],
-                c["prefix_tokens"], c["corrected_from"],
+            c = {name: col.tolist() for name, col in self.columns.items()}
+            records = self.records
+            self._entries = tuple(
+                (records[q], Trajectory(q, s, it, n, a, ok, ORIGINS[o], ps, pt, None if cf < 0 else cf))
+                for q, s, it, n, a, ok, o, ps, pt, cf in zip(
+                    c["query_id"], c["sample_index"], c["iteration"], c["length_tokens"],
+                    self.answers.tolist(), c["correct"], c["origin"], c["prefix_steps"],
+                    c["prefix_tokens"], c["corrected_from"],
+                )
             )
-        ]
+        return self._entries
 
     def __len__(self) -> int:
         return len(self.answers)
@@ -332,22 +322,13 @@ class TrajectoryDataset:
         """
         rows = np.asarray(rows, dtype=np.intp)
         columns = {name: col[rows] for name, col in self.columns.items()}
-        entries = None if self._entries is None else tuple(self.take_entries(rows))
         if correct is not None:
             columns["correct"] = np.full(len(rows), correct)
-            if entries is not None:
-                entries = tuple(
-                    (r, t if t.correct == correct else replace(t, correct=correct)) for r, t in entries
-                )
-        return TrajectoryDataset(
-            role, columns, self.answers[rows], self.records, entries=entries, sort=sort
-        )
+        return TrajectoryDataset(role, columns, self.answers[rows], self.records, sort=sort)
 
     def retagged(self, role: str) -> "TrajectoryDataset":
         """Same entries under a different role tag."""
-        return TrajectoryDataset(
-            role, self.columns, self.answers, self.records, entries=self._entries, sort=False
-        )
+        return TrajectoryDataset(role, self.columns, self.answers, self.records, sort=False)
 
     def query_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(query id, first row, row count) of each query's contiguous run of rows."""
@@ -403,9 +384,4 @@ def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryData
                 raise CorpusMismatchError("corpus mismatch")
         records = {**records, **b.records}
     columns = {name: np.concatenate((a.columns[name], b.columns[name])) for name in COLUMNS}
-    entries = None
-    if a._entries is not None and b._entries is not None:
-        entries = a._entries + b._entries
-    return TrajectoryDataset(
-        ROLE_TRAIN, columns, np.concatenate((a.answers, b.answers)), records, entries=entries
-    )
+    return TrajectoryDataset(ROLE_TRAIN, columns, np.concatenate((a.answers, b.answers)), records)

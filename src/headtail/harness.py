@@ -333,35 +333,6 @@ def _train_next(
     return current.train(train_set, config.k_samples)
 
 
-def _check_mode(config: RunConfig, mode: str, name: str) -> None:
-    if config.mode != mode:
-        raise ConfigError(f"{name} requires mode={mode}, got {config.mode!r}")
-
-
-def run_self_improvement(
-    config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
-) -> RunReport:
-    """The exploration / filtering / learning loop with a rebalancing strategy."""
-    _check_mode(config, "self_improve", "run_self_improvement")
-    return run(config, seed, rules)
-
-
-def run_iterative_union(
-    config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
-) -> RunReport:
-    """Loop variant that trains on the union of all filtered sets so far."""
-    _check_mode(config, "iterative_union", "run_iterative_union")
-    return run(config, seed, rules)
-
-
-def run_batch_baseline(
-    config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
-) -> RunReport:
-    """Spend the whole T*K budget on the initial policy in a single pass."""
-    _check_mode(config, "batch_baseline", "run_batch_baseline")
-    return run(config, seed, rules)
-
-
 def run(
     config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
 ) -> RunReport:
@@ -527,19 +498,6 @@ _SNAPSHOT_FIELDS = {
 _SNAPSHOT_REQUIRED = {"query_id", "sample_index", "iteration", "length_tokens", "correct"}
 
 
-def _snapshot_entry(record: QueryRecord, traj: Trajectory) -> dict[str, Any]:
-    return {
-        "query_id": traj.query_id,
-        "sample_index": traj.sample_index,
-        "iteration": traj.iteration,
-        "origin": traj.origin,
-        "prefix_steps": traj.prefix_steps,
-        "length_tokens": traj.length_tokens,
-        "level": record.level,
-        "correct": traj.correct,
-    }
-
-
 def _entry_from_snapshot(data: dict[str, Any]) -> Entry:
     if not isinstance(data["correct"], bool):
         raise TypeError("correct must be true or false")
@@ -622,7 +580,8 @@ def read_snapshot(path: str | Path, role: str) -> TrajectoryDataset:
     )
 
 
-# json.dumps(_snapshot_entry(...), sort_keys=True) of a row, filled from columns
+# json.dumps(oracles.snapshot_entry(...), sort_keys=True) of a row, filled from
+# columns; tests/oracles.py holds that per-pair reference encoder
 _SNAPSHOT_LINE = (
     '{"correct": %s, "iteration": %d, "length_tokens": %d, "level": %s, '
     '"origin": "%s", "prefix_steps": %d, "query_id": %d, "sample_index": %d}\n'
@@ -807,15 +766,15 @@ def rebalance_offline(
     strategy: StrategyConfig,
     K: int,
     output_path: str | Path,
-    min_cot_tokens: int = 0,
     rules: AnswerNormalizationRules = DEFAULT_RULES,
 ) -> dict[str, Any]:
     """Rebalance a real trajectory log and write the training records.
 
     Only the sampler-free reshaping strategies are available offline; the
-    reasoning-length floor (if any) is applied to the filtered set before
-    per-query counts are taken, so clipped/padded counts reflect usable
-    responses only.  Nothing is written unless the whole input parses.
+    reasoning-length floor ``strategy.min_cot_tokens`` (if any) is applied
+    to the filtered set before per-query counts are taken, so clipped/padded
+    counts reflect usable responses only.  Nothing is written unless the
+    whole input parses.
     """
     if strategy.kind not in RESHAPING_KINDS:
         raise ConfigError("strategy requires a sampler; offline mode supports reshaping only")
@@ -827,8 +786,8 @@ def rebalance_offline(
         raise ConfigError(str(exc)) from exc
     sample = load_log(input_path)
     filtered = filter_dataset(sample, rules)
-    if min_cot_tokens > 0:
-        filtered = cot_length_filter(filtered, min_cot_tokens)
+    if strategy.min_cot_tokens > 0:
+        filtered = cot_length_filter(filtered, strategy.min_cot_tokens)
     seed = strategy.seed if strategy.seed is not None else 0
     train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed, iteration=1)
     out = Path(output_path)

@@ -20,8 +20,9 @@ Every draw is keyed by (root_seed, query_id, draw counter), so the
 trajectory sequence of a query is a pure function of its counter sequence
 no matter how draws interleave across queries.  The batched samplers
 (:meth:`LearnerState.sample_batch`, ``sample_fresh``, ``sample_guided``,
-``sample_corrections``) and :meth:`LearnerState.pass_rates` replay exactly
-the same draws as a loop of the scalar calls, just vectorized.
+``sample_corrections``) replay exactly the same draws as a loop of the
+scalar calls, just vectorized; :meth:`LearnerState.pass_rates` is checked
+the same way against a scalar reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -205,18 +206,6 @@ class LearnerState:
             "draw_counter": {str(k): v for k, v in sorted(self.draw_counter.items())},
         }
         return json.dumps(payload, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LearnerState":
-        data = json.loads(text)
-        return cls(
-            iteration=data["iteration"],
-            p={int(k): v for k, v in data["p"].items()},
-            mu_log_len={int(k): v for k, v in data["mu_log_len"].items()},
-            params=LearnerParams(**data["params"]),
-            root_seed=data["root_seed"],
-            draw_counter={int(k): v for k, v in data["draw_counter"].items()},
-        )
 
     # -- internals ---------------------------------------------------------
 
@@ -438,18 +427,9 @@ class LearnerState:
 
     # -- measurement -------------------------------------------------------
 
-    def pass_rate(self, query: QueryRecord, m: int) -> float:
-        """Monte-Carlo pass@M estimate from a dedicated measurement stream."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        p = self._p_of(query)
-        shots = rng.uniform(
-            self.root_seed, rng.PASS_RATE, np.uint64(query.id), np.arange(m, dtype=np.uint64)
-        )
-        return float(np.mean(shots < p))
-
     def pass_rates(self, corpus: list[QueryRecord], m: int) -> dict[int, float]:
-        """Vectorized pass@M for a whole corpus; matches pass_rate per query."""
+        """Monte-Carlo pass@M per query, from a dedicated measurement stream:
+        shot j of query q succeeds when its uniform keyed by (q, j) is below p_q."""
         if m < 1:
             raise ValueError("m must be >= 1")
         records = sorted(corpus, key=lambda r: r.id)

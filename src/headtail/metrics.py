@@ -52,53 +52,10 @@ CSV_COLUMNS = (
 _BUCKET_EDGES = (0.25, 0.50, 0.75, 1.00)
 
 
-def level_distribution(
-    dataset: TrajectoryDataset, levels: tuple[int, ...] = LEVELS
-) -> tuple[float, ...]:
-    """Entry share per difficulty level; requires every query to be leveled."""
-    total = len(dataset)
-    if total == 0:
-        return tuple(0.0 for _ in levels)
-    level = dataset.columns["level"]
-    if np.any(level == 0):
-        raise ValueError("run calibrate_difficulty first")
-    counts = np.bincount(level, minlength=max(LEVELS) + 1)
-    return tuple((counts[list(levels)] / total).tolist())
-
-
 def _repeated_sums(step: float, counts: list[int]) -> list[float]:
     """``step`` added to 0.0 c times in a row, for each count c."""
     sums = np.cumsum(np.full(max(counts, default=0), step))
     return [float(sums[c - 1]) if c else 0.0 for c in counts]
-
-
-def accuracy_bucket_shares(filtered: TrajectoryDataset, K: int) -> dict[float, float]:
-    """Entry share per exact accuracy fraction k_i/K of the entry's query.
-
-    Entry-weighted on purpose: frequently-correct queries account for more
-    entries, which is exactly the imbalance being measured.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    total = len(filtered)
-    if total == 0:
-        return {}
-    fracs, counts = np.unique(filtered.row_counts() / K, return_counts=True)
-    return dict(zip(fracs.tolist(), _repeated_sums(1.0 / total, counts.tolist())))
-
-
-def length_stats(
-    dataset: TrajectoryDataset,
-) -> tuple[float | None, dict[int, float]]:
-    """Mean token length overall and per level; empty groups are absent."""
-    if len(dataset) == 0:
-        return None, {}
-    lengths, level = dataset.columns["length_tokens"], dataset.columns["level"]
-    # the overall mean over floats and each level's over ints, in row order,
-    # so that numpy sums exactly the values it always summed
-    present = np.flatnonzero(np.bincount(level)[1:]) + 1
-    by_level = {lv: float(np.mean(lengths[level == lv])) for lv in present.tolist()}
-    return float(lengths.astype(float).mean()), by_level
 
 
 @dataclass(frozen=True)
@@ -156,27 +113,36 @@ def build_row(
     ``k_counts`` comes from the iteration's filter set, so bucket shares
     mean the same thing for sample, filter, and train rows.  Quarter
     buckets cover (0, .25], (.25, .5], (.5, .75], (.75, 1]; sample entries
-    of never-correct queries fall in no bucket.
+    of never-correct queries fall in no bucket.  Level shares are absent
+    when some entry's query has no level; empty levels have no mean length.
     """
     total = len(dataset)
-    try:
-        shares: tuple[float, ...] | None = level_distribution(dataset)
-    except ValueError:
+    lengths, level = dataset.columns["length_tokens"], dataset.columns["level"]
+    level_counts = np.bincount(level, minlength=max(LEVELS) + 1)
+    shares: tuple[float, ...] | None
+    if total == 0:
+        shares = (0.0,) * len(LEVELS)
+    elif level_counts[0] > 0:  # level 0 is unset: difficulty was never calibrated
         shares = None
+    else:
+        shares = tuple((level_counts[list(LEVELS)] / total).tolist())
     frac = lookup_counts(k_counts, dataset.columns["query_id"]) / K
     # bucket b holds (edge_(b-1), edge_b]; 0 and fractions above 1 hold none
     bucket = np.searchsorted(np.array(_BUCKET_EDGES) + 1e-12, frac[frac > 0.0])
     counts = np.bincount(bucket, minlength=len(_BUCKET_EDGES) + 1)[: len(_BUCKET_EDGES)]
     buckets = _repeated_sums(1.0 / total, counts.tolist()) if total > 0 else [0.0] * len(_BUCKET_EDGES)
-    mean_len, by_level = length_stats(dataset)
+    # the overall mean over floats and each level's over ints, in row order,
+    # so that numpy sums exactly the values it always summed
     return MetricsRow(
         iteration=iteration,
         role=role,
         total=total,
         level_share=shares,
         bucket_share=tuple(buckets),
-        mean_length=mean_len,
-        level_mean_length=tuple(by_level.get(lv) for lv in LEVELS),
+        mean_length=float(lengths.astype(float).mean()) if total > 0 else None,
+        level_mean_length=tuple(
+            float(np.mean(lengths[level == lv])) if level_counts[lv] else None for lv in LEVELS
+        ),
     )
 
 

@@ -1,4 +1,5 @@
-"""Independent brute-force evaluations of the reshaping set-builder rules.
+"""Independent brute-force evaluations of the reshaping set-builder rules,
+the metrics row, the snapshot line encoding and the pass-rate measurement.
 
 These deliberately avoid the library's dataset machinery: plain dicts of
 lists, straight loops.  Threshold clipping shares the library's pinned draw key
@@ -10,6 +11,8 @@ keep-the-L-smallest rule around it are re-derived here with scalar draws.
 from __future__ import annotations
 
 from collections import Counter
+
+import numpy as np
 
 from headtail import rng
 
@@ -130,3 +133,30 @@ def oracle_build_row(entries, K, k_counts):
         at_level = [t.length_tokens for r, t in entries if r.level == lv]
         level_means.append(sum(at_level) / len(at_level) if at_level else None)
     return total, shares, tuple(buckets), mean, tuple(level_means)
+
+
+def snapshot_entry(record, traj):
+    """One ``datasets/*.jsonl`` snapshot line as a dict, encoded per pair:
+    ``json.dumps(..., sort_keys=True)`` of it is the line the columnar
+    writer must produce."""
+    return {
+        "query_id": traj.query_id,
+        "sample_index": traj.sample_index,
+        "iteration": traj.iteration,
+        "origin": traj.origin,
+        "prefix_steps": traj.prefix_steps,
+        "length_tokens": traj.length_tokens,
+        "level": record.level,
+        "correct": traj.correct,
+    }
+
+
+def pass_rate(state, query, m):
+    """Scalar pass@M of one query: the mean of M shots on the PASS_RATE
+    stream, shot j keyed by (query id, j), each a hit below the query's p."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    shots = rng.uniform(
+        state.root_seed, rng.PASS_RATE, np.uint64(query.id), np.arange(m, dtype=np.uint64)
+    )
+    return float(np.mean(shots < state.p[query.id]))

@@ -18,9 +18,7 @@ from headtail.harness import (
     RunConfig,
     emit_report,
     rebalance_offline,
-    run_batch_baseline,
-    run_iterative_union,
-    run_self_improvement,
+    run,
 )
 from headtail.learner import calibrate_difficulty, guided_success_probability
 from headtail.rewards import discard_dataset, filter_dataset, reward
@@ -54,25 +52,25 @@ def report_line(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number:02d} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def timed_runs(cfg: RunConfig, runner) -> tuple[dict, float]:
+def timed_runs(cfg: RunConfig) -> tuple[dict, float]:
     t0 = time.perf_counter()
-    reports = {seed: runner(cfg, seed=seed) for seed in SEEDS}
+    reports = {seed: run(cfg, seed=seed) for seed in SEEDS}
     return reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def vanilla_runs():
-    return timed_runs(RunConfig(), run_self_improvement)
+    return timed_runs(RunConfig())
 
 
 @pytest.fixture(scope="session")
 def rp_runs():
-    return timed_runs(RunConfig(strategy=StrategyConfig(kind="rp")), run_self_improvement)
+    return timed_runs(RunConfig(strategy=StrategyConfig(kind="rp")))
 
 
 @pytest.fixture(scope="session")
 def sc_runs():
-    return timed_runs(RunConfig(strategy=StrategyConfig(kind="sc")), run_self_improvement)
+    return timed_runs(RunConfig(strategy=StrategyConfig(kind="sc")))
 
 
 def test_criterion_01_strategy_oracle_equivalence():
@@ -205,8 +203,8 @@ def test_criterion_06_iterative_vs_batch():
     t0 = time.perf_counter()
     at_least = strictly = 0
     for seed in SEEDS:
-        union = run_iterative_union(cfg_union, seed=seed).distinct_solved
-        batch = run_batch_baseline(cfg_batch, seed=seed).distinct_solved
+        union = run(cfg_union, seed=seed).distinct_solved
+        batch = run(cfg_batch, seed=seed).distinct_solved
         at_least += union >= batch
         strictly += union > batch
     elapsed = time.perf_counter() - t0
@@ -241,16 +239,12 @@ def test_criterion_07_self_correction(vanilla_runs, sc_runs):
 
 def test_criterion_08_determinism(tmp_path):
     base = RunConfig(n_queries=300, k_samples=4, iterations=2, calibration_shots=16)
-    runners = {
-        "self_improve": (base, run_self_improvement),
-        "batch_baseline": (dataclasses.replace(base, mode="batch_baseline"), run_batch_baseline),
-        "iterative_union": (dataclasses.replace(base, mode="iterative_union"), run_iterative_union),
-    }
-    for mode, (cfg, runner) in runners.items():
+    for mode in ("self_improve", "batch_baseline", "iterative_union"):
+        cfg = dataclasses.replace(base, mode=mode)
         hashes = []
         for attempt in ("a", "b"):
             outdir = tmp_path / f"{mode}_{attempt}"
-            files = emit_report(runner(cfg, seed=7), outdir)
+            files = emit_report(run(cfg, seed=7), outdir)
             hashes.append(
                 {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
             )
@@ -301,8 +295,11 @@ def test_criterion_10_offline_round_trip(tmp_path):
     n_records = len(lines)
 
     t0 = time.perf_counter()
-    tc_summary = rebalance_offline(src, StrategyConfig(kind="tc", L=4, seed=0), K, tmp_path / "tc.jsonl")
-    rp_summary = rebalance_offline(src, StrategyConfig(kind="rp"), K, tmp_path / "rp.jsonl")
+    # no reasoning-length floor: the laws below count every correct response
+    tc = StrategyConfig(kind="tc", L=4, seed=0, min_cot_tokens=0)
+    rp = StrategyConfig(kind="rp", min_cot_tokens=0)
+    tc_summary = rebalance_offline(src, tc, K, tmp_path / "tc.jsonl")
+    rp_summary = rebalance_offline(src, rp, K, tmp_path / "rp.jsonl")
     elapsed = time.perf_counter() - t0
 
     solved = {q: k for q, k in k_correct.items() if k > 0}

@@ -1,8 +1,10 @@
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from headtail.cli import _worker_count, main
 from headtail.harness import OUTPUT_DIR_ENV
@@ -222,6 +224,23 @@ class TestReportVerb:
             last = [row for row in rows if row.split(",")[1] == role][-1]
             assert capsys.readouterr().out.splitlines() == [rows[0], last]
 
+    @pytest.mark.parametrize("mode", ["self_improve", "iterative_union", "batch_baseline"])
+    def test_empty_snapshot_row_agrees_with_metrics_csv(self, tmp_path, capsys, mode):
+        # nothing is ever solved, so both final snapshots are empty
+        cfg = write_cfg(tmp_path, n_queries=10, k_samples=2, mode=mode,
+                        learner={"init_noise": 0.0, "p_floor": 0.0},
+                        corpus={"easy_fraction": 0.0, "hard_difficulty": [1.0, 1.0]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--seed", "0", "--output-dir", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()
+        for name, role in (("filter_final", "filter"), ("train_final", "train")):
+            assert (out / "datasets" / f"{name}.jsonl").read_text() == ""
+            capsys.readouterr()
+            assert main(["report", "--run-dir", str(out), "--dataset", name]) == 0
+            last = [row for row in rows if row.split(",")[1] == role][-1]
+            assert last.startswith(f"{1 if mode == 'batch_baseline' else 2},{role},0,")
+            assert capsys.readouterr().out.splitlines() == [rows[0], last]
+
     def test_unknown_snapshot_name_exit_config(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["report", "--run-dir", str(tmp_path), "--dataset", "sample_final"])
@@ -311,6 +330,33 @@ class TestSweepVerb:
         assert len(summary) == 1 + 4
         assert (out / "vanilla_k4_l4_s4_seed0" / "metrics.csv").exists()
         assert (out / "rp_k4_l4_s4_seed1" / "metrics.csv").exists()
+
+    @given(
+        seeds=st.lists(st.integers(0, 2), min_size=1, max_size=2),
+        kinds=st.lists(st.sampled_from(["vanilla", "tc", "rp"]), min_size=1, max_size=2),
+        ks=st.lists(st.integers(1, 2), min_size=1, max_size=2),
+        ls=st.lists(st.integers(1, 2), min_size=1, max_size=2),
+        ss=st.lists(st.integers(2, 3), min_size=1, max_size=2),
+    )
+    @example(seeds=[1, 1], kinds=["rp", "rp"], ks=[2, 2], ls=[1, 1], ss=[2, 2])
+    @settings(max_examples=8, deadline=None)
+    def test_n_runs_give_n_dirs_and_n_summary_lines(self, seeds, kinds, ks, ls, ss):
+        expected = {
+            f"{kind}_k{k}_l{L}_s{S}_seed{seed}"
+            for kind in kinds for k in ks for L in ls if L <= k for S in ss for seed in seeds
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "sweep"
+            code = main(
+                ["sweep", "--n", "12", "--t", "1", "--jobs", "1", "--output-dir", str(out),
+                 "--seeds", ",".join(map(str, seeds)), "--strategies", ",".join(kinds),
+                 "--k-values", ",".join(map(str, ks)), "--l-values", ",".join(map(str, ls)),
+                 "--s-values", ",".join(map(str, ss))]
+            )
+            assert code == 0
+            lines = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+            assert sorted(Path(line.split(",")[0]).name for line in lines) == sorted(expected)
+            assert {p.name for p in out.iterdir() if p.is_dir()} == expected
 
     def test_points_with_l_above_k_skipped(self, tmp_path):
         cfg = write_cfg(tmp_path)

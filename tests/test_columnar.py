@@ -3,9 +3,9 @@
 The references work on (QueryRecord, Trajectory) objects only: the metrics
 row against ``oracles.oracle_build_row``, snapshot lines against
 ``json.dumps`` of each entry, merging against ``sorted`` on
-``entry_sort_key``.  Datasets are checked both with the entries they were
-built from and rebuilt from bare columns, so the lazily built entries are
-exercised as well.
+``entry_sort_key``.  A dataset keeps no pairs it was built from: its
+entries are always built from the columns, and ``bare`` makes a fresh
+instance of the same columns with nothing cached yet.
 """
 
 import json
@@ -29,11 +29,10 @@ from headtail.core import (
     entry_sort_key,
     merge_datasets,
 )
-from headtail.harness import _snapshot_entry
 from headtail.metrics import build_row
 from headtail.strategies import head_clip, repeat_invert, repeat_pad, threshold_clip
 
-from oracles import oracle_build_row, oracle_ri, oracle_rp
+from oracles import oracle_build_row, oracle_ri, oracle_rp, snapshot_entry
 
 
 @st.composite
@@ -111,7 +110,7 @@ def test_bucket_shares_are_sequential_sums():
 @given(datasets(), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
 def test_snapshot_lines_equal_json_dumps(ds, chunk):
-    expected = "".join(json.dumps(_snapshot_entry(r, t), sort_keys=True) + "\n" for r, t in ds.entries)
+    expected = "".join(json.dumps(snapshot_entry(r, t), sort_keys=True) + "\n" for r, t in ds.entries)
     real = harness._SNAPSHOT_CHUNK
     harness._SNAPSHOT_CHUNK = chunk  # several chunks per dataset
     try:
@@ -133,7 +132,7 @@ def test_snapshot_lines_cover_every_origin_and_unset_level(tmp_path):
     path = tmp_path / "snap.jsonl"
     harness._write_jsonl(path, bare(ds))
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == [json.dumps(_snapshot_entry(r, t), sort_keys=True) for r, t in entries]
+    assert lines == [json.dumps(snapshot_entry(r, t), sort_keys=True) for r, t in entries]
     assert '"level": null' in lines[0] and '"prefix_steps": 3' in lines[2]
 
 
@@ -148,8 +147,8 @@ def test_snapshot_round_trip_through_emit_report(filtered, train):
         harness.emit_report(report, tmp)
         for name, ds in (("filter_final", filtered), ("train_final", train)):
             decoded = harness.read_snapshot(Path(tmp, "datasets", f"{name}.jsonl"), ds.role)
-            assert [_snapshot_entry(r, t) for r, t in decoded.entries] == [
-                _snapshot_entry(r, t) for r, t in ds.entries
+            assert [snapshot_entry(r, t) for r, t in decoded.entries] == [
+                snapshot_entry(r, t) for r, t in ds.entries
             ]
             assert not decoded.columns["prefix_tokens"].any()
             assert (decoded.columns["corrected_from"] == -1).all()

@@ -19,14 +19,13 @@ from headtail.harness import (
     parse_snapshot_line,
     rebalance_offline,
     run,
-    run_batch_baseline,
-    run_iterative_union,
-    run_self_improvement,
     write_atomic,
 )
-from headtail.learner import CorpusParams, LearnerParams, LearnerState
+from headtail.learner import CorpusParams, LearnerParams
 from headtail.rewards import DEFAULT_RULES
 from headtail.strategies import StrategyConfig
+
+from oracles import snapshot_entry
 
 SMALL = dict(n_queries=60, k_samples=4, iterations=2, calibration_shots=16)
 
@@ -90,14 +89,14 @@ class TestSelfImprovement:
             learner=LearnerParams(init_noise=0.0, p_ceiling=1.0),
             corpus=CorpusParams(easy_fraction=1.0, easy_difficulty=(0.0, 0.0)),
         )
-        rep = run_self_improvement(cfg, seed=0)
+        rep = run(cfg, seed=0)
         assert rep.rows_for("train")[0].total == 30 * cfg.k_samples
         assert rep.evals[0].greedy_pass1 == 1.0
         assert rep.evals[0].sampled_pass1 == 1.0
 
     def test_stage_accounting(self):
         cfg = small_config()
-        rep = run_self_improvement(cfg, seed=1)
+        rep = run(cfg, seed=1)
         for it in (1, 2):
             sample_row = [r for r in rep.rows if r.iteration == it and r.role == "sample"][0]
             filter_row = [r for r in rep.rows if r.iteration == it and r.role == "filter"][0]
@@ -105,20 +104,16 @@ class TestSelfImprovement:
             assert filter_row.total <= sample_row.total
 
     def test_rows_per_iteration(self):
-        rep = run_self_improvement(small_config(), seed=0)
+        rep = run(small_config(), seed=0)
         assert [(r.iteration, r.role) for r in rep.rows] == [
             (1, "sample"), (1, "filter"), (1, "train"),
             (2, "sample"), (2, "filter"), (2, "train"),
         ]
 
-    def test_mode_guard(self):
-        with pytest.raises(ConfigError):
-            run_self_improvement(small_config(mode="batch_baseline"))
-
     def test_strategies_all_run(self):
         for kind in ("tc", "hc", "rp", "ri", "ar", "gr", "sc"):
             cfg = small_config(strategy=StrategyConfig(kind=kind, L=2))
-            rep = run_self_improvement(cfg, seed=0)
+            rep = run(cfg, seed=0)
             assert len(rep.rows) == 6
             for row in rep.rows_for("train"):
                 assert row.total >= 0
@@ -134,9 +129,9 @@ class TestSelfImprovement:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "partition_dataset", counting)
-        run_self_improvement(small_config(), seed=0)
+        run(small_config(), seed=0)
         assert calls == []
-        run_self_improvement(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
+        run(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
         assert len(calls) == SMALL["iterations"]
 
     def test_sc_grades_each_sample_once(self, monkeypatch):
@@ -150,7 +145,7 @@ class TestSelfImprovement:
             return real(sampled, rules)
 
         monkeypatch.setattr(rewards, "_graded", counting)
-        run_self_improvement(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
+        run(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
         assert graded.count("sample") == SMALL["iterations"]
 
     def test_tc_stream_not_shared_by_next_seed_one_iteration_back(self, hand_filter):
@@ -166,7 +161,7 @@ class TestSelfImprovement:
 
     def test_restart_semantics_pure_function_of_init_and_train_set(self):
         cfg = small_config(restart_each_iteration=True)
-        rep = run_self_improvement(cfg, seed=3)
+        rep = run(cfg, seed=3)
         # replay: starting from a fresh init learner, one training step on the
         # recorded final train set must reproduce the final p and mu exactly
         from headtail.learner import calibrate_difficulty, init_learner, synth_corpus
@@ -200,14 +195,14 @@ class TestSelfImprovement:
 
         monkeypatch.setattr(LS, "sample_fresh", boom)
         with pytest.raises(RunAborted) as exc_info:
-            run_self_improvement(cfg, seed=0)
+            run(cfg, seed=0)
         assert exc_info.value.report.incomplete
 
 
 class TestBatchBaseline:
     def test_budget_cardinality(self):
         cfg = small_config(n_queries=100, k_samples=8, iterations=5, mode="batch_baseline")
-        rep = run_batch_baseline(cfg, seed=0)
+        rep = run(cfg, seed=0)
         assert rep.rows_for("sample")[0].total == 100 * 40
 
     def test_hopeless_corpus_warns_on_empty_filter(self):
@@ -216,13 +211,13 @@ class TestBatchBaseline:
             learner=LearnerParams(init_noise=0.0, p_floor=0.0),
             corpus=CorpusParams(easy_fraction=0.0, hard_difficulty=(1.0, 1.0)),
         )
-        rep = run_batch_baseline(cfg, seed=0)
+        rep = run(cfg, seed=0)
         assert rep.rows_for("filter")[0].total == 0
         assert any("empty training set" in w for w in rep.warnings)
 
     def test_distinct_solved_matches_brute_force(self):
         cfg = small_config(mode="batch_baseline")
-        rep = run_batch_baseline(cfg, seed=2)
+        rep = run(cfg, seed=2)
         # recompute from the final filter snapshot
         brute = len({t.query_id for _, t in rep.final_filter})
         assert rep.distinct_solved == brute
@@ -232,14 +227,14 @@ class TestIterativeUnion:
     def test_t1_reduces_to_self_improvement(self):
         cfg_u = small_config(iterations=1, mode="iterative_union")
         cfg_s = small_config(iterations=1)
-        rep_u = run_iterative_union(cfg_u, seed=5)
-        rep_s = run_self_improvement(cfg_s, seed=5)
+        rep_u = run(cfg_u, seed=5)
+        rep_s = run(cfg_s, seed=5)
         assert rep_u.rows == rep_s.rows
         assert rep_u.final_state.p == rep_s.final_state.p
 
     def test_union_at_least_single_iteration_filter(self):
         cfg = small_config(iterations=3, mode="iterative_union")
-        rep = run_iterative_union(cfg, seed=1)
+        rep = run(cfg, seed=1)
         trains = [r.total for r in rep.rows_for("train")]
         filters = [r.total for r in rep.rows_for("filter")]
         assert trains[-1] >= max(filters)
@@ -253,7 +248,7 @@ class TestIterativeUnion:
                 strategy=StrategyConfig(kind="tc", L=2),
                 apply_point=point,
             )
-            rep = run_iterative_union(cfg, seed=0)
+            rep = run(cfg, seed=0)
             assert len(rep.rows_for("train")) == 2
 
     def test_dispatch(self):
@@ -321,10 +316,21 @@ class TestOfflineLogs:
         lines = self.log_lines({1: 4}, K=4, length=5)
         src = self.write_log(tmp_path, lines)
         out = tmp_path / "train.jsonl"
-        summary = rebalance_offline(
-            src, StrategyConfig(kind="vanilla"), 4, out, min_cot_tokens=10
-        )
+        summary = rebalance_offline(src, StrategyConfig(kind="vanilla", min_cot_tokens=10), 4, out)
         assert summary["output_records"] == 0
+
+    def test_cot_floor_read_from_strategy(self, tmp_path):
+        lines = [
+            json.dumps({"query_id": 1, "gt_answer": "a1", "extracted_answer": "a1", "token_count": n})
+            for n in (10, 20, 40, 50, 60, 100)
+        ]
+        src = self.write_log(tmp_path, lines)
+        out = tmp_path / "train.jsonl"
+        summary = rebalance_offline(src, StrategyConfig(kind="vanilla", min_cot_tokens=50), 6, out)
+        assert (summary["filtered"], summary["output_records"]) == (3, 3)
+        assert [json.loads(line)["length_tokens"] for line in out.read_text().splitlines()] == [50, 60, 100]
+        with pytest.raises(ConfigError, match="min_cot_tokens"):
+            rebalance_offline(src, StrategyConfig(kind="vanilla", min_cot_tokens=-1), 6, out)
 
     def test_gt_conflict_rejected(self):
         records = [
@@ -348,14 +354,12 @@ class TestOfflineLogs:
 
 class TestSnapshotCodec:
     def test_round_trip_every_origin(self, tmp_path):
-        from headtail.harness import _snapshot_entry
-
         for kind in ("gr", "sc", "ar"):
-            rep = run_self_improvement(small_config(strategy=StrategyConfig(kind=kind)), seed=0)
+            rep = run(small_config(strategy=StrategyConfig(kind=kind)), seed=0)
             emit_report(rep, tmp_path / kind)
             decoded = load_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl")
-            assert [_snapshot_entry(r, t) for r, t in decoded] == [
-                _snapshot_entry(r, t) for r, t in rep.final_train
+            assert [snapshot_entry(r, t) for r, t in decoded] == [
+                snapshot_entry(r, t) for r, t in rep.final_train
             ]
 
     @pytest.mark.parametrize(
@@ -376,7 +380,7 @@ class TestSnapshotCodec:
 
 class TestEmitReport:
     def test_files_written(self, tmp_path):
-        rep = run_self_improvement(small_config(), seed=0)
+        rep = run(small_config(), seed=0)
         files = emit_report(rep, tmp_path / "out")
         names = {p.name for p in files}
         assert names == {
@@ -389,8 +393,8 @@ class TestEmitReport:
         }
         csv_text = (tmp_path / "out" / "metrics.csv").read_text()
         assert len(csv_text.splitlines()[0].split(",")) == 21
-        state = LearnerState.from_json((tmp_path / "out" / "learner_final.json").read_text())
-        assert state.iteration == 2
+        state = json.loads((tmp_path / "out" / "learner_final.json").read_text())
+        assert state["iteration"] == 2
 
     def test_empty_report_header_only(self, tmp_path):
         from headtail.harness import RunReport
@@ -402,12 +406,12 @@ class TestEmitReport:
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config()
-        a = emit_report(run_self_improvement(cfg, seed=4), tmp_path / "a")
-        b = emit_report(run_self_improvement(cfg, seed=4), tmp_path / "b")
+        a = emit_report(run(cfg, seed=4), tmp_path / "a")
+        b = emit_report(run(cfg, seed=4), tmp_path / "b")
         assert file_hashes(a) == file_hashes(b)
 
     def test_writes_where_told_despite_env_var(self, tmp_path, monkeypatch):
-        rep = run_self_improvement(small_config(), seed=0)
+        rep = run(small_config(), seed=0)
         env_dir = tmp_path / "env_dir"
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))
         emit_report(rep, tmp_path / "given")
@@ -415,7 +419,7 @@ class TestEmitReport:
         assert not env_dir.exists()
 
     def test_snapshot_schema(self, tmp_path):
-        rep = run_self_improvement(small_config(), seed=0)
+        rep = run(small_config(), seed=0)
         emit_report(rep, tmp_path / "snap")
         line = json.loads(
             (tmp_path / "snap" / "datasets" / "train_final.jsonl").read_text().splitlines()[0]
@@ -457,7 +461,7 @@ class TestAtomicWrites:
     def test_emit_report_failing_snapshot_leaves_no_partial(self, tmp_path, monkeypatch):
         from headtail import harness
 
-        rep = run_self_improvement(small_config(), seed=0)
+        rep = run(small_config(), seed=0)
         monkeypatch.setattr(harness, "_snapshot_chunks", lambda ds: self.failing_chunks())
         with pytest.raises(OSError, match="disk full"):
             emit_report(rep, tmp_path / "out")

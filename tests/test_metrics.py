@@ -6,10 +6,7 @@ from headtail.core import ROLE_FILTER, TrajectoryDataset, merge_datasets
 from headtail.metrics import (
     CSV_COLUMNS,
     MetricsRow,
-    accuracy_bucket_shares,
     build_row,
-    length_stats,
-    level_distribution,
     matthew_series,
     rows_to_csv,
 )
@@ -26,18 +23,23 @@ def leveled_filter(spec):
     return TrajectoryDataset.from_entries(entries, ROLE_FILTER)
 
 
+def row_of(ds):
+    return build_row(1, ds.role, ds, 8, ds.counts_by_query())
+
+
 class TestLevelDistribution:
+    """The level shares of a metrics row."""
+
     def test_uniform(self):
         ds = leveled_filter([(i, i, 2, 40) for i in (1, 2, 3, 4, 5)])
-        assert level_distribution(ds) == (0.2, 0.2, 0.2, 0.2, 0.2)
+        assert row_of(ds).level_share == (0.2, 0.2, 0.2, 0.2, 0.2)
 
     def test_unleveled_rejected(self):
         ds = leveled_filter([(1, 1, 2, 40)])
         bad = TrajectoryDataset.from_entries(
             list(ds.entries) + [(make_query(9), make_traj(9))], ROLE_FILTER
         )
-        with pytest.raises(ValueError, match="calibrate_difficulty"):
-            level_distribution(bad)
+        assert row_of(bad).level_share is None
 
     @given(
         st.lists(
@@ -48,7 +50,7 @@ class TestLevelDistribution:
     def test_matches_brute_count(self, rows):
         spec = [(i, lv, k, 40) for i, (lv, k) in enumerate(rows)]
         ds = leveled_filter(spec)
-        shares = level_distribution(ds)
+        shares = row_of(ds).level_share
         brute = [0] * 5
         for _, lv, k, _ in spec:
             brute[lv - 1] += k
@@ -61,50 +63,27 @@ class TestLevelDistribution:
         b = leveled_filter([(3, 2, 3, 40)])
         merged = merge_datasets(a, b)
         sa, sb, sm = (
-            np.array(level_distribution(x)) for x in (a, b, merged)
+            np.array(row_of(x).level_share) for x in (a, b, merged)
         )
         wa, wb = len(a) / len(merged), len(b) / len(merged)
         assert np.allclose(sm, wa * sa + wb * sb)
 
 
-class TestAccuracyBucketShares:
-    def test_all_fully_correct(self):
-        ds = leveled_filter([(1, 1, 4, 40), (2, 2, 4, 40)])
-        assert accuracy_bucket_shares(ds, 4) == {1.0: pytest.approx(1.0)}
-
-    def test_hand_fixture(self):
-        ds = leveled_filter([(1, 1, 4, 40), (2, 2, 3, 40), (3, 3, 2, 40), (4, 4, 1, 40)])
-        shares = accuracy_bucket_shares(ds, 4)
-        assert shares[1.0] == pytest.approx(0.4)
-        assert shares[0.75] == pytest.approx(0.3)
-        assert shares[0.5] == pytest.approx(0.2)
-        assert shares[0.25] == pytest.approx(0.1)
-
-    @given(
-        st.dictionaries(st.integers(0, 20), st.integers(1, 8), min_size=1, max_size=15)
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_shares_sum_to_one(self, k_correct):
-        spec = [(qid, 1 + qid % 5, k, 40) for qid, k in k_correct.items()]
-        ds = leveled_filter(spec)
-        assert sum(accuracy_bucket_shares(ds, 8).values()) == pytest.approx(1.0)
-
-
 class TestLengthStats:
+    """The mean lengths of a metrics row, overall and per level."""
+
     def test_single_entry(self):
-        ds = leveled_filter([(1, 1, 1, 300)])
-        mean, by_level = length_stats(ds)
-        assert mean == 300.0
-        assert by_level == {1: 300.0}
+        row = row_of(leveled_filter([(1, 1, 1, 300)]))
+        assert row.mean_length == 300.0
+        assert row.level_mean_length == (300.0, None, None, None, None)
 
     def test_two_entries(self):
         ds = leveled_filter([(1, 1, 1, 100), (2, 2, 1, 300)])
-        assert length_stats(ds)[0] == 200.0
+        assert row_of(ds).mean_length == 200.0
 
     def test_empty_groups_absent(self):
         ds = leveled_filter([(1, 2, 1, 50)])
-        _, by_level = length_stats(ds)
-        assert set(by_level) == {2}
+        assert row_of(ds).level_mean_length == (None, 50.0, None, None, None)
 
     def test_spreadsheet_recomputation(self):
         rng = np.random.default_rng(0)
@@ -113,18 +92,18 @@ class TestLengthStats:
             for i in range(20)
         ]
         ds = leveled_filter(spec)
-        mean, by_level = length_stats(ds)
+        row = row_of(ds)
         lengths = [t.length_tokens for _, t in ds]
-        assert mean == pytest.approx(np.mean(lengths))
-        for lv, m in by_level.items():
+        assert row.mean_length == pytest.approx(np.mean(lengths))
+        for lv, m in zip((1, 2, 3, 4, 5), row.level_mean_length):
             manual = [t.length_tokens for r, t in ds if r.level == lv]
-            assert m == pytest.approx(np.mean(manual))
+            assert m == (pytest.approx(np.mean(manual)) if manual else None)
 
     def test_reorder_invariance(self):
         spec = [(1, 1, 3, 120), (2, 4, 2, 77)]
         ds = leveled_filter(spec)
         reversed_ds = TrajectoryDataset.from_entries(list(ds.entries)[::-1], ROLE_FILTER)
-        assert length_stats(ds) == length_stats(reversed_ds)
+        assert row_of(ds) == row_of(reversed_ds)
 
 
 class TestMetricsRow:
