@@ -225,10 +225,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if dataset.role != ROLE_FILTER and filtered_path.exists():
         filtered = read_snapshot(filtered_path, ROLE_FILTER)
     counts = filtered.counts_by_query()
-    if len(dataset):
-        iteration = int(dataset.columns["iteration"].max())
-    else:  # the iteration of the run's last metrics row
-        iteration = 1 if cfg.mode == "batch_baseline" else cfg.iterations
+    # an empty snapshot reports at the run's last round, as metrics.csv does
+    iteration = int(dataset.columns["iteration"].max()) if len(dataset) else cfg.rounds
     row = build_row(iteration, dataset.role, dataset, cfg.k_samples, counts)
     print(rows_to_csv([row]), end="")
     return EXIT_OK

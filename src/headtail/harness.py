@@ -202,6 +202,11 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+    @property
+    def rounds(self) -> int:
+        """Loop iterations: ``batch_baseline`` makes all its draws in one."""
+        return 1 if self.mode == "batch_baseline" else self.iterations
+
     def resolved_strategy(self, seed: int) -> StrategyConfig:
         cfg = self.strategy
         if cfg.K is None:
@@ -347,10 +352,9 @@ def _run_loop(config: RunConfig, seed: int, rules: AnswerNormalizationRules) -> 
     strategy = config.resolved_strategy(seed)
     report = RunReport(config=config.to_dict(), seed=seed)
     union = config.mode == "iterative_union"
-    if config.mode == "batch_baseline":
-        rounds, draws = 1, config.iterations * config.k_samples
-    else:
-        rounds, draws = config.iterations, config.k_samples
+    # every mode draws T*K per query, spread evenly over its rounds
+    rounds = config.rounds
+    draws = config.iterations * config.k_samples // rounds
     solved: set[int] = set()
     union_filter: TrajectoryDataset | None = None
     union_train: TrajectoryDataset | None = None
@@ -771,10 +775,11 @@ def rebalance_offline(
     """Rebalance a real trajectory log and write the training records.
 
     Only the sampler-free reshaping strategies are available offline; the
-    reasoning-length floor ``strategy.min_cot_tokens`` (if any) is applied
-    to the filtered set before per-query counts are taken, so clipped/padded
-    counts reflect usable responses only.  Nothing is written unless the
-    whole input parses.
+    reasoning-length floor ``strategy.min_cot_tokens`` is applied to the
+    filtered set before per-query counts are taken, so clipped/padded
+    counts reflect usable responses only.  That field defaults to 10
+    tokens; pass ``min_cot_tokens=0`` in the ``StrategyConfig`` for no
+    floor.  Nothing is written unless the whole input parses.
     """
     if strategy.kind not in RESHAPING_KINDS:
         raise ConfigError("strategy requires a sampler; offline mode supports reshaping only")

@@ -3,9 +3,8 @@
 The references work on (QueryRecord, Trajectory) objects only: the metrics
 row against ``oracles.oracle_build_row``, snapshot lines against
 ``json.dumps`` of each entry, merging against ``sorted`` on
-``entry_sort_key``.  A dataset keeps no pairs it was built from: its
-entries are always built from the columns, and ``bare`` makes a fresh
-instance of the same columns with nothing cached yet.
+``entry_sort_key``, reshaping against ``oracles``.  A dataset keeps no
+pairs it was built from: its entries are always built from the columns.
 """
 
 import json
@@ -32,7 +31,7 @@ from headtail.core import (
 from headtail.metrics import build_row
 from headtail.strategies import head_clip, repeat_invert, repeat_pad, threshold_clip
 
-from oracles import oracle_build_row, oracle_ri, oracle_rp, snapshot_entry
+from oracles import oracle_build_row, oracle_hc, oracle_ri, oracle_rp, oracle_tc, snapshot_entry
 
 
 @st.composite
@@ -74,11 +73,6 @@ def datasets(draw, role=ROLE_SAMPLE, leveled=None):
     return TrajectoryDataset.from_entries(draw(entry_lists(records, correct)), role)
 
 
-def bare(ds):
-    """The same rows rebuilt from columns alone, with no entries cached."""
-    return TrajectoryDataset(ds.role, ds.columns, ds.answers, ds.records, sort=False)
-
-
 @given(st.data(), st.integers(1, 8), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_build_row_matches_oracle(data, K, leveled):
@@ -86,7 +80,7 @@ def test_build_row_matches_oracle(data, K, leveled):
     qids = sorted(ds.records)
     k_counts = data.draw(st.dictionaries(st.sampled_from(qids + [99]), st.integers(0, 2 * K)))
     total, shares, buckets, mean, level_means = oracle_build_row(list(ds.entries), K, k_counts)
-    row = build_row(3, ROLE_SAMPLE, bare(ds), K, k_counts)
+    row = build_row(3, ROLE_SAMPLE, ds, K, k_counts)
     assert row.total == total
     assert row.level_share == shares
     assert row.bucket_share == buckets  # exact: the same sequential sums
@@ -99,7 +93,7 @@ def test_bucket_shares_are_sequential_sums():
     records = {1: QueryRecord(id=1, gt_answer="a1", level=1)}
     entries = [(records[1], Trajectory(1, j, 1, 10, "a1", True)) for j in range(1, 8)]
     ds = TrajectoryDataset.from_entries(entries, ROLE_FILTER)
-    row = build_row(1, ROLE_FILTER, bare(ds), 8, {1: 7})
+    row = build_row(1, ROLE_FILTER, ds, 8, {1: 7})
     expected = 0.0
     for _ in range(7):
         expected += 1.0 / 7
@@ -114,7 +108,7 @@ def test_snapshot_lines_equal_json_dumps(ds, chunk):
     real = harness._SNAPSHOT_CHUNK
     harness._SNAPSHOT_CHUNK = chunk  # several chunks per dataset
     try:
-        assert "".join(harness._snapshot_chunks(bare(ds))) == expected
+        assert "".join(harness._snapshot_chunks(ds)) == expected
     finally:
         harness._SNAPSHOT_CHUNK = real
 
@@ -130,7 +124,7 @@ def test_snapshot_lines_cover_every_origin_and_unset_level(tmp_path):
     ]
     ds = TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
     path = tmp_path / "snap.jsonl"
-    harness._write_jsonl(path, bare(ds))
+    harness._write_jsonl(path, ds)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == [json.dumps(snapshot_entry(r, t), sort_keys=True) for r, t in entries]
     assert '"level": null' in lines[0] and '"prefix_steps": 3' in lines[2]
@@ -154,11 +148,14 @@ def test_snapshot_round_trip_through_emit_report(filtered, train):
             assert (decoded.columns["corrected_from"] == -1).all()
 
 
-@given(datasets())
+@given(st.data(), st.sampled_from((ROLE_SAMPLE, ROLE_FILTER)))
 @settings(max_examples=200, deadline=None)
-def test_from_entries_round_trip(ds):
-    assert TrajectoryDataset.from_entries(ds.entries, ds.role).entries == ds.entries
-    assert bare(ds).entries == ds.entries  # built from the columns alone
+def test_from_entries_round_trip(data, role):
+    # every field of every pair survives packing into columns and back
+    records = data.draw(corpora())
+    entries = data.draw(entry_lists(records, correct=True if role == ROLE_FILTER else None))
+    ds = TrajectoryDataset.from_entries(entries, role)
+    assert ds.entries == tuple(sorted(entries, key=entry_sort_key))
 
 
 @given(st.data())
@@ -169,20 +166,16 @@ def test_merge_equals_sorted_concatenation(data):
     b = TrajectoryDataset.from_entries(data.draw(entry_lists(records, correct=True)), ROLE_FILTER)
     expected = tuple(sorted(a.entries + b.entries, key=entry_sort_key))
     assert merge_datasets(a, b).entries == expected
-    assert merge_datasets(bare(a), bare(b)).entries == expected
 
 
 @given(datasets(role=ROLE_FILTER), st.integers(1, 8), st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_reshaping_same_from_columns_alone(ds, K, seed):
-    for reshape in (
-        lambda f: threshold_clip(f, min(K, 3), seed),
-        lambda f: head_clip(f, K),
-        lambda f: repeat_pad(f, K),
-        lambda f: repeat_invert(f, K),
-    ):
-        assert reshape(bare(ds)).entries == reshape(ds).entries
-    # padded copies sit in construction order among equal keys (a stable sort)
+    # the column transforms give the object references' entries, order included
     entries = list(ds.entries)
-    assert repeat_pad(bare(ds), K).entries == tuple(sorted(oracle_rp(entries, K), key=entry_sort_key))
-    assert repeat_invert(bare(ds), K).entries == tuple(sorted(oracle_ri(entries, K), key=entry_sort_key))
+    L = min(K, 3)
+    assert threshold_clip(ds, L, seed).entries == tuple(oracle_tc(entries, L, seed))
+    assert head_clip(ds, K).entries == tuple(oracle_hc(entries, K))
+    # padded copies sit in construction order among equal keys (a stable sort)
+    assert repeat_pad(ds, K).entries == tuple(sorted(oracle_rp(entries, K), key=entry_sort_key))
+    assert repeat_invert(ds, K).entries == tuple(sorted(oracle_ri(entries, K), key=entry_sort_key))
