@@ -37,7 +37,7 @@ from .harness import (
 )
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_RULES, load_alias_table
-from .strategies import STRATEGY_KINDS, StrategyConfig
+from .strategies import KIND_KNOBS, STRATEGY_KINDS, StrategyConfig
 from .core import ROLE_FILTER, ROLE_TRAIN
 
 
@@ -109,16 +109,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _one_sweep_run(payload: tuple[dict, int, str]) -> tuple[str, int, list[str] | None]:
+def _one_sweep_run(payload: tuple[dict, int, str]) -> tuple[str, int, list[str] | str]:
+    """Run and report one grid point: its last train row's fields, or, for
+    an aborted run (whose partial report is written too), the reason."""
     cfg_dict, seed, outdir = payload
     cfg = RunConfig.from_dict(cfg_dict)
     try:
         report = run_mode(cfg, seed)
-    except RunAborted:
-        return outdir, seed, None
+    except RunAborted as exc:
+        emit_report(exc.report, outdir)
+        return outdir, seed, str(exc)
     emit_report(report, outdir)
-    train_rows = report.rows_for("train")
-    return outdir, seed, train_rows[-1].to_csv_fields() if train_rows else None
+    return outdir, seed, report.rows_for("train")[-1].to_csv_fields()
 
 
 def _int_list(text: str | None, flag: str, default: list[int]) -> list[int]:
@@ -152,12 +154,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base_out = _output_dir(cfg, "runs/sweep")
     jobs: list[tuple[dict, int, str]] = []
     for kind in strategies:
+        # an axis a kind never reads would only repeat its runs: take its first value
+        reads = KIND_KNOBS.get(kind, ())
         for k in k_values:
-            for L in l_values:
-                for S in s_values:
-                    # L > K is invalid for tc/gr and, for the kinds that never
-                    # read L, repeats the run at a lower L
-                    if L > k:
+            for L in l_values if "L" in reads else l_values[:1]:
+                for S in s_values if "S" in reads else s_values[:1]:
+                    if "L" in reads and L > k:
+                        print(f"skipped {kind}_k{k}_l{L}_s{S}: L exceeds K", file=sys.stderr)
                         continue
                     variant = dataclasses.replace(
                         cfg,
@@ -175,9 +178,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         results = [_one_sweep_run(j) for j in jobs]
     lines = ["run_dir,seed," + ",".join(CSV_COLUMNS)]
-    for outdir, seed, fields in results:
-        if fields is not None:
-            lines.append(f"{outdir},{seed}," + ",".join(fields))
+    for outdir, seed, outcome in results:
+        if isinstance(outcome, str):
+            print(f"aborted {outdir}: {outcome}", file=sys.stderr)
+        else:
+            lines.append(f"{outdir},{seed}," + ",".join(outcome))
     base_out.mkdir(parents=True, exist_ok=True)
     write_atomic(base_out / "sweep_summary.csv", "\n".join(lines) + "\n")
     print(f"{len(jobs)} runs under {base_out}")

@@ -17,10 +17,12 @@ A dataset is stored column-wise: one read-only numpy array per field
 (``COLUMNS``: query id, level with 0 for unset, iteration, origin rank,
 sample index, prefix steps and tokens, length, correct flag, and
 corrected_from with -1 for unset), an object array of extracted answers,
-and a table from query id to its :class:`QueryRecord`.  Every transform is
-index arithmetic on those columns: select rows, repeat them, concatenate
-two datasets, and restore canonical order with one stable ``np.lexsort``
-over the ``entry_sort_key`` fields, so entries with equal keys keep their
+and a table from query id to its :class:`QueryRecord`.  The constructor
+alone holds the unset values: origin, prefix steps and tokens and
+corrected_from may be left out of it.  Every transform is index
+arithmetic on those columns: select rows, repeat them, concatenate two
+datasets, and restore canonical order with one stable ``np.lexsort`` over
+the ``entry_sort_key`` fields, so entries with equal keys keep their
 relative order.
 
 Python objects exist only at the edges:
@@ -158,6 +160,9 @@ COLUMNS = (
     "query_id", "level", "iteration", "origin", "sample_index",
     "prefix_steps", "prefix_tokens", "length_tokens", "correct", "corrected_from",
 )
+# the columns a dataset may be built without, and the value they then take:
+# explored rows with no kept prefix and no correction link
+_UNSET = {"origin": ORIGIN_RANK[ORIGIN_EXPLORED], "prefix_steps": 0, "prefix_tokens": 0, "corrected_from": -1}
 # entry_sort_key's fields, least significant first as np.lexsort wants them
 _SORT_COLUMNS = ("corrected_from", "prefix_steps", "sample_index", "origin", "iteration", "query_id")
 _ALL_CORRECT_ROLES = (ROLE_FILTER, ROLE_REFILTER, ROLE_TRAIN)
@@ -205,8 +210,9 @@ class TrajectoryDataset:
     ``columns`` maps each name in ``COLUMNS`` to a read-only array with one
     row per entry, ``answers`` holds the extracted answers and ``records``
     maps every query id in the columns (possibly more) to its record.  The
-    constructor checks every invariant and, with ``sort``, puts the rows in
-    canonical order.
+    constructor takes a scalar for a column that is equal on every row, and
+    the columns in ``_UNSET`` may be left out.  It checks every invariant
+    and, with ``sort``, puts the rows in canonical order.
     """
 
     __slots__ = ("role", "columns", "answers", "records", "_entries")
@@ -222,14 +228,18 @@ class TrajectoryDataset:
     ):
         if role not in ROLES:
             raise ValueError(f"unknown dataset role {role!r}")
-        try:
-            cols = {
-                name: np.asarray(columns[name], dtype=bool if name == "correct" else np.int64)
-                for name in COLUMNS
-            }
-        except OverflowError:
-            raise ValueError("dataset fields must fit in 64-bit integers") from None
-        if any(len(col) != len(answers) for col in cols.values()):
+        n = len(answers)
+        cols = {}
+        for name in COLUMNS:
+            value = columns.get(name, _UNSET.get(name))
+            if value is None:
+                raise ValueError(f"dataset column {name!r} is missing")
+            try:
+                col = np.asarray(value, dtype=bool if name == "correct" else np.int64)
+            except OverflowError:
+                raise ValueError("dataset fields must fit in 64-bit integers") from None
+            cols[name] = np.full(n, col) if col.ndim == 0 else col
+        if any(len(col) != n for col in cols.values()):
             raise ValueError("dataset columns differ in length")
         _check_columns(role, cols)
         if sort and len(answers) > 1:
@@ -323,7 +333,7 @@ class TrajectoryDataset:
         rows = np.asarray(rows, dtype=np.intp)
         columns = {name: col[rows] for name, col in self.columns.items()}
         if correct is not None:
-            columns["correct"] = np.full(len(rows), correct)
+            columns["correct"] = correct
         return TrajectoryDataset(role, columns, self.answers[rows], self.records, sort=sort)
 
     def retagged(self, role: str) -> "TrajectoryDataset":

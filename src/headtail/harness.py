@@ -554,11 +554,9 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
 
 
 def _snapshot_dataset(c: dict[str, np.ndarray], role: str) -> TrajectoryDataset:
-    n = len(c["query_id"])
     ids, levels = _first_rows(c["query_id"], c["level"], "levels")
     records = {q: QueryRecord(id=q, gt_answer="", level=lv or None) for q, lv in zip(ids, levels)}
-    columns = {**c, "prefix_tokens": np.zeros(n, dtype=np.int64), "corrected_from": np.full(n, -1)}
-    return TrajectoryDataset(role, columns, np.full(n, "", dtype=object), records)
+    return TrajectoryDataset(role, c, np.full(len(c["query_id"]), "", dtype=object), records)
 
 
 def _snapshot_reference(path: str | Path, role: str) -> TrajectoryDataset:
@@ -627,10 +625,6 @@ def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def _write_jsonl(path: Path, dataset: TrajectoryDataset) -> None:
-    write_atomic(path, _snapshot_chunks(dataset))
-
-
 # -- offline mode -----------------------------------------------------------
 
 
@@ -689,18 +683,13 @@ def _sample_dataset(
     _, starts, counts = np.unique(qids[by_query], return_index=True, return_counts=True)
     sample_index = np.empty(n, dtype=np.int64)
     sample_index[by_query] = np.arange(1, n + 1) - np.repeat(starts, counts)
-    zeros = np.zeros(n, dtype=np.int64)
     columns = {
         "query_id": qids,
-        "level": zeros,
+        "level": 0,
         "iteration": iteration,
-        "origin": zeros,
         "sample_index": sample_index,
-        "prefix_steps": zeros,
-        "prefix_tokens": zeros,
         "length_tokens": length_tokens,
-        "correct": np.zeros(n, dtype=bool),
-        "corrected_from": np.full(n, -1),
+        "correct": False,
     }
     queries = {qid: QueryRecord(id=qid, gt_answer=ans) for qid, ans in gt.items()}
     return TrajectoryDataset(ROLE_SAMPLE, columns, answers, queries)
@@ -779,12 +768,13 @@ def rebalance_offline(
     filtered set before per-query counts are taken, so clipped/padded
     counts reflect usable responses only.  That field defaults to 10
     tokens; pass ``min_cot_tokens=0`` in the ``StrategyConfig`` for no
-    floor.  Nothing is written unless the whole input parses.
+    floor.  ``K`` is the log's sampling number; a ``strategy.K`` that is
+    set must equal it.  Nothing is written unless the whole input parses.
     """
     if strategy.kind not in RESHAPING_KINDS:
         raise ConfigError("strategy requires a sampler; offline mode supports reshaping only")
-    if K < 1:
-        raise ConfigError("K must be >= 1")
+    if strategy.K is not None and strategy.K != K:
+        raise ConfigError(f"strategy K ({strategy.K}) differs from the log's K ({K})")
     try:
         strategy.validate(K)
     except ValueError as exc:
@@ -797,7 +787,7 @@ def rebalance_offline(
     train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed, iteration=1)
     out = Path(output_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(out, train)
+    write_atomic(out, _snapshot_chunks(train))
     k_counts = filtered.counts_by_query()
     row = build_row(1, ROLE_TRAIN, train, K, k_counts)
     return {
@@ -828,7 +818,7 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
     }
     written: list[Path] = []
 
-    def write(name: str, text: str) -> None:
+    def write(name: str, text: str | Iterable[str]) -> None:
         path = outdir / name
         write_atomic(path, text)
         written.append(path)
@@ -838,9 +828,7 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
         write("metrics.csv", rows_to_csv(report.rows))
         for name, ds in (("train_final", report.final_train), ("filter_final", report.final_filter)):
             if ds is not None:
-                path = outdir / "datasets" / f"{name}.jsonl"
-                _write_jsonl(path, ds)
-                written.append(path)
+                write(f"datasets/{name}.jsonl", _snapshot_chunks(ds))
         write("config.json", json.dumps({**report.config, "seed": report.seed}, sort_keys=True, indent=2) + "\n")
         if report.final_state is not None:
             write("learner_final.json", report.final_state.to_json() + "\n")

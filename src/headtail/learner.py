@@ -392,38 +392,24 @@ class LearnerState:
         prob = np.minimum(1.0, np.maximum(0.0, pr.correction_base + pr.correction_slope * p))
         return self._draw_rows(query_ids, prob, mu + math.log1p(pr.correction_length_boost), gt)
 
-    def sample_batch(
-        self, corpus: list[QueryRecord], k: int, *, role: str = ROLE_SAMPLE
-    ) -> TrajectoryDataset:
+    def sample_batch(self, corpus: list[QueryRecord], k: int) -> TrajectoryDataset:
         """K fresh draws per query, vectorized; replays scalar draws exactly."""
         if k < 1:
             raise ValueError("k must be >= 1")
         records = sorted(corpus, key=lambda r: r.id)
-        n = len(records)
+        table = {r.id: r for r in records}
         qids = np.repeat(np.array([r.id for r in records], dtype=np.int64), k)
-        # per-query columns repeated k times: cheaper than sample_fresh's lookup by id
-        draws = self._draw_rows(
-            qids,
-            np.repeat([self._p_of(r) for r in records], k),
-            np.repeat([self._mu_of(r) for r in records], k),
-            np.repeat(object_array(r.gt_answer for r in records), k),
-        )
-        size = n * k
-        zeros = np.zeros(size, dtype=np.int64)
+        draws = self._draw_rows(qids, *self._query_columns(table, qids))
         columns = {
             "query_id": qids,
             "level": np.repeat([r.level or 0 for r in records], k),
-            "iteration": np.full(size, draws.iteration),
-            "origin": zeros,
-            "sample_index": np.tile(np.arange(1, k + 1), n),
-            "prefix_steps": zeros,
-            "prefix_tokens": zeros,
+            "iteration": draws.iteration,
+            "sample_index": np.tile(np.arange(1, k + 1), len(records)),
             "length_tokens": draws.length_tokens,
             "correct": draws.correct,
-            "corrected_from": np.full(size, -1),
         }
         # rows come out in canonical order: query id, then sample index
-        return TrajectoryDataset(role, columns, draws.answers, {r.id: r for r in records}, sort=False)
+        return TrajectoryDataset(ROLE_SAMPLE, columns, draws.answers, table, sort=False)
 
     # -- measurement -------------------------------------------------------
 

@@ -63,8 +63,11 @@ from .rewards import (
 )
 
 RESHAPING_KINDS = ("vanilla", "tc", "hc", "rp", "ri")
-STRATEGY_KINDS = ("vanilla", "tc", "hc", "rp", "ri", "ar", "gr", "sc")
-TAIL_THRESHOLD_KINDS = ("tc", "gr")  # the kinds that read L
+# every kind, with the knobs it reads besides K; where L is read it must not exceed K
+KIND_KNOBS = {
+    "vanilla": (), "tc": ("L",), "hc": (), "rp": (), "ri": (), "ar": (), "gr": ("L", "S"), "sc": (),
+}
+STRATEGY_KINDS = tuple(KIND_KNOBS)
 
 
 class SamplerError(RuntimeError):
@@ -138,7 +141,7 @@ class StrategyConfig:
         if k is not None:
             if k < 1:
                 raise ValueError("K must be >= 1")
-            if self.kind in TAIL_THRESHOLD_KINDS and self.L > k:
+            if "L" in KIND_KNOBS[self.kind] and self.L > k:
                 raise ValueError(f"L must not exceed K ({self.L} > {k})")
         if self.min_cot_tokens < 0:
             raise ValueError("min_cot_tokens must be >= 0")
@@ -237,20 +240,15 @@ def _resampled(
     """The draws as a resample dataset.
 
     ``columns`` gives query_id, level and sample_index per row and, for
-    guided draws, prefix_steps and prefix_tokens (0 otherwise).
+    guided draws, prefix_steps and prefix_tokens.
     """
-    n = len(draws.answers)
-    zeros = np.zeros(n, dtype=np.int64)
     return TrajectoryDataset(
         ROLE_RESAMPLE,
         {
-            "iteration": np.full(n, draws.iteration),
-            "origin": np.full(n, ORIGIN_RANK[origin]),
-            "prefix_steps": zeros,
-            "prefix_tokens": zeros,
+            "iteration": draws.iteration,
+            "origin": ORIGIN_RANK[origin],
             "length_tokens": draws.length_tokens,
             "correct": draws.correct,
-            "corrected_from": np.full(n, -1),
             **columns,
         },
         draws.answers,

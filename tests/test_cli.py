@@ -333,7 +333,7 @@ class TestSweepVerb:
 
     @given(
         seeds=st.lists(st.integers(0, 2), min_size=1, max_size=2),
-        kinds=st.lists(st.sampled_from(["vanilla", "tc", "rp"]), min_size=1, max_size=2),
+        kinds=st.lists(st.sampled_from(["vanilla", "tc", "rp", "gr"]), min_size=1, max_size=2),
         ks=st.lists(st.integers(1, 2), min_size=1, max_size=2),
         ls=st.lists(st.integers(1, 2), min_size=1, max_size=2),
         ss=st.lists(st.integers(2, 3), min_size=1, max_size=2),
@@ -341,9 +341,13 @@ class TestSweepVerb:
     @example(seeds=[1, 1], kinds=["rp", "rp"], ks=[2, 2], ls=[1, 1], ss=[2, 2])
     @settings(max_examples=8, deadline=None)
     def test_n_runs_give_n_dirs_and_n_summary_lines(self, seeds, kinds, ks, ls, ss):
+        # tc and gr read L (and skip L > K), gr reads S; an axis a kind does
+        # not read runs at its first value only
         expected = {
             f"{kind}_k{k}_l{L}_s{S}_seed{seed}"
-            for kind in kinds for k in ks for L in ls if L <= k for S in ss for seed in seeds
+            for kind in kinds for k in ks
+            for L in (ls if kind in ("tc", "gr") else ls[:1]) if L <= k or kind not in ("tc", "gr")
+            for S in (ss if kind == "gr" else ss[:1]) for seed in seeds
         }
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "sweep"
@@ -369,6 +373,32 @@ class TestSweepVerb:
         assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
             "tc_k4_l2_s4_seed0", "vanilla_k4_l2_s4_seed0"
         ]
+
+    def test_kinds_without_l_run_below_default_l(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--strategies", "vanilla,tc", "--k-values", "2", "--n", "12", "--t", "1",
+                     "--seeds", "0", "--jobs", "1", "--output-dir", str(out)])
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["vanilla_k2_l4_s4_seed0"]
+        assert "skipped tc_k2_l4_s4: L exceeds K" in capsys.readouterr().err
+
+    def test_aborted_run_reported_and_written(self, tmp_path, capsys, monkeypatch):
+        from headtail.learner import LearnerState
+
+        def boom(self, records, query_ids):
+            raise RuntimeError("backend down")
+
+        monkeypatch.setattr(LearnerState, "sample_fresh", boom)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--strategies", "vanilla,ar", "--n", "12", "--t", "1", "--seeds", "0",
+                     "--jobs", "1", "--output-dir", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert f"aborted {out / 'ar_k8_l4_s4_seed0'}: sampler error" in err
+        summary = json.loads((out / "ar_k8_l4_s4_seed0" / "summary.json").read_text())
+        assert summary["incomplete"] is True
+        rows = (out / "sweep_summary.csv").read_text().splitlines()
+        assert [Path(line.split(",")[0]).name for line in rows[1:]] == ["vanilla_k8_l4_s4_seed0"]
 
     def test_env_output_dir_is_the_sweep_base(self, tmp_path, monkeypatch):
         base = tmp_path / "env"

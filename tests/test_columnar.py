@@ -124,7 +124,7 @@ def test_snapshot_lines_cover_every_origin_and_unset_level(tmp_path):
     ]
     ds = TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
     path = tmp_path / "snap.jsonl"
-    harness._write_jsonl(path, ds)
+    harness.write_atomic(path, harness._snapshot_chunks(ds))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == [json.dumps(snapshot_entry(r, t), sort_keys=True) for r, t in entries]
     assert '"level": null' in lines[0] and '"prefix_steps": 3' in lines[2]

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from headtail.core import (
+    COLUMNS,
     ORIGIN_RESAMPLED_AR,
     ROLE_FILTER,
+    ROLE_SAMPLE,
     ROLE_TRAIN,
     CorpusMismatchError,
     QueryRecord,
@@ -42,6 +45,49 @@ class TestTypes:
     def test_mismatched_record_and_trajectory(self):
         with pytest.raises(ValueError):
             TrajectoryDataset.from_entries([(make_query(1), make_traj(2))], ROLE_FILTER)
+
+
+class TestConstructorColumns:
+    REQUIRED = ("query_id", "level", "iteration", "sample_index", "length_tokens", "correct")
+
+    def given_columns(self):
+        return {
+            "query_id": np.array([2, 1, 1]),
+            "level": np.array([3, 0, 0]),
+            "iteration": 2,
+            "sample_index": np.array([1, 2, 1]),
+            "length_tokens": np.array([30, 20, 10]),
+            "correct": np.array([True, False, True]),
+        }
+
+    def build(self, columns):
+        answers = np.array(["a2", "x", "a1"], dtype=object)
+        records = {1: make_query(1), 2: make_query(2, level=3)}
+        return TrajectoryDataset(ROLE_SAMPLE, columns, answers, records)
+
+    def test_unset_columns_equal_explicit_unset_arrays(self):
+        explicit = {
+            **self.given_columns(),
+            "iteration": np.full(3, 2),
+            "origin": np.zeros(3, dtype=np.int64),
+            "prefix_steps": np.zeros(3, dtype=np.int64),
+            "prefix_tokens": np.zeros(3, dtype=np.int64),
+            "corrected_from": np.full(3, -1),
+        }
+        short, full = self.build(self.given_columns()), self.build(explicit)
+        assert short == full
+        for name in COLUMNS:
+            assert short.columns[name].tolist() == full.columns[name].tolist(), name
+            assert short.columns[name].dtype == full.columns[name].dtype, name
+            assert not short.columns[name].flags.writeable
+        assert [t.corrected_from for _, t in short] == [None, None, None]
+
+    @pytest.mark.parametrize("name", REQUIRED)
+    def test_required_column_missing_raises(self, name):
+        columns = self.given_columns()
+        del columns[name]
+        with pytest.raises(ValueError, match=name):
+            self.build(columns)
 
 
 class TestCanonicalOrder:

@@ -307,6 +307,15 @@ class TestOfflineLogs:
         summary = rebalance_offline(src, StrategyConfig(kind="rp"), 4, out)
         assert summary["output_records"] == 8
 
+    @pytest.mark.parametrize("kind, L, strategy_K, K", [("tc", 6, 8, 4), ("hc", 4, 4, 8)])
+    def test_strategy_k_other_than_log_k_rejected(self, tmp_path, kind, L, strategy_K, K):
+        # one K knob: the reshape must not run at a K other than the one L was checked against
+        src = self.write_log(tmp_path, self.log_lines({1: 6, 2: 3}, K=8))
+        out = tmp_path / "train.jsonl"
+        with pytest.raises(ConfigError, match="differs"):
+            rebalance_offline(src, StrategyConfig(kind=kind, L=L, K=strategy_K), K, out)
+        assert not out.exists()
+
     def test_resampling_strategy_rejected(self, tmp_path):
         src = self.write_log(tmp_path, self.log_lines({1: 1}, K=2))
         with pytest.raises(ConfigError, match="offline mode supports reshaping only"):

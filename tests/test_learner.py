@@ -122,6 +122,22 @@ class TestSampleResponse:
         assert vec == scalar
         assert a.draw_counter == b.draw_counter
 
+    def test_batch_equals_fresh_draws_on_repeated_ids(self):
+        corpus = synth_corpus(25, seed=4)
+        a = init_learner(corpus, seed=4)
+        a.draw_counter[3] = 5  # a query that was drawn before
+        b = a.clone()
+        batch = a.sample_batch(corpus, 3)
+        records = {r.id: r for r in corpus}
+        qids = np.repeat(sorted(records), 3)
+        fresh = b.sample_fresh(records, qids)
+        assert batch.columns["query_id"].tolist() == qids.tolist()
+        assert batch.columns["length_tokens"].tolist() == fresh.length_tokens.tolist()
+        assert batch.columns["correct"].tolist() == fresh.correct.tolist()
+        assert batch.answers.tolist() == fresh.answers.tolist()
+        assert (batch.columns["iteration"] == fresh.iteration).all()
+        assert a.draw_counter == b.draw_counter
+
     def test_interleaving_independence(self):
         corpus = [make_query(1), make_query(2)]
         a = state_with({1: 0.5, 2: 0.5}, seed=11)
