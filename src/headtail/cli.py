@@ -6,7 +6,8 @@ Verbs:
   rebalance  offline reshaping of a trajectory log (JSONL in, JSONL out)
   report     recompute a run's last train or filter metrics row from its snapshot
 
-Exit codes: 0 success, 2 config error, 3 schema error, 4 internal abort.
+Exit codes: 0 success, 2 config error, 3 schema error, 4 internal abort
+(for sweep: any grid point aborted).
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base_out.mkdir(parents=True, exist_ok=True)
     write_atomic(base_out / "sweep_summary.csv", "\n".join(lines) + "\n")
     print(f"{len(jobs)} runs under {base_out}")
-    return EXIT_OK
+    return EXIT_ABORT if any(isinstance(outcome, str) for _, _, outcome in results) else EXIT_OK
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
@@ -194,7 +195,13 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
                               min_cot_tokens=args.min_cot_tokens, seed=args.seed)
     rules = DEFAULT_RULES
     if args.alias_table:
-        rules = dataclasses.replace(rules, symbol_aliases=load_alias_table(args.alias_table))
+        try:
+            aliases = load_alias_table(args.alias_table)
+        except OSError as exc:
+            raise ConfigError(f"cannot read alias table {args.alias_table}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # a bad line, or not UTF-8
+            raise ConfigError(f"{args.alias_table}: {exc}") from exc
+        rules = dataclasses.replace(rules, symbol_aliases=aliases)
     summary = rebalance_offline(args.input, strategy, args.k, args.output, rules=rules)
     row = summary.pop("metrics_row")
     if args.summary:

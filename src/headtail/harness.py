@@ -242,6 +242,8 @@ def read_config_json(path: str | Path) -> dict[str, Any]:
     """The JSON object in a config file; anything else is a ConfigError."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -779,6 +781,8 @@ def rebalance_offline(
         strategy.validate(K)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not Path(input_path).is_file():
+        raise SchemaError(f"no input log at {input_path}")
     sample = load_log(input_path)
     filtered = filter_dataset(sample, rules)
     if strategy.min_cot_tokens > 0:

@@ -5,15 +5,24 @@ The default normalization exists because raw exact match misgrades answers
 that differ only in formatting (LaTeX ``\\pi`` vs the glyph, stray math
 wrappers, spacing around fraction slashes).
 
+``normalize_answer`` skips only the steps that cannot change the string.
+The math-wrapper replaces run only on a string that contains ``$`` or
+``\\`` (every wrapper contains one of them).  Each alias pattern has a
+*required literal*, derived once per alias table: the longest run of
+literal characters in the pattern's top-level sequence, which every match
+contains.  The alias's ``sub`` runs only when the string, as it stands at
+that step, contains that literal.  For the default aliases the literals are
+``\\pi``, ``\\times`` and ``/``.  A pattern that is case-insensitive, is a
+top-level alternation or has no top-level literal (``\\s+``, ``[ab]``) has
+no required literal, so a custom alias like that runs on every answer.
+
 Normalization is a pure function of the string and the rules, so grading
 skips it where it cannot change the outcome: an answer whose raw string
 equals the ground truth is graded correct without normalizing (one
-whole-column comparison for a dataset), and within one ``reward``,
-``filter_dataset``, ``partition_dataset`` or ``discard_dataset`` call each
-distinct answer and ground-truth string is normalized at most once (the
-memo lives only as long as that call).  Filtering then selects the graded
-rows by mask; ``partition_dataset`` selects both the kept and the
-discarded rows from one grading.
+whole-column comparison for a dataset), and a dataset's grading normalizes
+each distinct answer and ground-truth string of the other rows once.
+Filtering then selects the graded rows by mask; ``partition_dataset``
+selects both the kept and the discarded rows from one grading.
 """
 
 from __future__ import annotations
@@ -22,6 +31,11 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+
+try:
+    from re import _parser as _sre_parse
+except ImportError:  # Python 3.10
+    import sre_parse as _sre_parse
 
 import numpy as np
 
@@ -43,6 +57,8 @@ DEFAULT_SYMBOL_ALIASES: tuple[tuple[str, str], ...] = (
 )
 
 _MATH_WRAPPERS = ("$", r"\(", r"\)", r"\[", r"\]")
+# the wrapper guard in normalize_answer tests for these two characters only
+assert all("$" in w or "\\" in w for w in _MATH_WRAPPERS)
 
 
 @dataclass(frozen=True)
@@ -61,9 +77,38 @@ EXACT_MATCH_RULES = AnswerNormalizationRules(
 )
 
 
+def _required_literal(pattern: re.Pattern) -> str:
+    """A substring of every match of ``pattern``, or ``""`` if none is known.
+
+    It is the longest run of consecutive top-level literal characters in the
+    parsed pattern.  A top-level alternation parses to one branch (or
+    character set) node, so it contributes nothing; only a prefix that the
+    parser factors out of every branch (``xa|xb`` is ``x`` then ``[ab]``)
+    stays, and every match contains it.  A case-insensitive pattern, or one
+    the parser rejects, has no required literal.
+    """
+    if pattern.flags & re.IGNORECASE:
+        return ""
+    try:
+        nodes = list(_sre_parse.parse(pattern.pattern, pattern.flags))
+    except re.error:
+        return ""
+    best = run = ""
+    for op, arg in nodes:
+        run = run + chr(arg) if op is _sre_parse.LITERAL else ""
+        best = max(best, run, key=len)
+    return best
+
+
 @lru_cache(maxsize=64)
-def _compiled(aliases: tuple[tuple[str, str], ...]):
-    return tuple((re.compile(p), c) for p, c in aliases)
+def _compiled(aliases: tuple[tuple[str, str], ...]) -> tuple[tuple[re.Pattern, str, str], ...]:
+    """(pattern, canonical, required literal) per alias, in table order."""
+    table = []
+    for p, c in aliases:
+        pattern = re.compile(p)
+        pattern.sub(c, "")  # a bad template raises here, whatever the answer
+        table.append((pattern, c, _required_literal(pattern)))
+    return tuple(table)
 
 
 def normalize_answer(raw: str, rules: AnswerNormalizationRules = DEFAULT_RULES) -> str:
@@ -71,37 +116,31 @@ def normalize_answer(raw: str, rules: AnswerNormalizationRules = DEFAULT_RULES) 
     s = raw
     if rules.trim_whitespace:
         s = s.strip()
-    if rules.strip_math_wrappers:
+    if rules.strip_math_wrappers and ("$" in s or "\\" in s):
         for w in _MATH_WRAPPERS:
             s = s.replace(w, "")
     if rules.lowercase:
         s = s.lower()
-    for pattern, canonical in _compiled(rules.symbol_aliases):
-        s = pattern.sub(canonical, s)
+    for pattern, canonical, literal in _compiled(rules.symbol_aliases):
+        if literal in s:
+            s = pattern.sub(canonical, s)
     if rules.trim_whitespace:
         s = s.strip()
     return s
 
 
-def _normalized(raw: str, rules: AnswerNormalizationRules, memo: dict[str, str]) -> str:
-    norm = memo.get(raw)
-    if norm is None:
-        norm = memo[raw] = normalize_answer(raw, rules)
-    return norm
-
-
-def _grade(gt: str, extracted: str, rules: AnswerNormalizationRules, memo: dict[str, str]) -> int:
-    """1 iff ``extracted`` matches ``gt`` after normalization, memoized in ``memo``."""
-    return int(extracted == gt or _normalized(extracted, rules, memo) == _normalized(gt, rules, memo))
-
-
 def reward(query: QueryRecord, extracted: str, rules: AnswerNormalizationRules = DEFAULT_RULES) -> int:
     """Binary reward: 1 iff the extracted answer matches ground truth."""
-    return _grade(query.gt_answer, extracted, rules, {})
+    gt = query.gt_answer
+    return int(extracted == gt or normalize_answer(extracted, rules) == normalize_answer(gt, rules))
 
 
 def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
-    """Read a two-column alias table (pattern<TAB>canonical, UTF-8)."""
+    """Read a two-column alias table (pattern<TAB>canonical, UTF-8).
+
+    A line without a TAB, or whose pattern or replacement does not compile,
+    is a ValueError naming the line.
+    """
     pairs: list[tuple[str, str]] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -109,6 +148,10 @@ def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
         if "\t" not in line:
             raise ValueError(f"alias table line {lineno}: expected pattern<TAB>canonical")
         pattern, canonical = line.split("\t", 1)
+        try:
+            re.compile(pattern).sub(canonical, "")
+        except re.error as exc:
+            raise ValueError(f"alias table line {lineno}: {exc}") from None
         pairs.append((pattern, canonical))
     return tuple(pairs)
 
@@ -121,8 +164,9 @@ def _graded(sampled: TrajectoryDataset, rules: AnswerNormalizationRules) -> np.n
     answers, gts = sampled.answers, sampled.gt_answers()
     ok = np.asarray(answers == gts, dtype=bool)
     rest = np.flatnonzero(~ok)
-    memo: dict[str, str] = {}
-    ok[rest] = [_grade(g, a, rules, memo) for a, g in zip(answers[rest].tolist(), gts[rest].tolist())]
+    a, g = answers[rest].tolist(), gts[rest].tolist()
+    norm = {x: normalize_answer(x, rules) for x in {*a, *g}}
+    ok[rest] = [norm[x] == norm[y] for x, y in zip(a, g)]
     return ok
 
 

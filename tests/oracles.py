@@ -1,5 +1,6 @@
 """Independent brute-force evaluations of the reshaping set-builder rules,
-the metrics row, the snapshot line encoding and the pass-rate measurement.
+the metrics row, the snapshot line encoding, the pass-rate measurement and
+answer normalization.
 
 These deliberately avoid the library's dataset machinery: plain dicts of
 lists, straight loops.  Threshold clipping shares the library's pinned draw key
@@ -10,6 +11,7 @@ keep-the-L-smallest rule around it are re-derived here with scalar draws.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -160,3 +162,25 @@ def pass_rate(state, query, m):
         state.root_seed, rng.PASS_RATE, np.uint64(query.id), np.arange(m, dtype=np.uint64)
     )
     return float(np.mean(shots < state.p[query.id]))
+
+
+_MATH_WRAPPERS = ("$", r"\(", r"\)", r"\[", r"\]")
+
+
+def normalize_unguarded(raw, rules):
+    """Answer normalization with every step run on every string: strip,
+    each math-wrapper replace, lowercase, each alias ``re.sub`` in table
+    order, strip."""
+    s = raw
+    if rules.trim_whitespace:
+        s = s.strip()
+    if rules.strip_math_wrappers:
+        for w in _MATH_WRAPPERS:
+            s = s.replace(w, "")
+    if rules.lowercase:
+        s = s.lower()
+    for pattern, canonical in rules.symbol_aliases:
+        s = re.sub(pattern, canonical, s)
+    if rules.trim_whitespace:
+        s = s.strip()
+    return s

@@ -93,6 +93,14 @@ class TestRunVerb:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "strategy must be StrategyConfig" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_missing_config_exit_config(self, tmp_path, capsys, verb):
+        out = tmp_path / "out"
+        code = main([verb, "--config", str(tmp_path / "absent.json"), "--output-dir", str(out)])
+        assert code == 2
+        assert f"config error: cannot read config {tmp_path / 'absent.json'}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_output_dir_is_only_a_default(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         env_dir, given = tmp_path / "env", tmp_path / "given"
@@ -184,6 +192,34 @@ class TestRebalanceVerb:
             )
             assert code == 0
             assert out.exists()
+
+    def test_missing_input_exit_schema(self, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        code = main(["rebalance", "--input", str(tmp_path / "absent.jsonl"), "--output", str(out),
+                     "--strategy", "vanilla", "--k", "4"])
+        assert code == 3
+        assert f"schema error: no input log at {tmp_path / 'absent.jsonl'}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table, message", [
+        ("\\\\pi\tπ\nno-tab-here\n","line 2: expected pattern<TAB>canonical"),
+        ("x(\tY\n", "line 1: missing ), unterminated subpattern"),
+        ("x\t\\1\n", "line 1: invalid group reference 1"),
+        (None, "cannot read alias table"),
+    ])
+    def test_bad_alias_table_exit_config(self, tmp_path, capsys, table, message):
+        # every answer equals its ground truth, so none reaches normalization
+        src = write_log(tmp_path, {1: 4}, K=4)
+        aliases = tmp_path / "aliases.tsv"
+        if table is not None:
+            aliases.write_text(table, encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = main(["rebalance", "--input", str(src), "--output", str(out), "--strategy", "vanilla",
+                     "--k", "4", "--alias-table", str(aliases)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
 
     def test_summary_csv(self, tmp_path):
         src = write_log(tmp_path, {1: 4}, K=4)
@@ -392,7 +428,7 @@ class TestSweepVerb:
         out = tmp_path / "sweep"
         code = main(["sweep", "--strategies", "vanilla,ar", "--n", "12", "--t", "1", "--seeds", "0",
                      "--jobs", "1", "--output-dir", str(out)])
-        assert code == 0
+        assert code == 4
         err = capsys.readouterr().err
         assert f"aborted {out / 'ar_k8_l4_s4_seed0'}: sampler error" in err
         summary = json.loads((out / "ar_k8_l4_s4_seed0" / "summary.json").read_text())

@@ -1,4 +1,7 @@
 import dataclasses
+import re
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from headtail.core import ROLE_DISCARD, ROLE_FILTER, ROLE_SAMPLE, TrajectoryData
 from headtail.rewards import (
     AnswerNormalizationRules,
     DEFAULT_RULES,
+    DEFAULT_SYMBOL_ALIASES,
     EXACT_MATCH_RULES,
     cot_length_filter,
     discard_dataset,
@@ -18,6 +22,7 @@ from headtail.rewards import (
 )
 
 from conftest import make_query, make_sample, make_traj
+from oracles import normalize_unguarded
 
 NO_ALIAS_RULES = AnswerNormalizationRules(symbol_aliases=())
 CUSTOM_ALIAS_RULES = AnswerNormalizationRules(
@@ -52,6 +57,83 @@ class TestNormalizeAnswer:
     def test_idempotent(self, s):
         once = normalize_answer(s)
         assert normalize_answer(once) == once
+
+
+# every character str.strip() removes, the separators \x1c-\x1f included
+_STRIPPED = [c for c in map(chr, range(sys.maxunicode + 1)) if not c.strip()]
+assert set("\x1c\x1d\x1e\x1f") <= set(_STRIPPED)
+# wrappers, alias triggers, case maps that change length ("İ" lowercases to
+# two characters) or leave ASCII (the Kelvin sign lowercases to "k")
+_PIECES = ["$", r"\(", r"\)", r"\[", r"\]", "\\", "(", ")", "[", "]", r"\pi", "pi", r"\times", "/",
+           " / ", "a", "b", "A", "B", "k", "x", "İ", "\u212a", "π", "×", "1", *_STRIPPED]
+_ANSWERS = st.one_of(st.text(max_size=12), st.lists(st.sampled_from(_PIECES), max_size=10).map("".join))
+_REGEX_ATOMS = [re.escape(c) for c in "ab/\\πİ$ xk"] + [
+    r"\\pi", r"\\times", "pi", "ab", r"\b", r"\B", "^", r"\Z", r"\s*", r"\s+", ".", "[ab]", "[^a]",
+    "(ab)", "(?:a|b)", "(a|bc)", "(x)?", "(?=a)", "(?!b)", "(?<=/)", r"(?<!\\)", "a+", "b?", "a{2}",
+    "(?i:ab)",
+]
+_REGEX_SEQUENCE = st.lists(st.sampled_from(_REGEX_ATOMS), min_size=1, max_size=4).map("".join)
+
+
+@st.composite
+def _alias_pattern(draw):
+    body = draw(_REGEX_SEQUENCE)
+    if draw(st.booleans()):
+        body += "|" + draw(_REGEX_SEQUENCE)  # a top-level alternation
+    return ("(?i)" if draw(st.booleans()) else "") + body
+
+
+_RANDOM_RULES = st.builds(
+    AnswerNormalizationRules,
+    lowercase=st.booleans(),
+    trim_whitespace=st.booleans(),
+    strip_math_wrappers=st.booleans(),
+    symbol_aliases=st.lists(
+        st.tuples(_alias_pattern(), st.sampled_from(["", "a", "B", "π", "/", " ", "$", "\\\\", r"x\g<0>"])),
+        max_size=4,
+    ).map(tuple),
+)
+
+
+class TestGuardedNormalization:
+    """The guards skip only steps that cannot change the string."""
+
+    @given(_ANSWERS, st.sampled_from([DEFAULT_RULES, NO_ALIAS_RULES, EXACT_MATCH_RULES, CUSTOM_ALIAS_RULES]))
+    @settings(max_examples=1000)
+    def test_equals_unguarded_on_fixed_rules(self, s, rules):
+        assert normalize_answer(s, rules) == normalize_unguarded(s, rules)
+
+    @given(st.lists(_ANSWERS, min_size=1, max_size=8), _RANDOM_RULES)
+    @settings(max_examples=500)
+    def test_equals_unguarded_on_random_alias_tables(self, answers, rules):
+        assert [normalize_answer(s, rules) for s in answers] == [normalize_unguarded(s, rules) for s in answers]
+
+    def test_default_literals(self):
+        assert [lit for _, _, lit in rewards._compiled(DEFAULT_SYMBOL_ALIASES)] == ["\\pi", "\\times", "/"]
+
+    @pytest.mark.parametrize("pattern, literal", [
+        ("a(?=b)cd", "cd"),        # the longest run; a lookahead breaks runs
+        ("(a)bc", "bc"),           # a group is not a top-level literal
+        (r"ab\bcde", "cde"),
+        ("xa|xb", "x"),            # the parser factors out a prefix every branch has
+        ("(?i)abc", ""),           # case-insensitive
+        ("(?i:a)bc", "bc"),        # only the group ignores case
+        ("ab|cd", ""),             # top-level alternation
+        ("a|b", ""),
+        (r"\s+", ""),              # no top-level literal
+        ("[ab]x?", ""),
+        ("x+", ""),
+        ("", ""),
+    ])
+    def test_required_literal(self, pattern, literal):
+        assert rewards._required_literal(re.compile(pattern)) == literal
+
+    def test_unparsable_pattern_has_no_literal(self, monkeypatch):
+        def reject(pattern, flags=0):
+            raise re.error("unsupported")
+
+        monkeypatch.setattr(rewards, "_sre_parse", types.SimpleNamespace(parse=reject))
+        assert rewards._required_literal(re.compile("abc")) == ""
 
 
 class TestReward:
@@ -264,4 +346,15 @@ def test_load_alias_table_rejects_missing_tab(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("no-tab-here\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
+        load_alias_table(path)
+
+
+@pytest.mark.parametrize("table, message", [
+    ("\\\\pi\tπ\nx(\tY\n", "line 2: missing ), unterminated subpattern"),
+    ("x\t\\1\n", "line 1: invalid group reference 1"),
+])
+def test_load_alias_table_rejects_bad_regex(tmp_path, table, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(table, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_alias_table(path)
