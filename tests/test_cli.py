@@ -101,6 +101,13 @@ class TestRunVerb:
         assert f"config error: cannot read config {tmp_path / 'absent.json'}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_config_exit_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"n_queries": 10, "note": "\xff"}')
+        assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "config error: config is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_env_output_dir_is_only_a_default(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         env_dir, given = tmp_path / "env", tmp_path / "given"
