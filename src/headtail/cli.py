@@ -39,7 +39,7 @@ from .harness import (
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_RULES, load_alias_table
 from .strategies import KIND_KNOBS, STRATEGY_KINDS, StrategyConfig
-from .core import ROLE_FILTER, ROLE_TRAIN
+from .core import ROLE_FILTER, ROLE_TRAIN, TrajectoryDataset
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -205,6 +205,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     summary = rebalance_offline(args.input, strategy, args.k, args.output, rules=rules)
     row = summary.pop("metrics_row")
     if args.summary:
+        Path(args.summary).parent.mkdir(parents=True, exist_ok=True)
         write_atomic(args.summary, rows_to_csv([row]))
     print(
         f"{summary['input_records']} records in, {summary['filtered']} kept by reward, "
@@ -215,6 +216,16 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 
 # the role of each snapshot's rows, as the run's metrics.csv records them
 _SNAPSHOT_ROLES = {"train_final": ROLE_TRAIN, "filter_final": ROLE_FILTER}
+
+
+def _read_named_snapshot(path: Path, role: str) -> TrajectoryDataset:
+    """``read_snapshot``, with every SchemaError naming ``path`` once."""
+    try:
+        return read_snapshot(path, role)
+    except SchemaError as exc:
+        if str(exc).startswith(f"{path}: "):  # a file-level error names it already
+            raise
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -230,12 +241,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     snapshot = run_dir / "datasets" / (args.dataset + ".jsonl")
     if not snapshot.exists():
         raise SchemaError(f"no snapshot at {snapshot}")
-    dataset = read_snapshot(snapshot, _SNAPSHOT_ROLES[args.dataset])
+    dataset = _read_named_snapshot(snapshot, _SNAPSHOT_ROLES[args.dataset])
     # per-query counts come from the final filtered set, as in metrics.csv
     filtered_path = run_dir / "datasets" / "filter_final.jsonl"
     filtered = dataset
     if dataset.role != ROLE_FILTER and filtered_path.exists():
-        filtered = read_snapshot(filtered_path, ROLE_FILTER)
+        filtered = _read_named_snapshot(filtered_path, ROLE_FILTER)
     counts = filtered.counts_by_query()
     # an empty snapshot reports at the run's last round, as metrics.csv does
     iteration = int(dataset.columns["iteration"].max()) if len(dataset) else cfg.rounds

@@ -28,9 +28,9 @@ relative order.
 Python objects exist only at the edges:
 
 * :meth:`TrajectoryDataset.from_entries` packs pairs made elsewhere
-  (hand-built fixtures, the per-line snapshot reference) into columns; logs
-  and snapshots read from disk are decoded straight into columns and never
-  pass through it;
+  (hand-built fixtures, library callers) into columns; logs and snapshots
+  read from disk are decoded straight into columns and never pass through
+  it;
 * :attr:`TrajectoryDataset.entries` builds fresh pairs from the columns on
   first access and caches them on that dataset only; no object is carried
   over from the dataset a transform started from.

@@ -24,10 +24,11 @@ applies the sampler-free reshaping strategies to real trajectory logs
 Logs and dataset snapshots are read by one chunked reader
 (``_read_columns``): it decodes a fixed number of lines per pass straight
 into dataset columns and checks them column by column, building no
-per-line objects.  A file that fails any check is read again by the
-per-line codec (``parse_log_line``, ``parse_snapshot_line``), which raises
-the SchemaError naming the first bad line, so a file is taken whole or not
-at all.
+per-line objects.  A pass that fails decodes its lines again one at a
+time, in memory, and raises the SchemaError naming the first bad line
+with the message a line-by-line read gives; faults only the whole file
+shows (two ground truths or levels for one query) are raised once every
+line has decoded.  A file is taken whole or not at all.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ from .core import (
     LEVELS,
     ORIGIN_EXPLORED,
     ORIGIN_RANK,
+    ORIGIN_RESAMPLED_GR,
     ORIGINS,
     ROLE_FILTER,
     ROLE_SAMPLE,
     ROLE_TRAIN,
-    Entry,
     QueryRecord,
-    Trajectory,
     TrajectoryDataset,
     merge_datasets,
     object_array,
@@ -399,7 +399,7 @@ def _run_loop(config: RunConfig, seed: int, rules: AnswerNormalizationRules) -> 
     return report
 
 
-# -- JSONL codec ------------------------------------------------------------
+# -- JSONL reader -----------------------------------------------------------
 
 
 def _decode_line(
@@ -411,12 +411,15 @@ def _decode_line(
 ) -> Any:
     """Decode one JSONL line into the value ``build`` makes of it.
 
-    The line must be a JSON object whose keys are among ``fields`` and
-    include every ``required`` one; any failure, ``build``'s included, is a
-    SchemaError naming the line.
+    The line must be UTF-8 and a JSON object whose keys are among
+    ``fields`` and include every ``required`` one; any failure, ``build``'s
+    included, is a SchemaError naming the line.
     """
     try:
+        line.encode("utf-8")
         data = json.loads(line)
+    except UnicodeEncodeError:  # an undecodable byte, kept as a lone surrogate
+        raise SchemaError(f"line {lineno}: not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
     if not isinstance(data, dict):
@@ -433,13 +436,7 @@ def _decode_line(
         raise SchemaError(f"line {lineno}: {exc}") from exc
 
 
-def _read_jsonl(path: str | Path, parse: Callable[[str, int], Any]) -> list[Any]:
-    """Parse every non-blank line of a JSONL file, numbering lines from 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [parse(line, lineno) for lineno, line in enumerate(fh, start=1) if line.strip()]
-
-
-_READ_CHUNK = 1024  # non-blank lines per json.loads pass of a columnar read
+_READ_CHUNK = 1024  # lines per json.loads pass
 
 
 def _read_columns(
@@ -448,54 +445,57 @@ def _read_columns(
     required: set[str],
     pull: Callable[[list[dict[str, Any]]], dict[str, np.ndarray]],
     build: Callable[[dict[str, np.ndarray]], TrajectoryDataset],
-    reference: Callable[[], Any],
 ) -> TrajectoryDataset:
     """Decode a JSONL file straight into a dataset, ``_READ_CHUNK`` lines at a time.
 
-    Each chunk's lines must be JSON objects whose keys are among ``fields``
-    and include every ``required`` one; ``pull`` turns the chunk into
-    arrays by name, and ``build`` makes the dataset of their concatenation.
-    Any failure re-reads the file with the per-line ``reference``, which
-    raises the SchemaError that names the first bad line; a reference that
-    accepts the file instead is a bug, and the columnar error is re-raised.
+    ``pull`` turns a chunk of rows into arrays by name, failing on exactly
+    the rows that fail alone, and ``build`` makes the dataset of their
+    concatenation, raising the SchemaError for faults only the whole file
+    shows.  A failed chunk is decoded again line by line (``_decode_line``,
+    ``pull`` of one row each) to raise the SchemaError naming its first bad
+    line; a chunk whose every line decodes alone is a bug, re-raised.
     """
-    try:
-        parts: list[dict[str, np.ndarray]] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = filter(str.strip, fh)
-            while chunk := list(itertools.islice(lines, _READ_CHUNK)):
-                rows = list(map(json.loads, chunk))
+    parts = [pull([])]  # an empty file still has every column
+    # an undecodable byte is kept as a lone surrogate, which fails its line's check
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        start = 1  # the number of the chunk's first line
+        while chunk := list(itertools.islice(fh, _READ_CHUNK)):
+            lines = list(filter(str.strip, chunk))
+            try:
+                "".join(itertools.filterfalse(str.isascii, lines)).encode("utf-8")
+                rows = list(map(json.loads, lines))
                 if not (
-                    set(map(type, rows)) == {dict}
+                    set(map(type, rows)) <= {dict}
                     and all(map(fields.issuperset, rows))
                     and all(map(required.issubset, rows))
                 ):
                     raise ValueError("a line is not an object with the expected fields")
                 parts.append(pull(rows))
-        if not parts:
-            parts.append(pull([]))
-        return build({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
-    except (TypeError, ValueError, OverflowError) as exc:
-        rejected = exc
-    reference()
-    raise rejected
+            except (TypeError, ValueError, OverflowError):
+                for lineno, line in enumerate(chunk, start):
+                    if line.strip():
+                        _decode_line(line, lineno, fields, required, lambda data: pull([data]))
+                raise
+            start += len(chunk)
+    return build({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
 
 
 def _int64(values: Iterable[Any]) -> np.ndarray:
-    """``int(v)`` of each value as an int64 array; OverflowError past 64 bits."""
-    return np.array(list(map(int, values)), dtype=np.int64)
+    """``int(v)`` of each value: an int64 array, an object array if one is past 64 bits."""
+    ints = list(map(int, values))
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return object_array(ints)
 
 
-def _first_rows(qids: np.ndarray, values: np.ndarray, what: str) -> tuple[list[int], list[Any]]:
-    """Each query id with the value of its first row, in order of first rows.
-
-    A row whose value differs from its query's first is a ValueError.
-    """
+def _first_rows(qids: np.ndarray, values: np.ndarray) -> tuple[list[int], list[Any], int | None]:
+    """Each query id with the value of its first row, in order of first rows,
+    and the first row whose value differs from its query's first, if any."""
     ids, first, inverse = np.unique(qids, return_index=True, return_inverse=True)
-    if np.any(values != values[first][inverse]):
-        raise ValueError(f"conflicting {what}")
+    conflicts = np.flatnonzero(values != values[first][inverse])
     order = np.argsort(first)
-    return ids[order].tolist(), values[first[order]].tolist()
+    return ids[order].tolist(), values[first[order]].tolist(), int(conflicts[0]) if len(conflicts) else None
 
 
 _SNAPSHOT_FIELDS = {
@@ -504,83 +504,76 @@ _SNAPSHOT_FIELDS = {
 _SNAPSHOT_REQUIRED = {"query_id", "sample_index", "iteration", "length_tokens", "correct"}
 
 
-def _entry_from_snapshot(data: dict[str, Any]) -> Entry:
-    if not isinstance(data["correct"], bool):
-        raise TypeError("correct must be true or false")
-    level = data.get("level")
-    qid = int(data["query_id"])
-    record = QueryRecord(id=qid, gt_answer="", level=None if level is None else int(level))
-    traj = Trajectory(
-        query_id=qid,
-        sample_index=int(data["sample_index"]),
-        iteration=int(data["iteration"]),
-        length_tokens=int(data["length_tokens"]),
-        extracted_answer="",
-        correct=data["correct"],
-        origin=data.get("origin", ORIGIN_EXPLORED),
-        prefix_steps=int(data.get("prefix_steps", 0)),
-    )
-    return record, traj
-
-
-def parse_snapshot_line(line: str, lineno: int) -> Entry:
-    """Inverse of the snapshot encoding, up to the fields a snapshot omits."""
-    return _decode_line(line, lineno, _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _entry_from_snapshot)
-
-
-def load_snapshot(path: str | Path) -> list[Entry]:
-    """Read a ``datasets/*.jsonl`` snapshot back into (query, trajectory) pairs."""
-    return _read_jsonl(path, parse_snapshot_line)
-
-
 def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
+    """Snapshot rows as columns, converted and checked in the order a
+    ``QueryRecord`` and then a ``Trajectory`` of each row would be.  Values
+    past 64 bits pass, as they do there; the dataset constructor rejects them."""
     correct = list(map(itemgetter("correct"), rows))
     if not all(type(ok) is bool for ok in correct):
-        raise ValueError("correct must be true or false")
+        raise TypeError("correct must be true or false")
+    query_id = _int64(map(itemgetter("query_id"), rows))
     levels = [r.get("level") for r in rows]
     level = _int64(0 if lv is None else lv for lv in levels)
     given = np.array([lv is not None for lv in levels], dtype=bool)
-    if np.any(given & ((level < LEVELS[0]) | (level > LEVELS[-1]))):
-        raise ValueError(f"level must be in {LEVELS} when set")
+    bad = np.flatnonzero(given & ((level < LEVELS[0]) | (level > LEVELS[-1])))
+    if len(bad):
+        raise ValueError(f"level must be in {LEVELS} when set, got {level[bad[0]]}")
+    sample_index = _int64(map(itemgetter("sample_index"), rows))
+    iteration = _int64(map(itemgetter("iteration"), rows))
+    length_tokens = _int64(map(itemgetter("length_tokens"), rows))
+    prefix_steps = _int64(r.get("prefix_steps", 0) for r in rows)
+    if np.any(sample_index < 1):
+        raise ValueError("sample_index must be >= 1")
+    if np.any(iteration < 1):
+        raise ValueError("iteration must be >= 1")
+    if np.any(length_tokens < 0):
+        raise ValueError("length_tokens must be >= 0")
+    origins = [r.get("origin", ORIGIN_EXPLORED) for r in rows]
+    origin = np.array([ORIGIN_RANK.get(o, -1) for o in origins], dtype=np.int64)
+    bad = np.flatnonzero(origin < 0)
+    if len(bad):
+        raise ValueError(f"unknown origin {origins[bad[0]]!r}")
+    if np.any((prefix_steps != 0) & (origin != ORIGIN_RANK[ORIGIN_RESAMPLED_GR])):
+        raise ValueError("prefix_steps is only meaningful for guided resamples")
+    if np.any(prefix_steps < 0):
+        raise ValueError("prefix_steps must be >= 0")
     return {
-        "query_id": _int64(map(itemgetter("query_id"), rows)),
+        "query_id": query_id,
         "level": level,
-        "iteration": _int64(map(itemgetter("iteration"), rows)),
-        # an unknown origin ranks -1, which the dataset constructor rejects
-        "origin": np.array([ORIGIN_RANK.get(r.get("origin", ORIGIN_EXPLORED), -1) for r in rows], dtype=np.int64),
-        "sample_index": _int64(map(itemgetter("sample_index"), rows)),
-        "prefix_steps": _int64(r.get("prefix_steps", 0) for r in rows),
-        "length_tokens": _int64(map(itemgetter("length_tokens"), rows)),
+        "iteration": iteration,
+        "origin": origin,
+        "sample_index": sample_index,
+        "prefix_steps": prefix_steps,
+        "length_tokens": length_tokens,
         "correct": np.array(correct, dtype=bool),
     }
 
 
-def _snapshot_dataset(c: dict[str, np.ndarray], role: str) -> TrajectoryDataset:
-    ids, levels = _first_rows(c["query_id"], c["level"], "levels")
+def _snapshot_dataset(path: str | Path, c: dict[str, np.ndarray], role: str) -> TrajectoryDataset:
+    """The dataset of a snapshot's rows; what breaks it is a SchemaError naming
+    the file, in ``from_entries``' order: a query given two levels, a value
+    past 64 bits, a row that ``role`` does not allow."""
+    qids = c["query_id"]
+    ids, levels, conflict = _first_rows(qids, c["level"])
+    if conflict is not None:
+        raise SchemaError(f"{path}: conflicting records for query {qids[conflict]}")
     records = {q: QueryRecord(id=q, gt_answer="", level=lv or None) for q, lv in zip(ids, levels)}
-    return TrajectoryDataset(role, c, np.full(len(c["query_id"]), "", dtype=object), records)
-
-
-def _snapshot_reference(path: str | Path, role: str) -> TrajectoryDataset:
-    entries = load_snapshot(path)
     try:
-        return TrajectoryDataset.from_entries(entries, role)
-    except ValueError as exc:  # levels that differ within a query, 64-bit overflow, role invariants
+        return TrajectoryDataset(role, c, np.full(len(qids), "", dtype=object), records)
+    except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
 def read_snapshot(path: str | Path, role: str) -> TrajectoryDataset:
     """A ``datasets/*.jsonl`` snapshot as a dataset tagged ``role``.
 
-    Decoded straight into columns, it equals ``from_entries`` of
-    :func:`load_snapshot`'s pairs.  A bad line is a SchemaError naming it;
+    Decoded straight into columns.  A bad line is a SchemaError naming it;
     lines that break a dataset invariant together (two levels for one
     query, a value past 64 bits, a wrong row for ``role``) are a SchemaError
     naming the file.
     """
     return _read_columns(
-        path, _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _snapshot_chunk,
-        lambda c: _snapshot_dataset(c, role), lambda: _snapshot_reference(path, role),
+        path, _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _snapshot_chunk, lambda c: _snapshot_dataset(path, c, role)
     )
 
 
@@ -661,21 +654,6 @@ _LOG_FIELDS = {"query_id", "gt_answer", "extracted_answer", "token_count", "step
 _LOG_REQUIRED = {"query_id", "gt_answer", "extracted_answer", "token_count"}
 
 
-def _log_record(data: dict[str, Any]) -> TrajectoryLogRecord:
-    return TrajectoryLogRecord(
-        query_id=int(data["query_id"]),
-        gt_answer=str(data["gt_answer"]),
-        extracted_answer=str(data["extracted_answer"]),
-        token_count=int(data["token_count"]),
-        step_offsets=tuple(int(x) for x in data.get("step_offsets", ())),
-        iteration=int(data.get("iteration", 1)),
-    )
-
-
-def parse_log_line(line: str, lineno: int) -> TrajectoryLogRecord:
-    return _decode_line(line, lineno, _LOG_FIELDS, _LOG_REQUIRED, _log_record)
-
-
 def _sample_dataset(
     qids: np.ndarray, iteration: Any, length_tokens: Any, answers: np.ndarray, gt: dict[int, str]
 ) -> TrajectoryDataset:
@@ -714,12 +692,21 @@ def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
 
 
 def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
+    """Log rows as columns, converted and checked in the order a
+    ``TrajectoryLogRecord`` of each row would be."""
+    query_id = _int64(map(itemgetter("query_id"), rows))
+    gt_answer = object_array(map(str, map(itemgetter("gt_answer"), rows)))
+    answers = object_array(map(str, map(itemgetter("extracted_answer"), rows)))
     token_count = _int64(map(itemgetter("token_count"), rows))
-    iteration = _int64(r.get("iteration", 1) for r in rows)
-    if np.any(token_count < 0) or np.any(iteration < 1):
-        raise ValueError("token_count must be >= 0 and iteration >= 1")
     offsets = [r.get("step_offsets", ()) for r in rows]
     flat = list(map(int, itertools.chain.from_iterable(offsets)))
+    iteration = _int64(r.get("iteration", 1) for r in rows)
+    if np.any(token_count < 0):
+        raise ValueError("token_count must be >= 0")
+    if np.any(iteration < 1):
+        raise ValueError("iteration must be >= 1")
+    if any(col.dtype == object for col in (query_id, token_count, iteration)):
+        raise ValueError("query_id, token_count and iteration must fit in 64 bits")
     try:
         flat = np.array(flat, dtype=np.int64)
     except OverflowError:  # clamped to [0, 2**63-1], an offset is inside (0, token_count) iff it was
@@ -730,30 +717,31 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     if np.any((o[1:] == o[:-1]) & (b[1:] <= b[:-1])):
         raise ValueError("step_offsets must be strictly ascending")
     return {
-        "query_id": _int64(map(itemgetter("query_id"), rows)),
+        "query_id": query_id,
         "iteration": iteration,
         "length_tokens": token_count,
-        "gt_answer": object_array(map(str, map(itemgetter("gt_answer"), rows))),
-        "answers": object_array(map(str, map(itemgetter("extracted_answer"), rows))),
+        "gt_answer": gt_answer,
+        "answers": answers,
     }
 
 
 def _log_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
-    ids, gts = _first_rows(c["query_id"], c["gt_answer"], "gt_answer")
-    return _sample_dataset(c["query_id"], c["iteration"], c["length_tokens"], c["answers"], dict(zip(ids, gts)))
+    qids = c["query_id"]
+    ids, gts, conflict = _first_rows(qids, c["gt_answer"])
+    if conflict is not None:
+        raise SchemaError(f"record {conflict + 1}: conflicting gt_answer for query {qids[conflict]}")
+    return _sample_dataset(qids, c["iteration"], c["length_tokens"], c["answers"], dict(zip(ids, gts)))
 
 
 def load_log(path: str | Path) -> TrajectoryDataset:
     """A trajectory log as a sample dataset, decoded straight into columns.
 
-    It equals :func:`log_to_dataset` of the log's :func:`parse_log_line`
-    records, and a bad line or a gt conflict is the SchemaError that path
-    raises.  Its length is the log's record count.
+    It equals :func:`log_to_dataset` of the log's lines read as
+    ``TrajectoryLogRecord`` objects.  A bad line is a SchemaError naming it;
+    a record that gives its query a second ``gt_answer`` is one naming that
+    record.  Its length is the log's record count.
     """
-    return _read_columns(
-        path, _LOG_FIELDS, _LOG_REQUIRED, _log_chunk, _log_dataset,
-        lambda: log_to_dataset(_read_jsonl(path, parse_log_line)),
-    )
+    return _read_columns(path, _LOG_FIELDS, _LOG_REQUIRED, _log_chunk, _log_dataset)
 
 
 def rebalance_offline(

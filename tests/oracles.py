@@ -1,6 +1,6 @@
 """Independent brute-force evaluations of the reshaping set-builder rules,
-the metrics row, the snapshot line encoding, the pass-rate measurement and
-answer normalization.
+the metrics row, the snapshot line encoding and decoding, the log decoding,
+the pass-rate measurement and answer normalization.
 
 These deliberately avoid the library's dataset machinery: plain dicts of
 lists, straight loops.  Threshold clipping shares the library's pinned draw key
@@ -11,12 +11,24 @@ keep-the-L-smallest rule around it are re-derived here with scalar draws.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
+from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from headtail import rng
+from headtail.core import ORIGIN_EXPLORED, Entry, QueryRecord, Trajectory, TrajectoryDataset
+from headtail.harness import (
+    _LOG_FIELDS,
+    _LOG_REQUIRED,
+    _SNAPSHOT_FIELDS,
+    _SNAPSHOT_REQUIRED,
+    SchemaError,
+    TrajectoryLogRecord,
+)
 
 
 def group(entries):
@@ -184,3 +196,97 @@ def normalize_unguarded(raw, rules):
     if rules.trim_whitespace:
         s = s.strip()
     return s
+
+
+# -- per-line JSONL codec ----------------------------------------------------
+# One object per line: the reference the columnar readers (harness.load_log,
+# harness.read_snapshot) must match, result for result and message for message.
+
+
+def _decode_line(
+    line: str,
+    lineno: int,
+    fields: set[str],
+    required: set[str],
+    build: Callable[[dict[str, Any]], Any],
+) -> Any:
+    """Decode one JSONL line into the value ``build`` makes of it.
+
+    The line must be a JSON object whose keys are among ``fields`` and
+    include every ``required`` one; any failure, ``build``'s included, is a
+    SchemaError naming the line.
+    """
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"line {lineno}: expected a JSON object")
+    unknown = set(data) - fields
+    if unknown:
+        raise SchemaError(f"line {lineno}: unknown fields {sorted(unknown)}")
+    missing = required - set(data)
+    if missing:
+        raise SchemaError(f"line {lineno}: missing fields {sorted(missing)}")
+    try:
+        return build(data)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of Infinity
+        raise SchemaError(f"line {lineno}: {exc}") from exc
+
+
+def _read_jsonl(path: str | Path, parse: Callable[[str, int], Any]) -> list[Any]:
+    """Parse every non-blank line of a JSONL file, numbering lines from 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [parse(line, lineno) for lineno, line in enumerate(fh, start=1) if line.strip()]
+
+
+def _log_record(data: dict[str, Any]) -> TrajectoryLogRecord:
+    return TrajectoryLogRecord(
+        query_id=int(data["query_id"]),
+        gt_answer=str(data["gt_answer"]),
+        extracted_answer=str(data["extracted_answer"]),
+        token_count=int(data["token_count"]),
+        step_offsets=tuple(int(x) for x in data.get("step_offsets", ())),
+        iteration=int(data.get("iteration", 1)),
+    )
+
+
+def parse_log_line(line: str, lineno: int) -> TrajectoryLogRecord:
+    return _decode_line(line, lineno, _LOG_FIELDS, _LOG_REQUIRED, _log_record)
+
+
+def _entry_from_snapshot(data: dict[str, Any]) -> Entry:
+    if not isinstance(data["correct"], bool):
+        raise TypeError("correct must be true or false")
+    level = data.get("level")
+    qid = int(data["query_id"])
+    record = QueryRecord(id=qid, gt_answer="", level=None if level is None else int(level))
+    traj = Trajectory(
+        query_id=qid,
+        sample_index=int(data["sample_index"]),
+        iteration=int(data["iteration"]),
+        length_tokens=int(data["length_tokens"]),
+        extracted_answer="",
+        correct=data["correct"],
+        origin=data.get("origin", ORIGIN_EXPLORED),
+        prefix_steps=int(data.get("prefix_steps", 0)),
+    )
+    return record, traj
+
+
+def parse_snapshot_line(line: str, lineno: int) -> Entry:
+    """Inverse of the snapshot encoding, up to the fields a snapshot omits."""
+    return _decode_line(line, lineno, _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _entry_from_snapshot)
+
+
+def load_snapshot(path: str | Path) -> list[Entry]:
+    """Read a ``datasets/*.jsonl`` snapshot back into (query, trajectory) pairs."""
+    return _read_jsonl(path, parse_snapshot_line)
+
+
+def _snapshot_reference(path: str | Path, role: str) -> TrajectoryDataset:
+    entries = load_snapshot(path)
+    try:
+        return TrajectoryDataset.from_entries(entries, role)
+    except ValueError as exc:  # levels that differ within a query, 64-bit overflow, role invariants
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -238,6 +238,26 @@ class TestRebalanceVerb:
         assert code == 0
         assert len(summary.read_text().splitlines()) == 2
 
+    def test_summary_into_missing_directory(self, tmp_path):
+        src = write_log(tmp_path, {1: 4}, K=4)
+        summary = tmp_path / "nodir" / "deeper" / "x.csv"
+        code = main(
+            ["rebalance", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
+             "--strategy", "rp", "--k", "4", "--summary", str(summary)]
+        )
+        assert code == 0
+        assert len(summary.read_text().splitlines()) == 2
+
+    def test_non_utf8_log_exit_schema(self, tmp_path, capsys):
+        src = write_log(tmp_path, {1: 2}, K=2)
+        with open(src, "ab") as fh:
+            fh.write(b"\n" + b'{"query_id": 1, "gt_answer": "a\xff", "extracted_answer": "a", "token_count": 30}\n')
+        out = tmp_path / "o.jsonl"
+        code = main(["rebalance", "--input", str(src), "--output", str(out), "--strategy", "vanilla", "--k", "2"])
+        assert code == 3
+        assert capsys.readouterr().err == "schema error: line 4: not valid UTF-8\n"
+        assert not out.exists()
+
 
 class TestReportVerb:
     def test_recompute_from_snapshot(self, tmp_path, capsys):
@@ -338,6 +358,32 @@ class TestReportVerb:
             assert "line 2" in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("name", ["train_final", "filter_final"])
+    def test_bad_line_error_names_its_snapshot(self, tmp_path, capsys, name):
+        # report --dataset train_final also reads filter_final for the per-query counts
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--seed", "0", "--output-dir", str(out)]) == 0
+        snapshot = out / "datasets" / f"{name}.jsonl"
+        lines = snapshot.read_text().splitlines()
+        lines[1] = lines[1].replace('"correct": true', '"correct": 1')
+        snapshot.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out), "--dataset", "train_final"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"schema error: {snapshot}: line 2: correct must be true or false\n"
+        assert captured.out == ""
+
+    def test_non_utf8_snapshot_exit_schema(self, tmp_path, capsys):
+        line = {"query_id": 1, "sample_index": 1, "iteration": 1, "origin": "explored",
+                "prefix_steps": 0, "length_tokens": 30, "level": 2, "correct": True}
+        snapshot = tmp_path / "datasets" / "train_final.jsonl"
+        snapshot.parent.mkdir()
+        snapshot.write_bytes(json.dumps(line).encode() + b"\n" + json.dumps(line).encode()[:-1] + b', "x\xff": 1}\n')
+        assert main(["report", "--run-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"schema error: {snapshot}: line 2: not valid UTF-8\n"
+        assert captured.out == ""
+
     def test_conflicting_levels_exit_schema(self, tmp_path, capsys):
         line = {"query_id": 1, "sample_index": 1, "iteration": 1, "origin": "explored",
                 "prefix_steps": 0, "length_tokens": 30, "level": 2, "correct": True}
@@ -347,7 +393,8 @@ class TestReportVerb:
         snapshot.write_text(json.dumps(line) + "\n" + json.dumps(other) + "\n")
         assert main(["report", "--run-dir", str(tmp_path)]) == 3
         captured = capsys.readouterr()
-        assert "conflicting records for query 1" in captured.err
+        # a file-level error names the snapshot once
+        assert captured.err == f"schema error: {snapshot}: conflicting records for query 1\n"
         assert captured.out == ""
 
     def test_values_beyond_64_bits_exit_schema(self, tmp_path, capsys):

@@ -13,14 +13,13 @@ from headtail.harness import (
     TrajectoryLogRecord,
     emit_report,
     load_log,
-    load_snapshot,
     log_to_dataset,
-    parse_log_line,
-    parse_snapshot_line,
+    read_snapshot,
     rebalance_offline,
     run,
     write_atomic,
 )
+from headtail.core import ROLE_TRAIN
 from headtail.learner import CorpusParams, LearnerParams
 from headtail.rewards import DEFAULT_RULES
 from headtail.strategies import StrategyConfig
@@ -349,9 +348,10 @@ class TestOfflineLogs:
         with pytest.raises(SchemaError, match="conflicting gt_answer"):
             log_to_dataset(records)
 
-    def test_parse_rejects_missing_fields(self):
-        with pytest.raises(SchemaError, match="missing fields"):
-            parse_log_line('{"query_id": 1}', 7)
+    def test_parse_rejects_missing_fields(self, tmp_path):
+        src = self.write_log(tmp_path, [""] * 6 + ['{"query_id": 1}'])
+        with pytest.raises(SchemaError, match="line 7: missing fields"):
+            load_log(src)
 
     def test_step_offsets_must_ascend_inside_response(self):
         with pytest.raises(ValueError, match="strictly ascending"):
@@ -366,7 +366,7 @@ class TestSnapshotCodec:
         for kind in ("gr", "sc", "ar"):
             rep = run(small_config(strategy=StrategyConfig(kind=kind)), seed=0)
             emit_report(rep, tmp_path / kind)
-            decoded = load_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl")
+            decoded = read_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl", ROLE_TRAIN)
             assert [snapshot_entry(r, t) for r, t in decoded] == [
                 snapshot_entry(r, t) for r, t in rep.final_train
             ]
@@ -382,9 +382,11 @@ class TestSnapshotCodec:
              "level must be in"),
         ],
     )
-    def test_bad_lines_are_schema_errors(self, line, message):
+    def test_bad_lines_are_schema_errors(self, tmp_path, line, message):
+        path = tmp_path / "snapshot.jsonl"
+        path.write_text("\n" * 3 + line + "\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=f"line 4: .*{message}"):
-            parse_snapshot_line(line, 4)
+            read_snapshot(path, ROLE_TRAIN)
 
 
 class TestEmitReport:

@@ -1,12 +1,14 @@
 """Property tests of the columnar JSONL readers against the per-line reference.
 
 ``harness.load_log`` and ``harness.read_snapshot`` decode a file straight
-into dataset columns, a few lines per ``json.loads`` pass.  The reference
-decodes one line at a time into objects (``parse_log_line`` +
-``log_to_dataset``, ``load_snapshot`` + ``from_entries``).  On every file
-both must give the same columns, answers and records, or raise the same
-SchemaError.  The chunk size is patched down to 1-3 lines so that chunk
-boundaries, and bad lines past the first chunk, are exercised.
+into dataset columns, a few lines per ``json.loads`` pass; when a pass
+fails they decode its lines one at a time to name the bad one.  The
+reference in ``oracles.py`` decodes every line into objects
+(``parse_log_line`` + ``log_to_dataset``, ``load_snapshot`` +
+``from_entries``).  On every file both must give the same columns,
+answers and records, or raise the same SchemaError.  The chunk size is
+patched down to 1-3 lines so that chunk boundaries, and bad lines past
+the first chunk, are exercised.
 """
 
 import json
@@ -20,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from headtail import harness
 from headtail.core import ORIGIN_RESAMPLED_GR, ORIGINS, ROLE_FILTER, ROLE_SAMPLE, ROLE_TRAIN
 from headtail.harness import SchemaError, load_log, read_snapshot
+
+import oracles
 
 # values int() may or may not take, in every JSON type
 HOSTILE_INTS = st.one_of(
@@ -183,7 +187,7 @@ def both_outcomes(text, chunk, columnar, reference):
 
 
 def log_reference(path):
-    return harness.log_to_dataset(harness._read_jsonl(path, harness.parse_log_line))
+    return harness.log_to_dataset(oracles._read_jsonl(path, oracles.parse_log_line))
 
 
 @given(jsonl_files(log_records(), LOG_FAULTS), st.integers(1, 3))
@@ -198,7 +202,7 @@ def test_log_reader_matches_per_line_reference(text, chunk):
 @settings(max_examples=100, deadline=None)
 def test_snapshot_reader_matches_per_line_reference(text, chunk, role):
     got, expected = both_outcomes(
-        text, chunk, lambda p: read_snapshot(p, role), lambda p: harness._snapshot_reference(p, role)
+        text, chunk, lambda p: read_snapshot(p, role), lambda p: oracles._snapshot_reference(p, role)
     )
     assert got == expected
 
@@ -211,7 +215,7 @@ def _log_line(qid, gt="a", offsets=(2, 5), tokens=10):
 def test_valid_log_never_reaches_the_per_line_decoder(tmp_path, monkeypatch):
     path = tmp_path / "log.jsonl"
     path.write_text("".join(_log_line(q) + "\n" for q in (1, 2, 1)), encoding="utf-8")
-    monkeypatch.setattr(harness, "parse_log_line", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(harness, "_decode_line", mock.Mock(side_effect=AssertionError))
     monkeypatch.setattr(harness, "_READ_CHUNK", 2)
     sample = load_log(path)
     assert len(sample) == 3
@@ -264,9 +268,81 @@ def test_snapshot_error_past_the_first_chunk(tmp_path, monkeypatch, bad, message
     assert str(info.value) == message.format(path=path)
 
 
-def test_rejection_the_reference_accepts_is_reraised(tmp_path, monkeypatch):
+# one line with two faults: the reader must name the one the per-line decoder checks first
+@pytest.mark.parametrize(
+    "fault",
+    [
+        {"query_id": "x", "token_count": "y"},
+        {"iteration": "x", "step_offsets": [None]},
+        {"token_count": -1, "query_id": 2**64},
+        {"iteration": 0, "token_count": 2**63},
+        {"query_id": 2**64, "step_offsets": [5, 3]},
+        {"token_count": -1, "iteration": 0},
+    ],
+)
+def test_log_line_with_two_faults_matches_reference(fault):
+    bad = json.dumps({**json.loads(_log_line(2)), **fault})
+    got, expected = both_outcomes(_log_line(1) + "\n" + bad + "\n", 2, load_log, log_reference)
+    assert got == expected
+    assert got.startswith("line 2: ")
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        {"correct": 1, "query_id": "x"},
+        {"query_id": "x", "level": 9},
+        {"level": 0, "sample_index": "x"},
+        {"sample_index": 0, "iteration": 0},
+        {"iteration": 0, "length_tokens": -1},
+        {"length_tokens": -1, "origin": ["explored"]},
+        {"origin": "bogus", "prefix_steps": -1},
+        {"prefix_steps": "x", "length_tokens": -1},
+        {"origin": "explored", "prefix_steps": -1},
+        {"length_tokens": 2**64, "sample_index": 0},
+    ],
+)
+def test_snapshot_line_with_two_faults_matches_reference(fault):
+    bad = _snapshot_line(2, **fault)
+    got, expected = both_outcomes(
+        _snapshot_line(1) + "\n" + bad + "\n", 2,
+        lambda p: read_snapshot(p, ROLE_TRAIN), lambda p: oracles._snapshot_reference(p, ROLE_TRAIN),
+    )
+    assert got == expected
+    assert got.startswith("line 2: ")
+
+
+_NOT_UTF8 = b'{"query_id": 2, "gt_answer": "a\xff", "extracted_answer": "a", "token_count": 10}'
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([_log_line(1), "", _log_line(2), _log_line(3), _NOT_UTF8, _log_line(4)], "line 5: not valid UTF-8"),
+        # within a chunk, the first bad line wins, whatever its fault
+        ([_log_line(1), _NOT_UTF8, _log_line(2, offsets=(5, 3))], "line 2: not valid UTF-8"),
+        ([_log_line(1), _log_line(2, offsets=(5, 3)), _NOT_UTF8], "line 2: step_offsets must be strictly ascending"),
+    ],
+)
+def test_line_that_is_not_utf8_is_named(tmp_path, monkeypatch, lines, message):
     path = tmp_path / "log.jsonl"
-    path.write_text(_log_line(1) + "\n", encoding="utf-8")
-    monkeypatch.setattr(harness, "_log_chunk", mock.Mock(side_effect=ValueError("columnar bug")))
+    path.write_bytes(b"".join((line if isinstance(line, bytes) else line.encode()) + b"\n" for line in lines))
+    monkeypatch.setattr(harness, "_READ_CHUNK", 3)
+    with pytest.raises(SchemaError) as info:
+        load_log(path)
+    assert str(info.value) == message
+
+
+def test_chunk_error_no_single_line_reproduces_is_reraised(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    path.write_text(_log_line(1) + "\n" + _log_line(2) + "\n", encoding="utf-8")
+    log_chunk = harness._log_chunk
+
+    def fails_on_two_rows(rows):
+        if len(rows) > 1:
+            raise ValueError("columnar bug")
+        return log_chunk(rows)
+
+    monkeypatch.setattr(harness, "_log_chunk", fails_on_two_rows)
     with pytest.raises(ValueError, match="columnar bug"):
         load_log(path)

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` instruments the package from outside by replacing
 module and class attributes it looks up by name.  Its own test lives
 outside this suite, so a renamed or deleted wrapped name would otherwise
-go unnoticed here.  This runs one tiny loop and one tiny offline
-rebalance under the tracer and checks the stage spans they must record.
+go unnoticed here.  This runs one tiny loop, a report on its run
+directory and one tiny offline rebalance under the tracer, and checks the
+stage spans they must record.
 """
 
 import json
@@ -15,6 +16,7 @@ from headtail import cli, core, harness, learner, rewards, rng, strategies
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SPANS = (
+    "cli.report",
     "harness.loop",
     "strategies.reshape",
     "rewards.filter",
@@ -42,6 +44,7 @@ def test_instrumented_names_resolve_and_restore(tmp_path, monkeypatch):
     try:
         assert cli.main(["run", "--strategy", "tc", "--n", "10", "--k", "2", "--l", "1", "--t", "1",
                          "--seed", "0", "--output-dir", str(tmp_path / "run")]) == 0
+        assert cli.main(["report", "--run-dir", str(tmp_path / "run")]) == 0
         assert cli.main(["rebalance", "--input", str(log), "--output", str(tmp_path / "tc.jsonl"),
                          "--strategy", "tc", "--k", "4", "--l", "2"]) == 0
     finally:
