@@ -6,6 +6,8 @@ from .core import (
     ORIGIN_EXPLORED,
     ORIGIN_RESAMPLED_AR,
     ORIGIN_RESAMPLED_GR,
+    Corpus,
+    CorpusMismatchError,
     QueryRecord,
     Trajectory,
     TrajectoryDataset,

@@ -184,7 +184,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"aborted {outdir}: {outcome}", file=sys.stderr)
         else:
             lines.append(f"{outdir},{seed}," + ",".join(outcome))
-    base_out.mkdir(parents=True, exist_ok=True)
     write_atomic(base_out / "sweep_summary.csv", "\n".join(lines) + "\n")
     print(f"{len(jobs)} runs under {base_out}")
     return EXIT_ABORT if any(isinstance(outcome, str) for _, _, outcome in results) else EXIT_OK
@@ -202,10 +201,11 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
         except ValueError as exc:  # a bad line, or not UTF-8
             raise ConfigError(f"{args.alias_table}: {exc}") from exc
         rules = dataclasses.replace(rules, symbol_aliases=aliases)
+    if args.summary and Path(args.summary).is_dir():
+        raise ConfigError(f"summary path {args.summary} is a directory")
     summary = rebalance_offline(args.input, strategy, args.k, args.output, rules=rules)
     row = summary.pop("metrics_row")
     if args.summary:
-        Path(args.summary).parent.mkdir(parents=True, exist_ok=True)
         write_atomic(args.summary, rows_to_csv([row]))
     print(
         f"{summary['input_records']} records in, {summary['filtered']} kept by reward, "
@@ -219,9 +219,12 @@ _SNAPSHOT_ROLES = {"train_final": ROLE_TRAIN, "filter_final": ROLE_FILTER}
 
 
 def _read_named_snapshot(path: Path, role: str) -> TrajectoryDataset:
-    """``read_snapshot``, with every SchemaError naming ``path`` once."""
+    """``read_snapshot``, with every SchemaError naming ``path`` once; a
+    snapshot that cannot be read (a directory, say) is a SchemaError too."""
     try:
         return read_snapshot(path, role)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read snapshot ({exc.strerror or exc})") from exc
     except SchemaError as exc:
         if str(exc).startswith(f"{path}: "):  # a file-level error names it already
             raise

@@ -13,17 +13,21 @@ with origin rank explored < resampled_ar < resampled_gr < corrected.
 
 Layout
 ------
+The queries a dataset refers to live in a :class:`Corpus`: one read-only
+column per query field (id, ground truth, level with 0 for unset, latent
+difficulty, base log-length) in ascending id order.  A run builds one
+corpus, and every dataset of the run and the learner share it.
+
 A dataset is stored column-wise: one read-only numpy array per field
 (``COLUMNS``: query id, level with 0 for unset, iteration, origin rank,
 sample index, prefix steps and tokens, length, correct flag, and
 corrected_from with -1 for unset), an object array of extracted answers,
-and a table from query id to its :class:`QueryRecord`.  The constructor
-alone holds the unset values: origin, prefix steps and tokens and
-corrected_from may be left out of it.  Every transform is index
-arithmetic on those columns: select rows, repeat them, concatenate two
-datasets, and restore canonical order with one stable ``np.lexsort`` over
-the ``entry_sort_key`` fields, so entries with equal keys keep their
-relative order.
+and its corpus.  The constructor alone holds the unset values: origin,
+prefix steps and tokens and corrected_from may be left out of it.  Every
+transform is index arithmetic on those columns: select rows, repeat them,
+concatenate two datasets, and restore canonical order with one stable
+``np.lexsort`` over the ``entry_sort_key`` fields, so entries with equal
+keys keep their relative order.
 
 Python objects exist only at the edges:
 
@@ -32,8 +36,9 @@ Python objects exist only at the edges:
   read from disk are decoded straight into columns and never pass through
   it;
 * :attr:`TrajectoryDataset.entries` builds fresh pairs from the columns on
-  first access and caches them on that dataset only; no object is carried
-  over from the dataset a transform started from.
+  first access and caches them on that dataset only; its records come from
+  :attr:`Corpus.records`, built once per corpus, the one place records
+  are made from columns.
 
 The simulation loop itself never builds entries: sampling, resampling and
 correction all come back from the sampler as columns.
@@ -41,6 +46,7 @@ correction all come back from the sampler as columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -204,25 +210,115 @@ def _check_columns(role: str, c: dict[str, np.ndarray]) -> None:
         raise ValueError("discard datasets may only contain incorrect trajectories")
 
 
+_CORPUS_TYPES = {
+    "ids": np.int64, "gt_answer": object, "level": np.int64,
+    "latent_difficulty": np.float64, "base_log_length": np.float64,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Queries as read-only columns, one row per query, in ascending id order.
+
+    The fields are ``QueryRecord``'s, with ``level`` 0 for unset.  The
+    constructor takes the rows in any order and a scalar for a field equal
+    on every row; it runs ``QueryRecord``'s checks on whole columns and
+    rejects repeated ids.  ``dataclasses.replace`` makes a corpus with some
+    columns swapped.
+    """
+
+    ids: np.ndarray
+    gt_answer: np.ndarray
+    level: np.ndarray = 0
+    latent_difficulty: np.ndarray = 0.5
+    base_log_length: np.ndarray = math.log(300.0)
+
+    def __post_init__(self) -> None:
+        try:
+            cols = {name: np.asarray(getattr(self, name), dtype=t) for name, t in _CORPUS_TYPES.items()}
+        except OverflowError:
+            raise ValueError("corpus fields must fit in 64-bit integers") from None
+        order = np.argsort(cols["ids"], kind="stable")
+        for name, col in cols.items():
+            col = np.full(len(order), col) if col.ndim == 0 else col
+            if len(col) != len(order):
+                raise ValueError("corpus columns differ in length")
+            col = col[order]
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        d = self.latent_difficulty
+        for bad, message in (
+            (self.ids[1:] == self.ids[:-1], "query ids must be unique"),
+            (~((d >= 0.0) & (d <= 1.0)), "latent_difficulty must be in [0, 1]"),
+            ((self.level < 0) | (self.level > LEVELS[-1]), f"level must be in {LEVELS} when set"),
+            (~np.isfinite(self.base_log_length), "base_log_length must be finite"),
+        ):
+            if np.any(bad):
+                raise ValueError(message)
+
+    @classmethod
+    def of(cls, records: Iterable[QueryRecord]) -> "Corpus":
+        """The corpus of these records."""
+        records = list(records)
+        return cls(
+            [r.id for r in records],
+            object_array(r.gt_answer for r in records),
+            [r.level or 0 for r in records],
+            [r.latent_difficulty for r in records],
+            [r.base_log_length for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, query_ids: Any) -> np.ndarray:
+        """The row of each query id; an id not in the corpus is a ValueError naming it."""
+        query_ids = np.asarray(query_ids, dtype=np.int64)
+        rows = np.searchsorted(self.ids, query_ids)
+        found = rows < len(self.ids)
+        found[found] = self.ids[rows[found]] == query_ids[found]
+        if not found.all():
+            raise ValueError(f"unknown query {query_ids[~found][0]}")
+        return rows
+
+    @functools.cached_property
+    def records(self) -> dict[int, QueryRecord]:
+        """Query id -> its ``QueryRecord``, in id order, built on first use."""
+        columns = (self.ids, self.gt_answer, self.latent_difficulty, self.level, self.base_log_length)
+        return {
+            q: QueryRecord(q, gt, d, lv or None, b) for q, gt, d, lv, b in zip(*(c.tolist() for c in columns))
+        }
+
+    def union(self, other: "Corpus") -> "Corpus":
+        """Every query of both; a query in both must be equal in every field."""
+        if other is self:
+            return self
+        cols = {name: np.concatenate((getattr(self, name), getattr(other, name))) for name in _CORPUS_TYPES}
+        _, first, inverse = np.unique(cols["ids"], return_index=True, return_inverse=True)
+        if any(np.any(col != col[first][inverse]) for col in cols.values()):
+            raise CorpusMismatchError("corpus mismatch")
+        return Corpus(**{name: col[first] for name, col in cols.items()})
+
+
 class TrajectoryDataset:
     """An immutable, canonically ordered multiset of (query, trajectory) pairs.
 
     ``columns`` maps each name in ``COLUMNS`` to a read-only array with one
-    row per entry, ``answers`` holds the extracted answers and ``records``
-    maps every query id in the columns (possibly more) to its record.  The
-    constructor takes a scalar for a column that is equal on every row, and
-    the columns in ``_UNSET`` may be left out.  It checks every invariant
-    and, with ``sort``, puts the rows in canonical order.
+    row per entry, ``answers`` holds the extracted answers and ``corpus``
+    holds every query in the columns (possibly more).  The constructor
+    takes a scalar for a column that is equal on every row, and the columns
+    in ``_UNSET`` may be left out.  It checks every invariant and, with
+    ``sort``, puts the rows in canonical order.
     """
 
-    __slots__ = ("role", "columns", "answers", "records", "_entries")
+    __slots__ = ("role", "columns", "answers", "corpus", "_entries")
 
     def __init__(
         self,
         role: str,
         columns: dict[str, Any],
         answers: np.ndarray,
-        records: dict[int, QueryRecord],
+        corpus: Corpus,
         *,
         sort: bool = True,
     ):
@@ -251,7 +347,7 @@ class TrajectoryDataset:
         self.role = role
         self.columns = cols
         self.answers = answers
-        self.records = records
+        self.corpus = corpus
         self._entries: tuple[Entry, ...] | None = None
 
     @classmethod
@@ -284,7 +380,7 @@ class TrajectoryDataset:
             "corrected_from": [-1 if t.corrected_from is None else t.corrected_from for t in trajs],
         }
         answers = object_array(t.extracted_answer for t in trajs)
-        return cls(role, columns, answers, records)
+        return cls(role, columns, answers, Corpus.of(records.values()))
 
     @classmethod
     def empty(cls, role: str) -> "TrajectoryDataset":
@@ -295,7 +391,7 @@ class TrajectoryDataset:
         """The rows as (QueryRecord, Trajectory) pairs, built once on first access."""
         if self._entries is None:
             c = {name: col.tolist() for name, col in self.columns.items()}
-            records = self.records
+            records = self.corpus.records
             self._entries = tuple(
                 (records[q], Trajectory(q, s, it, n, a, ok, ORIGINS[o], ps, pt, None if cf < 0 else cf))
                 for q, s, it, n, a, ok, o, ps, pt, cf in zip(
@@ -334,11 +430,11 @@ class TrajectoryDataset:
         columns = {name: col[rows] for name, col in self.columns.items()}
         if correct is not None:
             columns["correct"] = correct
-        return TrajectoryDataset(role, columns, self.answers[rows], self.records, sort=sort)
+        return TrajectoryDataset(role, columns, self.answers[rows], self.corpus, sort=sort)
 
     def retagged(self, role: str) -> "TrajectoryDataset":
         """Same entries under a different role tag."""
-        return TrajectoryDataset(role, self.columns, self.answers, self.records, sort=False)
+        return TrajectoryDataset(role, self.columns, self.answers, self.corpus, sort=False)
 
     def query_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(query id, first row, row count) of each query's contiguous run of rows."""
@@ -358,7 +454,7 @@ class TrajectoryDataset:
     def gt_answers(self) -> np.ndarray:
         """Per row: the ground-truth answer of its query (object array)."""
         ids, _, counts = self.query_runs()
-        return np.repeat(object_array(self.records[q].gt_answer for q in ids.tolist()), counts)
+        return np.repeat(self.corpus.gt_answer[self.corpus.rows(ids)], counts)
 
 
 def run_positions(counts: np.ndarray) -> np.ndarray:
@@ -384,14 +480,10 @@ def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryData
 
     Duplicates are preserved and the result is re-sorted into canonical
     order (entries of ``a`` before equal-keyed entries of ``b``), so the
-    operation is associative and commutative up to that order.
+    operation is associative and commutative up to that order.  Datasets
+    of one run share one corpus; other corpora are united, and a query
+    they disagree on is a CorpusMismatchError.
     """
-    records = a.records
-    if b.records is not records:
-        for qid, record in b.records.items():
-            prior = records.get(qid)
-            if prior is not None and prior is not record and prior != record:
-                raise CorpusMismatchError("corpus mismatch")
-        records = {**records, **b.records}
     columns = {name: np.concatenate((a.columns[name], b.columns[name])) for name in COLUMNS}
-    return TrajectoryDataset(ROLE_TRAIN, columns, np.concatenate((a.answers, b.answers)), records)
+    answers = np.concatenate((a.answers, b.answers))
+    return TrajectoryDataset(ROLE_TRAIN, columns, answers, a.corpus.union(b.corpus))

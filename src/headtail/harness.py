@@ -34,6 +34,7 @@ line has decoded.  A file is taken whole or not at all.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -55,10 +56,11 @@ from .core import (
     ROLE_FILTER,
     ROLE_SAMPLE,
     ROLE_TRAIN,
-    QueryRecord,
+    Corpus,
     TrajectoryDataset,
     merge_datasets,
     object_array,
+    run_positions,
 )
 from .learner import (
     CorpusParams,
@@ -143,10 +145,13 @@ def _has_type(value: Any, hint: Any) -> bool:
     return isinstance(value, hint)
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per config class
+
+
 def _check_types(obj: Any, where: str = "") -> None:
     """Raise ConfigError on the first field of a config dataclass (nested
     ones included) whose value does not fit its annotation."""
-    hints = typing.get_type_hints(type(obj))
+    hints = _type_hints(type(obj))
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if not _has_type(value, hints[f.name]):
@@ -282,33 +287,26 @@ def _apply_strategy(
     iteration: int,
     filtered: TrajectoryDataset,
     discarded: TrajectoryDataset | None,
-    corpus: list[QueryRecord],
     sampler: LearnerState,
-    rules: AnswerNormalizationRules,
 ) -> TrajectoryDataset:
     kind = cfg.kind
     if kind in RESHAPING_KINDS:
         return reshape(kind, filtered, cfg.K, cfg.L, seed=cfg.seed, iteration=iteration)
     if kind == "ar":
-        return adaptive_resample(filtered, corpus, sampler, cfg.K, rules)[2]
+        return adaptive_resample(filtered, sampler.corpus, sampler, cfg.K)[2]
     if kind == "gr":
-        return guided_resample(filtered, sampler, cfg.L, cfg.S, rules)[2]
+        return guided_resample(filtered, sampler, cfg.L, cfg.S)[2]
     if kind == "sc":
-        return self_correct_augment(
-            filtered, discarded, sampler, cfg.K, cfg.min_cot_tokens, rules
-        )
+        return self_correct_augment(filtered, discarded, sampler, cfg.K, cfg.min_cot_tokens)
     raise ConfigError(f"unknown strategy kind {kind!r}")
 
 
-def _prepared_corpus_and_learner(
-    config: RunConfig, seed: int
-) -> tuple[list[QueryRecord], LearnerState]:
+def _prepared_corpus_and_learner(config: RunConfig, seed: int) -> LearnerState:
+    """The run's initial learner, over its corpus with calibrated levels."""
     corpus = synth_corpus(config.n_queries, seed, config.corpus)
     probe = init_learner(corpus, config.learner, seed)
-    levels = calibrate_difficulty(probe.pass_rates(corpus, config.calibration_shots))
-    corpus = [replace(r, level=levels[r.id]) for r in corpus]
-    learner = init_learner(corpus, config.learner, seed)
-    return corpus, learner
+    levels = calibrate_difficulty(probe.pass_rates(config.calibration_shots))
+    return init_learner(replace(corpus, level=levels), config.learner, seed)
 
 
 def _record_iteration(
@@ -334,22 +332,20 @@ def _train_next(
 ) -> LearnerState:
     if config.restart_each_iteration:
         source = base.clone()
-        source.draw_counter = dict(current.draw_counter)
+        source.draw_counter = current.draw_counter.copy()
         source.iteration = current.iteration
         return source.train(train_set, config.k_samples)
     return current.train(train_set, config.k_samples)
 
 
-def run(
-    config: RunConfig, seed: int | None = None, rules: AnswerNormalizationRules = DEFAULT_RULES
-) -> RunReport:
+def run(config: RunConfig, seed: int | None = None) -> RunReport:
     """Validate the config and run its mode with ``seed`` (default: first config seed)."""
     config.validate()
-    return _run_loop(config, seed if seed is not None else config.seeds[0], rules)
+    return _run_loop(config, seed if seed is not None else config.seeds[0])
 
 
-def _run_loop(config: RunConfig, seed: int, rules: AnswerNormalizationRules) -> RunReport:
-    corpus, learner = _prepared_corpus_and_learner(config, seed)
+def _run_loop(config: RunConfig, seed: int) -> RunReport:
+    learner = _prepared_corpus_and_learner(config, seed)
     base = learner.clone()
     strategy = config.resolved_strategy(seed)
     report = RunReport(config=config.to_dict(), seed=seed)
@@ -364,17 +360,17 @@ def _run_loop(config: RunConfig, seed: int, rules: AnswerNormalizationRules) -> 
     train_set = None
     try:
         for t in range(1, rounds + 1):
-            sample = learner.sample_batch(corpus, draws)
+            sample = learner.sample_batch(draws)
             if strategy.kind == "sc":
-                filtered, discarded = partition_dataset(sample, rules)
+                filtered, discarded = partition_dataset(sample)
             else:
-                filtered, discarded = filter_dataset(sample, rules), None
+                filtered, discarded = filter_dataset(sample), None
             if union and config.apply_point == "on_union":
                 union_filter = filtered if union_filter is None else merge_datasets(union_filter, filtered)
                 pool = union_filter.retagged(ROLE_FILTER)
-                train_set = _apply_strategy(strategy, t, pool, discarded, corpus, learner, rules)
+                train_set = _apply_strategy(strategy, t, pool, discarded, learner)
             else:
-                train_set = _apply_strategy(strategy, t, filtered, discarded, corpus, learner, rules)
+                train_set = _apply_strategy(strategy, t, filtered, discarded, learner)
                 if union:  # per_iteration: train on the union of every reshaped set
                     union_train = train_set if union_train is None else merge_datasets(union_train, train_set)
                     train_set = union_train
@@ -385,8 +381,8 @@ def _run_loop(config: RunConfig, seed: int, rules: AnswerNormalizationRules) -> 
             report.evals.append(
                 IterationEval(
                     iteration=t,
-                    greedy_pass1=learner.eval_greedy_pass1(corpus),
-                    sampled_pass1=learner.eval_sampled_pass1(corpus, t),
+                    greedy_pass1=learner.eval_greedy_pass1(),
+                    sampled_pass1=learner.eval_sampled_pass1(t),
                 )
             )
     except SamplerError as exc:
@@ -489,13 +485,12 @@ def _int64(values: Iterable[Any]) -> np.ndarray:
         return object_array(ints)
 
 
-def _first_rows(qids: np.ndarray, values: np.ndarray) -> tuple[list[int], list[Any], int | None]:
-    """Each query id with the value of its first row, in order of first rows,
-    and the first row whose value differs from its query's first, if any."""
+def _first_rows(qids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Each query id with the value of its first row, and the first row
+    whose value differs from its query's first, if any."""
     ids, first, inverse = np.unique(qids, return_index=True, return_inverse=True)
     conflicts = np.flatnonzero(values != values[first][inverse])
-    order = np.argsort(first)
-    return ids[order].tolist(), values[first[order]].tolist(), int(conflicts[0]) if len(conflicts) else None
+    return ids, values[first], int(conflicts[0]) if len(conflicts) else None
 
 
 _SNAPSHOT_FIELDS = {
@@ -557,9 +552,8 @@ def _snapshot_dataset(path: str | Path, c: dict[str, np.ndarray], role: str) -> 
     ids, levels, conflict = _first_rows(qids, c["level"])
     if conflict is not None:
         raise SchemaError(f"{path}: conflicting records for query {qids[conflict]}")
-    records = {q: QueryRecord(id=q, gt_answer="", level=lv or None) for q, lv in zip(ids, levels)}
     try:
-        return TrajectoryDataset(role, c, np.full(len(qids), "", dtype=object), records)
+        return TrajectoryDataset(role, c, np.full(len(qids), "", dtype=object), Corpus(ids, "", levels))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -605,11 +599,13 @@ def _snapshot_chunks(dataset: TrajectoryDataset) -> Iterator[str]:
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write ``text`` (a string or string chunks) to ``path`` all or nothing.
 
-    The text goes to a new temporary file in the same directory, which then
-    replaces ``path`` in one ``os.replace``; on any failure the temporary
-    file is removed and ``path`` is left as it was.
+    A missing parent directory is created.  The text goes to a new
+    temporary file in the same directory, which then replaces ``path`` in
+    one ``os.replace``; on any failure the temporary file is removed and
+    ``path`` is left as it was.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
@@ -654,41 +650,15 @@ _LOG_FIELDS = {"query_id", "gt_answer", "extracted_answer", "token_count", "step
 _LOG_REQUIRED = {"query_id", "gt_answer", "extracted_answer", "token_count"}
 
 
-def _sample_dataset(
-    qids: np.ndarray, iteration: Any, length_tokens: Any, answers: np.ndarray, gt: dict[int, str]
-) -> TrajectoryDataset:
-    """A sample dataset of log rows; each query's responses are numbered 1, 2, ... in log order."""
-    n = len(answers)
-    by_query = np.argsort(qids, kind="stable")
-    _, starts, counts = np.unique(qids[by_query], return_index=True, return_counts=True)
-    sample_index = np.empty(n, dtype=np.int64)
-    sample_index[by_query] = np.arange(1, n + 1) - np.repeat(starts, counts)
-    columns = {
-        "query_id": qids,
-        "level": 0,
-        "iteration": iteration,
-        "sample_index": sample_index,
-        "length_tokens": length_tokens,
-        "correct": False,
-    }
-    queries = {qid: QueryRecord(id=qid, gt_answer=ans) for qid, ans in gt.items()}
-    return TrajectoryDataset(ROLE_SAMPLE, columns, answers, queries)
-
-
 def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
     """Assemble log records into a sample dataset; gt conflicts are schema errors."""
-    gt: dict[int, str] = {}
-    for i, rec in enumerate(records, start=1):
-        prior = gt.setdefault(rec.query_id, rec.gt_answer)
-        if prior != rec.gt_answer:
-            raise SchemaError(f"record {i}: conflicting gt_answer for query {rec.query_id}")
-    return _sample_dataset(
-        np.array([rec.query_id for rec in records], dtype=np.int64),
-        [rec.iteration for rec in records],
-        [rec.token_count for rec in records],
-        object_array(rec.extracted_answer for rec in records),
-        gt,
-    )
+    return _log_dataset({
+        "query_id": np.array([rec.query_id for rec in records], dtype=np.int64),
+        "iteration": np.array([rec.iteration for rec in records], dtype=np.int64),
+        "length_tokens": np.array([rec.token_count for rec in records], dtype=np.int64),
+        "gt_answer": object_array(rec.gt_answer for rec in records),
+        "answers": object_array(rec.extracted_answer for rec in records),
+    })
 
 
 def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
@@ -726,11 +696,23 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
 
 
 def _log_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
+    """A sample dataset of log rows; each query's responses are numbered 1, 2, ... in log order."""
     qids = c["query_id"]
     ids, gts, conflict = _first_rows(qids, c["gt_answer"])
     if conflict is not None:
         raise SchemaError(f"record {conflict + 1}: conflicting gt_answer for query {qids[conflict]}")
-    return _sample_dataset(qids, c["iteration"], c["length_tokens"], c["answers"], dict(zip(ids, gts)))
+    by_query = np.argsort(qids, kind="stable")
+    sample_index = np.empty(len(qids), dtype=np.int64)
+    sample_index[by_query] = run_positions(np.unique(qids, return_counts=True)[1]) + 1
+    columns = {
+        "query_id": qids,
+        "level": 0,
+        "iteration": c["iteration"],
+        "sample_index": sample_index,
+        "length_tokens": c["length_tokens"],
+        "correct": False,
+    }
+    return TrajectoryDataset(ROLE_SAMPLE, columns, c["answers"], Corpus(ids, gts))
 
 
 def load_log(path: str | Path) -> TrajectoryDataset:
@@ -769,6 +751,8 @@ def rebalance_offline(
         strategy.validate(K)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if Path(output_path).is_dir():
+        raise ConfigError(f"output path {output_path} is a directory")
     if not Path(input_path).is_file():
         raise SchemaError(f"no input log at {input_path}")
     sample = load_log(input_path)
@@ -777,9 +761,7 @@ def rebalance_offline(
         filtered = cot_length_filter(filtered, strategy.min_cot_tokens)
     seed = strategy.seed if strategy.seed is not None else 0
     train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed, iteration=1)
-    out = Path(output_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(out, _snapshot_chunks(train))
+    write_atomic(output_path, _snapshot_chunks(train))
     k_counts = filtered.counts_by_query()
     row = build_row(1, ROLE_TRAIN, train, K, k_counts)
     return {

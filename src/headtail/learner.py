@@ -16,6 +16,13 @@ rebalancing strategies are meant to counter.  Default parameter values are
 calibration targets chosen so the stock simulation reproduces the collapse
 phenomenology (see README); they are knobs, not measurements.
 
+The policy is arrays aligned to its :class:`~headtail.core.Corpus`, the one
+query table of a run: ``p`` and the draw counters hold one entry per query
+in ascending id order, so training, evaluation, calibration and the draw
+kernel are index operations.  ``train``, ``init_learner`` and
+``calibrate_difficulty`` are checked against per-query dict references in
+``tests/oracles.py``.
+
 Every draw is keyed by (root_seed, query_id, draw counter), so the
 trajectory sequence of a query is a pure function of its counter sequence
 no matter how draws interleave across queries.  The batched samplers
@@ -29,8 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,9 +47,11 @@ from .core import (
     ORIGIN_RESAMPLED_GR,
     ROLE_SAMPLE,
     ROLE_TRAIN,
+    Corpus,
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
+    lookup_counts,
     object_array,
     run_positions,
 )
@@ -135,8 +143,8 @@ def guided_success_probability(p: float, step: int, total_steps: int, gain: floa
     return 1.0 - (1.0 - p) * (1.0 - f) ** gain
 
 
-def synth_corpus(n: int, seed: int, params: CorpusParams = CorpusParams()) -> list[QueryRecord]:
-    """Generate a corpus of n queries with latent difficulties and base lengths."""
+def synth_corpus(n: int, seed: int, params: CorpusParams = CorpusParams()) -> Corpus:
+    """Generate a corpus of n queries (ids 0..n-1) with latent difficulties and base lengths."""
     if n < 1:
         raise ValueError("corpus size must be >= 1")
     params.validate()
@@ -155,65 +163,63 @@ def synth_corpus(n: int, seed: int, params: CorpusParams = CorpusParams()) -> li
         seed, rng.CORPUS_LENGTH, ids, np.zeros(n, dtype=np.uint64)
     )
     log_len = math.log(params.base_tokens) + params.length_slope * d + jitter
-    return [
-        QueryRecord(
-            id=i,
-            gt_answer=f"a{i}",
-            latent_difficulty=float(np.clip(d[i], 0.0, 1.0)),
-            level=None,
-            base_log_length=float(log_len[i]),
-        )
-        for i in range(n)
-    ]
+    return Corpus(
+        ids,
+        object_array(f"a{i}" for i in range(n)),
+        latent_difficulty=np.clip(d, 0.0, 1.0),
+        base_log_length=log_len,
+    )
 
 
 @dataclass
 class LearnerState:
-    """Mutable-counter snapshot of the simulated policy.
+    """Mutable-counter snapshot of the simulated policy over one corpus.
 
-    ``p`` and ``mu_log_len`` are the learned state; ``draw_counter`` is
-    sampling bookkeeping that only ever increases.  ``clone`` gives an
-    independent snapshot; ``train`` returns a new state and leaves the
-    receiver untouched except for shared counters being copied.
+    ``p`` (each query's success probability) and ``draw_counter`` hold one
+    entry per row of ``corpus``; ``mu_log_len`` maps a level to its mean
+    log-length.  ``p`` and ``mu_log_len`` are the learned state;
+    ``draw_counter`` is sampling bookkeeping that only ever increases.
+    ``clone`` gives an independent snapshot; ``train`` returns a new state
+    over the same corpus and leaves the receiver untouched.
     """
 
     iteration: int
-    p: dict[int, float]
+    corpus: Corpus
+    p: np.ndarray
     mu_log_len: dict[int, float]
     params: LearnerParams
     root_seed: int
-    draw_counter: dict[int, int] = field(default_factory=dict)
+    draw_counter: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.p = np.asarray(self.p, dtype=np.float64)
+        self.draw_counter = np.asarray(self.draw_counter, dtype=np.int64)
+        if not len(self.p) == len(self.draw_counter) == len(self.corpus):
+            raise ValueError("p and draw_counter need one entry per corpus query")
 
     # -- snapshots ---------------------------------------------------------
 
     def clone(self) -> "LearnerState":
-        return LearnerState(
-            iteration=self.iteration,
-            p=dict(self.p),
-            mu_log_len=dict(self.mu_log_len),
-            params=self.params,
-            root_seed=self.root_seed,
-            draw_counter=dict(self.draw_counter),
+        return replace(
+            self, p=self.p.copy(), mu_log_len=dict(self.mu_log_len), draw_counter=self.draw_counter.copy()
         )
 
     def to_json(self) -> str:
+        ids = [str(q) for q in self.corpus.ids.tolist()]
         payload = {
             "iteration": self.iteration,
             "root_seed": self.root_seed,
             "params": self.params.__dict__,
-            "p": {str(k): v for k, v in sorted(self.p.items())},
+            "p": dict(zip(ids, self.p.tolist())),
             "mu_log_len": {str(k): v for k, v in sorted(self.mu_log_len.items())},
-            "draw_counter": {str(k): v for k, v in sorted(self.draw_counter.items())},
+            "draw_counter": dict(zip(ids, self.draw_counter.tolist())),
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
     # -- internals ---------------------------------------------------------
 
     def _p_of(self, query: QueryRecord) -> float:
-        try:
-            return self.p[query.id]
-        except KeyError:
-            raise ValueError(f"unknown query {query.id}") from None
+        return float(self.p[self.corpus.rows([query.id])[0]])
 
     def _mu_of(self, query: QueryRecord) -> float:
         if query.level is not None and query.level in self.mu_log_len:
@@ -221,8 +227,9 @@ class LearnerState:
         return query.base_log_length
 
     def _next_counter(self, query_id: int) -> int:
-        ctr = self.draw_counter.get(query_id, 0)
-        self.draw_counter[query_id] = ctr + 1
+        row = self.corpus.rows([query_id])[0]
+        ctr = int(self.draw_counter[row])
+        self.draw_counter[row] = ctr + 1
         return ctr
 
     def _draw(
@@ -297,19 +304,37 @@ class LearnerState:
         mu = self._mu_of(query) + math.log1p(self.params.correction_length_boost)
         return self._draw(query, prob, mu, origin=ORIGIN_CORRECTED)
 
+    def _mu(self, corpus: Corpus, rows: np.ndarray | slice) -> np.ndarray:
+        """Per row of ``corpus``: its level's learned mean log-length, or its
+        base log-length while its level is unset or has no mean (``_mu_of``)."""
+        by_level = np.array([np.nan] + [self.mu_log_len.get(level, np.nan) for level in LEVELS])
+        mu = by_level[corpus.level[rows]]
+        return np.where(np.isnan(mu), corpus.base_log_length[rows], mu)
+
     def _query_columns(
-        self, records: Mapping[int, QueryRecord], query_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per row: p, log-length mean and ground-truth answer of its query."""
-        ids, inverse = np.unique(query_ids, return_inverse=True)
-        recs = [records[q] for q in ids.tolist()]
-        p = np.array([self._p_of(r) for r in recs], dtype=np.float64)
-        mu = np.array([self._mu_of(r) for r in recs], dtype=np.float64)
-        return p[inverse], mu[inverse], object_array(r.gt_answer for r in recs)[inverse]
+        self, corpus: Corpus, query_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per row: its query's row in ``self.corpus``, p, log-length mean and
+        ground truth, the last two as ``corpus`` holds them."""
+        rows = corpus.rows(query_ids)
+        own = rows if corpus is self.corpus else self.corpus.rows(query_ids)
+        return own, self.p[own], self._mu(corpus, rows), corpus.gt_answer[rows]
+
+    def _take_counters(self, own: np.ndarray) -> np.ndarray:
+        """Per row: the next draw counter of the query at row ``own`` of the
+        corpus, a query's rows taking consecutive counters in row order; the
+        counters move past every one taken."""
+        ids, inverse, counts = np.unique(own, return_inverse=True, return_counts=True)
+        rank = np.empty(len(own), dtype=np.int64)
+        rank[np.argsort(inverse, kind="stable")] = run_positions(counts)
+        counters = self.draw_counter[ids][inverse] + rank
+        self.draw_counter[ids] += counts
+        return counters
 
     def _draw_rows(
         self,
         query_ids: np.ndarray,
+        counters: np.ndarray,
         prob: np.ndarray,
         mu: np.ndarray,
         gt: np.ndarray,
@@ -317,22 +342,17 @@ class LearnerState:
         scale: np.ndarray | float = 1.0,
         prefix_tokens: np.ndarray | int = 0,
     ) -> Draws:
-        """Vectorized ``_draw``: one keyed draw per row, rows in call order.
+        """Vectorized ``_draw``: one draw per row, keyed by its query id and counter.
 
-        Row i of query q takes counter draw_counter[q] plus the number of
-        earlier rows of q, and the length arithmetic follows ``_draw`` op
-        for op, so the rows equal a loop of scalar draws.  One
+        The length arithmetic follows ``_draw`` op for op, so rows that take
+        a query's counters in turn equal a loop of scalar draws.  One
         ``rng.uniform`` and one ``rng.normal`` call serve all rows.
         """
         query_ids = np.asarray(query_ids, dtype=np.int64)
         if len(query_ids) == 0:
             empty = np.zeros(0, dtype=np.int64)
             return Draws(self.iteration + 1, empty, empty.astype(bool), object_array(()))
-        ids, inverse, counts = np.unique(query_ids, return_inverse=True, return_counts=True)
-        rank = np.empty(len(query_ids), dtype=np.int64)
-        rank[np.argsort(inverse, kind="stable")] = run_positions(counts)
-        starts = np.array([self.draw_counter.get(q, 0) for q in ids.tolist()], dtype=np.int64)
-        counters = (starts[inverse] + rank).astype(np.uint64)
+        counters = counters.astype(np.uint64)
         keys = query_ids.astype(np.uint64)
         correct = rng.uniform(self.root_seed, rng.CORRECT, keys, counters) < prob
         z = rng.normal(self.root_seed, rng.LENGTH, keys, counters)
@@ -347,17 +367,16 @@ class LearnerState:
         answers[wrong] = [
             f"wrong-{q}-{c}" for q, c in zip(query_ids[wrong].tolist(), counters[wrong].tolist())
         ]
-        self.draw_counter.update(zip(ids.tolist(), (starts + counts).tolist()))
         return Draws(self.iteration + 1, prefix_tokens + lengths, correct, answers)
 
-    def sample_fresh(self, records: Mapping[int, QueryRecord], query_ids: np.ndarray) -> Draws:
+    def sample_fresh(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
         """Batched :meth:`sample_response`: one fresh draw per row."""
-        p, mu, gt = self._query_columns(records, query_ids)
-        return self._draw_rows(query_ids, p, mu, gt)
+        own, p, mu, gt = self._query_columns(corpus, query_ids)
+        return self._draw_rows(query_ids, self._take_counters(own), p, mu, gt)
 
     def sample_guided(
         self,
-        records: Mapping[int, QueryRecord],
+        corpus: Corpus,
         query_ids: np.ndarray,
         prefix_tokens: np.ndarray,
         steps: np.ndarray,
@@ -368,7 +387,7 @@ class LearnerState:
         steps = np.asarray(steps, dtype=np.int64)
         if np.any((steps < 1) | (steps > total_steps)):
             raise ValueError(f"steps must be in [1, {total_steps}]")
-        p, mu, gt = self._query_columns(records, query_ids)
+        own, p, mu, gt = self._query_columns(corpus, query_ids)
         # per step in Python floats, as guided_success_probability and
         # guided_sample compute them
         kept = [(step - 1) / total_steps for step in range(1, total_steps + 1)]
@@ -376,6 +395,7 @@ class LearnerState:
         scale = np.array([1.0 - f for f in kept])[steps - 1]
         return self._draw_rows(
             query_ids,
+            self._take_counters(own),
             1.0 - (1.0 - p) * factor,
             mu,
             gt,
@@ -383,62 +403,60 @@ class LearnerState:
             prefix_tokens=np.asarray(prefix_tokens, dtype=np.int64),
         )
 
-    def sample_corrections(
-        self, records: Mapping[int, QueryRecord], query_ids: np.ndarray
-    ) -> Draws:
+    def sample_corrections(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
         """Batched :meth:`correct_response`: one revision of a failed response per row."""
         pr = self.params
-        p, mu, gt = self._query_columns(records, query_ids)
+        own, p, mu, gt = self._query_columns(corpus, query_ids)
         prob = np.minimum(1.0, np.maximum(0.0, pr.correction_base + pr.correction_slope * p))
-        return self._draw_rows(query_ids, prob, mu + math.log1p(pr.correction_length_boost), gt)
+        return self._draw_rows(
+            query_ids, self._take_counters(own), prob, mu + math.log1p(pr.correction_length_boost), gt
+        )
 
-    def sample_batch(self, corpus: list[QueryRecord], k: int) -> TrajectoryDataset:
-        """K fresh draws per query, vectorized; replays scalar draws exactly."""
+    def sample_batch(self, k: int) -> TrajectoryDataset:
+        """K fresh draws per corpus query, vectorized; replays scalar draws exactly."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        records = sorted(corpus, key=lambda r: r.id)
-        table = {r.id: r for r in records}
-        qids = np.repeat(np.array([r.id for r in records], dtype=np.int64), k)
-        draws = self._draw_rows(qids, *self._query_columns(table, qids))
+        c, n = self.corpus, len(self.corpus)
+        qids = np.repeat(c.ids, k)
+        counters = np.repeat(self.draw_counter, k) + np.tile(np.arange(k), n)
+        self.draw_counter += k
+        draws = self._draw_rows(
+            qids, counters, np.repeat(self.p, k), np.repeat(self._mu(c, slice(None)), k),
+            np.repeat(c.gt_answer, k),
+        )
         columns = {
             "query_id": qids,
-            "level": np.repeat([r.level or 0 for r in records], k),
+            "level": np.repeat(c.level, k),
             "iteration": draws.iteration,
-            "sample_index": np.tile(np.arange(1, k + 1), len(records)),
+            "sample_index": np.tile(np.arange(1, k + 1), n),
             "length_tokens": draws.length_tokens,
             "correct": draws.correct,
         }
         # rows come out in canonical order: query id, then sample index
-        return TrajectoryDataset(ROLE_SAMPLE, columns, draws.answers, table, sort=False)
+        return TrajectoryDataset(ROLE_SAMPLE, columns, draws.answers, c, sort=False)
 
     # -- measurement -------------------------------------------------------
 
-    def pass_rates(self, corpus: list[QueryRecord], m: int) -> dict[int, float]:
-        """Monte-Carlo pass@M per query, from a dedicated measurement stream:
-        shot j of query q succeeds when its uniform keyed by (q, j) is below p_q."""
+    def pass_rates(self, m: int) -> np.ndarray:
+        """Monte-Carlo pass@M per corpus query, from a dedicated measurement
+        stream: shot j of query q succeeds when its uniform keyed by (q, j) is below p_q."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        records = sorted(corpus, key=lambda r: r.id)
-        qids = np.repeat([r.id for r in records], m).astype(np.uint64)
-        counters = np.tile(np.arange(m, dtype=np.uint64), len(records))
-        p = np.repeat([self._p_of(r) for r in records], m)
-        hits = (rng.uniform(self.root_seed, rng.PASS_RATE, qids, counters) < p).reshape(
-            len(records), m
-        )
-        means = hits.mean(axis=1)
-        return {r.id: float(means[i]) for i, r in enumerate(records)}
+        n = len(self.corpus)
+        qids = np.repeat(self.corpus.ids, m).astype(np.uint64)
+        counters = np.tile(np.arange(m, dtype=np.uint64), n)
+        hits = rng.uniform(self.root_seed, rng.PASS_RATE, qids, counters) < np.repeat(self.p, m)
+        return hits.reshape(n, m).mean(axis=1)
 
-    def eval_sampled_pass1(self, corpus: list[QueryRecord], tick: int) -> float:
+    def eval_sampled_pass1(self, tick: int) -> float:
         """Fraction of queries whose single held-out draw at this tick succeeds."""
-        records = sorted(corpus, key=lambda r: r.id)
-        qids = np.array([r.id for r in records], dtype=np.uint64)
-        counters = np.full(len(records), tick, dtype=np.uint64)
-        p = np.array([self._p_of(r) for r in records])
-        return float(np.mean(rng.uniform(self.root_seed, rng.EVAL, qids, counters) < p))
+        qids = self.corpus.ids.astype(np.uint64)
+        counters = np.full(len(qids), tick, dtype=np.uint64)
+        return float(np.mean(rng.uniform(self.root_seed, rng.EVAL, qids, counters) < self.p))
 
-    def eval_greedy_pass1(self, corpus: list[QueryRecord]) -> float:
+    def eval_greedy_pass1(self) -> float:
         """Temperature-0 analog: a query counts solved iff p_i >= 0.5."""
-        return float(np.mean([self._p_of(r) >= 0.5 for r in corpus]))
+        return float(np.mean(self.p >= 0.5))
 
     # -- learning ----------------------------------------------------------
 
@@ -457,14 +475,13 @@ class LearnerState:
         if k < 1:
             raise ValueError("k must be >= 1")
         pr = self.params
-        counts = training_set.counts_by_query()
-        new_p: dict[int, float] = {}
-        for qid, p in self.p.items():
-            c = counts.get(qid, 0)
-            if c > 0:
-                new_p[qid] = p + pr.learn_rate * min(c / k, 1.0) * (1.0 - p)
-            else:
-                new_p[qid] = (1.0 - pr.forget_rate) * p
+        p = self.p
+        counts = lookup_counts(training_set.counts_by_query(), self.corpus.ids)
+        new_p = np.where(
+            counts > 0,
+            p + pr.learn_rate * np.minimum(counts / k, 1.0) * (1.0 - p),
+            (1.0 - pr.forget_rate) * p,
+        )
         new_mu = dict(self.mu_log_len)
         if len(training_set) > 0:
             # math.log, not np.log (they differ in the last bit for some
@@ -478,18 +495,14 @@ class LearnerState:
                 at_level = logs[level == lv]
                 target = float(np.mean(at_level)) if len(at_level) else global_mean
                 new_mu[lv] = (1.0 - lam) * new_mu[lv] + lam * target
-        return LearnerState(
-            iteration=self.iteration + 1,
-            p=new_p,
-            mu_log_len=new_mu,
-            params=pr,
-            root_seed=self.root_seed,
-            draw_counter=dict(self.draw_counter),
+        return replace(
+            self, iteration=self.iteration + 1, p=new_p, mu_log_len=new_mu,
+            draw_counter=self.draw_counter.copy(),
         )
 
 
 def init_learner(
-    corpus: list[QueryRecord], params: LearnerParams = LearnerParams(), seed: int = 0
+    corpus: Corpus, params: LearnerParams = LearnerParams(), seed: int = 0
 ) -> LearnerState:
     """Fresh policy for a corpus: p_i from latent difficulty plus seeded noise.
 
@@ -499,53 +512,44 @@ def init_learner(
     fall back to the global mean (sampling uses each query's own base
     length until its level exists).
     """
-    if not corpus:
+    if len(corpus) == 0:
         raise ValueError("corpus must not be empty")
     params.validate()
-    ids = np.array([r.id for r in corpus], dtype=np.uint64)
-    if len(set(int(i) for i in ids)) != len(corpus):
-        raise ValueError("query ids must be unique")
+    n = len(corpus)
     eps = params.init_noise * rng.normal(
-        seed, rng.INIT_NOISE, ids, np.zeros(len(corpus), dtype=np.uint64)
+        seed, rng.INIT_NOISE, corpus.ids.astype(np.uint64), np.zeros(n, dtype=np.uint64)
     )
-    diff = np.array([r.latent_difficulty for r in corpus])
-    p = np.clip(1.0 - diff + eps, params.p_floor, params.p_ceiling)
-    by_level: dict[int, list[float]] = {}
-    for r in corpus:
-        if r.level is not None:
-            by_level.setdefault(r.level, []).append(r.base_log_length)
-    global_mean = float(np.mean([r.base_log_length for r in corpus]))
-    mu = {
-        level: (float(np.mean(by_level[level])) if level in by_level else global_mean)
-        for level in LEVELS
-    }
+    p = np.clip(1.0 - corpus.latent_difficulty + eps, params.p_floor, params.p_ceiling)
+    global_mean = float(np.mean(corpus.base_log_length))
+    mu = {}
+    for level in LEVELS:
+        at_level = corpus.base_log_length[corpus.level == level]
+        mu[level] = float(np.mean(at_level)) if len(at_level) else global_mean
     return LearnerState(
         iteration=0,
-        p={r.id: float(p[i]) for i, r in enumerate(corpus)},
+        corpus=corpus,
+        p=p,
         mu_log_len=mu,
         params=params,
         root_seed=seed,
-        draw_counter={},
+        draw_counter=np.zeros(n, dtype=np.int64),
     )
 
 
-def calibrate_difficulty(pass_rates: dict[int, float]) -> dict[int, int]:
+def calibrate_difficulty(pass_rates: np.ndarray) -> np.ndarray:
     """Bucket queries into 5 balanced difficulty levels by pass rate.
 
-    Sorted by descending pass rate (ties by ascending id), split into five
-    contiguous groups whose sizes differ by at most one; the highest-pass
-    group is level 1, the lowest level 5.
+    ``pass_rates`` holds one rate per corpus row (ascending id), and the
+    result one level per row.  Sorted by descending pass rate (ties by
+    ascending id), the queries split into five contiguous groups whose
+    sizes differ by at most one; the highest-pass group is level 1, the
+    lowest level 5.
     """
-    if not pass_rates:
+    rates = np.asarray(pass_rates, dtype=np.float64)
+    if len(rates) == 0:
         raise ValueError("pass_rates must not be empty")
-    ordered = sorted(pass_rates, key=lambda qid: (-pass_rates[qid], qid))
-    n = len(ordered)
-    base, extra = divmod(n, len(LEVELS))
-    levels: dict[int, int] = {}
-    pos = 0
-    for level in LEVELS:
-        size = base + (1 if level <= extra else 0)
-        for qid in ordered[pos : pos + size]:
-            levels[qid] = level
-        pos += size
+    base, extra = divmod(len(rates), len(LEVELS))
+    sizes = [base + (1 if level <= extra else 0) for level in LEVELS]
+    levels = np.empty(len(rates), dtype=np.int64)
+    levels[np.argsort(-rates, kind="stable")] = np.repeat(LEVELS, sizes)
     return levels

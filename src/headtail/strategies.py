@@ -19,8 +19,9 @@ The five sampler-free strategies are index maps on the dataset's columns:
 select rows, repeat them per query, restore canonical order.  The
 resampling family builds one pass's requests as columns (query ids, plus
 prefix lengths and steps for guided draws), makes them in one batched
-sampler call, and assembles the returned :class:`Draws` into a resample
-dataset that goes through the shared grader like any other.
+sampler call against the run's :class:`~headtail.core.Corpus`, and
+assembles the returned :class:`Draws` into a resample dataset over that
+corpus, which goes through the shared grader like any other.
 
 Determinism: identical (input, config, seed) always yields the identical
 entry list.  Random truncation draws one counter-keyed ``rng`` value per
@@ -31,7 +32,7 @@ randomness lives entirely in the sampler's per-(query, counter) streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .core import (
     ROLE_REFILTER,
     ROLE_RESAMPLE,
     ROLE_TRAIN,
-    QueryRecord,
+    Corpus,
     Trajectory,
     TrajectoryDataset,
     lookup_counts,
@@ -86,19 +87,19 @@ class Draws(NamedTuple):
 class Sampler(Protocol):
     """Sampling capability bound to the current-iteration policy.
 
-    Each method makes one pass's requests in one call.  ``records`` maps
-    every requested query id to its record and ``query_ids`` holds one
-    request per row; row i of the returned :class:`Draws` answers request
-    i, and requests for one query are drawn in row order.
+    Each method makes one pass's requests in one call.  ``corpus`` holds
+    every requested query and ``query_ids`` holds one request per row; row
+    i of the returned :class:`Draws` answers request i, and requests for
+    one query are drawn in row order.
     """
 
-    def sample_fresh(self, records: Mapping[int, QueryRecord], query_ids: np.ndarray) -> Draws:
+    def sample_fresh(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
         """One fresh response per row."""
         ...
 
     def sample_guided(
         self,
-        records: Mapping[int, QueryRecord],
+        corpus: Corpus,
         query_ids: np.ndarray,
         prefix_tokens: np.ndarray,
         steps: np.ndarray,
@@ -109,9 +110,7 @@ class Sampler(Protocol):
         ``prefix_tokens[i]`` tokens long."""
         ...
 
-    def sample_corrections(
-        self, records: Mapping[int, QueryRecord], query_ids: np.ndarray
-    ) -> Draws:
+    def sample_corrections(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
         """Per row: a revision of a failed response of the query."""
         ...
 
@@ -235,9 +234,9 @@ def _drawn(method, *requests) -> Draws:
 
 
 def _resampled(
-    draws: Draws, records: dict[int, QueryRecord], origin: str, **columns: np.ndarray
+    draws: Draws, corpus: Corpus, origin: str, **columns: np.ndarray
 ) -> TrajectoryDataset:
-    """The draws as a resample dataset.
+    """The draws as a resample dataset over ``corpus``.
 
     ``columns`` gives query_id, level and sample_index per row and, for
     guided draws, prefix_steps and prefix_tokens.
@@ -252,13 +251,13 @@ def _resampled(
             **columns,
         },
         draws.answers,
-        records,
+        corpus,
     )
 
 
 def adaptive_resample(
     filtered: TrajectoryDataset,
-    corpus: list[QueryRecord],
+    corpus: Corpus,
     sampler: Sampler,
     K: int,
     rules: AnswerNormalizationRules = DEFAULT_RULES,
@@ -273,17 +272,14 @@ def adaptive_resample(
     _require_filter(filtered)
     if K < 1:
         raise ValueError("K must be >= 1")
-    records = sorted(corpus, key=lambda r: r.id)
-    ids = np.array([r.id for r in records], dtype=np.int64)
-    deficit = np.maximum(K - lookup_counts(filtered.counts_by_query(), ids), 0)
-    query_ids = np.repeat(ids, deficit)
-    table = {r.id: r for r in records}
+    deficit = np.maximum(K - lookup_counts(filtered.counts_by_query(), corpus.ids), 0)
+    query_ids = np.repeat(corpus.ids, deficit)
     resampled = _resampled(
-        _drawn(sampler.sample_fresh, table, query_ids),
-        table,
+        _drawn(sampler.sample_fresh, corpus, query_ids),
+        corpus,
         ORIGIN_RESAMPLED_AR,
         query_id=query_ids,
-        level=np.repeat(np.array([r.level or 0 for r in records], dtype=np.int64), deficit),
+        level=np.repeat(corpus.level, deficit),
         sample_index=run_positions(deficit) + 1,
     )
     refiltered = filter_dataset(resampled, rules)
@@ -338,8 +334,8 @@ def guided_resample(
     prefix_tokens = kept * base + np.minimum(kept, extra)
     query_ids = c["query_id"][rows]
     resampled = _resampled(
-        _drawn(sampler.sample_guided, filtered.records, query_ids, prefix_tokens, kept + 1, S),
-        filtered.records,
+        _drawn(sampler.sample_guided, filtered.corpus, query_ids, prefix_tokens, kept + 1, S),
+        filtered.corpus,
         ORIGIN_RESAMPLED_GR,
         query_id=query_ids,
         level=c["level"][rows],
@@ -377,8 +373,8 @@ def self_correct_augment(
     rows = np.flatnonzero(lookup_counts(filtered.counts_by_query(), c["query_id"]) < K)
     query_ids = c["query_id"][rows]
     attempts = _resampled(
-        _drawn(sampler.sample_corrections, discard.records, query_ids),
-        discard.records,
+        _drawn(sampler.sample_corrections, discard.corpus, query_ids),
+        discard.corpus,
         ORIGIN_CORRECTED,
         query_id=query_ids,
         level=c["level"][rows],
@@ -390,7 +386,7 @@ def self_correct_augment(
         ROLE_REFILTER,
         {name: np.concatenate((pairs[name], kept.columns[name])) for name in COLUMNS},
         np.concatenate((kept.answers, kept.answers)),
-        kept.records,
+        kept.corpus,
     )
     return merge_datasets(filtered, corrections)
 

@@ -94,33 +94,34 @@ class ScriptedSampler:
         self.guided_calls = 0
         self.correct_calls = 0
 
-    def _draws(self, records, query_ids, counter, prefix_tokens=0):
+    def _draws(self, corpus, query_ids, counter, prefix_tokens=0):
         correct, answers = [], []
-        for q in np.asarray(query_ids).tolist():
+        gts = corpus.gt_answer[corpus.rows(query_ids)].tolist()
+        for q, gt in zip(np.asarray(query_ids).tolist(), gts):
             setattr(self, counter, getattr(self, counter) + 1)
             ok = next(self._pattern)
             correct.append(ok)
-            answers.append(records[q].gt_answer if ok else f"wrong-{q}-s{self.fresh_calls}")
+            answers.append(gt if ok else f"wrong-{q}-s{self.fresh_calls}")
         n = len(correct)
         lengths = np.asarray(prefix_tokens, dtype=np.int64) + np.full(n, self.length)
         return Draws(1, lengths, np.array(correct, dtype=bool), object_array(answers))
 
-    def sample_fresh(self, records, query_ids):
-        return self._draws(records, query_ids, "fresh_calls")
+    def sample_fresh(self, corpus, query_ids):
+        return self._draws(corpus, query_ids, "fresh_calls")
 
-    def sample_guided(self, records, query_ids, prefix_tokens, steps, total_steps):
-        return self._draws(records, query_ids, "guided_calls", prefix_tokens)
+    def sample_guided(self, corpus, query_ids, prefix_tokens, steps, total_steps):
+        return self._draws(corpus, query_ids, "guided_calls", prefix_tokens)
 
-    def sample_corrections(self, records, query_ids):
-        return self._draws(records, query_ids, "correct_calls")
+    def sample_corrections(self, corpus, query_ids):
+        return self._draws(corpus, query_ids, "correct_calls")
 
 
 class FailingSampler:
-    def sample_fresh(self, records, query_ids):
+    def sample_fresh(self, corpus, query_ids):
         raise RuntimeError("backend down")
 
-    def sample_guided(self, records, query_ids, prefix_tokens, steps, total_steps):
+    def sample_guided(self, corpus, query_ids, prefix_tokens, steps, total_steps):
         raise RuntimeError("backend down")
 
-    def sample_corrections(self, records, query_ids):
+    def sample_corrections(self, corpus, query_ids):
         raise RuntimeError("backend down")

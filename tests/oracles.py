@@ -1,6 +1,7 @@
 """Independent brute-force evaluations of the reshaping set-builder rules,
 the metrics row, the snapshot line encoding and decoding, the log decoding,
-the pass-rate measurement and answer normalization.
+the pass-rate measurement, the learner's set-up, calibration and training,
+and answer normalization.
 
 These deliberately avoid the library's dataset machinery: plain dicts of
 lists, straight loops.  Threshold clipping shares the library's pinned draw key
@@ -12,6 +13,7 @@ keep-the-L-smallest rule around it are re-derived here with scalar draws.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -20,7 +22,15 @@ from typing import Any, Callable
 import numpy as np
 
 from headtail import rng
-from headtail.core import ORIGIN_EXPLORED, Entry, QueryRecord, Trajectory, TrajectoryDataset
+from headtail.core import (
+    LEVELS,
+    ORIGIN_EXPLORED,
+    ROLE_TRAIN,
+    Entry,
+    QueryRecord,
+    Trajectory,
+    TrajectoryDataset,
+)
 from headtail.harness import (
     _LOG_FIELDS,
     _LOG_REQUIRED,
@@ -173,7 +183,84 @@ def pass_rate(state, query, m):
     shots = rng.uniform(
         state.root_seed, rng.PASS_RATE, np.uint64(query.id), np.arange(m, dtype=np.uint64)
     )
-    return float(np.mean(shots < state.p[query.id]))
+    return float(np.mean(shots < state.p[state.corpus.rows([query.id])[0]]))
+
+
+# -- per-query learner references --------------------------------------------
+# The learner's set-up, calibration and training as per-query loops over
+# dicts keyed by query id; the learner's array versions must give the same
+# floats bit for bit.
+
+
+def init_learner_reference(corpus, params, seed):
+    """(p by query id, mu_log_len by level) of a fresh policy for a list of records."""
+    if not corpus:
+        raise ValueError("corpus must not be empty")
+    params.validate()
+    ids = np.array([r.id for r in corpus], dtype=np.uint64)
+    if len(set(int(i) for i in ids)) != len(corpus):
+        raise ValueError("query ids must be unique")
+    eps = params.init_noise * rng.normal(
+        seed, rng.INIT_NOISE, ids, np.zeros(len(corpus), dtype=np.uint64)
+    )
+    diff = np.array([r.latent_difficulty for r in corpus])
+    p = np.clip(1.0 - diff + eps, params.p_floor, params.p_ceiling)
+    by_level: dict[int, list[float]] = {}
+    for r in corpus:
+        if r.level is not None:
+            by_level.setdefault(r.level, []).append(r.base_log_length)
+    global_mean = float(np.mean([r.base_log_length for r in corpus]))
+    mu = {
+        level: (float(np.mean(by_level[level])) if level in by_level else global_mean)
+        for level in LEVELS
+    }
+    return {r.id: float(p[i]) for i, r in enumerate(corpus)}, mu
+
+
+def train_reference(p_by_id, mu_log_len, params, training_set, k):
+    """(p by query id, mu_log_len by level) after one training step."""
+    if training_set.role != ROLE_TRAIN:
+        raise ValueError(f"train expects a train dataset, got role {training_set.role!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pr = params
+    counts = training_set.counts_by_query()
+    new_p: dict[int, float] = {}
+    for qid, p in p_by_id.items():
+        c = counts.get(qid, 0)
+        if c > 0:
+            new_p[qid] = p + pr.learn_rate * min(c / k, 1.0) * (1.0 - p)
+        else:
+            new_p[qid] = (1.0 - pr.forget_rate) * p
+    new_mu = dict(mu_log_len)
+    if len(training_set) > 0:
+        distinct, where = np.unique(training_set.columns["length_tokens"], return_inverse=True)
+        logs = np.array([math.log(max(1, n)) for n in distinct.tolist()])[where]
+        level = training_set.columns["level"]
+        global_mean = float(np.mean(logs))
+        lam = pr.length_imitation
+        for lv in new_mu:
+            at_level = logs[level == lv]
+            target = float(np.mean(at_level)) if len(at_level) else global_mean
+            new_mu[lv] = (1.0 - lam) * new_mu[lv] + lam * target
+    return new_p, new_mu
+
+
+def calibrate_difficulty_reference(pass_rates):
+    """Query id -> level: five balanced groups by descending rate, ties by ascending id."""
+    if not pass_rates:
+        raise ValueError("pass_rates must not be empty")
+    ordered = sorted(pass_rates, key=lambda qid: (-pass_rates[qid], qid))
+    n = len(ordered)
+    base, extra = divmod(n, len(LEVELS))
+    levels: dict[int, int] = {}
+    pos = 0
+    for level in LEVELS:
+        size = base + (1 if level <= extra else 0)
+        for qid in ordered[pos : pos + size]:
+            levels[qid] = level
+        pos += size
+    return levels
 
 
 _MATH_WRAPPERS = ("$", r"\(", r"\)", r"\[", r"\]")

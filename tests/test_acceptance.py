@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from headtail.core import ORIGIN_CORRECTED
+from headtail.core import ORIGIN_CORRECTED, Corpus
 from headtail.harness import (
     RunConfig,
     emit_report,
@@ -97,7 +97,7 @@ def test_criterion_01_strategy_oracle_equivalence():
             # resampling draw-count laws on a subsample (mock sampler)
             corpus = [queries.get(qid, make_query(qid)) for qid in sorted(k_correct)]
             ar_sampler = ScriptedSampler(itertools.cycle([True, False]))
-            adaptive_resample(f, corpus, ar_sampler, K)
+            adaptive_resample(f, Corpus.of(corpus), ar_sampler, K)
             assert ar_sampler.fresh_calls == oracle_ar_draws(present, sorted(k_correct), K)
 
             gr_sampler = ScriptedSampler(itertools.cycle([True, False]))
@@ -257,7 +257,8 @@ def test_criterion_09_difficulty_calibration():
     for _ in range(1000):
         n = int(rng.integers(1, 120))
         rates = {int(qid): float(rng.random()) for qid in rng.choice(10_000, n, replace=False)}
-        levels = calibrate_difficulty(rates)
+        ids = sorted(rates)
+        levels = dict(zip(ids, calibrate_difficulty(np.array([rates[q] for q in ids])).tolist()))
         sizes = [sum(1 for lv in levels.values() if lv == L) for L in (1, 2, 3, 4, 5)]
         assert max(sizes) - min(sizes) <= 1
         by_level = {}

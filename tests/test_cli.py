@@ -248,6 +248,20 @@ class TestRebalanceVerb:
         assert code == 0
         assert len(summary.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("flag", ["--output", "--summary"])
+    def test_directory_target_exit_config_before_anything_is_written(self, tmp_path, capsys, flag):
+        src = write_log(tmp_path, {1: 4}, K=4)
+        target = tmp_path / "target"
+        target.mkdir()
+        paths = {"--output": str(tmp_path / "o.jsonl"), "--summary": str(tmp_path / "s.csv"), flag: str(target)}
+        code = main(["rebalance", "--input", str(src), "--strategy", "rp", "--k", "4",
+                     *(arg for pair in paths.items() for arg in pair)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{target} is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl", "target"]
+        assert list(target.iterdir()) == []
+
     def test_non_utf8_log_exit_schema(self, tmp_path, capsys):
         src = write_log(tmp_path, {1: 2}, K=2)
         with open(src, "ab") as fh:
@@ -345,6 +359,21 @@ class TestReportVerb:
 
     def test_missing_snapshot(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("name", ["train_final", "filter_final"])
+    def test_snapshot_that_is_a_directory_exit_schema(self, tmp_path, capsys, name):
+        line = {"query_id": 1, "sample_index": 1, "iteration": 1, "length_tokens": 30, "correct": True}
+        datasets = tmp_path / "datasets"
+        datasets.mkdir()
+        for snapshot in ("train_final", "filter_final"):
+            (datasets / f"{snapshot}.jsonl").write_text(json.dumps(line) + "\n")
+        directory = datasets / f"{name}.jsonl"
+        directory.unlink()
+        directory.mkdir()
+        assert main(["report", "--run-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"schema error: {directory}: cannot read snapshot")
+        assert captured.out == ""
 
     def test_malformed_snapshot_lines(self, tmp_path, capsys):
         good = {"query_id": 1, "sample_index": 1, "iteration": 1, "origin": "explored",
@@ -475,7 +504,7 @@ class TestSweepVerb:
     def test_aborted_run_reported_and_written(self, tmp_path, capsys, monkeypatch):
         from headtail.learner import LearnerState
 
-        def boom(self, records, query_ids):
+        def boom(self, corpus, query_ids):
             raise RuntimeError("backend down")
 
         monkeypatch.setattr(LearnerState, "sample_fresh", boom)

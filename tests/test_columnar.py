@@ -77,7 +77,7 @@ def datasets(draw, role=ROLE_SAMPLE, leveled=None):
 @settings(max_examples=200, deadline=None)
 def test_build_row_matches_oracle(data, K, leveled):
     ds = data.draw(datasets(leveled=leveled or None))
-    qids = sorted(ds.records)
+    qids = ds.corpus.ids.tolist()
     k_counts = data.draw(st.dictionaries(st.sampled_from(qids + [99]), st.integers(0, 2 * K)))
     total, shares, buckets, mean, level_means = oracle_build_row(list(ds.entries), K, k_counts)
     row = build_row(3, ROLE_SAMPLE, ds, K, k_counts)

@@ -8,6 +8,7 @@ from headtail.core import (
     ROLE_FILTER,
     ROLE_SAMPLE,
     ROLE_TRAIN,
+    Corpus,
     CorpusMismatchError,
     QueryRecord,
     Trajectory,
@@ -47,6 +48,52 @@ class TestTypes:
             TrajectoryDataset.from_entries([(make_query(1), make_traj(2))], ROLE_FILTER)
 
 
+class TestCorpus:
+    def test_columns_in_id_order_and_read_only(self):
+        corpus = Corpus([3, -1, 2], ["c", "a", "b"], level=[0, 5, 2])
+        assert corpus.ids.tolist() == [-1, 2, 3]
+        assert corpus.gt_answer.tolist() == ["a", "b", "c"]
+        assert corpus.level.tolist() == [5, 2, 0]
+        assert corpus.latent_difficulty.tolist() == [0.5] * 3
+        with pytest.raises(ValueError):
+            corpus.ids[0] = 9
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"latent_difficulty": [0.5, 1.5]}, "latent_difficulty"),
+            ({"level": [6, 0]}, "level must be in"),
+            ({"base_log_length": [1.0, float("inf")]}, "finite"),
+            ({"ids": [4, 4]}, "unique"),
+            ({"ids": [2**63, 1]}, "64-bit"),
+            ({"gt_answer": ["a"]}, "differ in length"),
+        ],
+    )
+    def test_record_checks_run_on_columns(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Corpus(**{"ids": [1, 2], "gt_answer": ["a", "b"], **fields})
+
+    def test_rows_names_an_unknown_id(self):
+        corpus = Corpus([5, 1], ["a", "b"])
+        assert corpus.rows([5, 1, 5]).tolist() == [1, 0, 1]
+        with pytest.raises(ValueError, match="unknown query 7"):
+            corpus.rows([1, 7])
+        with pytest.raises(ValueError, match="unknown query 1"):
+            Corpus([], []).rows([1])
+
+    def test_records_round_trip(self):
+        records = [make_query(2, level=3, latent_difficulty=0.2, base_log_length=4.0), make_query(-1)]
+        assert list(Corpus.of(records).records.values()) == [records[1], records[0]]
+
+    def test_union_keeps_every_query_once(self):
+        a = Corpus.of([make_query(1), make_query(3, level=2)])
+        b = Corpus.of([make_query(2), make_query(3, level=2)])
+        assert a.union(a) is a
+        assert list(a.union(b).records.values()) == [make_query(1), make_query(2), make_query(3, level=2)]
+        with pytest.raises(CorpusMismatchError, match="corpus mismatch"):
+            a.union(Corpus.of([make_query(3, level=4)]))
+
+
 class TestConstructorColumns:
     REQUIRED = ("query_id", "level", "iteration", "sample_index", "length_tokens", "correct")
 
@@ -62,8 +109,7 @@ class TestConstructorColumns:
 
     def build(self, columns):
         answers = np.array(["a2", "x", "a1"], dtype=object)
-        records = {1: make_query(1), 2: make_query(2, level=3)}
-        return TrajectoryDataset(ROLE_SAMPLE, columns, answers, records)
+        return TrajectoryDataset(ROLE_SAMPLE, columns, answers, Corpus.of([make_query(1), make_query(2, level=3)]))
 
     def test_unset_columns_equal_explicit_unset_arrays(self):
         explicit = {
@@ -171,6 +217,12 @@ class TestMergeDatasets:
         b = TrajectoryDataset.from_entries([(make_query(1, gt="y"), make_traj(1, gt="y"))], ROLE_FILTER)
         with pytest.raises(CorpusMismatchError, match="corpus mismatch"):
             merge_datasets(a, b)
+
+    def test_datasets_of_one_corpus_merge_over_it(self):
+        sample, _ = make_sample({1: 2, 2: 1}, K=3)
+        a = sample.select([0, 1], ROLE_FILTER)
+        b = sample.select([3], ROLE_FILTER)
+        assert merge_datasets(a, b).corpus is sample.corpus
 
     def test_commutative_up_to_resort(self):
         a, _ = make_filter({1: 2, 4: 1})

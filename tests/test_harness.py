@@ -21,7 +21,6 @@ from headtail.harness import (
 )
 from headtail.core import ROLE_TRAIN
 from headtail.learner import CorpusParams, LearnerParams
-from headtail.rewards import DEFAULT_RULES
 from headtail.strategies import StrategyConfig
 
 from oracles import snapshot_entry
@@ -154,7 +153,7 @@ class TestSelfImprovement:
 
         def clip(seed, iteration):
             cfg = StrategyConfig(kind="tc", L=2, K=8, seed=seed)
-            return _apply_strategy(cfg, iteration, f, None, list(queries.values()), None, DEFAULT_RULES)
+            return _apply_strategy(cfg, iteration, f, None, None)
 
         assert any(clip(s, 2).entries != clip(s + 1, 1).entries for s in range(10))
 
@@ -167,11 +166,10 @@ class TestSelfImprovement:
 
         corpus = synth_corpus(cfg.n_queries, 3, cfg.corpus)
         probe = init_learner(corpus, cfg.learner, 3)
-        levels = calibrate_difficulty(probe.pass_rates(corpus, cfg.calibration_shots))
-        corpus = [dataclasses.replace(r, level=levels[r.id]) for r in corpus]
-        base = init_learner(corpus, cfg.learner, 3)
+        levels = calibrate_difficulty(probe.pass_rates(cfg.calibration_shots))
+        base = init_learner(dataclasses.replace(corpus, level=levels), cfg.learner, 3)
         replay = base.train(rep.final_train, cfg.k_samples)
-        assert replay.p == rep.final_state.p
+        assert replay.p.tolist() == rep.final_state.p.tolist()
         assert replay.mu_log_len == rep.final_state.mu_log_len
 
     def test_ar_on_union_pool_completes(self):
@@ -189,7 +187,7 @@ class TestSelfImprovement:
         cfg = small_config(strategy=StrategyConfig(kind="ar"))
         from headtail.learner import LearnerState as LS
 
-        def boom(self, records, query_ids):
+        def boom(self, corpus, query_ids):
             raise RuntimeError("backend down")
 
         monkeypatch.setattr(LS, "sample_fresh", boom)
@@ -229,7 +227,7 @@ class TestIterativeUnion:
         rep_u = run(cfg_u, seed=5)
         rep_s = run(cfg_s, seed=5)
         assert rep_u.rows == rep_s.rows
-        assert rep_u.final_state.p == rep_s.final_state.p
+        assert rep_u.final_state.p.tolist() == rep_s.final_state.p.tolist()
 
     def test_union_at_least_single_iteration_filter(self):
         cfg = small_config(iterations=3, mode="iterative_union")

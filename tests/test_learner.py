@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from headtail.core import ROLE_TRAIN, TrajectoryDataset
+from headtail.core import ROLE_TRAIN, Corpus, TrajectoryDataset
 from headtail.learner import (
     CorpusParams,
     LearnerParams,
@@ -17,22 +17,38 @@ from headtail.learner import (
 from headtail.strategies import split_steps
 
 from conftest import make_query, make_traj
-from oracles import pass_rate
+from oracles import (
+    calibrate_difficulty_reference,
+    init_learner_reference,
+    pass_rate,
+    train_reference,
+)
 
 
 def state_with(p_map, seed=0, params=None, mu=None):
+    corpus = Corpus.of(make_query(q) for q in p_map)
     return LearnerState(
         iteration=0,
-        p=dict(p_map),
+        corpus=corpus,
+        p=[p_map[q] for q in corpus.ids.tolist()],
         mu_log_len=mu or {lv: math.log(100.0) for lv in (1, 2, 3, 4, 5)},
         params=params or LearnerParams(),
         root_seed=seed,
+        draw_counter=np.zeros(len(corpus), dtype=np.int64),
     )
+
+
+def p_of(state, qid):
+    return state.p[state.corpus.rows([qid])[0]]
+
+
+def counter_of(state, qid):
+    return state.draw_counter[state.corpus.rows([qid])[0]]
 
 
 class TestInitLearner:
     def test_zero_difficulty_clamps_to_ceiling(self):
-        corpus = [make_query(0, latent_difficulty=0.0)]
+        corpus = Corpus.of([make_query(0, latent_difficulty=0.0)])
         st_ = init_learner(corpus, LearnerParams(init_noise=0.0), seed=1)
         assert st_.p[0] == pytest.approx(0.98)
 
@@ -40,33 +56,32 @@ class TestInitLearner:
         corpus = synth_corpus(40, seed=5)
         a = init_learner(corpus, seed=9)
         b = init_learner(corpus, seed=9)
-        assert a.p == b.p and a.mu_log_len == b.mu_log_len
+        assert a.p.tolist() == b.p.tolist() and a.mu_log_len == b.mu_log_len
 
     def test_stratified_difficulties_give_centered_mean_p(self):
-        corpus = [
+        corpus = Corpus.of(
             make_query(i, latent_difficulty=d)
             for i, d in enumerate(np.tile(np.arange(0.1, 0.95, 0.1), 10))
-        ]
+        )
         means = []
         for seed in range(100):
             st_ = init_learner(corpus, seed=seed)
-            means.append(np.mean(list(st_.p.values())))
+            means.append(np.mean(st_.p))
         assert 0.4 <= float(np.mean(means)) <= 0.6
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            init_learner([], seed=0)
+            init_learner(Corpus([], []), seed=0)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            init_learner([make_query(1), make_query(1)], seed=0)
+        with pytest.raises(ValueError, match="unique"):
+            init_learner(Corpus.of([make_query(1), make_query(1)]), seed=0)
 
     def test_level_means_increase_with_level(self):
         corpus = synth_corpus(500, seed=3)
         probe = init_learner(corpus, seed=3)
-        levels = calibrate_difficulty(probe.pass_rates(corpus, 64))
-        leveled = [replace(q, level=levels[q.id]) for q in corpus]
-        st_ = init_learner(leveled, seed=3)
+        levels = calibrate_difficulty(probe.pass_rates(64))
+        st_ = init_learner(replace(corpus, level=levels), seed=3)
         mus = [st_.mu_log_len[lv] for lv in (1, 2, 3, 4, 5)]
         assert mus[0] < mus[-1]
 
@@ -102,16 +117,16 @@ class TestSampleResponse:
         st_ = state_with({1: 0.5}, seed=7)
         q = make_query(1)
         lengths = {st_.sample_response(q).length_tokens for _ in range(20)}
-        assert st_.draw_counter[1] == 20
+        assert counter_of(st_, 1) == 20
         assert len(lengths) > 1
 
     def test_batch_replays_scalar_draws(self):
         corpus = synth_corpus(30, seed=2)
         a = init_learner(corpus, seed=2)
         b = a.clone()
-        batch = b.sample_batch(corpus, 4)
+        batch = b.sample_batch(4)
         scalar = []
-        for q in sorted(corpus, key=lambda r: r.id):
+        for q in list(corpus.records.values()):
             for j in range(1, 5):
                 t = a.sample_response(q)
                 scalar.append((q.id, j, t.correct, t.length_tokens, t.extracted_answer))
@@ -120,23 +135,22 @@ class TestSampleResponse:
             for _, t in batch
         ]
         assert vec == scalar
-        assert a.draw_counter == b.draw_counter
+        assert a.draw_counter.tolist() == b.draw_counter.tolist()
 
     def test_batch_equals_fresh_draws_on_repeated_ids(self):
         corpus = synth_corpus(25, seed=4)
         a = init_learner(corpus, seed=4)
         a.draw_counter[3] = 5  # a query that was drawn before
         b = a.clone()
-        batch = a.sample_batch(corpus, 3)
-        records = {r.id: r for r in corpus}
-        qids = np.repeat(sorted(records), 3)
-        fresh = b.sample_fresh(records, qids)
+        batch = a.sample_batch(3)
+        qids = np.repeat(corpus.ids, 3)
+        fresh = b.sample_fresh(corpus, qids)
         assert batch.columns["query_id"].tolist() == qids.tolist()
         assert batch.columns["length_tokens"].tolist() == fresh.length_tokens.tolist()
         assert batch.columns["correct"].tolist() == fresh.correct.tolist()
         assert batch.answers.tolist() == fresh.answers.tolist()
         assert (batch.columns["iteration"] == fresh.iteration).all()
-        assert a.draw_counter == b.draw_counter
+        assert a.draw_counter.tolist() == b.draw_counter.tolist()
 
     def test_interleaving_independence(self):
         corpus = [make_query(1), make_query(2)]
@@ -241,13 +255,19 @@ def batched_requests(draw):
         for q in range(n)
     }
     mu = {lv: draw(st.floats(2.0, 7.0)) for lv in draw(st.sets(st.integers(1, 5)))}
+    iteration = draw(st.integers(0, 3))
+    p = {q: draw(st.floats(0.0, 1.0)) for q in records}
+    params = LearnerParams(prefix_gain=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    root_seed = draw(st.integers(0, 2**32))
+    counters = {q: draw(st.integers(0, 5)) for q in draw(st.sets(st.sampled_from(sorted(records))))}
     state = LearnerState(
-        iteration=draw(st.integers(0, 3)),
-        p={q: draw(st.floats(0.0, 1.0)) for q in records},
+        iteration=iteration,
+        corpus=Corpus.of(records.values()),
+        p=[p[q] for q in range(n)],
         mu_log_len=mu,
-        params=LearnerParams(prefix_gain=draw(st.sampled_from([0.5, 1.0, 2.0]))),
-        root_seed=draw(st.integers(0, 2**32)),
-        draw_counter={q: draw(st.integers(0, 5)) for q in draw(st.sets(st.sampled_from(sorted(records))))},
+        params=params,
+        root_seed=root_seed,
+        draw_counter=[counters.get(q, 0) for q in range(n)],
     )
     groups = draw(st.lists(st.tuples(st.sampled_from(sorted(records)), st.integers(-2, 4)), max_size=8))
     query_ids = np.array([q for q, count in groups for _ in range(count)], dtype=np.int64)
@@ -262,17 +282,20 @@ def assert_replays(draws, scalar, iteration):
 
 
 class TestBatchedSamplers:
-    """Each batched sampler equals a loop of its scalar method on a clone."""
+    """Each batched sampler equals a loop of its scalar method on a clone.
+
+    The requests name their queries through a corpus equal to, but not the
+    same object as, the state's; ``sample_batch`` covers the shared one."""
 
     @given(batched_requests())
     @settings(max_examples=80, deadline=None)
     def test_fresh_replays_sample_response(self, request):
         state, records, query_ids = request
         loop = state.clone()
-        draws = state.sample_fresh(records, query_ids)
+        draws = state.sample_fresh(Corpus.of(records.values()), query_ids)
         scalar = [loop.sample_response(records[q]) for q in query_ids.tolist()]
         assert_replays(draws, scalar, state.iteration + 1)
-        assert state.draw_counter == loop.draw_counter
+        assert state.draw_counter.tolist() == loop.draw_counter.tolist()
 
     @given(batched_requests(), st.integers(2, 5), st.data())
     @settings(max_examples=80, deadline=None)
@@ -284,30 +307,30 @@ class TestBatchedSamplers:
         donors = [make_traj(q, length=n) for q, n in zip(query_ids.tolist(), lengths)]
         prefix = [0 if s == 1 else split_steps(d, S)[s - 1] for d, s in zip(donors, steps)]
         loop = state.clone()
-        draws = state.sample_guided(records, query_ids, np.array(prefix), np.array(steps), S)
+        draws = state.sample_guided(Corpus.of(records.values()), query_ids, np.array(prefix), np.array(steps), S)
         scalar = [
             loop.guided_sample(records[d.query_id], d, s, S) for d, s in zip(donors, steps)
         ]
         assert_replays(draws, scalar, state.iteration + 1)
         assert [t.prefix_tokens for t in scalar] == prefix
-        assert state.draw_counter == loop.draw_counter
+        assert state.draw_counter.tolist() == loop.draw_counter.tolist()
 
     @given(batched_requests())
     @settings(max_examples=80, deadline=None)
     def test_corrections_replay_correct_response(self, request):
         state, records, query_ids = request
         loop = state.clone()
-        draws = state.sample_corrections(records, query_ids)
+        draws = state.sample_corrections(Corpus.of(records.values()), query_ids)
         scalar = [
             loop.correct_response(records[q], make_traj(q, correct=False)) for q in query_ids.tolist()
         ]
         assert_replays(draws, scalar, state.iteration + 1)
-        assert state.draw_counter == loop.draw_counter
+        assert state.draw_counter.tolist() == loop.draw_counter.tolist()
 
     def test_guided_rejects_steps_out_of_range(self):
         st_ = state_with({1: 0.5})
         with pytest.raises(ValueError, match="steps must be in"):
-            st_.sample_guided({1: make_query(1)}, np.array([1]), np.array([0]), np.array([5]), 4)
+            st_.sample_guided(st_.corpus, np.array([1]), np.array([0]), np.array([5]), 4)
 
     def test_empty_request_makes_no_rng_call(self, monkeypatch):
         from headtail import rng
@@ -318,16 +341,15 @@ class TestBatchedSamplers:
         monkeypatch.setattr(rng, "uniform", no_call)
         monkeypatch.setattr(rng, "normal", no_call)
         st_ = state_with({1: 0.5})
-        st_.draw_counter[1] = 3
+        st_.draw_counter[0] = 3
         none = np.zeros(0, dtype=np.int64)
-        records = {1: make_query(1)}
         for draws in (
-            st_.sample_fresh(records, none),
-            st_.sample_guided(records, none, none, none, 4),
-            st_.sample_corrections(records, none),
+            st_.sample_fresh(st_.corpus, none),
+            st_.sample_guided(st_.corpus, none, none, none, 4),
+            st_.sample_corrections(st_.corpus, none),
         ):
             assert len(draws.length_tokens) == len(draws.correct) == len(draws.answers) == 0
-        assert st_.draw_counter == {1: 3}
+        assert st_.draw_counter.tolist() == [3]
 
 
 def train_set_for(qid_counts, level=None, length=60):
@@ -345,21 +367,21 @@ class TestTrain:
         params = LearnerParams(forget_rate=0.25)
         st_ = state_with({1: 0.8, 2: 0.4}, params=params)
         out = st_.train(TrajectoryDataset.empty(ROLE_TRAIN), 8)
-        assert out.p[1] == pytest.approx(0.8 * 0.75)
-        assert out.p[2] == pytest.approx(0.4 * 0.75)
+        assert p_of(out, 1) == pytest.approx(0.8 * 0.75)
+        assert p_of(out, 2) == pytest.approx(0.4 * 0.75)
         assert out.iteration == 1
 
     def test_full_exposure_update(self):
         params = LearnerParams(learn_rate=0.35)
         st_ = state_with({1: 0.5}, params=params)
         out = st_.train(train_set_for({1: 8}), 8)
-        assert out.p[1] == pytest.approx(0.675)
+        assert p_of(out, 1) == pytest.approx(0.675)
 
     def test_exposure_saturates_at_k(self):
         params = LearnerParams(learn_rate=0.35)
         st_ = state_with({1: 0.5}, params=params)
         more = st_.train(train_set_for({1: 30}), 8)
-        assert more.p[1] == pytest.approx(0.675)
+        assert p_of(more, 1) == pytest.approx(0.675)
 
     def test_length_imitation_endpoint(self):
         params = LearnerParams(length_imitation=1.0)
@@ -387,7 +409,7 @@ class TestTrain:
         counts_map = {i % len(ps): c for i, c in enumerate(counts)}
         ds = train_set_for({q: c for q, c in counts_map.items() if c > 0})
         out = st_.train(ds, k)
-        assert all(0.0 <= v <= 1.0 for v in out.p.values())
+        assert all(0.0 <= v <= 1.0 for v in out.p.tolist())
 
     @given(
         st.dictionaries(st.integers(0, 5), st.integers(0, 10), min_size=1, max_size=6),
@@ -402,51 +424,51 @@ class TestTrain:
         st_b = state_with(p_map)
         out_small = st_a.train(train_set_for({q: c for q, c in counts.items() if c > 0}), 8)
         out_big = st_b.train(train_set_for({q: c for q, c in bigger.items() if c > 0}), 8)
-        assert all(out_big.p[q] >= out_small.p[q] - 1e-12 for q in p_map)
+        assert all(p_of(out_big, q) >= p_of(out_small, q) - 1e-12 for q in p_map)
 
 
 class TestPassRate:
     def test_degenerate(self):
         st_ = state_with({1: 1.0, 2: 0.0})
-        assert st_.pass_rates([make_query(1), make_query(2)], 64) == {1: 1.0, 2: 0.0}
+        assert st_.pass_rates(64).tolist() == [1.0, 0.0]
 
     def test_near_half(self):
         st_ = state_with({1: 0.5}, seed=17)
-        assert abs(st_.pass_rates([make_query(1)], 64)[1] - 0.5) <= 0.15
+        assert abs(st_.pass_rates(64)[0] - 0.5) <= 0.15
 
     def test_vectorized_matches_scalar(self):
         corpus = synth_corpus(25, seed=4)
         st_ = init_learner(corpus, seed=4)
-        rates = st_.pass_rates(corpus, 32)
-        for q in corpus:
-            assert rates[q.id] == pass_rate(st_, q, 32)
+        rates = st_.pass_rates(32)
+        for row, q in enumerate(list(corpus.records.values())):
+            assert rates[row] == pass_rate(st_, q, 32)
 
     def test_pure_measurement(self):
         st_ = state_with({1: 0.5}, seed=2)
-        q = make_query(1)
-        assert st_.pass_rates([q], 64) == st_.pass_rates([q], 64)
-        assert st_.draw_counter == {}
+        assert st_.pass_rates(64).tolist() == st_.pass_rates(64).tolist()
+        assert st_.draw_counter.tolist() == [0]
 
 
 class TestCalibrateDifficulty:
     def test_ten_distinct_rates(self):
-        rates = {i: 1.0 - i / 10 for i in range(10)}
+        rates = np.array([1.0 - i / 10 for i in range(10)])
         levels = calibrate_difficulty(rates)
-        assert [levels[i] for i in range(10)] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        assert levels.tolist() == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
     def test_ties_break_by_id(self):
-        rates = {i: 0.5 for i in range(10)}
+        rates = np.full(10, 0.5)
         levels = calibrate_difficulty(rates)
-        assert [levels[i] for i in range(10)] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        assert levels.tolist() == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_difficulty({})
+            calibrate_difficulty(np.zeros(0))
 
     @given(st.dictionaries(st.integers(0, 4000), st.floats(0, 1), min_size=1, max_size=200))
     @settings(max_examples=300, deadline=None)
     def test_balanced_and_ordered(self, rates):
-        levels = calibrate_difficulty(rates)
+        ids = sorted(rates)
+        levels = dict(zip(ids, calibrate_difficulty(np.array([rates[q] for q in ids])).tolist()))
         sizes = [sum(1 for lv in levels.values() if lv == L) for L in (1, 2, 3, 4, 5)]
         assert max(sizes) - min(sizes) <= 1
         by_level = {}
@@ -462,17 +484,83 @@ class TestSnapshots:
         corpus = synth_corpus(5, seed=0)
         st_ = init_learner(corpus, seed=0)
         snap = st_.clone()
-        st_.sample_response(corpus[0])
-        assert snap.draw_counter == {}
+        st_.sample_response(list(corpus.records.values())[0])
+        assert snap.draw_counter.tolist() == [0] * 5
 
 
 def test_synth_corpus_deterministic_and_in_range():
     a = synth_corpus(100, seed=8)
     b = synth_corpus(100, seed=8)
-    assert a == b
-    assert all(0.0 <= q.latent_difficulty <= 1.0 for q in a)
+    assert a.records == b.records
+    assert all(0.0 <= d <= 1.0 for d in a.latent_difficulty.tolist())
     params = CorpusParams()
     easy = sum(
-        1 for q in a if q.latent_difficulty <= params.easy_difficulty[1] + 1e-9
+        1 for d in a.latent_difficulty.tolist() if d <= params.easy_difficulty[1] + 1e-9
     )
     assert abs(easy / 100 - params.easy_fraction) < 0.15
+
+
+@st.composite
+def leveled_corpora(draw):
+    """A corpus with arbitrary distinct ids, given in any order; each query's
+    level unset or set, its difficulty and base length drawn."""
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=12, unique=True))
+    return Corpus.of(
+        make_query(
+            q,
+            level=draw(st.one_of(st.none(), st.integers(1, 5))),
+            latent_difficulty=draw(st.floats(0.0, 1.0)),
+            base_log_length=draw(st.floats(2.0, 7.0)),
+        )
+        for q in ids
+    )
+
+
+learner_params = st.builds(
+    LearnerParams,
+    learn_rate=st.floats(0.01, 1.0),
+    forget_rate=st.floats(0.0, 0.99),
+    length_imitation=st.floats(0.0, 1.0),
+    init_noise=st.floats(0.0, 0.3),
+)
+
+
+class TestAgainstDictReferences:
+    """Set-up, calibration and training equal their per-query dict references
+    in tests/oracles.py, float for float."""
+
+    @given(leveled_corpora(), learner_params, st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_init_learner(self, corpus, params, seed):
+        state = init_learner(corpus, params, seed)
+        p, mu = init_learner_reference(list(corpus.records.values()), params, seed)
+        assert dict(zip(corpus.ids.tolist(), state.p.tolist())) == p
+        assert state.mu_log_len == mu
+
+    @given(leveled_corpora(), learner_params, st.integers(1, 8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_train(self, corpus, params, k, data):
+        ids = corpus.ids.tolist()
+        state = init_learner(corpus, params, data.draw(st.integers(0, 2**32)))
+        state.p = np.array([data.draw(st.floats(0.0, 1.0)) for _ in ids])
+        # train rows of corpus queries and of one query the corpus lacks
+        counts = {q: data.draw(st.integers(0, 10)) for q in ids + [2**41]}
+        records = corpus.records
+        entries = [
+            (records.get(q, make_query(q)), make_traj(q, j, length=data.draw(st.integers(0, 3000))))
+            for q, c in counts.items()
+            for j in range(1, c + 1)
+        ]
+        train_set = TrajectoryDataset.from_entries(entries, ROLE_TRAIN)
+        out = state.train(train_set, k)
+        p, mu = train_reference(dict(zip(ids, state.p.tolist())), state.mu_log_len, params, train_set, k)
+        assert dict(zip(ids, out.p.tolist())) == p
+        assert out.mu_log_len == mu
+
+    @given(leveled_corpora(), st.integers(1, 8), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_calibrate_difficulty(self, corpus, m, seed):
+        rates = init_learner(corpus, seed=seed).pass_rates(m)  # few shots: many ties
+        levels = calibrate_difficulty(rates)
+        expected = calibrate_difficulty_reference(dict(zip(corpus.ids.tolist(), rates.tolist())))
+        assert dict(zip(corpus.ids.tolist(), levels.tolist())) == expected

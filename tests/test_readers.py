@@ -11,6 +11,7 @@ patched down to 1-3 lines so that chunk boundaries, and bad lines past
 the first chunk, are exercised.
 """
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -175,7 +176,8 @@ def outcome(read, path):
     except SchemaError as exc:
         return str(exc)
     columns = {name: col.tolist() for name, col in ds.columns.items()}
-    return ds.role, columns, ds.answers.tolist(), list(ds.records.items())
+    corpus = {f.name: getattr(ds.corpus, f.name).tolist() for f in dataclasses.fields(ds.corpus)}
+    return ds.role, columns, ds.answers.tolist(), corpus
 
 
 def both_outcomes(text, chunk, columnar, reference):

@@ -8,6 +8,7 @@ from headtail.core import (
     ORIGIN_RESAMPLED_AR,
     ORIGIN_RESAMPLED_GR,
     ROLE_TRAIN,
+    Corpus,
     TrajectoryDataset,
 )
 from headtail.rewards import discard_dataset, filter_dataset
@@ -172,7 +173,7 @@ class TestAdaptiveResample:
         f, queries = hand_filter
         corpus = list(queries.values()) + [make_query(4)]
         sampler = ScriptedSampler(itertools.repeat(True))
-        resampled, refiltered, train = adaptive_resample(f, corpus, sampler, K=8)
+        resampled, refiltered, train = adaptive_resample(f, Corpus.of(corpus), sampler, K=8)
         assert sampler.fresh_calls == 2 + 5 + 7 + 8
         assert len(resampled) == 22
         assert all(t.origin == ORIGIN_RESAMPLED_AR for _, t in resampled)
@@ -180,21 +181,21 @@ class TestAdaptiveResample:
     def test_no_deficit_no_resampling(self):
         f, queries = make_filter({1: 4, 2: 4})
         sampler = ScriptedSampler()
-        resampled, refiltered, train = adaptive_resample(f, list(queries.values()), sampler, K=4)
+        resampled, refiltered, train = adaptive_resample(f, Corpus.of(queries.values()), sampler, K=4)
         assert sampler.fresh_calls == 0
         assert train.entries == f.retagged(ROLE_TRAIN).entries
 
     def test_failed_draws_are_refiltered_out(self, hand_filter):
         f, queries = hand_filter
         sampler = ScriptedSampler(itertools.cycle([True, False]))
-        resampled, refiltered, train = adaptive_resample(f, list(queries.values()), sampler, K=8)
+        resampled, refiltered, train = adaptive_resample(f, Corpus.of(queries.values()), sampler, K=8)
         assert len(refiltered) == sum(1 for _, t in resampled if t.correct)
         assert len(train) == len(f) + len(refiltered)
 
     def test_sampler_failure_aborts(self, hand_filter):
         f, queries = hand_filter
         with pytest.raises(SamplerError, match="sampler error"):
-            adaptive_resample(f, list(queries.values()), FailingSampler(), K=8)
+            adaptive_resample(f, Corpus.of(queries.values()), FailingSampler(), K=8)
 
     @given(
         st.dictionaries(st.integers(0, 14), st.integers(0, 8), min_size=1, max_size=10),
@@ -206,7 +207,7 @@ class TestAdaptiveResample:
         f, queries = make_filter(k_correct)
         corpus = [queries.get(qid, make_query(qid)) for qid in corpus_ids]
         sampler = ScriptedSampler(itertools.cycle([True, False, False]))
-        resampled, refiltered, train = adaptive_resample(f, corpus, sampler, K=8)
+        resampled, refiltered, train = adaptive_resample(f, Corpus.of(corpus), sampler, K=8)
         assert sampler.fresh_calls == oracle_ar_draws(k_correct, corpus_ids, 8)
         assert len(train) == len(f) + len(refiltered)
 
@@ -363,7 +364,7 @@ class TestSharedInvariants:
             head_clip(f, 8),
             repeat_pad(f, 8),
             repeat_invert(f, 8),
-            adaptive_resample(f, list(queries.values()), sampler, 8)[2],
+            adaptive_resample(f, Corpus.of(queries.values()), sampler, 8)[2],
             guided_resample(f, sampler, 4, 4)[2],
         ]
         for out in outputs:
@@ -376,12 +377,12 @@ class TestSharedInvariants:
         first = [
             threshold_clip(f, 2, 9).entries,
             repeat_pad(f, 8).entries,
-            adaptive_resample(f, corpus, ScriptedSampler(itertools.cycle([True, False])), 8)[2].entries,
+            adaptive_resample(f, Corpus.of(corpus), ScriptedSampler(itertools.cycle([True, False])), 8)[2].entries,
         ]
         second = [
             threshold_clip(f, 2, 9).entries,
             repeat_pad(f, 8).entries,
-            adaptive_resample(f, corpus, ScriptedSampler(itertools.cycle([True, False])), 8)[2].entries,
+            adaptive_resample(f, Corpus.of(corpus), ScriptedSampler(itertools.cycle([True, False])), 8)[2].entries,
         ]
         assert first == second
 
