@@ -43,24 +43,16 @@ from .core import ROLE_FILTER, ROLE_TRAIN, TrajectoryDataset
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        cfg = RunConfig.from_json_file(args.config)
-    else:
-        cfg = RunConfig()
+    cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
     flags = {"n": "n_queries", "k": "k_samples", "t": "iterations", "mode": "mode",
              "restart": "restart_each_iteration", "output_dir": "output_dir"}
     updates = {key: getattr(args, flag) for flag, key in flags.items() if getattr(args, flag) is not None}
     if args.seed is not None:
         updates["seeds"] = (args.seed,)
-    if args.strategy is not None or args.l is not None or args.s is not None:
-        st = cfg.strategy
-        st = dataclasses.replace(
-            st,
-            kind=args.strategy if args.strategy is not None else st.kind,
-            L=args.l if args.l is not None else st.L,
-            S=args.s if args.s is not None else st.S,
-        )
-        updates["strategy"] = st
+    knobs = {key: value for key, value in (("kind", args.strategy), ("L", args.l), ("S", args.s))
+             if value is not None}
+    if knobs:
+        updates["strategy"] = dataclasses.replace(cfg.strategy, **knobs)
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
     return cfg

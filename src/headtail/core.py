@@ -13,35 +13,15 @@ with origin rank explored < resampled_ar < resampled_gr < corrected.
 
 Layout
 ------
-The queries a dataset refers to live in a :class:`Corpus`: one read-only
-column per query field (id, ground truth, level with 0 for unset, latent
-difficulty, base log-length) in ascending id order.  A run builds one
-corpus, and every dataset of the run and the learner share it.
-
-A dataset is stored column-wise: one read-only numpy array per field
-(``COLUMNS``: query id, level with 0 for unset, iteration, origin rank,
-sample index, prefix steps and tokens, length, correct flag, and
-corrected_from with -1 for unset), an object array of extracted answers,
-and its corpus.  The constructor alone holds the unset values: origin,
-prefix steps and tokens and corrected_from may be left out of it.  Every
-transform is index arithmetic on those columns: select rows, repeat them,
-concatenate two datasets, and restore canonical order with one stable
-``np.lexsort`` over the ``entry_sort_key`` fields, so entries with equal
-keys keep their relative order.
-
-Python objects exist only at the edges:
-
-* :meth:`TrajectoryDataset.from_entries` packs pairs made elsewhere
-  (hand-built fixtures, library callers) into columns; logs and snapshots
-  read from disk are decoded straight into columns and never pass through
-  it;
-* :attr:`TrajectoryDataset.entries` builds fresh pairs from the columns on
-  first access and caches them on that dataset only; its records come from
-  :attr:`Corpus.records`, built once per corpus, the one place records
-  are made from columns.
-
-The simulation loop itself never builds entries: sampling, resampling and
-correction all come back from the sampler as columns.
+The queries live in a :class:`Corpus`, one read-only column per
+``QueryRecord`` field in ascending id order; a run builds one, and every
+dataset of the run and the learner share it.  A dataset is one read-only
+array per ``COLUMNS`` field, an object array of extracted answers, and its
+corpus.  Every transform is index arithmetic on those columns, restoring
+canonical order with one stable ``np.lexsort`` over the ``entry_sort_key``
+fields.  Python objects exist only at the edges: ``from_entries`` packs
+pairs made elsewhere into columns, and ``entries`` builds pairs from the
+columns on first access; the loop and the disk readers never do either.
 """
 
 from __future__ import annotations
@@ -237,7 +217,7 @@ class Corpus:
         try:
             cols = {name: np.asarray(getattr(self, name), dtype=t) for name, t in _CORPUS_TYPES.items()}
         except OverflowError:
-            raise ValueError("corpus fields must fit in 64-bit integers") from None
+            raise ValueError("dataset fields must fit in 64-bit integers") from None
         order = np.argsort(cols["ids"], kind="stable")
         for name, col in cols.items():
             col = np.full(len(order), col) if col.ndim == 0 else col

@@ -283,11 +283,8 @@ class RunReport:
 
 
 def _apply_strategy(
-    cfg: StrategyConfig,
-    iteration: int,
-    filtered: TrajectoryDataset,
-    discarded: TrajectoryDataset | None,
-    sampler: LearnerState,
+    cfg: StrategyConfig, iteration: int, filtered: TrajectoryDataset,
+    discarded: TrajectoryDataset | None, sampler: LearnerState,
 ) -> TrajectoryDataset:
     kind = cfg.kind
     if kind in RESHAPING_KINDS:
@@ -310,12 +307,8 @@ def _prepared_corpus_and_learner(config: RunConfig, seed: int) -> LearnerState:
 
 
 def _record_iteration(
-    report: RunReport,
-    iteration: int,
-    K: int,
-    sample: TrajectoryDataset,
-    filtered: TrajectoryDataset,
-    train_set: TrajectoryDataset,
+    report: RunReport, iteration: int, K: int,
+    sample: TrajectoryDataset, filtered: TrajectoryDataset, train_set: TrajectoryDataset,
 ) -> dict[int, int]:
     k_counts = filtered.counts_by_query()
     report.rows.append(build_row(iteration, ROLE_SAMPLE, sample, K, k_counts))
@@ -325,10 +318,7 @@ def _record_iteration(
 
 
 def _train_next(
-    config: RunConfig,
-    base: LearnerState,
-    current: LearnerState,
-    train_set: TrajectoryDataset,
+    config: RunConfig, base: LearnerState, current: LearnerState, train_set: TrajectoryDataset
 ) -> LearnerState:
     if config.restart_each_iteration:
         source = base.clone()

@@ -16,20 +16,14 @@ rebalancing strategies are meant to counter.  Default parameter values are
 calibration targets chosen so the stock simulation reproduces the collapse
 phenomenology (see README); they are knobs, not measurements.
 
-The policy is arrays aligned to its :class:`~headtail.core.Corpus`, the one
-query table of a run: ``p`` and the draw counters hold one entry per query
-in ascending id order, so training, evaluation, calibration and the draw
-kernel are index operations.  ``train``, ``init_learner`` and
-``calibrate_difficulty`` are checked against per-query dict references in
-``tests/oracles.py``.
-
-Every draw is keyed by (root_seed, query_id, draw counter), so the
-trajectory sequence of a query is a pure function of its counter sequence
-no matter how draws interleave across queries.  The batched samplers
-(:meth:`LearnerState.sample_batch`, ``sample_fresh``, ``sample_guided``,
-``sample_corrections``) replay exactly the same draws as a loop of the
-scalar calls, just vectorized; :meth:`LearnerState.pass_rates` is checked
-the same way against a scalar reference in ``tests/oracles.py``.
+The policy is arrays aligned to its :class:`~headtail.core.Corpus`: ``p``
+and the draw counters hold one entry per query in ascending id order.
+Every draw is keyed by (root_seed, query_id, draw counter), so a query's
+trajectories are a pure function of its counter sequence however draws
+interleave, and the batched samplers replay exactly the draws of a loop
+of the scalar calls.  ``tests/oracles.py`` holds the per-query references
+that ``train``, ``init_learner``, ``calibrate_difficulty`` and
+``pass_rates`` are checked against.
 """
 
 from __future__ import annotations
@@ -304,7 +298,7 @@ class LearnerState:
         mu = self._mu_of(query) + math.log1p(self.params.correction_length_boost)
         return self._draw(query, prob, mu, origin=ORIGIN_CORRECTED)
 
-    def _mu(self, corpus: Corpus, rows: np.ndarray | slice) -> np.ndarray:
+    def _mu(self, corpus: Corpus, rows: np.ndarray) -> np.ndarray:
         """Per row of ``corpus``: its level's learned mean log-length, or its
         base log-length while its level is unset or has no mean (``_mu_of``)."""
         by_level = np.array([np.nan] + [self.mu_log_len.get(level, np.nan) for level in LEVELS])
@@ -320,39 +314,26 @@ class LearnerState:
         own = rows if corpus is self.corpus else self.corpus.rows(query_ids)
         return own, self.p[own], self._mu(corpus, rows), corpus.gt_answer[rows]
 
-    def _take_counters(self, own: np.ndarray) -> np.ndarray:
-        """Per row: the next draw counter of the query at row ``own`` of the
-        corpus, a query's rows taking consecutive counters in row order; the
-        counters move past every one taken."""
-        ids, inverse, counts = np.unique(own, return_inverse=True, return_counts=True)
-        rank = np.empty(len(own), dtype=np.int64)
-        rank[np.argsort(inverse, kind="stable")] = run_positions(counts)
-        counters = self.draw_counter[ids][inverse] + rank
-        self.draw_counter[ids] += counts
-        return counters
-
     def _draw_rows(
-        self,
-        query_ids: np.ndarray,
-        counters: np.ndarray,
-        prob: np.ndarray,
-        mu: np.ndarray,
-        gt: np.ndarray,
-        *,
-        scale: np.ndarray | float = 1.0,
-        prefix_tokens: np.ndarray | int = 0,
+        self, own: np.ndarray, prob: np.ndarray, mu: np.ndarray, gt: np.ndarray, *,
+        scale: np.ndarray | float = 1.0, prefix_tokens: np.ndarray | int = 0,
     ) -> Draws:
-        """Vectorized ``_draw``: one draw per row, keyed by its query id and counter.
+        """Vectorized ``_draw``: one keyed draw per row, rows in call order.
 
-        The length arithmetic follows ``_draw`` op for op, so rows that take
-        a query's counters in turn equal a loop of scalar draws.  One
-        ``rng.uniform`` and one ``rng.normal`` call serve all rows.
+        Row i draws for the query at row ``own[i]`` of the corpus and takes
+        its draw counter plus the number of earlier rows of that query; the
+        length arithmetic follows ``_draw`` op for op, so the rows equal a
+        loop of scalar draws.  One ``rng.uniform`` and one ``rng.normal``
+        call serve all rows.
         """
-        query_ids = np.asarray(query_ids, dtype=np.int64)
-        if len(query_ids) == 0:
+        if len(own) == 0:
             empty = np.zeros(0, dtype=np.int64)
             return Draws(self.iteration + 1, empty, empty.astype(bool), object_array(()))
-        counters = counters.astype(np.uint64)
+        rows, inverse, counts = np.unique(own, return_inverse=True, return_counts=True)
+        rank = np.empty(len(own), dtype=np.int64)
+        rank[np.argsort(inverse, kind="stable")] = run_positions(counts)
+        counters = (self.draw_counter[rows][inverse] + rank).astype(np.uint64)
+        query_ids = self.corpus.ids[own]
         keys = query_ids.astype(np.uint64)
         correct = rng.uniform(self.root_seed, rng.CORRECT, keys, counters) < prob
         z = rng.normal(self.root_seed, rng.LENGTH, keys, counters)
@@ -367,12 +348,12 @@ class LearnerState:
         answers[wrong] = [
             f"wrong-{q}-{c}" for q, c in zip(query_ids[wrong].tolist(), counters[wrong].tolist())
         ]
+        self.draw_counter[rows] += counts
         return Draws(self.iteration + 1, prefix_tokens + lengths, correct, answers)
 
     def sample_fresh(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
         """Batched :meth:`sample_response`: one fresh draw per row."""
-        own, p, mu, gt = self._query_columns(corpus, query_ids)
-        return self._draw_rows(query_ids, self._take_counters(own), p, mu, gt)
+        return self._draw_rows(*self._query_columns(corpus, query_ids))
 
     def sample_guided(
         self,
@@ -394,8 +375,7 @@ class LearnerState:
         factor = np.array([(1.0 - f) ** self.params.prefix_gain for f in kept])[steps - 1]
         scale = np.array([1.0 - f for f in kept])[steps - 1]
         return self._draw_rows(
-            query_ids,
-            self._take_counters(own),
+            own,
             1.0 - (1.0 - p) * factor,
             mu,
             gt,
@@ -408,27 +388,20 @@ class LearnerState:
         pr = self.params
         own, p, mu, gt = self._query_columns(corpus, query_ids)
         prob = np.minimum(1.0, np.maximum(0.0, pr.correction_base + pr.correction_slope * p))
-        return self._draw_rows(
-            query_ids, self._take_counters(own), prob, mu + math.log1p(pr.correction_length_boost), gt
-        )
+        return self._draw_rows(own, prob, mu + math.log1p(pr.correction_length_boost), gt)
 
     def sample_batch(self, k: int) -> TrajectoryDataset:
         """K fresh draws per corpus query, vectorized; replays scalar draws exactly."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        c, n = self.corpus, len(self.corpus)
+        c = self.corpus
         qids = np.repeat(c.ids, k)
-        counters = np.repeat(self.draw_counter, k) + np.tile(np.arange(k), n)
-        self.draw_counter += k
-        draws = self._draw_rows(
-            qids, counters, np.repeat(self.p, k), np.repeat(self._mu(c, slice(None)), k),
-            np.repeat(c.gt_answer, k),
-        )
+        draws = self._draw_rows(*self._query_columns(c, qids))
         columns = {
             "query_id": qids,
             "level": np.repeat(c.level, k),
             "iteration": draws.iteration,
-            "sample_index": np.tile(np.arange(1, k + 1), n),
+            "sample_index": np.tile(np.arange(1, k + 1), len(c)),
             "length_tokens": draws.length_tokens,
             "correct": draws.correct,
         }

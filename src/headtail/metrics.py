@@ -26,27 +26,8 @@ REFERENCE_TARGETS = {
 }
 
 CSV_COLUMNS = (
-    "iteration",
-    "role",
-    "total",
-    "l1",
-    "l2",
-    "l3",
-    "l4",
-    "l5",
-    "b25",
-    "b50",
-    "b75",
-    "b100",
-    "mean_len",
-    "len_l1",
-    "len_l2",
-    "len_l3",
-    "len_l4",
-    "len_l5",
-    "head",
-    "tail",
-    "gap",
+    "iteration", "role", "total", "l1", "l2", "l3", "l4", "l5", "b25", "b50", "b75", "b100",
+    "mean_len", "len_l1", "len_l2", "len_l3", "len_l4", "len_l5", "head", "tail", "gap",
 )
 
 _BUCKET_EDGES = (0.25, 0.50, 0.75, 1.00)

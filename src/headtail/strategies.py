@@ -95,7 +95,6 @@ class Sampler(Protocol):
 
     def sample_fresh(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
         """One fresh response per row."""
-        ...
 
     def sample_guided(
         self,
@@ -108,11 +107,9 @@ class Sampler(Protocol):
         """Per row: continue a successful response of the query from the
         prefix before step ``steps[i]`` of ``total_steps``, which is
         ``prefix_tokens[i]`` tokens long."""
-        ...
 
     def sample_corrections(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
         """Per row: a revision of a failed response of the query."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -392,12 +389,7 @@ def self_correct_augment(
 
 
 def reshape(
-    kind: str,
-    filtered: TrajectoryDataset,
-    K: int,
-    L: int = 4,
-    seed: int = 0,
-    iteration: int = 1,
+    kind: str, filtered: TrajectoryDataset, K: int, L: int = 4, seed: int = 0, iteration: int = 1
 ) -> TrajectoryDataset:
     """Dispatch for the sampler-free strategies (vanilla/tc/hc/rp/ri)."""
     if kind == "vanilla":

@@ -257,6 +257,7 @@ def _snapshot_line(qid, **fields):
         (_snapshot_line(2, prefix_steps=1), "line 5: prefix_steps is only meaningful for guided resamples"),
         (_snapshot_line(2, level=4), "{path}: conflicting records for query 2"),
         (_snapshot_line(2, length_tokens=2**63), "{path}: dataset fields must fit in 64-bit integers"),
+        (_snapshot_line(2**63, level=2), "{path}: dataset fields must fit in 64-bit integers"),
         (_snapshot_line(2, correct=False), "{path}: train datasets may only contain correct trajectories"),
     ],
 )
