@@ -29,6 +29,7 @@ from .harness import (
     RunAborted,
     RunConfig,
     SchemaError,
+    check_output_path,
     emit_report,
     read_config_json,
     read_snapshot,
@@ -84,6 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     cfg.validate()
     outdir = _output_dir(cfg, "runs/run")
+    check_output_path(outdir / "metrics.csv")
     try:
         report = run_mode(cfg, cfg.seeds[0])
     except RunAborted as exc:
@@ -145,6 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     l_values = _int_list(args.l_values, "--l-values", [cfg.strategy.L])
     s_values = _int_list(args.s_values, "--s-values", [cfg.strategy.S])
     base_out = _output_dir(cfg, "runs/sweep")
+    check_output_path(base_out / "sweep_summary.csv")
     jobs: list[tuple[dict, int, str]] = []
     for kind in strategies:
         # an axis a kind never reads would only repeat its runs: take its first value
@@ -193,8 +196,8 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
         except ValueError as exc:  # a bad line, or not UTF-8
             raise ConfigError(f"{args.alias_table}: {exc}") from exc
         rules = dataclasses.replace(rules, symbol_aliases=aliases)
-    if args.summary and Path(args.summary).is_dir():
-        raise ConfigError(f"summary path {args.summary} is a directory")
+    if args.summary:
+        check_output_path(args.summary)
     summary = rebalance_offline(args.input, strategy, args.k, args.output, rules=rules)
     row = summary.pop("metrics_row")
     if args.summary:
@@ -242,10 +245,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     filtered = dataset
     if dataset.role != ROLE_FILTER and filtered_path.exists():
         filtered = _read_named_snapshot(filtered_path, ROLE_FILTER)
-    counts = filtered.counts_by_query()
     # an empty snapshot reports at the run's last round, as metrics.csv does
     iteration = int(dataset.columns["iteration"].max()) if len(dataset) else cfg.rounds
-    row = build_row(iteration, dataset.role, dataset, cfg.k_samples, counts)
+    row = build_row(iteration, dataset.role, dataset, cfg.k_samples, filtered)
     print(rows_to_csv([row]), end="")
     return EXIT_OK
 

@@ -15,13 +15,15 @@ Layout
 ------
 The queries live in a :class:`Corpus`, one read-only column per
 ``QueryRecord`` field in ascending id order; a run builds one, and every
-dataset of the run and the learner share it.  A dataset is one read-only
-array per ``COLUMNS`` field, an object array of extracted answers, and its
-corpus.  Every transform is index arithmetic on those columns, restoring
-canonical order with one stable ``np.lexsort`` over the ``entry_sort_key``
-fields.  Python objects exist only at the edges: ``from_entries`` packs
-pairs made elsewhere into columns, and ``entries`` builds pairs from the
-columns on first access; the loop and the disk readers never do either.
+dataset of the run and the learner share it.  Per-query facts live only
+there (``levels`` and ``gt_answers`` spread them over a dataset's rows).
+A dataset is one read-only array per ``COLUMNS`` field, an object array
+of extracted answers, and its corpus.  Every transform is index
+arithmetic on those columns, restoring canonical order with one stable
+``np.lexsort`` over the ``entry_sort_key`` fields.  Python objects exist
+only at the edges: ``from_entries`` packs pairs made elsewhere into
+columns, and ``entries`` builds pairs from the columns on first access;
+the loop and the disk readers never do either.
 """
 
 from __future__ import annotations
@@ -140,10 +142,10 @@ def entry_sort_key(entry: Entry) -> tuple:
     return (t.query_id, t.iteration, ORIGIN_RANK[t.origin], t.sample_index, t.prefix_steps, link)
 
 
-# one int64 column per field ("correct" is bool); level 0 and corrected_from
-# -1 stand for unset, origin holds the rank
+# one int64 column per Trajectory field ("correct" is bool); corrected_from
+# -1 stands for unset, origin holds the rank
 COLUMNS = (
-    "query_id", "level", "iteration", "origin", "sample_index",
+    "query_id", "iteration", "origin", "sample_index",
     "prefix_steps", "prefix_tokens", "length_tokens", "correct", "corrected_from",
 )
 # the columns a dataset may be built without, and the value they then take:
@@ -152,6 +154,14 @@ _UNSET = {"origin": ORIGIN_RANK[ORIGIN_EXPLORED], "prefix_steps": 0, "prefix_tok
 # entry_sort_key's fields, least significant first as np.lexsort wants them
 _SORT_COLUMNS = ("corrected_from", "prefix_steps", "sample_index", "origin", "iteration", "query_id")
 _ALL_CORRECT_ROLES = (ROLE_FILTER, ROLE_REFILTER, ROLE_TRAIN)
+
+
+def first_rows(ids: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], int | None]:
+    """The distinct ids ascending, each of ``values`` at each id's first row,
+    and the first row where some value differs from its id's first, if any."""
+    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    conflicts = np.flatnonzero(np.any([v != v[first][inverse] for v in values], axis=0))
+    return distinct, tuple(v[first] for v in values), int(conflicts[0]) if len(conflicts) else None
 
 
 def object_array(values: Iterable[Any]) -> np.ndarray:
@@ -180,8 +190,6 @@ def _check_columns(role: str, c: dict[str, np.ndarray]) -> None:
         raise ValueError("prefix_steps is only meaningful for guided resamples")
     if np.any(steps < 0):
         raise ValueError("prefix_steps must be >= 0")
-    if np.any((c["level"] < 0) | (c["level"] > LEVELS[-1])):
-        raise ValueError(f"level must be in {LEVELS} when set")
     if np.any((c["corrected_from"] < 1) & (c["corrected_from"] != -1)):
         raise ValueError("corrected_from must be >= 1 when set")
     if role in _ALL_CORRECT_ROLES and not np.all(c["correct"]):
@@ -273,11 +281,11 @@ class Corpus:
         """Every query of both; a query in both must be equal in every field."""
         if other is self:
             return self
-        cols = {name: np.concatenate((getattr(self, name), getattr(other, name))) for name in _CORPUS_TYPES}
-        _, first, inverse = np.unique(cols["ids"], return_index=True, return_inverse=True)
-        if any(np.any(col != col[first][inverse]) for col in cols.values()):
+        ids, *cols = (np.concatenate((getattr(self, name), getattr(other, name))) for name in _CORPUS_TYPES)
+        ids, cols, conflict = first_rows(ids, *cols)
+        if conflict is not None:
             raise CorpusMismatchError("corpus mismatch")
-        return Corpus(**{name: col[first] for name, col in cols.items()})
+        return Corpus(ids, *cols)
 
 
 class TrajectoryDataset:
@@ -287,8 +295,9 @@ class TrajectoryDataset:
     row per entry, ``answers`` holds the extracted answers and ``corpus``
     holds every query in the columns (possibly more).  The constructor
     takes a scalar for a column that is equal on every row, and the columns
-    in ``_UNSET`` may be left out.  It checks every invariant and, with
-    ``sort``, puts the rows in canonical order.
+    in ``_UNSET`` may be left out; a name not in ``COLUMNS`` is a
+    ValueError.  It checks every invariant and, with ``sort``, puts the
+    rows in canonical order.
     """
 
     __slots__ = ("role", "columns", "answers", "corpus", "_entries")
@@ -304,6 +313,9 @@ class TrajectoryDataset:
     ):
         if role not in ROLES:
             raise ValueError(f"unknown dataset role {role!r}")
+        unknown = set(columns) - set(COLUMNS)
+        if unknown:
+            raise ValueError(f"unknown dataset columns {sorted(unknown)}")
         n = len(answers)
         cols = {}
         for name in COLUMNS:
@@ -349,7 +361,6 @@ class TrajectoryDataset:
         trajs = [t for _, t in items]
         columns = {
             "query_id": [t.query_id for t in trajs],
-            "level": [r.level or 0 for r, _ in items],
             "iteration": [t.iteration for t in trajs],
             "origin": [ORIGIN_RANK[t.origin] for t in trajs],
             "sample_index": [t.sample_index for t in trajs],
@@ -422,37 +433,33 @@ class TrajectoryDataset:
         starts = np.flatnonzero(np.concatenate(([True], qids[1:] != qids[:-1])))[: len(qids)]
         return qids[starts], starts, np.diff(np.append(starts, len(qids)))
 
+    def count_of(self, query_ids: Any) -> np.ndarray:
+        """Per query id: how many rows it has in this dataset (0 for none)."""
+        qids = self.columns["query_id"]
+        return np.searchsorted(qids, query_ids, side="right") - np.searchsorted(qids, query_ids)
+
     def row_counts(self) -> np.ndarray:
         """Per row: how many rows its query has in this dataset."""
-        _, _, counts = self.query_runs()
-        return np.repeat(counts, counts)
+        return self.count_of(self.columns["query_id"])
 
-    def counts_by_query(self) -> dict[int, int]:
+    def _per_row(self, column: np.ndarray) -> np.ndarray:
+        """Per row: its query's value in ``column``, a column of the corpus."""
         ids, _, counts = self.query_runs()
-        return dict(zip(ids.tolist(), counts.tolist()))
+        return np.repeat(column[self.corpus.rows(ids)], counts)
+
+    def levels(self) -> np.ndarray:
+        """Per row: the level of its query (0 for unset)."""
+        return self._per_row(self.corpus.level)
 
     def gt_answers(self) -> np.ndarray:
         """Per row: the ground-truth answer of its query (object array)."""
-        ids, _, counts = self.query_runs()
-        return np.repeat(self.corpus.gt_answer[self.corpus.rows(ids)], counts)
+        return self._per_row(self.corpus.gt_answer)
 
 
 def run_positions(counts: np.ndarray) -> np.ndarray:
     """Each row's 0-based position within its run, for consecutive runs of ``counts`` rows."""
     counts = np.asarray(counts, dtype=np.int64)
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def lookup_counts(counts: dict[int, int], qids: np.ndarray) -> np.ndarray:
-    """Per query id in ``qids``: its value in ``counts``, 0 when absent."""
-    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
-    values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    if len(keys) == 0:
-        return np.zeros(len(qids), dtype=np.int64)
-    order = np.argsort(keys)
-    keys, values = keys[order], values[order]
-    pos = np.minimum(np.searchsorted(keys, qids), len(keys) - 1)
-    return np.where(keys[pos] == qids, values[pos], 0)
 
 
 def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryDataset:

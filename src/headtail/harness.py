@@ -58,6 +58,7 @@ from .core import (
     ROLE_TRAIN,
     Corpus,
     TrajectoryDataset,
+    first_rows,
     merge_datasets,
     object_array,
     run_positions,
@@ -306,17 +307,6 @@ def _prepared_corpus_and_learner(config: RunConfig, seed: int) -> LearnerState:
     return init_learner(replace(corpus, level=levels), config.learner, seed)
 
 
-def _record_iteration(
-    report: RunReport, iteration: int, K: int,
-    sample: TrajectoryDataset, filtered: TrajectoryDataset, train_set: TrajectoryDataset,
-) -> dict[int, int]:
-    k_counts = filtered.counts_by_query()
-    report.rows.append(build_row(iteration, ROLE_SAMPLE, sample, K, k_counts))
-    report.rows.append(build_row(iteration, ROLE_FILTER, filtered, K, k_counts))
-    report.rows.append(build_row(iteration, ROLE_TRAIN, train_set, K, k_counts))
-    return k_counts
-
-
 def _train_next(
     config: RunConfig, base: LearnerState, current: LearnerState, train_set: TrajectoryDataset
 ) -> LearnerState:
@@ -343,11 +333,9 @@ def _run_loop(config: RunConfig, seed: int) -> RunReport:
     # every mode draws T*K per query, spread evenly over its rounds
     rounds = config.rounds
     draws = config.iterations * config.k_samples // rounds
-    solved: set[int] = set()
+    solved = np.zeros(len(learner.corpus), dtype=bool)  # per corpus query: ever kept a correct response
     union_filter: TrajectoryDataset | None = None
     union_train: TrajectoryDataset | None = None
-    filtered = None
-    train_set = None
     try:
         for t in range(1, rounds + 1):
             sample = learner.sample_batch(draws)
@@ -364,7 +352,9 @@ def _run_loop(config: RunConfig, seed: int) -> RunReport:
                 if union:  # per_iteration: train on the union of every reshaped set
                     union_train = train_set if union_train is None else merge_datasets(union_train, train_set)
                     train_set = union_train
-            solved.update(_record_iteration(report, t, config.k_samples, sample, filtered, train_set))
+            for role, dataset in ((ROLE_SAMPLE, sample), (ROLE_FILTER, filtered), (ROLE_TRAIN, train_set)):
+                report.rows.append(build_row(t, role, dataset, config.k_samples, filtered))
+            solved |= filtered.count_of(learner.corpus.ids) > 0
             if len(train_set) == 0:
                 report.warnings.append(f"iteration {t}: empty training set, forgetting only")
             learner = _train_next(config, base, learner, train_set)
@@ -378,7 +368,7 @@ def _run_loop(config: RunConfig, seed: int) -> RunReport:
     except SamplerError as exc:
         report.incomplete = True
         raise RunAborted(str(exc), report) from exc
-    report.distinct_solved = len(solved)
+    report.distinct_solved = int(solved.sum())
     report.final_filter = filtered
     report.final_train = train_set
     report.final_state = learner
@@ -475,14 +465,6 @@ def _int64(values: Iterable[Any]) -> np.ndarray:
         return object_array(ints)
 
 
-def _first_rows(qids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Each query id with the value of its first row, and the first row
-    whose value differs from its query's first, if any."""
-    ids, first, inverse = np.unique(qids, return_index=True, return_inverse=True)
-    conflicts = np.flatnonzero(values != values[first][inverse])
-    return ids, values[first], int(conflicts[0]) if len(conflicts) else None
-
-
 _SNAPSHOT_FIELDS = {
     "query_id", "sample_index", "iteration", "origin", "prefix_steps", "length_tokens", "level", "correct"
 }
@@ -539,7 +521,7 @@ def _snapshot_dataset(path: str | Path, c: dict[str, np.ndarray], role: str) -> 
     the file, in ``from_entries``' order: a query given two levels, a value
     past 64 bits, a row that ``role`` does not allow."""
     qids = c["query_id"]
-    ids, levels, conflict = _first_rows(qids, c["level"])
+    ids, (levels,), conflict = first_rows(qids, c.pop("level"))
     if conflict is not None:
         raise SchemaError(f"{path}: conflicting records for query {qids[conflict]}")
     try:
@@ -574,7 +556,7 @@ _SNAPSHOT_CHUNK = 4096  # rows formatted per write
 
 def _snapshot_chunks(dataset: TrajectoryDataset) -> Iterator[str]:
     """The snapshot lines of ``dataset``, a few thousand rows per string."""
-    c = dataset.columns
+    c = dict(dataset.columns, level=dataset.levels())
     for lo in range(0, len(dataset), _SNAPSHOT_CHUNK):
         part = {name: col[lo : lo + _SNAPSHOT_CHUNK].tolist() for name, col in c.items()}
         yield "".join(
@@ -584,6 +566,17 @@ def _snapshot_chunks(dataset: TrajectoryDataset) -> Iterator[str]:
                 part["origin"], part["prefix_steps"], part["query_id"], part["sample_index"],
             )
         )
+
+
+def check_output_path(path: str | Path) -> None:
+    """ConfigError unless a file can be written at ``path``: it is no
+    directory, and its nearest existing ancestor is one."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"output path {path} is a directory")
+    ancestor = next(a for a in path.parents if a.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"output path {path} lies under {ancestor}, which is not a directory")
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
@@ -688,7 +681,7 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
 def _log_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
     """A sample dataset of log rows; each query's responses are numbered 1, 2, ... in log order."""
     qids = c["query_id"]
-    ids, gts, conflict = _first_rows(qids, c["gt_answer"])
+    ids, (gts,), conflict = first_rows(qids, c["gt_answer"])
     if conflict is not None:
         raise SchemaError(f"record {conflict + 1}: conflicting gt_answer for query {qids[conflict]}")
     by_query = np.argsort(qids, kind="stable")
@@ -696,7 +689,6 @@ def _log_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
     sample_index[by_query] = run_positions(np.unique(qids, return_counts=True)[1]) + 1
     columns = {
         "query_id": qids,
-        "level": 0,
         "iteration": c["iteration"],
         "sample_index": sample_index,
         "length_tokens": c["length_tokens"],
@@ -741,8 +733,7 @@ def rebalance_offline(
         strategy.validate(K)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if Path(output_path).is_dir():
-        raise ConfigError(f"output path {output_path} is a directory")
+    check_output_path(output_path)
     if not Path(input_path).is_file():
         raise SchemaError(f"no input log at {input_path}")
     sample = load_log(input_path)
@@ -752,13 +743,12 @@ def rebalance_offline(
     seed = strategy.seed if strategy.seed is not None else 0
     train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed, iteration=1)
     write_atomic(output_path, _snapshot_chunks(train))
-    k_counts = filtered.counts_by_query()
-    row = build_row(1, ROLE_TRAIN, train, K, k_counts)
+    row = build_row(1, ROLE_TRAIN, train, K, filtered)
     return {
         "input_records": len(sample),
         "filtered": len(filtered),
         "output_records": len(train),
-        "distinct_queries": len(k_counts),
+        "distinct_queries": len(filtered.query_runs()[0]),
         "metrics_row": row,
     }
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .core import (
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
-    lookup_counts,
     object_array,
     run_positions,
 )
@@ -399,7 +399,6 @@ class LearnerState:
         draws = self._draw_rows(*self._query_columns(c, qids))
         columns = {
             "query_id": qids,
-            "level": np.repeat(c.level, k),
             "iteration": draws.iteration,
             "sample_index": np.tile(np.arange(1, k + 1), len(c)),
             "length_tokens": draws.length_tokens,
@@ -449,7 +448,7 @@ class LearnerState:
             raise ValueError("k must be >= 1")
         pr = self.params
         p = self.p
-        counts = lookup_counts(training_set.counts_by_query(), self.corpus.ids)
+        counts = training_set.count_of(self.corpus.ids)
         new_p = np.where(
             counts > 0,
             p + pr.learn_rate * np.minimum(counts / k, 1.0) * (1.0 - p),
@@ -461,17 +460,19 @@ class LearnerState:
             # integers), taken once per distinct length
             distinct, where = np.unique(training_set.columns["length_tokens"], return_inverse=True)
             logs = np.array([math.log(max(1, n)) for n in distinct.tolist()])[where]
-            level = training_set.columns["level"]
-            global_mean = float(np.mean(logs))
+            target = _level_means(logs, training_set.levels(), new_mu)
             lam = pr.length_imitation
-            for lv in new_mu:
-                at_level = logs[level == lv]
-                target = float(np.mean(at_level)) if len(at_level) else global_mean
-                new_mu[lv] = (1.0 - lam) * new_mu[lv] + lam * target
+            new_mu = {lv: (1.0 - lam) * mu + lam * target[lv] for lv, mu in new_mu.items()}
         return replace(
             self, iteration=self.iteration + 1, p=new_p, mu_log_len=new_mu,
             draw_counter=self.draw_counter.copy(),
         )
+
+
+def _level_means(values: np.ndarray, levels: np.ndarray, keys: Iterable[int]) -> dict[int, float]:
+    """Per level in ``keys``: the mean of ``values`` at that level, or of all of them where it has none."""
+    overall = float(np.mean(values))
+    return {lv: float(np.mean(values[levels == lv])) if np.any(levels == lv) else overall for lv in keys}
 
 
 def init_learner(
@@ -493,16 +494,11 @@ def init_learner(
         seed, rng.INIT_NOISE, corpus.ids.astype(np.uint64), np.zeros(n, dtype=np.uint64)
     )
     p = np.clip(1.0 - corpus.latent_difficulty + eps, params.p_floor, params.p_ceiling)
-    global_mean = float(np.mean(corpus.base_log_length))
-    mu = {}
-    for level in LEVELS:
-        at_level = corpus.base_log_length[corpus.level == level]
-        mu[level] = float(np.mean(at_level)) if len(at_level) else global_mean
     return LearnerState(
         iteration=0,
         corpus=corpus,
         p=p,
-        mu_log_len=mu,
+        mu_log_len=_level_means(corpus.base_log_length, corpus.level, LEVELS),
         params=params,
         root_seed=seed,
         draw_counter=np.zeros(n, dtype=np.int64),

@@ -1,5 +1,8 @@
 """Distributional diagnostics: level shares, accuracy buckets, length stats.
 
+A row reads levels from the dataset's corpus and each query's correct
+count from the iteration's filter set, as arrays; it builds no per-query table.
+
 The headline degradation/mitigation figures reported for real model runs
 are kept here as named reference targets.  They are context for reading a
 simulation's report, never assertions: a surrogate learner has no business
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LEVELS, TrajectoryDataset, lookup_counts
+from .core import LEVELS, TrajectoryDataset
 
 REFERENCE_TARGETS = {
     "head_share_unbalanced": 0.511,
@@ -87,18 +90,19 @@ def build_row(
     role: str,
     dataset: TrajectoryDataset,
     K: int,
-    k_counts: dict[int, int],
+    filtered: TrajectoryDataset,
 ) -> MetricsRow:
     """Summarize one dataset against the iteration's per-query correct counts.
 
-    ``k_counts`` comes from the iteration's filter set, so bucket shares
-    mean the same thing for sample, filter, and train rows.  Quarter
-    buckets cover (0, .25], (.25, .5], (.5, .75], (.75, 1]; sample entries
-    of never-correct queries fall in no bucket.  Level shares are absent
-    when some entry's query has no level; empty levels have no mean length.
+    A query's count is its rows in ``filtered``, the iteration's filter
+    set, so bucket shares mean the same thing for sample, filter, and train
+    rows.  Quarter buckets cover (0, .25], (.25, .5], (.5, .75], (.75, 1];
+    sample entries of never-correct queries fall in no bucket.  Level
+    shares are absent when some entry's query has no level; empty levels
+    have no mean length.
     """
     total = len(dataset)
-    lengths, level = dataset.columns["length_tokens"], dataset.columns["level"]
+    lengths, level = dataset.columns["length_tokens"], dataset.levels()
     level_counts = np.bincount(level, minlength=max(LEVELS) + 1)
     shares: tuple[float, ...] | None
     if total == 0:
@@ -107,7 +111,7 @@ def build_row(
         shares = None
     else:
         shares = tuple((level_counts[list(LEVELS)] / total).tolist())
-    frac = lookup_counts(k_counts, dataset.columns["query_id"]) / K
+    frac = filtered.count_of(dataset.columns["query_id"]) / K
     # bucket b holds (edge_(b-1), edge_b]; 0 and fractions above 1 hold none
     bucket = np.searchsorted(np.array(_BUCKET_EDGES) + 1e-12, frac[frac > 0.0])
     counts = np.bincount(bucket, minlength=len(_BUCKET_EDGES) + 1)[: len(_BUCKET_EDGES)]

@@ -51,7 +51,6 @@ from .core import (
     Corpus,
     Trajectory,
     TrajectoryDataset,
-    lookup_counts,
     merge_datasets,
     run_positions,
 )
@@ -235,7 +234,7 @@ def _resampled(
 ) -> TrajectoryDataset:
     """The draws as a resample dataset over ``corpus``.
 
-    ``columns`` gives query_id, level and sample_index per row and, for
+    ``columns`` gives query_id and sample_index per row and, for
     guided draws, prefix_steps and prefix_tokens.
     """
     return TrajectoryDataset(
@@ -269,14 +268,13 @@ def adaptive_resample(
     _require_filter(filtered)
     if K < 1:
         raise ValueError("K must be >= 1")
-    deficit = np.maximum(K - lookup_counts(filtered.counts_by_query(), corpus.ids), 0)
+    deficit = np.maximum(K - filtered.count_of(corpus.ids), 0)
     query_ids = np.repeat(corpus.ids, deficit)
     resampled = _resampled(
         _drawn(sampler.sample_fresh, corpus, query_ids),
         corpus,
         ORIGIN_RESAMPLED_AR,
         query_id=query_ids,
-        level=np.repeat(corpus.level, deficit),
         sample_index=run_positions(deficit) + 1,
     )
     refiltered = filter_dataset(resampled, rules)
@@ -335,7 +333,6 @@ def guided_resample(
         filtered.corpus,
         ORIGIN_RESAMPLED_GR,
         query_id=query_ids,
-        level=c["level"][rows],
         sample_index=c["sample_index"][rows],
         prefix_steps=kept,
         prefix_tokens=prefix_tokens,
@@ -367,14 +364,13 @@ def self_correct_augment(
     if K < 1:
         raise ValueError("K must be >= 1")
     c = discard.columns
-    rows = np.flatnonzero(lookup_counts(filtered.counts_by_query(), c["query_id"]) < K)
+    rows = np.flatnonzero(filtered.count_of(c["query_id"]) < K)
     query_ids = c["query_id"][rows]
     attempts = _resampled(
         _drawn(sampler.sample_corrections, discard.corpus, query_ids),
         discard.corpus,
         ORIGIN_CORRECTED,
         query_id=query_ids,
-        level=c["level"][rows],
         sample_index=c["sample_index"][rows],
     )
     kept = cot_length_filter(filter_dataset(attempts, rules), min_cot_tokens)

@@ -224,7 +224,8 @@ def train_reference(p_by_id, mu_log_len, params, training_set, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     pr = params
-    counts = training_set.counts_by_query()
+    entries = training_set.entries
+    counts = Counter(t.query_id for _, t in entries)
     new_p: dict[int, float] = {}
     for qid, p in p_by_id.items():
         c = counts.get(qid, 0)
@@ -233,10 +234,10 @@ def train_reference(p_by_id, mu_log_len, params, training_set, k):
         else:
             new_p[qid] = (1.0 - pr.forget_rate) * p
     new_mu = dict(mu_log_len)
-    if len(training_set) > 0:
-        distinct, where = np.unique(training_set.columns["length_tokens"], return_inverse=True)
+    if entries:
+        distinct, where = np.unique([t.length_tokens for _, t in entries], return_inverse=True)
         logs = np.array([math.log(max(1, n)) for n in distinct.tolist()])[where]
-        level = training_set.columns["level"]
+        level = np.array([r.level or 0 for r, _ in entries])
         global_mean = float(np.mean(logs))
         lam = pr.length_imitation
         for lv in new_mu:

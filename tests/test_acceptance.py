@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_criterion_01_strategy_oracle_equivalence():
             sc_sampler = ScriptedSampler(itertools.cycle([True, False, False]))
             self_correct_augment(ff, dd, sc_sampler, K, 0)
             assert sc_sampler.correct_calls == oracle_sc_attempts(
-                dd.entries, ff.counts_by_query(), K
+                dd.entries, Counter(t.query_id for _, t in ff.entries), K
             )
     elapsed = time.perf_counter() - t0
     ok = checked == 1000 and elapsed < 10.0

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from headtail import cli, harness
 from headtail.cli import _worker_count, main
 from headtail.harness import OUTPUT_DIR_ENV
 
@@ -566,3 +567,47 @@ class TestSweepVerb:
         assert _worker_count(2, 3) == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(4, 10) == 1
+
+
+class TestOutputUnderARegularFile:
+    """A target that is a regular file, or lies under one, is a config error
+    (exit 2) raised before any run, sweep point or log read, so nothing is
+    written."""
+
+    @staticmethod
+    def blocked(tmp_path, monkeypatch):
+        blocker = tmp_path / "F"
+        blocker.write_text("keep\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_mode", no_work)
+        monkeypatch.setattr(harness, "load_log", no_work)
+        return blocker, sorted(p.name for p in tmp_path.iterdir())
+
+    @staticmethod
+    def assert_refused(code, capsys, tmp_path, blocker, before):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{blocker}, which is not a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_dir(self, tmp_path, capsys, monkeypatch, verb, below):
+        cfg = write_cfg(tmp_path)
+        blocker, before = self.blocked(tmp_path, monkeypatch)
+        code = main([verb, "--config", str(cfg), "--seed", "0", "--output-dir", str(blocker / below)])
+        self.assert_refused(code, capsys, tmp_path, blocker, before)
+
+    @pytest.mark.parametrize("flag", ["--output", "--summary"])
+    def test_rebalance_targets(self, tmp_path, capsys, monkeypatch, flag):
+        src = write_log(tmp_path, {1: 4}, K=4)
+        blocker, before = self.blocked(tmp_path, monkeypatch)
+        paths = {"--output": str(tmp_path / "o.jsonl"), "--summary": str(tmp_path / "s.csv"),
+                 flag: str(blocker / "x")}
+        code = main(["rebalance", "--input", str(src), "--strategy", "rp", "--k", "4",
+                     *(arg for pair in paths.items() for arg in pair)])
+        self.assert_refused(code, capsys, tmp_path, blocker, before)

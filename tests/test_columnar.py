@@ -77,10 +77,14 @@ def datasets(draw, role=ROLE_SAMPLE, leveled=None):
 @settings(max_examples=200, deadline=None)
 def test_build_row_matches_oracle(data, K, leveled):
     ds = data.draw(datasets(leveled=leveled or None))
-    qids = ds.corpus.ids.tolist()
-    k_counts = data.draw(st.dictionaries(st.sampled_from(qids + [99]), st.integers(0, 2 * K)))
+    # a filter set holding 0..2K rows of each query of ds, and of one query outside its corpus
+    records = {**ds.corpus.records, 99: QueryRecord(id=99, gt_answer="a99")}
+    k_counts = {q: data.draw(st.integers(0, 2 * K)) for q in records}
+    pairs = [(r, Trajectory(q, j, 1, 10, r.gt_answer, True)) for q, r in records.items()
+             for j in range(1, k_counts[q] + 1)]
+    filtered = TrajectoryDataset.from_entries(pairs, ROLE_FILTER)
     total, shares, buckets, mean, level_means = oracle_build_row(list(ds.entries), K, k_counts)
-    row = build_row(3, ROLE_SAMPLE, ds, K, k_counts)
+    row = build_row(3, ROLE_SAMPLE, ds, K, filtered)
     assert row.total == total
     assert row.level_share == shares
     assert row.bucket_share == buckets  # exact: the same sequential sums
@@ -93,7 +97,7 @@ def test_bucket_shares_are_sequential_sums():
     records = {1: QueryRecord(id=1, gt_answer="a1", level=1)}
     entries = [(records[1], Trajectory(1, j, 1, 10, "a1", True)) for j in range(1, 8)]
     ds = TrajectoryDataset.from_entries(entries, ROLE_FILTER)
-    row = build_row(1, ROLE_FILTER, ds, 8, {1: 7})
+    row = build_row(1, ROLE_FILTER, ds, 8, ds)
     expected = 0.0
     for _ in range(7):
         expected += 1.0 / 7

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from headtail.core import (
     COLUMNS,
@@ -95,12 +97,11 @@ class TestCorpus:
 
 
 class TestConstructorColumns:
-    REQUIRED = ("query_id", "level", "iteration", "sample_index", "length_tokens", "correct")
+    REQUIRED = ("query_id", "iteration", "sample_index", "length_tokens", "correct")
 
     def given_columns(self):
         return {
             "query_id": np.array([2, 1, 1]),
-            "level": np.array([3, 0, 0]),
             "iteration": 2,
             "sample_index": np.array([1, 2, 1]),
             "length_tokens": np.array([30, 20, 10]),
@@ -135,6 +136,12 @@ class TestConstructorColumns:
         with pytest.raises(ValueError, match=name):
             self.build(columns)
 
+    @pytest.mark.parametrize("name", ["level", "gt_answer", "queryid"])
+    def test_unknown_column_raises(self, name):
+        # a level belongs to the corpus; a dataset column of that name is an error, not dropped
+        with pytest.raises(ValueError, match=f"unknown dataset columns \\['{name}'\\]"):
+            self.build({**self.given_columns(), name: np.array([3, 0, 0])})
+
 
 class TestCanonicalOrder:
     def test_sorted_on_build(self):
@@ -163,19 +170,19 @@ class TestCanonicalOrder:
 
 
 class TestCountCorrect:
-    """k_i, the retained correct responses per query: counts_by_query of a filter set."""
+    """k_i, the retained correct responses per query: count_of on a filter set."""
 
     def test_direct_count(self):
         ds, _ = make_filter({2: 3})
-        assert ds.counts_by_query() == {2: 3}
+        assert ds.count_of([2]).tolist() == [3]
 
     def test_empty_dataset(self):
         ds = TrajectoryDataset.empty(ROLE_FILTER)
-        assert ds.counts_by_query().get(7, 0) == 0
+        assert ds.count_of([7]).tolist() == [0]
 
     def test_absent_query_is_zero(self):
         ds, _ = make_filter({1: 4})
-        assert ds.counts_by_query().get(99, 0) == 0
+        assert ds.count_of([99, 1, 0]).tolist() == [0, 4, 0]
 
     def test_from_eight_sample_fixture(self):
         # brute-force count over a hand-built 8-sample fixture
@@ -183,8 +190,8 @@ class TestCountCorrect:
         correct_entries = [(r, t) for r, t in sample if t.correct]
         assert len(correct_entries) == 6
         ds = TrajectoryDataset.from_entries(correct_entries, ROLE_FILTER)
-        assert ds.counts_by_query() == {1: 6}
-        assert sample.counts_by_query() == {1: 8}  # a sample set counts every draw
+        assert ds.count_of([1]).tolist() == [6]
+        assert sample.count_of([1]).tolist() == [8]  # a sample set counts every draw
 
 
 class TestMergeDatasets:
@@ -236,10 +243,42 @@ class TestMergeDatasets:
 def test_filter_counts_sum_to_size(k_correct):
     k_correct = {q: k for q, k in k_correct.items() if k > 0}
     ds, _ = make_filter(k_correct)
-    counts = ds.counts_by_query()
-    total = sum(counts.get(qid, 0) for qid in k_correct)
-    assert total == len(ds)
-    assert all(0 <= counts.get(qid, 0) <= 8 for qid in k_correct)
+    counts = ds.count_of(list(k_correct))
+    assert counts.sum() == len(ds)
+    assert all(0 <= c <= 8 for c in counts.tolist())
+
+
+@st.composite
+def pair_lists(draw):
+    """(QueryRecord, Trajectory) pairs over up to 6 queries, leveled or not, any order."""
+    qids = draw(st.lists(st.integers(-5, 20), min_size=1, max_size=6, unique=True))
+    records = {q: make_query(q, level=draw(st.one_of(st.none(), st.integers(1, 5)))) for q in qids}
+    rows = draw(st.lists(st.tuples(st.sampled_from(qids), st.integers(1, 4)), max_size=25))
+    return [(records[q], make_traj(q, k)) for q, k in rows]
+
+
+@given(pair_lists(), st.lists(st.integers(-8, 24), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_count_of_matches_counter(pairs, asked):
+    # absent, negative and repeated ids, and the empty dataset, against a
+    # Counter over the entries
+    ds = TrajectoryDataset.from_entries(pairs, ROLE_FILTER)
+    counter = Counter(t.query_id for _, t in ds.entries)
+    assert ds.count_of(asked).tolist() == [counter[q] for q in asked]
+    assert ds.row_counts().tolist() == [counter[t.query_id] for _, t in ds.entries]
+
+
+@given(pair_lists(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_levels_match_corpus_records(pairs, data):
+    ds = TrajectoryDataset.from_entries(pairs, ROLE_FILTER)
+    assert ds.levels().tolist() == [r.level or 0 for r, _ in sorted(pairs, key=entry_sort_key)]
+    # a subset of the rows keeps the whole corpus, so its queries sit at other corpus rows
+    keep = data.draw(st.lists(st.booleans(), min_size=len(ds), max_size=len(ds)))
+    records = ds.corpus.records
+    for part in (ds, ds.select(np.flatnonzero(keep), ROLE_FILTER)):
+        assert part.levels().tolist() == [records[t.query_id].level or 0 for _, t in part.entries]
+        assert part.gt_answers().tolist() == [records[t.query_id].gt_answer for _, t in part.entries]
 
 
 @given(

@@ -181,7 +181,8 @@ class TestSelfImprovement:
         rep = run(cfg, seed=1)
         assert not rep.incomplete
         assert len(rep.rows) == 3 * cfg.iterations
-        assert max(rep.final_train.counts_by_query().values()) > cfg.k_samples
+        train = rep.final_train
+        assert train.count_of(train.corpus.ids).max() > cfg.k_samples
 
     def test_sampler_failure_marks_report_incomplete(self, monkeypatch):
         cfg = small_config(strategy=StrategyConfig(kind="ar"))

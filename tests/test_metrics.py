@@ -24,7 +24,7 @@ def leveled_filter(spec):
 
 
 def row_of(ds):
-    return build_row(1, ds.role, ds, 8, ds.counts_by_query())
+    return build_row(1, ds.role, ds, 8, ds)
 
 
 class TestLevelDistribution:
@@ -109,7 +109,7 @@ class TestLengthStats:
 class TestMetricsRow:
     def test_build_row_fields(self):
         ds = leveled_filter([(1, 1, 4, 100), (2, 5, 1, 200)])
-        row = build_row(2, ROLE_FILTER, ds, K=4, k_counts=ds.counts_by_query())
+        row = build_row(2, ROLE_FILTER, ds, K=4, filtered=ds)
         assert row.iteration == 2
         assert row.total == 5
         assert row.head_share == pytest.approx(0.8)
@@ -120,7 +120,7 @@ class TestMetricsRow:
 
     def test_csv_schema(self):
         ds = leveled_filter([(1, 1, 2, 100)])
-        row = build_row(1, ROLE_FILTER, ds, 4, ds.counts_by_query())
+        row = build_row(1, ROLE_FILTER, ds, 4, ds)
         text = rows_to_csv([row])
         header, line = text.strip().split("\n")
         assert header == ",".join(CSV_COLUMNS)
@@ -129,7 +129,7 @@ class TestMetricsRow:
     def test_unleveled_dataset_gives_blank_level_fields(self):
         q = make_query(1)
         ds = TrajectoryDataset.from_entries([(q, make_traj(1))], ROLE_FILTER)
-        row = build_row(1, ROLE_FILTER, ds, 4, {1: 1})
+        row = build_row(1, ROLE_FILTER, ds, 4, ds)
         assert row.level_share is None
         fields = row.to_csv_fields()
         assert fields[3:8] == [""] * 5

@@ -1,12 +1,15 @@
-"""The example scripts under scripts/ run end to end on a tiny corpus."""
+"""The example scripts under scripts/ run end to end on a tiny corpus, and
+the README's library example runs as written."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize(
@@ -26,3 +29,11 @@ def test_script_prints_its_table(script, args, header, tmp_path, monkeypatch, ca
     assert lines[0] == header
     assert lines[1].startswith("---")
     assert len(lines) > 2
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md (Library use)", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 6  # five filter rows and the sample line
