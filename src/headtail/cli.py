@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .harness import (
@@ -30,6 +29,7 @@ from .harness import (
     RunConfig,
     SchemaError,
     check_output_path,
+    check_report_dir,
     emit_report,
     read_config_json,
     read_snapshot,
@@ -85,7 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     cfg.validate()
     outdir = _output_dir(cfg, "runs/run")
-    check_output_path(outdir / "metrics.csv")
+    check_report_dir(outdir)
     try:
         report = run_mode(cfg, cfg.seeds[0])
     except RunAborted as exc:
@@ -167,8 +167,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     for seed in seeds:
                         outdir = base_out / f"{kind}_k{k}_l{L}_s{S}_seed{seed}"
                         jobs.append((variant.to_dict(), seed, str(outdir)))
+    for _, _, outdir in jobs:  # every point's files, before the first point runs
+        check_report_dir(outdir)
     workers = _worker_count(args.jobs, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs every call a few ms; only --jobs > 1 needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_sweep_run, jobs))
     else:

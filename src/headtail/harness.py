@@ -24,7 +24,10 @@ applies the sampler-free reshaping strategies to real trajectory logs
 Logs and dataset snapshots are read by one chunked reader
 (``_read_columns``): it decodes a fixed number of lines per pass straight
 into dataset columns and checks them column by column, building no
-per-line objects.  A pass that fails decodes its lines again one at a
+per-line objects.  Each line of a pass is one call to the C scanner behind
+``json.loads`` (``_decode_lines``); a pass with a line the scanner cannot
+take whole (leading whitespace, a BOM, extra data, bad JSON) goes through
+``json.loads`` instead.  A pass that fails decodes its lines again one at a
 time, in memory, and raises the SchemaError naming the first bad line
 with the message a line-by-line read gives; faults only the whole file
 shows (two ground truths or levels for one query) are raised once every
@@ -412,7 +415,28 @@ def _decode_line(
         raise SchemaError(f"line {lineno}: {exc}") from exc
 
 
-_READ_CHUNK = 1024  # lines per json.loads pass
+_READ_CHUNK = 1024  # lines per decoding pass (one scanner call per line)
+
+_scan = json.JSONDecoder().scan_once  # json.loads' own C scanner, same settings
+
+
+def _decode_lines(lines: list[str]) -> list[Any]:
+    """``list(map(json.loads, lines))``, raising what that raises.
+
+    Each line is decoded by one call to the scanner behind ``json.loads``,
+    skipping its Python wrappers.  If any line does not scan from its first
+    character to its trailing whitespace (leading whitespace, a BOM, extra
+    data, bad JSON), the whole list goes through ``json.loads`` instead,
+    which decodes it or raises its own error for the first bad line.
+    """
+    try:
+        # a list comprehension: StopIteration inside map() would end list() early
+        scanned = [_scan(line, 0) for line in lines]
+        if all(end == len(line.rstrip(" \t\n\r")) for (_, end), line in zip(scanned, lines)):
+            return [obj for obj, _ in scanned]
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return list(map(json.loads, lines))
 
 
 def _read_columns(
@@ -439,11 +463,11 @@ def _read_columns(
             lines = list(filter(str.strip, chunk))
             try:
                 "".join(itertools.filterfalse(str.isascii, lines)).encode("utf-8")
-                rows = list(map(json.loads, lines))
+                rows = _decode_lines(lines)
                 if not (
                     set(map(type, rows)) <= {dict}
-                    and all(map(fields.issuperset, rows))
-                    and all(map(required.issubset, rows))
+                    # the keys of each distinct key order, checked once
+                    and all(fields.issuperset(k) and required.issubset(k) for k in set(map(tuple, rows)))
                 ):
                     raise ValueError("a line is not an object with the expected fields")
                 parts.append(pull(rows))
@@ -756,6 +780,23 @@ def rebalance_offline(
 # -- report files -----------------------------------------------------------
 
 
+# every file emit_report writes under a run's directory, in writing order
+REPORT_FILES = (
+    "metrics.csv",
+    "datasets/train_final.jsonl",
+    "datasets/filter_final.jsonl",
+    "config.json",
+    "learner_final.json",
+    "summary.json",
+)
+
+
+def check_report_dir(output_dir: str | Path) -> None:
+    """``check_output_path`` of every file a report writes under ``output_dir``."""
+    for name in REPORT_FILES:
+        check_output_path(Path(output_dir) / name)
+
+
 def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
     """Write metrics.csv, dataset snapshots, config, learner state, summary.
 
@@ -770,23 +811,21 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
         "evals": [dataclasses.asdict(e) for e in report.evals],
         "reference_targets": REFERENCE_TARGETS,
     }
+    texts = (  # one per REPORT_FILES name; None: not written
+        rows_to_csv(report.rows),
+        None if report.final_train is None else _snapshot_chunks(report.final_train),
+        None if report.final_filter is None else _snapshot_chunks(report.final_filter),
+        json.dumps({**report.config, "seed": report.seed}, sort_keys=True, indent=2) + "\n",
+        None if report.final_state is None else report.final_state.to_json() + "\n",
+        json.dumps(summary, sort_keys=True, indent=2) + "\n",
+    )
     written: list[Path] = []
-
-    def write(name: str, text: str | Iterable[str]) -> None:
-        path = outdir / name
-        write_atomic(path, text)
-        written.append(path)
-
     try:
         (outdir / "datasets").mkdir(parents=True, exist_ok=True)
-        write("metrics.csv", rows_to_csv(report.rows))
-        for name, ds in (("train_final", report.final_train), ("filter_final", report.final_filter)):
-            if ds is not None:
-                write(f"datasets/{name}.jsonl", _snapshot_chunks(ds))
-        write("config.json", json.dumps({**report.config, "seed": report.seed}, sort_keys=True, indent=2) + "\n")
-        if report.final_state is not None:
-            write("learner_final.json", report.final_state.to_json() + "\n")
-        write("summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        for path, text in zip((outdir / name for name in REPORT_FILES), texts):
+            if text is not None:
+                write_atomic(path, text)
+                written.append(path)
         return written
     except OSError as exc:
         raise OSError(f"failed writing report under {outdir}: {exc}") from exc

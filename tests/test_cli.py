@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -558,6 +560,31 @@ class TestSweepVerb:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_process_pool_writes_what_one_process_writes(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep"  # both sweeps write here, so the summaries name the same run dirs
+        trees = {}
+        for jobs in ("1", "2"):
+            code = main(["sweep", "--config", str(cfg), "--seeds", "0", "--strategies", "tc,vanilla",
+                         "--jobs", jobs, "--output-dir", str(out)])
+            assert code == 0
+            trees[jobs] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            out.rename(tmp_path / f"jobs{jobs}")
+        assert pools == [2]
+        assert len(trees["1"]) == 1 + 2 * len(harness.REPORT_FILES)
+        assert trees["2"] == trees["1"]
+
     def test_worker_count_is_capped(self, monkeypatch):
         # the pure helper only; no process is started
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -575,8 +602,13 @@ class TestOutputUnderARegularFile:
     written."""
 
     @staticmethod
-    def blocked(tmp_path, monkeypatch):
-        blocker = tmp_path / "F"
+    def listing(tmp_path):
+        return sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+
+    @classmethod
+    def blocked(cls, tmp_path, monkeypatch, name="F"):
+        blocker = tmp_path / name
+        blocker.parent.mkdir(parents=True, exist_ok=True)
         blocker.write_text("keep\n")
 
         def no_work(*args, **kwargs):
@@ -584,14 +616,14 @@ class TestOutputUnderARegularFile:
 
         monkeypatch.setattr(cli, "run_mode", no_work)
         monkeypatch.setattr(harness, "load_log", no_work)
-        return blocker, sorted(p.name for p in tmp_path.iterdir())
+        return blocker, cls.listing(tmp_path)
 
-    @staticmethod
-    def assert_refused(code, capsys, tmp_path, blocker, before):
+    @classmethod
+    def assert_refused(cls, code, capsys, tmp_path, blocker, before):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{blocker}, which is not a directory" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert cls.listing(tmp_path) == before
         assert blocker.read_text() == "keep\n"
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
@@ -611,3 +643,26 @@ class TestOutputUnderARegularFile:
         code = main(["rebalance", "--input", str(src), "--strategy", "rp", "--k", "4",
                      *(arg for pair in paths.items() for arg in pair)])
         self.assert_refused(code, capsys, tmp_path, blocker, before)
+
+    def test_run_dir_entry_that_is_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        blocker, before = self.blocked(tmp_path, monkeypatch, "D/datasets")
+        code = main(["run", "--config", str(cfg), "--seed", "0", "--output-dir", str(tmp_path / "D")])
+        self.assert_refused(code, capsys, tmp_path, blocker, before)
+
+    def test_sweep_point_dir_that_is_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        # the blocked point runs second: no point may run before every one is checked
+        cfg = write_cfg(tmp_path)
+        blocker, before = self.blocked(tmp_path, monkeypatch, "S/vanilla_k4_l4_s4_seed0")
+        code = main(["sweep", "--config", str(cfg), "--seeds", "0", "--strategies", "tc,vanilla",
+                     "--output-dir", str(tmp_path / "S")])
+        self.assert_refused(code, capsys, tmp_path, blocker, before)
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only sweep --jobs > 1 imports concurrent.futures (and multiprocessing with it)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, headtail.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"

@@ -1,14 +1,19 @@
 """Property tests of the columnar JSONL readers against the per-line reference.
 
 ``harness.load_log`` and ``harness.read_snapshot`` decode a file straight
-into dataset columns, a few lines per ``json.loads`` pass; when a pass
-fails they decode its lines one at a time to name the bad one.  The
-reference in ``oracles.py`` decodes every line into objects
+into dataset columns, a few lines per pass.  A pass decodes each line with
+one call to the C scanner behind ``json.loads`` (``_decode_lines``) and
+falls back to ``json.loads`` for a pass with a line the scanner cannot take
+whole; when a pass fails they decode its lines one at a time to name the
+bad one.  The reference in ``oracles.py`` decodes every line into objects
 (``parse_log_line`` + ``log_to_dataset``, ``load_snapshot`` +
 ``from_entries``).  On every file both must give the same columns,
-answers and records, or raise the same SchemaError.  The chunk size is
-patched down to 1-3 lines so that chunk boundaries, and bad lines past
-the first chunk, are exercised.
+answers and records, or raise the same SchemaError.  The files mix in
+padded records, BOMs, extra data and a last line without its newline, so
+the fallback runs too.  The chunk size is patched down to 1-3 lines so
+that chunk boundaries, and bad lines past the first chunk, are exercised.
+``_decode_lines`` itself is checked against ``list(map(json.loads, ...))``
+on arbitrary JSON values and odd lines.
 """
 
 import dataclasses
@@ -18,7 +23,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from headtail import harness
 from headtail.core import ORIGIN_RESAMPLED_GR, ORIGINS, ROLE_FILTER, ROLE_SAMPLE, ROLE_TRAIN
@@ -36,7 +41,11 @@ HOSTILE_INTS = st.one_of(
     st.just([1]),
 )
 BLANK = st.sampled_from(["", "   ", "\t \t"])
-JUNK = st.sampled_from(["{broken", "[1, 2]", "3", '"x"', "null", "NaN", "{"])
+JUNK = st.sampled_from([
+    "{broken", "[1, 2]", "3", '"x"', "null", "NaN", "{",
+    "\ufeff{}", "{} x", "{}{}", "]", ",", str(2**100), "-Infinity",
+])
+PAD = st.sampled_from(["", "", " ", "\t", " \t "])  # json whitespace that may surround a record
 
 
 @st.composite
@@ -160,13 +169,22 @@ def damaged(draw, records, fault_list):
 
 @st.composite
 def jsonl_files(draw, records, fault_list):
-    """Valid records with blank lines and at most two junk lines or faulty records among them."""
-    lines = draw(st.lists(records.map(json.dumps), max_size=10))
-    bad = st.one_of(JUNK, damaged(records, fault_list), damaged(records, fault_list))
+    """Valid records, some padded with whitespace, with blank lines and at
+    most two bad lines among them: junk, a record after a BOM or before
+    extra data, a faulty record.  The last line may lack its newline."""
+    lines = draw(st.lists(st.tuples(PAD, records.map(json.dumps), PAD).map("".join), max_size=10))
+    bad = st.one_of(
+        JUNK,
+        records.map(lambda r: "\ufeff" + json.dumps(r)),
+        records.map(lambda r: json.dumps(r) + " {}"),
+        damaged(records, fault_list),
+        damaged(records, fault_list),
+    )
     extras = draw(st.lists(BLANK, max_size=2)) + draw(st.lists(bad, max_size=2))
     for extra in extras:
         lines.insert(draw(st.integers(0, len(lines))), extra)
-    return "".join(line + "\n" for line in lines)
+    text = "".join(line + "\n" for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
 
 
 def outcome(read, path):
@@ -214,14 +232,22 @@ def _log_line(qid, gt="a", offsets=(2, 5), tokens=10):
                        "token_count": tokens, "step_offsets": list(offsets)})
 
 
-def test_valid_log_never_reaches_the_per_line_decoder(tmp_path, monkeypatch):
+@pytest.mark.parametrize("pad", ["", "  "], ids=["bare", "indented"])  # indented: json.loads' path
+def test_valid_log_never_reaches_the_per_line_decoder(tmp_path, monkeypatch, pad):
     path = tmp_path / "log.jsonl"
-    path.write_text("".join(_log_line(q) + "\n" for q in (1, 2, 1)), encoding="utf-8")
+    path.write_text("".join(pad + _log_line(q) + "\n" for q in (1, 2, 1)), encoding="utf-8")
     monkeypatch.setattr(harness, "_decode_line", mock.Mock(side_effect=AssertionError))
     monkeypatch.setattr(harness, "_READ_CHUNK", 2)
     sample = load_log(path)
     assert len(sample) == 3
     assert sample.columns["sample_index"].tolist() == [1, 2, 1]
+
+
+def test_valid_log_is_decoded_by_the_scanner_alone(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(_log_line(q) + " \n" for q in (1, 2, 1)), encoding="utf-8")
+    monkeypatch.setattr(json, "loads", mock.Mock(side_effect=AssertionError))
+    assert len(load_log(path)) == 3
 
 
 @pytest.mark.parametrize(
@@ -315,6 +341,23 @@ def test_snapshot_line_with_two_faults_matches_reference(fault):
     assert got.startswith("line 2: ")
 
 
+# the keys are checked once per distinct key order, so a line whose keys differ
+# from its chunk's first line must still be checked
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"mystery": 1}, "line 3: unknown fields ['mystery']"),
+        ({"token_count": DROP}, "line 3: missing fields ['token_count']"),
+        ({"iteration": 1, "gt_answer": DROP, "mystery": 1}, "line 3: unknown fields ['mystery']"),
+    ],
+)
+def test_line_with_other_keys_than_its_chunk_is_checked(keys, message):
+    record = {name: v for name, v in {**json.loads(_log_line(2)), **keys}.items() if v is not DROP}
+    text = _log_line(1) + "\n" + _log_line(3) + "\n" + json.dumps(record) + "\n"
+    got, expected = both_outcomes(text, 3, load_log, log_reference)
+    assert got == expected == message
+
+
 _NOT_UTF8 = b'{"query_id": 2, "gt_answer": "a\xff", "extracted_answer": "a", "token_count": 10}'
 
 
@@ -349,3 +392,45 @@ def test_chunk_error_no_single_line_reproduces_is_reraised(tmp_path, monkeypatch
     monkeypatch.setattr(harness, "_log_chunk", fails_on_two_rows)
     with pytest.raises(ValueError, match="columnar bug"):
         load_log(path)
+
+
+# -- the chunk decoder against json.loads ------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**100)]) | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+DUMPED = st.tuples(JSON_VALUES, st.booleans()).map(lambda v: json.dumps(v[0], ensure_ascii=v[1]))
+JSON_SPACE = st.text(alphabet=" \t\r", max_size=2)  # "\n" ends a line
+# lines json.loads rejects, or takes only because of what follows the scanned value
+ODD_LINES = st.sampled_from([
+    "\ufeff{}", "{} x", "{}{}", "]", ",", "", "[1", "2]", "3, 4", "NaN", "-Infinity", "1 2", '"\\ud800"',
+])
+
+
+@st.composite
+def decoder_chunks(draw):
+    """Lines as the reader hands them over: each ends in a newline but perhaps the last."""
+    padded = st.tuples(JSON_SPACE, DUMPED, JSON_SPACE).map("".join)
+    lines = [text + "\n" for text in draw(st.lists(st.one_of(padded, ODD_LINES), max_size=6))]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1][:-1]
+    return lines
+
+
+def decoded(decode, lines):
+    """What ``decode`` makes of ``lines``: the dumped values (NaN != NaN), or the exception."""
+    try:
+        return json.dumps(decode(lines))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(decoder_chunks())
+@example(["{} x\n", "[" * 100_000])  # an earlier line's error wins over a later RecursionError
+@example(["[" * 100_000])
+@example(["[1\n", "2]\n", "3, 4"])  # never read as one array
+@settings(max_examples=300, deadline=None)
+def test_decode_lines_matches_json_loads(lines):
+    assert decoded(harness._decode_lines, lines) == decoded(lambda ls: list(map(json.loads, ls)), lines)
