@@ -255,6 +255,8 @@ def read_config_json(path: str | Path) -> dict[str, Any]:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # bad JSON, or not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("config cannot be decoded: nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return data
@@ -401,6 +403,10 @@ def _decode_line(
         raise SchemaError(f"line {lineno}: not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise SchemaError(f"line {lineno}: cannot decode JSON ({exc})") from exc
+    except RecursionError:
+        raise SchemaError(f"line {lineno}: cannot decode JSON (nested too deeply)") from None
     if not isinstance(data, dict):
         raise SchemaError(f"line {lineno}: expected a JSON object")
     unknown = set(data) - fields
@@ -471,7 +477,7 @@ def _read_columns(
                 ):
                     raise ValueError("a line is not an object with the expected fields")
                 parts.append(pull(rows))
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError, OverflowError, RecursionError):
                 for lineno, line in enumerate(chunk, start):
                     if line.strip():
                         _decode_line(line, lineno, fields, required, lambda data: pull([data]))

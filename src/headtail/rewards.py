@@ -19,10 +19,18 @@ no required literal, so a custom alias like that runs on every answer.
 Normalization is a pure function of the string and the rules, so grading
 skips it where it cannot change the outcome: an answer whose raw string
 equals the ground truth is graded correct without normalizing (one
-whole-column comparison for a dataset), and a dataset's grading normalizes
-each distinct answer and ground-truth string of the other rows once.
-Filtering then selects the graded rows by mask; ``partition_dataset``
-selects both the kept and the discarded rows from one grading.
+whole-column comparison for a dataset).  The other rows' answers, one per
+row, and their distinct ground truths go through ``_normalize_all``, which
+runs each step of the pipeline over a whole list: the first strip by
+``map``; the wrapper replaces and ``lower`` once on the strings joined by
+``"\\n"``, split back afterwards; each alias only on the strings that hold
+its literal; the final strip only if a wrapper or an alias may have fired
+(removing a wrapper can expose whitespace: ``"$ x$"`` normalizes to
+``"x"``).  ``normalize_answer`` stays the reference the batch equals string
+by string, and takes any string that holds ``"\\n"``.  One object-array
+comparison then grades the rows.  Filtering selects the graded rows by
+mask; ``partition_dataset`` selects both the kept and the discarded rows
+from one grading.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .core import (
     ROLE_SAMPLE,
     QueryRecord,
     TrajectoryDataset,
+    object_array,
 )
 
 # pattern -> canonical replacement; patterns are regexes applied in order
@@ -159,14 +168,61 @@ def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
 _FILTER_OUT_ROLE = {ROLE_SAMPLE: ROLE_FILTER, ROLE_RESAMPLE: ROLE_REFILTER}
 
 
+def _normalize_all(strings: list[str], rules: AnswerNormalizationRules) -> list[str]:
+    """``[normalize_answer(s, rules) for s in strings]``, one step at a time over the list.
+
+    The strings are joined by ``"\\n"``, which no wrapper spans and which is
+    neither cased nor case-ignorable (a final sigma lowers as it does
+    alone), so the wrapper replaces and ``lower`` run once on the join and
+    ``split("\\n")`` gives the strings back, whatever their new lengths
+    (never ``splitlines``, which splits on more).  Each alias runs only on
+    the strings that hold its required literal, and the final strip only if
+    a wrapper or an alias may have fired.  A string that holds ``"\\n"``
+    itself goes through ``normalize_answer``.
+    """
+    if not strings:
+        return []
+    xs = list(map(str.strip, strings)) if rules.trim_whitespace else strings
+    joined = "\n".join(xs)
+    if joined.count("\n") != len(xs) - 1:  # a string holds the separator
+        batched = iter(_normalize_all([s for s in strings if "\n" not in s], rules))
+        return [normalize_answer(s, rules) if "\n" in s else next(batched) for s in strings]
+    fired = rules.strip_math_wrappers and ("$" in joined or "\\" in joined)
+    if fired:
+        for w in _MATH_WRAPPERS:
+            joined = joined.replace(w, "")
+    if rules.lowercase:
+        joined = joined.lower()
+    xs = joined.split("\n")
+    aliased = False
+    for pattern, canonical, literal in _compiled(rules.symbol_aliases):
+        if aliased or literal in joined:  # once an alias has run, the join is stale
+            xs = [pattern.sub(canonical, x) if literal in x else x for x in xs]
+            aliased = True
+    if rules.trim_whitespace and (fired or aliased):
+        xs = list(map(str.strip, xs))
+    return xs
+
+
 def _graded(sampled: TrajectoryDataset, rules: AnswerNormalizationRules) -> np.ndarray:
-    """Per row: True iff its extracted answer earns reward 1."""
+    """Per row: True iff its extracted answer earns reward 1.
+
+    A row whose raw answer equals its ground truth is correct unnormalized.
+    The other rows' answers are normalized in one batch, row by row, and
+    each distinct ground truth among them once; one object-array ``==``
+    compares the two.
+    """
     answers, gts = sampled.answers, sampled.gt_answers()
     ok = np.asarray(answers == gts, dtype=bool)
     rest = np.flatnonzero(~ok)
-    a, g = answers[rest].tolist(), gts[rest].tolist()
-    norm = {x: normalize_answer(x, rules) for x in {*a, *g}}
-    ok[rest] = [norm[x] == norm[y] for x, y in zip(a, g)]
+    if len(rest):
+        qids = sampled.columns["query_id"][rest]
+        new_run = np.concatenate(([True], qids[1:] != qids[:-1]))
+        run_gts = gts[rest[new_run]].tolist()  # one per run of a query's rows
+        distinct = list(dict.fromkeys(run_gts))
+        norm = dict(zip(distinct, _normalize_all(distinct, rules)))
+        norm_gts = object_array(map(norm.__getitem__, run_gts))[np.cumsum(new_run) - 1]
+        ok[rest] = object_array(_normalize_all(answers[rest].tolist(), rules)) == norm_gts
     return ok
 
 

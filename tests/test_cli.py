@@ -111,6 +111,13 @@ class TestRunVerb:
         assert "config error: config is not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_config_nested_too_deeply_exit_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: config cannot be decoded: nested too deeply\n"
+        assert not (tmp_path / "out").exists()
+
     def test_env_output_dir_is_only_a_default(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         env_dir, given = tmp_path / "env", tmp_path / "given"

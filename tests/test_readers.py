@@ -25,7 +25,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from headtail import harness
+from headtail import cli, harness
 from headtail.core import ORIGIN_RESAMPLED_GR, ORIGINS, ROLE_FILTER, ROLE_SAMPLE, ROLE_TRAIN
 from headtail.harness import SchemaError, load_log, read_snapshot
 
@@ -392,6 +392,42 @@ def test_chunk_error_no_single_line_reproduces_is_reraised(tmp_path, monkeypatch
     monkeypatch.setattr(harness, "_log_chunk", fails_on_two_rows)
     with pytest.raises(ValueError, match="columnar bug"):
         load_log(path)
+
+
+# lines json's scanner gives up on with other errors than a JSONDecodeError: a
+# number past Python's integer digit limit, an array nested past the recursion limit
+_LONG_INT_LINE = _log_line(2, tokens=10).replace('"token_count": 10', '"token_count": ' + "9" * 5000)
+_DEEP_LINE = "[" * 100_000 + "]" * 100_000
+
+
+def _rebalance_outcome(tmp_path, capsys, bad):
+    path = tmp_path / "log.jsonl"
+    path.write_text(_log_line(1) + "\n" + bad + "\n" + _log_line(3) + "\n", encoding="utf-8")
+    out, summary = tmp_path / "out.jsonl", tmp_path / "summary.csv"
+    code = cli.main(["rebalance", "--input", str(path), "--output", str(out), "--summary", str(summary),
+                     "--strategy", "tc", "--k", "8"])
+    assert not out.exists() and not summary.exists()
+    return code, capsys.readouterr().err
+
+
+def test_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
+    code, err = _rebalance_outcome(tmp_path, capsys, _LONG_INT_LINE)
+    assert code == 3
+    assert err.startswith("schema error: line 2: cannot decode JSON (Exceeds the limit (4300 digits)")
+
+
+def test_line_nested_too_deeply_is_a_schema_error(tmp_path, capsys):
+    code, err = _rebalance_outcome(tmp_path, capsys, _DEEP_LINE)
+    assert code == 3
+    assert err == "schema error: line 2: cannot decode JSON (nested too deeply)\n"
+    run_dir = tmp_path / "run"
+    snapshot = run_dir / "datasets" / "train_final.jsonl"
+    snapshot.parent.mkdir(parents=True)
+    snapshot.write_text(_snapshot_line(1) + "\n" + _DEEP_LINE + "\n", encoding="utf-8")
+    assert cli.main(["report", "--run-dir", str(run_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"schema error: {snapshot}: line 2: cannot decode JSON (nested too deeply)\n"
+    assert captured.out == ""
 
 
 # -- the chunk decoder against json.loads ------------------------------------

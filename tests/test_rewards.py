@@ -63,9 +63,12 @@ class TestNormalizeAnswer:
 _STRIPPED = [c for c in map(chr, range(sys.maxunicode + 1)) if not c.strip()]
 assert set("\x1c\x1d\x1e\x1f") <= set(_STRIPPED)
 # wrappers, alias triggers, case maps that change length ("İ" lowercases to
-# two characters) or leave ASCII (the Kelvin sign lowercases to "k")
+# two characters) or leave ASCII (the Kelvin sign lowercases to "k") or
+# depend on context (a final sigma), the batch normalizer's separator "\n"
+# and a wrapper that leaves an edge space ("$ ")
 _PIECES = ["$", r"\(", r"\)", r"\[", r"\]", "\\", "(", ")", "[", "]", r"\pi", "pi", r"\times", "/",
-           " / ", "a", "b", "A", "B", "k", "x", "İ", "\u212a", "π", "×", "1", *_STRIPPED]
+           " / ", "a", "b", "A", "B", "k", "x", "İ", "\u212a", "π", "×", "1", "\n", "Σ", "\x85", "$ ",
+           *_STRIPPED]
 _ANSWERS = st.one_of(st.text(max_size=12), st.lists(st.sampled_from(_PIECES), max_size=10).map("".join))
 _REGEX_ATOMS = [re.escape(c) for c in "ab/\\πİ$ xk"] + [
     r"\\pi", r"\\times", "pi", "ab", r"\b", r"\B", "^", r"\Z", r"\s*", r"\s+", ".", "[ab]", "[^a]",
@@ -134,6 +137,32 @@ class TestGuardedNormalization:
 
         monkeypatch.setattr(rewards, "_sre_parse", types.SimpleNamespace(parse=reject))
         assert rewards._required_literal(re.compile("abc")) == ""
+
+
+class TestBatchNormalization:
+    """``_normalize_all`` equals ``normalize_answer`` string by string."""
+
+    @given(st.lists(_ANSWERS, max_size=8), _RANDOM_RULES)
+    @settings(max_examples=200)
+    def test_equals_normalize_answer(self, answers, rules):
+        assert rewards._normalize_all(answers, rules) == [normalize_answer(s, rules) for s in answers]
+
+    @pytest.mark.parametrize("answers, rules, expected", [
+        (["$ x$"], DEFAULT_RULES, ["x"]),                      # a removed wrapper exposes a space
+        (["ΑΣ", "Α"], DEFAULT_RULES, ["ας", "α"]),             # final sigma before the separator
+        (["Α", "Σ"], DEFAULT_RULES, ["α", "σ"]),               # ... and after it
+        (["İ", "x / y"], DEFAULT_RULES, ["i\u0307", "x/y"]),   # lowercases to two characters
+        (["a\nb", " $B$ ", "c\x85d"], DEFAULT_RULES, ["a\nb", "b", "c\x85d"]),  # one string holds "\n"
+        (["  $X$ ", r"\pi / 2", ""], EXACT_MATCH_RULES, ["  $X$ ", r"\pi / 2", ""]),
+        ([], DEFAULT_RULES, []),
+        # an alias writes the next one's literal; rewrites a string twice; exposes whitespace
+        (["q", "a/b"], AnswerNormalizationRules(symbol_aliases=(("q", "a / b"), (r"\s*/\s*", "/"))), ["a/b"] * 2),
+        (["a", "b"], AnswerNormalizationRules(symbol_aliases=(("a", "aa"), ("a", "ab"))), ["abab", "b"]),
+        (["x"], AnswerNormalizationRules(symbol_aliases=(("x", " y "),)), ["y"]),
+    ])
+    def test_examples(self, answers, rules, expected):
+        assert [normalize_answer(s, rules) for s in answers] == expected
+        assert rewards._normalize_all(answers, rules) == expected
 
 
 class TestReward:
@@ -267,28 +296,43 @@ class TestGradingContract:
         assert discard_dataset(sample, rules).entries == tuple(expect_dropped)
         assert [reward(r, t.extracted_answer, rules) for r, t in sample.entries] == oracle
 
-    def test_each_distinct_string_normalized_once(self, monkeypatch):
+    def test_each_row_and_distinct_ground_truth_normalized_once(self, monkeypatch):
         rows = [(f"g{j % 3}", answer, False) for j, answer in enumerate(["x", "y", "x", "G0", "y", "z"] * 4)]
-        rows += [("g1", "g1", True), ("g2", "g2", True)]
+        rows += [("g1", "g1", True), ("g2", "g2", True), ("g3", "g3", True)]
         sample = _graded_sample(rows)
-        calls: list[str] = []
-        real = rewards.normalize_answer
+        batches: list[list[str]] = []
+        singles: list[str] = []
+        real_all, real_one = rewards._normalize_all, rewards.normalize_answer
 
-        def counting(raw, rules=DEFAULT_RULES):
-            calls.append(raw)
-            return real(raw, rules)
+        def batch(strings, rules):
+            batches.append(list(strings))
+            return real_all(strings, rules)
 
-        monkeypatch.setattr(rewards, "normalize_answer", counting)
+        def single(raw, rules=DEFAULT_RULES):
+            singles.append(raw)
+            return real_one(raw, rules)
+
+        monkeypatch.setattr(rewards, "_normalize_all", batch)
+        monkeypatch.setattr(rewards, "normalize_answer", single)
         kept = filter_dataset(sample)
-        assert len(calls) == len(set(calls))
-        assert set(calls) <= {"x", "y", "z", "G0", "g0", "g1", "g2"}
         # "G0" normalizes to its ground truth "g0"
         assert sorted((t.query_id, t.extracted_answer) for _, t in kept) == [
-            (1, "G0"), (1, "G0"), (1, "G0"), (1, "G0"), (2, "g1"), (3, "g2")
+            (1, "G0"), (1, "G0"), (1, "G0"), (1, "G0"), (2, "g1"), (3, "g2"), (4, "g3")
         ]
-        calls.clear()
+        # one batch of the distinct ground truths of rows that differ from theirs
+        # (g3's rows all match raw), one of those rows' answers, row by row
+        rest = [t.extracted_answer for r, t in sample.entries if t.extracted_answer != r.gt_answer]
+        assert len(rest) == 24
+        assert sorted(batches) == sorted([["g0", "g1", "g2"], rest])
+        assert singles == []  # normalize_answer takes only what the batch cannot
+
+        batches.clear()
         assert len(filter_dataset(_graded_sample([("g1", "g1", False)] * 3))) == 3
-        assert calls == []  # a raw match with ground truth is graded without normalizing
+        assert batches == [] and singles == []  # raw matches reach no normalizer
+
+        kept = filter_dataset(_graded_sample([("g1", "G1", False), ("g1", "g\n1", False), ("g2", " G2 ", False)]))
+        assert [t.extracted_answer for _, t in kept] == ["G1", " G2 "]
+        assert singles == ["g\n1"]  # a string holding the batch separator
 
 
 class TestCotLengthFilter:

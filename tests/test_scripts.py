@@ -19,6 +19,8 @@ SCRIPTS = ROOT / "scripts"
          " strategy | final head final tail  gap slope train size mean len"),
         ("sweep_sampling_number.py", ["--n", "20", "--t", "2", "--k-values", "2,4", "--seeds", "0"],
          "   K | mean sampled pass@1 by iteration (seeds [0])"),
+        ("time_large_run.py", ["--n", "20", "--k", "2", "--t", "2"],
+         "vanilla run, in-process: N=20 K=2 T=2 seed=0"),
     ],
 )
 def test_script_prints_its_table(script, args, header, tmp_path, monkeypatch, capsys):
