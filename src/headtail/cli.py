@@ -202,6 +202,9 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
         rules = dataclasses.replace(rules, symbol_aliases=aliases)
     if args.summary:
         check_output_path(args.summary)
+        for other, what in ((args.output, "the output path"), (args.input, "the input log")):
+            if Path(args.summary).resolve() == Path(other).resolve():
+                raise ConfigError(f"summary path {args.summary} is {what}")
     summary = rebalance_offline(args.input, strategy, args.k, args.output, rules=rules)
     row = summary.pop("metrics_row")
     if args.summary:

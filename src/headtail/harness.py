@@ -32,6 +32,13 @@ time, in memory, and raises the SchemaError naming the first bad line
 with the message a line-by-line read gives; faults only the whole file
 shows (two ground truths or levels for one query) are raised once every
 line has decoded.  A file is taken whole or not at all.
+
+Snapshots are written by one writer (``_snapshot_chunks``) that formats
+columns, not rows, ``_SNAPSHOT_CHUNK`` (1024) rows per string: each field's
+texts are one lookup in a table (the decimal texts of 0..1023 for the int
+fields, ``str`` only for a value past them), and a chunk's lines are one
+join of a grid of the line's literal pieces and those texts.  A write holds
+one chunk at a time, never the whole file.
 """
 
 from __future__ import annotations
@@ -579,23 +586,51 @@ _SNAPSHOT_LINE = (
     '{"correct": %s, "iteration": %d, "length_tokens": %d, "level": %s, '
     '"origin": "%s", "prefix_steps": %d, "query_id": %d, "sample_index": %d}\n'
 )
-_JSON_BOOL = ("false", "true")
-_JSON_LEVEL = ("null",) + tuple(str(lv) for lv in LEVELS)  # level 0 is unset
-_SNAPSHOT_CHUNK = 4096  # rows formatted per write
+_JSON_BOOL = object_array(("false", "true"))
+_JSON_LEVEL = object_array(("null", *map(str, LEVELS)))  # level 0 is unset
+_SNAPSHOT_CHUNK = 1024  # rows formatted per write
+# the literal text around the line's fields, then each field's column and text
+# table, in the line's order
+_SNAPSHOT_PIECES = object_array(_SNAPSHOT_LINE.replace("%d", "%s").split("%s"))
+_DECIMAL = object_array(map(str, range(1024)))  # str(v) of the ints a field mostly holds
+_SNAPSHOT_TEXTS = (
+    ("correct", _JSON_BOOL),
+    ("iteration", _DECIMAL),
+    ("length_tokens", _DECIMAL),
+    ("level", _JSON_LEVEL),
+    ("origin", object_array(ORIGINS)),
+    ("prefix_steps", _DECIMAL),
+    ("query_id", _DECIMAL),
+    ("sample_index", _DECIMAL),
+)
+
+
+def _field_texts(col: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table[v]`` of each value; ``str(v)`` of a value the table does not reach."""
+    col = col.astype(np.int64, copy=False)
+    inside = col.view(np.uint64) < len(table)  # a negative value views as one past 2**63
+    if inside.all():
+        return table[col]
+    texts = table[np.where(inside, col, 0)]
+    outside = np.flatnonzero(~inside)
+    texts[outside] = list(map(str, col[outside].tolist()))
+    return texts
 
 
 def _snapshot_chunks(dataset: TrajectoryDataset) -> Iterator[str]:
-    """The snapshot lines of ``dataset``, a few thousand rows per string."""
+    """The snapshot lines of ``dataset``, ``_SNAPSHOT_CHUNK`` rows per string.
+
+    Formatted column by column: each field's texts come from one lookup in
+    its table, and a chunk's lines are one join of a grid whose columns are
+    the line's literal pieces interleaved with its fields' texts."""
     c = dict(dataset.columns, level=dataset.levels())
     for lo in range(0, len(dataset), _SNAPSHOT_CHUNK):
-        part = {name: col[lo : lo + _SNAPSHOT_CHUNK].tolist() for name, col in c.items()}
-        yield "".join(
-            _SNAPSHOT_LINE % (_JSON_BOOL[ok], it, n, _JSON_LEVEL[lv], ORIGINS[o], ps, q, s)
-            for ok, it, n, lv, o, ps, q, s in zip(
-                part["correct"], part["iteration"], part["length_tokens"], part["level"],
-                part["origin"], part["prefix_steps"], part["query_id"], part["sample_index"],
-            )
-        )
+        hi = min(lo + _SNAPSHOT_CHUNK, len(dataset))
+        grid = np.empty((hi - lo, len(_SNAPSHOT_PIECES) + len(_SNAPSHOT_TEXTS)), dtype=object)
+        grid[:, 0::2] = _SNAPSHOT_PIECES
+        for i, (name, table) in enumerate(_SNAPSHOT_TEXTS):
+            grid[:, 2 * i + 1] = _field_texts(c[name][lo:hi], table)
+        yield "".join(grid.ravel().tolist())
 
 
 def check_output_path(path: str | Path) -> None:
@@ -753,7 +788,8 @@ def rebalance_offline(
     counts reflect usable responses only.  That field defaults to 10
     tokens; pass ``min_cot_tokens=0`` in the ``StrategyConfig`` for no
     floor.  ``K`` is the log's sampling number; a ``strategy.K`` that is
-    set must equal it.  Nothing is written unless the whole input parses.
+    set must equal it.  Nothing is written unless the whole input parses;
+    an ``output_path`` naming the input log is a ConfigError.
     """
     if strategy.kind not in RESHAPING_KINDS:
         raise ConfigError("strategy requires a sampler; offline mode supports reshaping only")
@@ -764,6 +800,8 @@ def rebalance_offline(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     check_output_path(output_path)
+    if Path(output_path).resolve() == Path(input_path).resolve():
+        raise ConfigError(f"output path {output_path} is the input log")
     if not Path(input_path).is_file():
         raise SchemaError(f"no input log at {input_path}")
     sample = load_log(input_path)

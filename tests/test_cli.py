@@ -272,6 +272,40 @@ class TestRebalanceVerb:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl", "target"]
         assert list(target.iterdir()) == []
 
+    def test_summary_on_output_exit_config_before_anything_is_written(self, tmp_path, capsys):
+        src = write_log(tmp_path, {1: 4}, K=4)
+        summary = f"{tmp_path}/sub/../o.jsonl"  # the output file, under another spelling
+        code = main(["rebalance", "--input", str(src), "--strategy", "rp", "--k", "4",
+                     "--output", str(tmp_path / "o.jsonl"), "--summary", summary])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: summary path {summary} is the output path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--output", "output path {} is the input log"),
+        ("--summary", "summary path {} is the input log"),
+    ])
+    def test_target_on_input_exit_config_and_log_kept(self, tmp_path, capsys, flag, message):
+        src = write_log(tmp_path, {1: 4}, K=4)
+        before = src.read_bytes()
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(src)  # the same file under another name
+        paths = {"--output": str(tmp_path / "o.jsonl"), "--summary": str(tmp_path / "s.csv"), flag: str(link)}
+        code = main(["rebalance", "--input", str(src), "--strategy", "rp", "--k", "4",
+                     *(arg for pair in paths.items() for arg in pair)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message.format(link)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "log.jsonl"]
+        assert src.read_bytes() == before
+
+    def test_output_equal_to_input_exit_config(self, tmp_path, capsys):
+        src = write_log(tmp_path, {1: 4}, K=4)
+        before = src.read_bytes()
+        code = main(["rebalance", "--input", str(src), "--output", str(src), "--strategy", "rp", "--k", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: output path {src} is the input log\n"
+        assert src.read_bytes() == before
+
     def test_non_utf8_log_exit_schema(self, tmp_path, capsys):
         src = write_log(tmp_path, {1: 2}, K=2)
         with open(src, "ab") as fh:

@@ -12,6 +12,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from headtail import harness
@@ -132,6 +133,60 @@ def test_snapshot_lines_cover_every_origin_and_unset_level(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == [json.dumps(snapshot_entry(r, t), sort_keys=True) for r, t in entries]
     assert '"level": null' in lines[0] and '"prefix_steps": 3' in lines[2]
+
+
+def snapshot_text(ds):
+    """The reference encoding of ``ds``'s snapshot: ``json.dumps`` of each pair."""
+    return "".join(json.dumps(snapshot_entry(r, t), sort_keys=True) + "\n" for r, t in ds.entries)
+
+
+def dataset_of_rows(n):
+    """A sample dataset of ``n`` rows over a few queries, every origin among them."""
+    records = {q: QueryRecord(id=q, gt_answer=f"a{q}", level=q % 6 or None) for q in range(7)}
+    entries = [
+        (records[i % 7], Trajectory(i % 7, i // 7 + 1, i % 3 + 1, 17 * i, "x", i % 2 == 0,
+                                    origin=ORIGINS[i % 4], prefix_steps=i % 5 if i % 4 == 2 else 0))
+        for i in range(n)
+    ]
+    return TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
+
+
+@pytest.mark.parametrize("qid", [-(2**63), -1, 2**63 - 1])
+def test_snapshot_line_of_extreme_query_id(qid):
+    record = QueryRecord(id=qid, gt_answer="a", level=3)
+    ds = TrajectoryDataset.from_entries([(record, Trajectory(qid, 1, 1, 40, "a", True))], ROLE_SAMPLE)
+    assert "".join(harness._snapshot_chunks(ds)) == snapshot_text(ds)
+
+
+@pytest.mark.parametrize("value", [1023, 1024, 2**63 - 1])
+def test_snapshot_lines_of_large_length_and_sample_index(value):
+    record = QueryRecord(id=1, gt_answer="a")
+    entries = [
+        (record, Trajectory(1, 1, 1, value, "a", True)),
+        (record, Trajectory(1, value, 1, 40, "a", False)),
+    ]
+    ds = TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
+    assert "".join(harness._snapshot_chunks(ds)) == snapshot_text(ds)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_snapshot_lines_at_the_chunk_boundary(extra):
+    ds = dataset_of_rows(harness._SNAPSHOT_CHUNK + extra)
+    assert "".join(harness._snapshot_chunks(ds)) == snapshot_text(ds)
+
+
+def test_snapshot_of_empty_dataset_is_no_chunk():
+    assert list(harness._snapshot_chunks(TrajectoryDataset.from_entries([], ROLE_SAMPLE))) == []
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3 * 1024 + 5])
+def test_snapshot_chunks_hold_at_most_a_chunk_of_lines(n):
+    # a write holds one chunk of the file at a time, never the whole file
+    chunk = harness._SNAPSHOT_CHUNK
+    chunks = list(harness._snapshot_chunks(dataset_of_rows(n)))
+    assert len(chunks) == -(-n // chunk)
+    assert all(0 < text.count("\n") <= chunk for text in chunks)
+    assert sum(text.count("\n") for text in chunks) == n
 
 
 @given(datasets(role=ROLE_FILTER), datasets())
