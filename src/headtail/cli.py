@@ -27,6 +27,7 @@ from .harness import (
     ConfigError,
     RunAborted,
     RunConfig,
+    RunReport,
     SchemaError,
     check_output_path,
     check_report_dir,
@@ -81,18 +82,24 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     restart.add_argument("--no-restart", dest="restart", action="store_false", default=None)
 
 
+def _run_and_emit(cfg: RunConfig, seed: int, outdir: str | Path) -> RunReport:
+    """Run one seed and write its report; an aborted run writes its partial
+    report before the RunAborted goes on."""
+    try:
+        report = run_mode(cfg, seed)
+    except RunAborted as exc:
+        emit_report(exc.report, outdir)
+        raise
+    emit_report(report, outdir)
+    return report
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     cfg.validate()
     outdir = _output_dir(cfg, "runs/run")
     check_report_dir(outdir)
-    try:
-        report = run_mode(cfg, cfg.seeds[0])
-    except RunAborted as exc:
-        emit_report(exc.report, outdir)
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
-    emit_report(report, outdir)
+    report = _run_and_emit(cfg, cfg.seeds[0], outdir)
     final = report.rows_for("train")[-1] if report.rows_for("train") else None
     if final is not None and final.level_share is not None:
         print(
@@ -108,13 +115,10 @@ def _one_sweep_run(payload: tuple[dict, int, str]) -> tuple[str, int, list[str] 
     """Run and report one grid point: its last train row's fields, or, for
     an aborted run (whose partial report is written too), the reason."""
     cfg_dict, seed, outdir = payload
-    cfg = RunConfig.from_dict(cfg_dict)
     try:
-        report = run_mode(cfg, seed)
+        report = _run_and_emit(RunConfig.from_dict(cfg_dict), seed, outdir)
     except RunAborted as exc:
-        emit_report(exc.report, outdir)
         return outdir, seed, str(exc)
-    emit_report(report, outdir)
     return outdir, seed, report.rows_for("train")[-1].to_csv_fields()
 
 

@@ -95,6 +95,7 @@ from .strategies import (
     SamplerError,
     StrategyConfig,
     adaptive_resample,
+    check_int64,
     guided_resample,
     reshape,
     self_correct_augment,
@@ -197,21 +198,15 @@ class RunConfig:
 
     def validate(self) -> None:
         _check_types(self)
-        if self.n_queries < 1:
-            raise ConfigError("n_queries must be >= 1")
-        if self.k_samples < 1:
-            raise ConfigError("k_samples must be >= 1")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.apply_point not in APPLY_POINTS:
             raise ConfigError(f"apply_point must be one of {APPLY_POINTS}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
-        if self.calibration_shots < 1:
-            raise ConfigError("calibration_shots must be >= 1")
         try:
+            for name in ("n_queries", "k_samples", "iterations", "calibration_shots"):
+                check_int64(name, getattr(self, name), 1)
             self.strategy.validate(self.k_samples)
             self.learner.validate()
             self.corpus.validate()

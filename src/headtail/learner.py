@@ -20,9 +20,11 @@ The policy is arrays aligned to its :class:`~headtail.core.Corpus`: ``p``
 and the draw counters hold one entry per query in ascending id order.
 Every draw is keyed by (root_seed, query_id, draw counter), so a query's
 trajectories are a pure function of its counter sequence however draws
-interleave, and the batched samplers replay exactly the draws of a loop
-of the scalar calls.  ``tests/oracles.py`` holds the per-query references
-that ``train``, ``init_learner``, ``calibrate_difficulty`` and
+interleave.  One kernel makes every draw: the batched samplers call it
+with one row per request, and ``sample_response``, ``guided_sample`` and
+``correct_response`` are their one-row calls.  ``tests/oracles.py`` holds
+the scalar draw reference the batched samplers replay, and the per-query
+references that ``train``, ``init_learner``, ``calibrate_difficulty`` and
 ``pass_rates`` are checked against.
 """
 
@@ -52,6 +54,17 @@ from .core import (
 from .strategies import Draws, split_steps
 
 
+def _check_finite(params: LearnerParams | CorpusParams) -> None:
+    """ValueError on the first field, or field's element, that is not a finite float."""
+    for name, value in vars(params).items():
+        try:
+            finite = all(map(math.isfinite, value if isinstance(value, tuple) else (value,)))
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LearnerParams:
     """Surrogate dynamics knobs; all rates live on [0, 1] style ranges.
@@ -76,6 +89,7 @@ class LearnerParams:
     correction_length_boost: float = 0.2
 
     def validate(self) -> None:
+        _check_finite(self)
         if not 0.0 < self.learn_rate <= 1.0:
             raise ValueError("learn_rate must be in (0, 1]")
         if not 0.0 <= self.forget_rate < 1.0:
@@ -92,6 +106,8 @@ class LearnerParams:
             raise ValueError("init_noise must be >= 0")
         if not 0.0 <= self.p_floor <= self.p_ceiling <= 1.0:
             raise ValueError("need 0 <= p_floor <= p_ceiling <= 1")
+        if self.correction_length_boost <= -1.0:
+            raise ValueError("correction_length_boost must be > -1")
 
 
 @dataclass(frozen=True)
@@ -116,6 +132,7 @@ class CorpusParams:
         object.__setattr__(self, "hard_difficulty", tuple(self.hard_difficulty))
 
     def validate(self) -> None:
+        _check_finite(self)
         if not 0.0 <= self.easy_fraction <= 1.0:
             raise ValueError("easy_fraction must be in [0, 1]")
         for lo, hi in (self.easy_difficulty, self.hard_difficulty):
@@ -210,97 +227,11 @@ class LearnerState:
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
-    # -- internals ---------------------------------------------------------
-
-    def _p_of(self, query: QueryRecord) -> float:
-        return float(self.p[self.corpus.rows([query.id])[0]])
-
-    def _mu_of(self, query: QueryRecord) -> float:
-        if query.level is not None and query.level in self.mu_log_len:
-            return self.mu_log_len[query.level]
-        return query.base_log_length
-
-    def _next_counter(self, query_id: int) -> int:
-        row = self.corpus.rows([query_id])[0]
-        ctr = int(self.draw_counter[row])
-        self.draw_counter[row] = ctr + 1
-        return ctr
-
-    def _draw(
-        self,
-        query: QueryRecord,
-        prob: float,
-        mu: float,
-        *,
-        scale: float = 1.0,
-        prefix_tokens: int = 0,
-        **fields,
-    ) -> Trajectory:
-        """One keyed draw: correct w.p. ``prob``, length lognormal around ``mu``.
-
-        The generated length exp(mu + sigma * z) is scaled by ``scale``,
-        rounded, floored at one token and appended to ``prefix_tokens``.
-        The keys stay scalar: one-element arrays cost about 1.5x per draw.
-        """
-        ctr = self._next_counter(query.id)
-        correct = bool(rng.uniform(self.root_seed, rng.CORRECT, query.id, ctr) < prob)
-        z = float(rng.normal(self.root_seed, rng.LENGTH, query.id, ctr))
-        length = max(1, int(round(math.exp(mu + self.params.sigma_log_len * z) * scale)))
-        return Trajectory(
-            query_id=query.id,
-            sample_index=1,
-            iteration=self.iteration + 1,
-            length_tokens=prefix_tokens + length,
-            extracted_answer=query.gt_answer if correct else f"wrong-{query.id}-{ctr}",
-            correct=correct,
-            prefix_tokens=prefix_tokens,
-            **fields,
-        )
-
     # -- sampling ----------------------------------------------------------
-
-    def sample_response(self, query: QueryRecord) -> Trajectory:
-        """One fresh draw: correct w.p. p_i, length lognormal around the level mean."""
-        return self._draw(query, self._p_of(query), self._mu_of(query))
-
-    def guided_sample(
-        self, query: QueryRecord, prefix: Trajectory, step: int, total_steps: int
-    ) -> Trajectory:
-        """Continue a kept trajectory from the prefix before the given step.
-
-        Success probability rises with the kept fraction f = (step-1)/S as
-        1 - (1 - p_i) * (1 - f)**prefix_gain, so step 1 reduces to plain
-        sampling and deeper prefixes approach certainty.
-        """
-        if not 1 <= step <= total_steps:
-            raise ValueError(f"step must be in [1, {total_steps}], got {step}")
-        if not prefix.correct:
-            raise ValueError("guided sampling requires a successful prefix")
-        p = self._p_of(query)
-        p_cond = guided_success_probability(p, step, total_steps, self.params.prefix_gain)
-        prefix_tokens = 0 if step == 1 else split_steps(prefix, total_steps)[step - 1]
-        return self._draw(
-            query,
-            p_cond,
-            self._mu_of(query),
-            scale=1.0 - (step - 1) / total_steps,
-            prefix_tokens=prefix_tokens,
-            origin=ORIGIN_RESAMPLED_GR,
-            prefix_steps=step - 1,
-        )
-
-    def correct_response(self, query: QueryRecord, wrong: Trajectory) -> Trajectory:
-        """Revise a failed response; revisions run longer than fresh samples."""
-        if wrong.correct:
-            raise ValueError("correct_response expects a failed trajectory")
-        p = self._p_of(query)
-        prob = min(1.0, max(0.0, self.params.correction_base + self.params.correction_slope * p))
-        mu = self._mu_of(query) + math.log1p(self.params.correction_length_boost)
-        return self._draw(query, prob, mu, origin=ORIGIN_CORRECTED)
 
     def _mu(self, corpus: Corpus, rows: np.ndarray) -> np.ndarray:
         """Per row of ``corpus``: its level's learned mean log-length, or its
-        base log-length while its level is unset or has no mean (``_mu_of``)."""
+        base log-length while its level is unset or has no mean."""
         by_level = np.array([np.nan] + [self.mu_log_len.get(level, np.nan) for level in LEVELS])
         mu = by_level[corpus.level[rows]]
         return np.where(np.isnan(mu), corpus.base_log_length[rows], mu)
@@ -318,13 +249,14 @@ class LearnerState:
         self, own: np.ndarray, prob: np.ndarray, mu: np.ndarray, gt: np.ndarray, *,
         scale: np.ndarray | float = 1.0, prefix_tokens: np.ndarray | int = 0,
     ) -> Draws:
-        """Vectorized ``_draw``: one keyed draw per row, rows in call order.
+        """The draw kernel: one keyed draw per row, rows in call order.
 
         Row i draws for the query at row ``own[i]`` of the corpus and takes
-        its draw counter plus the number of earlier rows of that query; the
-        length arithmetic follows ``_draw`` op for op, so the rows equal a
-        loop of scalar draws.  One ``rng.uniform`` and one ``rng.normal``
-        call serve all rows.
+        its draw counter plus the number of earlier rows of that query, so
+        the rows equal a loop of one-row draws.  It is correct w.p.
+        ``prob[i]``; its length exp(mu + sigma * z), scaled by ``scale``,
+        rounded and floored at one token, is appended to ``prefix_tokens``.
+        One ``rng.uniform`` and one ``rng.normal`` call serve all rows.
         """
         if len(own) == 0:
             empty = np.zeros(0, dtype=np.int64)
@@ -337,9 +269,10 @@ class LearnerState:
         keys = query_ids.astype(np.uint64)
         correct = rng.uniform(self.root_seed, rng.CORRECT, keys, counters) < prob
         z = rng.normal(self.root_seed, rng.LENGTH, keys, counters)
-        # np.exp, unlike _draw's math.exp, may be off in the last bit; that
-        # moves a rounded length only when exp(...) * scale lies within an
-        # ulp of a half-integer, and the golden hashes pin the lengths
+        # np.exp, unlike the scalar reference's math.exp, may be off in the
+        # last bit; that moves a rounded length only when exp(...) * scale
+        # lies within an ulp of a half-integer, and the golden hashes pin
+        # the lengths
         lengths = np.maximum(
             1, np.rint(np.exp(mu + self.params.sigma_log_len * z) * scale).astype(np.int64)
         )
@@ -352,7 +285,7 @@ class LearnerState:
         return Draws(self.iteration + 1, prefix_tokens + lengths, correct, answers)
 
     def sample_fresh(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
-        """Batched :meth:`sample_response`: one fresh draw per row."""
+        """One fresh draw per row: correct w.p. p_i, length lognormal around the level mean."""
         return self._draw_rows(*self._query_columns(corpus, query_ids))
 
     def sample_guided(
@@ -363,14 +296,18 @@ class LearnerState:
         steps: np.ndarray,
         total_steps: int,
     ) -> Draws:
-        """Batched :meth:`guided_sample`: row i continues the prefix before
-        step ``steps[i]``, ``prefix_tokens[i]`` tokens of a successful response."""
+        """Row i continues the prefix before step ``steps[i]``,
+        ``prefix_tokens[i]`` tokens of a successful response.
+
+        Success probability rises with the kept fraction f = (step-1)/S as
+        1 - (1 - p_i) * (1 - f)**prefix_gain, so step 1 reduces to plain
+        sampling and deeper prefixes approach certainty.
+        """
         steps = np.asarray(steps, dtype=np.int64)
         if np.any((steps < 1) | (steps > total_steps)):
             raise ValueError(f"steps must be in [1, {total_steps}]")
         own, p, mu, gt = self._query_columns(corpus, query_ids)
-        # per step in Python floats, as guided_success_probability and
-        # guided_sample compute them
+        # per step in Python floats, as guided_success_probability computes them
         kept = [(step - 1) / total_steps for step in range(1, total_steps + 1)]
         factor = np.array([(1.0 - f) ** self.params.prefix_gain for f in kept])[steps - 1]
         scale = np.array([1.0 - f for f in kept])[steps - 1]
@@ -384,14 +321,14 @@ class LearnerState:
         )
 
     def sample_corrections(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
-        """Batched :meth:`correct_response`: one revision of a failed response per row."""
+        """One revision of a failed response per row; revisions run longer than fresh samples."""
         pr = self.params
         own, p, mu, gt = self._query_columns(corpus, query_ids)
         prob = np.minimum(1.0, np.maximum(0.0, pr.correction_base + pr.correction_slope * p))
         return self._draw_rows(own, prob, mu + math.log1p(pr.correction_length_boost), gt)
 
     def sample_batch(self, k: int) -> TrajectoryDataset:
-        """K fresh draws per corpus query, vectorized; replays scalar draws exactly."""
+        """K fresh draws per corpus query."""
         if k < 1:
             raise ValueError("k must be >= 1")
         c = self.corpus
@@ -406,6 +343,42 @@ class LearnerState:
         }
         # rows come out in canonical order: query id, then sample index
         return TrajectoryDataset(ROLE_SAMPLE, columns, draws.answers, c, sort=False)
+
+    # -- one-row sampling --------------------------------------------------
+
+    def _one_row(self, query: QueryRecord, sample, *args, **fields) -> Trajectory:
+        """One draw of ``query`` by a batched sampler, over the corpus of
+        just that record, as a trajectory with the given fields."""
+        draws = sample(Corpus.of([query]), np.array([query.id]), *args)
+        return Trajectory(
+            query_id=query.id, sample_index=1, iteration=draws.iteration,
+            length_tokens=int(draws.length_tokens[0]), extracted_answer=draws.answers[0],
+            correct=bool(draws.correct[0]), **fields,
+        )
+
+    def sample_response(self, query: QueryRecord) -> Trajectory:
+        """One-row :meth:`sample_fresh`."""
+        return self._one_row(query, self.sample_fresh)
+
+    def guided_sample(
+        self, query: QueryRecord, prefix: Trajectory, step: int, total_steps: int
+    ) -> Trajectory:
+        """One-row :meth:`sample_guided`, continuing ``prefix`` from the given step."""
+        if not 1 <= step <= total_steps:
+            raise ValueError(f"step must be in [1, {total_steps}], got {step}")
+        if not prefix.correct:
+            raise ValueError("guided sampling requires a successful prefix")
+        tokens = 0 if step == 1 else split_steps(prefix, total_steps)[step - 1]
+        return self._one_row(
+            query, self.sample_guided, np.array([tokens]), np.array([step]), total_steps,
+            origin=ORIGIN_RESAMPLED_GR, prefix_steps=step - 1, prefix_tokens=tokens,
+        )
+
+    def correct_response(self, query: QueryRecord, wrong: Trajectory) -> Trajectory:
+        """One-row :meth:`sample_corrections`, revising ``wrong``."""
+        if wrong.correct:
+            raise ValueError("correct_response expects a failed trajectory")
+        return self._one_row(query, self.sample_corrections, origin=ORIGIN_CORRECTED)
 
     # -- measurement -------------------------------------------------------
 

@@ -111,6 +111,14 @@ class Sampler(Protocol):
         """Per row: a revision of a failed response of the query."""
 
 
+def check_int64(name: str, value: int, low: int) -> None:
+    """ValueError unless low <= value < 2**63: knobs and counts become int64 columns and counters."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if value >= 2**63:
+        raise ValueError(f"{name} must be < 2**63")
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     """Which rebalancing transform to run and its knobs.
@@ -128,18 +136,14 @@ class StrategyConfig:
     def validate(self, k_samples: int | None = None) -> None:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
-        if self.S < 2:
-            raise ValueError("S must be >= 2")
+        check_int64("L", self.L, 1)
+        check_int64("S", self.S, 2)
         k = self.K if self.K is not None else k_samples
         if k is not None:
-            if k < 1:
-                raise ValueError("K must be >= 1")
+            check_int64("K", k, 1)
             if "L" in KIND_KNOBS[self.kind] and self.L > k:
                 raise ValueError(f"L must not exceed K ({self.L} > {k})")
-        if self.min_cot_tokens < 0:
-            raise ValueError("min_cot_tokens must be >= 0")
+        check_int64("min_cot_tokens", self.min_cot_tokens, 0)
 
 
 def _require_filter(filtered: TrajectoryDataset) -> None:

@@ -1,7 +1,7 @@
 """Independent brute-force evaluations of the reshaping set-builder rules,
 the metrics row, the snapshot line encoding and decoding, the log decoding,
-the pass-rate measurement, the learner's set-up, calibration and training,
-and answer normalization.
+the pass-rate measurement, the learner's draws, set-up, calibration and
+training, and answer normalization.
 
 These deliberately avoid the library's dataset machinery: plain dicts of
 lists, straight loops.  Threshold clipping shares the library's pinned draw key
@@ -24,7 +24,9 @@ import numpy as np
 from headtail import rng
 from headtail.core import (
     LEVELS,
+    ORIGIN_CORRECTED,
     ORIGIN_EXPLORED,
+    ORIGIN_RESAMPLED_GR,
     ROLE_TRAIN,
     Entry,
     QueryRecord,
@@ -39,6 +41,8 @@ from headtail.harness import (
     SchemaError,
     TrajectoryLogRecord,
 )
+from headtail.learner import guided_success_probability
+from headtail.strategies import split_steps
 
 
 def group(entries):
@@ -184,6 +188,81 @@ def pass_rate(state, query, m):
         state.root_seed, rng.PASS_RATE, np.uint64(query.id), np.arange(m, dtype=np.uint64)
     )
     return float(np.mean(shots < state.p[state.corpus.rows([query.id])[0]]))
+
+
+# -- scalar draw reference ---------------------------------------------------
+# The learner's draw kernel one draw at a time: per draw one counter
+# increment, scalar rng calls, math.exp and round.  A loop of these on a
+# state makes the draws its batched samplers must replay, and advances the
+# state's draw counters as they do.
+
+
+def _p_of(state, query: QueryRecord) -> float:
+    return float(state.p[state.corpus.rows([query.id])[0]])
+
+
+def _mu_of(state, query: QueryRecord) -> float:
+    if query.level is not None and query.level in state.mu_log_len:
+        return state.mu_log_len[query.level]
+    return query.base_log_length
+
+
+def _next_counter(state, query_id: int) -> int:
+    row = state.corpus.rows([query_id])[0]
+    ctr = int(state.draw_counter[row])
+    state.draw_counter[row] = ctr + 1
+    return ctr
+
+
+def _draw(state, query, prob, mu, *, scale=1.0, prefix_tokens=0, **fields) -> Trajectory:
+    """One keyed draw: correct w.p. ``prob``, length lognormal around ``mu``.
+
+    The generated length exp(mu + sigma * z) is scaled by ``scale``,
+    rounded, floored at one token and appended to ``prefix_tokens``.
+    """
+    ctr = _next_counter(state, query.id)
+    correct = bool(rng.uniform(state.root_seed, rng.CORRECT, query.id, ctr) < prob)
+    z = float(rng.normal(state.root_seed, rng.LENGTH, query.id, ctr))
+    length = max(1, int(round(math.exp(mu + state.params.sigma_log_len * z) * scale)))
+    return Trajectory(
+        query_id=query.id,
+        sample_index=1,
+        iteration=state.iteration + 1,
+        length_tokens=prefix_tokens + length,
+        extracted_answer=query.gt_answer if correct else f"wrong-{query.id}-{ctr}",
+        correct=correct,
+        prefix_tokens=prefix_tokens,
+        **fields,
+    )
+
+
+def fresh_draw(state, query) -> Trajectory:
+    """One fresh draw: correct w.p. p, length around the level mean."""
+    return _draw(state, query, _p_of(state, query), _mu_of(state, query))
+
+
+def guided_draw(state, query, prefix, step, total_steps) -> Trajectory:
+    """One continuation of a successful ``prefix`` from before ``step``."""
+    p_cond = guided_success_probability(_p_of(state, query), step, total_steps, state.params.prefix_gain)
+    prefix_tokens = 0 if step == 1 else split_steps(prefix, total_steps)[step - 1]
+    return _draw(
+        state,
+        query,
+        p_cond,
+        _mu_of(state, query),
+        scale=1.0 - (step - 1) / total_steps,
+        prefix_tokens=prefix_tokens,
+        origin=ORIGIN_RESAMPLED_GR,
+        prefix_steps=step - 1,
+    )
+
+
+def correction_draw(state, query) -> Trajectory:
+    """One revision of a failed response: longer, correct w.p. base + slope * p."""
+    pr = state.params
+    prob = min(1.0, max(0.0, pr.correction_base + pr.correction_slope * _p_of(state, query)))
+    mu = _mu_of(state, query) + math.log1p(pr.correction_length_boost)
+    return _draw(state, query, prob, mu, origin=ORIGIN_CORRECTED)
 
 
 # -- per-query learner references --------------------------------------------

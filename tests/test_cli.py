@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from headtail import cli, harness
 from headtail.cli import _worker_count, main
 from headtail.harness import OUTPUT_DIR_ENV
+
+BEYOND_64_BITS = "100000000000000000000"
 
 SMALL_CFG = {
     "n_queries": 40,
@@ -126,6 +129,71 @@ class TestRunVerb:
         assert (given / "metrics.csv").exists() and not env_dir.exists()
         assert main(["run", "--config", str(cfg)]) == 0
         assert (env_dir / "metrics.csv").exists()
+
+
+    def test_aborted_run_writes_partial_report_exit_abort(self, tmp_path, capsys, monkeypatch):
+        from headtail.learner import LearnerState
+
+        def boom(self, corpus, query_ids):
+            raise RuntimeError("backend down")
+
+        monkeypatch.setattr(LearnerState, "sample_fresh", boom)
+        out = tmp_path / "out"
+        code = main(["run", "--strategy", "ar", "--n", "12", "--t", "1", "--output-dir", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == "aborted: sampler error\n"
+        assert json.loads((out / "summary.json").read_text())["incomplete"] is True
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            pytest.param({"corpus": {"base_tokens": math.inf}}, "base_tokens must be finite", id="base_tokens-inf"),
+            pytest.param({"corpus": {"length_jitter": math.nan}}, "length_jitter must be finite", id="length_jitter-nan"),
+            pytest.param({"corpus": {"hard_difficulty": [0.8, math.nan]}}, "hard_difficulty must be finite",
+                         id="hard_difficulty-element-nan"),
+            pytest.param({"learner": {"sigma_log_len": math.nan}}, "sigma_log_len must be finite", id="sigma_log_len-nan"),
+            pytest.param({"learner": {"sigma_log_len": math.inf}}, "sigma_log_len must be finite", id="sigma_log_len-inf"),
+            pytest.param({"learner": {"init_noise": math.nan}}, "init_noise must be finite", id="init_noise-nan"),
+            pytest.param({"learner": {"init_noise": math.inf}}, "init_noise must be finite", id="init_noise-inf"),
+            pytest.param({"learner": {"prefix_gain": math.nan}, "strategy": {"kind": "gr"}},
+                         "prefix_gain must be finite", id="prefix_gain-nan-gr"),
+            pytest.param({"learner": {"prefix_gain": math.inf}, "strategy": {"kind": "gr"}},
+                         "prefix_gain must be finite", id="prefix_gain-inf-gr"),
+            pytest.param({"learner": {"correction_length_boost": math.nan}, "strategy": {"kind": "sc"}},
+                         "correction_length_boost must be finite", id="correction_length_boost-nan-sc"),
+            pytest.param({"learner": {"correction_length_boost": -5}, "strategy": {"kind": "sc"}},
+                         "correction_length_boost must be > -1", id="correction_length_boost-below-minus-one-sc"),
+        ],
+    )
+    def test_non_finite_or_out_of_domain_float_exit_config(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, n_queries=20, iterations=2, **extra)
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, flags, message",
+        [
+            pytest.param({}, ["--k", BEYOND_64_BITS], "k_samples must be < 2**63", id="k-flag"),
+            pytest.param({}, ["--strategy", "gr", "--l", "2", "--s", BEYOND_64_BITS], "S must be < 2**63",
+                         id="s-flag-gr"),
+            pytest.param({"n_queries": int(BEYOND_64_BITS)}, [], "n_queries must be < 2**63", id="n_queries"),
+            pytest.param({"iterations": int(BEYOND_64_BITS)}, [], "iterations must be < 2**63", id="iterations"),
+            pytest.param({"calibration_shots": int(BEYOND_64_BITS)}, [], "calibration_shots must be < 2**63",
+                         id="calibration_shots"),
+            pytest.param({"strategy": {"L": int(BEYOND_64_BITS)}}, [], "L must be < 2**63", id="strategy-L"),
+            pytest.param({"strategy": {"K": int(BEYOND_64_BITS)}}, [], "K must be < 2**63", id="strategy-K"),
+            pytest.param({"strategy": {"min_cot_tokens": int(BEYOND_64_BITS)}}, [],
+                         "min_cot_tokens must be < 2**63", id="strategy-min_cot_tokens"),
+        ],
+    )
+    def test_integer_beyond_64_bits_exit_config(self, tmp_path, capsys, extra, flags, message):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, **extra)
+        assert main(["run", "--config", str(cfg), *flags, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 class TestRebalanceVerb:

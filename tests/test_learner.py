@@ -19,6 +19,9 @@ from headtail.strategies import split_steps
 from conftest import make_query, make_traj
 from oracles import (
     calibrate_difficulty_reference,
+    correction_draw,
+    fresh_draw,
+    guided_draw,
     init_learner_reference,
     pass_rate,
     train_reference,
@@ -44,6 +47,25 @@ def p_of(state, qid):
 
 def counter_of(state, qid):
     return state.draw_counter[state.corpus.rows([qid])[0]]
+
+
+# n draws of one query in one batched call take its next n counters in
+# order: they are the draws of n one-row calls
+
+
+def fresh(state, query, n):
+    return state.sample_fresh(Corpus.of([query]), np.full(n, query.id))
+
+
+def guided(state, query, prefix, step, total_steps, n):
+    tokens = 0 if step == 1 else split_steps(prefix, total_steps)[step - 1]
+    return state.sample_guided(
+        Corpus.of([query]), np.full(n, query.id), np.full(n, tokens), np.full(n, step), total_steps
+    )
+
+
+def corrections(state, query, n):
+    return state.sample_corrections(Corpus.of([query]), np.full(n, query.id))
 
 
 class TestInitLearner:
@@ -90,17 +112,17 @@ class TestSampleResponse:
     def test_p_one_always_correct(self):
         st_ = state_with({1: 1.0})
         q = make_query(1)
-        assert all(st_.sample_response(q).correct for _ in range(200))
+        assert fresh(st_, q, 200).correct.all()
 
     def test_p_zero_never_correct(self):
         st_ = state_with({1: 0.0})
         q = make_query(1)
-        assert not any(st_.sample_response(q).correct for _ in range(200))
+        assert not fresh(st_, q, 200).correct.any()
 
     def test_empirical_rate(self):
         st_ = state_with({1: 0.6}, seed=123)
         q = make_query(1)
-        hits = sum(st_.sample_response(q).correct for _ in range(10_000))
+        hits = int(fresh(st_, q, 10_000).correct.sum())
         assert abs(hits / 10_000 - 0.6) <= 0.02
 
     def test_unknown_query_rejected(self):
@@ -116,7 +138,7 @@ class TestSampleResponse:
     def test_counter_advances_and_draws_differ(self):
         st_ = state_with({1: 0.5}, seed=7)
         q = make_query(1)
-        lengths = {st_.sample_response(q).length_tokens for _ in range(20)}
+        lengths = set(fresh(st_, q, 20).length_tokens.tolist())
         assert counter_of(st_, 1) == 20
         assert len(lengths) > 1
 
@@ -128,7 +150,7 @@ class TestSampleResponse:
         scalar = []
         for q in list(corpus.records.values()):
             for j in range(1, 5):
-                t = a.sample_response(q)
+                t = fresh_draw(a, q)
                 scalar.append((q.id, j, t.correct, t.length_tokens, t.extracted_answer))
         vec = [
             (t.query_id, t.sample_index, t.correct, t.length_tokens, t.extracted_answer)
@@ -172,7 +194,7 @@ class TestGuidedSample:
         st_ = state_with({1: 0.3}, seed=5)
         q = make_query(1)
         prefix = make_traj(1, length=80)
-        hits = sum(st_.guided_sample(q, prefix, 1, 4).correct for _ in range(8000))
+        hits = int(guided(st_, q, prefix, 1, 4, 8000).correct.sum())
         assert abs(hits / 8000 - 0.3) < 0.02
 
     def test_conditional_probability_formula(self):
@@ -180,7 +202,7 @@ class TestGuidedSample:
         st_ = state_with({1: 0.2}, seed=9, params=params)
         q = make_query(1)
         prefix = make_traj(1, length=80)
-        hits = sum(st_.guided_sample(q, prefix, 4, 4).correct for _ in range(8000))
+        hits = int(guided(st_, q, prefix, 4, 4, 8000).correct.sum())
         # f = 3/4 -> 1 - 0.8 * 0.25 = 0.8
         assert abs(hits / 8000 - 0.8) < 0.02
 
@@ -211,24 +233,21 @@ class TestCorrectResponse:
         params = LearnerParams(correction_base=0.2, correction_slope=0.5)
         st_ = state_with({1: 0.4}, seed=3, params=params)
         q = make_query(1)
-        wrong = make_traj(1, correct=False)
-        hits = sum(st_.correct_response(q, wrong).correct for _ in range(10_000))
+        hits = int(corrections(st_, q, 10_000).correct.sum())
         assert abs(hits / 10_000 - 0.4) < 0.02
 
     def test_zero_parameters_never_correct(self):
         params = LearnerParams(correction_base=0.0, correction_slope=0.0)
         st_ = state_with({1: 0.9}, params=params)
-        wrong = make_traj(1, correct=False)
-        assert not any(st_.correct_response(make_query(1), wrong).correct for _ in range(300))
+        assert not corrections(st_, make_query(1), 300).correct.any()
 
     def test_corrections_longer_than_fresh(self):
         st_a = state_with({1: 0.5}, seed=21)
         st_b = state_with({1: 0.5}, seed=21)
         q = make_query(1, level=3)
-        wrong = make_traj(1, correct=False)
-        fresh = np.mean([st_a.sample_response(q).length_tokens for _ in range(10_000)])
-        corrected = np.mean([st_b.correct_response(q, wrong).length_tokens for _ in range(10_000)])
-        assert corrected > fresh
+        plain = np.mean(fresh(st_a, q, 10_000).length_tokens)
+        corrected = np.mean(corrections(st_b, q, 10_000).length_tokens)
+        assert corrected > plain
 
     def test_rejects_correct_input(self):
         st_ = state_with({1: 0.5})
@@ -282,7 +301,8 @@ def assert_replays(draws, scalar, iteration):
 
 
 class TestBatchedSamplers:
-    """Each batched sampler equals a loop of its scalar method on a clone.
+    """Each batched sampler, and a loop of its one-row method, equals a loop
+    of its scalar reference in tests/oracles.py on a clone.
 
     The requests name their queries through a corpus equal to, but not the
     same object as, the state's; ``sample_batch`` covers the shared one."""
@@ -291,11 +311,12 @@ class TestBatchedSamplers:
     @settings(max_examples=80, deadline=None)
     def test_fresh_replays_sample_response(self, request):
         state, records, query_ids = request
-        loop = state.clone()
+        loop, one_row = state.clone(), state.clone()
         draws = state.sample_fresh(Corpus.of(records.values()), query_ids)
-        scalar = [loop.sample_response(records[q]) for q in query_ids.tolist()]
+        scalar = [fresh_draw(loop, records[q]) for q in query_ids.tolist()]
         assert_replays(draws, scalar, state.iteration + 1)
-        assert state.draw_counter.tolist() == loop.draw_counter.tolist()
+        assert [one_row.sample_response(records[q]) for q in query_ids.tolist()] == scalar
+        assert state.draw_counter.tolist() == loop.draw_counter.tolist() == one_row.draw_counter.tolist()
 
     @given(batched_requests(), st.integers(2, 5), st.data())
     @settings(max_examples=80, deadline=None)
@@ -306,26 +327,28 @@ class TestBatchedSamplers:
         steps = [data.draw(st.integers(1, S)) if n >= S else 1 for n in lengths]
         donors = [make_traj(q, length=n) for q, n in zip(query_ids.tolist(), lengths)]
         prefix = [0 if s == 1 else split_steps(d, S)[s - 1] for d, s in zip(donors, steps)]
-        loop = state.clone()
+        loop, one_row = state.clone(), state.clone()
         draws = state.sample_guided(Corpus.of(records.values()), query_ids, np.array(prefix), np.array(steps), S)
-        scalar = [
-            loop.guided_sample(records[d.query_id], d, s, S) for d, s in zip(donors, steps)
-        ]
+        scalar = [guided_draw(loop, records[d.query_id], d, s, S) for d, s in zip(donors, steps)]
         assert_replays(draws, scalar, state.iteration + 1)
         assert [t.prefix_tokens for t in scalar] == prefix
-        assert state.draw_counter.tolist() == loop.draw_counter.tolist()
+        assert [
+            one_row.guided_sample(records[d.query_id], d, s, S) for d, s in zip(donors, steps)
+        ] == scalar
+        assert state.draw_counter.tolist() == loop.draw_counter.tolist() == one_row.draw_counter.tolist()
 
     @given(batched_requests())
     @settings(max_examples=80, deadline=None)
     def test_corrections_replay_correct_response(self, request):
         state, records, query_ids = request
-        loop = state.clone()
+        loop, one_row = state.clone(), state.clone()
         draws = state.sample_corrections(Corpus.of(records.values()), query_ids)
-        scalar = [
-            loop.correct_response(records[q], make_traj(q, correct=False)) for q in query_ids.tolist()
-        ]
+        scalar = [correction_draw(loop, records[q]) for q in query_ids.tolist()]
         assert_replays(draws, scalar, state.iteration + 1)
-        assert state.draw_counter.tolist() == loop.draw_counter.tolist()
+        assert [
+            one_row.correct_response(records[q], make_traj(q, correct=False)) for q in query_ids.tolist()
+        ] == scalar
+        assert state.draw_counter.tolist() == loop.draw_counter.tolist() == one_row.draw_counter.tolist()
 
     def test_guided_rejects_steps_out_of_range(self):
         st_ = state_with({1: 0.5})

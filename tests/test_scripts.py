@@ -21,6 +21,8 @@ SCRIPTS = ROOT / "scripts"
          "   K | mean sampled pass@1 by iteration (seeds [0])"),
         ("time_large_run.py", ["--n", "20", "--k", "2", "--t", "2"],
          "vanilla run, in-process: N=20 K=2 T=2 seed=0"),
+        ("count_code_lines.py", [],
+         "        module |      code docstring   comment     blank"),
     ],
 )
 def test_script_prints_its_table(script, args, header, tmp_path, monkeypatch, capsys):
@@ -39,3 +41,12 @@ def test_readme_library_example_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md (Library use)", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 6  # five filter rows and the sample line
+
+
+def test_count_code_lines_rule():
+    count_lines = runpy.run_path(str(SCRIPTS / "count_code_lines.py"))["count_lines"]
+    source = (
+        '"""Module\ndocstring."""\n\n# a comment\nx = """two\nlines"""  # trailing\n\n'
+        'def f():\n    """Doc."""\n    return x\n'
+    )
+    assert count_lines(source) == {"code": 4, "docstring": 3, "comment": 1, "blank": 2}
