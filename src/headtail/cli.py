@@ -23,6 +23,7 @@ from .harness import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SCHEMA,
+    MODES,
     OUTPUT_DIR_ENV,
     ConfigError,
     RunAborted,
@@ -40,7 +41,7 @@ from .harness import (
 )
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_RULES, load_alias_table
-from .strategies import KIND_KNOBS, STRATEGY_KINDS, StrategyConfig
+from .strategies import KINDS, StrategyConfig
 from .core import ROLE_FILTER, ROLE_TRAIN, TrajectoryDataset
 
 
@@ -70,8 +71,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="corpus size")
     p.add_argument("--k", type=int, help="samples per query per iteration")
     p.add_argument("--t", type=int, help="number of iterations")
-    p.add_argument("--mode", choices=("self_improve", "batch_baseline", "iterative_union"))
-    p.add_argument("--strategy", choices=STRATEGY_KINDS)
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--strategy", choices=tuple(KINDS))
     p.add_argument("--l", type=int, help="tail threshold L")
     p.add_argument("--s", type=int, help="guided resampling step count S")
     p.add_argument("--seed", type=int, help="single seed override")
@@ -155,7 +156,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jobs: list[tuple[dict, int, str]] = []
     for kind in strategies:
         # an axis a kind never reads would only repeat its runs: take its first value
-        reads = KIND_KNOBS.get(kind, ())
+        reads = KINDS[kind].knobs if kind in KINDS else ()
         for k in k_values:
             for L in l_values if "L" in reads else l_values[:1]:
                 for S in s_values if "S" in reads else s_values[:1]:
@@ -193,8 +194,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    strategy = StrategyConfig(kind=args.strategy, L=args.l, K=args.k,
-                              min_cot_tokens=args.min_cot_tokens, seed=args.seed)
+    strategy = StrategyConfig(kind=args.strategy, L=args.l, min_cot_tokens=args.min_cot_tokens, seed=args.seed)
     rules = DEFAULT_RULES
     if args.alias_table:
         try:
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reb = sub.add_parser("rebalance", help="offline reshaping of a trajectory log")
     p_reb.add_argument("--input", required=True, help="input JSONL log")
     p_reb.add_argument("--output", required=True, help="output JSONL training records")
-    p_reb.add_argument("--strategy", required=True, choices=STRATEGY_KINDS)
+    p_reb.add_argument("--strategy", required=True, choices=tuple(KINDS))
     p_reb.add_argument("--k", type=int, required=True, help="sampling number K of the log")
     p_reb.add_argument("--l", type=int, default=4, help="tail threshold L (tc)")
     p_reb.add_argument("--min-cot-tokens", type=int, default=0, help="reasoning length floor")

@@ -19,7 +19,8 @@ iterative_union train each iteration on the union of every filtered set so
 
 All three modes run through one loop (``_run_loop``).  Offline mode
 applies the sampler-free reshaping strategies to real trajectory logs
-(JSONL, one record per sampled response).
+(JSONL, one record per sampled response).  A strategy has no K of its
+own: in a run it reads ``k_samples``, offline the log's sampling number.
 
 Logs and dataset snapshots are read by one chunked reader
 (``_read_columns``): it decodes a fixed number of lines per pass straight
@@ -91,7 +92,7 @@ from .rewards import (
     partition_dataset,
 )
 from .strategies import (
-    RESHAPING_KINDS,
+    KINDS,
     SamplerError,
     StrategyConfig,
     adaptive_resample,
@@ -219,12 +220,8 @@ class RunConfig:
         return 1 if self.mode == "batch_baseline" else self.iterations
 
     def resolved_strategy(self, seed: int) -> StrategyConfig:
-        cfg = self.strategy
-        if cfg.K is None:
-            cfg = replace(cfg, K=self.k_samples)
-        if cfg.seed is None:
-            cfg = replace(cfg, seed=seed)
-        return cfg
+        """The strategy, its unset seed taken from the run's."""
+        return self.strategy if self.strategy.seed is not None else replace(self.strategy, seed=seed)
 
     def to_dict(self) -> dict[str, Any]:
         return {**dataclasses.asdict(self), "seeds": list(self.seeds)}
@@ -291,19 +288,18 @@ class RunReport:
 
 
 def _apply_strategy(
-    cfg: StrategyConfig, iteration: int, filtered: TrajectoryDataset,
+    cfg: StrategyConfig, K: int, iteration: int, filtered: TrajectoryDataset,
     discarded: TrajectoryDataset | None, sampler: LearnerState,
 ) -> TrajectoryDataset:
+    """One iteration's train set: ``cfg``'s strategy at the run's sampling number ``K``."""
     kind = cfg.kind
-    if kind in RESHAPING_KINDS:
-        return reshape(kind, filtered, cfg.K, cfg.L, seed=cfg.seed, iteration=iteration)
+    if not KINDS[kind].resamples:
+        return reshape(kind, filtered, K, cfg.L, seed=cfg.seed, iteration=iteration)
     if kind == "ar":
-        return adaptive_resample(filtered, sampler.corpus, sampler, cfg.K)[2]
+        return adaptive_resample(filtered, sampler.corpus, sampler, K)[2]
     if kind == "gr":
         return guided_resample(filtered, sampler, cfg.L, cfg.S)[2]
-    if kind == "sc":
-        return self_correct_augment(filtered, discarded, sampler, cfg.K, cfg.min_cot_tokens)
-    raise ConfigError(f"unknown strategy kind {kind!r}")
+    return self_correct_augment(filtered, discarded, sampler, K, cfg.min_cot_tokens)
 
 
 def _prepared_corpus_and_learner(config: RunConfig, seed: int) -> LearnerState:
@@ -353,9 +349,9 @@ def _run_loop(config: RunConfig, seed: int) -> RunReport:
             if union and config.apply_point == "on_union":
                 union_filter = filtered if union_filter is None else merge_datasets(union_filter, filtered)
                 pool = union_filter.retagged(ROLE_FILTER)
-                train_set = _apply_strategy(strategy, t, pool, discarded, learner)
+                train_set = _apply_strategy(strategy, config.k_samples, t, pool, discarded, learner)
             else:
-                train_set = _apply_strategy(strategy, t, filtered, discarded, learner)
+                train_set = _apply_strategy(strategy, config.k_samples, t, filtered, discarded, learner)
                 if union:  # per_iteration: train on the union of every reshaped set
                     union_train = train_set if union_train is None else merge_datasets(union_train, train_set)
                     train_set = union_train
@@ -782,14 +778,12 @@ def rebalance_offline(
     filtered set before per-query counts are taken, so clipped/padded
     counts reflect usable responses only.  That field defaults to 10
     tokens; pass ``min_cot_tokens=0`` in the ``StrategyConfig`` for no
-    floor.  ``K`` is the log's sampling number; a ``strategy.K`` that is
-    set must equal it.  Nothing is written unless the whole input parses;
-    an ``output_path`` naming the input log is a ConfigError.
+    floor.  ``K`` is the log's sampling number, the one K the strategy
+    reads.  Nothing is written unless the whole input parses; an
+    ``output_path`` naming the input log is a ConfigError.
     """
-    if strategy.kind not in RESHAPING_KINDS:
+    if strategy.kind not in KINDS or KINDS[strategy.kind].resamples:
         raise ConfigError("strategy requires a sampler; offline mode supports reshaping only")
-    if strategy.K is not None and strategy.K != K:
-        raise ConfigError(f"strategy K ({strategy.K}) differs from the log's K ({K})")
     try:
         strategy.validate(K)
     except ValueError as exc:

@@ -51,7 +51,7 @@ from .core import (
     object_array,
     run_positions,
 )
-from .strategies import Draws, split_steps
+from .strategies import Draws, SamplerError, split_steps
 
 
 def _check_finite(params: LearnerParams | CorpusParams) -> None:
@@ -256,7 +256,9 @@ class LearnerState:
         the rows equal a loop of one-row draws.  It is correct w.p.
         ``prob[i]``; its length exp(mu + sigma * z), scaled by ``scale``,
         rounded and floored at one token, is appended to ``prefix_tokens``.
-        One ``rng.uniform`` and one ``rng.normal`` call serve all rows.
+        One ``rng.uniform`` and one ``rng.normal`` call serve all rows.  A
+        length, prefix included, that is not finite or does not fit int64
+        is a SamplerError, raised before any counter moves.
         """
         if len(own) == 0:
             empty = np.zeros(0, dtype=np.int64)
@@ -273,16 +275,19 @@ class LearnerState:
         # last bit; that moves a rounded length only when exp(...) * scale
         # lies within an ulp of a half-integer, and the golden hashes pin
         # the lengths
-        lengths = np.maximum(
-            1, np.rint(np.exp(mu + self.params.sigma_log_len * z) * scale).astype(np.int64)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+            lengths = np.maximum(1.0, np.rint(np.exp(mu + self.params.sigma_log_len * z) * scale))
+            tokens = prefix_tokens + lengths.astype(np.int64)
+        # a float below 2**63 (so not NaN) casts exactly, and a total past int64 wraps below 1
+        if not np.all(lengths < 2.0**63) or np.any(tokens < 1):
+            raise SamplerError("a drawn length does not fit in 64 bits")
         answers = gt.copy()
         wrong = np.flatnonzero(~correct)
         answers[wrong] = [
             f"wrong-{q}-{c}" for q, c in zip(query_ids[wrong].tolist(), counters[wrong].tolist())
         ]
         self.draw_counter[rows] += counts
-        return Draws(self.iteration + 1, prefix_tokens + lengths, correct, answers)
+        return Draws(self.iteration + 1, tokens, correct, answers)
 
     def sample_fresh(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
         """One fresh draw per row: correct w.p. p_i, length lognormal around the level mean."""

@@ -15,6 +15,11 @@ for the number of correct responses a query kept out of K draws:
 * ``self_correct_augment`` -- revise discarded responses; verified revisions
   join training twice (correction pair + plain corrected response).
 
+``KINDS`` holds every kind's facts: the knobs it reads besides K, which
+is the sampling number of the data it rebalances, and whether it
+resamples.  Config validation, the offline guard, the loop's dispatch,
+the sweep axes and the CLI choices all read it.
+
 The five sampler-free strategies are index maps on the dataset's columns:
 select rows, repeat them per query, restore canonical order.  The
 resampling family builds one pass's requests as columns (query ids, plus
@@ -62,12 +67,19 @@ from .rewards import (
     reward,  # noqa: F401 -- unused here; perfbench/tracer.py wraps strategies.reward
 )
 
-RESHAPING_KINDS = ("vanilla", "tc", "hc", "rp", "ri")
-# every kind, with the knobs it reads besides K; where L is read it must not exceed K
-KIND_KNOBS = {
-    "vanilla": (), "tc": ("L",), "hc": (), "rp": (), "ri": (), "ar": (), "gr": ("L", "S"), "sc": (),
+
+class Kind(NamedTuple):
+    """What a strategy kind reads besides K, and whether it resamples."""
+
+    knobs: tuple[str, ...]  # where L is read it must not exceed K
+    resamples: bool  # needs a sampler, so it runs in the loop only, never offline
+
+
+# every kind's facts, in the order the CLI lists the kinds
+KINDS = {
+    "vanilla": Kind((), False), "tc": Kind(("L",), False), "hc": Kind((), False), "rp": Kind((), False),
+    "ri": Kind((), False), "ar": Kind((), True), "gr": Kind(("L", "S"), True), "sc": Kind((), True),
 }
-STRATEGY_KINDS = tuple(KIND_KNOBS)
 
 
 class SamplerError(RuntimeError):
@@ -123,26 +135,25 @@ def check_int64(name: str, value: int, low: int) -> None:
 class StrategyConfig:
     """Which rebalancing transform to run and its knobs.
 
-    ``K`` may be left unset to inherit the run-level sampling number.
+    K is not among them: a run's strategy reads the run's ``k_samples``,
+    and an offline rebalance reads the log's sampling number.
     """
 
     kind: str = "vanilla"
     L: int = 4
     S: int = 4
-    K: int | None = None
     min_cot_tokens: int = 10
     seed: int | None = None
 
-    def validate(self, k_samples: int | None = None) -> None:
-        if self.kind not in STRATEGY_KINDS:
+    def validate(self, K: int) -> None:
+        """ValueError unless the knobs suit ``kind`` at sampling number ``K``."""
+        if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         check_int64("L", self.L, 1)
         check_int64("S", self.S, 2)
-        k = self.K if self.K is not None else k_samples
-        if k is not None:
-            check_int64("K", k, 1)
-            if "L" in KIND_KNOBS[self.kind] and self.L > k:
-                raise ValueError(f"L must not exceed K ({self.L} > {k})")
+        check_int64("K", K, 1)
+        if "L" in KINDS[self.kind].knobs and self.L > K:
+            raise ValueError(f"L must not exceed K ({self.L} > {K})")
         check_int64("min_cot_tokens", self.min_cot_tokens, 0)
 
 

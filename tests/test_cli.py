@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,25 @@ class TestRunVerb:
         assert json.loads((out / "summary.json").read_text())["incomplete"] is True
 
     @pytest.mark.parametrize(
+        "learner",
+        [
+            pytest.param({"learner": {"sigma_log_len": 1e300}}, id="sigma_log_len-1e300"),
+            pytest.param({"learner": {"correction_length_boost": 1e300}, "strategy": {"kind": "sc"}},
+                         id="correction_length_boost-1e300-sc"),
+        ],
+    )
+    def test_length_past_64_bits_aborts_without_warning(self, tmp_path, capsys, learner):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, n_queries=20, iterations=2, **learner)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg), "--output-dir", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("aborted: ")
+        assert json.loads((out / "summary.json").read_text())["incomplete"] is True
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize(
         "extra, message",
         [
             pytest.param({"corpus": {"base_tokens": math.inf}}, "base_tokens must be finite", id="base_tokens-inf"),
@@ -183,7 +203,7 @@ class TestRunVerb:
             pytest.param({"calibration_shots": int(BEYOND_64_BITS)}, [], "calibration_shots must be < 2**63",
                          id="calibration_shots"),
             pytest.param({"strategy": {"L": int(BEYOND_64_BITS)}}, [], "L must be < 2**63", id="strategy-L"),
-            pytest.param({"strategy": {"K": int(BEYOND_64_BITS)}}, [], "K must be < 2**63", id="strategy-K"),
+            pytest.param({"strategy": {"K": 4}}, [], "unknown strategy keys: ['K']", id="strategy-K"),
             pytest.param({"strategy": {"min_cot_tokens": int(BEYOND_64_BITS)}}, [],
                          "min_cot_tokens must be < 2**63", id="strategy-min_cot_tokens"),
         ],
@@ -227,6 +247,15 @@ class TestRebalanceVerb:
              "--strategy", "gr", "--k", "2"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["ar", "gr", "sc"])
+    def test_resampling_kind_exit_config_before_the_log_is_read(self, tmp_path, capsys, kind):
+        out, summary = tmp_path / "o.jsonl", tmp_path / "s.csv"
+        code = main(["rebalance", "--input", str(tmp_path / "absent.jsonl"), "--output", str(out),
+                     "--summary", str(summary), "--strategy", kind, "--k", "4"])
+        assert code == 2
+        assert "offline mode supports reshaping only" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
 
     def test_unordered_step_offsets_exit_schema(self, tmp_path, capsys):
         src = tmp_path / "log.jsonl"
@@ -468,6 +497,17 @@ class TestReportVerb:
         captured = capsys.readouterr()
         assert "k_samples must be >= 1" in captured.err
         assert captured.out == ""
+
+    def test_config_with_a_strategy_k_exit_config(self, tmp_path, capsys):
+        # a run directory written before StrategyConfig lost its K field
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--output-dir", str(out)]) == 0
+        saved = json.loads((out / "config.json").read_text())
+        assert "K" not in saved["strategy"]
+        (out / "config.json").write_text(json.dumps({**saved, "strategy": {**saved["strategy"], "K": None}}))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", "config error: unknown strategy keys: ['K']\n")
 
     def test_missing_snapshot(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 3

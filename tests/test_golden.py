@@ -4,9 +4,10 @@ Pins the SHA-256 of every report file written by ``headtail run`` for
 3 modes x 8 strategies x 2 seeds x 3 loop variants (default, restart each
 iteration, per-iteration apply point) on a small config, of the ``report`` verb's
 stdout for both snapshots of each run, and of the ``rebalance`` outputs for
-tc and rp on a fixed log.  A change that alters any output byte on purpose
-re-pins with ``python tests/test_golden.py --write`` and says so in
-CHANGES.md.
+tc and rp on a fixed log.  A failure names each file that differs, as
+``self_improve/tc/default/seed0: config.json``.  A change that alters any
+output byte on purpose re-pins with ``python tests/test_golden.py --write``,
+which prints the entries it changed, and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 
 from headtail.cli import main
 from headtail.harness import MODES, OUTPUT_DIR_ENV
-from headtail.strategies import STRATEGY_KINDS
+from headtail.strategies import KINDS
 
 GOLDEN_PATH = Path(__file__).with_name("golden_hashes.json")
 SMALL = {"n_queries": 60, "k_samples": 4, "iterations": 2, "calibration_shots": 16}
@@ -57,7 +58,7 @@ def collect_runs(mode: str, workdir: Path) -> dict[str, dict[str, str]]:
     """
     pinned: dict[str, dict[str, str]] = {}
     with contextlib.chdir(workdir):
-        for kind, (variant, extra) in itertools.product(STRATEGY_KINDS, VARIANTS.items()):
+        for kind, (variant, extra) in itertools.product(KINDS, VARIANTS.items()):
             pinned.update(_collect_one(mode, kind, variant, extra))
     return pinned
 
@@ -131,8 +132,16 @@ def _golden() -> dict:
 
 
 def _mismatches(expected: dict, actual: dict) -> list[str]:
-    keys = sorted(set(expected) | set(actual))
-    return [k for k in keys if expected.get(k) != actual.get(k)]
+    """``entry: file`` for each file whose hash differs, in each entry of
+    either side (``entry: (missing)`` for an entry only one side has)."""
+    out = []
+    for key in sorted(set(expected) | set(actual)):
+        if key not in expected or key not in actual:
+            out.append(f"{key}: (missing)")
+            continue
+        want, got = expected[key], actual[key]
+        out += [f"{key}: {name}" for name in sorted(set(want) | set(got)) if want.get(name) != got.get(name)]
+    return out
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -140,14 +149,16 @@ def test_run_report_hashes(mode, tmp_path, monkeypatch):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     expected = {k: v for k, v in _golden()["runs"].items() if k.startswith(mode + "/")}
     actual = collect_runs(mode, tmp_path)
-    assert len(actual) == len(STRATEGY_KINDS) * len(VARIANTS) * len(SEEDS)
-    assert not _mismatches(expected, actual), _mismatches(expected, actual)
+    assert len(actual) == len(KINDS) * len(VARIANTS) * len(SEEDS)
+    differ = _mismatches(expected, actual)
+    assert not differ, "\n".join(differ)
 
 
 def test_rebalance_hashes(tmp_path):
     expected = _golden()["rebalance"]
     actual = collect_rebalance(tmp_path)
-    assert not _mismatches(expected, actual), _mismatches(expected, actual)
+    differ = _mismatches(expected, actual)
+    assert not differ, "\n".join(differ)
 
 
 if __name__ == "__main__":
@@ -163,5 +174,11 @@ if __name__ == "__main__":
             runs.update(collect_runs(mode, root / mode))
         (root / "offline").mkdir()
         golden = {"runs": runs, "rebalance": collect_rebalance(root / "offline")}
+    old = _golden() if GOLDEN_PATH.exists() else {"runs": {}, "rebalance": {}}
+    changed = _mismatches(old["runs"], runs) + [
+        f"rebalance/{line}" for line in _mismatches(old["rebalance"], golden["rebalance"])
+    ]
     GOLDEN_PATH.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN_PATH}")
+    print("\n".join(changed))
+    entries = sum(map(len, runs.values())) + sum(map(len, golden["rebalance"].values()))
+    print(f"wrote {GOLDEN_PATH}: {len(changed)} of {entries} entries changed")

@@ -19,6 +19,7 @@ from headtail.harness import (
     run,
     write_atomic,
 )
+from headtail.cli import main
 from headtail.core import ROLE_TRAIN
 from headtail.learner import CorpusParams, LearnerParams
 from headtail.strategies import StrategyConfig
@@ -65,7 +66,6 @@ class TestRunConfig:
     def test_strategy_inherits_run_k_and_seed(self):
         cfg = small_config()
         resolved = cfg.resolved_strategy(9)
-        assert resolved.K == cfg.k_samples
         assert resolved.seed == 9
 
     def test_json_file(self, tmp_path):
@@ -152,8 +152,8 @@ class TestSelfImprovement:
         f, queries = hand_filter
 
         def clip(seed, iteration):
-            cfg = StrategyConfig(kind="tc", L=2, K=8, seed=seed)
-            return _apply_strategy(cfg, iteration, f, None, None)
+            cfg = StrategyConfig(kind="tc", L=2, seed=seed)
+            return _apply_strategy(cfg, 8, iteration, f, None, None)
 
         assert any(clip(s, 2).entries != clip(s + 1, 1).entries for s in range(10))
 
@@ -305,13 +305,12 @@ class TestOfflineLogs:
         summary = rebalance_offline(src, StrategyConfig(kind="rp"), 4, out)
         assert summary["output_records"] == 8
 
-    @pytest.mark.parametrize("kind, L, strategy_K, K", [("tc", 6, 8, 4), ("hc", 4, 4, 8)])
-    def test_strategy_k_other_than_log_k_rejected(self, tmp_path, kind, L, strategy_K, K):
-        # one K knob: the reshape must not run at a K other than the one L was checked against
-        src = self.write_log(tmp_path, self.log_lines({1: 6, 2: 3}, K=8))
-        out = tmp_path / "train.jsonl"
-        with pytest.raises(ConfigError, match="differs"):
-            rebalance_offline(src, StrategyConfig(kind=kind, L=L, K=strategy_K), K, out)
+    def test_strategy_k_other_than_log_k_rejected(self, tmp_path, capsys):
+        # one K per run: a strategy reads the sampling number of its data, and has no K of its own
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({**SMALL, "strategy": {"K": 4}}))
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown strategy keys: ['K']\n"
         assert not out.exists()
 
     def test_resampling_strategy_rejected(self, tmp_path):

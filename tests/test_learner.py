@@ -14,7 +14,7 @@ from headtail.learner import (
     init_learner,
     synth_corpus,
 )
-from headtail.strategies import split_steps
+from headtail.strategies import SamplerError, split_steps
 
 from conftest import make_query, make_traj
 from oracles import (
@@ -354,6 +354,15 @@ class TestBatchedSamplers:
         st_ = state_with({1: 0.5})
         with pytest.raises(ValueError, match="steps must be in"):
             st_.sample_guided(st_.corpus, np.array([1]), np.array([0]), np.array([5]), 4)
+
+    def test_length_past_64_bits_with_its_prefix_is_a_sampler_error(self):
+        st_ = state_with({1: 0.5})
+        big = np.array([2**63 - 1])
+        with pytest.raises(SamplerError, match="does not fit in 64 bits"):
+            st_.sample_guided(st_.corpus, np.array([1]), big, np.array([2]), 4)
+        draws = st_.sample_guided(st_.corpus, np.array([1]), big - 10**6, np.array([2]), 4)
+        assert draws.length_tokens[0] > 2**63 - 10**6
+        assert st_.draw_counter.tolist() == [1]  # the failed call moved no counter
 
     def test_empty_request_makes_no_rng_call(self, monkeypatch):
         from headtail import rng

@@ -5,7 +5,8 @@ module and class attributes it looks up by name.  Its own test lives
 outside this suite, so a renamed or deleted wrapped name would otherwise
 go unnoticed here.  This runs one tiny loop, a report on its run
 directory and one tiny offline rebalance under the tracer, and checks the
-stage spans they must record.
+stage spans they must record.  Then it runs each strategy kind once and
+checks that each dispatches through the name the tracer wraps for it.
 """
 
 import json
@@ -54,3 +55,22 @@ def test_instrumented_names_resolve_and_restore(tmp_path, monkeypatch):
     for owner, saved in zip(owners, before):
         now = vars(owner)
         assert all(now[name] is value for name, value in saved.items()), owner
+
+
+def test_each_kind_dispatches_through_a_wrapped_name(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer, instrument
+
+    expected = {kind: "strategies.reshape" for kind in ("vanilla", "tc", "hc", "rp", "ri")}
+    expected.update({kind: "strategies.resample" for kind in ("ar", "gr", "sc")})
+    tracer = Tracer()
+    restore = instrument(tracer)
+    try:
+        for kind in expected:
+            assert cli.main(["run", "--strategy", kind, "--n", "10", "--k", "4", "--t", "1", "--seed", "0",
+                             "--output-dir", str(tmp_path / kind)]) == 0
+    finally:
+        restore()
+    seen = {(span["name"], span["attrs"].get("kind")) for span in tracer.spans}
+    missing = {(name, kind) for kind, name in expected.items()} - seen
+    assert not missing, sorted(missing)
