@@ -37,8 +37,9 @@ def main() -> None:
             k_samples=args.k,
             iterations=args.t,
             strategy=StrategyConfig(kind=kind),
+            seed=args.seed,
         )
-        report = run(cfg, seed=args.seed)
+        report = run(cfg)
         emit_report(report, base / kind)
         trend = matthew_series(report.rows_for("filter"))
         final = report.rows_for("train")[-1]

@@ -28,8 +28,7 @@ def main() -> None:
     for k in (int(x) for x in args.k_values.split(",")):
         per_iter = []
         for seed in seeds:
-            cfg = RunConfig(n_queries=args.n, k_samples=k, iterations=args.t)
-            report = run(cfg, seed=seed)
+            report = run(RunConfig(n_queries=args.n, k_samples=k, iterations=args.t, seed=seed))
             per_iter.append([e.sampled_pass1 for e in report.evals])
         means = np.mean(per_iter, axis=0)
         print(f"{k:>4} | " + "  ".join(f"{m:.3f}" for m in means))

@@ -38,11 +38,11 @@ def main() -> None:
         finally:
             grading[0] += time.perf_counter() - start
 
-    cfg = RunConfig(n_queries=args.n, k_samples=args.k, iterations=args.t)
+    cfg = RunConfig(n_queries=args.n, k_samples=args.k, iterations=args.t, seed=args.seed)
     rewards._graded = timed
     try:
         start = time.perf_counter()
-        report = run(cfg, seed=args.seed)
+        report = run(cfg)
         wall = time.perf_counter() - start
     finally:
         rewards._graded = graded

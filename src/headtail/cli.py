@@ -33,7 +33,6 @@ from .harness import (
     check_output_path,
     check_report_dir,
     emit_report,
-    read_config_json,
     read_snapshot,
     rebalance_offline,
     run as run_mode,
@@ -48,10 +47,8 @@ from .core import ROLE_FILTER, ROLE_TRAIN, TrajectoryDataset
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_json_file(args.config) if args.config else RunConfig()
     flags = {"n": "n_queries", "k": "k_samples", "t": "iterations", "mode": "mode",
-             "restart": "restart_each_iteration", "output_dir": "output_dir"}
+             "restart": "restart_each_iteration", "seed": "seed"}
     updates = {key: getattr(args, flag) for flag, key in flags.items() if getattr(args, flag) is not None}
-    if args.seed is not None:
-        updates["seeds"] = (args.seed,)
     knobs = {key: value for key, value in (("kind", args.strategy), ("L", args.l), ("S", args.s))
              if value is not None}
     if knobs:
@@ -61,9 +58,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _output_dir(cfg: RunConfig, default: str) -> Path:
-    """--output-dir or the config's output_dir; else $HEADTAIL_OUTPUT_DIR, else ``default``."""
-    return Path(cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or default)
+def _output_dir(args: argparse.Namespace, default: str) -> Path:
+    """--output-dir, else $HEADTAIL_OUTPUT_DIR, else ``default``."""
+    return Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or default)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -75,7 +72,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", choices=tuple(KINDS))
     p.add_argument("--l", type=int, help="tail threshold L")
     p.add_argument("--s", type=int, help="guided resampling step count S")
-    p.add_argument("--seed", type=int, help="single seed override")
+    p.add_argument("--seed", type=int, help="run seed")
     p.add_argument("--output-dir", help="where to write the report "
                    "(default: $HEADTAIL_OUTPUT_DIR, else runs/run or runs/sweep)")
     restart = p.add_mutually_exclusive_group()
@@ -83,11 +80,11 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     restart.add_argument("--no-restart", dest="restart", action="store_false", default=None)
 
 
-def _run_and_emit(cfg: RunConfig, seed: int, outdir: str | Path) -> RunReport:
-    """Run one seed and write its report; an aborted run writes its partial
+def _run_and_emit(cfg: RunConfig, outdir: str | Path) -> RunReport:
+    """Run ``cfg`` and write its report; an aborted run writes its partial
     report before the RunAborted goes on."""
     try:
-        report = run_mode(cfg, seed)
+        report = run_mode(cfg)
     except RunAborted as exc:
         emit_report(exc.report, outdir)
         raise
@@ -98,13 +95,13 @@ def _run_and_emit(cfg: RunConfig, seed: int, outdir: str | Path) -> RunReport:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     cfg.validate()
-    outdir = _output_dir(cfg, "runs/run")
+    outdir = _output_dir(args, "runs/run")
     check_report_dir(outdir)
-    report = _run_and_emit(cfg, cfg.seeds[0], outdir)
+    report = _run_and_emit(cfg, outdir)
     final = report.rows_for("train")[-1] if report.rows_for("train") else None
     if final is not None and final.level_share is not None:
         print(
-            f"seed {report.seed}: train entries {final.total}, "
+            f"seed {cfg.seed}: train entries {final.total}, "
             f"head {final.head_share:.3f}, tail {final.tail_share:.3f}, "
             f"gap {final.matthew_gap:.3f}"
         )
@@ -112,15 +109,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _one_sweep_run(payload: tuple[dict, int, str]) -> tuple[str, int, list[str] | str]:
+def _one_sweep_run(payload: tuple[RunConfig, str]) -> tuple[str, int, list[str] | str]:
     """Run and report one grid point: its last train row's fields, or, for
     an aborted run (whose partial report is written too), the reason."""
-    cfg_dict, seed, outdir = payload
+    cfg, outdir = payload
     try:
-        report = _run_and_emit(RunConfig.from_dict(cfg_dict), seed, outdir)
+        report = _run_and_emit(cfg, outdir)
     except RunAborted as exc:
-        return outdir, seed, str(exc)
-    return outdir, seed, report.rows_for("train")[-1].to_csv_fields()
+        return outdir, cfg.seed, str(exc)
+    return outdir, cfg.seed, report.rows_for("train")[-1].to_csv_fields()
 
 
 def _int_list(text: str | None, flag: str, default: list[int]) -> list[int]:
@@ -145,15 +142,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
     cfg.validate()
-    seeds = _int_list(args.seeds, "--seeds", list(cfg.seeds))
+    seeds = _int_list(args.seeds, "--seeds", [cfg.seed])
     kinds = args.strategies.split(",") if args.strategies else [cfg.strategy.kind]
     strategies = list(dict.fromkeys(kinds))  # first-seen order, repeats dropped
     k_values = _int_list(args.k_values, "--k-values", [cfg.k_samples])
     l_values = _int_list(args.l_values, "--l-values", [cfg.strategy.L])
     s_values = _int_list(args.s_values, "--s-values", [cfg.strategy.S])
-    base_out = _output_dir(cfg, "runs/sweep")
+    base_out = _output_dir(args, "runs/sweep")
     check_output_path(base_out / "sweep_summary.csv")
-    jobs: list[tuple[dict, int, str]] = []
+    jobs: list[tuple[RunConfig, str]] = []
     for kind in strategies:
         # an axis a kind never reads would only repeat its runs: take its first value
         reads = KINDS[kind].knobs if kind in KINDS else ()
@@ -168,11 +165,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         k_samples=k,
                         strategy=dataclasses.replace(cfg.strategy, kind=kind, L=L, S=S),
                     )
-                    variant.validate()
                     for seed in seeds:
-                        outdir = base_out / f"{kind}_k{k}_l{L}_s{S}_seed{seed}"
-                        jobs.append((variant.to_dict(), seed, str(outdir)))
-    for _, _, outdir in jobs:  # every point's files, before the first point runs
+                        point = dataclasses.replace(variant, seed=seed)
+                        point.validate()
+                        jobs.append((point, str(base_out / f"{kind}_k{k}_l{L}_s{S}_seed{seed}")))
+    for _, outdir in jobs:  # every point's files, before the first point runs
         check_report_dir(outdir)
     workers = _worker_count(args.jobs, len(jobs))
     if workers > 1:
@@ -194,7 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    strategy = StrategyConfig(kind=args.strategy, L=args.l, min_cot_tokens=args.min_cot_tokens, seed=args.seed)
+    strategy = StrategyConfig(kind=args.strategy, L=args.l, min_cot_tokens=args.min_cot_tokens)
     rules = DEFAULT_RULES
     if args.alias_table:
         try:
@@ -209,7 +206,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
         for other, what in ((args.output, "the output path"), (args.input, "the input log")):
             if Path(args.summary).resolve() == Path(other).resolve():
                 raise ConfigError(f"summary path {args.summary} is {what}")
-    summary = rebalance_offline(args.input, strategy, args.k, args.output, rules=rules)
+    summary = rebalance_offline(args.input, strategy, args.k, args.output, rules=rules, seed=args.seed)
     row = summary.pop("metrics_row")
     if args.summary:
         write_atomic(args.summary, rows_to_csv([row]))
@@ -241,9 +238,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg_path = run_dir / "config.json"
     if cfg_path.exists():
-        data = read_config_json(cfg_path)
-        data.pop("seed", None)  # emit_report appends the resolved seed
-        cfg = RunConfig.from_dict(data)
+        cfg = RunConfig.from_json_file(cfg_path)
         cfg.validate()
     else:
         cfg = RunConfig()

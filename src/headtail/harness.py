@@ -19,8 +19,9 @@ iterative_union train each iteration on the union of every filtered set so
 
 All three modes run through one loop (``_run_loop``).  Offline mode
 applies the sampler-free reshaping strategies to real trajectory logs
-(JSONL, one record per sampled response).  A strategy has no K of its
-own: in a run it reads ``k_samples``, offline the log's sampling number.
+(JSONL, one record per sampled response).  A strategy has no K or seed
+of its own: in a run it reads the config's ``k_samples`` and ``seed``,
+offline the log's sampling number and ``rebalance_offline``'s ``seed``.
 
 Logs and dataset snapshots are read by one chunked reader
 (``_read_columns``): it decodes a fixed number of lines per pass straight
@@ -29,7 +30,8 @@ per-line objects.  Each line of a pass is one call to the C scanner behind
 ``json.loads`` (``_decode_lines``); a pass with a line the scanner cannot
 take whole (leading whitespace, a BOM, extra data, bad JSON) goes through
 ``json.loads`` instead.  A pass that fails decodes its lines again one at a
-time, in memory, and raises the SchemaError naming the first bad line
+time, in memory, through the same pass decoder (``_decode_chunk``), and
+raises the SchemaError naming the first bad line
 with the message a line-by-line read gives; faults only the whole file
 shows (two ground truths or levels for one query) are raised once every
 line has decoded.  A file is taken whole or not at all.
@@ -190,12 +192,11 @@ class RunConfig:
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
     mode: str = "self_improve"
     restart_each_iteration: bool = False
-    seeds: tuple[int, ...] = (0,)
+    seed: int = 0
     learner: LearnerParams = field(default_factory=LearnerParams)
     corpus: CorpusParams = field(default_factory=CorpusParams)
     calibration_shots: int = 64
     apply_point: str = "on_union"
-    output_dir: str | None = None
 
     def validate(self) -> None:
         _check_types(self)
@@ -203,11 +204,10 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.apply_point not in APPLY_POINTS:
             raise ConfigError(f"apply_point must be one of {APPLY_POINTS}")
-        if not self.seeds:
-            raise ConfigError("seeds must not be empty")
         try:
             for name in ("n_queries", "k_samples", "iterations", "calibration_shots"):
                 check_int64(name, getattr(self, name), 1)
+            check_int64("seed", self.seed, 0)
             self.strategy.validate(self.k_samples)
             self.learner.validate()
             self.corpus.validate()
@@ -219,12 +219,8 @@ class RunConfig:
         """Loop iterations: ``batch_baseline`` makes all its draws in one."""
         return 1 if self.mode == "batch_baseline" else self.iterations
 
-    def resolved_strategy(self, seed: int) -> StrategyConfig:
-        """The strategy, its unset seed taken from the run's."""
-        return self.strategy if self.strategy.seed is not None else replace(self.strategy, seed=seed)
-
     def to_dict(self) -> dict[str, Any]:
-        return {**dataclasses.asdict(self), "seeds": list(self.seeds)}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
@@ -232,33 +228,22 @@ class RunConfig:
         for key, part in (("strategy", StrategyConfig), ("learner", LearnerParams), ("corpus", CorpusParams)):
             if isinstance(data.get(key), dict):
                 data[key] = _from_dict(part, data[key], key)
-        if "seeds" in data:
-            seeds = data["seeds"]
-            if not isinstance(seeds, (list, tuple)) or not all(
-                isinstance(s, int) and not isinstance(s, bool) for s in seeds
-            ):
-                raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
-            data["seeds"] = tuple(seeds)
         return _from_dict(cls, data, "config")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(read_config_json(path))
-
-
-def read_config_json(path: str | Path) -> dict[str, Any]:
-    """The JSON object in a config file; anything else is a ConfigError."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # bad JSON, or not UTF-8
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ConfigError("config cannot be decoded: nested too deeply") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    return data
+        """The config in a JSON file; anything but a JSON object is a ConfigError."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # bad JSON, or not UTF-8
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError("config cannot be decoded: nested too deeply") from None
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        return cls.from_dict(data)
 
 
 @dataclass
@@ -270,10 +255,10 @@ class IterationEval:
 
 @dataclass
 class RunReport:
-    """Everything a run produced: rows, evals, final snapshots, flags."""
+    """Everything a run produced: rows, evals, final snapshots, flags;
+    ``config`` is the run's config as ``RunConfig.to_dict`` gives it."""
 
     config: dict[str, Any]
-    seed: int
     rows: list[MetricsRow] = field(default_factory=list)
     evals: list[IterationEval] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -288,26 +273,26 @@ class RunReport:
 
 
 def _apply_strategy(
-    cfg: StrategyConfig, K: int, iteration: int, filtered: TrajectoryDataset,
+    config: RunConfig, iteration: int, filtered: TrajectoryDataset,
     discarded: TrajectoryDataset | None, sampler: LearnerState,
 ) -> TrajectoryDataset:
-    """One iteration's train set: ``cfg``'s strategy at the run's sampling number ``K``."""
-    kind = cfg.kind
-    if not KINDS[kind].resamples:
-        return reshape(kind, filtered, K, cfg.L, seed=cfg.seed, iteration=iteration)
-    if kind == "ar":
+    """One iteration's train set: the run's strategy at its sampling number and seed."""
+    cfg, K = config.strategy, config.k_samples
+    if not KINDS[cfg.kind].resamples:
+        return reshape(cfg.kind, filtered, K, cfg.L, seed=config.seed, iteration=iteration)
+    if cfg.kind == "ar":
         return adaptive_resample(filtered, sampler.corpus, sampler, K)[2]
-    if kind == "gr":
+    if cfg.kind == "gr":
         return guided_resample(filtered, sampler, cfg.L, cfg.S)[2]
     return self_correct_augment(filtered, discarded, sampler, K, cfg.min_cot_tokens)
 
 
-def _prepared_corpus_and_learner(config: RunConfig, seed: int) -> LearnerState:
+def _prepared_corpus_and_learner(config: RunConfig) -> LearnerState:
     """The run's initial learner, over its corpus with calibrated levels."""
-    corpus = synth_corpus(config.n_queries, seed, config.corpus)
-    probe = init_learner(corpus, config.learner, seed)
+    corpus = synth_corpus(config.n_queries, config.seed, config.corpus)
+    probe = init_learner(corpus, config.learner, config.seed)
     levels = calibrate_difficulty(probe.pass_rates(config.calibration_shots))
-    return init_learner(replace(corpus, level=levels), config.learner, seed)
+    return init_learner(replace(corpus, level=levels), config.learner, config.seed)
 
 
 def _train_next(
@@ -321,17 +306,16 @@ def _train_next(
     return current.train(train_set, config.k_samples)
 
 
-def run(config: RunConfig, seed: int | None = None) -> RunReport:
-    """Validate the config and run its mode with ``seed`` (default: first config seed)."""
+def run(config: RunConfig) -> RunReport:
+    """Validate the config and run its mode with its seed."""
     config.validate()
-    return _run_loop(config, seed if seed is not None else config.seeds[0])
+    return _run_loop(config)
 
 
-def _run_loop(config: RunConfig, seed: int) -> RunReport:
-    learner = _prepared_corpus_and_learner(config, seed)
+def _run_loop(config: RunConfig) -> RunReport:
+    learner = _prepared_corpus_and_learner(config)
     base = learner.clone()
-    strategy = config.resolved_strategy(seed)
-    report = RunReport(config=config.to_dict(), seed=seed)
+    report = RunReport(config=config.to_dict())
     union = config.mode == "iterative_union"
     # every mode draws T*K per query, spread evenly over its rounds
     rounds = config.rounds
@@ -342,16 +326,16 @@ def _run_loop(config: RunConfig, seed: int) -> RunReport:
     try:
         for t in range(1, rounds + 1):
             sample = learner.sample_batch(draws)
-            if strategy.kind == "sc":
+            if config.strategy.kind == "sc":
                 filtered, discarded = partition_dataset(sample)
             else:
                 filtered, discarded = filter_dataset(sample), None
             if union and config.apply_point == "on_union":
                 union_filter = filtered if union_filter is None else merge_datasets(union_filter, filtered)
                 pool = union_filter.retagged(ROLE_FILTER)
-                train_set = _apply_strategy(strategy, config.k_samples, t, pool, discarded, learner)
+                train_set = _apply_strategy(config, t, pool, discarded, learner)
             else:
-                train_set = _apply_strategy(strategy, config.k_samples, t, filtered, discarded, learner)
+                train_set = _apply_strategy(config, t, filtered, discarded, learner)
                 if union:  # per_iteration: train on the union of every reshaped set
                     union_train = train_set if union_train is None else merge_datasets(union_train, train_set)
                     train_set = union_train
@@ -381,44 +365,6 @@ def _run_loop(config: RunConfig, seed: int) -> RunReport:
 # -- JSONL reader -----------------------------------------------------------
 
 
-def _decode_line(
-    line: str,
-    lineno: int,
-    fields: set[str],
-    required: set[str],
-    build: Callable[[dict[str, Any]], Any],
-) -> Any:
-    """Decode one JSONL line into the value ``build`` makes of it.
-
-    The line must be UTF-8 and a JSON object whose keys are among
-    ``fields`` and include every ``required`` one; any failure, ``build``'s
-    included, is a SchemaError naming the line.
-    """
-    try:
-        line.encode("utf-8")
-        data = json.loads(line)
-    except UnicodeEncodeError:  # an undecodable byte, kept as a lone surrogate
-        raise SchemaError(f"line {lineno}: not valid UTF-8") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
-    except ValueError as exc:  # an integer past Python's digit limit
-        raise SchemaError(f"line {lineno}: cannot decode JSON ({exc})") from exc
-    except RecursionError:
-        raise SchemaError(f"line {lineno}: cannot decode JSON (nested too deeply)") from None
-    if not isinstance(data, dict):
-        raise SchemaError(f"line {lineno}: expected a JSON object")
-    unknown = set(data) - fields
-    if unknown:
-        raise SchemaError(f"line {lineno}: unknown fields {sorted(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise SchemaError(f"line {lineno}: missing fields {sorted(missing)}")
-    try:
-        return build(data)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of Infinity
-        raise SchemaError(f"line {lineno}: {exc}") from exc
-
-
 _READ_CHUNK = 1024  # lines per decoding pass (one scanner call per line)
 
 _scan = json.JSONDecoder().scan_once  # json.loads' own C scanner, same settings
@@ -443,6 +389,40 @@ def _decode_lines(lines: list[str]) -> list[Any]:
     return list(map(json.loads, lines))
 
 
+def _decode_chunk(
+    lines: list[str],
+    fields: set[str],
+    required: set[str],
+    pull: Callable[[list[dict[str, Any]]], dict[str, np.ndarray]],
+) -> dict[str, np.ndarray]:
+    """``pull`` of the JSONL ``lines``, each a UTF-8 JSON object whose keys
+    are among ``fields`` and include every ``required`` one.
+
+    What breaks a lone line raises the error ``_read_columns`` reports for
+    it: a ValueError saying what is wrong, or what ``pull`` raises.
+    """
+    try:
+        "".join(itertools.filterfalse(str.isascii, lines)).encode("utf-8")
+    except UnicodeEncodeError:  # an undecodable byte, kept as a lone surrogate
+        raise ValueError("not valid UTF-8") from None
+    try:
+        rows = _decode_lines(lines)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ValueError(f"cannot decode JSON ({exc})") from exc
+    except RecursionError:
+        raise ValueError("cannot decode JSON (nested too deeply)") from None
+    if not set(map(type, rows)) <= {dict}:
+        raise ValueError("expected a JSON object")
+    for keys in set(map(tuple, rows)):  # the keys of each distinct key order, checked once
+        if unknown := set(keys) - fields:
+            raise ValueError(f"unknown fields {sorted(unknown)}")
+        if missing := required - set(keys):
+            raise ValueError(f"missing fields {sorted(missing)}")
+    return pull(rows)
+
+
 def _read_columns(
     path: str | Path,
     fields: set[str],
@@ -455,30 +435,24 @@ def _read_columns(
     ``pull`` turns a chunk of rows into arrays by name, failing on exactly
     the rows that fail alone, and ``build`` makes the dataset of their
     concatenation, raising the SchemaError for faults only the whole file
-    shows.  A failed chunk is decoded again line by line (``_decode_line``,
-    ``pull`` of one row each) to raise the SchemaError naming its first bad
-    line; a chunk whose every line decodes alone is a bug, re-raised.
+    shows.  A failed chunk is decoded again one line at a time, through
+    the same ``_decode_chunk``, to raise the SchemaError naming its first
+    bad line; a chunk whose every line decodes alone is a bug, re-raised.
     """
     parts = [pull([])]  # an empty file still has every column
     # an undecodable byte is kept as a lone surrogate, which fails its line's check
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         start = 1  # the number of the chunk's first line
         while chunk := list(itertools.islice(fh, _READ_CHUNK)):
-            lines = list(filter(str.strip, chunk))
             try:
-                "".join(itertools.filterfalse(str.isascii, lines)).encode("utf-8")
-                rows = _decode_lines(lines)
-                if not (
-                    set(map(type, rows)) <= {dict}
-                    # the keys of each distinct key order, checked once
-                    and all(fields.issuperset(k) and required.issubset(k) for k in set(map(tuple, rows)))
-                ):
-                    raise ValueError("a line is not an object with the expected fields")
-                parts.append(pull(rows))
-            except (TypeError, ValueError, OverflowError, RecursionError):
+                parts.append(_decode_chunk(list(filter(str.strip, chunk)), fields, required, pull))
+            except (TypeError, ValueError, OverflowError):  # OverflowError: int() of Infinity
                 for lineno, line in enumerate(chunk, start):
-                    if line.strip():
-                        _decode_line(line, lineno, fields, required, lambda data: pull([data]))
+                    try:
+                        if line.strip():
+                            _decode_chunk([line], fields, required, pull)
+                    except (TypeError, ValueError, OverflowError) as exc:
+                        raise SchemaError(f"line {lineno}: {exc}") from exc
                 raise
             start += len(chunk)
     return build({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
@@ -770,6 +744,7 @@ def rebalance_offline(
     K: int,
     output_path: str | Path,
     rules: AnswerNormalizationRules = DEFAULT_RULES,
+    seed: int = 0,
 ) -> dict[str, Any]:
     """Rebalance a real trajectory log and write the training records.
 
@@ -779,13 +754,15 @@ def rebalance_offline(
     counts reflect usable responses only.  That field defaults to 10
     tokens; pass ``min_cot_tokens=0`` in the ``StrategyConfig`` for no
     floor.  ``K`` is the log's sampling number, the one K the strategy
-    reads.  Nothing is written unless the whole input parses; an
-    ``output_path`` naming the input log is a ConfigError.
+    reads, and ``seed`` keys tc's truncation draws.  Nothing is written
+    unless the whole input parses; an ``output_path`` naming the input log
+    is a ConfigError.
     """
     if strategy.kind not in KINDS or KINDS[strategy.kind].resamples:
         raise ConfigError("strategy requires a sampler; offline mode supports reshaping only")
     try:
         strategy.validate(K)
+        check_int64("seed", seed, 0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     check_output_path(output_path)
@@ -797,7 +774,6 @@ def rebalance_offline(
     filtered = filter_dataset(sample, rules)
     if strategy.min_cot_tokens > 0:
         filtered = cot_length_filter(filtered, strategy.min_cot_tokens)
-    seed = strategy.seed if strategy.seed is not None else 0
     train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed, iteration=1)
     write_atomic(output_path, _snapshot_chunks(train))
     row = build_row(1, ROLE_TRAIN, train, K, filtered)
@@ -837,7 +813,7 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
     """
     outdir = Path(output_dir)
     summary = {
-        "seed": report.seed,
+        "seed": report.config["seed"],
         "incomplete": report.incomplete,
         "warnings": report.warnings,
         "distinct_solved": report.distinct_solved,
@@ -848,7 +824,7 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
         rows_to_csv(report.rows),
         None if report.final_train is None else _snapshot_chunks(report.final_train),
         None if report.final_filter is None else _snapshot_chunks(report.final_filter),
-        json.dumps({**report.config, "seed": report.seed}, sort_keys=True, indent=2) + "\n",
+        json.dumps(report.config, sort_keys=True, indent=2) + "\n",
         None if report.final_state is None else report.final_state.to_json() + "\n",
         json.dumps(summary, sort_keys=True, indent=2) + "\n",
     )

@@ -135,15 +135,15 @@ def check_int64(name: str, value: int, low: int) -> None:
 class StrategyConfig:
     """Which rebalancing transform to run and its knobs.
 
-    K is not among them: a run's strategy reads the run's ``k_samples``,
-    and an offline rebalance reads the log's sampling number.
+    K and the seed are not among them: a run's strategy reads the run's
+    ``k_samples`` and ``seed``, and an offline rebalance reads the log's
+    sampling number and its own ``seed`` argument.
     """
 
     kind: str = "vanilla"
     L: int = 4
     S: int = 4
     min_cot_tokens: int = 10
-    seed: int | None = None
 
     def validate(self, K: int) -> None:
         """ValueError unless the knobs suit ``kind`` at sampling number ``K``."""
@@ -237,9 +237,11 @@ def repeat_invert(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
 
 
 def _drawn(method, *requests) -> Draws:
-    """One batched sampler call; any failure becomes a SamplerError."""
+    """One batched sampler call; any other failure becomes a SamplerError."""
     try:
         return method(*requests)
+    except SamplerError:  # the sampler's own reason, kept
+        raise
     except Exception as exc:
         raise SamplerError("sampler error") from exc
 

@@ -55,7 +55,7 @@ def report_line(number: int, ok: bool, detail: str) -> None:
 
 def timed_runs(cfg: RunConfig) -> tuple[dict, float]:
     t0 = time.perf_counter()
-    reports = {seed: run(cfg, seed=seed) for seed in SEEDS}
+    reports = {seed: run(dataclasses.replace(cfg, seed=seed)) for seed in SEEDS}
     return reports, time.perf_counter() - t0
 
 
@@ -204,8 +204,8 @@ def test_criterion_06_iterative_vs_batch():
     t0 = time.perf_counter()
     at_least = strictly = 0
     for seed in SEEDS:
-        union = run(cfg_union, seed=seed).distinct_solved
-        batch = run(cfg_batch, seed=seed).distinct_solved
+        union = run(dataclasses.replace(cfg_union, seed=seed)).distinct_solved
+        batch = run(dataclasses.replace(cfg_batch, seed=seed)).distinct_solved
         at_least += union >= batch
         strictly += union > batch
     elapsed = time.perf_counter() - t0
@@ -245,7 +245,7 @@ def test_criterion_08_determinism(tmp_path):
         hashes = []
         for attempt in ("a", "b"):
             outdir = tmp_path / f"{mode}_{attempt}"
-            files = emit_report(run(cfg, seed=7), outdir)
+            files = emit_report(run(dataclasses.replace(cfg, seed=7)), outdir)
             hashes.append(
                 {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
             )
@@ -298,9 +298,9 @@ def test_criterion_10_offline_round_trip(tmp_path):
 
     t0 = time.perf_counter()
     # no reasoning-length floor: the laws below count every correct response
-    tc = StrategyConfig(kind="tc", L=4, seed=0, min_cot_tokens=0)
+    tc = StrategyConfig(kind="tc", L=4, min_cot_tokens=0)
     rp = StrategyConfig(kind="rp", min_cot_tokens=0)
-    tc_summary = rebalance_offline(src, tc, K, tmp_path / "tc.jsonl")
+    tc_summary = rebalance_offline(src, tc, K, tmp_path / "tc.jsonl", seed=0)
     rp_summary = rebalance_offline(src, rp, K, tmp_path / "rp.jsonl")
     elapsed = time.perf_counter() - t0
 

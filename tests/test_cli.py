@@ -23,6 +23,17 @@ SMALL_CFG = {
     "calibration_shots": 16,
 }
 
+# keys a config held before it described exactly one run, and their errors
+RETIRED_KEYS = [
+    pytest.param({"seeds": [0]}, "unknown config keys: ['seeds']", id="seeds"),
+    pytest.param({"output_dir": "elsewhere"}, "unknown config keys: ['output_dir']", id="output_dir"),
+    pytest.param({"strategy": {"seed": None}}, "unknown strategy keys: ['seed']", id="strategy.seed"),
+]
+
+
+def report_files(run_dir):
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
 
 def write_cfg(tmp_path, **extra):
     path = tmp_path / "cfg.json"
@@ -83,11 +94,47 @@ class TestRunVerb:
         cfg.write_text(json.dumps({"mystery": 1}))
         assert main(["run", "--config", str(cfg)]) == 2
 
-    def test_bad_seeds_exit_config(self, tmp_path, capsys):
-        for seeds in (["x"], 3, "12", [True]):
-            cfg = write_cfg(tmp_path, seeds=seeds)
+    def test_mistyped_seed_exit_config(self, tmp_path, capsys):
+        for seed in ("x", [0], 2.5, True):
+            cfg = write_cfg(tmp_path, seed=seed)
             assert main(["run", "--config", str(cfg)]) == 2
-            assert "seeds must be a list of integers" in capsys.readouterr().err
+            assert "seed must be int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("-1", "seed must be >= 0"), ("9223372036854775808", "seed must be < 2**63"),
+         ("18446744073709551616", "seed must be < 2**63")],
+        ids=["minus-one", "2**63", "2**64"],
+    )
+    def test_seed_outside_its_range_exit_config(self, tmp_path, capsys, seed, message):
+        # the sampler keys its streams by the seed modulo 2**64, so such a seed
+        # would rerun another seed's run under its own name
+        out = tmp_path / "out"
+        for argv in (["run", "--seed", seed], ["run", "--config", str(write_cfg(tmp_path, seed=int(seed)))],
+                     ["sweep", "--seeds", f"0,{seed}"]):
+            assert main([*argv, "--n", "10", "--t", "1", "--output-dir", str(out)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", RETIRED_KEYS)
+    def test_retired_config_key_exit_config(self, tmp_path, capsys, monkeypatch, extra, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        write_cfg(tmp_path, **extra)
+        assert main(["run", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_report_files_do_not_depend_on_the_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path)
+        absolute, relative = tmp_path / "a" / "o1", Path("o2")
+        for out in (absolute, relative):
+            assert main(["run", "--config", str(cfg), "--seed", "3", "--output-dir", str(out)]) == 0
+        files = report_files(absolute)
+        assert sorted(files) == sorted(harness.REPORT_FILES)
+        assert files == report_files(tmp_path / relative)
+        assert json.loads(files["config.json"])["seed"] == 3
 
     def test_mistyped_integer_exit_config(self, tmp_path, capsys):
         for value in ("x", True, 2.5):
@@ -160,7 +207,7 @@ class TestRunVerb:
             warnings.simplefilter("always")
             code = main(["run", "--config", str(cfg), "--output-dir", str(out)])
         assert code == 4
-        assert capsys.readouterr().err.startswith("aborted: ")
+        assert capsys.readouterr().err == "aborted: a drawn length does not fit in 64 bits\n"
         assert json.loads((out / "summary.json").read_text())["incomplete"] is True
         assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
@@ -256,6 +303,15 @@ class TestRebalanceVerb:
         assert code == 2
         assert "offline mode supports reshaping only" in capsys.readouterr().err
         assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_its_range_exit_config_before_the_log_is_read(self, tmp_path, capsys, seed):
+        out = tmp_path / "o.jsonl"
+        code = main(["rebalance", "--input", str(tmp_path / "absent.jsonl"), "--output", str(out),
+                     "--strategy", "tc", "--k", "4", "--seed", seed])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: seed must be ")
+        assert not out.exists()
 
     def test_unordered_step_offsets_exit_schema(self, tmp_path, capsys):
         src = tmp_path / "log.jsonl"
@@ -509,6 +565,16 @@ class TestReportVerb:
         assert main(["report", "--run-dir", str(out)]) == 2
         assert capsys.readouterr() == ("", "config error: unknown strategy keys: ['K']\n")
 
+    @pytest.mark.parametrize("extra, message", RETIRED_KEYS)
+    def test_config_with_a_retired_key_exit_config(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--output-dir", str(out)]) == 0
+        saved = json.loads((out / "config.json").read_text())
+        (out / "config.json").write_text(json.dumps({**saved, **extra}))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
     def test_missing_snapshot(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 3
 
@@ -682,6 +748,15 @@ class TestSweepVerb:
         assert len(set(run_dirs)) == 4
         for run_dir in run_dirs:
             assert (Path(run_dir) / "metrics.csv").exists()
+
+    def test_config_seed_is_the_default_seed_axis(self, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, seed=5)), "--n", "12", "--t", "1",
+                     "--output-dir", str(out)])
+        assert code == 0
+        (point,) = [p for p in out.iterdir() if p.is_dir()]
+        assert point.name == "vanilla_k4_l4_s4_seed5"
+        assert json.loads((point / "config.json").read_text())["seed"] == 5
 
     def test_mistyped_config_exit_config(self, tmp_path, capsys):
         out = tmp_path / "sweep"

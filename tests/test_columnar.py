@@ -195,7 +195,7 @@ def test_snapshot_round_trip_through_emit_report(filtered, train):
     train = TrajectoryDataset.from_entries(
         [(r, replace(t, correct=True)) for r, t in train.entries], ROLE_TRAIN
     )
-    report = harness.RunReport(config={}, seed=0, final_filter=filtered, final_train=train)
+    report = harness.RunReport(config=harness.RunConfig().to_dict(), final_filter=filtered, final_train=train)
     with tempfile.TemporaryDirectory() as tmp:
         harness.emit_report(report, tmp)
         for name, ds in (("filter_final", filtered), ("train_final", train)):

@@ -51,24 +51,19 @@ def _cli(argv: list[str]) -> tuple[int, str]:
 
 
 def collect_runs(mode: str, workdir: Path) -> dict[str, dict[str, str]]:
-    """File and report-stdout hashes for every strategy, variant and seed in one mode.
-
-    Runs inside ``workdir`` with relative output directories, because
-    config.json records the output directory as given.
-    """
+    """File and report-stdout hashes for every strategy, variant and seed in one mode."""
     pinned: dict[str, dict[str, str]] = {}
-    with contextlib.chdir(workdir):
-        for kind, (variant, extra) in itertools.product(KINDS, VARIANTS.items()):
-            pinned.update(_collect_one(mode, kind, variant, extra))
+    for kind, (variant, extra) in itertools.product(KINDS, VARIANTS.items()):
+        pinned.update(_collect_one(mode, kind, variant, extra, workdir))
     return pinned
 
 
-def _collect_one(mode: str, kind: str, variant: str, extra: dict) -> dict[str, dict[str, str]]:
+def _collect_one(mode: str, kind: str, variant: str, extra: dict, workdir: Path) -> dict[str, dict[str, str]]:
     pinned = {}
-    cfg = Path(f"{kind}_{variant}.json")
+    cfg = workdir / f"{kind}_{variant}.json"
     cfg.write_text(json.dumps({**SMALL, **extra, "mode": mode, "strategy": {"kind": kind}}))
     for seed in SEEDS:
-        outdir = Path(f"{kind}_{variant}_seed{seed}")
+        outdir = workdir / f"{kind}_{variant}_seed{seed}"
         code, _ = _cli(["run", "--config", str(cfg), "--seed", str(seed),
                         "--output-dir", str(outdir)])
         assert code == 0

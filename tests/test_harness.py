@@ -48,7 +48,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(mode="nope").validate()
         with pytest.raises(ConfigError):
-            RunConfig(seeds=()).validate()
+            RunConfig(seed=-1).validate()
         with pytest.raises(ConfigError):
             RunConfig(strategy=StrategyConfig(kind="tc", L=99)).validate()
 
@@ -59,14 +59,9 @@ class TestRunConfig:
             RunConfig.from_dict({"strategy": {"kind": "tc", "mystery": 1}})
 
     def test_round_trip(self):
-        cfg = small_config(strategy=StrategyConfig(kind="rp"), seeds=(3, 4))
+        cfg = small_config(strategy=StrategyConfig(kind="rp"), seed=3)
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
-
-    def test_strategy_inherits_run_k_and_seed(self):
-        cfg = small_config()
-        resolved = cfg.resolved_strategy(9)
-        assert resolved.seed == 9
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -87,14 +82,14 @@ class TestSelfImprovement:
             learner=LearnerParams(init_noise=0.0, p_ceiling=1.0),
             corpus=CorpusParams(easy_fraction=1.0, easy_difficulty=(0.0, 0.0)),
         )
-        rep = run(cfg, seed=0)
+        rep = run(dataclasses.replace(cfg, seed=0))
         assert rep.rows_for("train")[0].total == 30 * cfg.k_samples
         assert rep.evals[0].greedy_pass1 == 1.0
         assert rep.evals[0].sampled_pass1 == 1.0
 
     def test_stage_accounting(self):
         cfg = small_config()
-        rep = run(cfg, seed=1)
+        rep = run(dataclasses.replace(cfg, seed=1))
         for it in (1, 2):
             sample_row = [r for r in rep.rows if r.iteration == it and r.role == "sample"][0]
             filter_row = [r for r in rep.rows if r.iteration == it and r.role == "filter"][0]
@@ -102,7 +97,7 @@ class TestSelfImprovement:
             assert filter_row.total <= sample_row.total
 
     def test_rows_per_iteration(self):
-        rep = run(small_config(), seed=0)
+        rep = run(small_config(seed=0))
         assert [(r.iteration, r.role) for r in rep.rows] == [
             (1, "sample"), (1, "filter"), (1, "train"),
             (2, "sample"), (2, "filter"), (2, "train"),
@@ -111,7 +106,7 @@ class TestSelfImprovement:
     def test_strategies_all_run(self):
         for kind in ("tc", "hc", "rp", "ri", "ar", "gr", "sc"):
             cfg = small_config(strategy=StrategyConfig(kind=kind, L=2))
-            rep = run(cfg, seed=0)
+            rep = run(dataclasses.replace(cfg, seed=0))
             assert len(rep.rows) == 6
             for row in rep.rows_for("train"):
                 assert row.total >= 0
@@ -127,9 +122,9 @@ class TestSelfImprovement:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "partition_dataset", counting)
-        run(small_config(), seed=0)
+        run(small_config(seed=0))
         assert calls == []
-        run(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
+        run(small_config(strategy=StrategyConfig(kind="sc"), seed=0))
         assert len(calls) == SMALL["iterations"]
 
     def test_sc_grades_each_sample_once(self, monkeypatch):
@@ -143,7 +138,7 @@ class TestSelfImprovement:
             return real(sampled, rules)
 
         monkeypatch.setattr(rewards, "_graded", counting)
-        run(small_config(strategy=StrategyConfig(kind="sc")), seed=0)
+        run(small_config(strategy=StrategyConfig(kind="sc"), seed=0))
         assert graded.count("sample") == SMALL["iterations"]
 
     def test_tc_stream_not_shared_by_next_seed_one_iteration_back(self, hand_filter):
@@ -152,14 +147,14 @@ class TestSelfImprovement:
         f, queries = hand_filter
 
         def clip(seed, iteration):
-            cfg = StrategyConfig(kind="tc", L=2, seed=seed)
-            return _apply_strategy(cfg, 8, iteration, f, None, None)
+            cfg = RunConfig(k_samples=8, strategy=StrategyConfig(kind="tc", L=2), seed=seed)
+            return _apply_strategy(cfg, iteration, f, None, None)
 
         assert any(clip(s, 2).entries != clip(s + 1, 1).entries for s in range(10))
 
     def test_restart_semantics_pure_function_of_init_and_train_set(self):
         cfg = small_config(restart_each_iteration=True)
-        rep = run(cfg, seed=3)
+        rep = run(dataclasses.replace(cfg, seed=3))
         # replay: starting from a fresh init learner, one training step on the
         # recorded final train set must reproduce the final p and mu exactly
         from headtail.learner import calibrate_difficulty, init_learner, synth_corpus
@@ -178,7 +173,7 @@ class TestSelfImprovement:
         cfg = small_config(
             mode="iterative_union", apply_point="on_union", strategy=StrategyConfig(kind="ar")
         )
-        rep = run(cfg, seed=1)
+        rep = run(dataclasses.replace(cfg, seed=1))
         assert not rep.incomplete
         assert len(rep.rows) == 3 * cfg.iterations
         train = rep.final_train
@@ -193,14 +188,14 @@ class TestSelfImprovement:
 
         monkeypatch.setattr(LS, "sample_fresh", boom)
         with pytest.raises(RunAborted) as exc_info:
-            run(cfg, seed=0)
+            run(dataclasses.replace(cfg, seed=0))
         assert exc_info.value.report.incomplete
 
 
 class TestBatchBaseline:
     def test_budget_cardinality(self):
         cfg = small_config(n_queries=100, k_samples=8, iterations=5, mode="batch_baseline")
-        rep = run(cfg, seed=0)
+        rep = run(dataclasses.replace(cfg, seed=0))
         assert rep.rows_for("sample")[0].total == 100 * 40
 
     def test_hopeless_corpus_warns_on_empty_filter(self):
@@ -209,13 +204,13 @@ class TestBatchBaseline:
             learner=LearnerParams(init_noise=0.0, p_floor=0.0),
             corpus=CorpusParams(easy_fraction=0.0, hard_difficulty=(1.0, 1.0)),
         )
-        rep = run(cfg, seed=0)
+        rep = run(dataclasses.replace(cfg, seed=0))
         assert rep.rows_for("filter")[0].total == 0
         assert any("empty training set" in w for w in rep.warnings)
 
     def test_distinct_solved_matches_brute_force(self):
         cfg = small_config(mode="batch_baseline")
-        rep = run(cfg, seed=2)
+        rep = run(dataclasses.replace(cfg, seed=2))
         # recompute from the final filter snapshot
         brute = len({t.query_id for _, t in rep.final_filter})
         assert rep.distinct_solved == brute
@@ -225,14 +220,14 @@ class TestIterativeUnion:
     def test_t1_reduces_to_self_improvement(self):
         cfg_u = small_config(iterations=1, mode="iterative_union")
         cfg_s = small_config(iterations=1)
-        rep_u = run(cfg_u, seed=5)
-        rep_s = run(cfg_s, seed=5)
+        rep_u = run(dataclasses.replace(cfg_u, seed=5))
+        rep_s = run(dataclasses.replace(cfg_s, seed=5))
         assert rep_u.rows == rep_s.rows
         assert rep_u.final_state.p.tolist() == rep_s.final_state.p.tolist()
 
     def test_union_at_least_single_iteration_filter(self):
         cfg = small_config(iterations=3, mode="iterative_union")
-        rep = run(cfg, seed=1)
+        rep = run(dataclasses.replace(cfg, seed=1))
         trains = [r.total for r in rep.rows_for("train")]
         filters = [r.total for r in rep.rows_for("filter")]
         assert trains[-1] >= max(filters)
@@ -246,12 +241,12 @@ class TestIterativeUnion:
                 strategy=StrategyConfig(kind="tc", L=2),
                 apply_point=point,
             )
-            rep = run(cfg, seed=0)
+            rep = run(dataclasses.replace(cfg, seed=0))
             assert len(rep.rows_for("train")) == 2
 
     def test_dispatch(self):
         cfg = small_config(mode="iterative_union")
-        assert run(cfg, seed=0).config["mode"] == "iterative_union"
+        assert run(dataclasses.replace(cfg, seed=0)).config["mode"] == "iterative_union"
 
 
 class TestOfflineLogs:
@@ -277,7 +272,7 @@ class TestOfflineLogs:
         lines = self.log_lines({1: 6, 2: 3, 3: 1}, K=8)
         src = self.write_log(tmp_path, lines)
         out = tmp_path / "train.jsonl"
-        summary = rebalance_offline(src, StrategyConfig(kind="tc", L=4, seed=0), 8, out)
+        summary = rebalance_offline(src, StrategyConfig(kind="tc", L=4), 8, out, seed=0)
         assert summary["input_records"] == 24
         assert summary["output_records"] == 8
         written = [json.loads(l) for l in out.read_text().splitlines()]
@@ -362,7 +357,7 @@ class TestOfflineLogs:
 class TestSnapshotCodec:
     def test_round_trip_every_origin(self, tmp_path):
         for kind in ("gr", "sc", "ar"):
-            rep = run(small_config(strategy=StrategyConfig(kind=kind)), seed=0)
+            rep = run(small_config(strategy=StrategyConfig(kind=kind), seed=0))
             emit_report(rep, tmp_path / kind)
             decoded = read_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl", ROLE_TRAIN)
             assert [snapshot_entry(r, t) for r, t in decoded] == [
@@ -389,7 +384,7 @@ class TestSnapshotCodec:
 
 class TestEmitReport:
     def test_files_written(self, tmp_path):
-        rep = run(small_config(), seed=0)
+        rep = run(small_config(seed=0))
         files = emit_report(rep, tmp_path / "out")
         names = {p.name for p in files}
         assert names == {
@@ -408,19 +403,19 @@ class TestEmitReport:
     def test_empty_report_header_only(self, tmp_path):
         from headtail.harness import RunReport
 
-        rep = RunReport(config=RunConfig().to_dict(), seed=0)
+        rep = RunReport(config=RunConfig().to_dict())
         emit_report(rep, tmp_path / "empty")
         lines = (tmp_path / "empty" / "metrics.csv").read_text().splitlines()
         assert len(lines) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config()
-        a = emit_report(run(cfg, seed=4), tmp_path / "a")
-        b = emit_report(run(cfg, seed=4), tmp_path / "b")
+        a = emit_report(run(dataclasses.replace(cfg, seed=4)), tmp_path / "a")
+        b = emit_report(run(dataclasses.replace(cfg, seed=4)), tmp_path / "b")
         assert file_hashes(a) == file_hashes(b)
 
     def test_writes_where_told_despite_env_var(self, tmp_path, monkeypatch):
-        rep = run(small_config(), seed=0)
+        rep = run(small_config(seed=0))
         env_dir = tmp_path / "env_dir"
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))
         emit_report(rep, tmp_path / "given")
@@ -428,7 +423,7 @@ class TestEmitReport:
         assert not env_dir.exists()
 
     def test_snapshot_schema(self, tmp_path):
-        rep = run(small_config(), seed=0)
+        rep = run(small_config(seed=0))
         emit_report(rep, tmp_path / "snap")
         line = json.loads(
             (tmp_path / "snap" / "datasets" / "train_final.jsonl").read_text().splitlines()[0]
@@ -470,7 +465,7 @@ class TestAtomicWrites:
     def test_emit_report_failing_snapshot_leaves_no_partial(self, tmp_path, monkeypatch):
         from headtail import harness
 
-        rep = run(small_config(), seed=0)
+        rep = run(small_config(seed=0))
         monkeypatch.setattr(harness, "_snapshot_chunks", lambda ds: self.failing_chunks())
         with pytest.raises(OSError, match="disk full"):
             emit_report(rep, tmp_path / "out")

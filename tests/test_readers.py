@@ -233,12 +233,14 @@ def _log_line(qid, gt="a", offsets=(2, 5), tokens=10):
 
 
 @pytest.mark.parametrize("pad", ["", "  "], ids=["bare", "indented"])  # indented: json.loads' path
-def test_valid_log_never_reaches_the_per_line_decoder(tmp_path, monkeypatch, pad):
+def test_valid_log_is_decoded_once_per_chunk(tmp_path, monkeypatch, pad):
     path = tmp_path / "log.jsonl"
     path.write_text("".join(pad + _log_line(q) + "\n" for q in (1, 2, 1)), encoding="utf-8")
-    monkeypatch.setattr(harness, "_decode_line", mock.Mock(side_effect=AssertionError))
+    decode = mock.Mock(wraps=harness._decode_chunk)
+    monkeypatch.setattr(harness, "_decode_chunk", decode)
     monkeypatch.setattr(harness, "_READ_CHUNK", 2)
     sample = load_log(path)
+    assert decode.call_count == 2  # chunks of 2 and 1 lines; no line decoded again alone
     assert len(sample) == 3
     assert sample.columns["sample_index"].tolist() == [1, 2, 1]
 
