@@ -14,8 +14,6 @@ from .core import (
     merge_datasets,
 )
 from .rewards import (
-    AnswerNormalizationRules,
-    DEFAULT_RULES,
     cot_length_filter,
     discard_dataset,
     filter_dataset,

@@ -39,7 +39,7 @@ from .harness import (
     write_atomic,
 )
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
-from .rewards import DEFAULT_RULES, load_alias_table
+from .rewards import DEFAULT_SYMBOL_ALIASES, load_alias_table
 from .strategies import KINDS, StrategyConfig
 from .core import ROLE_FILTER, ROLE_TRAIN, TrajectoryDataset
 
@@ -192,7 +192,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
     strategy = StrategyConfig(kind=args.strategy, L=args.l, min_cot_tokens=args.min_cot_tokens)
-    rules = DEFAULT_RULES
+    # no file the verb writes may be another file it names
+    clashes = [("output path", args.output, "the alias table", args.alias_table)]
+    if args.summary:
+        check_output_path(args.summary)
+        clashes += [("summary path", args.summary, what, other) for what, other in (
+            ("the output path", args.output), ("the input log", args.input), ("the alias table", args.alias_table))]
+    for name, target, what, other in clashes:
+        if other and Path(target).resolve() == Path(other).resolve():
+            raise ConfigError(f"{name} {target} is {what}")
+    aliases = DEFAULT_SYMBOL_ALIASES
     if args.alias_table:
         try:
             aliases = load_alias_table(args.alias_table)
@@ -200,13 +209,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot read alias table {args.alias_table}: {exc.strerror or exc}") from exc
         except ValueError as exc:  # a bad line, or not UTF-8
             raise ConfigError(f"{args.alias_table}: {exc}") from exc
-        rules = dataclasses.replace(rules, symbol_aliases=aliases)
-    if args.summary:
-        check_output_path(args.summary)
-        for other, what in ((args.output, "the output path"), (args.input, "the input log")):
-            if Path(args.summary).resolve() == Path(other).resolve():
-                raise ConfigError(f"summary path {args.summary} is {what}")
-    summary = rebalance_offline(args.input, strategy, args.k, args.output, rules=rules, seed=args.seed)
+    summary = rebalance_offline(args.input, strategy, args.k, args.output, aliases, seed=args.seed)
     row = summary.pop("metrics_row")
     if args.summary:
         write_atomic(args.summary, rows_to_csv([row]))
@@ -222,12 +225,9 @@ _SNAPSHOT_ROLES = {"train_final": ROLE_TRAIN, "filter_final": ROLE_FILTER}
 
 
 def _read_named_snapshot(path: Path, role: str) -> TrajectoryDataset:
-    """``read_snapshot``, with every SchemaError naming ``path`` once; a
-    snapshot that cannot be read (a directory, say) is a SchemaError too."""
+    """``read_snapshot``, with every SchemaError naming ``path`` once."""
     try:
         return read_snapshot(path, role)
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read snapshot ({exc.strerror or exc})") from exc
     except SchemaError as exc:
         if str(exc).startswith(f"{path}: "):  # a file-level error names it already
             raise

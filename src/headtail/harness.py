@@ -86,8 +86,7 @@ from .learner import (
 )
 from .metrics import REFERENCE_TARGETS, MetricsRow, build_row, rows_to_csv
 from .rewards import (
-    AnswerNormalizationRules,
-    DEFAULT_RULES,
+    DEFAULT_SYMBOL_ALIASES,
     cot_length_filter,
     discard_dataset,  # noqa: F401 -- unused here; perfbench/tracer.py wraps harness.discard_dataset
     filter_dataset,
@@ -425,6 +424,7 @@ def _decode_chunk(
 
 def _read_columns(
     path: str | Path,
+    what: str,
     fields: set[str],
     required: set[str],
     pull: Callable[[list[dict[str, Any]]], dict[str, np.ndarray]],
@@ -438,23 +438,28 @@ def _read_columns(
     shows.  A failed chunk is decoded again one line at a time, through
     the same ``_decode_chunk``, to raise the SchemaError naming its first
     bad line; a chunk whose every line decodes alone is a bug, re-raised.
+    A file that cannot be opened or read is a SchemaError naming ``path``
+    and ``what`` it is.
     """
     parts = [pull([])]  # an empty file still has every column
-    # an undecodable byte is kept as a lone surrogate, which fails its line's check
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        start = 1  # the number of the chunk's first line
-        while chunk := list(itertools.islice(fh, _READ_CHUNK)):
-            try:
-                parts.append(_decode_chunk(list(filter(str.strip, chunk)), fields, required, pull))
-            except (TypeError, ValueError, OverflowError):  # OverflowError: int() of Infinity
-                for lineno, line in enumerate(chunk, start):
-                    try:
-                        if line.strip():
-                            _decode_chunk([line], fields, required, pull)
-                    except (TypeError, ValueError, OverflowError) as exc:
-                        raise SchemaError(f"line {lineno}: {exc}") from exc
-                raise
-            start += len(chunk)
+    try:
+        # an undecodable byte is kept as a lone surrogate, which fails its line's check
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            start = 1  # the number of the chunk's first line
+            while chunk := list(itertools.islice(fh, _READ_CHUNK)):
+                try:
+                    parts.append(_decode_chunk(list(filter(str.strip, chunk)), fields, required, pull))
+                except (TypeError, ValueError, OverflowError):  # OverflowError: int() of Infinity
+                    for lineno, line in enumerate(chunk, start):
+                        try:
+                            if line.strip():
+                                _decode_chunk([line], fields, required, pull)
+                        except (TypeError, ValueError, OverflowError) as exc:
+                            raise SchemaError(f"line {lineno}: {exc}") from exc
+                    raise
+                start += len(chunk)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read {what} ({exc.strerror or exc})") from exc
     return build({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
 
 
@@ -541,7 +546,8 @@ def read_snapshot(path: str | Path, role: str) -> TrajectoryDataset:
     naming the file.
     """
     return _read_columns(
-        path, _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _snapshot_chunk, lambda c: _snapshot_dataset(path, c, role)
+        path, "snapshot", _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _snapshot_chunk,
+        lambda c: _snapshot_dataset(path, c, role),
     )
 
 
@@ -735,7 +741,7 @@ def load_log(path: str | Path) -> TrajectoryDataset:
     a record that gives its query a second ``gt_answer`` is one naming that
     record.  Its length is the log's record count.
     """
-    return _read_columns(path, _LOG_FIELDS, _LOG_REQUIRED, _log_chunk, _log_dataset)
+    return _read_columns(path, "log", _LOG_FIELDS, _LOG_REQUIRED, _log_chunk, _log_dataset)
 
 
 def rebalance_offline(
@@ -743,7 +749,7 @@ def rebalance_offline(
     strategy: StrategyConfig,
     K: int,
     output_path: str | Path,
-    rules: AnswerNormalizationRules = DEFAULT_RULES,
+    aliases: tuple[tuple[str, str], ...] = DEFAULT_SYMBOL_ALIASES,
     seed: int = 0,
 ) -> dict[str, Any]:
     """Rebalance a real trajectory log and write the training records.
@@ -754,9 +760,11 @@ def rebalance_offline(
     counts reflect usable responses only.  That field defaults to 10
     tokens; pass ``min_cot_tokens=0`` in the ``StrategyConfig`` for no
     floor.  ``K`` is the log's sampling number, the one K the strategy
-    reads, and ``seed`` keys tc's truncation draws.  Nothing is written
-    unless the whole input parses; an ``output_path`` naming the input log
-    is a ConfigError.
+    reads, ``aliases`` is the alias table that answers are normalized with
+    before grading, and ``seed`` keys tc's truncation draws.  Nothing is
+    written unless the whole input parses; an ``output_path`` naming the
+    input log is a ConfigError, and a log that cannot be read is a
+    SchemaError.
     """
     if strategy.kind not in KINDS or KINDS[strategy.kind].resamples:
         raise ConfigError("strategy requires a sampler; offline mode supports reshaping only")
@@ -771,7 +779,7 @@ def rebalance_offline(
     if not Path(input_path).is_file():
         raise SchemaError(f"no input log at {input_path}")
     sample = load_log(input_path)
-    filtered = filter_dataset(sample, rules)
+    filtered = filter_dataset(sample, aliases)
     if strategy.min_cot_tokens > 0:
         filtered = cot_length_filter(filtered, strategy.min_cot_tokens)
     train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed, iteration=1)

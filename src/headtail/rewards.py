@@ -5,10 +5,14 @@ The default normalization exists because raw exact match misgrades answers
 that differ only in formatting (LaTeX ``\\pi`` vs the glyph, stray math
 wrappers, spacing around fraction slashes).
 
-``normalize_answer`` skips only the steps that cannot change the string.
-The math-wrapper replaces run only on a string that contains ``$`` or
-``\\`` (every wrapper contains one of them).  Each alias pattern has a
-*required literal*, derived once per alias table: the longest run of
+``normalize_answer`` strips the string, removes math wrappers, maps it to
+lower case, applies each alias of the table in order and strips again; the
+alias table is its only setting.  On the default table, applying it twice
+equals applying it once; a custom table need not keep that: the alias
+``("a", "aa")`` grows every ``a``.  It skips only the steps that cannot
+change the string.  The math-wrapper replaces run only on a string that contains
+``$`` or ``\\`` (every wrapper contains one of them).  Each alias pattern
+has a *required literal*, derived once per alias table: the longest run of
 literal characters in the pattern's top-level sequence, which every match
 contains.  The alias's ``sub`` runs only when the string, as it stands at
 that step, contains that literal.  For the default aliases the literals are
@@ -16,7 +20,7 @@ that step, contains that literal.  For the default aliases the literals are
 top-level alternation or has no top-level literal (``\\s+``, ``[ab]``) has
 no required literal, so a custom alias like that runs on every answer.
 
-Normalization is a pure function of the string and the rules, so grading
+Normalization is a pure function of the string and the table, so grading
 skips it where it cannot change the outcome: an answer whose raw string
 equals the ground truth is graded correct without normalizing (one
 whole-column comparison for a dataset).  The other rows' answers, one per
@@ -36,7 +40,6 @@ from one grading.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -68,22 +71,6 @@ DEFAULT_SYMBOL_ALIASES: tuple[tuple[str, str], ...] = (
 _MATH_WRAPPERS = ("$", r"\(", r"\)", r"\[", r"\]")
 # the wrapper guard in normalize_answer tests for these two characters only
 assert all("$" in w or "\\" in w for w in _MATH_WRAPPERS)
-
-
-@dataclass(frozen=True)
-class AnswerNormalizationRules:
-    """Switches for the normalization pipeline. Applying twice equals once."""
-
-    lowercase: bool = True
-    trim_whitespace: bool = True
-    strip_math_wrappers: bool = True
-    symbol_aliases: tuple[tuple[str, str], ...] = DEFAULT_SYMBOL_ALIASES
-
-
-DEFAULT_RULES = AnswerNormalizationRules()
-EXACT_MATCH_RULES = AnswerNormalizationRules(
-    lowercase=False, trim_whitespace=False, strip_math_wrappers=False, symbol_aliases=()
-)
 
 
 def _required_literal(pattern: re.Pattern) -> str:
@@ -120,28 +107,25 @@ def _compiled(aliases: tuple[tuple[str, str], ...]) -> tuple[tuple[re.Pattern, s
     return tuple(table)
 
 
-def normalize_answer(raw: str, rules: AnswerNormalizationRules = DEFAULT_RULES) -> str:
+def normalize_answer(raw: str, aliases: tuple[tuple[str, str], ...] = DEFAULT_SYMBOL_ALIASES) -> str:
     """Canonical form of an extracted or ground-truth answer string."""
-    s = raw
-    if rules.trim_whitespace:
-        s = s.strip()
-    if rules.strip_math_wrappers and ("$" in s or "\\" in s):
+    s = raw.strip()
+    if "$" in s or "\\" in s:
         for w in _MATH_WRAPPERS:
             s = s.replace(w, "")
-    if rules.lowercase:
-        s = s.lower()
-    for pattern, canonical, literal in _compiled(rules.symbol_aliases):
+    s = s.lower()
+    for pattern, canonical, literal in _compiled(aliases):
         if literal in s:
             s = pattern.sub(canonical, s)
-    if rules.trim_whitespace:
-        s = s.strip()
-    return s
+    return s.strip()
 
 
-def reward(query: QueryRecord, extracted: str, rules: AnswerNormalizationRules = DEFAULT_RULES) -> int:
+def reward(
+    query: QueryRecord, extracted: str, aliases: tuple[tuple[str, str], ...] = DEFAULT_SYMBOL_ALIASES
+) -> int:
     """Binary reward: 1 iff the extracted answer matches ground truth."""
     gt = query.gt_answer
-    return int(extracted == gt or normalize_answer(extracted, rules) == normalize_answer(gt, rules))
+    return int(extracted == gt or normalize_answer(extracted, aliases) == normalize_answer(gt, aliases))
 
 
 def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
@@ -168,8 +152,8 @@ def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
 _FILTER_OUT_ROLE = {ROLE_SAMPLE: ROLE_FILTER, ROLE_RESAMPLE: ROLE_REFILTER}
 
 
-def _normalize_all(strings: list[str], rules: AnswerNormalizationRules) -> list[str]:
-    """``[normalize_answer(s, rules) for s in strings]``, one step at a time over the list.
+def _normalize_all(strings: list[str], aliases: tuple[tuple[str, str], ...]) -> list[str]:
+    """``[normalize_answer(s, aliases) for s in strings]``, one step at a time over the list.
 
     The strings are joined by ``"\\n"``, which no wrapper spans and which is
     neither cased nor case-ignorable (a final sigma lowers as it does
@@ -182,29 +166,28 @@ def _normalize_all(strings: list[str], rules: AnswerNormalizationRules) -> list[
     """
     if not strings:
         return []
-    xs = list(map(str.strip, strings)) if rules.trim_whitespace else strings
+    xs = list(map(str.strip, strings))
     joined = "\n".join(xs)
     if joined.count("\n") != len(xs) - 1:  # a string holds the separator
-        batched = iter(_normalize_all([s for s in strings if "\n" not in s], rules))
-        return [normalize_answer(s, rules) if "\n" in s else next(batched) for s in strings]
-    fired = rules.strip_math_wrappers and ("$" in joined or "\\" in joined)
+        batched = iter(_normalize_all([s for s in strings if "\n" not in s], aliases))
+        return [normalize_answer(s, aliases) if "\n" in s else next(batched) for s in strings]
+    fired = "$" in joined or "\\" in joined
     if fired:
         for w in _MATH_WRAPPERS:
             joined = joined.replace(w, "")
-    if rules.lowercase:
-        joined = joined.lower()
+    joined = joined.lower()
     xs = joined.split("\n")
     aliased = False
-    for pattern, canonical, literal in _compiled(rules.symbol_aliases):
+    for pattern, canonical, literal in _compiled(aliases):
         if aliased or literal in joined:  # once an alias has run, the join is stale
             xs = [pattern.sub(canonical, x) if literal in x else x for x in xs]
             aliased = True
-    if rules.trim_whitespace and (fired or aliased):
+    if fired or aliased:
         xs = list(map(str.strip, xs))
     return xs
 
 
-def _graded(sampled: TrajectoryDataset, rules: AnswerNormalizationRules) -> np.ndarray:
+def _graded(sampled: TrajectoryDataset, aliases: tuple[tuple[str, str], ...]) -> np.ndarray:
     """Per row: True iff its extracted answer earns reward 1.
 
     A row whose raw answer equals its ground truth is correct unnormalized.
@@ -220,9 +203,9 @@ def _graded(sampled: TrajectoryDataset, rules: AnswerNormalizationRules) -> np.n
         new_run = np.concatenate(([True], qids[1:] != qids[:-1]))
         run_gts = gts[rest[new_run]].tolist()  # one per run of a query's rows
         distinct = list(dict.fromkeys(run_gts))
-        norm = dict(zip(distinct, _normalize_all(distinct, rules)))
+        norm = dict(zip(distinct, _normalize_all(distinct, aliases)))
         norm_gts = object_array(map(norm.__getitem__, run_gts))[np.cumsum(new_run) - 1]
-        ok[rest] = object_array(_normalize_all(answers[rest].tolist(), rules)) == norm_gts
+        ok[rest] = object_array(_normalize_all(answers[rest].tolist(), aliases)) == norm_gts
     return ok
 
 
@@ -235,7 +218,7 @@ def _graded_role(sampled: TrajectoryDataset, name: str) -> str:
 
 
 def filter_dataset(
-    sampled: TrajectoryDataset, rules: AnswerNormalizationRules = DEFAULT_RULES
+    sampled: TrajectoryDataset, aliases: tuple[tuple[str, str], ...] = DEFAULT_SYMBOL_ALIASES
 ) -> TrajectoryDataset:
     """Keep exactly the reward-1 entries, marked correct, order preserved.
 
@@ -243,15 +226,15 @@ def filter_dataset(
     ``refilter``.
     """
     out_role = _graded_role(sampled, "filter_dataset")
-    return sampled.select(np.flatnonzero(_graded(sampled, rules)), out_role, correct=True)
+    return sampled.select(np.flatnonzero(_graded(sampled, aliases)), out_role, correct=True)
 
 
 def partition_dataset(
-    sampled: TrajectoryDataset, rules: AnswerNormalizationRules = DEFAULT_RULES
+    sampled: TrajectoryDataset, aliases: tuple[tuple[str, str], ...] = DEFAULT_SYMBOL_ALIASES
 ) -> tuple[TrajectoryDataset, TrajectoryDataset]:
     """(:func:`filter_dataset`, :func:`discard_dataset`) of ``sampled``, grading each row once."""
     out_role = _graded_role(sampled, "partition_dataset")
-    ok = _graded(sampled, rules)
+    ok = _graded(sampled, aliases)
     return (
         sampled.select(np.flatnonzero(ok), out_role, correct=True),
         sampled.select(np.flatnonzero(~ok), ROLE_DISCARD, correct=False),
@@ -259,10 +242,10 @@ def partition_dataset(
 
 
 def discard_dataset(
-    sampled: TrajectoryDataset, rules: AnswerNormalizationRules = DEFAULT_RULES
+    sampled: TrajectoryDataset, aliases: tuple[tuple[str, str], ...] = DEFAULT_SYMBOL_ALIASES
 ) -> TrajectoryDataset:
     """Complement of :func:`filter_dataset`: the reward-0 entries."""
-    return partition_dataset(sampled, rules)[1]
+    return partition_dataset(sampled, aliases)[1]
 
 
 def cot_length_filter(dataset: TrajectoryDataset, min_tokens: int) -> TrajectoryDataset:

@@ -60,8 +60,6 @@ from .core import (
     run_positions,
 )
 from .rewards import (
-    AnswerNormalizationRules,
-    DEFAULT_RULES,
     cot_length_filter,
     filter_dataset,
     reward,  # noqa: F401 -- unused here; perfbench/tracer.py wraps strategies.reward
@@ -269,11 +267,7 @@ def _resampled(
 
 
 def adaptive_resample(
-    filtered: TrajectoryDataset,
-    corpus: Corpus,
-    sampler: Sampler,
-    K: int,
-    rules: AnswerNormalizationRules = DEFAULT_RULES,
+    filtered: TrajectoryDataset, corpus: Corpus, sampler: Sampler, K: int
 ) -> tuple[TrajectoryDataset, TrajectoryDataset, TrajectoryDataset]:
     """Draw K - k_i fresh responses per corpus query, refilter, merge.
 
@@ -294,7 +288,7 @@ def adaptive_resample(
         query_id=query_ids,
         sample_index=run_positions(deficit) + 1,
     )
-    refiltered = filter_dataset(resampled, rules)
+    refiltered = filter_dataset(resampled)
     train = merge_datasets(filtered, refiltered)
     return resampled, refiltered, train
 
@@ -317,11 +311,7 @@ def split_steps(traj: Trajectory, S: int) -> tuple[int, ...]:
 
 
 def guided_resample(
-    filtered: TrajectoryDataset,
-    sampler: Sampler,
-    L: int,
-    S: int,
-    rules: AnswerNormalizationRules = DEFAULT_RULES,
+    filtered: TrajectoryDataset, sampler: Sampler, L: int, S: int
 ) -> tuple[TrajectoryDataset, TrajectoryDataset, TrajectoryDataset]:
     """Resample tail queries from intermediate steps of their kept responses.
 
@@ -354,18 +344,13 @@ def guided_resample(
         prefix_steps=kept,
         prefix_tokens=prefix_tokens,
     )
-    refiltered = filter_dataset(resampled, rules)
+    refiltered = filter_dataset(resampled)
     train = merge_datasets(filtered, refiltered)
     return resampled, refiltered, train
 
 
 def self_correct_augment(
-    filtered: TrajectoryDataset,
-    discard: TrajectoryDataset,
-    sampler: Sampler,
-    K: int,
-    min_cot_tokens: int,
-    rules: AnswerNormalizationRules = DEFAULT_RULES,
+    filtered: TrajectoryDataset, discard: TrajectoryDataset, sampler: Sampler, K: int, min_cot_tokens: int
 ) -> TrajectoryDataset:
     """Revise discarded responses and train on the verified corrections.
 
@@ -390,7 +375,7 @@ def self_correct_augment(
         query_id=query_ids,
         sample_index=c["sample_index"][rows],
     )
-    kept = cot_length_filter(filter_dataset(attempts, rules), min_cot_tokens)
+    kept = cot_length_filter(filter_dataset(attempts), min_cot_tokens)
     pairs = dict(kept.columns, corrected_from=kept.columns["sample_index"])
     corrections = TrajectoryDataset(
         ROLE_REFILTER,

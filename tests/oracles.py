@@ -346,23 +346,17 @@ def calibrate_difficulty_reference(pass_rates):
 _MATH_WRAPPERS = ("$", r"\(", r"\)", r"\[", r"\]")
 
 
-def normalize_unguarded(raw, rules):
+def normalize_unguarded(raw, aliases):
     """Answer normalization with every step run on every string: strip,
     each math-wrapper replace, lowercase, each alias ``re.sub`` in table
     order, strip."""
-    s = raw
-    if rules.trim_whitespace:
-        s = s.strip()
-    if rules.strip_math_wrappers:
-        for w in _MATH_WRAPPERS:
-            s = s.replace(w, "")
-    if rules.lowercase:
-        s = s.lower()
-    for pattern, canonical in rules.symbol_aliases:
+    s = raw.strip()
+    for w in _MATH_WRAPPERS:
+        s = s.replace(w, "")
+    s = s.lower()
+    for pattern, canonical in aliases:
         s = re.sub(pattern, canonical, s)
-    if rules.trim_whitespace:
-        s = s.strip()
-    return s
+    return s.strip()
 
 
 # -- per-line JSONL codec ----------------------------------------------------

@@ -1,6 +1,9 @@
+import errno
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from headtail import cli, harness
 from headtail.cli import _worker_count, main
-from headtail.harness import OUTPUT_DIR_ENV
+from headtail.harness import OUTPUT_DIR_ENV, load_log
+from headtail.rewards import filter_dataset, load_alias_table
 
 BEYOND_64_BITS = "100000000000000000000"
 
@@ -371,6 +375,46 @@ class TestRebalanceVerb:
         assert f"schema error: no input log at {tmp_path / 'absent.jsonl'}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault, reason", [("open", "Permission denied"), ("read", "Input/output error")])
+    def test_unreadable_input_exit_schema_before_anything_is_written(self, tmp_path, capsys, monkeypatch,
+                                                                     fault, reason):
+        src = write_log(tmp_path, {1: 4}, K=4)
+
+        class FailingReads(io.StringIO):
+            def __next__(self):
+                raise OSError(errno.EIO, reason)
+
+        def failing_open(path, *args, **kwargs):
+            if Path(path) != src:
+                return open(path, *args, **kwargs)
+            if fault == "open":
+                raise PermissionError(errno.EACCES, reason, str(path))
+            return FailingReads()
+
+        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+        code = main(["rebalance", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
+                     "--summary", str(tmp_path / "s.csv"), "--strategy", "rp", "--k", "4"])
+        assert code == 3
+        assert capsys.readouterr() == ("", f"schema error: {src}: cannot read log ({reason})\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
+
+    def test_alias_table_grades_end_to_end(self, tmp_path, capsys):
+        # "half" matches its ground truth "1/2" only through the table
+        log = tmp_path / "log.jsonl"
+        answers = ["half", "1/2", "half", "third"]
+        log.write_text("".join(json.dumps({"query_id": 1, "gt_answer": "1/2", "extracted_answer": a,
+                                           "token_count": 30}) + "\n" for a in answers))
+        table = tmp_path / "aliases.tsv"
+        table.write_text("half\t1/2\n", encoding="utf-8")
+        kept = []
+        for extra in ([], ["--alias-table", str(table)]):
+            assert main(["rebalance", "--input", str(log), "--output", str(tmp_path / "o.jsonl"),
+                         "--strategy", "vanilla", "--k", "4", *extra]) == 0
+            kept.append(int(re.search(r"(\d+) kept by reward", capsys.readouterr().out)[1]))
+        assert kept[0] == 1
+        assert kept[1] != kept[0]
+        assert kept[1] == len(filter_dataset(load_log(log), load_alias_table(table))) == 3
+
     @pytest.mark.parametrize("table, message", [
         ("\\\\pi\tπ\nno-tab-here\n","line 2: expected pattern<TAB>canonical"),
         ("x(\tY\n", "line 1: missing ), unterminated subpattern"),
@@ -434,22 +478,28 @@ class TestRebalanceVerb:
         assert capsys.readouterr().err == f"config error: summary path {summary} is the output path\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
 
-    @pytest.mark.parametrize("flag, message", [
-        ("--output", "output path {} is the input log"),
-        ("--summary", "summary path {} is the input log"),
+    @pytest.mark.parametrize("flag, read, message", [
+        ("--output", "--input", "output path {} is the input log"),
+        ("--summary", "--input", "summary path {} is the input log"),
+        ("--output", "--alias-table", "output path {} is the alias table"),
+        ("--summary", "--alias-table", "summary path {} is the alias table"),
     ])
-    def test_target_on_input_exit_config_and_log_kept(self, tmp_path, capsys, flag, message):
+    def test_target_on_a_file_read_exit_config_and_file_kept(self, tmp_path, capsys, flag, read, message):
         src = write_log(tmp_path, {1: 4}, K=4)
-        before = src.read_bytes()
-        link = tmp_path / "link.jsonl"
-        link.symlink_to(src)  # the same file under another name
-        paths = {"--output": str(tmp_path / "o.jsonl"), "--summary": str(tmp_path / "s.csv"), flag: str(link)}
-        code = main(["rebalance", "--input", str(src), "--strategy", "rp", "--k", "4",
-                     *(arg for pair in paths.items() for arg in pair)])
+        table = tmp_path / "aliases.tsv"
+        table.write_text("half\t1/2\n", encoding="utf-8")
+        kept = {"--input": src, "--alias-table": table}[read]
+        before = kept.read_bytes()
+        link = tmp_path / "link"
+        link.symlink_to(kept)  # the same file under another name
+        target = f"{tmp_path}/sub/../link"  # ... and another spelling
+        paths = {"--input": str(src), "--alias-table": str(table), "--output": str(tmp_path / "o.jsonl"),
+                 "--summary": str(tmp_path / "s.csv"), flag: target}
+        code = main(["rebalance", "--strategy", "rp", "--k", "4", *(arg for pair in paths.items() for arg in pair)])
         assert code == 2
-        assert capsys.readouterr().err == f"config error: {message.format(link)}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "log.jsonl"]
-        assert src.read_bytes() == before
+        assert capsys.readouterr().err == f"config error: {message.format(target)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aliases.tsv", "link", "log.jsonl"]
+        assert kept.read_bytes() == before
 
     def test_output_equal_to_input_exit_config(self, tmp_path, capsys):
         src = write_log(tmp_path, {1: 4}, K=4)

@@ -133,9 +133,9 @@ class TestSelfImprovement:
         graded = []
         real = rewards._graded
 
-        def counting(sampled, rules):
+        def counting(sampled, aliases):
             graded.append(sampled.role)
-            return real(sampled, rules)
+            return real(sampled, aliases)
 
         monkeypatch.setattr(rewards, "_graded", counting)
         run(small_config(strategy=StrategyConfig(kind="sc"), seed=0))

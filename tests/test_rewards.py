@@ -9,10 +9,7 @@ from hypothesis import given, settings, strategies as st
 from headtail import rewards
 from headtail.core import ROLE_DISCARD, ROLE_FILTER, ROLE_SAMPLE, TrajectoryDataset
 from headtail.rewards import (
-    AnswerNormalizationRules,
-    DEFAULT_RULES,
     DEFAULT_SYMBOL_ALIASES,
-    EXACT_MATCH_RULES,
     cot_length_filter,
     discard_dataset,
     filter_dataset,
@@ -24,10 +21,7 @@ from headtail.rewards import (
 from conftest import make_query, make_sample, make_traj
 from oracles import normalize_unguarded
 
-NO_ALIAS_RULES = AnswerNormalizationRules(symbol_aliases=())
-CUSTOM_ALIAS_RULES = AnswerNormalizationRules(
-    lowercase=False, symbol_aliases=(("half", "1/2"), (r"\s+", " "), ("^a", "A"))
-)
+CUSTOM_ALIASES = (("half", "1/2"), (r"\s+", " "), ("^a", "A"))
 
 
 class TestNormalizeAnswer:
@@ -48,9 +42,6 @@ class TestNormalizeAnswer:
 
     def test_lowercase(self):
         assert normalize_answer("East") == "east"
-
-    def test_exact_match_rules_are_identity(self):
-        assert normalize_answer("  $X$ ", EXACT_MATCH_RULES) == "  $X$ "
 
     @given(st.text(max_size=80))
     @settings(max_examples=1000)
@@ -86,30 +77,24 @@ def _alias_pattern(draw):
     return ("(?i)" if draw(st.booleans()) else "") + body
 
 
-_RANDOM_RULES = st.builds(
-    AnswerNormalizationRules,
-    lowercase=st.booleans(),
-    trim_whitespace=st.booleans(),
-    strip_math_wrappers=st.booleans(),
-    symbol_aliases=st.lists(
-        st.tuples(_alias_pattern(), st.sampled_from(["", "a", "B", "π", "/", " ", "$", "\\\\", r"x\g<0>"])),
-        max_size=4,
-    ).map(tuple),
-)
+_RANDOM_ALIASES = st.lists(
+    st.tuples(_alias_pattern(), st.sampled_from(["", "a", "B", "π", "/", " ", "$", "\\\\", r"x\g<0>"])),
+    max_size=4,
+).map(tuple)
 
 
 class TestGuardedNormalization:
     """The guards skip only steps that cannot change the string."""
 
-    @given(_ANSWERS, st.sampled_from([DEFAULT_RULES, NO_ALIAS_RULES, EXACT_MATCH_RULES, CUSTOM_ALIAS_RULES]))
+    @given(_ANSWERS, st.sampled_from([DEFAULT_SYMBOL_ALIASES, (), CUSTOM_ALIASES]))
     @settings(max_examples=1000)
-    def test_equals_unguarded_on_fixed_rules(self, s, rules):
-        assert normalize_answer(s, rules) == normalize_unguarded(s, rules)
+    def test_equals_unguarded_on_fixed_alias_tables(self, s, aliases):
+        assert normalize_answer(s, aliases) == normalize_unguarded(s, aliases)
 
-    @given(st.lists(_ANSWERS, min_size=1, max_size=8), _RANDOM_RULES)
+    @given(st.lists(_ANSWERS, min_size=1, max_size=8), _RANDOM_ALIASES)
     @settings(max_examples=500)
-    def test_equals_unguarded_on_random_alias_tables(self, answers, rules):
-        assert [normalize_answer(s, rules) for s in answers] == [normalize_unguarded(s, rules) for s in answers]
+    def test_equals_unguarded_on_random_alias_tables(self, answers, aliases):
+        assert [normalize_answer(s, aliases) for s in answers] == [normalize_unguarded(s, aliases) for s in answers]
 
     def test_default_literals(self):
         assert [lit for _, _, lit in rewards._compiled(DEFAULT_SYMBOL_ALIASES)] == ["\\pi", "\\times", "/"]
@@ -142,27 +127,26 @@ class TestGuardedNormalization:
 class TestBatchNormalization:
     """``_normalize_all`` equals ``normalize_answer`` string by string."""
 
-    @given(st.lists(_ANSWERS, max_size=8), _RANDOM_RULES)
+    @given(st.lists(_ANSWERS, max_size=8), _RANDOM_ALIASES)
     @settings(max_examples=200)
-    def test_equals_normalize_answer(self, answers, rules):
-        assert rewards._normalize_all(answers, rules) == [normalize_answer(s, rules) for s in answers]
+    def test_equals_normalize_answer(self, answers, aliases):
+        assert rewards._normalize_all(answers, aliases) == [normalize_answer(s, aliases) for s in answers]
 
-    @pytest.mark.parametrize("answers, rules, expected", [
-        (["$ x$"], DEFAULT_RULES, ["x"]),                      # a removed wrapper exposes a space
-        (["ΑΣ", "Α"], DEFAULT_RULES, ["ας", "α"]),             # final sigma before the separator
-        (["Α", "Σ"], DEFAULT_RULES, ["α", "σ"]),               # ... and after it
-        (["İ", "x / y"], DEFAULT_RULES, ["i\u0307", "x/y"]),   # lowercases to two characters
-        (["a\nb", " $B$ ", "c\x85d"], DEFAULT_RULES, ["a\nb", "b", "c\x85d"]),  # one string holds "\n"
-        (["  $X$ ", r"\pi / 2", ""], EXACT_MATCH_RULES, ["  $X$ ", r"\pi / 2", ""]),
-        ([], DEFAULT_RULES, []),
+    @pytest.mark.parametrize("answers, aliases, expected", [
+        (["$ x$"], DEFAULT_SYMBOL_ALIASES, ["x"]),                     # a removed wrapper exposes a space
+        (["ΑΣ", "Α"], DEFAULT_SYMBOL_ALIASES, ["ας", "α"]),            # final sigma before the separator
+        (["Α", "Σ"], DEFAULT_SYMBOL_ALIASES, ["α", "σ"]),              # ... and after it
+        (["İ", "x / y"], DEFAULT_SYMBOL_ALIASES, ["i\u0307", "x/y"]),  # lowercases to two characters
+        (["a\nb", " $B$ ", "c\x85d"], DEFAULT_SYMBOL_ALIASES, ["a\nb", "b", "c\x85d"]),  # one string holds "\n"
+        ([], DEFAULT_SYMBOL_ALIASES, []),
         # an alias writes the next one's literal; rewrites a string twice; exposes whitespace
-        (["q", "a/b"], AnswerNormalizationRules(symbol_aliases=(("q", "a / b"), (r"\s*/\s*", "/"))), ["a/b"] * 2),
-        (["a", "b"], AnswerNormalizationRules(symbol_aliases=(("a", "aa"), ("a", "ab"))), ["abab", "b"]),
-        (["x"], AnswerNormalizationRules(symbol_aliases=(("x", " y "),)), ["y"]),
+        (["q", "a/b"], (("q", "a / b"), (r"\s*/\s*", "/")), ["a/b"] * 2),
+        (["a", "b"], (("a", "aa"), ("a", "ab")), ["abab", "b"]),
+        (["x"], (("x", " y "),), ["y"]),
     ])
-    def test_examples(self, answers, rules, expected):
-        assert [normalize_answer(s, rules) for s in answers] == expected
-        assert rewards._normalize_all(answers, rules) == expected
+    def test_examples(self, answers, aliases, expected):
+        assert [normalize_answer(s, aliases) for s in answers] == expected
+        assert rewards._normalize_all(answers, aliases) == expected
 
 
 class TestReward:
@@ -174,8 +158,8 @@ class TestReward:
 
     def test_alias_dependent_match(self):
         q = make_query(1, gt="π/2")
-        assert reward(q, r"\pi/2", DEFAULT_RULES) == 1
-        assert reward(q, r"\pi/2", NO_ALIAS_RULES) == 0
+        assert reward(q, r"\pi/2", DEFAULT_SYMBOL_ALIASES) == 1
+        assert reward(q, r"\pi/2", ()) == 0
 
     @given(st.text(max_size=40), st.text(max_size=40))
     def test_symmetric_under_prenormalization(self, gt, extracted):
@@ -277,13 +261,13 @@ def _graded_sample(rows):
 class TestGradingContract:
     @given(
         st.lists(_graded_row(), max_size=30),
-        st.sampled_from([DEFAULT_RULES, EXACT_MATCH_RULES, CUSTOM_ALIAS_RULES]),
+        st.sampled_from([DEFAULT_SYMBOL_ALIASES, (), CUSTOM_ALIASES]),
     )
     @settings(max_examples=300)
-    def test_partition_matches_per_entry_oracle(self, rows, rules):
+    def test_partition_matches_per_entry_oracle(self, rows, aliases):
         sample = _graded_sample(rows)
         oracle = [
-            int(normalize_answer(t.extracted_answer, rules) == normalize_answer(r.gt_answer, rules))
+            int(normalize_answer(t.extracted_answer, aliases) == normalize_answer(r.gt_answer, aliases))
             for r, t in sample.entries
         ]
         expect_kept = [
@@ -292,9 +276,9 @@ class TestGradingContract:
         expect_dropped = [
             (r, dataclasses.replace(t, correct=False)) for (r, t), ok in zip(sample.entries, oracle) if not ok
         ]
-        assert filter_dataset(sample, rules).entries == tuple(expect_kept)
-        assert discard_dataset(sample, rules).entries == tuple(expect_dropped)
-        assert [reward(r, t.extracted_answer, rules) for r, t in sample.entries] == oracle
+        assert filter_dataset(sample, aliases).entries == tuple(expect_kept)
+        assert discard_dataset(sample, aliases).entries == tuple(expect_dropped)
+        assert [reward(r, t.extracted_answer, aliases) for r, t in sample.entries] == oracle
 
     def test_each_row_and_distinct_ground_truth_normalized_once(self, monkeypatch):
         rows = [(f"g{j % 3}", answer, False) for j, answer in enumerate(["x", "y", "x", "G0", "y", "z"] * 4)]
@@ -304,13 +288,13 @@ class TestGradingContract:
         singles: list[str] = []
         real_all, real_one = rewards._normalize_all, rewards.normalize_answer
 
-        def batch(strings, rules):
+        def batch(strings, aliases):
             batches.append(list(strings))
-            return real_all(strings, rules)
+            return real_all(strings, aliases)
 
-        def single(raw, rules=DEFAULT_RULES):
+        def single(raw, aliases=DEFAULT_SYMBOL_ALIASES):
             singles.append(raw)
-            return real_one(raw, rules)
+            return real_one(raw, aliases)
 
         monkeypatch.setattr(rewards, "_normalize_all", batch)
         monkeypatch.setattr(rewards, "normalize_answer", single)
@@ -382,8 +366,7 @@ def test_load_alias_table(tmp_path):
     path.write_text("# comment\n\\\\pi\tπ\n\\s*/\\s*\t/\n", encoding="utf-8")
     table = load_alias_table(path)
     assert table == (("\\\\pi", "π"), ("\\s*/\\s*", "/"))
-    rules = AnswerNormalizationRules(symbol_aliases=table)
-    assert normalize_answer(r"\pi / 2", rules) == "π/2"
+    assert normalize_answer(r"\pi / 2", table) == "π/2"
 
 
 def test_load_alias_table_rejects_missing_tab(tmp_path):
