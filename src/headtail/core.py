@@ -23,7 +23,11 @@ arithmetic on those columns, restoring canonical order with one stable
 ``np.lexsort`` over the ``entry_sort_key`` fields.  Python objects exist
 only at the edges: ``from_entries`` packs pairs made elsewhere into
 columns, and ``entries`` builds pairs from the columns on first access;
-the loop and the disk readers never do either.
+the loop and the disk readers never do either.  A dataset built from
+outside columns checks every invariant; one derived from checked
+datasets (``select``, ``retagged``, ``merge_datasets``) checks only the
+role's: its rows were checked when their dataset was built and cannot
+have changed, but their role can, and ``select`` can set their correct flag.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -164,6 +169,14 @@ def first_rows(ids: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, tuple[
     return distinct, tuple(v[first] for v in values), int(conflicts[0]) if len(conflicts) else None
 
 
+def array_mean(values: np.ndarray) -> float:
+    """``float(np.mean(values))`` of a non-empty 1-D array, bit for bit: the
+    same ``np.add.reduce`` (over float64 for an integer or bool array) and
+    the same division, without ``np.mean``'s per-call overhead."""
+    dtype = np.float64 if values.dtype.kind in "biu" else None
+    return float(np.add.reduce(values, axis=None, dtype=dtype) / len(values))
+
+
 def object_array(values: Iterable[Any]) -> np.ndarray:
     """1-D object array of ``values`` (np.array would make strings fixed-width)."""
     values = list(values)
@@ -192,9 +205,16 @@ def _check_columns(role: str, c: dict[str, np.ndarray]) -> None:
         raise ValueError("prefix_steps must be >= 0")
     if np.any((c["corrected_from"] < 1) & (c["corrected_from"] != -1)):
         raise ValueError("corrected_from must be >= 1 when set")
-    if role in _ALL_CORRECT_ROLES and not np.all(c["correct"]):
+    _check_role(role, c["correct"])
+
+
+def _check_role(role: str, correct: np.ndarray) -> None:
+    """The role invariants: which correct flags a dataset of ``role`` may hold."""
+    if role not in ROLES:
+        raise ValueError(f"unknown dataset role {role!r}")
+    if role in _ALL_CORRECT_ROLES and not np.all(correct):
         raise ValueError(f"{role} datasets may only contain correct trajectories")
-    if role == ROLE_DISCARD and np.any(c["correct"]):
+    if role == ROLE_DISCARD and np.any(correct):
         raise ValueError("discard datasets may only contain incorrect trajectories")
 
 
@@ -298,9 +318,17 @@ class TrajectoryDataset:
     in ``_UNSET`` may be left out; a name not in ``COLUMNS`` is a
     ValueError.  It checks every invariant and, with ``sort``, puts the
     rows in canonical order.
+
+    A dataset derived from others (``select``, ``retagged``,
+    ``merge_datasets``) re-checks only the role invariant: every other
+    check looks at one row at a time, and the rows it takes were checked
+    when their dataset was built and cannot have changed since (columns
+    and their mapping are read-only).  Each query's run of rows and its
+    corpus row are found once per dataset, on first use, and shared with
+    its ``retagged`` copies.
     """
 
-    __slots__ = ("role", "columns", "answers", "corpus", "_entries")
+    __slots__ = ("role", "columns", "answers", "corpus", "_entries", "_runs")
 
     def __init__(
         self,
@@ -311,8 +339,6 @@ class TrajectoryDataset:
         *,
         sort: bool = True,
     ):
-        if role not in ROLES:
-            raise ValueError(f"unknown dataset role {role!r}")
         unknown = set(columns) - set(COLUMNS)
         if unknown:
             raise ValueError(f"unknown dataset columns {sorted(unknown)}")
@@ -330,6 +356,24 @@ class TrajectoryDataset:
         if any(len(col) != n for col in cols.values()):
             raise ValueError("dataset columns differ in length")
         _check_columns(role, cols)
+        self._fill(role, cols, answers, corpus, sort, [])
+
+    @classmethod
+    def _derived(
+        cls, role: str, columns: Mapping[str, np.ndarray], answers: np.ndarray, corpus: Corpus,
+        *, sort: bool = False, runs: list | None = None,
+    ) -> "TrajectoryDataset":
+        """A dataset of rows taken from checked datasets: ``columns`` holds
+        every ``COLUMNS`` array at full length, and only the role is checked."""
+        _check_role(role, columns["correct"])
+        dataset = cls.__new__(cls)
+        dataset._fill(role, columns, answers, corpus, sort, [] if runs is None else runs)
+        return dataset
+
+    def _fill(
+        self, role: str, cols: Mapping[str, np.ndarray], answers: np.ndarray, corpus: Corpus,
+        sort: bool, runs: list,
+    ) -> None:
         if sort and len(answers) > 1:
             order = np.lexsort([cols[name] for name in _SORT_COLUMNS])
             cols = {name: col[order] for name, col in cols.items()}
@@ -337,10 +381,12 @@ class TrajectoryDataset:
         for col in (*cols.values(), answers):
             col.flags.writeable = False
         self.role = role
-        self.columns = cols
+        self.columns = cols if isinstance(cols, MappingProxyType) else MappingProxyType(cols)
         self.answers = answers
         self.corpus = corpus
         self._entries: tuple[Entry, ...] | None = None
+        # one cell, filled by _query_facts; retagged copies share it
+        self._runs = runs
 
     @classmethod
     def from_entries(cls, entries: Iterable[Entry], role: str) -> "TrajectoryDataset":
@@ -420,18 +466,27 @@ class TrajectoryDataset:
         rows = np.asarray(rows, dtype=np.intp)
         columns = {name: col[rows] for name, col in self.columns.items()}
         if correct is not None:
-            columns["correct"] = correct
-        return TrajectoryDataset(role, columns, self.answers[rows], self.corpus, sort=sort)
+            columns["correct"] = np.full(len(rows), correct, dtype=bool)
+        return TrajectoryDataset._derived(role, columns, self.answers[rows], self.corpus, sort=sort)
 
     def retagged(self, role: str) -> "TrajectoryDataset":
         """Same entries under a different role tag."""
-        return TrajectoryDataset(role, self.columns, self.answers, self.corpus, sort=False)
+        return TrajectoryDataset._derived(role, self.columns, self.answers, self.corpus, runs=self._runs)
+
+    def _query_facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(query id, first row, row count, corpus row) of each query's
+        contiguous run of rows, computed on first use into the cell that
+        ``retagged`` copies share."""
+        if not self._runs:
+            qids = self.columns["query_id"]
+            starts = np.flatnonzero(np.concatenate(([True], qids[1:] != qids[:-1])))[: len(qids)]
+            ids = qids[starts]
+            self._runs.append((ids, starts, np.diff(np.append(starts, len(qids))), self.corpus.rows(ids)))
+        return self._runs[0]
 
     def query_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(query id, first row, row count) of each query's contiguous run of rows."""
-        qids = self.columns["query_id"]
-        starts = np.flatnonzero(np.concatenate(([True], qids[1:] != qids[:-1])))[: len(qids)]
-        return qids[starts], starts, np.diff(np.append(starts, len(qids)))
+        return self._query_facts()[:3]
 
     def count_of(self, query_ids: Any) -> np.ndarray:
         """Per query id: how many rows it has in this dataset (0 for none)."""
@@ -444,8 +499,8 @@ class TrajectoryDataset:
 
     def _per_row(self, column: np.ndarray) -> np.ndarray:
         """Per row: its query's value in ``column``, a column of the corpus."""
-        ids, _, counts = self.query_runs()
-        return np.repeat(column[self.corpus.rows(ids)], counts)
+        _, _, counts, rows = self._query_facts()
+        return np.repeat(column[rows], counts)
 
     def levels(self) -> np.ndarray:
         """Per row: the level of its query (0 for unset)."""
@@ -473,4 +528,4 @@ def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryData
     """
     columns = {name: np.concatenate((a.columns[name], b.columns[name])) for name in COLUMNS}
     answers = np.concatenate((a.answers, b.answers))
-    return TrajectoryDataset(ROLE_TRAIN, columns, answers, a.corpus.union(b.corpus))
+    return TrajectoryDataset._derived(ROLE_TRAIN, columns, answers, a.corpus.union(b.corpus), sort=True)

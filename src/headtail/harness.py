@@ -39,9 +39,10 @@ line has decoded.  A file is taken whole or not at all.
 Snapshots are written by one writer (``_snapshot_chunks``) that formats
 columns, not rows, ``_SNAPSHOT_CHUNK`` (1024) rows per string: each field's
 texts are one lookup in a table (the decimal texts of 0..1023 for the int
-fields, ``str`` only for a value past them), and a chunk's lines are one
-join of a grid of the line's literal pieces and those texts.  A write holds
-one chunk at a time, never the whole file.
+fields, ``str`` only for a value past them; a query id once per query,
+its text repeated over the query's rows), and a chunk's lines are one join
+of a grid of the line's literal pieces and those texts.  A write holds one
+chunk of text at a time, never the whole file.
 """
 
 from __future__ import annotations
@@ -286,12 +287,29 @@ def _apply_strategy(
     return self_correct_augment(filtered, discarded, sampler, K, cfg.min_cot_tokens)
 
 
+# the last run's start, at most one entry replaced in place: its sizes and
+# seed, its learner and corpus params, its learner
+_last_start: list[tuple[tuple, LearnerParams, CorpusParams, LearnerState]] = []
+
+
 def _prepared_corpus_and_learner(config: RunConfig) -> LearnerState:
-    """The run's initial learner, over its corpus with calibrated levels."""
-    corpus = synth_corpus(config.n_queries, config.seed, config.corpus)
-    probe = init_learner(corpus, config.learner, config.seed)
-    levels = calibrate_difficulty(probe.pass_rates(config.calibration_shots))
-    return init_learner(replace(corpus, level=levels), config.learner, config.seed)
+    """The run's initial learner, over its corpus with calibrated levels.
+
+    The runs of a sweep at one seed share their start, so the last one
+    made is kept and a copy of it returned while the config's sizes and
+    seed are equal and its ``learner`` and ``corpus`` params are the very
+    same objects (a sweep's points share them through
+    ``dataclasses.replace``).  Never equal ones: ``1 == 1.0`` and
+    ``0.0 == -0.0``, but ``learner_final.json`` prints them apart.
+    """
+    key = (config.n_queries, config.seed, config.calibration_shots)  # ints, never bools, once validated
+    if not any(k == key and lp is config.learner and cp is config.corpus for k, lp, cp, _ in _last_start):
+        corpus = synth_corpus(config.n_queries, config.seed, config.corpus)
+        probe = init_learner(corpus, config.learner, config.seed)
+        levels = calibrate_difficulty(probe.pass_rates(config.calibration_shots))
+        learner = init_learner(replace(corpus, level=levels), config.learner, config.seed)
+        _last_start[:] = [(key, config.learner, config.corpus, learner)]
+    return _last_start[0][3].clone()  # the run draws, which advances its draw counters in place
 
 
 def _train_next(
@@ -594,13 +612,18 @@ def _snapshot_chunks(dataset: TrajectoryDataset) -> Iterator[str]:
     Formatted column by column: each field's texts come from one lookup in
     its table, and a chunk's lines are one join of a grid whose columns are
     the line's literal pieces interleaved with its fields' texts."""
+    ids, starts, _ = dataset.query_runs()
+    id_texts = _field_texts(ids, _DECIMAL)  # a query's rows are one run: its id is formatted once
     c = dict(dataset.columns, level=dataset.levels())
     for lo in range(0, len(dataset), _SNAPSHOT_CHUNK):
         hi = min(lo + _SNAPSHOT_CHUNK, len(dataset))
         grid = np.empty((hi - lo, len(_SNAPSHOT_PIECES) + len(_SNAPSHOT_TEXTS)), dtype=object)
         grid[:, 0::2] = _SNAPSHOT_PIECES
         for i, (name, table) in enumerate(_SNAPSHOT_TEXTS):
-            grid[:, 2 * i + 1] = _field_texts(c[name][lo:hi], table)
+            if name == "query_id":  # each row's run
+                grid[:, 2 * i + 1] = id_texts[np.searchsorted(starts, np.arange(lo, hi), side="right") - 1]
+            else:
+                grid[:, 2 * i + 1] = _field_texts(c[name][lo:hi], table)
         yield "".join(grid.ravel().tolist())
 
 

@@ -48,6 +48,7 @@ from .core import (
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
+    array_mean,
     object_array,
     run_positions,
 )
@@ -402,11 +403,11 @@ class LearnerState:
         """Fraction of queries whose single held-out draw at this tick succeeds."""
         qids = self.corpus.ids.astype(np.uint64)
         counters = np.full(len(qids), tick, dtype=np.uint64)
-        return float(np.mean(rng.uniform(self.root_seed, rng.EVAL, qids, counters) < self.p))
+        return array_mean(rng.uniform(self.root_seed, rng.EVAL, qids, counters) < self.p)
 
     def eval_greedy_pass1(self) -> float:
         """Temperature-0 analog: a query counts solved iff p_i >= 0.5."""
-        return float(np.mean(self.p >= 0.5))
+        return array_mean(self.p >= 0.5)
 
     # -- learning ----------------------------------------------------------
 
@@ -449,8 +450,9 @@ class LearnerState:
 
 def _level_means(values: np.ndarray, levels: np.ndarray, keys: Iterable[int]) -> dict[int, float]:
     """Per level in ``keys``: the mean of ``values`` at that level, or of all of them where it has none."""
-    overall = float(np.mean(values))
-    return {lv: float(np.mean(values[levels == lv])) if np.any(levels == lv) else overall for lv in keys}
+    overall = array_mean(values)
+    by_level = {lv: values[levels == lv] for lv in keys}
+    return {lv: array_mean(x) if len(x) else overall for lv, x in by_level.items()}
 
 
 def init_learner(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LEVELS, TrajectoryDataset
+from .core import LEVELS, TrajectoryDataset, array_mean
 
 REFERENCE_TARGETS = {
     "head_share_unbalanced": 0.511,
@@ -111,7 +111,8 @@ def build_row(
         shares = None
     else:
         shares = tuple((level_counts[list(LEVELS)] / total).tolist())
-    frac = filtered.count_of(dataset.columns["query_id"]) / K
+    ids, _, runs = dataset.query_runs()
+    frac = np.repeat(filtered.count_of(ids), runs) / K  # counted once per query, spread over its rows
     # bucket b holds (edge_(b-1), edge_b]; 0 and fractions above 1 hold none
     bucket = np.searchsorted(np.array(_BUCKET_EDGES) + 1e-12, frac[frac > 0.0])
     counts = np.bincount(bucket, minlength=len(_BUCKET_EDGES) + 1)[: len(_BUCKET_EDGES)]
@@ -124,9 +125,9 @@ def build_row(
         total=total,
         level_share=shares,
         bucket_share=tuple(buckets),
-        mean_length=float(lengths.astype(float).mean()) if total > 0 else None,
+        mean_length=array_mean(lengths.astype(float)) if total > 0 else None,
         level_mean_length=tuple(
-            float(np.mean(lengths[level == lv])) if level_counts[lv] else None for lv in LEVELS
+            array_mean(lengths[level == lv]) if level_counts[lv] else None for lv in LEVELS
         ),
     )
 

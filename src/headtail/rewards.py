@@ -131,8 +131,10 @@ def reward(
 def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Read a two-column alias table (pattern<TAB>canonical, UTF-8).
 
-    A line without a TAB, or whose pattern or replacement does not compile,
-    is a ValueError naming the line.
+    A line without a TAB, whose pattern or replacement does not compile, or
+    whose pattern's required literal holds an upper-case letter (answers are
+    lower-cased before the aliases run, so it could never match) is a
+    ValueError naming the line.
     """
     pairs: list[tuple[str, str]] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -142,9 +144,16 @@ def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
             raise ValueError(f"alias table line {lineno}: expected pattern<TAB>canonical")
         pattern, canonical = line.split("\t", 1)
         try:
-            re.compile(pattern).sub(canonical, "")
+            compiled = re.compile(pattern)
+            compiled.sub(canonical, "")
         except re.error as exc:
             raise ValueError(f"alias table line {lineno}: {exc}") from None
+        literal = _required_literal(compiled)
+        if literal != literal.lower():
+            raise ValueError(
+                f"alias table line {lineno}: pattern {pattern!r} can never match, since answers are "
+                f"lower-cased before aliases run and it requires {literal!r}"
+            )
         pairs.append((pattern, canonical))
     return tuple(pairs)
 

@@ -419,6 +419,7 @@ class TestRebalanceVerb:
         ("\\\\pi\tπ\nno-tab-here\n","line 2: expected pattern<TAB>canonical"),
         ("x(\tY\n", "line 1: missing ), unterminated subpattern"),
         ("x\t\\1\n", "line 1: invalid group reference 1"),
+        ("half\t1/2\nHalf\t1/2\n", "line 2: pattern 'Half' can never match"),
         (None, "cannot read alias table"),
     ])
     def test_bad_alias_table_exit_config(self, tmp_path, capsys, table, message):

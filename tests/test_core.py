@@ -15,6 +15,7 @@ from headtail.core import (
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
+    array_mean,
     entry_sort_key,
     merge_datasets,
 )
@@ -305,3 +306,117 @@ def test_sort_key_total_on_duplicates():
     ds = TrajectoryDataset.from_entries([(q, t), (q, t)], ROLE_FILTER)
     assert len(ds) == 2
     assert entry_sort_key(ds.entries[0]) == entry_sort_key(ds.entries[1])
+
+
+class TestDerivedDatasets:
+    """select, retagged and merge_datasets re-check only the role invariant,
+    and a dataset's query runs are found once and shared with retagged copies."""
+
+    def test_every_derived_dataset_of_each_kind_passes_the_full_check(self, monkeypatch):
+        from headtail import core, harness
+        from headtail.strategies import KINDS, StrategyConfig
+
+        made = []
+        derived = TrajectoryDataset._derived
+
+        def recorded(*args, **kwargs):
+            made.append(derived(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(TrajectoryDataset, "_derived", recorded)
+        for kind in KINDS:
+            config = harness.RunConfig(n_queries=12, k_samples=4, iterations=2, calibration_shots=8,
+                                       strategy=StrategyConfig(kind=kind, L=2, S=2))
+            harness.run(config)
+        assert len(made) > 0
+        for ds in made:
+            columns = dict(ds.columns)
+            assert set(columns) == set(COLUMNS)
+            assert all(len(col) == len(ds) and not col.flags.writeable for col in columns.values())
+            core._check_columns(ds.role, columns)
+            ds.corpus.rows(ds.columns["query_id"])  # every query is in the corpus
+
+    def test_role_violations_still_raise(self, hand_sample):
+        sample, _ = hand_sample
+        wrong = np.flatnonzero(~sample.columns["correct"])
+        right = np.flatnonzero(sample.columns["correct"])
+        filtered = sample.select(right, ROLE_FILTER)
+        discard = sample.select(wrong, "discard")
+        for make in (
+            lambda: sample.select(wrong, ROLE_FILTER),
+            lambda: sample.select(right, "discard"),
+            lambda: sample.select(right, ROLE_TRAIN, correct=False),  # checked after the overwrite
+            lambda: sample.select(wrong, "discard", correct=True),
+            lambda: sample.retagged(ROLE_TRAIN),
+            lambda: filtered.retagged("discard"),
+            lambda: merge_datasets(filtered, discard),
+            lambda: merge_datasets(discard, discard),
+        ):
+            with pytest.raises(ValueError, match="may only contain"):
+                make()
+        with pytest.raises(ValueError, match="unknown dataset role"):
+            filtered.retagged("bogus")
+        assert len(sample.select(wrong, ROLE_FILTER, correct=True)) == len(wrong)
+        assert sample.select(right, "discard", correct=False).columns["correct"].sum() == 0
+
+    def test_columns_cannot_be_swapped(self, hand_filter):
+        filtered, _ = hand_filter
+        with pytest.raises(TypeError):
+            filtered.columns["correct"] = np.zeros(len(filtered), dtype=bool)
+
+
+def _fresh(ds):
+    """The same rows built by the checking constructor, with nothing cached."""
+    return TrajectoryDataset(ds.role, dict(ds.columns), ds.answers, ds.corpus, sort=False)
+
+
+def _facts(ds):
+    return [x.tolist() for x in (*ds.query_runs(), ds.levels(), ds.gt_answers())]
+
+
+def _facts_by_hand(ds):
+    """The same facts from the rows' query ids and the corpus records, one row at a time."""
+    qids, records = ds.columns["query_id"].tolist(), ds.corpus.records
+    starts = [i for i, q in enumerate(qids) if i == 0 or q != qids[i - 1]]
+    counts = [b - a for a, b in zip(starts, starts[1:] + [len(qids)])]
+    levels = [records[q].level or 0 for q in qids]
+    return [[qids[i] for i in starts], starts, counts, levels, [records[q].gt_answer for q in qids]]
+
+
+@given(pair_lists(), st.data(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_cached_query_facts_equal_a_fresh_computation(pairs, data, parent_first):
+    ds = TrajectoryDataset.from_entries(pairs, ROLE_FILTER)
+    if parent_first:  # fill the parent's cache before its copies are made
+        ds.levels()
+    retagged = ds.retagged(ROLE_TRAIN)
+    rows = sorted(data.draw(st.lists(st.integers(0, max(len(ds) - 1, 0)), max_size=len(ds) * 2)))
+    picked = ds.select(rows if len(ds) else [], ROLE_FILTER, sort=True)
+    for part in (retagged, ds, picked, picked.retagged(ROLE_TRAIN)):
+        assert _facts(part) == _facts(_fresh(part)) == _facts_by_hand(part)
+    assert retagged.query_runs()[0] is ds.query_runs()[0]  # one computation, shared
+
+
+@given(st.one_of(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.floats(width=64), min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.booleans(), min_size=1, max_size=40).map(lambda v: np.array(v, dtype=bool)),
+))
+@settings(max_examples=300, deadline=None)
+def test_array_mean_is_np_mean_bit_for_bit(values):
+    with np.errstate(over="ignore", invalid="ignore"):  # floats near the limit sum to inf or nan in both
+        assert repr(array_mean(values)) == repr(float(np.mean(values)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda g, n: g.integers(-(2**62), 2**62, n),
+    lambda g, n: g.integers(1, 3000, n),
+    lambda g, n: g.lognormal(5.0, 4.0, n),
+    lambda g, n: g.random(n) < 0.3,
+])
+def test_array_mean_is_np_mean_on_long_arrays(make):
+    # past numpy's 8192-element reduction buffer, where the summation order could show
+    g = np.random.default_rng(0)
+    for n in (8191, 8193, 40_000):
+        values = make(g, n)
+        assert repr(array_mean(values)) == repr(float(np.mean(values)))

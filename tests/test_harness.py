@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from headtail import harness
 from headtail.harness import (
     OUTPUT_DIR_ENV,
     ConfigError,
@@ -190,6 +191,52 @@ class TestSelfImprovement:
         with pytest.raises(RunAborted) as exc_info:
             run(dataclasses.replace(cfg, seed=0))
         assert exc_info.value.report.incomplete
+
+
+class TestCalibratedStartMemo:
+    """Runs that share their learner and corpus params (the very objects) and
+    their sizes and seed reuse one calibrated start; any other run makes its own."""
+
+    def written(self, config, tmp_path, name, cleared):
+        if cleared:
+            harness._last_start.clear()
+        paths = emit_report(run(config), tmp_path / name)
+        return {p.relative_to(tmp_path / name).as_posix(): p.read_bytes() for p in paths}
+
+    def test_each_run_writes_what_a_run_with_a_cleared_memo_writes(self, tmp_path):
+        a = small_config(strategy=StrategyConfig(kind="ar"), learner=LearnerParams(learn_rate=1.0))
+        sequence = [
+            a,
+            dataclasses.replace(a, strategy=StrategyConfig(kind="tc", L=2)),  # shares a's start
+            dataclasses.replace(a, seed=1),
+            dataclasses.replace(a, learner=LearnerParams(learn_rate=1)),  # 1 == 1.0, printed apart
+            a,
+        ]
+        expected = [self.written(c, tmp_path, f"fresh{i}", cleared=True) for i, c in enumerate(sequence)]
+        harness._last_start.clear()
+        got = [self.written(c, tmp_path, f"memo{i}", cleared=False) for i, c in enumerate(sequence)]
+        assert got == expected
+        assert b'"learn_rate": 1,' in got[3]["learner_final.json"]
+        assert b'"learn_rate": 1.0,' in got[4]["learner_final.json"]
+
+    def test_hit_only_on_the_same_param_objects_and_a_copy_each_time(self):
+        config = small_config()
+        first = harness._prepared_corpus_and_learner(config)
+        first.draw_counter += 5
+        first.p[:] = 0.5
+        again = harness._prepared_corpus_and_learner(dataclasses.replace(config, k_samples=2))
+        assert again.corpus is first.corpus  # a hit
+        assert again.draw_counter.tolist() == [0] * config.n_queries
+        assert not (again.p == 0.5).all()
+        for other in (
+            dataclasses.replace(config, learner=dataclasses.replace(config.learner)),
+            dataclasses.replace(config, corpus=dataclasses.replace(config.corpus)),
+            dataclasses.replace(config, seed=1),
+            dataclasses.replace(config, calibration_shots=8),
+        ):
+            assert harness._prepared_corpus_and_learner(other).corpus is not first.corpus
+            assert harness._prepared_corpus_and_learner(config).corpus is not first.corpus
+            first = harness._prepared_corpus_and_learner(config)
 
 
 class TestBatchBaseline:

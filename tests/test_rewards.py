@@ -385,3 +385,14 @@ def test_load_alias_table_rejects_bad_regex(tmp_path, table, message):
     path.write_text(table, encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(message)):
         load_alias_table(path)
+
+
+@pytest.mark.parametrize("pattern, literal", [("Half", "Half"), (r"\s*Pi\b", "Pi"), ("x+ABC", "ABC")])
+def test_load_alias_table_rejects_pattern_that_cannot_match(tmp_path, pattern, literal):
+    # answers are lower-cased before aliases run, so an upper-case required literal never matches
+    assert normalize_answer("Half", (("Half", "1/2"),)) == "half"
+    path = tmp_path / "upper.tsv"
+    path.write_text(f"half\t1/2\n(?i)Third\t1/3\nq[A-Z]\tq\n{pattern}\tX\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"line 4: pattern {pattern!r} can never match")) as exc:
+        load_alias_table(path)
+    assert str(exc.value).endswith(f"it requires {literal!r}")

@@ -21,6 +21,8 @@ SCRIPTS = ROOT / "scripts"
          "   K | mean sampled pass@1 by iteration (seeds [0])"),
         ("time_large_run.py", ["--n", "20", "--k", "2", "--t", "2"],
          "vanilla run, in-process: N=20 K=2 T=2 seed=0"),
+        ("time_large_run.py", ["--n", "20", "--k", "2", "--t", "2", "--strategies", "vanilla,ar"],
+         "vanilla,ar runs, in-process: N=20 K=2 T=2 seed=0"),
         ("count_code_lines.py", [],
          "        module |      code docstring   comment     blank"),
     ],
@@ -33,6 +35,15 @@ def test_script_prints_its_table(script, args, header, tmp_path, monkeypatch, ca
     assert lines[0] == header
     assert lines[1].startswith("---")
     assert len(lines) > 2
+
+
+def test_time_large_run_names_each_kind(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["time_large_run.py", "--n", "20", "--k", "2", "--t", "2",
+                                      "--strategies", "vanilla,ar"])
+    runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert names == ["wall_s.vanilla", "wall_s.ar", "calibrate_s", "grade_s", "snapshot_s", "peak_rss_mib"]
 
 
 def test_readme_library_example_runs(capsys):
