@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one large run per strategy in this process.
+"""Time one large run per strategy, or one offline rebalance, in this process.
 
 Runs ``harness.run`` once per strategy kind (self_improve mode) at the
 given N, K and T, in the order given, and prints: each run's wall seconds
@@ -13,17 +13,29 @@ and the process's peak resident set size.  The last three are totals over
 the runs.  Nothing is written to disk and no other process is started, so
 the figures are those of one Python process.
 
+With ``--log``, it instead runs one ``harness.rebalance_offline`` of that
+trajectory log with ``--strategy``, ``--k``, ``--l``, ``--seed`` and
+``--min-cot-tokens`` (defaults as ``headtail rebalance`` has them, so the
+output is the verb's), writing the output to a temporary directory, and
+prints the seconds spent in ``harness.load_log`` (``load_s``) and in
+``rewards._graded`` (``grade_s``), the call's wall seconds (``wall_s``),
+the process's peak resident set size and the output's sha256.
+
     PYTHONPATH=src python3 scripts/time_large_run.py --n 200000 --k 8 --t 5
     PYTHONPATH=src python3 scripts/time_large_run.py --n 2000 --strategies vanilla,tc,hc,rp,ri,ar,gr,sc
+    PYTHONPATH=src python3 scripts/time_large_run.py --log big_log.jsonl --strategy tc --k 8 --l 4
 """
 
 import argparse
 import dataclasses
+import hashlib
 import resource
+import tempfile
 import time
+from pathlib import Path
 
 from headtail import harness, rewards
-from headtail.harness import RunConfig, _snapshot_chunks, run
+from headtail.harness import RunConfig, _snapshot_chunks, rebalance_offline, run
 from headtail.strategies import StrategyConfig
 
 
@@ -43,6 +55,40 @@ def _timed(owner, name: str, total: list[float]):
     return lambda: setattr(owner, name, original)
 
 
+def _peak_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def _print_table(header: str, rows: list[tuple[str, str]]) -> None:
+    print(header)
+    print("-" * len(header))
+    width = max(12, *(len(name) for name, _ in rows))
+    for name, value in rows:
+        print(f"{name:<{width}} {value:>9}")
+
+
+def time_rebalance(args: argparse.Namespace) -> None:
+    """Time one ``rebalance_offline`` of ``args.log`` and print its table."""
+    strategy = StrategyConfig(kind=args.strategy, L=args.l, min_cot_tokens=args.min_cot_tokens)
+    loading, grading = [0.0], [0.0]
+    restores = [_timed(harness, "load_log", loading), _timed(rewards, "_graded", grading)]
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            output = Path(tmp) / "out.jsonl"
+            start = time.perf_counter()
+            rebalance_offline(args.log, strategy, args.k, output, seed=args.seed)
+            wall = time.perf_counter() - start
+            digest = hashlib.sha256(output.read_bytes()).hexdigest()
+    finally:
+        for restore in restores:
+            restore()
+    _print_table(
+        f"{args.strategy} rebalance, in-process: log={args.log} K={args.k} L={args.l} seed={args.seed}",
+        [("load_s", f"{loading[0]:.3f}"), ("grade_s", f"{grading[0]:.3f}"), ("wall_s", f"{wall:.3f}"),
+         ("peak_rss_mib", f"{_peak_mib():.0f}"), ("sha256", digest)],
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--n", type=int, default=200_000)
@@ -50,7 +96,14 @@ def main() -> None:
     parser.add_argument("--t", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--strategies", default="vanilla", help="comma-separated strategy kinds, run in order")
+    parser.add_argument("--log", help="time one offline rebalance of this trajectory log instead")
+    parser.add_argument("--strategy", default="tc", help="with --log: the reshaping strategy")
+    parser.add_argument("--l", type=int, default=4, help="with --log: tail threshold L (tc)")
+    parser.add_argument("--min-cot-tokens", type=int, default=0, help="with --log: reasoning length floor")
     args = parser.parse_args()
+    if args.log:
+        time_rebalance(args)
+        return
     kinds = list(dict.fromkeys(args.strategies.split(",")))
 
     cfg = RunConfig(n_queries=args.n, k_samples=args.k, iterations=args.t, seed=args.seed)
@@ -72,18 +125,13 @@ def main() -> None:
     finally:
         for restore in restores:
             restore()
-    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     runs = "run" if len(kinds) == 1 else "runs"
-    header = f"{','.join(kinds)} {runs}, in-process: N={args.n} K={args.k} T={args.t} seed={args.seed}"
-    print(header)
-    print("-" * len(header))
-    width = max(12, *(len(f"wall_s.{kind}") for kind in kinds))
-    for kind, wall in walls.items():
-        print(f"{'wall_s.' + kind:<{width}} {wall:>9.3f}")
-    print(f"{'calibrate_s':<{width}} {calibrating[0]:>9.3f}")
-    print(f"{'grade_s':<{width}} {grading[0]:>9.3f}")
-    print(f"{'snapshot_s':<{width}} {snapshot:>9.3f}")
-    print(f"{'peak_rss_mib':<{width}} {peak_mib:>9.0f}")
+    _print_table(
+        f"{','.join(kinds)} {runs}, in-process: N={args.n} K={args.k} T={args.t} seed={args.seed}",
+        [*((f"wall_s.{kind}", f"{wall:.3f}") for kind, wall in walls.items()),
+         ("calibrate_s", f"{calibrating[0]:.3f}"), ("grade_s", f"{grading[0]:.3f}"),
+         ("snapshot_s", f"{snapshot:.3f}"), ("peak_rss_mib", f"{_peak_mib():.0f}")],
+    )
 
 
 if __name__ == "__main__":

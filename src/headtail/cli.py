@@ -171,14 +171,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         jobs.append((point, str(base_out / f"{kind}_k{k}_l{L}_s{S}_seed{seed}")))
     for _, outdir in jobs:  # every point's files, before the first point runs
         check_report_dir(outdir)
+    # each seed's points run together, so they share one calibrated start
+    # (harness keeps the last); the summary lists them in grid order
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0].seed)
     workers = _worker_count(args.jobs, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costs every call a few ms; only --jobs > 1 needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_sweep_run, jobs))
+            ran = list(pool.map(_one_sweep_run, [jobs[i] for i in order]))
     else:
-        results = [_one_sweep_run(j) for j in jobs]
+        ran = [_one_sweep_run(jobs[i]) for i in order]
+    results = [result for _, result in sorted(zip(order, ran))]
     lines = ["run_dir,seed," + ",".join(CSV_COLUMNS)]
     for outdir, seed, outcome in results:
         if isinstance(outcome, str):

@@ -29,7 +29,12 @@ into dataset columns and checks them column by column, building no
 per-line objects.  Each line of a pass is one call to the C scanner behind
 ``json.loads`` (``_decode_lines``); a pass with a line the scanner cannot
 take whole (leading whitespace, a BOM, extra data, bad JSON) goes through
-``json.loads`` instead.  A pass that fails decodes its lines again one at a
+``json.loads`` instead.  Past the scanner a pass does whole-column work:
+the scan ends are compared with the line lengths as two arrays, keys are
+counted a field at a time, a field whose values are all ints (or all
+strings) becomes an array in one call while any other is converted value
+by value in a record's order, and a log is sorted by query id once
+(``_log_dataset``).  A pass that fails decodes its lines again one at a
 time, in memory, through the same pass decoder (``_decode_chunk``), and
 raises the SchemaError naming the first bad line
 with the message a line-by-line read gives; faults only the whole file
@@ -55,7 +60,7 @@ import os
 import types
 import typing
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from operator import countOf, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -391,18 +396,25 @@ def _decode_lines(lines: list[str]) -> list[Any]:
     """``list(map(json.loads, lines))``, raising what that raises.
 
     Each line is decoded by one call to the scanner behind ``json.loads``,
-    skipping its Python wrappers.  If any line does not scan from its first
-    character to its trailing whitespace (leading whitespace, a BOM, extra
-    data, bad JSON), the whole list goes through ``json.loads`` instead,
-    which decodes it or raises its own error for the first bad line.
+    skipping its Python wrappers.  Most lines end in the ``"\\n"`` just past
+    their value, which one comparison of the scan ends with the line
+    lengths, as two arrays, shows; only the other lines are compared with
+    their length less trailing whitespace.  If any line does not scan from
+    its first character to its trailing whitespace (leading whitespace, a
+    BOM, extra data, bad JSON), the whole list goes through ``json.loads``
+    instead, which decodes it or raises its own error for the first bad line.
     """
     try:
         # a list comprehension: StopIteration inside map() would end list() early
         scanned = [_scan(line, 0) for line in lines]
-        if all(end == len(line.rstrip(" \t\n\r")) for (_, end), line in zip(scanned, lines)):
-            return [obj for obj, _ in scanned]
     except (StopIteration, ValueError, RecursionError):
-        pass
+        return list(map(json.loads, lines))
+    n = len(lines)
+    ends = np.fromiter(map(itemgetter(1), scanned), np.int64, n)
+    whole = ends + 1 == np.fromiter(map(len, lines), np.int64, n)
+    whole &= np.fromiter(map(str.endswith, lines, itertools.repeat("\n")), bool, n)
+    if all(ends[i] == len(lines[i].rstrip(" \t\n\r")) for i in np.flatnonzero(~whole).tolist()):
+        return list(map(itemgetter(0), scanned))
     return list(map(json.loads, lines))
 
 
@@ -432,11 +444,15 @@ def _decode_chunk(
         raise ValueError("cannot decode JSON (nested too deeply)") from None
     if not set(map(type, rows)) <= {dict}:
         raise ValueError("expected a JSON object")
-    for keys in set(map(tuple, rows)):  # the keys of each distinct key order, checked once
-        if unknown := set(keys) - fields:
-            raise ValueError(f"unknown fields {sorted(unknown)}")
-        if missing := required - set(keys):
-            raise ValueError(f"missing fields {sorted(missing)}")
+    # every row holds each required key, and its size is its count of known
+    # keys; no row holds more known keys than keys, so the sums over rows tell
+    present = {f: countOf(map(dict.__contains__, rows, itertools.repeat(f)), True) for f in fields}
+    if any(present[f] != len(rows) for f in required) or sum(map(len, rows)) != sum(present.values()):
+        for keys in set(map(tuple, rows)):  # the keys of each distinct key order name the fault
+            if unknown := set(keys) - fields:
+                raise ValueError(f"unknown fields {sorted(unknown)}")
+            if missing := required - set(keys):
+                raise ValueError(f"missing fields {sorted(missing)}")
     return pull(rows)
 
 
@@ -465,12 +481,14 @@ def _read_columns(
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             start = 1  # the number of the chunk's first line
             while chunk := list(itertools.islice(fh, _READ_CHUNK)):
+                # blank lines are skipped; a line read from a file is never empty
+                lines = list(itertools.filterfalse(str.isspace, chunk))
                 try:
-                    parts.append(_decode_chunk(list(filter(str.strip, chunk)), fields, required, pull))
+                    parts.append(_decode_chunk(lines, fields, required, pull))
                 except (TypeError, ValueError, OverflowError):  # OverflowError: int() of Infinity
                     for lineno, line in enumerate(chunk, start):
                         try:
-                            if line.strip():
+                            if not line.isspace():
                                 _decode_chunk([line], fields, required, pull)
                         except (TypeError, ValueError, OverflowError) as exc:
                             raise SchemaError(f"line {lineno}: {exc}") from exc
@@ -481,9 +499,16 @@ def _read_columns(
     return build({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
 
 
+def _converted(values: Iterable[Any], kind: type) -> list[Any]:
+    """``kind(v)`` of each value; a list whose values are all of type ``kind``
+    is that list (``int`` and ``str`` give back such a value itself)."""
+    values = list(values)
+    return values if countOf(map(type, values), kind) == len(values) else list(map(kind, values))
+
+
 def _int64(values: Iterable[Any]) -> np.ndarray:
     """``int(v)`` of each value: an int64 array, an object array if one is past 64 bits."""
-    ints = list(map(int, values))
+    ints = _converted(values, int)
     try:
         return np.array(ints, dtype=np.int64)
     except OverflowError:
@@ -504,7 +529,7 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     if not all(type(ok) is bool for ok in correct):
         raise TypeError("correct must be true or false")
     query_id = _int64(map(itemgetter("query_id"), rows))
-    levels = [r.get("level") for r in rows]
+    levels = list(map(dict.get, rows, itertools.repeat("level")))
     level = _int64(0 if lv is None else lv for lv in levels)
     given = np.array([lv is not None for lv in levels], dtype=bool)
     bad = np.flatnonzero(given & ((level < LEVELS[0]) | (level > LEVELS[-1])))
@@ -513,14 +538,14 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     sample_index = _int64(map(itemgetter("sample_index"), rows))
     iteration = _int64(map(itemgetter("iteration"), rows))
     length_tokens = _int64(map(itemgetter("length_tokens"), rows))
-    prefix_steps = _int64(r.get("prefix_steps", 0) for r in rows)
+    prefix_steps = _int64(map(dict.get, rows, itertools.repeat("prefix_steps"), itertools.repeat(0)))
     if np.any(sample_index < 1):
         raise ValueError("sample_index must be >= 1")
     if np.any(iteration < 1):
         raise ValueError("iteration must be >= 1")
     if np.any(length_tokens < 0):
         raise ValueError("length_tokens must be >= 0")
-    origins = [r.get("origin", ORIGIN_EXPLORED) for r in rows]
+    origins = list(map(dict.get, rows, itertools.repeat("origin"), itertools.repeat(ORIGIN_EXPLORED)))
     origin = np.array([ORIGIN_RANK.get(o, -1) for o in origins], dtype=np.int64)
     bad = np.flatnonzero(origin < 0)
     if len(bad):
@@ -707,12 +732,12 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     """Log rows as columns, converted and checked in the order a
     ``TrajectoryLogRecord`` of each row would be."""
     query_id = _int64(map(itemgetter("query_id"), rows))
-    gt_answer = object_array(map(str, map(itemgetter("gt_answer"), rows)))
-    answers = object_array(map(str, map(itemgetter("extracted_answer"), rows)))
+    gt_answer = object_array(_converted(map(itemgetter("gt_answer"), rows), str))
+    answers = object_array(_converted(map(itemgetter("extracted_answer"), rows), str))
     token_count = _int64(map(itemgetter("token_count"), rows))
-    offsets = [r.get("step_offsets", ()) for r in rows]
-    flat = list(map(int, itertools.chain.from_iterable(offsets)))
-    iteration = _int64(r.get("iteration", 1) for r in rows)
+    offsets = list(map(dict.get, rows, itertools.repeat("step_offsets"), itertools.repeat(())))
+    flat = _converted(itertools.chain.from_iterable(offsets), int)
+    iteration = _int64(map(dict.get, rows, itertools.repeat("iteration"), itertools.repeat(1)))
     if np.any(token_count < 0):
         raise ValueError("token_count must be >= 0")
     if np.any(iteration < 1):
@@ -738,22 +763,38 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
 
 
 def _log_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
-    """A sample dataset of log rows; each query's responses are numbered 1, 2, ... in log order."""
-    qids = c["query_id"]
-    ids, (gts,), conflict = first_rows(qids, c["gt_answer"])
-    if conflict is not None:
-        raise SchemaError(f"record {conflict + 1}: conflicting gt_answer for query {qids[conflict]}")
+    """A sample dataset of log rows; each query's responses are numbered 1, 2, ... in log order.
+
+    One stable sort by query gives every per-query fact: each query's run
+    of rows in log order, whose first row holds the query's ``gt_answer``
+    (the first row in log order whose ``gt_answer`` differs from its run's
+    first is the conflict) and whose positions are the sample indices.  It
+    is the canonical order too while each run's iterations ascend, since
+    the log's rows differ in nothing else that orders them."""
+    qids, gt = c["query_id"], c["gt_answer"]
     by_query = np.argsort(qids, kind="stable")
-    sample_index = np.empty(len(qids), dtype=np.int64)
-    sample_index[by_query] = run_positions(np.unique(qids, return_counts=True)[1]) + 1
+    sorted_ids = qids[by_query]
+    same = sorted_ids[1:] == sorted_ids[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))[: len(qids)]
+    counts = np.diff(np.append(starts, len(qids)))
+    sorted_gts = gt[by_query]
+    gts = sorted_gts[starts]
+    conflicts = by_query[sorted_gts != np.repeat(gts, counts)]
+    if len(conflicts):
+        conflict = conflicts.min()
+        raise SchemaError(f"record {conflict + 1}: conflicting gt_answer for query {qids[conflict]}")
+    iteration = c["iteration"][by_query]
     columns = {
-        "query_id": qids,
-        "iteration": c["iteration"],
-        "sample_index": sample_index,
-        "length_tokens": c["length_tokens"],
+        "query_id": sorted_ids,
+        "iteration": iteration,
+        "sample_index": run_positions(counts) + 1,
+        "length_tokens": c["length_tokens"][by_query],
         "correct": False,
     }
-    return TrajectoryDataset(ROLE_SAMPLE, columns, c["answers"], Corpus(ids, gts))
+    in_order = not np.any(same & (iteration[1:] < iteration[:-1]))
+    return TrajectoryDataset(
+        ROLE_SAMPLE, columns, c["answers"][by_query], Corpus(sorted_ids[starts], gts), sort=not in_order
+    )
 
 
 def load_log(path: str | Path) -> TrajectoryDataset:

@@ -23,9 +23,13 @@ no required literal, so a custom alias like that runs on every answer.
 Normalization is a pure function of the string and the table, so grading
 skips it where it cannot change the outcome: an answer whose raw string
 equals the ground truth is graded correct without normalizing (one
-whole-column comparison for a dataset).  The other rows' answers, one per
-row, and their distinct ground truths go through ``_normalize_all``, which
-runs each step of the pipeline over a whole list: the first strip by
+whole-column comparison for a dataset).  The other rows' answers, and
+the ground truths of their queries, go through ``_normalize_all`` in two
+lists: each distinct string once when the first 1024 of the list repeat
+(at most seven in eight are distinct), else one per row (or query),
+since hashing strings that never repeat (the simulator's wrong answers)
+costs more than it saves.  It runs each step of the pipeline over a
+whole list: the first strip by
 ``map``; the wrapper replaces and ``lower`` once on the strings joined by
 ``"\\n"``, split back afterwards; each alias only on the strings that hold
 its literal; the final strip only if a wrapper or an alias may have fired
@@ -73,27 +77,34 @@ _MATH_WRAPPERS = ("$", r"\(", r"\)", r"\[", r"\]")
 assert all("$" in w or "\\" in w for w in _MATH_WRAPPERS)
 
 
-def _required_literal(pattern: re.Pattern) -> str:
-    """A substring of every match of ``pattern``, or ``""`` if none is known.
+def _literal_runs(pattern: re.Pattern) -> list[str]:
+    """The runs of consecutive literal characters in the parsed pattern's
+    top-level sequence, in order; every match contains each of them.
 
-    It is the longest run of consecutive top-level literal characters in the
-    parsed pattern.  A top-level alternation parses to one branch (or
-    character set) node, so it contributes nothing; only a prefix that the
-    parser factors out of every branch (``xa|xb`` is ``x`` then ``[ab]``)
-    stays, and every match contains it.  A case-insensitive pattern, or one
-    the parser rejects, has no required literal.
+    A top-level alternation parses to one branch (or character set) node,
+    so it contributes nothing; only a prefix that the parser factors out
+    of every branch (``xa|xb`` is ``x`` then ``[ab]``) stays.  A
+    case-insensitive pattern, or one the parser rejects, has none.
     """
     if pattern.flags & re.IGNORECASE:
-        return ""
+        return []
     try:
         nodes = list(_sre_parse.parse(pattern.pattern, pattern.flags))
     except re.error:
-        return ""
-    best = run = ""
+        return []
+    runs = [""]
     for op, arg in nodes:
-        run = run + chr(arg) if op is _sre_parse.LITERAL else ""
-        best = max(best, run, key=len)
-    return best
+        if op is _sre_parse.LITERAL:
+            runs[-1] += chr(arg)
+        elif runs[-1]:
+            runs.append("")
+    return [run for run in runs if run]
+
+
+def _required_literal(pattern: re.Pattern) -> str:
+    """A substring of every match of ``pattern``, or ``""`` if none is known:
+    the first of its longest top-level literal runs."""
+    return max(_literal_runs(pattern), key=len, default="")
 
 
 @lru_cache(maxsize=64)
@@ -132,9 +143,9 @@ def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Read a two-column alias table (pattern<TAB>canonical, UTF-8).
 
     A line without a TAB, whose pattern or replacement does not compile, or
-    whose pattern's required literal holds an upper-case letter (answers are
-    lower-cased before the aliases run, so it could never match) is a
-    ValueError naming the line.
+    whose case-sensitive pattern holds an upper-case letter in any top-level
+    literal run (answers are lower-cased before the aliases run, so it could
+    never match) is a ValueError naming the line.
     """
     pairs: list[tuple[str, str]] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -148,11 +159,11 @@ def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
             compiled.sub(canonical, "")
         except re.error as exc:
             raise ValueError(f"alias table line {lineno}: {exc}") from None
-        literal = _required_literal(compiled)
-        if literal != literal.lower():
+        upper = [run for run in _literal_runs(compiled) if run != run.lower()]
+        if upper:
             raise ValueError(
                 f"alias table line {lineno}: pattern {pattern!r} can never match, since answers are "
-                f"lower-cased before aliases run and it requires {literal!r}"
+                f"lower-cased before aliases run and it requires {upper[0]!r}"
             )
         pairs.append((pattern, canonical))
     return tuple(pairs)
@@ -200,9 +211,9 @@ def _graded(sampled: TrajectoryDataset, aliases: tuple[tuple[str, str], ...]) ->
     """Per row: True iff its extracted answer earns reward 1.
 
     A row whose raw answer equals its ground truth is correct unnormalized.
-    The other rows' answers are normalized in one batch, row by row, and
-    each distinct ground truth among them once; one object-array ``==``
-    compares the two.
+    The other rows' answers are normalized in one batch, and the ground
+    truths of their query runs in another (``_normalized``: each distinct
+    string once when they repeat); one object-array ``==`` compares the two.
     """
     answers, gts = sampled.answers, sampled.gt_answers()
     ok = np.asarray(answers == gts, dtype=bool)
@@ -211,11 +222,22 @@ def _graded(sampled: TrajectoryDataset, aliases: tuple[tuple[str, str], ...]) ->
         qids = sampled.columns["query_id"][rest]
         new_run = np.concatenate(([True], qids[1:] != qids[:-1]))
         run_gts = gts[rest[new_run]].tolist()  # one per run of a query's rows
-        distinct = list(dict.fromkeys(run_gts))
-        norm = dict(zip(distinct, _normalize_all(distinct, aliases)))
-        norm_gts = object_array(map(norm.__getitem__, run_gts))[np.cumsum(new_run) - 1]
-        ok[rest] = object_array(_normalize_all(answers[rest].tolist(), aliases)) == norm_gts
+        norm_gts = object_array(_normalized(run_gts, aliases))[np.cumsum(new_run) - 1]
+        ok[rest] = object_array(_normalized(answers[rest].tolist(), aliases)) == norm_gts
     return ok
+
+
+def _normalized(strings: list[str], aliases: tuple[tuple[str, str], ...]) -> list[str]:
+    """``_normalize_all(strings, aliases)``, normalizing each distinct string
+    once when they repeat: when at most seven in eight of the first 1024
+    are distinct.  Only that prefix is hashed to decide, so strings that
+    never repeat (the simulator's wrong answers) pay almost nothing for it."""
+    head = strings[:1024]
+    if 8 * len(set(head)) > 7 * len(head):
+        return _normalize_all(strings, aliases)
+    distinct = list(dict.fromkeys(strings))
+    norm = dict(zip(distinct, _normalize_all(distinct, aliases)))
+    return list(map(norm.__getitem__, strings))
 
 
 def _graded_role(sampled: TrajectoryDataset, name: str) -> str:

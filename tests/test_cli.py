@@ -420,6 +420,7 @@ class TestRebalanceVerb:
         ("x(\tY\n", "line 1: missing ), unterminated subpattern"),
         ("x\t\\1\n", "line 1: invalid group reference 1"),
         ("half\t1/2\nHalf\t1/2\n", "line 2: pattern 'Half' can never match"),
+        ("ab\\s+C\tx\n", "line 1: pattern 'ab\\\\s+C' can never match"),
         (None, "cannot read alias table"),
     ])
     def test_bad_alias_table_exit_config(self, tmp_path, capsys, table, message):
@@ -859,6 +860,34 @@ class TestSweepVerb:
         assert pools == [2]
         assert len(trees["1"]) == 1 + 2 * len(harness.REPORT_FILES)
         assert trees["2"] == trees["1"]
+
+    def test_each_seed_calibrates_once_and_writes_what_fresh_starts_write(self, tmp_path, monkeypatch):
+        calibrations = []
+        calibrate = harness.calibrate_difficulty
+        monkeypatch.setattr(harness, "calibrate_difficulty", lambda rates: calibrations.append(1) or calibrate(rates))
+        argv = ["sweep", "--strategies", "vanilla,tc", "--seeds", "0,1", "--n", "12", "--t", "1", "--jobs", "1"]
+        out = tmp_path / "sweep"  # both sweeps write here, so the summaries name the same run dirs
+        trees = {}
+        for fresh in (False, True):
+            if fresh:  # the reference: every point calibrates its own start
+                prepared = harness._prepared_corpus_and_learner
+
+                def fresh_start(config):
+                    harness._last_start.clear()
+                    return prepared(config)
+
+                monkeypatch.setattr(harness, "_prepared_corpus_and_learner", fresh_start)
+            calibrations.clear()
+            assert main([*argv, "--output-dir", str(out)]) == 0
+            assert len(calibrations) == (4 if fresh else 2)
+            trees[fresh] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            out.rename(tmp_path / f"fresh{fresh}")
+        assert len(trees[False]) == 1 + 4 * len(harness.REPORT_FILES)
+        assert trees[False] == trees[True]
+        rows = trees[False]["sweep_summary.csv"].decode().splitlines()[1:]
+        assert [Path(row.split(",")[0]).name for row in rows] == [
+            "vanilla_k8_l4_s4_seed0", "vanilla_k8_l4_s4_seed1", "tc_k8_l4_s4_seed0", "tc_k8_l4_s4_seed1"
+        ]
 
     def test_worker_count_is_capped(self, monkeypatch):
         # the pure helper only; no process is started

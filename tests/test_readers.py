@@ -360,6 +360,28 @@ def test_line_with_other_keys_than_its_chunk_is_checked(keys, message):
     assert got == expected == message
 
 
+@st.composite
+def mixed_key_chunks(draw):
+    """One chunk of log records, each in its own key order, with and without
+    each optional field; a few rows carry an unknown key or lack a required one."""
+    records = draw(st.lists(log_records(), min_size=1, max_size=8))
+    for i in draw(st.sets(st.integers(0, len(records) - 1), max_size=2)):
+        fault = draw(st.sampled_from(["mystery", *sorted(harness._LOG_REQUIRED)]))
+        if fault == "mystery":
+            records[i][fault] = 1
+        else:
+            del records[i][fault]
+    lines = [json.dumps({name: r[name] for name in draw(st.permutations(list(r)))}) for r in records]
+    return "".join(line + "\n" for line in lines)
+
+
+@given(mixed_key_chunks())
+@settings(max_examples=100, deadline=None)
+def test_chunk_of_mixed_key_orders_matches_per_line_reference(text):
+    got, expected = both_outcomes(text, 8, load_log, log_reference)  # every line in one chunk
+    assert got == expected
+
+
 _NOT_UTF8 = b'{"query_id": 2, "gt_answer": "a\xff", "extracted_answer": "a", "token_count": 10}'
 
 

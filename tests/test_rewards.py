@@ -304,10 +304,11 @@ class TestGradingContract:
             (1, "G0"), (1, "G0"), (1, "G0"), (1, "G0"), (2, "g1"), (3, "g2"), (4, "g3")
         ]
         # one batch of the distinct ground truths of rows that differ from theirs
-        # (g3's rows all match raw), one of those rows' answers, row by row
+        # (g3's rows all match raw), one of those rows' distinct answers: they repeat
         rest = [t.extracted_answer for r, t in sample.entries if t.extracted_answer != r.gt_answer]
         assert len(rest) == 24
-        assert sorted(batches) == sorted([["g0", "g1", "g2"], rest])
+        assert sorted(batches) == sorted([["g0", "g1", "g2"], list(dict.fromkeys(rest))])
+        assert len(batches[-1]) == 4
         assert singles == []  # normalize_answer takes only what the batch cannot
 
         batches.clear()
@@ -317,6 +318,51 @@ class TestGradingContract:
         kept = filter_dataset(_graded_sample([("g1", "G1", False), ("g1", "g\n1", False), ("g2", " G2 ", False)]))
         assert [t.extracted_answer for _, t in kept] == ["G1", " G2 "]
         assert singles == ["g\n1"]  # a string holding the batch separator
+
+
+    @pytest.mark.parametrize(
+        "answers, batched",
+        [
+            (["p", "q", "r", "s"], ["p", "q", "r", "s"]),  # all distinct: row by row
+            (list("pqrstuvwxp"), list("pqrstuvwxp")),  # 9 of 10 distinct: row by row
+            (list("pqrstuvp"), list("pqrstuv")),  # 7 of 8 distinct: each once
+            # only the first 1024 decide: they are distinct, though half of all repeat
+            ([f"p{i}" for i in range(1024)] * 2, [f"p{i}" for i in range(1024)] * 2),
+        ],
+    )
+    def test_answers_batched_row_by_row_unless_they_repeat(self, monkeypatch, answers, batched):
+        batches: list[list[str]] = []
+        real_all = rewards._normalize_all
+
+        def batch(strings, aliases):
+            batches.append(list(strings))
+            return real_all(strings, aliases)
+
+        monkeypatch.setattr(rewards, "_normalize_all", batch)
+        sample = _graded_sample([("g", answer, False) for answer in answers])
+        assert len(filter_dataset(sample)) == 0
+        assert batches == [["g"], batched]
+
+    @given(
+        st.data(),
+        st.sampled_from([DEFAULT_SYMBOL_ALIASES, (), CUSTOM_ALIASES]),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_graded_equals_per_row_normalization(self, data, aliases, repeats):
+        if repeats:  # a small pool: most answers repeat
+            pool = data.draw(st.lists(_ANSWER_TEXT, min_size=1, max_size=3))
+            answers = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+        else:
+            answers = data.draw(st.lists(_ANSWER_TEXT, max_size=30, unique=True))
+        gts = data.draw(st.lists(st.text(alphabet=_ALPHABET, max_size=3), min_size=len(answers),
+                                 max_size=len(answers)))
+        sample = _graded_sample([(gt, answer, False) for gt, answer in zip(gts, answers)])
+        expected = [
+            normalize_answer(t.extracted_answer, aliases) == normalize_answer(r.gt_answer, aliases)
+            for r, t in sample.entries
+        ]
+        assert rewards._graded(sample, aliases).tolist() == expected
 
 
 class TestCotLengthFilter:
@@ -387,10 +433,15 @@ def test_load_alias_table_rejects_bad_regex(tmp_path, table, message):
         load_alias_table(path)
 
 
-@pytest.mark.parametrize("pattern, literal", [("Half", "Half"), (r"\s*Pi\b", "Pi"), ("x+ABC", "ABC")])
+@pytest.mark.parametrize(
+    "pattern, literal",
+    # an upper-case letter in any top-level literal run, not only in the longest one
+    [("Half", "Half"), (r"\s*Pi\b", "Pi"), ("x+ABC", "ABC"), (r"ab\s+C", "C")],
+)
 def test_load_alias_table_rejects_pattern_that_cannot_match(tmp_path, pattern, literal):
-    # answers are lower-cased before aliases run, so an upper-case required literal never matches
+    # answers are lower-cased before aliases run, so an upper-case literal never matches
     assert normalize_answer("Half", (("Half", "1/2"),)) == "half"
+    assert normalize_answer("ab c", ((r"ab\s+C", "x"),)) == "ab c"
     path = tmp_path / "upper.tsv"
     path.write_text(f"half\t1/2\n(?i)Third\t1/3\nq[A-Z]\tq\n{pattern}\tX\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"line 4: pattern {pattern!r} can never match")) as exc:

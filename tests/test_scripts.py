@@ -1,6 +1,8 @@
 """The example scripts under scripts/ run end to end on a tiny corpus, and
 the README's library example runs as written."""
 
+import hashlib
+import json
 import re
 import runpy
 import sys
@@ -8,8 +10,19 @@ from pathlib import Path
 
 import pytest
 
+from headtail import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+
+
+def _write_log(path):
+    """A small trajectory log: two queries, four responses each, some of them correct."""
+    answers = {1: ["a", "b", "a", "a"], 2: ["c", "x", "y", "c"]}
+    path.write_text("".join(
+        json.dumps({"query_id": q, "gt_answer": given[0], "extracted_answer": a, "token_count": 20 + j})
+        + "\n" for q, given in answers.items() for j, a in enumerate(given)
+    ), encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -23,12 +36,16 @@ SCRIPTS = ROOT / "scripts"
          "vanilla run, in-process: N=20 K=2 T=2 seed=0"),
         ("time_large_run.py", ["--n", "20", "--k", "2", "--t", "2", "--strategies", "vanilla,ar"],
          "vanilla,ar runs, in-process: N=20 K=2 T=2 seed=0"),
+        ("time_large_run.py", ["--log", "log.jsonl", "--k", "4"],
+         "tc rebalance, in-process: log=log.jsonl K=4 L=4 seed=0"),
         ("count_code_lines.py", [],
          "        module |      code docstring   comment     blank"),
     ],
 )
 def test_script_prints_its_table(script, args, header, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    if "--log" in args:
+        _write_log(tmp_path / "log.jsonl")
     monkeypatch.setattr(sys, "argv", [script, *args])
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
@@ -44,6 +61,20 @@ def test_time_large_run_names_each_kind(tmp_path, monkeypatch, capsys):
     runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")
     names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert names == ["wall_s.vanilla", "wall_s.ar", "calibrate_s", "grade_s", "snapshot_s", "peak_rss_mib"]
+
+
+def test_time_large_run_hashes_what_rebalance_writes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_log(tmp_path / "log.jsonl")
+    assert cli.main(["rebalance", "--input", "log.jsonl", "--output", "out.jsonl", "--strategy", "tc",
+                     "--k", "4", "--l", "2"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["time_large_run.py", "--log", "log.jsonl", "--k", "4", "--l", "2"])
+    runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")
+    table = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [name for name, _ in table] == ["load_s", "grade_s", "wall_s", "peak_rss_mib", "sha256"]
+    assert table[-1][1] == hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl", "out.jsonl"]  # its output is temporary
 
 
 def test_readme_library_example_runs(capsys):
