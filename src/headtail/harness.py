@@ -29,10 +29,8 @@ into dataset columns and checks them column by column, building no
 per-line objects.  Each line of a pass is one call to the C scanner behind
 ``json.loads`` (``_decode_lines``); a pass with a line the scanner cannot
 take whole (leading whitespace, a BOM, extra data, bad JSON) goes through
-``json.loads`` instead.  Past the scanner a pass does whole-column work:
-the scan ends are compared with the line lengths as two arrays, keys are
-counted a field at a time, a field whose values are all ints (or all
-strings) becomes an array in one call while any other is converted value
+``json.loads`` instead.  A field whose values are all ints (or all
+strings) becomes an array in one call, while any other is converted value
 by value in a record's order, and a log is sorted by query id once
 (``_log_dataset``).  A pass that fails decodes its lines again one at a
 time, in memory, through the same pass decoder (``_decode_chunk``), and
@@ -396,25 +394,18 @@ def _decode_lines(lines: list[str]) -> list[Any]:
     """``list(map(json.loads, lines))``, raising what that raises.
 
     Each line is decoded by one call to the scanner behind ``json.loads``,
-    skipping its Python wrappers.  Most lines end in the ``"\\n"`` just past
-    their value, which one comparison of the scan ends with the line
-    lengths, as two arrays, shows; only the other lines are compared with
-    their length less trailing whitespace.  If any line does not scan from
-    its first character to its trailing whitespace (leading whitespace, a
-    BOM, extra data, bad JSON), the whole list goes through ``json.loads``
-    instead, which decodes it or raises its own error for the first bad line.
+    skipping its Python wrappers.  If any line does not scan from its first
+    character to its trailing whitespace (leading whitespace, a BOM, extra
+    data, bad JSON), the whole list goes through ``json.loads`` instead,
+    which decodes it or raises its own error for the first bad line.
     """
     try:
         # a list comprehension: StopIteration inside map() would end list() early
         scanned = [_scan(line, 0) for line in lines]
+        if all(end == len(line.rstrip(" \t\n\r")) for (_, end), line in zip(scanned, lines)):
+            return [obj for obj, _ in scanned]
     except (StopIteration, ValueError, RecursionError):
-        return list(map(json.loads, lines))
-    n = len(lines)
-    ends = np.fromiter(map(itemgetter(1), scanned), np.int64, n)
-    whole = ends + 1 == np.fromiter(map(len, lines), np.int64, n)
-    whole &= np.fromiter(map(str.endswith, lines, itertools.repeat("\n")), bool, n)
-    if all(ends[i] == len(lines[i].rstrip(" \t\n\r")) for i in np.flatnonzero(~whole).tolist()):
-        return list(map(itemgetter(0), scanned))
+        pass
     return list(map(json.loads, lines))
 
 
@@ -444,15 +435,11 @@ def _decode_chunk(
         raise ValueError("cannot decode JSON (nested too deeply)") from None
     if not set(map(type, rows)) <= {dict}:
         raise ValueError("expected a JSON object")
-    # every row holds each required key, and its size is its count of known
-    # keys; no row holds more known keys than keys, so the sums over rows tell
-    present = {f: countOf(map(dict.__contains__, rows, itertools.repeat(f)), True) for f in fields}
-    if any(present[f] != len(rows) for f in required) or sum(map(len, rows)) != sum(present.values()):
-        for keys in set(map(tuple, rows)):  # the keys of each distinct key order name the fault
-            if unknown := set(keys) - fields:
-                raise ValueError(f"unknown fields {sorted(unknown)}")
-            if missing := required - set(keys):
-                raise ValueError(f"missing fields {sorted(missing)}")
+    for keys in set(map(tuple, rows)):  # the keys of each distinct key order, checked once
+        if unknown := set(keys) - fields:
+            raise ValueError(f"unknown fields {sorted(unknown)}")
+        if missing := required - set(keys):
+            raise ValueError(f"missing fields {sorted(missing)}")
     return pull(rows)
 
 
@@ -481,14 +468,12 @@ def _read_columns(
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             start = 1  # the number of the chunk's first line
             while chunk := list(itertools.islice(fh, _READ_CHUNK)):
-                # blank lines are skipped; a line read from a file is never empty
-                lines = list(itertools.filterfalse(str.isspace, chunk))
                 try:
-                    parts.append(_decode_chunk(lines, fields, required, pull))
+                    parts.append(_decode_chunk(list(filter(str.strip, chunk)), fields, required, pull))
                 except (TypeError, ValueError, OverflowError):  # OverflowError: int() of Infinity
                     for lineno, line in enumerate(chunk, start):
                         try:
-                            if not line.isspace():
+                            if line.strip():
                                 _decode_chunk([line], fields, required, pull)
                         except (TypeError, ValueError, OverflowError) as exc:
                             raise SchemaError(f"line {lineno}: {exc}") from exc
@@ -529,7 +514,7 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     if not all(type(ok) is bool for ok in correct):
         raise TypeError("correct must be true or false")
     query_id = _int64(map(itemgetter("query_id"), rows))
-    levels = list(map(dict.get, rows, itertools.repeat("level")))
+    levels = [r.get("level") for r in rows]
     level = _int64(0 if lv is None else lv for lv in levels)
     given = np.array([lv is not None for lv in levels], dtype=bool)
     bad = np.flatnonzero(given & ((level < LEVELS[0]) | (level > LEVELS[-1])))
@@ -538,14 +523,14 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     sample_index = _int64(map(itemgetter("sample_index"), rows))
     iteration = _int64(map(itemgetter("iteration"), rows))
     length_tokens = _int64(map(itemgetter("length_tokens"), rows))
-    prefix_steps = _int64(map(dict.get, rows, itertools.repeat("prefix_steps"), itertools.repeat(0)))
+    prefix_steps = _int64(r.get("prefix_steps", 0) for r in rows)
     if np.any(sample_index < 1):
         raise ValueError("sample_index must be >= 1")
     if np.any(iteration < 1):
         raise ValueError("iteration must be >= 1")
     if np.any(length_tokens < 0):
         raise ValueError("length_tokens must be >= 0")
-    origins = list(map(dict.get, rows, itertools.repeat("origin"), itertools.repeat(ORIGIN_EXPLORED)))
+    origins = [r.get("origin", ORIGIN_EXPLORED) for r in rows]
     origin = np.array([ORIGIN_RANK.get(o, -1) for o in origins], dtype=np.int64)
     bad = np.flatnonzero(origin < 0)
     if len(bad):
@@ -735,9 +720,9 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     gt_answer = object_array(_converted(map(itemgetter("gt_answer"), rows), str))
     answers = object_array(_converted(map(itemgetter("extracted_answer"), rows), str))
     token_count = _int64(map(itemgetter("token_count"), rows))
-    offsets = list(map(dict.get, rows, itertools.repeat("step_offsets"), itertools.repeat(())))
+    offsets = [r.get("step_offsets", ()) for r in rows]
     flat = _converted(itertools.chain.from_iterable(offsets), int)
-    iteration = _int64(map(dict.get, rows, itertools.repeat("iteration"), itertools.repeat(1)))
+    iteration = _int64(r.get("iteration", 1) for r in rows)
     if np.any(token_count < 0):
         raise ValueError("token_count must be >= 0")
     if np.any(iteration < 1):
