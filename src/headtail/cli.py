@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -262,13 +263,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: building it costs a call about a millisecond
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="headtail", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_run = sub.add_parser("run", help="execute one run and write its report")
     _add_run_flags(p_run)
-    p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over seeds and knobs")
     _add_run_flags(p_sweep)
@@ -279,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--s-values", help="comma-separated S grid")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="parallel worker count (capped at the run count and the CPU count)")
-    p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_reb = sub.add_parser("rebalance", help="offline reshaping of a trajectory log")
     p_reb.add_argument("--input", required=True, help="input JSONL log")
@@ -291,21 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_reb.add_argument("--seed", type=int, default=0, help="truncation seed (tc)")
     p_reb.add_argument("--alias-table", help="two-column answer alias file (pattern<TAB>canonical)")
     p_reb.add_argument("--summary", help="optional CSV path for the summary row")
-    p_reb.set_defaults(fn=_cmd_rebalance)
 
     p_rep = sub.add_parser("report", help="recompute metrics from a snapshot")
     p_rep.add_argument("--run-dir", required=True)
     p_rep.add_argument("--dataset", default="train_final", choices=tuple(_SNAPSHOT_ROLES),
                        help="snapshot under datasets/ (its name sets the role of its rows)")
-    p_rep.set_defaults(fn=_cmd_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a wrapped verb function is the one that runs
+    verbs = {"run": _cmd_run, "sweep": _cmd_sweep, "rebalance": _cmd_rebalance, "report": _cmd_report}
     try:
-        return args.fn(args)
+        return verbs[args.verb](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

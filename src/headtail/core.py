@@ -20,7 +20,8 @@ there (``levels`` and ``gt_answers`` spread them over a dataset's rows).
 A dataset is one read-only array per ``COLUMNS`` field, an object array
 of extracted answers, and its corpus.  Every transform is index
 arithmetic on those columns, restoring canonical order with one stable
-``np.lexsort`` over the ``entry_sort_key`` fields.  Python objects exist
+``np.lexsort`` over the ``entry_sort_key`` fields (``merge_datasets`` first
+tries a stable sort by query id alone).  Python objects exist
 only at the edges: ``from_entries`` packs pairs made elsewhere into
 columns, and ``entries`` builds pairs from the columns on first access;
 the loop and the disk readers never do either.  A dataset built from
@@ -525,7 +526,24 @@ def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryData
     operation is associative and commutative up to that order.  Datasets
     of one run share one corpus; other corpora are united, and a query
     they disagree on is a CorpusMismatchError.
+
+    A stable sort by query id alone is that order when it leaves no row's
+    sort key below the row's before it, as when ``b``'s rows of each query
+    sort after ``a``'s (a union's newer iteration, a resample's later
+    origin); one pass over the keys checks that, and otherwise the full
+    sort runs.
     """
-    columns = {name: np.concatenate((a.columns[name], b.columns[name])) for name in COLUMNS}
-    answers = np.concatenate((a.answers, b.answers))
-    return TrajectoryDataset._derived(ROLE_TRAIN, columns, answers, a.corpus.union(b.corpus), sort=True)
+    qids = np.concatenate((a.columns["query_id"], b.columns["query_id"]))
+    order = np.argsort(qids, kind="stable")
+    columns = {name: np.concatenate((a.columns[name], b.columns[name]))[order] for name in COLUMNS}
+    answers = np.concatenate((a.answers, b.answers))[order]
+    ids = columns["query_id"]
+    tied = ids[1:] == ids[:-1]
+    descends = np.zeros_like(tied)
+    for name in reversed(_SORT_COLUMNS[:-1]):  # after the query id, most significant first
+        col = columns[name]
+        descends |= tied & (col[1:] < col[:-1])
+        tied &= col[1:] == col[:-1]
+    return TrajectoryDataset._derived(
+        ROLE_TRAIN, columns, answers, a.corpus.union(b.corpus), sort=bool(descends.any())
+    )

@@ -39,13 +39,15 @@ with the message a line-by-line read gives; faults only the whole file
 shows (two ground truths or levels for one query) are raised once every
 line has decoded.  A file is taken whole or not at all.
 
-Snapshots are written by one writer (``_snapshot_chunks``) that formats
-columns, not rows, ``_SNAPSHOT_CHUNK`` (1024) rows per string: each field's
-texts are one lookup in a table (the decimal texts of 0..1023 for the int
-fields, ``str`` only for a value past them; a query id once per query,
-its text repeated over the query's rows), and a chunk's lines are one join
-of a grid of the line's literal pieces and those texts.  A write holds one
-chunk of text at a time, never the whole file.
+Snapshots are written by one writer (``_snapshot_chunks``),
+``_SNAPSHOT_CHUNK`` (1024) rows per string.  A line is five texts: a head
+formatted once per distinct correct flag and iteration, the length_tokens
+decimal, a middle formatted once per stretch of rows with equal query id,
+origin and prefix_steps, the sample_index decimal, and ``}\n``.  The
+decimals are one lookup in the texts of 0..1023 (``str`` only for a value
+past them).  Over the whole dataset the writer keeps int index arrays
+only; a chunk's texts are built for that chunk and joined at once, so a
+write holds one chunk of text at a time, never the whole file.
 """
 
 from __future__ import annotations
@@ -579,29 +581,15 @@ def read_snapshot(path: str | Path, role: str) -> TrajectoryDataset:
     )
 
 
-# json.dumps(oracles.snapshot_entry(...), sort_keys=True) of a row, filled from
-# columns; tests/oracles.py holds that per-pair reference encoder
-_SNAPSHOT_LINE = (
-    '{"correct": %s, "iteration": %d, "length_tokens": %d, "level": %s, '
-    '"origin": "%s", "prefix_steps": %d, "query_id": %d, "sample_index": %d}\n'
-)
-_JSON_BOOL = object_array(("false", "true"))
-_JSON_LEVEL = object_array(("null", *map(str, LEVELS)))  # level 0 is unset
+# json.dumps(oracles.snapshot_entry(...), sort_keys=True) of a row is the head of
+# its flag and iteration, its length_tokens, the middle of its query, origin and
+# prefix_steps, its sample_index and "}\n"; tests/oracles.py holds that per-pair
+# reference encoder
+_SNAPSHOT_HEAD = '{"correct": %s, "iteration": %d, "length_tokens": '
+_SNAPSHOT_MIDDLE = ', "level": %s, "origin": "%s", "prefix_steps": %d, "query_id": %d, "sample_index": '
+_JSON_LEVEL = ("null", *map(str, LEVELS))  # level 0 is unset
 _SNAPSHOT_CHUNK = 1024  # rows formatted per write
-# the literal text around the line's fields, then each field's column and text
-# table, in the line's order
-_SNAPSHOT_PIECES = object_array(_SNAPSHOT_LINE.replace("%d", "%s").split("%s"))
 _DECIMAL = object_array(map(str, range(1024)))  # str(v) of the ints a field mostly holds
-_SNAPSHOT_TEXTS = (
-    ("correct", _JSON_BOOL),
-    ("iteration", _DECIMAL),
-    ("length_tokens", _DECIMAL),
-    ("level", _JSON_LEVEL),
-    ("origin", object_array(ORIGINS)),
-    ("prefix_steps", _DECIMAL),
-    ("query_id", _DECIMAL),
-    ("sample_index", _DECIMAL),
-)
 
 
 def _field_texts(col: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -619,21 +607,41 @@ def _field_texts(col: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _snapshot_chunks(dataset: TrajectoryDataset) -> Iterator[str]:
     """The snapshot lines of ``dataset``, ``_SNAPSHOT_CHUNK`` rows per string.
 
-    Formatted column by column: each field's texts come from one lookup in
-    its table, and a chunk's lines are one join of a grid whose columns are
-    the line's literal pieces interleaved with its fields' texts."""
-    ids, starts, _ = dataset.query_runs()
-    id_texts = _field_texts(ids, _DECIMAL)  # a query's rows are one run: its id is formatted once
-    c = dict(dataset.columns, level=dataset.levels())
-    for lo in range(0, len(dataset), _SNAPSHOT_CHUNK):
-        hi = min(lo + _SNAPSHOT_CHUNK, len(dataset))
-        grid = np.empty((hi - lo, len(_SNAPSHOT_PIECES) + len(_SNAPSHOT_TEXTS)), dtype=object)
-        grid[:, 0::2] = _SNAPSHOT_PIECES
-        for i, (name, table) in enumerate(_SNAPSHOT_TEXTS):
-            if name == "query_id":  # each row's run
-                grid[:, 2 * i + 1] = id_texts[np.searchsorted(starts, np.arange(lo, hi), side="right") - 1]
-            else:
-                grid[:, 2 * i + 1] = _field_texts(c[name][lo:hi], table)
+    A line is five texts: its head, formatted once per distinct correct
+    flag and iteration; its length_tokens; its middle, formatted once per
+    stretch of rows with equal query id, origin and prefix_steps (once per
+    chunk the stretch reaches); its sample_index; and ``}\n``.  The whole
+    dataset is only int index arrays; a chunk's lines are one join of a
+    five-column grid of texts built for that chunk."""
+    c = dataset.columns
+    qids, origin, steps, iteration = c["query_id"], c["origin"], c["prefix_steps"], c["iteration"]
+    # np.unique imports numpy.ma (1 MiB and some ms) unless it is asked for an index
+    distinct, rank = np.unique(iteration, return_inverse=True)
+    heads = object_array(_SNAPSHOT_HEAD % (flag, it) for it in distinct.tolist() for flag in ("false", "true"))
+    head_of = rank * 2 + c["correct"]
+    starts = np.ones(len(qids), dtype=bool)
+    starts[1:] = (qids[1:] != qids[:-1]) | (origin[1:] != origin[:-1]) | (steps[1:] != steps[:-1])
+    stretch_of = np.cumsum(starts) - 1
+    firsts = np.flatnonzero(starts)
+    levels = dataset.levels()[firsts]
+    for lo in range(0, len(qids), _SNAPSHOT_CHUNK):
+        hi = min(lo + _SNAPSHOT_CHUNK, len(qids))
+        s_lo, s_hi = stretch_of[lo], stretch_of[hi - 1] + 1
+        rows = firsts[s_lo:s_hi]
+        middles = object_array(
+            _SNAPSHOT_MIDDLE % fields for fields in zip(
+                map(_JSON_LEVEL.__getitem__, levels[s_lo:s_hi].tolist()),
+                map(ORIGINS.__getitem__, origin[rows].tolist()),
+                steps[rows].tolist(),
+                qids[rows].tolist(),
+            )
+        )
+        grid = np.empty((hi - lo, 5), dtype=object)
+        grid[:, 0] = heads[head_of[lo:hi]]
+        grid[:, 1] = _field_texts(c["length_tokens"][lo:hi], _DECIMAL)
+        grid[:, 2] = middles[stretch_of[lo:hi] - s_lo]
+        grid[:, 3] = _field_texts(c["sample_index"][lo:hi], _DECIMAL)
+        grid[:, 4] = "}\n"
         yield "".join(grid.ravel().tolist())
 
 

@@ -7,7 +7,8 @@ These deliberately avoid the library's dataset machinery: plain dicts of
 lists, straight loops.  Threshold clipping shares the library's pinned draw key
 (one ``rng.uniform`` per entry on the THRESHOLD_CLIP stream) because the
 subset choice is part of the definition; the per-entry counters and the
-keep-the-L-smallest rule around it are re-derived here with scalar draws.
+keep-the-L-smallest rule around it are re-derived here with scalar draws
+(``uniform_scalar``, ``rng.uniform`` on Python ints).
 """
 
 from __future__ import annotations
@@ -72,6 +73,27 @@ def same_multiset(a_entries, b_entries) -> bool:
     return Counter(map(entry_key, a_entries)) == Counter(map(entry_key, b_entries))
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN64, _MIX1_64, _MIX2_64 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _squeeze64(z: int) -> int:
+    z = (z ^ (z >> 30)) * _MIX1_64 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2_64 & _MASK64
+    return z ^ (z >> 31)
+
+
+def uniform_scalar(root_seed: int, tag: int, query_id: int, counter: int) -> float:
+    """``rng.uniform`` of one key on Python ints: the same SplitMix64 mixing,
+    every product and sum taken modulo 2**64, then the top 53 bits over
+    2**53.  A scalar draw this way skips numpy's 0-d overhead."""
+    h = _squeeze64((root_seed + _GOLDEN64) & _MASK64)
+    h = _squeeze64(h ^ (tag * _MIX1_64 & _MASK64))
+    h = _squeeze64(h ^ (query_id * _GOLDEN64 & _MASK64))
+    h = _squeeze64(h ^ (counter * _MIX2_64 & _MASK64))
+    return (h >> 11) / float(1 << 53)
+
+
 def oracle_tc(filter_entries, L, seed, iteration=1):
     """Each entry draws one scalar uniform keyed by (seed, query id,
     iteration * 2**32 + its position in the query); a query keeps the L
@@ -79,7 +101,7 @@ def oracle_tc(filter_entries, L, seed, iteration=1):
     out = []
     for qid, items in group(filter_entries).items():
         draws = [
-            float(rng.uniform(seed, rng.THRESHOLD_CLIP, qid, iteration * 2**32 + pos))
+            uniform_scalar(seed, rng.THRESHOLD_CLIP, qid, iteration * 2**32 + pos)
             for pos in range(len(items))
         ]
         smallest = sorted(range(len(items)), key=lambda i: draws[i])[:L]

@@ -169,6 +169,38 @@ def test_snapshot_lines_of_large_length_and_sample_index(value):
     assert "".join(harness._snapshot_chunks(ds)) == snapshot_text(ds)
 
 
+@pytest.mark.parametrize("value", [1023, 1024, 2**63 - 1])
+def test_snapshot_lines_of_large_iteration_and_prefix_steps(value):
+    # both reach a line through a formatted template, not a decimal table
+    record = QueryRecord(id=1, gt_answer="a", level=4)
+    entries = [
+        (record, Trajectory(1, 1, value, 40, "a", True)),
+        (record, Trajectory(1, 2, value, 40, "x", False)),
+        (record, Trajectory(1, 1, 1, 40, "a", True, origin=ORIGIN_RESAMPLED_GR, prefix_steps=value)),
+        (record, Trajectory(1, 2, 1, 40, "a", True, origin=ORIGIN_RESAMPLED_GR, prefix_steps=value)),
+    ]
+    ds = TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
+    assert "".join(harness._snapshot_chunks(ds)) == snapshot_text(ds)
+
+
+def test_snapshot_lines_of_a_query_at_several_iterations_and_origins():
+    # the query's rows split into stretches of equal origin and prefix_steps,
+    # interleaved with other iterations' rows
+    record = QueryRecord(id=7, gt_answer="a", level=2)
+    entries = [
+        (record, Trajectory(7, s, it, 10 * s + it, "a", s % 2 == 1, origin=origin, prefix_steps=steps,
+                            corrected_from=1 if origin == ORIGIN_CORRECTED else None))
+        for it in (1, 2, 3)
+        for origin, steps in ((ORIGINS[0], 0), (ORIGINS[1], 0), (ORIGIN_RESAMPLED_GR, 1),
+                              (ORIGIN_RESAMPLED_GR, 2), (ORIGIN_CORRECTED, 0))
+        for s in (1, 2)
+    ]
+    other = QueryRecord(id=8, gt_answer="b")
+    entries += [(other, Trajectory(8, 1, it, 5, "b", False)) for it in (1, 3)]
+    ds = TrajectoryDataset.from_entries(entries, ROLE_SAMPLE)
+    assert "".join(harness._snapshot_chunks(ds)) == snapshot_text(ds)
+
+
 @pytest.mark.parametrize("extra", [0, 1])
 def test_snapshot_lines_at_the_chunk_boundary(extra):
     ds = dataset_of_rows(harness._SNAPSHOT_CHUNK + extra)
@@ -222,9 +254,16 @@ def test_from_entries_round_trip(data, role):
 def test_merge_equals_sorted_concatenation(data):
     records = data.draw(corpora())
     a = TrajectoryDataset.from_entries(data.draw(entry_lists(records, correct=True)), ROLE_FILTER)
-    b = TrajectoryDataset.from_entries(data.draw(entry_lists(records, correct=True)), ROLE_FILTER)
+    b_entries = data.draw(entry_lists(records, correct=True))
+    if data.draw(st.booleans()):
+        # the program's shape: b holds a later iteration than any of a's, so a
+        # sort by query id alone orders a + b; b + a still needs the full sort
+        later = max((t.iteration for _, t in a.entries), default=0)
+        b_entries = [(r, replace(t, iteration=t.iteration + later)) for r, t in b_entries]
+    b = TrajectoryDataset.from_entries(b_entries, ROLE_FILTER)
     expected = tuple(sorted(a.entries + b.entries, key=entry_sort_key))
     assert merge_datasets(a, b).entries == expected
+    assert merge_datasets(b, a).entries == tuple(sorted(b.entries + a.entries, key=entry_sort_key))
 
 
 @given(datasets(role=ROLE_FILTER), st.integers(1, 8), st.integers(0, 2**32))

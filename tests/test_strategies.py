@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from headtail import rng
 from headtail.core import (
     ORIGIN_CORRECTED,
     ORIGIN_RESAMPLED_AR,
@@ -35,6 +36,7 @@ from oracles import (
     oracle_rp,
     oracle_tc,
     same_multiset,
+    uniform_scalar,
 )
 
 
@@ -321,6 +323,17 @@ class TestSelfCorrectAugment:
 
 
 class TestOracleEquivalence:
+    @given(
+        st.integers(0, 2**63 - 1),
+        st.sampled_from((rng.CORRECT, rng.PASS_RATE, rng.THRESHOLD_CLIP)),
+        st.integers(-(2**63), 2**63 - 1),
+        st.one_of(st.integers(0, 2**40), st.integers(2**32, 2**63 - 1)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_uniform_equals_rng_uniform(self, seed, tag, qid, counter):
+        # oracle_tc draws through the pure-Python reference; it must be rng.uniform bit for bit
+        assert uniform_scalar(seed, tag, qid, counter) == float(rng.uniform(seed, tag, qid, counter))
+
     @given(
         st.dictionaries(st.integers(0, 20), st.integers(1, 8), min_size=1, max_size=12),
         st.integers(1, 8),
