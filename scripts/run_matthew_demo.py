@@ -7,6 +7,7 @@ Reports land under --output-dir, one subdirectory per strategy.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from headtail.harness import RunConfig, emit_report, run
@@ -31,15 +32,10 @@ def main() -> None:
     print(f"{'strategy':>9} | {'final head':>10} {'final tail':>10} {'gap slope':>10} "
           f"{'train size':>10} {'mean len':>8}")
     print("-" * 66)
+    # every run derives from one config, so they share one calibrated start
+    cfg = RunConfig(n_queries=args.n, k_samples=args.k, iterations=args.t, seed=args.seed)
     for kind in args.strategies.split(","):
-        cfg = RunConfig(
-            n_queries=args.n,
-            k_samples=args.k,
-            iterations=args.t,
-            strategy=StrategyConfig(kind=kind),
-            seed=args.seed,
-        )
-        report = run(cfg)
+        report = run(replace(cfg, strategy=StrategyConfig(kind=kind)))
         emit_report(report, base / kind)
         trend = matthew_series(report.rows_for("filter"))
         final = report.rows_for("train")[-1]

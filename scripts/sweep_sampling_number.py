@@ -8,6 +8,7 @@ data distribution has collapsed onto the head.
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,14 +24,19 @@ def main() -> None:
     args = parser.parse_args()
 
     seeds = [int(s) for s in args.seeds.split(",")]
+    k_values = [int(x) for x in args.k_values.split(",")]
     print(f"{'K':>4} | mean sampled pass@1 by iteration (seeds {seeds})")
     print("-" * 60)
-    for k in (int(x) for x in args.k_values.split(",")):
-        per_iter = []
-        for seed in seeds:
-            report = run(RunConfig(n_queries=args.n, k_samples=k, iterations=args.t, seed=seed))
-            per_iter.append([e.sampled_pass1 for e in report.evals])
-        means = np.mean(per_iter, axis=0)
+    # every run derives from one config and each seed's runs go together,
+    # so they share that seed's calibrated start
+    cfg = RunConfig(n_queries=args.n, iterations=args.t)
+    per_iter = [[] for _ in k_values]
+    for seed in seeds:
+        for i, k in enumerate(k_values):
+            report = run(replace(cfg, k_samples=k, seed=seed))
+            per_iter[i].append([e.sampled_pass1 for e in report.evals])
+    for k, runs in zip(k_values, per_iter):
+        means = np.mean(runs, axis=0)
         print(f"{k:>4} | " + "  ".join(f"{m:.3f}" for m in means))
 
 

@@ -17,11 +17,13 @@ The queries live in a :class:`Corpus`, one read-only column per
 ``QueryRecord`` field in ascending id order; a run builds one, and every
 dataset of the run and the learner share it.  Per-query facts live only
 there (``levels`` and ``gt_answers`` spread them over a dataset's rows).
-A dataset is one read-only array per ``COLUMNS`` field, an object array
-of extracted answers, and its corpus.  Every transform is index
-arithmetic on those columns, restoring canonical order with one stable
-``np.lexsort`` over the ``entry_sort_key`` fields (``merge_datasets`` first
-tries a stable sort by query id alone).  Python objects exist
+A dataset is one read-only array per ``COLUMNS`` field, the extracted
+answers among them, and its corpus.  Every transform is index arithmetic
+on those columns.  A dataset keeps its own order: it checks whether some
+row's ``entry_sort_key`` falls below the row's before it, and only then
+restores canonical order with one stable ``np.lexsort`` over the key's
+fields (``merge_datasets`` first sorts stably by query id alone, and
+``select`` checks only whether its rows ascend).  Python objects exist
 only at the edges: ``from_entries`` packs pairs made elsewhere into
 columns, and ``entries`` builds pairs from the columns on first access;
 the loop and the disk readers never do either.  A dataset built from
@@ -148,18 +150,37 @@ def entry_sort_key(entry: Entry) -> tuple:
     return (t.query_id, t.iteration, ORIGIN_RANK[t.origin], t.sample_index, t.prefix_steps, link)
 
 
-# one int64 column per Trajectory field ("correct" is bool); corrected_from
-# -1 stands for unset, origin holds the rank
+# one column per Trajectory field: int64, but "correct" is bool and "answer"
+# (extracted_answer) holds objects; corrected_from -1 stands for unset,
+# origin holds the rank
 COLUMNS = (
     "query_id", "iteration", "origin", "sample_index",
-    "prefix_steps", "prefix_tokens", "length_tokens", "correct", "corrected_from",
+    "prefix_steps", "prefix_tokens", "length_tokens", "correct", "corrected_from", "answer",
 )
+_DTYPES = {name: np.int64 for name in COLUMNS} | {"correct": bool, "answer": object}
 # the columns a dataset may be built without, and the value they then take:
-# explored rows with no kept prefix and no correction link
-_UNSET = {"origin": ORIGIN_RANK[ORIGIN_EXPLORED], "prefix_steps": 0, "prefix_tokens": 0, "corrected_from": -1}
+# explored rows with no kept prefix, no correction link and no answer
+_UNSET = {
+    "origin": ORIGIN_RANK[ORIGIN_EXPLORED], "prefix_steps": 0, "prefix_tokens": 0, "corrected_from": -1,
+    "answer": "",
+}
 # entry_sort_key's fields, least significant first as np.lexsort wants them
 _SORT_COLUMNS = ("corrected_from", "prefix_steps", "sample_index", "origin", "iteration", "query_id")
 _ALL_CORRECT_ROLES = (ROLE_FILTER, ROLE_REFILTER, ROLE_TRAIN)
+
+
+def _descends(cols: Mapping[str, np.ndarray]) -> bool:
+    """Whether some row's ``entry_sort_key`` is below the row's before it."""
+    ids = cols["query_id"]
+    tied = np.ones(max(len(ids) - 1, 0), dtype=bool)
+    descends = np.zeros_like(tied)
+    for name in reversed(_SORT_COLUMNS):  # most significant first, until no pair ties
+        col = cols[name]
+        descends |= tied & (col[1:] < col[:-1])
+        tied &= col[1:] == col[:-1]
+        if not tied.any():
+            break
+    return bool(descends.any())
 
 
 def first_rows(ids: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], int | None]:
@@ -313,12 +334,12 @@ class TrajectoryDataset:
     """An immutable, canonically ordered multiset of (query, trajectory) pairs.
 
     ``columns`` maps each name in ``COLUMNS`` to a read-only array with one
-    row per entry, ``answers`` holds the extracted answers and ``corpus``
+    row per entry (``answers`` is its ``answer`` column), and ``corpus``
     holds every query in the columns (possibly more).  The constructor
     takes a scalar for a column that is equal on every row, and the columns
     in ``_UNSET`` may be left out; a name not in ``COLUMNS`` is a
-    ValueError.  It checks every invariant and, with ``sort``, puts the
-    rows in canonical order.
+    ValueError.  It checks every invariant and puts rows given in any
+    other order in canonical order.
 
     A dataset derived from others (``select``, ``retagged``,
     ``merge_datasets``) re-checks only the role invariant: every other
@@ -329,61 +350,49 @@ class TrajectoryDataset:
     its ``retagged`` copies.
     """
 
-    __slots__ = ("role", "columns", "answers", "corpus", "_entries", "_runs")
+    __slots__ = ("role", "columns", "corpus", "_entries", "_runs")
 
-    def __init__(
-        self,
-        role: str,
-        columns: dict[str, Any],
-        answers: np.ndarray,
-        corpus: Corpus,
-        *,
-        sort: bool = True,
-    ):
+    def __init__(self, role: str, columns: dict[str, Any], corpus: Corpus):
         unknown = set(columns) - set(COLUMNS)
         if unknown:
             raise ValueError(f"unknown dataset columns {sorted(unknown)}")
-        n = len(answers)
         cols = {}
         for name in COLUMNS:
             value = columns.get(name, _UNSET.get(name))
             if value is None:
                 raise ValueError(f"dataset column {name!r} is missing")
             try:
-                col = np.asarray(value, dtype=bool if name == "correct" else np.int64)
+                cols[name] = np.asarray(value, dtype=_DTYPES[name])
             except OverflowError:
                 raise ValueError("dataset fields must fit in 64-bit integers") from None
-            cols[name] = np.full(n, col) if col.ndim == 0 else col
-        if any(len(col) != n for col in cols.values()):
+        lengths = {len(col) for col in cols.values() if col.ndim}
+        if len(lengths) > 1:
             raise ValueError("dataset columns differ in length")
+        n = lengths.pop() if lengths else 1  # scalars alone make one row
+        cols = {name: np.full(n, col) if col.ndim == 0 else col for name, col in cols.items()}
         _check_columns(role, cols)
-        self._fill(role, cols, answers, corpus, sort, [])
+        self._fill(role, cols, corpus, _descends(cols), [])
 
     @classmethod
     def _derived(
-        cls, role: str, columns: Mapping[str, np.ndarray], answers: np.ndarray, corpus: Corpus,
+        cls, role: str, columns: Mapping[str, np.ndarray], corpus: Corpus,
         *, sort: bool = False, runs: list | None = None,
     ) -> "TrajectoryDataset":
         """A dataset of rows taken from checked datasets: ``columns`` holds
         every ``COLUMNS`` array at full length, and only the role is checked."""
         _check_role(role, columns["correct"])
         dataset = cls.__new__(cls)
-        dataset._fill(role, columns, answers, corpus, sort, [] if runs is None else runs)
+        dataset._fill(role, columns, corpus, sort, [] if runs is None else runs)
         return dataset
 
-    def _fill(
-        self, role: str, cols: Mapping[str, np.ndarray], answers: np.ndarray, corpus: Corpus,
-        sort: bool, runs: list,
-    ) -> None:
-        if sort and len(answers) > 1:
+    def _fill(self, role: str, cols: Mapping[str, np.ndarray], corpus: Corpus, sort: bool, runs: list) -> None:
+        if sort:
             order = np.lexsort([cols[name] for name in _SORT_COLUMNS])
             cols = {name: col[order] for name, col in cols.items()}
-            answers = answers[order]
-        for col in (*cols.values(), answers):
+        for col in cols.values():
             col.flags.writeable = False
         self.role = role
         self.columns = cols if isinstance(cols, MappingProxyType) else MappingProxyType(cols)
-        self.answers = answers
         self.corpus = corpus
         self._entries: tuple[Entry, ...] | None = None
         # one cell, filled by _query_facts; retagged copies share it
@@ -416,9 +425,9 @@ class TrajectoryDataset:
             "length_tokens": [t.length_tokens for t in trajs],
             "correct": [t.correct for t in trajs],
             "corrected_from": [-1 if t.corrected_from is None else t.corrected_from for t in trajs],
+            "answer": object_array(t.extracted_answer for t in trajs),
         }
-        answers = object_array(t.extracted_answer for t in trajs)
-        return cls(role, columns, answers, Corpus.of(records.values()))
+        return cls(role, columns, Corpus.of(records.values()))
 
     @classmethod
     def empty(cls, role: str) -> "TrajectoryDataset":
@@ -434,14 +443,19 @@ class TrajectoryDataset:
                 (records[q], Trajectory(q, s, it, n, a, ok, ORIGINS[o], ps, pt, None if cf < 0 else cf))
                 for q, s, it, n, a, ok, o, ps, pt, cf in zip(
                     c["query_id"], c["sample_index"], c["iteration"], c["length_tokens"],
-                    self.answers.tolist(), c["correct"], c["origin"], c["prefix_steps"],
+                    c["answer"], c["correct"], c["origin"], c["prefix_steps"],
                     c["prefix_tokens"], c["corrected_from"],
                 )
             )
         return self._entries
 
+    @property
+    def answers(self) -> np.ndarray:
+        """The extracted answers: the read-only ``answer`` column."""
+        return self.columns["answer"]
+
     def __len__(self) -> int:
-        return len(self.answers)
+        return len(self.columns["query_id"])
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(self.entries)
@@ -456,23 +470,22 @@ class TrajectoryDataset:
     def __repr__(self) -> str:
         return f"TrajectoryDataset(role={self.role!r}, rows={len(self)})"
 
-    def select(
-        self, rows: np.ndarray, role: str, *, correct: bool | None = None, sort: bool = False
-    ) -> "TrajectoryDataset":
-        """The given rows (repeats allowed) under ``role``.
+    def select(self, rows: np.ndarray, role: str, *, correct: bool | None = None) -> "TrajectoryDataset":
+        """The given rows (repeats allowed) under ``role``, in canonical order.
 
-        ``correct`` overwrites the rows' correct flag.  Pass ``sort`` unless
-        ``rows`` ascend, to restore canonical order.
+        ``correct`` overwrites the rows' correct flag.  Rows that ascend
+        keep their order; any others are sorted.
         """
         rows = np.asarray(rows, dtype=np.intp)
         columns = {name: col[rows] for name, col in self.columns.items()}
         if correct is not None:
             columns["correct"] = np.full(len(rows), correct, dtype=bool)
-        return TrajectoryDataset._derived(role, columns, self.answers[rows], self.corpus, sort=sort)
+        descends = bool((rows[1:] < rows[:-1]).any())
+        return TrajectoryDataset._derived(role, columns, self.corpus, sort=descends)
 
     def retagged(self, role: str) -> "TrajectoryDataset":
         """Same entries under a different role tag."""
-        return TrajectoryDataset._derived(role, self.columns, self.answers, self.corpus, runs=self._runs)
+        return TrajectoryDataset._derived(role, self.columns, self.corpus, runs=self._runs)
 
     def _query_facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(query id, first row, row count, corpus row) of each query's
@@ -521,29 +534,21 @@ def run_positions(counts: np.ndarray) -> np.ndarray:
 def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryDataset:
     """Multiset union of two datasets over the same corpus, tagged train.
 
-    Duplicates are preserved and the result is re-sorted into canonical
-    order (entries of ``a`` before equal-keyed entries of ``b``), so the
+    Duplicates are preserved and the result is in canonical order
+    (entries of ``a`` before equal-keyed entries of ``b``), so the
     operation is associative and commutative up to that order.  Datasets
     of one run share one corpus; other corpora are united, and a query
     they disagree on is a CorpusMismatchError.
 
-    A stable sort by query id alone is that order when it leaves no row's
-    sort key below the row's before it, as when ``b``'s rows of each query
-    sort after ``a``'s (a union's newer iteration, a resample's later
-    origin); one pass over the keys checks that, and otherwise the full
-    sort runs.
+    A stable sort by query id alone gives that order unless some row's
+    sort key falls below the row's before it, which it cannot when
+    ``b``'s rows of each query sort after ``a``'s (a union's newer
+    iteration, a resample's later origin); the dataset's own order check
+    looks, and only a failed check runs the full sort.
     """
     qids = np.concatenate((a.columns["query_id"], b.columns["query_id"]))
     order = np.argsort(qids, kind="stable")
     columns = {name: np.concatenate((a.columns[name], b.columns[name]))[order] for name in COLUMNS}
-    answers = np.concatenate((a.answers, b.answers))[order]
-    ids = columns["query_id"]
-    tied = ids[1:] == ids[:-1]
-    descends = np.zeros_like(tied)
-    for name in reversed(_SORT_COLUMNS[:-1]):  # after the query id, most significant first
-        col = columns[name]
-        descends |= tied & (col[1:] < col[:-1])
-        tied &= col[1:] == col[:-1]
     return TrajectoryDataset._derived(
-        ROLE_TRAIN, columns, answers, a.corpus.union(b.corpus), sort=bool(descends.any())
+        ROLE_TRAIN, columns, a.corpus.union(b.corpus), sort=_descends(columns)
     )

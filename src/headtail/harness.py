@@ -562,7 +562,7 @@ def _snapshot_dataset(path: str | Path, c: dict[str, np.ndarray], role: str) -> 
     if conflict is not None:
         raise SchemaError(f"{path}: conflicting records for query {qids[conflict]}")
     try:
-        return TrajectoryDataset(role, c, np.full(len(qids), "", dtype=object), Corpus(ids, "", levels))
+        return TrajectoryDataset(role, c, Corpus(ids, "", levels))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -717,7 +717,7 @@ def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
         "iteration": np.array([rec.iteration for rec in records], dtype=np.int64),
         "length_tokens": np.array([rec.token_count for rec in records], dtype=np.int64),
         "gt_answer": object_array(rec.gt_answer for rec in records),
-        "answers": object_array(rec.extracted_answer for rec in records),
+        "answer": object_array(rec.extracted_answer for rec in records),
     })
 
 
@@ -726,7 +726,7 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     ``TrajectoryLogRecord`` of each row would be."""
     query_id = _int64(map(itemgetter("query_id"), rows))
     gt_answer = object_array(_converted(map(itemgetter("gt_answer"), rows), str))
-    answers = object_array(_converted(map(itemgetter("extracted_answer"), rows), str))
+    answer = object_array(_converted(map(itemgetter("extracted_answer"), rows), str))
     token_count = _int64(map(itemgetter("token_count"), rows))
     offsets = [r.get("step_offsets", ()) for r in rows]
     flat = _converted(itertools.chain.from_iterable(offsets), int)
@@ -751,7 +751,7 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
         "iteration": iteration,
         "length_tokens": token_count,
         "gt_answer": gt_answer,
-        "answers": answers,
+        "answer": answer,
     }
 
 
@@ -762,13 +762,12 @@ def _log_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
     of rows in log order, whose first row holds the query's ``gt_answer``
     (the first row in log order whose ``gt_answer`` differs from its run's
     first is the conflict) and whose positions are the sample indices.  It
-    is the canonical order too while each run's iterations ascend, since
+    is the canonical order too, unless a query's iterations descend, since
     the log's rows differ in nothing else that orders them."""
     qids, gt = c["query_id"], c["gt_answer"]
     by_query = np.argsort(qids, kind="stable")
     sorted_ids = qids[by_query]
-    same = sorted_ids[1:] == sorted_ids[:-1]
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))[: len(qids)]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))[: len(qids)]
     counts = np.diff(np.append(starts, len(qids)))
     sorted_gts = gt[by_query]
     gts = sorted_gts[starts]
@@ -776,18 +775,15 @@ def _log_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
     if len(conflicts):
         conflict = conflicts.min()
         raise SchemaError(f"record {conflict + 1}: conflicting gt_answer for query {qids[conflict]}")
-    iteration = c["iteration"][by_query]
     columns = {
         "query_id": sorted_ids,
-        "iteration": iteration,
+        "iteration": c["iteration"][by_query],
         "sample_index": run_positions(counts) + 1,
         "length_tokens": c["length_tokens"][by_query],
         "correct": False,
+        "answer": c["answer"][by_query],
     }
-    in_order = not np.any(same & (iteration[1:] < iteration[:-1]))
-    return TrajectoryDataset(
-        ROLE_SAMPLE, columns, c["answers"][by_query], Corpus(sorted_ids[starts], gts), sort=not in_order
-    )
+    return TrajectoryDataset(ROLE_SAMPLE, columns, Corpus(sorted_ids[starts], gts))
 
 
 def load_log(path: str | Path) -> TrajectoryDataset:

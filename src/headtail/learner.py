@@ -52,7 +52,7 @@ from .core import (
     object_array,
     run_positions,
 )
-from .strategies import Draws, SamplerError, split_steps
+from .strategies import Draws, SamplerError, check_int64, split_steps
 
 
 def _check_finite(params: LearnerParams | CorpusParams) -> None:
@@ -141,18 +141,6 @@ class CorpusParams:
                 raise ValueError("difficulty ranges must satisfy 0 <= lo <= hi <= 1")
         if self.base_tokens < 1.0:
             raise ValueError("base_tokens must be >= 1")
-
-
-def guided_success_probability(p: float, step: int, total_steps: int, gain: float) -> float:
-    """Success chance when continuing from the prefix before the given step.
-
-    With f = (step - 1) / total_steps the kept fraction of a successful
-    trajectory: 1 - (1 - p) * (1 - f)**gain.  Equals p at step 1 and is
-    non-decreasing in the step, since following more of a correct solution
-    leaves less room to go wrong.
-    """
-    f = (step - 1) / total_steps
-    return 1.0 - (1.0 - p) * (1.0 - f) ** gain
 
 
 def synth_corpus(n: int, seed: int, params: CorpusParams = CorpusParams()) -> Corpus:
@@ -313,7 +301,7 @@ class LearnerState:
         if np.any((steps < 1) | (steps > total_steps)):
             raise ValueError(f"steps must be in [1, {total_steps}]")
         own, p, mu, gt = self._query_columns(corpus, query_ids)
-        # per step in Python floats, as guided_success_probability computes them
+        # per step in Python floats, as the scalar reference in tests/oracles.py computes them
         kept = [(step - 1) / total_steps for step in range(1, total_steps + 1)]
         factor = np.array([(1.0 - f) ** self.params.prefix_gain for f in kept])[steps - 1]
         scale = np.array([1.0 - f for f in kept])[steps - 1]
@@ -335,8 +323,7 @@ class LearnerState:
 
     def sample_batch(self, k: int) -> TrajectoryDataset:
         """K fresh draws per corpus query."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        check_int64("k", k, 1)
         c = self.corpus
         qids = np.repeat(c.ids, k)
         draws = self._draw_rows(*self._query_columns(c, qids))
@@ -346,9 +333,9 @@ class LearnerState:
             "sample_index": np.tile(np.arange(1, k + 1), len(c)),
             "length_tokens": draws.length_tokens,
             "correct": draws.correct,
+            "answer": draws.answers,
         }
-        # rows come out in canonical order: query id, then sample index
-        return TrajectoryDataset(ROLE_SAMPLE, columns, draws.answers, c, sort=False)
+        return TrajectoryDataset(ROLE_SAMPLE, columns, c)
 
     # -- one-row sampling --------------------------------------------------
 
@@ -391,8 +378,7 @@ class LearnerState:
     def pass_rates(self, m: int) -> np.ndarray:
         """Monte-Carlo pass@M per corpus query, from a dedicated measurement
         stream: shot j of query q succeeds when its uniform keyed by (q, j) is below p_q."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
+        check_int64("m", m, 1)
         n = len(self.corpus)
         qids = np.repeat(self.corpus.ids, m).astype(np.uint64)
         counters = np.tile(np.arange(m, dtype=np.uint64), n)
@@ -423,8 +409,7 @@ class LearnerState:
         """
         if training_set.role != ROLE_TRAIN:
             raise ValueError(f"train expects a train dataset, got role {training_set.role!r}")
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        check_int64("k", k, 1)
         pr = self.params
         p = self.p
         counts = training_set.count_of(self.corpus.ids)

@@ -178,8 +178,7 @@ def threshold_clip(
     order; queries at or under the threshold pass through untouched.
     """
     _require_filter(filtered)
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    check_int64("L", L, 1)
     # canonical order sorts by query id, so each query is one contiguous run
     qids = filtered.columns["query_id"]
     position = np.arange(len(qids)) - np.searchsorted(qids, qids)
@@ -192,8 +191,7 @@ def threshold_clip(
 def head_clip(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
     """Drop every query that answered all K draws correctly."""
     _require_filter(filtered)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    check_int64("K", K, 1)
     return filtered.select(np.flatnonzero(filtered.row_counts() != K), ROLE_TRAIN)
 
 
@@ -206,7 +204,7 @@ def _cycled(filtered: TrajectoryDataset, targets) -> TrajectoryDataset:
     _, starts, counts = filtered.query_runs()
     targets = np.broadcast_to(np.maximum(targets, 0), counts.shape)
     rows = np.repeat(starts, targets) + run_positions(targets) % np.repeat(counts, targets)
-    return filtered.select(rows, ROLE_TRAIN, sort=True)
+    return filtered.select(rows, ROLE_TRAIN)
 
 
 def repeat_pad(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
@@ -216,8 +214,7 @@ def repeat_pad(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
     ceil(K/k_i) or floor(K/k_i) times; unsolved queries contribute nothing.
     """
     _require_filter(filtered)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    check_int64("K", K, 1)
     return _cycled(filtered, K)
 
 
@@ -228,8 +225,7 @@ def repeat_invert(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
     inflated toward K - k_i by the same cycling rule as repeat_pad.
     """
     _require_filter(filtered)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    check_int64("K", K, 1)
     _, _, counts = filtered.query_runs()
     return _cycled(filtered, K - counts)
 
@@ -259,9 +255,9 @@ def _resampled(
             "origin": ORIGIN_RANK[origin],
             "length_tokens": draws.length_tokens,
             "correct": draws.correct,
+            "answer": draws.answers,
             **columns,
         },
-        draws.answers,
         corpus,
     )
 
@@ -277,8 +273,7 @@ def adaptive_resample(
     Returns (resampled, refiltered, train).
     """
     _require_filter(filtered)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    check_int64("K", K, 1)
     deficit = np.maximum(K - filtered.count_of(corpus.ids), 0)
     query_ids = np.repeat(corpus.ids, deficit)
     resampled = _resampled(
@@ -299,8 +294,7 @@ def split_steps(traj: Trajectory, S: int) -> tuple[int, ...]:
     Chunk sizes differ by at most one, larger chunks first.  Returns the S
     offsets (0 = empty prefix, then the start of each later step).
     """
-    if S < 2:
-        raise ValueError("S must be >= 2")
+    check_int64("S", S, 2)
     if traj.length_tokens < S:
         raise ValueError("trajectory too short to split")
     base, extra = divmod(traj.length_tokens, S)
@@ -322,10 +316,8 @@ def guided_resample(
     (resampled, refiltered, train).
     """
     _require_filter(filtered)
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if S < 2:
-        raise ValueError("S must be >= 2")
+    check_int64("L", L, 1)
+    check_int64("S", S, 2)
     c = filtered.columns
     donors = np.flatnonzero(filtered.row_counts() < L)
     n_steps = np.where(c["length_tokens"][donors] >= S, S, 1)
@@ -363,8 +355,7 @@ def self_correct_augment(
     _require_filter(filtered)
     if discard.role != ROLE_DISCARD:
         raise ValueError(f"expected a discard dataset, got role {discard.role!r}")
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    check_int64("K", K, 1)
     c = discard.columns
     rows = np.flatnonzero(filtered.count_of(c["query_id"]) < K)
     query_ids = c["query_id"][rows]
@@ -380,7 +371,6 @@ def self_correct_augment(
     corrections = TrajectoryDataset(
         ROLE_REFILTER,
         {name: np.concatenate((pairs[name], kept.columns[name])) for name in COLUMNS},
-        np.concatenate((kept.answers, kept.answers)),
         kept.corpus,
     )
     return merge_datasets(filtered, corrections)

@@ -42,7 +42,6 @@ from headtail.harness import (
     SchemaError,
     TrajectoryLogRecord,
 )
-from headtail.learner import guided_success_probability
 from headtail.strategies import split_steps
 
 
@@ -261,6 +260,18 @@ def _draw(state, query, prob, mu, *, scale=1.0, prefix_tokens=0, **fields) -> Tr
 def fresh_draw(state, query) -> Trajectory:
     """One fresh draw: correct w.p. p, length around the level mean."""
     return _draw(state, query, _p_of(state, query), _mu_of(state, query))
+
+
+def guided_success_probability(p: float, step: int, total_steps: int, gain: float) -> float:
+    """Success chance when continuing from the prefix before the given step.
+
+    With f = (step - 1) / total_steps the kept fraction of a successful
+    trajectory: 1 - (1 - p) * (1 - f)**gain.  Equals p at step 1 and is
+    non-decreasing in the step, since following more of a correct solution
+    leaves less room to go wrong.
+    """
+    f = (step - 1) / total_steps
+    return 1.0 - (1.0 - p) * (1.0 - f) ** gain
 
 
 def guided_draw(state, query, prefix, step, total_steps) -> Trajectory:

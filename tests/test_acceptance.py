@@ -21,7 +21,7 @@ from headtail.harness import (
     rebalance_offline,
     run,
 )
-from headtail.learner import calibrate_difficulty, guided_success_probability
+from headtail.learner import calibrate_difficulty
 from headtail.rewards import discard_dataset, filter_dataset, reward
 from headtail.strategies import (
     StrategyConfig,
@@ -36,6 +36,7 @@ from headtail.strategies import (
 
 from conftest import ScriptedSampler, make_filter, make_query, make_sample
 from oracles import (
+    guided_success_probability,
     oracle_ar_draws,
     oracle_gr_draws,
     oracle_hc,

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from headtail import harness
 from headtail.core import (
     COLUMNS,
     ORIGIN_RESAMPLED_AR,
+    ORIGIN_RESAMPLED_GR,
+    ORIGINS,
     ROLE_FILTER,
     ROLE_SAMPLE,
     ROLE_TRAIN,
@@ -110,8 +113,8 @@ class TestConstructorColumns:
         }
 
     def build(self, columns):
-        answers = np.array(["a2", "x", "a1"], dtype=object)
-        return TrajectoryDataset(ROLE_SAMPLE, columns, answers, Corpus.of([make_query(1), make_query(2, level=3)]))
+        columns = {"answer": np.array(["a2", "x", "a1"], dtype=object), **columns}
+        return TrajectoryDataset(ROLE_SAMPLE, columns, Corpus.of([make_query(1), make_query(2, level=3)]))
 
     def test_unset_columns_equal_explicit_unset_arrays(self):
         explicit = {
@@ -308,6 +311,86 @@ def test_sort_key_total_on_duplicates():
     assert entry_sort_key(ds.entries[0]) == entry_sort_key(ds.entries[1])
 
 
+@st.composite
+def keyed_pairs(draw):
+    """Sample pairs over up to 4 queries that differ in every sort-key field
+    and in fields outside the key (length, answer, correct), any order."""
+    qids = draw(st.lists(st.integers(-3, 9), min_size=1, max_size=4, unique=True))
+    records = {q: make_query(q, level=draw(st.one_of(st.none(), st.integers(1, 5)))) for q in qids}
+    pairs = []
+    for _ in range(draw(st.integers(0, 20))):
+        q, origin = draw(st.sampled_from(qids)), draw(st.sampled_from(ORIGINS))
+        pairs.append((records[q], make_traj(
+            q, draw(st.integers(1, 3)), correct=draw(st.booleans()), length=draw(st.integers(2, 9)),
+            iteration=draw(st.integers(1, 3)), origin=origin,
+            prefix_steps=draw(st.integers(0, 2)) if origin == ORIGIN_RESAMPLED_GR else 0,
+            corrected_from=draw(st.sampled_from((None, 1, 2))),
+        )))
+    return pairs
+
+
+def _snapshot(ds):
+    return "".join(harness._snapshot_chunks(ds))
+
+
+@given(keyed_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_constructor_sorts_rows_given_in_any_order(pairs, random):
+    ds = TrajectoryDataset.from_entries(pairs, ROLE_SAMPLE)
+    order = list(range(len(ds)))
+    random.shuffle(order)
+    shuffled = TrajectoryDataset(ROLE_SAMPLE, {name: col[order] for name, col in ds.columns.items()}, ds.corpus)
+    reference = TrajectoryDataset.from_entries(
+        sorted((ds.entries[i] for i in order), key=entry_sort_key), ROLE_SAMPLE
+    )
+    assert shuffled == reference
+    assert shuffled.answers.tolist() == reference.answers.tolist()
+    canonical = TrajectoryDataset(ROLE_SAMPLE, dict(reference.columns), reference.corpus)
+    assert _snapshot(shuffled) == _snapshot(canonical)
+
+
+@given(keyed_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_select_puts_any_rows_in_canonical_order(pairs, data):
+    ds = TrajectoryDataset.from_entries(pairs, ROLE_SAMPLE)
+    rows = data.draw(st.lists(st.integers(0, max(len(ds) - 1, 0)), max_size=2 * len(ds))) if len(ds) else []
+    picked = ds.select(rows, ROLE_SAMPLE)
+    assert picked.entries == tuple(sorted((ds.entries[i] for i in rows), key=entry_sort_key))
+
+
+def test_select_sorts_descending_and_repeated_rows():
+    ds, _ = make_sample({1: 2, 2: 1}, K=3)
+    picked = ds.select([5, 4, 0, 3, 0, 1], ROLE_SAMPLE)
+    reference = sorted((ds.entries[i] for i in (5, 4, 0, 3, 0, 1)), key=entry_sort_key)
+    assert picked.entries == tuple(reference)
+    assert [(t.query_id, t.sample_index) for _, t in picked] == [(1, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
+
+
+class TestAnswerColumn:
+    def test_answers_are_the_read_only_answer_column(self, hand_sample):
+        sample, _ = hand_sample
+        assert sample.answers is sample.columns["answer"]
+        assert sample.answers.dtype == object
+        with pytest.raises(ValueError):
+            sample.answers[0] = "changed"
+        with pytest.raises(AttributeError):
+            sample.answers = sample.answers.copy()
+
+    def test_a_snapshot_read_has_empty_answers(self, hand_sample, tmp_path):
+        sample, _ = hand_sample
+        path = tmp_path / "sample.jsonl"
+        path.write_text(_snapshot(sample), encoding="utf-8")
+        read = harness.read_snapshot(path, ROLE_SAMPLE)
+        assert read.answers.tolist() == [""] * len(sample)
+        assert not read.answers.flags.writeable
+        assert read.columns["correct"].tolist() == sample.columns["correct"].tolist()
+
+    def test_columns_of_scalars_alone_make_one_row(self):
+        ds = TrajectoryDataset(ROLE_SAMPLE, {"query_id": 1, "iteration": 1, "sample_index": 1,
+                                             "length_tokens": 5, "correct": False}, Corpus.of([make_query(1)]))
+        assert [t for _, t in ds] == [Trajectory(1, 1, 1, 5, "", False)]
+
+
 class TestDerivedDatasets:
     """select, retagged and merge_datasets re-check only the role invariant,
     and a dataset's query runs are found once and shared with retagged copies."""
@@ -367,7 +450,7 @@ class TestDerivedDatasets:
 
 def _fresh(ds):
     """The same rows built by the checking constructor, with nothing cached."""
-    return TrajectoryDataset(ds.role, dict(ds.columns), ds.answers, ds.corpus, sort=False)
+    return TrajectoryDataset(ds.role, dict(ds.columns), ds.corpus)
 
 
 def _facts(ds):
@@ -391,7 +474,7 @@ def test_cached_query_facts_equal_a_fresh_computation(pairs, data, parent_first)
         ds.levels()
     retagged = ds.retagged(ROLE_TRAIN)
     rows = sorted(data.draw(st.lists(st.integers(0, max(len(ds) - 1, 0)), max_size=len(ds) * 2)))
-    picked = ds.select(rows if len(ds) else [], ROLE_FILTER, sort=True)
+    picked = ds.select(rows if len(ds) else [], ROLE_FILTER)
     for part in (retagged, ds, picked, picked.retagged(ROLE_TRAIN)):
         assert _facts(part) == _facts(_fresh(part)) == _facts_by_hand(part)
     assert retagged.query_runs()[0] is ds.query_runs()[0]  # one computation, shared

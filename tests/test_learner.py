@@ -596,3 +596,16 @@ class TestAgainstDictReferences:
         levels = calibrate_difficulty(rates)
         expected = calibrate_difficulty_reference(dict(zip(corpus.ids.tolist(), rates.tolist())))
         assert dict(zip(corpus.ids.tolist(), levels.tolist())) == expected
+
+
+@pytest.mark.parametrize("name, call", [
+    ("k", lambda s, v: s.sample_batch(v)),
+    ("m", lambda s, v: s.pass_rates(v)),
+    ("k", lambda s, v: s.train(TrajectoryDataset.empty(ROLE_TRAIN), v)),
+])
+def test_each_count_is_checked_below_and_past_int64(name, call):
+    state = state_with({1: 0.5, 2: 0.3})
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        call(state, 0)
+    with pytest.raises(ValueError, match=rf"^{name} must be < 2\*\*63$"):
+        call(state, 2**63)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from headtail import cli
+from headtail import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -52,6 +52,25 @@ def test_script_prints_its_table(script, args, header, tmp_path, monkeypatch, ca
     assert lines[0] == header
     assert lines[1].startswith("---")
     assert len(lines) > 2
+
+
+@pytest.mark.parametrize(
+    "script, args, calibrations",
+    [
+        ("run_matthew_demo.py",
+         ["--n", "20", "--t", "2", "--strategies", "vanilla,tc,ar", "--output-dir", "demo"], 1),
+        ("sweep_sampling_number.py", ["--n", "20", "--t", "1", "--k-values", "2,4", "--seeds", "0,1"], 2),
+    ],
+)
+def test_demo_runs_share_each_seeds_calibrated_start(script, args, calibrations, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_last_start", [])
+    calls = []
+    calibrate = harness.calibrate_difficulty
+    monkeypatch.setattr(harness, "calibrate_difficulty", lambda rates: calls.append(1) or calibrate(rates))
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert len(calls) == calibrations
 
 
 def test_time_large_run_names_each_kind(tmp_path, monkeypatch, capsys):

@@ -426,3 +426,23 @@ def test_strategy_config_validation():
         StrategyConfig(kind="gr", S=1).validate(8)
     for kind in ("vanilla", "hc", "rp", "ri", "ar", "sc"):  # these never read L
         StrategyConfig(kind=kind, L=9).validate(8)
+
+
+@pytest.mark.parametrize("name, low, call", [
+    ("L", 1, lambda f, d, v: threshold_clip(f, v, seed=0)),
+    ("K", 1, lambda f, d, v: head_clip(f, v)),
+    ("K", 1, lambda f, d, v: repeat_pad(f, v)),
+    ("K", 1, lambda f, d, v: repeat_invert(f, v)),
+    ("K", 1, lambda f, d, v: adaptive_resample(f, f.corpus, ScriptedSampler(), v)),
+    ("K", 1, lambda f, d, v: self_correct_augment(f, d, ScriptedSampler(), v, 0)),
+    ("L", 1, lambda f, d, v: guided_resample(f, ScriptedSampler(), v, 2)),
+    ("S", 2, lambda f, d, v: guided_resample(f, ScriptedSampler(), 1, v)),
+    ("S", 2, lambda f, d, v: split_steps(make_traj(1, length=100), v)),
+])
+def test_each_bound_is_checked_below_and_past_int64(name, low, call):
+    sample, _ = make_sample({1: 2, 2: 1}, K=3)
+    filtered, discard = filter_dataset(sample), discard_dataset(sample)
+    with pytest.raises(ValueError, match=f"^{name} must be >= {low}$"):
+        call(filtered, discard, low - 1)
+    with pytest.raises(ValueError, match=rf"^{name} must be < 2\*\*63$"):
+        call(filtered, discard, 2**63)
