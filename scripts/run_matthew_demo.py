@@ -39,9 +39,10 @@ def main() -> None:
         emit_report(report, base / kind)
         trend = matthew_series(report.rows_for("filter"))
         final = report.rows_for("train")[-1]
+        slope = "" if trend.slope is None else f"{trend.slope:.4f}"  # None: a single iteration has no slope
         print(
             f"{kind:>9} | {final.head_share:>10.3f} {final.tail_share:>10.3f} "
-            f"{trend.slope:>10.4f} {final.total:>10d} {final.mean_length:>8.1f}"
+            f"{slope:>10} {final.total:>10d} {final.mean_length:>8.1f}"
         )
     print()
     print("reference targets from real-model runs (context, not assertions):")

@@ -9,9 +9,13 @@ it, the later ones reuse it), the seconds spent inside ``rewards._graded``
 (the grading of every sampled and resampled set), the seconds to format
 each run's final train and filter snapshots in memory
 (``harness._snapshot_chunks``, chunk by chunk, as a report write does),
-and the process's peak resident set size.  The last three are totals over
-the runs.  Nothing is written to disk and no other process is started, so
-the figures are those of one Python process.
+the seconds to read those snapshots back (``harness.read_snapshot``, as
+the ``report`` verb does) and the process's peak resident set size.  All
+but the wall seconds and the peak are totals over the runs.  For the
+read, each run's snapshots are written, untimed, to a temporary
+directory, and the columns read back are checked against the run's
+datasets (all but ``answer``, which a snapshot omits).  No other process
+is started, so the figures are those of one Python process.
 
 With ``--log``, it instead runs one ``harness.rebalance_offline`` of that
 trajectory log with ``--strategy``, ``--k``, ``--l``, ``--seed`` and
@@ -34,8 +38,10 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from headtail import harness, rewards
-from headtail.harness import RunConfig, _snapshot_chunks, rebalance_offline, run
+from headtail.harness import RunConfig, _snapshot_chunks, read_snapshot, rebalance_offline, run, write_atomic
 from headtail.strategies import StrategyConfig
 
 
@@ -65,6 +71,23 @@ def _print_table(header: str, rows: list[tuple[str, str]]) -> None:
     width = max(12, *(len(name) for name, _ in rows))
     for name, value in rows:
         print(f"{name:<{width}} {value:>9}")
+
+
+def _read_back(report: harness.RunReport) -> float:
+    """Seconds to read the run's final snapshots back, once written to a
+    temporary directory; the columns read must equal the run's datasets'."""
+    seconds = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, dataset in (("train_final", report.final_train), ("filter_final", report.final_filter)):
+            path = Path(tmp) / f"{name}.jsonl"
+            write_atomic(path, _snapshot_chunks(dataset))
+            start = time.perf_counter()
+            read = read_snapshot(path, dataset.role)
+            seconds += time.perf_counter() - start
+            for column, values in dataset.columns.items():
+                if column != "answer":  # a snapshot carries no answers
+                    assert np.array_equal(read.columns[column], values), f"{name}: {column} differs"
+    return seconds
 
 
 def time_rebalance(args: argparse.Namespace) -> None:
@@ -107,7 +130,7 @@ def main() -> None:
     kinds = list(dict.fromkeys(args.strategies.split(",")))
 
     cfg = RunConfig(n_queries=args.n, k_samples=args.k, iterations=args.t, seed=args.seed)
-    grading, calibrating, snapshot = [0.0], [0.0], 0.0
+    grading, calibrating, snapshot, reading = [0.0], [0.0], 0.0, 0.0
     walls = {}
     restores = [_timed(rewards, "_graded", grading), _timed(harness, "_prepared_corpus_and_learner", calibrating)]
     try:
@@ -121,6 +144,7 @@ def main() -> None:
             for dataset in (report.final_train, report.final_filter):
                 sum(map(len, _snapshot_chunks(dataset)))  # one chunk at a time, as a write holds them
             snapshot += time.perf_counter() - start
+            reading += _read_back(report)
             del report
     finally:
         for restore in restores:
@@ -130,7 +154,8 @@ def main() -> None:
         f"{','.join(kinds)} {runs}, in-process: N={args.n} K={args.k} T={args.t} seed={args.seed}",
         [*((f"wall_s.{kind}", f"{wall:.3f}") for kind, wall in walls.items()),
          ("calibrate_s", f"{calibrating[0]:.3f}"), ("grade_s", f"{grading[0]:.3f}"),
-         ("snapshot_s", f"{snapshot:.3f}"), ("peak_rss_mib", f"{_peak_mib():.0f}")],
+         ("snapshot_s", f"{snapshot:.3f}"), ("read_s", f"{reading:.3f}"),
+         ("peak_rss_mib", f"{_peak_mib():.0f}")],
     )
 
 

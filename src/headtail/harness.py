@@ -26,18 +26,24 @@ offline the log's sampling number and ``rebalance_offline``'s ``seed``.
 Logs and dataset snapshots are read by one chunked reader
 (``_read_columns``): it decodes a fixed number of lines per pass straight
 into dataset columns and checks them column by column, building no
-per-line objects.  Each line of a pass is one call to the C scanner behind
-``json.loads`` (``_decode_lines``); a pass with a line the scanner cannot
-take whole (leading whitespace, a BOM, extra data, bad JSON) goes through
+per-line objects.  A snapshot pass whose every line is in headtail's own
+line form is decoded by one compiled pattern built from the writer's
+templates (``_snapshot_line``), with one array call per field
+(``_snapshot_lines_chunk``).  Any other pass, and every log pass, is
+scanned: each line is one call to the C scanner behind ``json.loads``
+(``_decode_lines``), and a pass with a line the scanner cannot take whole
+(leading whitespace, a BOM, extra data, bad JSON) goes through
 ``json.loads`` instead.  A field whose values are all ints (or all
 strings) becomes an array in one call, while any other is converted value
 by value in a record's order, and a log is sorted by query id once
-(``_log_dataset``).  A pass that fails decodes its lines again one at a
-time, in memory, through the same pass decoder (``_decode_chunk``), and
-raises the SchemaError naming the first bad line
-with the message a line-by-line read gives; faults only the whole file
-shows (two ground truths or levels for one query) are raised once every
-line has decoded.  A file is taken whole or not at all.
+(``_log_dataset``).  Both snapshot decoders end in one column checker
+(``_checked_snapshot``).  A pass that fails decodes its lines again one at
+a time, in memory, scanned through the same pass decoder
+(``_decode_chunk``), and raises the SchemaError naming the first bad line
+with the message a line-by-line read gives, whichever decoder the pass
+took; faults only the whole file shows (two ground truths or levels for
+one query) are raised once every line has decoded.  A file is taken whole
+or not at all.
 
 Snapshots are written by one writer (``_snapshot_chunks``),
 ``_SNAPSHOT_CHUNK`` (1024) rows per string.  A line is five texts: a head
@@ -57,12 +63,13 @@ import functools
 import itertools
 import json
 import os
+import re
 import types
 import typing
 from dataclasses import dataclass, field, replace
 from operator import countOf, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -416,13 +423,18 @@ def _decode_chunk(
     fields: set[str],
     required: set[str],
     pull: Callable[[list[dict[str, Any]]], dict[str, np.ndarray]],
+    fast: Callable[[list[str]], dict[str, np.ndarray] | None] | None = None,
 ) -> dict[str, np.ndarray]:
     """``pull`` of the JSONL ``lines``, each a UTF-8 JSON object whose keys
     are among ``fields`` and include every ``required`` one.
 
     What breaks a lone line raises the error ``_read_columns`` reports for
-    it: a ValueError saying what is wrong, or what ``pull`` raises.
+    it: a ValueError saying what is wrong, or what ``pull`` raises.  A
+    ``fast`` decoder, when given, takes the whole chunk first; where it
+    gives None the lines are scanned.
     """
+    if fast is not None and (columns := fast(lines)) is not None:
+        return columns
     try:
         "".join(itertools.filterfalse(str.isascii, lines)).encode("utf-8")
     except UnicodeEncodeError:  # an undecodable byte, kept as a lone surrogate
@@ -452,17 +464,20 @@ def _read_columns(
     required: set[str],
     pull: Callable[[list[dict[str, Any]]], dict[str, np.ndarray]],
     build: Callable[[dict[str, np.ndarray]], TrajectoryDataset],
+    fast: Callable[[list[str]], dict[str, np.ndarray] | None] | None = None,
 ) -> TrajectoryDataset:
     """Decode a JSONL file straight into a dataset, ``_READ_CHUNK`` lines at a time.
 
     ``pull`` turns a chunk of rows into arrays by name, failing on exactly
     the rows that fail alone, and ``build`` makes the dataset of their
     concatenation, raising the SchemaError for faults only the whole file
-    shows.  A failed chunk is decoded again one line at a time, through
-    the same ``_decode_chunk``, to raise the SchemaError naming its first
-    bad line; a chunk whose every line decodes alone is a bug, re-raised.
-    A file that cannot be opened or read is a SchemaError naming ``path``
-    and ``what`` it is.
+    shows.  ``fast``, if given, decodes a chunk's lines as ``pull`` of
+    their rows would, or gives None to have them scanned.  A failed chunk
+    is decoded again one line at a time, through the same
+    ``_decode_chunk`` but never ``fast``, to raise the SchemaError naming
+    its first bad line; a chunk whose every line decodes alone is a bug,
+    re-raised.  A file that cannot be opened or read is a SchemaError
+    naming ``path`` and ``what`` it is.
     """
     parts = [pull([])]  # an empty file still has every column
     try:
@@ -471,7 +486,7 @@ def _read_columns(
             start = 1  # the number of the chunk's first line
             while chunk := list(itertools.islice(fh, _READ_CHUNK)):
                 try:
-                    parts.append(_decode_chunk(list(filter(str.strip, chunk)), fields, required, pull))
+                    parts.append(_decode_chunk(list(filter(str.strip, chunk)), fields, required, pull, fast))
                 except (TypeError, ValueError, OverflowError):  # OverflowError: int() of Infinity
                     for lineno, line in enumerate(chunk, start):
                         try:
@@ -502,6 +517,15 @@ def _int64(values: Iterable[Any]) -> np.ndarray:
         return object_array(ints)
 
 
+# json.dumps(oracles.snapshot_entry(...), sort_keys=True) of a row is the head of
+# its flag and iteration, its length_tokens, the middle of its query, origin and
+# prefix_steps, its sample_index and "}\n"; tests/oracles.py holds that per-pair
+# reference encoder
+_SNAPSHOT_HEAD = '{"correct": %s, "iteration": %d, "length_tokens": '
+_SNAPSHOT_MIDDLE = ', "level": %s, "origin": "%s", "prefix_steps": %d, "query_id": %d, "sample_index": '
+_JSON_FLAG = ("false", "true")
+_JSON_LEVEL = ("null", *map(str, LEVELS))  # level 0 is unset
+
 _SNAPSHOT_FIELDS = {
     "query_id", "sample_index", "iteration", "origin", "prefix_steps", "length_tokens", "level", "correct"
 }
@@ -522,35 +546,77 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     bad = np.flatnonzero(given & ((level < LEVELS[0]) | (level > LEVELS[-1])))
     if len(bad):
         raise ValueError(f"level must be in {LEVELS} when set, got {level[bad[0]]}")
-    sample_index = _int64(map(itemgetter("sample_index"), rows))
-    iteration = _int64(map(itemgetter("iteration"), rows))
-    length_tokens = _int64(map(itemgetter("length_tokens"), rows))
-    prefix_steps = _int64(r.get("prefix_steps", 0) for r in rows)
-    if np.any(sample_index < 1):
+    return _checked_snapshot({
+        "query_id": query_id,
+        "level": level,
+        "sample_index": _int64(map(itemgetter("sample_index"), rows)),
+        "iteration": _int64(map(itemgetter("iteration"), rows)),
+        "length_tokens": _int64(map(itemgetter("length_tokens"), rows)),
+        "prefix_steps": _int64(r.get("prefix_steps", 0) for r in rows),
+        "correct": np.array(correct, dtype=bool),
+    }, [r.get("origin", ORIGIN_EXPLORED) for r in rows])
+
+
+def _checked_snapshot(c: dict[str, np.ndarray], origins: Sequence[Any]) -> dict[str, np.ndarray]:
+    """``c`` with the ``origin`` column, the ranks of ``origins``, added.
+
+    Raises what a ``Trajectory`` of the first bad row raises: the checks
+    run over whole columns, in its order, so an origin that is no dict key
+    fails only after the length check."""
+    if np.any(c["sample_index"] < 1):
         raise ValueError("sample_index must be >= 1")
-    if np.any(iteration < 1):
+    if np.any(c["iteration"] < 1):
         raise ValueError("iteration must be >= 1")
-    if np.any(length_tokens < 0):
+    if np.any(c["length_tokens"] < 0):
         raise ValueError("length_tokens must be >= 0")
-    origins = [r.get("origin", ORIGIN_EXPLORED) for r in rows]
-    origin = np.array([ORIGIN_RANK.get(o, -1) for o in origins], dtype=np.int64)
+    c["origin"] = origin = np.array([ORIGIN_RANK.get(o, -1) for o in origins], dtype=np.int64)
     bad = np.flatnonzero(origin < 0)
     if len(bad):
         raise ValueError(f"unknown origin {origins[bad[0]]!r}")
-    if np.any((prefix_steps != 0) & (origin != ORIGIN_RANK[ORIGIN_RESAMPLED_GR])):
+    if np.any((c["prefix_steps"] != 0) & (origin != ORIGIN_RANK[ORIGIN_RESAMPLED_GR])):
         raise ValueError("prefix_steps is only meaningful for guided resamples")
-    if np.any(prefix_steps < 0):
+    if np.any(c["prefix_steps"] < 0):
         raise ValueError("prefix_steps must be >= 0")
-    return {
-        "query_id": query_id,
-        "level": level,
-        "iteration": iteration,
-        "origin": origin,
-        "sample_index": sample_index,
-        "prefix_steps": prefix_steps,
-        "length_tokens": length_tokens,
-        "correct": np.array(correct, dtype=bool),
-    }
+    return c
+
+
+@functools.cache  # compiled on first use, not at import
+def _snapshot_line() -> re.Pattern[str]:
+    """A line as ``_snapshot_chunks`` writes it, built from its templates:
+    one group per field, in key order, and ints of at most 18 ASCII digits,
+    so that every int it takes fits in 64 bits."""
+    number = "(-?(?:0|[1-9][0-9]{0,17}))"
+    head, middle = (re.escape(t).replace("%d", "%s") for t in (_SNAPSHOT_HEAD, _SNAPSHOT_MIDDLE))
+    flag, level, origin = (
+        "(%s)" % "|".join(map(re.escape, texts)) for texts in (_JSON_FLAG, _JSON_LEVEL, ORIGINS)
+    )
+    return re.compile(
+        "^" + head % (flag, number) + number + middle % (level, origin, number, number)
+        + number + re.escape("}") + "$",
+        re.M,
+    )
+
+
+_LEVEL_OF_JSON = {text: level for level, text in enumerate(_JSON_LEVEL)}
+
+
+def _snapshot_lines_chunk(lines: list[str]) -> dict[str, np.ndarray] | None:
+    """``_snapshot_chunk`` of the rows of ``lines`` if every line is in the
+    writer's form (``_snapshot_line``), else None.  Such a line is ASCII,
+    valid JSON and of valid types, so only the ``Trajectory`` checks remain."""
+    found = _snapshot_line().findall("".join(lines))
+    if not lines or len(found) != len(lines):
+        return None
+    correct, iteration, length_tokens, level, origin, prefix_steps, query_id, sample_index = zip(*found)
+    return _checked_snapshot({
+        "query_id": np.array(query_id, dtype=np.int64),
+        "level": np.array(list(map(_LEVEL_OF_JSON.__getitem__, level)), dtype=np.int64),
+        "sample_index": np.array(sample_index, dtype=np.int64),
+        "iteration": np.array(iteration, dtype=np.int64),
+        "length_tokens": np.array(length_tokens, dtype=np.int64),
+        "prefix_steps": np.array(prefix_steps, dtype=np.int64),
+        "correct": np.array(list(map("true".__eq__, correct)), dtype=bool),
+    }, origin)
 
 
 def _snapshot_dataset(path: str | Path, c: dict[str, np.ndarray], role: str) -> TrajectoryDataset:
@@ -577,17 +643,10 @@ def read_snapshot(path: str | Path, role: str) -> TrajectoryDataset:
     """
     return _read_columns(
         path, "snapshot", _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _snapshot_chunk,
-        lambda c: _snapshot_dataset(path, c, role),
+        lambda c: _snapshot_dataset(path, c, role), _snapshot_lines_chunk,
     )
 
 
-# json.dumps(oracles.snapshot_entry(...), sort_keys=True) of a row is the head of
-# its flag and iteration, its length_tokens, the middle of its query, origin and
-# prefix_steps, its sample_index and "}\n"; tests/oracles.py holds that per-pair
-# reference encoder
-_SNAPSHOT_HEAD = '{"correct": %s, "iteration": %d, "length_tokens": '
-_SNAPSHOT_MIDDLE = ', "level": %s, "origin": "%s", "prefix_steps": %d, "query_id": %d, "sample_index": '
-_JSON_LEVEL = ("null", *map(str, LEVELS))  # level 0 is unset
 _SNAPSHOT_CHUNK = 1024  # rows formatted per write
 _DECIMAL = object_array(map(str, range(1024)))  # str(v) of the ints a field mostly holds
 
@@ -617,7 +676,7 @@ def _snapshot_chunks(dataset: TrajectoryDataset) -> Iterator[str]:
     qids, origin, steps, iteration = c["query_id"], c["origin"], c["prefix_steps"], c["iteration"]
     # np.unique imports numpy.ma (1 MiB and some ms) unless it is asked for an index
     distinct, rank = np.unique(iteration, return_inverse=True)
-    heads = object_array(_SNAPSHOT_HEAD % (flag, it) for it in distinct.tolist() for flag in ("false", "true"))
+    heads = object_array(_SNAPSHOT_HEAD % (flag, it) for it in distinct.tolist() for flag in _JSON_FLAG)
     head_of = rank * 2 + c["correct"]
     starts = np.ones(len(qids), dtype=bool)
     starts[1:] = (qids[1:] != qids[:-1]) | (origin[1:] != origin[:-1]) | (steps[1:] != steps[:-1])

@@ -14,6 +14,12 @@ the fallback runs too.  The chunk size is patched down to 1-3 lines so
 that chunk boundaries, and bad lines past the first chunk, are exercised.
 ``_decode_lines`` itself is checked against ``list(map(json.loads, ...))``
 on arbitrary JSON values and odd lines.
+
+A snapshot chunk in the writer's own line form is decoded by one pattern
+(``_snapshot_lines_chunk``) instead of the scanner.  Snapshots written by
+``_snapshot_chunks``, and the same file perturbed line by line, must read
+the same with that decoder and with every chunk scanned, and a written
+snapshot must never reach the scanner.
 """
 
 import dataclasses
@@ -22,6 +28,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -494,3 +501,153 @@ def decoded(decode, lines):
 @settings(max_examples=300, deadline=None)
 def test_decode_lines_matches_json_loads(lines):
     assert decoded(harness._decode_lines, lines) == decoded(lambda ls: list(map(json.loads, ls)), lines)
+
+
+# -- headtail's own line form, decoded by one pattern per chunk ---------------
+
+# ids of 18 digits are the longest the pattern takes; 19-digit ones, inside
+# int64 or not, are scanned
+BIG_INTS = st.sampled_from([10**17, 10**18 - 1, 10**18, 2**63 - 1])
+QUERY_IDS = st.one_of(st.integers(-5, 40), BIG_INTS, BIG_INTS.map(lambda n: -n), st.just(-(2**63)))
+
+
+@st.composite
+def written_datasets(draw):
+    """A dataset of any rows over up to 4 queries, leveled or not, as
+    ``_snapshot_chunks`` writes it: every origin, guided rows' prefix steps,
+    negative ids, ids and counts of 18 and 19 digits."""
+    role = draw(st.sampled_from([ROLE_SAMPLE, ROLE_FILTER, ROLE_TRAIN]))
+    levels = draw(st.dictionaries(QUERY_IDS, st.sampled_from([0, *harness.LEVELS]), min_size=1, max_size=4))
+    positive = st.one_of(st.integers(1, 3), BIG_INTS)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        origin = draw(st.integers(0, len(ORIGINS) - 1))
+        guided = ORIGINS[origin] == ORIGIN_RESAMPLED_GR
+        rows.append((
+            draw(st.sampled_from(sorted(levels))), draw(positive), draw(positive),
+            draw(st.one_of(st.integers(0, 50), BIG_INTS)), origin,
+            draw(st.one_of(st.integers(0, 3), BIG_INTS)) if guided else 0,
+            True if role != ROLE_SAMPLE else draw(st.booleans()),
+        ))
+    names = ("query_id", "sample_index", "iteration", "length_tokens", "origin", "prefix_steps", "correct")
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    used = sorted({row[0] for row in rows})
+    corpus = harness.Corpus(used, "", [levels[q] for q in used])
+    return harness.TrajectoryDataset(role, columns, corpus)
+
+
+def fast_and_scanned(path, role):
+    """What ``read_snapshot`` makes of ``path``, as ``outcome`` gives it,
+    with the writer-form decoder and with every chunk scanned; and whether
+    that decoder took every chunk (a chunk it took may fail a check)."""
+    taken = []
+    decode = harness._snapshot_lines_chunk
+
+    def recording(lines):
+        taken.append(True)
+        columns = decode(lines)
+        taken[-1] = columns is not None
+        return columns
+
+    with mock.patch.object(harness, "_snapshot_lines_chunk", recording):
+        fast = outcome(lambda p: read_snapshot(p, role), path)
+    with mock.patch.object(harness, "_snapshot_lines_chunk", lambda lines: None):  # every chunk scanned
+        scanned = outcome(lambda p: read_snapshot(p, role), path)
+    return fast, scanned, all(taken)
+
+
+@given(written_datasets(), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_written_snapshot_reads_the_same_by_pattern_and_by_scanner(dataset, chunk):
+    text = "".join(harness._snapshot_chunks(dataset))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "_READ_CHUNK", chunk):
+        path = Path(tmp) / "snap.jsonl"
+        path.write_text(text, encoding="utf-8")
+        fast, scanned, taken = fast_and_scanned(path, dataset.role)
+    assert fast == scanned
+    columns = fast[1]
+    assert columns == {name: col.tolist() for name, col in dataset.columns.items()}
+    long_ints = any(len(str(abs(v))) > 18 for name, col in columns.items() if name != "answer" for v in col)
+    assert taken == (not long_ints)
+
+
+def _written_text():
+    """Four snapshot lines as the writer makes them: queries 1 (level 2),
+    2 (unleveled, a guided row with 2 prefix steps) and 3 (level 5)."""
+    corpus = harness.Corpus([1, 2, 3], "", [2, 0, 5])
+    columns = {"query_id": [1, 1, 2, 3], "sample_index": [1, 2, 1, 1], "iteration": [1, 1, 2, 1],
+               "length_tokens": [30, 0, 12, 7], "origin": [0, 1, 2, 3], "prefix_steps": [0, 0, 2, 0],
+               "correct": [True, False, True, True]}
+    return "".join(harness._snapshot_chunks(harness.TrajectoryDataset(ROLE_SAMPLE, columns, corpus)))
+
+
+def _edit(*pairs):
+    """A perturbation replacing the first ``old`` of the written file by ``new``, for each pair."""
+    def edit(text):
+        for old, new in pairs:
+            assert old in text
+            text = text.replace(old, new, 1)
+        return text
+    return edit
+
+
+def _reordered(text):
+    first, second, *rest = text.splitlines(keepends=True)
+    return first + json.dumps(dict(reversed(json.loads(second).items()))) + "\n" + "".join(rest)
+
+
+# a change to the written file; whether the pattern still takes every line
+# (a line it takes may still fail a check)
+PERTURBATIONS = {
+    "canonical": (_edit(), True),
+    "reordered keys": (_reordered, False),
+    "extra space": (_edit(('"length_tokens": 0,', '"length_tokens":  0,')), False),
+    "trailing space": (_edit(("2}\n", "2} \n")), False),
+    "leading zero": (_edit(('"iteration": 2,', '"iteration": 02,')), False),
+    "minus zero": (_edit(('"prefix_steps": 0, "query_id": 1, "sample_index": 2',
+                          '"prefix_steps": -0, "query_id": 1, "sample_index": 2')), True),
+    "minus zero sample_index": (_edit(('"sample_index": 2}', '"sample_index": -0}')), True),
+    "19-digit int": (_edit(('"length_tokens": 0,', f'"length_tokens": {10**18},')), False),
+    "19-digit int past int64": (_edit(('"length_tokens": 0,', f'"length_tokens": {10**19 - 1},')), False),
+    "level 0": (_edit(('"level": 5', '"level": 0')), False),
+    "level 6": (_edit(('"level": 5', '"level": 6')), False),
+    "level 3.0": (_edit(('"level": 5', '"level": 3.0')), False),
+    "unknown origin": (_edit(('"resampled_ar"', '"bogus"')), False),
+    "escaped origin": (_edit(('"resampled_ar"', '"\\u0065xplored"')), False),
+    "arabic-indic digit": (_edit(('"length_tokens": 0,', '"length_tokens": \u0660,')), False),
+    "arabic-indic digit after an ascii one": (
+        _edit(('"length_tokens": 0,', '"length_tokens": 1\u0663,')), False),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), True),  # read with universal newlines
+    "bom": (lambda text: "\ufeff" + text, False),
+    "blank lines": (_edit(("}\n", "}\n\n  \n"), ("}\n{", "}\n\t\n{")), True),
+    "no final newline": (lambda text: text[:-1], True),
+    "two faults in the written form": (
+        _edit(('"iteration": 1, "length_tokens": 0,', '"iteration": 0, "length_tokens": 0,'),
+              ('"sample_index": 2}', '"sample_index": 0}')), True),
+    "two checks in the written form": (
+        _edit(('"length_tokens": 0, "level": 2, "origin": "resampled_ar", "prefix_steps": 0',
+               '"length_tokens": -1, "level": 2, "origin": "resampled_ar", "prefix_steps": 1')), True),
+    "two faults out of the form": (
+        _edit(('"level": 2, "origin": "resampled_ar"', '"level": 6, "origin": "bogus"')), False),
+}
+
+
+@pytest.mark.parametrize("name", list(PERTURBATIONS))
+def test_perturbed_snapshot_reads_the_same_by_pattern_and_by_scanner(tmp_path, name):
+    perturb, taken = PERTURBATIONS[name]
+    path = tmp_path / "snap.jsonl"
+    path.write_bytes(perturb(_written_text()).encode("utf-8"))
+    fast, scanned, fast_took_all = fast_and_scanned(path, ROLE_SAMPLE)
+    assert fast == scanned
+    assert fast_took_all == taken
+
+
+def test_written_snapshot_is_never_scanned(tmp_path, monkeypatch):
+    config = harness.RunConfig(n_queries=40, k_samples=4, iterations=2, mode="iterative_union")
+    report = harness.run(config)
+    harness.emit_report(report, tmp_path)
+    monkeypatch.setattr(harness, "_scan", mock.Mock(side_effect=AssertionError("scanned")))
+    monkeypatch.setattr(json, "loads", mock.Mock(side_effect=AssertionError("scanned")))
+    for name, dataset in (("train_final", report.final_train), ("filter_final", report.final_filter)):
+        read = read_snapshot(tmp_path / "datasets" / f"{name}.jsonl", dataset.role)
+        assert all(np.array_equal(read.columns[c], dataset.columns[c]) for c in dataset.columns if c != "answer")

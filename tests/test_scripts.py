@@ -30,6 +30,8 @@ def _write_log(path):
     [
         ("run_matthew_demo.py", ["--n", "20", "--t", "2", "--output-dir", "demo"],
          " strategy | final head final tail  gap slope train size mean len"),
+        ("run_matthew_demo.py", ["--n", "20", "--t", "1", "--strategies", "vanilla", "--output-dir", "demo"],
+         " strategy | final head final tail  gap slope train size mean len"),
         ("sweep_sampling_number.py", ["--n", "20", "--t", "2", "--k-values", "2,4", "--seeds", "0"],
          "   K | mean sampled pass@1 by iteration (seeds [0])"),
         ("time_large_run.py", ["--n", "20", "--k", "2", "--t", "2"],
@@ -78,8 +80,11 @@ def test_time_large_run_names_each_kind(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["time_large_run.py", "--n", "20", "--k", "2", "--t", "2",
                                       "--strategies", "vanilla,ar"])
     runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")
-    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
-    assert names == ["wall_s.vanilla", "wall_s.ar", "calibrate_s", "grade_s", "snapshot_s", "peak_rss_mib"]
+    table = dict(line.split() for line in capsys.readouterr().out.splitlines()[2:])
+    assert list(table) == ["wall_s.vanilla", "wall_s.ar", "calibrate_s", "grade_s", "snapshot_s", "read_s",
+                           "peak_rss_mib"]
+    assert float(table["read_s"]) > 0  # both runs' snapshots were read back, and matched their datasets
+    assert list(tmp_path.iterdir()) == []  # written to a temporary directory only
 
 
 def test_time_large_run_hashes_what_rebalance_writes(tmp_path, monkeypatch, capsys):
