@@ -9,7 +9,9 @@ it, the later ones reuse it), the seconds spent inside ``rewards._graded``
 (the grading of every sampled and resampled set), the seconds to format
 each run's final train and filter snapshots in memory
 (``harness._snapshot_chunks``, chunk by chunk, as a report write does),
-the seconds to read those snapshots back (``harness.read_snapshot``, as
+the seconds to format each run's final learner state
+(``LearnerState.to_json``, the text of ``learner_final.json``), the
+seconds to read those snapshots back (``harness.read_snapshot``, as
 the ``report`` verb does) and the process's peak resident set size.  All
 but the wall seconds and the peak are totals over the runs.  For the
 read, each run's snapshots are written, untimed, to a temporary
@@ -130,7 +132,7 @@ def main() -> None:
     kinds = list(dict.fromkeys(args.strategies.split(",")))
 
     cfg = RunConfig(n_queries=args.n, k_samples=args.k, iterations=args.t, seed=args.seed)
-    grading, calibrating, snapshot, reading = [0.0], [0.0], 0.0, 0.0
+    grading, calibrating, snapshot, state, reading = [0.0], [0.0], 0.0, 0.0, 0.0
     walls = {}
     restores = [_timed(rewards, "_graded", grading), _timed(harness, "_prepared_corpus_and_learner", calibrating)]
     try:
@@ -144,6 +146,9 @@ def main() -> None:
             for dataset in (report.final_train, report.final_filter):
                 sum(map(len, _snapshot_chunks(dataset)))  # one chunk at a time, as a write holds them
             snapshot += time.perf_counter() - start
+            start = time.perf_counter()
+            report.final_state.to_json()
+            state += time.perf_counter() - start
             reading += _read_back(report)
             del report
     finally:
@@ -154,7 +159,7 @@ def main() -> None:
         f"{','.join(kinds)} {runs}, in-process: N={args.n} K={args.k} T={args.t} seed={args.seed}",
         [*((f"wall_s.{kind}", f"{wall:.3f}") for kind, wall in walls.items()),
          ("calibrate_s", f"{calibrating[0]:.3f}"), ("grade_s", f"{grading[0]:.3f}"),
-         ("snapshot_s", f"{snapshot:.3f}"), ("read_s", f"{reading:.3f}"),
+         ("snapshot_s", f"{snapshot:.3f}"), ("state_s", f"{state:.3f}"), ("read_s", f"{reading:.3f}"),
          ("peak_rss_mib", f"{_peak_mib():.0f}")],
     )
 

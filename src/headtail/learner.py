@@ -52,6 +52,7 @@ from .core import (
     object_array,
     run_positions,
 )
+from .rewards import DEFAULT_SYMBOL_ALIASES, _normalize_all
 from .strategies import Draws, SamplerError, check_int64, split_steps
 
 
@@ -205,16 +206,27 @@ class LearnerState:
         )
 
     def to_json(self) -> str:
-        ids = [str(q) for q in self.corpus.ids.tolist()]
-        payload = {
+        """``json.dumps(..., sort_keys=True, indent=2)`` of the state, with
+        ``p`` and ``draw_counter`` as maps keyed by query id as text.
+
+        Those two maps are joined here, not encoded: with ``indent`` set,
+        ``json`` runs its pure-Python encoder.  Their keys sort as strings,
+        as ``sort_keys`` sorts them (``"10"`` before ``"2"``); the other
+        fields go through ``json.dumps``, shifted one level in.
+        """
+        keys = [str(q) for q in self.corpus.ids.tolist()]
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+        heads = [f',\n    "{keys[i]}": ' for i in order.tolist()]
+        fields = {
             "iteration": self.iteration,
             "root_seed": self.root_seed,
             "params": self.params.__dict__,
-            "p": dict(zip(ids, self.p.tolist())),
             "mu_log_len": {str(k): v for k, v in sorted(self.mu_log_len.items())},
-            "draw_counter": dict(zip(ids, self.draw_counter.tolist())),
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        texts = {k: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ") for k, v in fields.items()}
+        texts["p"] = _json_map(heads, self.p[order])
+        texts["draw_counter"] = _json_map(heads, self.draw_counter[order])
+        return "{\n" + ",\n".join(f'  "{k}": {texts[k]}' for k in sorted(texts)) + "\n}"
 
     # -- sampling ----------------------------------------------------------
 
@@ -245,6 +257,10 @@ class LearnerState:
         the rows equal a loop of one-row draws.  It is correct w.p.
         ``prob[i]``; its length exp(mu + sigma * z), scaled by ``scale``,
         rounded and floored at one token, is appended to ``prefix_tokens``.
+        A correct row's answer is its ground truth ``gt[i]``; every wrong
+        row's is ``""``, nothing extracted, one string for all of them: the
+        filter needs only whether a draw matches, and ``init_learner``
+        rejects a corpus whose ground truth normalizes to ``""``.
         One ``rng.uniform`` and one ``rng.normal`` call serve all rows.  A
         length, prefix included, that is not finite or does not fit int64
         is a SamplerError, raised before any counter moves.
@@ -256,8 +272,7 @@ class LearnerState:
         rank = np.empty(len(own), dtype=np.int64)
         rank[np.argsort(inverse, kind="stable")] = run_positions(counts)
         counters = (self.draw_counter[rows][inverse] + rank).astype(np.uint64)
-        query_ids = self.corpus.ids[own]
-        keys = query_ids.astype(np.uint64)
+        keys = self.corpus.ids[own].astype(np.uint64)
         correct = rng.uniform(self.root_seed, rng.CORRECT, keys, counters) < prob
         z = rng.normal(self.root_seed, rng.LENGTH, keys, counters)
         # np.exp, unlike the scalar reference's math.exp, may be off in the
@@ -270,13 +285,8 @@ class LearnerState:
         # a float below 2**63 (so not NaN) casts exactly, and a total past int64 wraps below 1
         if not np.all(lengths < 2.0**63) or np.any(tokens < 1):
             raise SamplerError("a drawn length does not fit in 64 bits")
-        answers = gt.copy()
-        wrong = np.flatnonzero(~correct)
-        answers[wrong] = [
-            f"wrong-{q}-{c}" for q, c in zip(query_ids[wrong].tolist(), counters[wrong].tolist())
-        ]
         self.draw_counter[rows] += counts
-        return Draws(self.iteration + 1, tokens, correct, answers)
+        return Draws(self.iteration + 1, tokens, correct, np.where(correct, gt, ""))
 
     def sample_fresh(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
         """One fresh draw per row: correct w.p. p_i, length lognormal around the level mean."""
@@ -433,6 +443,21 @@ class LearnerState:
         )
 
 
+def _json_map(heads: list[str], values: np.ndarray) -> str:
+    """A map one level into an ``indent=2`` JSON document, as ``json.dumps``
+    writes it: entry i is ``heads[i]``, its separator and key, then
+    ``values[i]``.  A finite float or an int prints by ``repr`` as ``json``
+    prints it; NaN and the infinities go through ``json.dumps``."""
+    if not heads:
+        return "{}"
+    finite = values.dtype.kind != "f" or bool(np.isfinite(values).all())
+    parts = [""] * (2 * len(heads))
+    parts[::2] = heads
+    parts[1::2] = map(repr if finite else json.dumps, values.tolist())
+    parts[0] = heads[0].replace(",", "{", 1)  # the first entry opens the map
+    return "".join(parts) + "\n  }"
+
+
 def _level_means(values: np.ndarray, levels: np.ndarray, keys: Iterable[int]) -> dict[int, float]:
     """Per level in ``keys``: the mean of ``values`` at that level, or of all of them where it has none."""
     overall = array_mean(values)
@@ -449,10 +474,14 @@ def init_learner(
     eps_i ~ Normal(0, init_noise).  Per-level mean log-lengths come from the
     corpus base lengths when levels are assigned; before calibration they
     fall back to the global mean (sampling uses each query's own base
-    length until its level exists).
+    length until its level exists).  A ground truth that normalizes to
+    ``""`` is a ValueError: every wrong draw answers ``""`` (see
+    :meth:`LearnerState._draw_rows`), which would then grade correct.
     """
     if len(corpus) == 0:
         raise ValueError("corpus must not be empty")
+    if "" in _normalize_all(corpus.gt_answer.tolist(), DEFAULT_SYMBOL_ALIASES):
+        raise ValueError("a ground-truth answer normalizes to the empty string")
     params.validate()
     n = len(corpus)
     eps = params.init_noise * rng.normal(

@@ -26,19 +26,19 @@ equals the ground truth is graded correct without normalizing (one
 whole-column comparison for a dataset).  The other rows' answers, and
 the ground truths of their queries, go through ``_normalize_all`` in two
 lists: each distinct string once when the first 1024 of the list repeat
-(at most seven in eight are distinct), else one per row (or query),
-since hashing strings that never repeat (the simulator's wrong answers)
-costs more than it saves.  It runs each step of the pipeline over a
-whole list: the first strip by
-``map``; the wrapper replaces and ``lower`` once on the strings joined by
-``"\\n"``, split back afterwards; each alias only on the strings that hold
-its literal; the final strip only if a wrapper or an alias may have fired
-(removing a wrapper can expose whitespace: ``"$ x$"`` normalizes to
-``"x"``).  ``normalize_answer`` stays the reference the batch equals string
-by string, and takes any string that holds ``"\\n"``.  One object-array
-comparison then grades the rows.  Filtering selects the graded rows by
-mask; ``partition_dataset`` selects both the kept and the discarded rows
-from one grading.
+(at most seven in eight are distinct, as with the simulator's wrong
+draws, which all answer ``""``), else one per row (or query), since
+hashing strings that never repeat (a corpus's ground truths) costs more
+than it saves.  It runs each step of the pipeline over a whole list:
+the first strip by ``map``; the wrapper replaces and ``lower`` once on
+the strings joined by ``"\\n"``, split back afterwards; each alias only
+on the strings that hold its literal; the final strip only if a wrapper
+or an alias may have fired (removing a wrapper can expose whitespace:
+``"$ x$"`` normalizes to ``"x"``).  ``normalize_answer`` stays the
+reference the batch equals string by string, and takes any string that
+holds ``"\\n"``.  One object-array comparison then grades the rows.
+Filtering selects the graded rows by mask; ``partition_dataset`` selects
+both the kept and the discarded rows from one grading.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def _normalized(strings: list[str], aliases: tuple[tuple[str, str], ...]) -> lis
     """``_normalize_all(strings, aliases)``, normalizing each distinct string
     once when they repeat: when at most seven in eight of the first 1024
     are distinct.  Only that prefix is hashed to decide, so strings that
-    never repeat (the simulator's wrong answers) pay almost nothing for it.
+    never repeat (one ground truth per query) pay almost nothing for it.
     The two paths cost the same at about three in four distinct when the
     prefix is the whole list; a prefix overstates a longer list's share,
     and generated logs (``perfbench/loggen.py``) that read 79-80% there

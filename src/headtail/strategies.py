@@ -90,7 +90,7 @@ class Draws(NamedTuple):
     iteration: int  # the loop iteration the draws belong to
     length_tokens: np.ndarray  # full response length, kept prefix included
     correct: np.ndarray  # the sampler's own correctness flag
-    answers: np.ndarray  # extracted answers (object array)
+    answers: np.ndarray  # extracted answers (object array); the simulator's wrong draws answer ""
 
 
 class Sampler(Protocol):

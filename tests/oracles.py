@@ -1,7 +1,7 @@
 """Independent brute-force evaluations of the reshaping set-builder rules,
 the metrics row, the snapshot line encoding and decoding, the log decoding,
-the pass-rate measurement, the learner's draws, set-up, calibration and
-training, and answer normalization.
+the pass-rate measurement, the learner's draws, set-up, calibration,
+training and state JSON, and answer normalization.
 
 These deliberately avoid the library's dataset machinery: plain dicts of
 lists, straight loops.  Threshold clipping shares the library's pinned draw key
@@ -239,7 +239,8 @@ def _draw(state, query, prob, mu, *, scale=1.0, prefix_tokens=0, **fields) -> Tr
     """One keyed draw: correct w.p. ``prob``, length lognormal around ``mu``.
 
     The generated length exp(mu + sigma * z) is scaled by ``scale``,
-    rounded, floored at one token and appended to ``prefix_tokens``.
+    rounded, floored at one token and appended to ``prefix_tokens``.  A
+    wrong draw extracts nothing: its answer is ``""``.
     """
     ctr = _next_counter(state, query.id)
     correct = bool(rng.uniform(state.root_seed, rng.CORRECT, query.id, ctr) < prob)
@@ -250,7 +251,7 @@ def _draw(state, query, prob, mu, *, scale=1.0, prefix_tokens=0, **fields) -> Tr
         sample_index=1,
         iteration=state.iteration + 1,
         length_tokens=prefix_tokens + length,
-        extracted_answer=query.gt_answer if correct else f"wrong-{query.id}-{ctr}",
+        extracted_answer=query.gt_answer if correct else "",
         correct=correct,
         prefix_tokens=prefix_tokens,
         **fields,
@@ -374,6 +375,21 @@ def calibrate_difficulty_reference(pass_rates):
             levels[qid] = level
         pos += size
     return levels
+
+
+def state_json_reference(state) -> str:
+    """``learner_final.json``'s text: the state as one dict, encoded by
+    ``json.dumps`` with sorted keys and an indent of two."""
+    ids = [str(q) for q in state.corpus.ids.tolist()]
+    payload = {
+        "iteration": state.iteration,
+        "root_seed": state.root_seed,
+        "params": state.params.__dict__,
+        "p": dict(zip(ids, state.p.tolist())),
+        "mu_log_len": {str(k): v for k, v in sorted(state.mu_log_len.items())},
+        "draw_counter": dict(zip(ids, state.draw_counter.tolist())),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 _MATH_WRAPPERS = ("$", r"\(", r"\)", r"\[", r"\]")

@@ -244,6 +244,7 @@ class TestMergeDatasets:
 @given(
     st.dictionaries(st.integers(0, 30), st.integers(0, 8), min_size=1, max_size=20),
 )
+@settings(deadline=None)
 def test_filter_counts_sum_to_size(k_correct):
     k_correct = {q: k for q, k in k_correct.items() if k > 0}
     ds, _ = make_filter(k_correct)
@@ -289,6 +290,7 @@ def test_levels_match_corpus_records(pairs, data):
     st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=0, max_size=8),
     st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=0, max_size=8),
 )
+@settings(deadline=None)
 def test_merge_associative_commutative(pairs_a, pairs_b):
     def build(pairs):
         seen = {}

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from headtail.core import ROLE_TRAIN, Corpus, TrajectoryDataset
+from headtail import rewards
+from headtail.core import ORIGIN_CORRECTED, ORIGIN_RESAMPLED_GR, ROLE_TRAIN, Corpus, TrajectoryDataset
 from headtail.learner import (
     CorpusParams,
     LearnerParams,
@@ -14,7 +15,7 @@ from headtail.learner import (
     init_learner,
     synth_corpus,
 )
-from headtail.strategies import SamplerError, split_steps
+from headtail.strategies import SamplerError, _resampled, split_steps
 
 from conftest import make_query, make_traj
 from oracles import (
@@ -24,6 +25,7 @@ from oracles import (
     guided_draw,
     init_learner_reference,
     pass_rate,
+    state_json_reference,
     train_reference,
 )
 
@@ -98,6 +100,13 @@ class TestInitLearner:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             init_learner(Corpus.of([make_query(1), make_query(1)]), seed=0)
+
+    @pytest.mark.parametrize("gt", ["", "  ", "$$", "\\( \\)", " $ $ "])
+    def test_ground_truth_normalizing_to_empty_rejected(self, gt):
+        # a wrong draw answers "", so such a query's every draw would grade correct
+        with pytest.raises(ValueError, match="normalizes to the empty string"):
+            init_learner(Corpus.of([make_query(1), make_query(2, gt=gt)]), seed=0)
+        init_learner(Corpus.of([make_query(1), make_query(2, gt=gt + "0")]), seed=0)
 
     def test_level_means_increase_with_level(self):
         corpus = synth_corpus(500, seed=3)
@@ -519,6 +528,31 @@ class TestSnapshots:
         st_.sample_response(list(corpus.records.values())[0])
         assert snap.draw_counter.tolist() == [0] * 5
 
+    @given(
+        st.integers(0, 40),  # an empty corpus prints empty maps
+        st.sampled_from([0, 1, 5, 90, 95, 990, 2**40]),  # runs that cross 9/10 and 99/100
+        st.lists(
+            st.one_of(st.sampled_from([5e-324, 1e-300, 0.1, 1.0, 0.0, -0.0]), st.floats()),
+            min_size=40, max_size=40,
+        ),
+        st.lists(st.integers(0, 2**63 - 1), min_size=40, max_size=40),
+        st.sampled_from([1, 1.0, 0.03]),
+        st.dictionaries(st.integers(1, 5), st.floats()),
+        st.integers(0, 2**64),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_to_json_equals_json_dumps(self, n, first, ps, counters, learn_rate, mu, seed):
+        state = LearnerState(
+            iteration=n % 7,
+            corpus=Corpus.of(make_query(q) for q in range(first, first + n)),
+            p=ps[:n],
+            mu_log_len=mu,
+            params=LearnerParams(learn_rate=learn_rate),
+            root_seed=seed,
+            draw_counter=counters[:n],
+        )
+        assert state.to_json() == state_json_reference(state)
+
 
 def test_synth_corpus_deterministic_and_in_range():
     a = synth_corpus(100, seed=8)
@@ -609,3 +643,31 @@ def test_each_count_is_checked_below_and_past_int64(name, call):
         call(state, 0)
     with pytest.raises(ValueError, match=rf"^{name} must be < 2\*\*63$"):
         call(state, 2**63)
+
+
+@given(st.integers(1, 30), st.integers(0, 2**32), st.integers(1, 4), st.integers(2, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_grading_agrees_with_each_draws_own_flag(n, seed, k, S, data):
+    """Every wrong draw shares the answer ``""``; graded against the corpus's
+    ground truths, each sampler's rows still grade exactly as drawn."""
+    state = init_learner(synth_corpus(n, seed=seed), seed=seed)
+    corpus = state.corpus
+    qids = np.array(data.draw(st.lists(st.sampled_from(corpus.ids.tolist()), max_size=30)), dtype=np.int64)
+    steps = np.array([data.draw(st.integers(1, S)) for _ in qids.tolist()], dtype=np.int64)
+    prefix = 10 * (steps - 1)
+    index = np.arange(1, len(qids) + 1)
+    datasets = [
+        state.sample_batch(k),
+        _resampled(
+            state.sample_guided(corpus, qids, prefix, steps, S), corpus, ORIGIN_RESAMPLED_GR,
+            query_id=qids, sample_index=index, prefix_steps=steps - 1, prefix_tokens=prefix,
+        ),
+        _resampled(
+            state.sample_corrections(corpus, qids), corpus, ORIGIN_CORRECTED,
+            query_id=qids, sample_index=index,
+        ),
+    ]
+    for ds in datasets:
+        graded = rewards._graded(ds, rewards.DEFAULT_SYMBOL_ALIASES)
+        assert graded.tolist() == ds.columns["correct"].tolist()
+        assert set(ds.answers[~graded].tolist()) <= {""}

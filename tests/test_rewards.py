@@ -162,6 +162,7 @@ class TestReward:
         assert reward(q, r"\pi/2", ()) == 0
 
     @given(st.text(max_size=40), st.text(max_size=40))
+    @settings(deadline=None)
     def test_symmetric_under_prenormalization(self, gt, extracted):
         q = make_query(1, gt=gt)
         pre = make_query(1, gt=normalize_answer(gt))
@@ -397,6 +398,7 @@ class TestCotLengthFilter:
         st.integers(0, 100),
         st.integers(0, 100),
     )
+    @settings(deadline=None)
     def test_monotone_in_floor(self, lengths, a, b):
         lo, hi = min(a, b), max(a, b)
         q = make_query(1)

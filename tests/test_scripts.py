@@ -81,8 +81,8 @@ def test_time_large_run_names_each_kind(tmp_path, monkeypatch, capsys):
                                       "--strategies", "vanilla,ar"])
     runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")
     table = dict(line.split() for line in capsys.readouterr().out.splitlines()[2:])
-    assert list(table) == ["wall_s.vanilla", "wall_s.ar", "calibrate_s", "grade_s", "snapshot_s", "read_s",
-                           "peak_rss_mib"]
+    assert list(table) == ["wall_s.vanilla", "wall_s.ar", "calibrate_s", "grade_s", "snapshot_s", "state_s",
+                           "read_s", "peak_rss_mib"]
     assert float(table["read_s"]) > 0  # both runs' snapshots were read back, and matched their datasets
     assert list(tmp_path.iterdir()) == []  # written to a temporary directory only
 

@@ -56,6 +56,7 @@ class TestVanilla:
         assert len(out) == 0
 
     @given(st.dictionaries(st.integers(0, 9), st.integers(1, 8), min_size=1, max_size=6))
+    @settings(deadline=None)
     def test_entrywise_equality(self, k_correct):
         f, _ = make_filter(k_correct)
         assert vanilla(f).entries == f.entries
@@ -230,6 +231,7 @@ class TestSplitSteps:
             split_steps(make_traj(1, length=3), 4)
 
     @given(st.integers(2, 10), st.integers(2, 500))
+    @settings(deadline=None)
     def test_chunks_near_equal(self, S, length):
         if length < S:
             return
