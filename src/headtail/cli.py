@@ -42,7 +42,7 @@ from .harness import (
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_SYMBOL_ALIASES, load_alias_table
 from .strategies import KINDS, StrategyConfig
-from .core import ROLE_FILTER, ROLE_TRAIN, TrajectoryDataset
+from .core import ROLE_FILTER, TrajectoryDataset
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -225,14 +225,14 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# the role of each snapshot's rows, as the run's metrics.csv records them
-_SNAPSHOT_ROLES = {"train_final": ROLE_TRAIN, "filter_final": ROLE_FILTER}
+# each snapshot's stage, the label of its rows in the run's metrics.csv
+_SNAPSHOT_STAGES = {"train_final": "train", "filter_final": "filter"}
 
 
-def _read_named_snapshot(path: Path, role: str) -> TrajectoryDataset:
-    """``read_snapshot``, with every SchemaError naming ``path`` once."""
+def _read_named_snapshot(path: Path) -> TrajectoryDataset:
+    """``read_snapshot`` as a filter set, with every SchemaError naming ``path`` once."""
     try:
-        return read_snapshot(path, role)
+        return read_snapshot(path, ROLE_FILTER)
     except SchemaError as exc:
         if str(exc).startswith(f"{path}: "):  # a file-level error names it already
             raise
@@ -250,15 +250,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     snapshot = run_dir / "datasets" / (args.dataset + ".jsonl")
     if not snapshot.exists():
         raise SchemaError(f"no snapshot at {snapshot}")
-    dataset = _read_named_snapshot(snapshot, _SNAPSHOT_ROLES[args.dataset])
+    dataset = _read_named_snapshot(snapshot)
     # per-query counts come from the final filtered set, as in metrics.csv
     filtered_path = run_dir / "datasets" / "filter_final.jsonl"
     filtered = dataset
-    if dataset.role != ROLE_FILTER and filtered_path.exists():
-        filtered = _read_named_snapshot(filtered_path, ROLE_FILTER)
+    if args.dataset != "filter_final" and filtered_path.exists():
+        filtered = _read_named_snapshot(filtered_path)
     # an empty snapshot reports at the run's last round, as metrics.csv does
     iteration = int(dataset.columns["iteration"].max()) if len(dataset) else cfg.rounds
-    row = build_row(iteration, dataset.role, dataset, cfg.k_samples, filtered)
+    row = build_row(iteration, _SNAPSHOT_STAGES[args.dataset], dataset, cfg.k_samples, filtered)
     print(rows_to_csv([row]), end="")
     return EXIT_OK
 
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="recompute metrics from a snapshot")
     p_rep.add_argument("--run-dir", required=True)
-    p_rep.add_argument("--dataset", default="train_final", choices=tuple(_SNAPSHOT_ROLES),
-                       help="snapshot under datasets/ (its name sets the role of its rows)")
+    p_rep.add_argument("--dataset", default="train_final", choices=tuple(_SNAPSHOT_STAGES),
+                       help="snapshot under datasets/ (its name sets the row's label)")
     return parser
 
 

@@ -1,7 +1,11 @@
 """Core domain model: queries, sampled trajectories, and ordered multisets.
 
 A :class:`TrajectoryDataset` is the single representation for every stage of
-the loop (sampled, filtered, discarded, resampled, refiltered, train).  It is
+the loop.  Its role says what grading found: ``sample`` rows are ungraded
+(any correct flags), ``filter`` rows are all correct and ``discard`` rows
+none.  Where a row came from is its ``origin``, and the loop stage a
+metrics row describes is that row's label, so a strategy's output and a
+union of filter sets are ``filter`` sets too.  It is
 an immutable multiset of ``(QueryRecord, Trajectory)`` pairs kept in one
 canonical order so that every downstream transform is reproducible
 byte-for-byte:
@@ -28,9 +32,9 @@ only at the edges: ``from_entries`` packs pairs made elsewhere into
 columns, and ``entries`` builds pairs from the columns on first access;
 the loop and the disk readers never do either.  A dataset built from
 outside columns checks every invariant; one derived from checked
-datasets (``select``, ``retagged``, ``merge_datasets``) checks only the
-role's: its rows were checked when their dataset was built and cannot
-have changed, but their role can, and ``select`` can set their correct flag.
+datasets (``select``, ``merge_datasets``) checks only the role's: its
+rows were checked when their dataset was built and cannot have changed,
+but their role can, and ``select`` can set their correct flag.
 """
 
 from __future__ import annotations
@@ -54,13 +58,8 @@ ORIGIN_RANK = {origin: rank for rank, origin in enumerate(ORIGINS)}
 ROLE_SAMPLE = "sample"
 ROLE_FILTER = "filter"
 ROLE_DISCARD = "discard"
-ROLE_RESAMPLE = "resample"
-ROLE_REFILTER = "refilter"
-ROLE_TRAIN = "train"
 
-ROLES = frozenset(
-    {ROLE_SAMPLE, ROLE_FILTER, ROLE_DISCARD, ROLE_RESAMPLE, ROLE_REFILTER, ROLE_TRAIN}
-)
+ROLES = frozenset({ROLE_SAMPLE, ROLE_FILTER, ROLE_DISCARD})
 
 LEVELS = (1, 2, 3, 4, 5)
 
@@ -166,7 +165,6 @@ _UNSET = {
 }
 # entry_sort_key's fields, least significant first as np.lexsort wants them
 _SORT_COLUMNS = ("corrected_from", "prefix_steps", "sample_index", "origin", "iteration", "query_id")
-_ALL_CORRECT_ROLES = (ROLE_FILTER, ROLE_REFILTER, ROLE_TRAIN)
 
 
 def _descends(cols: Mapping[str, np.ndarray]) -> bool:
@@ -234,7 +232,7 @@ def _check_role(role: str, correct: np.ndarray) -> None:
     """The role invariants: which correct flags a dataset of ``role`` may hold."""
     if role not in ROLES:
         raise ValueError(f"unknown dataset role {role!r}")
-    if role in _ALL_CORRECT_ROLES and not np.all(correct):
+    if role == ROLE_FILTER and not np.all(correct):
         raise ValueError(f"{role} datasets may only contain correct trajectories")
     if role == ROLE_DISCARD and np.any(correct):
         raise ValueError("discard datasets may only contain incorrect trajectories")
@@ -341,16 +339,15 @@ class TrajectoryDataset:
     ValueError.  It checks every invariant and puts rows given in any
     other order in canonical order.
 
-    A dataset derived from others (``select``, ``retagged``,
-    ``merge_datasets``) re-checks only the role invariant: every other
-    check looks at one row at a time, and the rows it takes were checked
-    when their dataset was built and cannot have changed since (columns
-    and their mapping are read-only).  Each query's run of rows and its
-    corpus row are found once per dataset, on first use, and shared with
-    its ``retagged`` copies.
+    A dataset derived from others (``select``, ``merge_datasets``)
+    re-checks only the role invariant: every other check looks at one row
+    at a time, and the rows it takes were checked when their dataset was
+    built and cannot have changed since (columns and their mapping are
+    read-only).  Each query's run of rows and its corpus row are found
+    once per dataset, on first use.
     """
 
-    __slots__ = ("role", "columns", "corpus", "_entries", "_runs")
+    __slots__ = ("role", "columns", "corpus", "_entries", "_facts")
 
     def __init__(self, role: str, columns: dict[str, Any], corpus: Corpus):
         unknown = set(columns) - set(COLUMNS)
@@ -371,32 +368,30 @@ class TrajectoryDataset:
         n = lengths.pop() if lengths else 1  # scalars alone make one row
         cols = {name: np.full(n, col) if col.ndim == 0 else col for name, col in cols.items()}
         _check_columns(role, cols)
-        self._fill(role, cols, corpus, _descends(cols), [])
+        self._fill(role, cols, corpus, _descends(cols))
 
     @classmethod
     def _derived(
-        cls, role: str, columns: Mapping[str, np.ndarray], corpus: Corpus,
-        *, sort: bool = False, runs: list | None = None,
+        cls, role: str, columns: Mapping[str, np.ndarray], corpus: Corpus, *, sort: bool
     ) -> "TrajectoryDataset":
         """A dataset of rows taken from checked datasets: ``columns`` holds
         every ``COLUMNS`` array at full length, and only the role is checked."""
         _check_role(role, columns["correct"])
         dataset = cls.__new__(cls)
-        dataset._fill(role, columns, corpus, sort, [] if runs is None else runs)
+        dataset._fill(role, columns, corpus, sort)
         return dataset
 
-    def _fill(self, role: str, cols: Mapping[str, np.ndarray], corpus: Corpus, sort: bool, runs: list) -> None:
+    def _fill(self, role: str, cols: Mapping[str, np.ndarray], corpus: Corpus, sort: bool) -> None:
         if sort:
             order = np.lexsort([cols[name] for name in _SORT_COLUMNS])
             cols = {name: col[order] for name, col in cols.items()}
         for col in cols.values():
             col.flags.writeable = False
         self.role = role
-        self.columns = cols if isinstance(cols, MappingProxyType) else MappingProxyType(cols)
+        self.columns = MappingProxyType(cols)
         self.corpus = corpus
         self._entries: tuple[Entry, ...] | None = None
-        # one cell, filled by _query_facts; retagged copies share it
-        self._runs = runs
+        self._facts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_entries(cls, entries: Iterable[Entry], role: str) -> "TrajectoryDataset":
@@ -483,20 +478,15 @@ class TrajectoryDataset:
         descends = bool((rows[1:] < rows[:-1]).any())
         return TrajectoryDataset._derived(role, columns, self.corpus, sort=descends)
 
-    def retagged(self, role: str) -> "TrajectoryDataset":
-        """Same entries under a different role tag."""
-        return TrajectoryDataset._derived(role, self.columns, self.corpus, runs=self._runs)
-
     def _query_facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(query id, first row, row count, corpus row) of each query's
-        contiguous run of rows, computed on first use into the cell that
-        ``retagged`` copies share."""
-        if not self._runs:
+        contiguous run of rows, computed on first use."""
+        if self._facts is None:
             qids = self.columns["query_id"]
             starts = np.flatnonzero(np.concatenate(([True], qids[1:] != qids[:-1])))[: len(qids)]
             ids = qids[starts]
-            self._runs.append((ids, starts, np.diff(np.append(starts, len(qids))), self.corpus.rows(ids)))
-        return self._runs[0]
+            self._facts = (ids, starts, np.diff(np.append(starts, len(qids))), self.corpus.rows(ids))
+        return self._facts
 
     def query_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(query id, first row, row count) of each query's contiguous run of rows."""
@@ -532,7 +522,7 @@ def run_positions(counts: np.ndarray) -> np.ndarray:
 
 
 def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryDataset:
-    """Multiset union of two datasets over the same corpus, tagged train.
+    """Multiset union of two datasets over the same corpus, as a filter set.
 
     Duplicates are preserved and the result is in canonical order
     (entries of ``a`` before equal-keyed entries of ``b``), so the
@@ -549,6 +539,4 @@ def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryData
     qids = np.concatenate((a.columns["query_id"], b.columns["query_id"]))
     order = np.argsort(qids, kind="stable")
     columns = {name: np.concatenate((a.columns[name], b.columns[name]))[order] for name in COLUMNS}
-    return TrajectoryDataset._derived(
-        ROLE_TRAIN, columns, a.corpus.union(b.corpus), sort=_descends(columns)
-    )
+    return TrajectoryDataset._derived(ROLE_FILTER, columns, a.corpus.union(b.corpus), sort=_descends(columns))

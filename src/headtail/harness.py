@@ -64,9 +64,8 @@ import itertools
 import json
 import os
 import re
-import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import countOf, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -79,9 +78,7 @@ from .core import (
     ORIGIN_RANK,
     ORIGIN_RESAMPLED_GR,
     ORIGINS,
-    ROLE_FILTER,
     ROLE_SAMPLE,
-    ROLE_TRAIN,
     Corpus,
     TrajectoryDataset,
     first_rows,
@@ -155,16 +152,11 @@ def _from_dict(cls, data: dict[str, Any], where: str):
 
 
 def _has_type(value: Any, hint: Any) -> bool:
-    """Whether ``value`` fits a field annotation; a bool is never a number."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (types.UnionType, typing.Union):
-        return any(_has_type(value, a) for a in args)
-    if origin is tuple:
-        if not isinstance(value, tuple):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_has_type(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_has_type, value, args))
+    """Whether ``value`` fits a field annotation: a class, or a fixed-length
+    tuple of them; a bool is never a number."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return isinstance(value, tuple) and len(value) == len(args) and all(map(_has_type, value, args))
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
@@ -318,8 +310,8 @@ def _prepared_corpus_and_learner(config: RunConfig) -> LearnerState:
     if not any(k == key and lp is config.learner and cp is config.corpus for k, lp, cp, _ in _last_start):
         corpus = synth_corpus(config.n_queries, config.seed, config.corpus)
         probe = init_learner(corpus, config.learner, config.seed)
-        levels = calibrate_difficulty(probe.pass_rates(config.calibration_shots))
-        learner = init_learner(replace(corpus, level=levels), config.learner, config.seed)
+        # pass_rates draws on its own stream and moves no counter, so the probe is the start
+        learner = probe.with_levels(calibrate_difficulty(probe.pass_rates(config.calibration_shots)))
         _last_start[:] = [(key, config.learner, config.corpus, learner)]
     return _last_start[0][3].clone()  # the run draws, which advances its draw counters in place
 
@@ -361,15 +353,14 @@ def _run_loop(config: RunConfig) -> RunReport:
                 filtered, discarded = filter_dataset(sample), None
             if union and config.apply_point == "on_union":
                 union_filter = filtered if union_filter is None else merge_datasets(union_filter, filtered)
-                pool = union_filter.retagged(ROLE_FILTER)
-                train_set = _apply_strategy(config, t, pool, discarded, learner)
+                train_set = _apply_strategy(config, t, union_filter, discarded, learner)
             else:
                 train_set = _apply_strategy(config, t, filtered, discarded, learner)
                 if union:  # per_iteration: train on the union of every reshaped set
                     union_train = train_set if union_train is None else merge_datasets(union_train, train_set)
                     train_set = union_train
-            for role, dataset in ((ROLE_SAMPLE, sample), (ROLE_FILTER, filtered), (ROLE_TRAIN, train_set)):
-                report.rows.append(build_row(t, role, dataset, config.k_samples, filtered))
+            for stage, dataset in (("sample", sample), ("filter", filtered), ("train", train_set)):
+                report.rows.append(build_row(t, stage, dataset, config.k_samples, filtered))
             solved |= filtered.count_of(learner.corpus.ids) > 0
             if len(train_set) == 0:
                 report.warnings.append(f"iteration {t}: empty training set, forgetting only")
@@ -896,7 +887,7 @@ def rebalance_offline(
         filtered = cot_length_filter(filtered, strategy.min_cot_tokens)
     train = reshape(strategy.kind, filtered, K, strategy.L, seed=seed, iteration=1)
     write_atomic(output_path, _snapshot_chunks(train))
-    row = build_row(1, ROLE_TRAIN, train, K, filtered)
+    row = build_row(1, "train", train, K, filtered)
     return {
         "input_records": len(sample),
         "filtered": len(filtered),

@@ -42,8 +42,8 @@ from .core import (
     LEVELS,
     ORIGIN_CORRECTED,
     ORIGIN_RESAMPLED_GR,
+    ROLE_FILTER,
     ROLE_SAMPLE,
-    ROLE_TRAIN,
     Corpus,
     QueryRecord,
     Trajectory,
@@ -335,10 +335,10 @@ class LearnerState:
         """K fresh draws per corpus query."""
         check_int64("k", k, 1)
         c = self.corpus
-        qids = np.repeat(c.ids, k)
-        draws = self._draw_rows(*self._query_columns(c, qids))
+        own = np.repeat(np.arange(len(c)), k)
+        draws = self._draw_rows(own, self.p[own], self._mu(c, own), c.gt_answer[own])
         columns = {
-            "query_id": qids,
+            "query_id": c.ids[own],
             "iteration": draws.iteration,
             "sample_index": np.tile(np.arange(1, k + 1), len(c)),
             "length_tokens": draws.length_tokens,
@@ -383,6 +383,14 @@ class LearnerState:
             raise ValueError("correct_response expects a failed trajectory")
         return self._one_row(query, self.sample_corrections, origin=ORIGIN_CORRECTED)
 
+    def with_levels(self, levels: np.ndarray) -> "LearnerState":
+        """This state over its corpus with ``levels`` set, and each level's
+        mean log-length taken from them as :func:`init_learner` takes it.
+        ``p`` and the draw counters are shared, not copied."""
+        corpus = replace(self.corpus, level=levels)
+        mu_log_len = _level_means(corpus.base_log_length, corpus.level, LEVELS)
+        return replace(self, corpus=corpus, mu_log_len=mu_log_len)
+
     # -- measurement -------------------------------------------------------
 
     def pass_rates(self, m: int) -> np.ndarray:
@@ -410,15 +418,16 @@ class LearnerState:
     def train(self, training_set: TrajectoryDataset, k: int) -> "LearnerState":
         """Exposure update toward the train set; returns the next policy.
 
-        With c_i the multiplicity of query i: exposed queries move up by
-        learn_rate * min(c_i/k, 1) * (1 - p_i), absent queries decay by the
-        forget rate.  Per-level length means blend toward the train set's
-        per-level mean log-lengths, falling back to the global train mean
-        for levels with no entries.  An empty train set applies forgetting
-        only.
+        The train set is a filter set, the successes a strategy kept; a
+        sample or discard set is a ValueError.  With c_i the multiplicity of
+        query i: exposed queries move up by learn_rate * min(c_i/k, 1) *
+        (1 - p_i), absent queries decay by the forget rate.  Per-level
+        length means blend toward the train set's per-level mean
+        log-lengths, falling back to the global train mean for levels with
+        no entries.  An empty train set applies forgetting only.
         """
-        if training_set.role != ROLE_TRAIN:
-            raise ValueError(f"train expects a train dataset, got role {training_set.role!r}")
+        if training_set.role != ROLE_FILTER:
+            raise ValueError(f"train expects a filter dataset, got role {training_set.role!r}")
         check_int64("k", k, 1)
         pr = self.params
         p = self.p

@@ -44,7 +44,12 @@ def _repeated_sums(step: float, counts: list[int]) -> list[float]:
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One diagnostics row; serializes to one fixed-order CSV line."""
+    """One diagnostics row; serializes to one fixed-order CSV line.
+
+    ``role`` names the loop stage the row describes (``sample``,
+    ``filter`` or ``train``), not a dataset role; it keeps that name
+    because it is the CSV header.
+    """
 
     iteration: int
     role: str
@@ -94,7 +99,8 @@ def build_row(
 ) -> MetricsRow:
     """Summarize one dataset against the iteration's per-query correct counts.
 
-    A query's count is its rows in ``filtered``, the iteration's filter
+    ``role`` is the row's label, the loop stage that ``dataset`` is: a
+    train set is a filter set, labelled ``train``.  A query's count is its rows in ``filtered``, the iteration's filter
     set, so bucket shares mean the same thing for sample, filter, and train
     rows.  Quarter buckets cover (0, .25], (.25, .5], (.5, .75], (.75, 1];
     sample entries of never-correct queries fall in no bucket.  Level

@@ -37,8 +37,9 @@ or an alias may have fired (removing a wrapper can expose whitespace:
 ``"$ x$"`` normalizes to ``"x"``).  ``normalize_answer`` stays the
 reference the batch equals string by string, and takes any string that
 holds ``"\\n"``.  One object-array comparison then grades the rows.
-Filtering selects the graded rows by mask; ``partition_dataset`` selects
-both the kept and the discarded rows from one grading.
+Only a ``sample`` set is graded: filtering selects its reward-1 rows as a
+``filter`` set, and ``partition_dataset`` selects both those and the
+reward-0 rows, a ``discard`` set, from one grading.
 """
 
 from __future__ import annotations
@@ -54,16 +55,7 @@ except ImportError:  # Python 3.10
 
 import numpy as np
 
-from .core import (
-    ROLE_DISCARD,
-    ROLE_FILTER,
-    ROLE_REFILTER,
-    ROLE_RESAMPLE,
-    ROLE_SAMPLE,
-    QueryRecord,
-    TrajectoryDataset,
-    object_array,
-)
+from .core import ROLE_DISCARD, ROLE_FILTER, ROLE_SAMPLE, QueryRecord, TrajectoryDataset, object_array
 
 # pattern -> canonical replacement; patterns are regexes applied in order
 DEFAULT_SYMBOL_ALIASES: tuple[tuple[str, str], ...] = (
@@ -169,9 +161,6 @@ def load_alias_table(path: str | Path) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-_FILTER_OUT_ROLE = {ROLE_SAMPLE: ROLE_FILTER, ROLE_RESAMPLE: ROLE_REFILTER}
-
-
 def _normalize_all(strings: list[str], aliases: tuple[tuple[str, str], ...]) -> list[str]:
     """``[normalize_answer(s, aliases) for s in strings]``, one step at a time over the list.
 
@@ -244,34 +233,28 @@ def _normalized(strings: list[str], aliases: tuple[tuple[str, str], ...]) -> lis
     return list(map(norm.__getitem__, strings))
 
 
-def _graded_role(sampled: TrajectoryDataset, name: str) -> str:
-    """The role that ``sampled``'s reward-1 rows take; only sample and resample sets are graded."""
-    out_role = _FILTER_OUT_ROLE.get(sampled.role)
-    if out_role is None:
-        raise ValueError(f"{name} expects a sample or resample dataset, got {sampled.role!r}")
-    return out_role
+def _require_sample(sampled: TrajectoryDataset, name: str) -> None:
+    if sampled.role != ROLE_SAMPLE:
+        raise ValueError(f"{name} expects a sample dataset, got {sampled.role!r}")
 
 
 def filter_dataset(
     sampled: TrajectoryDataset, aliases: tuple[tuple[str, str], ...] = DEFAULT_SYMBOL_ALIASES
 ) -> TrajectoryDataset:
-    """Keep exactly the reward-1 entries, marked correct, order preserved.
-
-    Sample datasets filter to role ``filter``; resample datasets to
-    ``refilter``.
-    """
-    out_role = _graded_role(sampled, "filter_dataset")
-    return sampled.select(np.flatnonzero(_graded(sampled, aliases)), out_role, correct=True)
+    """Keep exactly the reward-1 entries of a sample set, marked correct,
+    order preserved, as a filter set."""
+    _require_sample(sampled, "filter_dataset")
+    return sampled.select(np.flatnonzero(_graded(sampled, aliases)), ROLE_FILTER, correct=True)
 
 
 def partition_dataset(
     sampled: TrajectoryDataset, aliases: tuple[tuple[str, str], ...] = DEFAULT_SYMBOL_ALIASES
 ) -> tuple[TrajectoryDataset, TrajectoryDataset]:
     """(:func:`filter_dataset`, :func:`discard_dataset`) of ``sampled``, grading each row once."""
-    out_role = _graded_role(sampled, "partition_dataset")
+    _require_sample(sampled, "partition_dataset")
     ok = _graded(sampled, aliases)
     return (
-        sampled.select(np.flatnonzero(ok), out_role, correct=True),
+        sampled.select(np.flatnonzero(ok), ROLE_FILTER, correct=True),
         sampled.select(np.flatnonzero(~ok), ROLE_DISCARD, correct=False),
     )
 

@@ -1,8 +1,9 @@
 """Head-tail rebalancing transforms.
 
-Every strategy is a pure function from a filtered dataset (plus, for the
-resampling family, a sampler capability) to a train dataset.  Writing k_i
-for the number of correct responses a query kept out of K draws:
+Every strategy is a pure function from a filter dataset (plus, for the
+resampling family, a sampler capability) to the filter dataset the policy
+trains on.  Writing k_i for the number of correct responses a query kept
+out of K draws:
 
 * ``vanilla``         -- train on the filtered set unchanged.
 * ``threshold_clip``  -- cap every query at L entries by keyed random truncation.
@@ -15,8 +16,8 @@ for the number of correct responses a query kept out of K draws:
 * ``self_correct_augment`` -- revise discarded responses; verified revisions
   join training twice (correction pair + plain corrected response).
 
-``KINDS`` holds every kind's facts: the knobs it reads besides K, which
-is the sampling number of the data it rebalances, and whether it
+``KINDS`` holds every kind's facts: the sweep axes it reads besides K,
+which is the sampling number of the data it rebalances, and whether it
 resamples.  Config validation, the offline guard, the loop's dispatch,
 the sweep axes and the CLI choices all read it.
 
@@ -25,8 +26,9 @@ select rows, repeat them per query, restore canonical order.  The
 resampling family builds one pass's requests as columns (query ids, plus
 prefix lengths and steps for guided draws), makes them in one batched
 sampler call against the run's :class:`~headtail.core.Corpus`, and
-assembles the returned :class:`Draws` into a resample dataset over that
-corpus, which goes through the shared grader like any other.
+assembles the returned :class:`Draws` into a sample dataset over that
+corpus, its rows' ``origin`` saying how they were drawn, which goes
+through the shared grader like any other.
 
 Determinism: identical (input, config, seed) always yields the identical
 entry list.  Random truncation draws one counter-keyed ``rng`` value per
@@ -50,9 +52,7 @@ from .core import (
     ORIGIN_RESAMPLED_GR,
     ROLE_DISCARD,
     ROLE_FILTER,
-    ROLE_REFILTER,
-    ROLE_RESAMPLE,
-    ROLE_TRAIN,
+    ROLE_SAMPLE,
     Corpus,
     Trajectory,
     TrajectoryDataset,
@@ -67,7 +67,11 @@ from .rewards import (
 
 
 class Kind(NamedTuple):
-    """What a strategy kind reads besides K, and whether it resamples."""
+    """The sweep axes a strategy kind reads besides K, and whether it resamples.
+
+    ``min_cot_tokens`` is no axis: ``sc`` reads it in a run, and every
+    kind offline.
+    """
 
     knobs: tuple[str, ...]  # where L is read it must not exceed K
     resamples: bool  # needs a sampler, so it runs in the loop only, never offline
@@ -161,9 +165,9 @@ def _require_filter(filtered: TrajectoryDataset) -> None:
 
 
 def vanilla(filtered: TrajectoryDataset) -> TrajectoryDataset:
-    """Train on the filtered set as-is."""
+    """Train on the filtered set as-is: the set itself."""
     _require_filter(filtered)
-    return filtered.retagged(ROLE_TRAIN)
+    return filtered
 
 
 def threshold_clip(
@@ -185,18 +189,18 @@ def threshold_clip(
     u = rng.uniform(seed, rng.THRESHOLD_CLIP, qids, (iteration << 32) + position)
     rank = np.empty(len(qids), dtype=np.int64)
     rank[np.lexsort((u, qids))] = position  # a query's sorted run keeps its slots
-    return filtered.select(np.flatnonzero(rank < L), ROLE_TRAIN)
+    return filtered.select(np.flatnonzero(rank < L), ROLE_FILTER)
 
 
 def head_clip(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
     """Drop every query that answered all K draws correctly."""
     _require_filter(filtered)
     check_int64("K", K, 1)
-    return filtered.select(np.flatnonzero(filtered.row_counts() != K), ROLE_TRAIN)
+    return filtered.select(np.flatnonzero(filtered.row_counts() != K), ROLE_FILTER)
 
 
 def _cycled(filtered: TrajectoryDataset, targets) -> TrajectoryDataset:
-    """Each query's rows cycled to its target count, re-sorted, tagged train.
+    """Each query's rows cycled to its target count, re-sorted.
 
     A query with rows r_1..r_k and target m contributes r_((j-1) mod k)+1
     for j = 1..m, so the first m rows when m <= k.
@@ -204,7 +208,7 @@ def _cycled(filtered: TrajectoryDataset, targets) -> TrajectoryDataset:
     _, starts, counts = filtered.query_runs()
     targets = np.broadcast_to(np.maximum(targets, 0), counts.shape)
     rows = np.repeat(starts, targets) + run_positions(targets) % np.repeat(counts, targets)
-    return filtered.select(rows, ROLE_TRAIN)
+    return filtered.select(rows, ROLE_FILTER)
 
 
 def repeat_pad(filtered: TrajectoryDataset, K: int) -> TrajectoryDataset:
@@ -243,13 +247,13 @@ def _drawn(method, *requests) -> Draws:
 def _resampled(
     draws: Draws, corpus: Corpus, origin: str, **columns: np.ndarray
 ) -> TrajectoryDataset:
-    """The draws as a resample dataset over ``corpus``.
+    """The draws as a sample dataset of ``origin`` rows over ``corpus``.
 
     ``columns`` gives query_id and sample_index per row and, for
     guided draws, prefix_steps and prefix_tokens.
     """
     return TrajectoryDataset(
-        ROLE_RESAMPLE,
+        ROLE_SAMPLE,
         {
             "iteration": draws.iteration,
             "origin": ORIGIN_RANK[origin],
@@ -369,7 +373,7 @@ def self_correct_augment(
     kept = cot_length_filter(filter_dataset(attempts), min_cot_tokens)
     pairs = dict(kept.columns, corrected_from=kept.columns["sample_index"])
     corrections = TrajectoryDataset(
-        ROLE_REFILTER,
+        ROLE_FILTER,
         {name: np.concatenate((pairs[name], kept.columns[name])) for name in COLUMNS},
         kept.corpus,
     )

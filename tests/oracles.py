@@ -28,7 +28,7 @@ from headtail.core import (
     ORIGIN_CORRECTED,
     ORIGIN_EXPLORED,
     ORIGIN_RESAMPLED_GR,
-    ROLE_TRAIN,
+    ROLE_FILTER,
     Entry,
     QueryRecord,
     Trajectory,
@@ -332,8 +332,8 @@ def init_learner_reference(corpus, params, seed):
 
 def train_reference(p_by_id, mu_log_len, params, training_set, k):
     """(p by query id, mu_log_len by level) after one training step."""
-    if training_set.role != ROLE_TRAIN:
-        raise ValueError(f"train expects a train dataset, got role {training_set.role!r}")
+    if training_set.role != ROLE_FILTER:
+        raise ValueError(f"train expects a filter dataset, got role {training_set.role!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     pr = params

@@ -22,7 +22,6 @@ from headtail.core import (
     ORIGINS,
     ROLE_FILTER,
     ROLE_SAMPLE,
-    ROLE_TRAIN,
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
@@ -225,7 +224,7 @@ def test_snapshot_chunks_hold_at_most_a_chunk_of_lines(n):
 @settings(max_examples=50, deadline=None)
 def test_snapshot_round_trip_through_emit_report(filtered, train):
     train = TrajectoryDataset.from_entries(
-        [(r, replace(t, correct=True)) for r, t in train.entries], ROLE_TRAIN
+        [(r, replace(t, correct=True)) for r, t in train.entries], ROLE_FILTER
     )
     report = harness.RunReport(config=harness.RunConfig().to_dict(), final_filter=filtered, final_train=train)
     with tempfile.TemporaryDirectory() as tmp:

@@ -12,7 +12,6 @@ from headtail.core import (
     ORIGINS,
     ROLE_FILTER,
     ROLE_SAMPLE,
-    ROLE_TRAIN,
     Corpus,
     CorpusMismatchError,
     QueryRecord,
@@ -204,20 +203,20 @@ class TestMergeDatasets:
         b, _ = make_filter({3: 4})
         assert len(merge_datasets(a, b)) == 14
 
-    def test_empty_identity_retags_train(self):
+    def test_empty_identity_is_a_filter_set(self):
         a = TrajectoryDataset.empty(ROLE_FILTER)
         b, _ = make_filter({1: 3})
         merged = merge_datasets(a, b)
-        assert merged.role == ROLE_TRAIN
+        assert merged.role == ROLE_FILTER
         assert merged.entries == b.entries
 
     def test_hand_enumerated_union(self):
-        # 12-entry filter plus a 5-entry refiltered set over 3 queries
+        # 12-entry filter plus a 5-entry filter set of resampled rows over 3 queries
         a, queries = make_filter({1: 6, 2: 4, 3: 2})
         extra = [
             (queries[1], make_traj(1, j, origin=ORIGIN_RESAMPLED_AR)) for j in (1, 2)
         ] + [(queries[3], make_traj(3, j, origin=ORIGIN_RESAMPLED_AR)) for j in (1, 2, 3)]
-        b = TrajectoryDataset.from_entries(extra, "refilter")
+        b = TrajectoryDataset.from_entries(extra, "filter")
         merged = merge_datasets(a, b)
         assert len(merged) == 17
         qids = [t.query_id for _, t in merged]
@@ -394,8 +393,7 @@ class TestAnswerColumn:
 
 
 class TestDerivedDatasets:
-    """select, retagged and merge_datasets re-check only the role invariant,
-    and a dataset's query runs are found once and shared with retagged copies."""
+    """select and merge_datasets re-check only the role invariant."""
 
     def test_every_derived_dataset_of_each_kind_passes_the_full_check(self, monkeypatch):
         from headtail import core, harness
@@ -430,17 +428,15 @@ class TestDerivedDatasets:
         for make in (
             lambda: sample.select(wrong, ROLE_FILTER),
             lambda: sample.select(right, "discard"),
-            lambda: sample.select(right, ROLE_TRAIN, correct=False),  # checked after the overwrite
+            lambda: sample.select(right, ROLE_FILTER, correct=False),  # checked after the overwrite
             lambda: sample.select(wrong, "discard", correct=True),
-            lambda: sample.retagged(ROLE_TRAIN),
-            lambda: filtered.retagged("discard"),
             lambda: merge_datasets(filtered, discard),
             lambda: merge_datasets(discard, discard),
         ):
             with pytest.raises(ValueError, match="may only contain"):
                 make()
         with pytest.raises(ValueError, match="unknown dataset role"):
-            filtered.retagged("bogus")
+            sample.select(right, "bogus")
         assert len(sample.select(wrong, ROLE_FILTER, correct=True)) == len(wrong)
         assert sample.select(right, "discard", correct=False).columns["correct"].sum() == 0
 
@@ -472,14 +468,12 @@ def _facts_by_hand(ds):
 @settings(max_examples=100, deadline=None)
 def test_cached_query_facts_equal_a_fresh_computation(pairs, data, parent_first):
     ds = TrajectoryDataset.from_entries(pairs, ROLE_FILTER)
-    if parent_first:  # fill the parent's cache before its copies are made
+    if parent_first:  # fill the parent's cache before its derived sets are made
         ds.levels()
-    retagged = ds.retagged(ROLE_TRAIN)
     rows = sorted(data.draw(st.lists(st.integers(0, max(len(ds) - 1, 0)), max_size=len(ds) * 2)))
     picked = ds.select(rows if len(ds) else [], ROLE_FILTER)
-    for part in (retagged, ds, picked, picked.retagged(ROLE_TRAIN)):
+    for part in (ds, picked, merge_datasets(ds, picked)):
         assert _facts(part) == _facts(_fresh(part)) == _facts_by_hand(part)
-    assert retagged.query_runs()[0] is ds.query_runs()[0]  # one computation, shared
 
 
 @given(st.one_of(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import typing
 
 import pytest
 
@@ -21,7 +22,7 @@ from headtail.harness import (
     write_atomic,
 )
 from headtail.cli import main
-from headtail.core import ROLE_TRAIN
+from headtail.core import ORIGIN_EXPLORED, ORIGIN_RANK, ROLE_FILTER
 from headtail.learner import CorpusParams, LearnerParams
 from headtail.strategies import StrategyConfig
 
@@ -73,6 +74,15 @@ class TestRunConfig:
         bad.write_text("{nope")
         with pytest.raises(ConfigError):
             RunConfig.from_json_file(bad)
+
+    def test_every_field_annotation_is_a_form_the_type_check_handles(self):
+        # _has_type checks a class, or a fixed-length tuple of classes; a
+        # Union (``X | None``) or ``tuple[X, ...]`` field would need a branch it lacks
+        nested = (StrategyConfig, LearnerParams, CorpusParams)
+        handled = {int, bool, str, float, tuple[float, float], *nested}
+        for cls in (RunConfig, *nested):
+            for name, hint in typing.get_type_hints(cls).items():
+                assert hint in handled, f"{cls.__name__}.{name}: {hint}"
 
 
 class TestSelfImprovement:
@@ -135,12 +145,13 @@ class TestSelfImprovement:
         real = rewards._graded
 
         def counting(sampled, aliases):
-            graded.append(sampled.role)
+            graded.append(set(sampled.columns["origin"].tolist()))
             return real(sampled, aliases)
 
         monkeypatch.setattr(rewards, "_graded", counting)
         run(small_config(strategy=StrategyConfig(kind="sc"), seed=0))
-        assert graded.count("sample") == SMALL["iterations"]
+        # the loop's sample is all explored; sc's correction attempts are none
+        assert graded.count({ORIGIN_RANK[ORIGIN_EXPLORED]}) == SMALL["iterations"]
 
     def test_tc_stream_not_shared_by_next_seed_one_iteration_back(self, hand_filter):
         from headtail.harness import _apply_strategy
@@ -406,7 +417,7 @@ class TestSnapshotCodec:
         for kind in ("gr", "sc", "ar"):
             rep = run(small_config(strategy=StrategyConfig(kind=kind), seed=0))
             emit_report(rep, tmp_path / kind)
-            decoded = read_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl", ROLE_TRAIN)
+            decoded = read_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl", ROLE_FILTER)
             assert [snapshot_entry(r, t) for r, t in decoded] == [
                 snapshot_entry(r, t) for r, t in rep.final_train
             ]
@@ -426,7 +437,7 @@ class TestSnapshotCodec:
         path = tmp_path / "snapshot.jsonl"
         path.write_text("\n" * 3 + line + "\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=f"line 4: .*{message}"):
-            read_snapshot(path, ROLE_TRAIN)
+            read_snapshot(path, ROLE_FILTER)
 
 
 class TestEmitReport:

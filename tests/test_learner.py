@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from headtail import rewards
-from headtail.core import ORIGIN_CORRECTED, ORIGIN_RESAMPLED_GR, ROLE_TRAIN, Corpus, TrajectoryDataset
+from headtail.core import ORIGIN_CORRECTED, ORIGIN_RESAMPLED_GR, ROLE_DISCARD, ROLE_FILTER, Corpus, TrajectoryDataset
 from headtail.learner import (
     CorpusParams,
     LearnerParams,
@@ -400,14 +400,14 @@ def train_set_for(qid_counts, level=None, length=60):
         entries.extend(
             (q, make_traj(qid, j, length=length)) for j in range(1, count + 1)
         )
-    return TrajectoryDataset.from_entries(entries, ROLE_TRAIN)
+    return TrajectoryDataset.from_entries(entries, ROLE_FILTER)
 
 
 class TestTrain:
     def test_unexposed_decay(self):
         params = LearnerParams(forget_rate=0.25)
         st_ = state_with({1: 0.8, 2: 0.4}, params=params)
-        out = st_.train(TrajectoryDataset.empty(ROLE_TRAIN), 8)
+        out = st_.train(TrajectoryDataset.empty(ROLE_FILTER), 8)
         assert p_of(out, 1) == pytest.approx(0.8 * 0.75)
         assert p_of(out, 2) == pytest.approx(0.4 * 0.75)
         assert out.iteration == 1
@@ -434,9 +434,11 @@ class TestTrain:
 
     def test_wrong_role_rejected(self):
         st_ = state_with({1: 0.5})
-        ds, _ = __import__("conftest").make_filter({1: 2})
-        with pytest.raises(ValueError):
-            st_.train(ds, 8)
+        sample, _ = __import__("conftest").make_sample({1: 2}, K=8)
+        discard = sample.select(np.flatnonzero(~sample.columns["correct"]), ROLE_DISCARD)
+        for ds in (sample, discard):
+            with pytest.raises(ValueError, match=f"train expects a filter dataset, got role {ds.role!r}"):
+                st_.train(ds, 8)
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
@@ -591,6 +593,17 @@ learner_params = st.builds(
 )
 
 
+@given(leveled_corpora(), learner_params, st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_with_levels_equals_a_fresh_start_over_the_leveled_corpus(corpus, params, m, seed):
+    probe = init_learner(corpus, params, seed)
+    levels = calibrate_difficulty(probe.pass_rates(m))
+    got = probe.with_levels(levels)
+    want = init_learner(replace(corpus, level=levels), params, seed)
+    assert got.to_json() == want.to_json()
+    assert got.corpus.level.tolist() == want.corpus.level.tolist() == levels.tolist()
+
+
 class TestAgainstDictReferences:
     """Set-up, calibration and training equal their per-query dict references
     in tests/oracles.py, float for float."""
@@ -617,7 +630,7 @@ class TestAgainstDictReferences:
             for q, c in counts.items()
             for j in range(1, c + 1)
         ]
-        train_set = TrajectoryDataset.from_entries(entries, ROLE_TRAIN)
+        train_set = TrajectoryDataset.from_entries(entries, ROLE_FILTER)
         out = state.train(train_set, k)
         p, mu = train_reference(dict(zip(ids, state.p.tolist())), state.mu_log_len, params, train_set, k)
         assert dict(zip(ids, out.p.tolist())) == p
@@ -635,7 +648,7 @@ class TestAgainstDictReferences:
 @pytest.mark.parametrize("name, call", [
     ("k", lambda s, v: s.sample_batch(v)),
     ("m", lambda s, v: s.pass_rates(v)),
-    ("k", lambda s, v: s.train(TrajectoryDataset.empty(ROLE_TRAIN), v)),
+    ("k", lambda s, v: s.train(TrajectoryDataset.empty(ROLE_FILTER), v)),
 ])
 def test_each_count_is_checked_below_and_past_int64(name, call):
     state = state_with({1: 0.5, 2: 0.3})

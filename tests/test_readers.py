@@ -33,7 +33,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from headtail import cli, harness
-from headtail.core import ORIGIN_RESAMPLED_GR, ORIGINS, ROLE_FILTER, ROLE_SAMPLE, ROLE_TRAIN
+from headtail.core import ORIGIN_RESAMPLED_GR, ORIGINS, ROLE_FILTER, ROLE_SAMPLE
 from headtail.harness import SchemaError, load_log, read_snapshot
 
 import oracles
@@ -225,7 +225,7 @@ def test_log_reader_matches_per_line_reference(text, chunk):
 
 
 @given(jsonl_files(snapshot_records(), SNAPSHOT_FAULTS), st.integers(1, 3),
-       st.sampled_from([ROLE_SAMPLE, ROLE_FILTER, ROLE_TRAIN]))
+       st.sampled_from([ROLE_SAMPLE, ROLE_FILTER]))
 @settings(max_examples=100, deadline=None)
 def test_snapshot_reader_matches_per_line_reference(text, chunk, role):
     got, expected = both_outcomes(
@@ -293,7 +293,7 @@ def _snapshot_line(qid, **fields):
         (_snapshot_line(2, level=4), "{path}: conflicting records for query 2"),
         (_snapshot_line(2, length_tokens=2**63), "{path}: dataset fields must fit in 64-bit integers"),
         (_snapshot_line(2**63, level=2), "{path}: dataset fields must fit in 64-bit integers"),
-        (_snapshot_line(2, correct=False), "{path}: train datasets may only contain correct trajectories"),
+        (_snapshot_line(2, correct=False), "{path}: filter datasets may only contain correct trajectories"),
     ],
 )
 def test_snapshot_error_past_the_first_chunk(tmp_path, monkeypatch, bad, message):
@@ -302,7 +302,7 @@ def test_snapshot_error_past_the_first_chunk(tmp_path, monkeypatch, bad, message
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     monkeypatch.setattr(harness, "_READ_CHUNK", 2)
     with pytest.raises(SchemaError) as info:
-        read_snapshot(path, ROLE_TRAIN)
+        read_snapshot(path, ROLE_FILTER)
     assert str(info.value) == message.format(path=path)
 
 
@@ -344,7 +344,7 @@ def test_snapshot_line_with_two_faults_matches_reference(fault):
     bad = _snapshot_line(2, **fault)
     got, expected = both_outcomes(
         _snapshot_line(1) + "\n" + bad + "\n", 2,
-        lambda p: read_snapshot(p, ROLE_TRAIN), lambda p: oracles._snapshot_reference(p, ROLE_TRAIN),
+        lambda p: read_snapshot(p, ROLE_FILTER), lambda p: oracles._snapshot_reference(p, ROLE_FILTER),
     )
     assert got == expected
     assert got.startswith("line 2: ")
@@ -516,7 +516,7 @@ def written_datasets(draw):
     """A dataset of any rows over up to 4 queries, leveled or not, as
     ``_snapshot_chunks`` writes it: every origin, guided rows' prefix steps,
     negative ids, ids and counts of 18 and 19 digits."""
-    role = draw(st.sampled_from([ROLE_SAMPLE, ROLE_FILTER, ROLE_TRAIN]))
+    role = draw(st.sampled_from([ROLE_SAMPLE, ROLE_FILTER]))
     levels = draw(st.dictionaries(QUERY_IDS, st.sampled_from([0, *harness.LEVELS]), min_size=1, max_size=4))
     positive = st.one_of(st.integers(1, 3), BIG_INTS)
     rows = []

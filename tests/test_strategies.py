@@ -9,7 +9,7 @@ from headtail.core import (
     ORIGIN_CORRECTED,
     ORIGIN_RESAMPLED_AR,
     ORIGIN_RESAMPLED_GR,
-    ROLE_TRAIN,
+    ROLE_FILTER,
     Corpus,
     TrajectoryDataset,
 )
@@ -48,8 +48,8 @@ class TestVanilla:
     def test_identity(self, hand_filter):
         f, _ = hand_filter
         out = vanilla(f)
-        assert out.role == ROLE_TRAIN
-        assert out.entries == f.entries
+        assert out is f
+        assert out.role == ROLE_FILTER
 
     def test_empty(self):
         out = vanilla(TrajectoryDataset.empty("filter"))
@@ -187,7 +187,7 @@ class TestAdaptiveResample:
         sampler = ScriptedSampler()
         resampled, refiltered, train = adaptive_resample(f, Corpus.of(queries.values()), sampler, K=4)
         assert sampler.fresh_calls == 0
-        assert train.entries == f.retagged(ROLE_TRAIN).entries
+        assert train.entries == f.entries
 
     def test_failed_draws_are_refiltered_out(self, hand_filter):
         f, queries = hand_filter
@@ -256,7 +256,7 @@ class TestGuidedResample:
         sampler = ScriptedSampler()
         _, _, train = guided_resample(f, sampler, L=4, S=4)
         assert sampler.guided_calls == 0
-        assert train.entries == f.retagged(ROLE_TRAIN).entries
+        assert train.entries == f.entries
 
     def test_prefix_steps_range(self, hand_filter):
         f, _ = hand_filter
@@ -307,7 +307,7 @@ class TestSelfCorrectAugment:
     def test_empty_discard(self, hand_filter):
         f, _ = hand_filter
         train = self_correct_augment(f, TrajectoryDataset.empty("discard"), ScriptedSampler(), 8, 10)
-        assert train.entries == f.retagged(ROLE_TRAIN).entries
+        assert train.entries == f.entries
 
     def test_cot_floor_rejects_short_corrections(self):
         sample, _ = make_sample({1: 0}, K=2)
@@ -384,7 +384,7 @@ class TestSharedInvariants:
             guided_resample(f, sampler, 4, 4)[2],
         ]
         for out in outputs:
-            assert out.role == ROLE_TRAIN
+            assert out.role == ROLE_FILTER
             assert all(t.correct for _, t in out)
 
     def test_determinism_of_transform_suite(self, hand_filter):
