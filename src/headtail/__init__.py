@@ -33,7 +33,6 @@ from .strategies import (
     repeat_invert,
     repeat_pad,
     self_correct_augment,
-    split_steps,
     threshold_clip,
     vanilla,
 )

@@ -6,9 +6,8 @@ the loop.  Its role says what grading found: ``sample`` rows are ungraded
 none.  Where a row came from is its ``origin``, and the loop stage a
 metrics row describes is that row's label, so a strategy's output and a
 union of filter sets are ``filter`` sets too.  It is
-an immutable multiset of ``(QueryRecord, Trajectory)`` pairs kept in one
-canonical order so that every downstream transform is reproducible
-byte-for-byte:
+an immutable multiset of rows kept in one canonical order so that every
+downstream transform is reproducible byte-for-byte:
 
     ascending query_id, then (iteration, origin rank, sample_index,
     prefix_steps, correction linkage)
@@ -24,13 +23,14 @@ there (``levels`` and ``gt_answers`` spread them over a dataset's rows).
 A dataset is one read-only array per ``COLUMNS`` field, the extracted
 answers among them, and its corpus.  Every transform is index arithmetic
 on those columns.  A dataset keeps its own order: it checks whether some
-row's ``entry_sort_key`` falls below the row's before it, and only then
-restores canonical order with one stable ``np.lexsort`` over the key's
-fields (``merge_datasets`` first sorts stably by query id alone, and
-``select`` checks only whether its rows ascend).  Python objects exist
-only at the edges: ``from_entries`` packs pairs made elsewhere into
-columns, and ``entries`` builds pairs from the columns on first access;
-the loop and the disk readers never do either.  A dataset built from
+row's sort key (``_SORT_COLUMNS``) falls below the row's before it, and
+only then restores canonical order with one stable ``np.lexsort`` over
+those columns (``merge_datasets`` first sorts stably by query id alone,
+and ``select`` checks only whether its rows ascend).  Rows only go one
+way between objects and columns: ``from_entries`` packs
+``(QueryRecord, Trajectory)`` pairs made elsewhere into columns, and
+nothing turns columns back into pairs; the loop and the disk readers
+never make pairs at all.  A dataset built from
 outside columns checks every invariant; one derived from checked
 datasets (``select``, ``merge_datasets``) checks only the role's: its
 rows were checked when their dataset was built and cannot have changed,
@@ -39,11 +39,10 @@ but their role can, and ``select`` can set their correct flag.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -134,19 +133,8 @@ class Trajectory:
         if self.corrected_from is not None and self.corrected_from < 1:
             raise ValueError("corrected_from must be >= 1 when set")
 
-    @property
-    def cot_length(self) -> int:
-        """Token count of the freshly generated reasoning (excludes prefix)."""
-        return self.length_tokens - self.prefix_tokens
-
 
 Entry = tuple[QueryRecord, Trajectory]
-
-
-def entry_sort_key(entry: Entry) -> tuple:
-    _, t = entry
-    link = -1 if t.corrected_from is None else t.corrected_from
-    return (t.query_id, t.iteration, ORIGIN_RANK[t.origin], t.sample_index, t.prefix_steps, link)
 
 
 # one column per Trajectory field: int64, but "correct" is bool and "answer"
@@ -163,12 +151,12 @@ _UNSET = {
     "origin": ORIGIN_RANK[ORIGIN_EXPLORED], "prefix_steps": 0, "prefix_tokens": 0, "corrected_from": -1,
     "answer": "",
 }
-# entry_sort_key's fields, least significant first as np.lexsort wants them
+# the canonical order's key, least significant first as np.lexsort wants it
 _SORT_COLUMNS = ("corrected_from", "prefix_steps", "sample_index", "origin", "iteration", "query_id")
 
 
 def _descends(cols: Mapping[str, np.ndarray]) -> bool:
-    """Whether some row's ``entry_sort_key`` is below the row's before it."""
+    """Whether some row's sort key is below the row's before it."""
     ids = cols["query_id"]
     tied = np.ones(max(len(ids) - 1, 0), dtype=bool)
     descends = np.zeros_like(tied)
@@ -309,14 +297,6 @@ class Corpus:
             raise ValueError(f"unknown query {query_ids[~found][0]}")
         return rows
 
-    @functools.cached_property
-    def records(self) -> dict[int, QueryRecord]:
-        """Query id -> its ``QueryRecord``, in id order, built on first use."""
-        columns = (self.ids, self.gt_answer, self.latent_difficulty, self.level, self.base_log_length)
-        return {
-            q: QueryRecord(q, gt, d, lv or None, b) for q, gt, d, lv, b in zip(*(c.tolist() for c in columns))
-        }
-
     def union(self, other: "Corpus") -> "Corpus":
         """Every query of both; a query in both must be equal in every field."""
         if other is self:
@@ -329,7 +309,7 @@ class Corpus:
 
 
 class TrajectoryDataset:
-    """An immutable, canonically ordered multiset of (query, trajectory) pairs.
+    """An immutable, canonically ordered multiset of trajectory rows.
 
     ``columns`` maps each name in ``COLUMNS`` to a read-only array with one
     row per entry (``answers`` is its ``answer`` column), and ``corpus``
@@ -347,7 +327,7 @@ class TrajectoryDataset:
     once per dataset, on first use.
     """
 
-    __slots__ = ("role", "columns", "corpus", "_entries", "_facts")
+    __slots__ = ("role", "columns", "corpus", "_facts")
 
     def __init__(self, role: str, columns: dict[str, Any], corpus: Corpus):
         unknown = set(columns) - set(COLUMNS)
@@ -390,7 +370,6 @@ class TrajectoryDataset:
         self.role = role
         self.columns = MappingProxyType(cols)
         self.corpus = corpus
-        self._entries: tuple[Entry, ...] | None = None
         self._facts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -429,22 +408,6 @@ class TrajectoryDataset:
         return cls.from_entries((), role)
 
     @property
-    def entries(self) -> tuple[Entry, ...]:
-        """The rows as (QueryRecord, Trajectory) pairs, built once on first access."""
-        if self._entries is None:
-            c = {name: col.tolist() for name, col in self.columns.items()}
-            records = self.corpus.records
-            self._entries = tuple(
-                (records[q], Trajectory(q, s, it, n, a, ok, ORIGINS[o], ps, pt, None if cf < 0 else cf))
-                for q, s, it, n, a, ok, o, ps, pt, cf in zip(
-                    c["query_id"], c["sample_index"], c["iteration"], c["length_tokens"],
-                    c["answer"], c["correct"], c["origin"], c["prefix_steps"],
-                    c["prefix_tokens"], c["corrected_from"],
-                )
-            )
-        return self._entries
-
-    @property
     def answers(self) -> np.ndarray:
         """The extracted answers: the read-only ``answer`` column."""
         return self.columns["answer"]
@@ -452,13 +415,20 @@ class TrajectoryDataset:
     def __len__(self) -> int:
         return len(self.columns["query_id"])
 
-    def __iter__(self) -> Iterator[Entry]:
-        return iter(self.entries)
-
     def __eq__(self, other: object) -> bool:
+        """The same role and rows: every column equal, and each row's query
+        equal in every corpus field (the corpora themselves may differ)."""
         if not isinstance(other, TrajectoryDataset):
             return NotImplemented
-        return self.role == other.role and self.entries == other.entries
+        if self.role != other.role or len(self) != len(other):
+            return False
+        if not all(np.array_equal(self.columns[name], other.columns[name]) for name in COLUMNS):
+            return False
+        mine, theirs = self._query_facts()[3], other._query_facts()[3]
+        return all(
+            np.array_equal(getattr(self.corpus, name)[mine], getattr(other.corpus, name)[theirs])
+            for name in _CORPUS_TYPES
+        )
 
     __hash__ = None  # type: ignore[assignment]
 

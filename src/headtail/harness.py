@@ -285,9 +285,9 @@ def _apply_strategy(
     if not KINDS[cfg.kind].resamples:
         return reshape(cfg.kind, filtered, K, cfg.L, seed=config.seed, iteration=iteration)
     if cfg.kind == "ar":
-        return adaptive_resample(filtered, sampler.corpus, sampler, K)[2]
+        return adaptive_resample(filtered, sampler.corpus, sampler, K)
     if cfg.kind == "gr":
-        return guided_resample(filtered, sampler, cfg.L, cfg.S)[2]
+        return guided_resample(filtered, sampler, cfg.L, cfg.S)
     return self_correct_augment(filtered, discarded, sampler, K, cfg.min_cot_tokens)
 
 
@@ -697,11 +697,13 @@ def _snapshot_chunks(dataset: TrajectoryDataset) -> Iterator[str]:
 
 def check_output_path(path: str | Path) -> None:
     """ConfigError unless a file can be written at ``path``: it is no
-    directory, and its nearest existing ancestor is one."""
+    directory, and its nearest existing ancestor is one.  A symbolic link
+    exists even when its target does not, so a dangling one is an ancestor
+    that is no directory."""
     path = Path(path)
     if path.is_dir():
         raise ConfigError(f"output path {path} is a directory")
-    ancestor = next(a for a in path.parents if a.exists())
+    ancestor = next(a for a in path.parents if os.path.lexists(a))
     if not ancestor.is_dir():
         raise ConfigError(f"output path {path} lies under {ancestor}, which is not a directory")
 

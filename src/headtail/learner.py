@@ -22,10 +22,12 @@ Every draw is keyed by (root_seed, query_id, draw counter), so a query's
 trajectories are a pure function of its counter sequence however draws
 interleave.  One kernel makes every draw: the batched samplers call it
 with one row per request, and ``sample_response``, ``guided_sample`` and
-``correct_response`` are their one-row calls.  ``tests/oracles.py`` holds
-the scalar draw reference the batched samplers replay, and the per-query
-references that ``train``, ``init_learner``, ``calibrate_difficulty`` and
-``pass_rates`` are checked against.
+``correct_response`` are their one-row calls; a guided draw's kept prefix
+comes from the closed form ``guided_resample`` uses.  ``tests/oracles.py``
+holds the scalar draw reference the batched samplers replay, the per-step
+prefix offsets (``split_steps``), and the per-query references that
+``train``, ``init_learner``, ``calibrate_difficulty`` and ``pass_rates``
+are checked against.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .core import (
     run_positions,
 )
 from .rewards import DEFAULT_SYMBOL_ALIASES, _normalize_all
-from .strategies import Draws, SamplerError, check_int64, split_steps
+from .strategies import Draws, SamplerError, _prefix_tokens, check_int64
 
 
 def _check_finite(params: LearnerParams | CorpusParams) -> None:
@@ -366,12 +368,19 @@ class LearnerState:
     def guided_sample(
         self, query: QueryRecord, prefix: Trajectory, step: int, total_steps: int
     ) -> Trajectory:
-        """One-row :meth:`sample_guided`, continuing ``prefix`` from the given step."""
+        """One-row :meth:`sample_guided`, continuing ``prefix`` from the given
+        step: past step 1 it keeps the tokens before that step of ``prefix``
+        cut into ``total_steps`` near-equal steps, which must each hold one."""
         if not 1 <= step <= total_steps:
             raise ValueError(f"step must be in [1, {total_steps}], got {step}")
         if not prefix.correct:
             raise ValueError("guided sampling requires a successful prefix")
-        tokens = 0 if step == 1 else split_steps(prefix, total_steps)[step - 1]
+        tokens = 0
+        if step > 1:
+            check_int64("S", total_steps, 2)
+            if prefix.length_tokens < total_steps:
+                raise ValueError("trajectory too short to split")
+            tokens = int(_prefix_tokens(prefix.length_tokens, total_steps, step - 1))
         return self._one_row(
             query, self.sample_guided, np.array([tokens]), np.array([step]), total_steps,
             origin=ORIGIN_RESAMPLED_GR, prefix_steps=step - 1, prefix_tokens=tokens,

@@ -28,10 +28,11 @@ prefix lengths and steps for guided draws), makes them in one batched
 sampler call against the run's :class:`~headtail.core.Corpus`, and
 assembles the returned :class:`Draws` into a sample dataset over that
 corpus, its rows' ``origin`` saying how they were drawn, which goes
-through the shared grader like any other.
+through the shared grader like any other.  Every strategy returns just
+its train set.
 
 Determinism: identical (input, config, seed) always yields the identical
-entry list.  Random truncation draws one counter-keyed ``rng`` value per
+dataset.  Random truncation draws one counter-keyed ``rng`` value per
 entry, keyed by (seed, query_id, iteration, position); resampling
 randomness lives entirely in the sampler's per-(query, counter) streams.
 """
@@ -54,7 +55,6 @@ from .core import (
     ROLE_FILTER,
     ROLE_SAMPLE,
     Corpus,
-    Trajectory,
     TrajectoryDataset,
     merge_datasets,
     run_positions,
@@ -268,13 +268,14 @@ def _resampled(
 
 def adaptive_resample(
     filtered: TrajectoryDataset, corpus: Corpus, sampler: Sampler, K: int
-) -> tuple[TrajectoryDataset, TrajectoryDataset, TrajectoryDataset]:
+) -> TrajectoryDataset:
     """Draw K - k_i fresh responses per corpus query, refilter, merge.
 
     Resampling weight follows the fail rate: queries the policy already
     masters get nothing, unsolved queries get the full K extra draws.  A
     query holding K or more rows (a union pool can) gets nothing either.
-    Returns (resampled, refiltered, train).
+    Returns the train set: ``filtered`` merged with the correct draws, its
+    ``resampled_ar`` rows.
     """
     _require_filter(filtered)
     check_int64("K", K, 1)
@@ -287,37 +288,27 @@ def adaptive_resample(
         query_id=query_ids,
         sample_index=run_positions(deficit) + 1,
     )
-    refiltered = filter_dataset(resampled)
-    train = merge_datasets(filtered, refiltered)
-    return resampled, refiltered, train
+    return merge_datasets(filtered, filter_dataset(resampled))
 
 
-def split_steps(traj: Trajectory, S: int) -> tuple[int, ...]:
-    """Prefix token offsets that cut a trajectory into S near-equal steps.
-
-    Chunk sizes differ by at most one, larger chunks first.  Returns the S
-    offsets (0 = empty prefix, then the start of each later step).
-    """
-    check_int64("S", S, 2)
-    if traj.length_tokens < S:
-        raise ValueError("trajectory too short to split")
-    base, extra = divmod(traj.length_tokens, S)
-    offsets = [0]
-    for s in range(S - 1):
-        offsets.append(offsets[-1] + base + (1 if s < extra else 0))
-    return tuple(offsets)
+def _prefix_tokens(length_tokens, S: int, kept):
+    """Tokens before step ``kept + 1`` (``kept`` from 0 to S - 1) of a
+    response cut into S near-equal steps, larger steps first:
+    ``kept * base + min(kept, extra)`` with ``base, extra = divmod(length_tokens, S)``."""
+    base, extra = divmod(length_tokens, S)
+    return kept * base + np.minimum(kept, extra)
 
 
 def guided_resample(
     filtered: TrajectoryDataset, sampler: Sampler, L: int, S: int
-) -> tuple[TrajectoryDataset, TrajectoryDataset, TrajectoryDataset]:
+) -> TrajectoryDataset:
     """Resample tail queries from intermediate steps of their kept responses.
 
     For every query with 0 < k_i < L, each of its correct trajectories
     seeds S guided draws, one per step prefix (step 1 is the empty prefix,
     i.e. a plain resample).  Trajectories too short to split into S steps
-    contribute only their empty-prefix draw.  Returns
-    (resampled, refiltered, train).
+    contribute only their empty-prefix draw.  Returns the train set:
+    ``filtered`` merged with the correct draws, its ``resampled_gr`` rows.
     """
     _require_filter(filtered)
     check_int64("L", L, 1)
@@ -327,9 +318,7 @@ def guided_resample(
     n_steps = np.where(c["length_tokens"][donors] >= S, S, 1)
     rows = np.repeat(donors, n_steps)
     kept = run_positions(n_steps)  # steps kept from the donor, 0..S-1
-    base, extra = np.divmod(c["length_tokens"][rows], S)
-    # split_steps' offsets in closed form: i * base + min(i, extra)
-    prefix_tokens = kept * base + np.minimum(kept, extra)
+    prefix_tokens = _prefix_tokens(c["length_tokens"][rows], S, kept)
     query_ids = c["query_id"][rows]
     resampled = _resampled(
         _drawn(sampler.sample_guided, filtered.corpus, query_ids, prefix_tokens, kept + 1, S),
@@ -340,9 +329,7 @@ def guided_resample(
         prefix_steps=kept,
         prefix_tokens=prefix_tokens,
     )
-    refiltered = filter_dataset(resampled)
-    train = merge_datasets(filtered, refiltered)
-    return resampled, refiltered, train
+    return merge_datasets(filtered, filter_dataset(resampled))
 
 
 def self_correct_augment(

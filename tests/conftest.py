@@ -81,10 +81,11 @@ def hand_sample():
 
 
 class ScriptedSampler:
-    """Sampler returning pre-set correctness; counts every draw.
+    """Sampler returning pre-set correctness; counts and records every draw.
 
     The pattern is consumed one draw at a time in row order, and the
-    ``*_calls`` counters count draws, not batched calls.
+    ``*_calls`` counters count draws, not batched calls.  ``served`` holds
+    each draw's (query id, correct flag), in the order they were made.
     """
 
     def __init__(self, correct_pattern=itertools.repeat(True), length: int = 50):
@@ -93,6 +94,7 @@ class ScriptedSampler:
         self.fresh_calls = 0
         self.guided_calls = 0
         self.correct_calls = 0
+        self.served: list[tuple[int, bool]] = []
 
     def _draws(self, corpus, query_ids, counter, prefix_tokens=0):
         correct, answers = [], []
@@ -100,6 +102,7 @@ class ScriptedSampler:
         for q, gt in zip(np.asarray(query_ids).tolist(), gts):
             setattr(self, counter, getattr(self, counter) + 1)
             ok = next(self._pattern)
+            self.served.append((q, ok))
             correct.append(ok)
             answers.append(gt if ok else f"wrong-{q}-s{self.fresh_calls}")
         n = len(correct)

@@ -1,7 +1,10 @@
 """Independent brute-force evaluations of the reshaping set-builder rules,
 the metrics row, the snapshot line encoding and decoding, the log decoding,
 the pass-rate measurement, the learner's draws, set-up, calibration,
-training and state JSON, and answer normalization.
+training and state JSON, and answer normalization; and the per-row view of
+a dataset that the library itself never builds: its rows as
+``(QueryRecord, Trajectory)`` pairs (``entries``), a corpus as records,
+the canonical order as a per-pair key and a response's step offsets.
 
 These deliberately avoid the library's dataset machinery: plain dicts of
 lists, straight loops.  Threshold clipping shares the library's pinned draw key
@@ -27,8 +30,11 @@ from headtail.core import (
     LEVELS,
     ORIGIN_CORRECTED,
     ORIGIN_EXPLORED,
+    ORIGIN_RANK,
     ORIGIN_RESAMPLED_GR,
+    ORIGINS,
     ROLE_FILTER,
+    Corpus,
     Entry,
     QueryRecord,
     Trajectory,
@@ -42,7 +48,53 @@ from headtail.harness import (
     SchemaError,
     TrajectoryLogRecord,
 )
-from headtail.strategies import split_steps
+from headtail.strategies import check_int64
+
+
+# -- the per-row view ----------------------------------------------------------
+
+
+def records(corpus: Corpus) -> dict[int, QueryRecord]:
+    """Query id -> its ``QueryRecord``, in id order."""
+    columns = (corpus.ids, corpus.gt_answer, corpus.latent_difficulty, corpus.level, corpus.base_log_length)
+    return {q: QueryRecord(q, gt, d, lv or None, b) for q, gt, d, lv, b in zip(*(c.tolist() for c in columns))}
+
+
+def entries(ds: TrajectoryDataset) -> tuple[Entry, ...]:
+    """The dataset's rows as (QueryRecord, Trajectory) pairs, in its order."""
+    c = {name: col.tolist() for name, col in ds.columns.items()}
+    by_id = records(ds.corpus)
+    return tuple(
+        (by_id[q], Trajectory(q, s, it, n, a, ok, ORIGINS[o], ps, pt, None if cf < 0 else cf))
+        for q, s, it, n, a, ok, o, ps, pt, cf in zip(
+            c["query_id"], c["sample_index"], c["iteration"], c["length_tokens"],
+            c["answer"], c["correct"], c["origin"], c["prefix_steps"],
+            c["prefix_tokens"], c["corrected_from"],
+        )
+    )
+
+
+def entry_sort_key(entry: Entry) -> tuple:
+    """One pair's place in canonical order."""
+    _, t = entry
+    link = -1 if t.corrected_from is None else t.corrected_from
+    return (t.query_id, t.iteration, ORIGIN_RANK[t.origin], t.sample_index, t.prefix_steps, link)
+
+
+def split_steps(traj: Trajectory, S: int) -> tuple[int, ...]:
+    """Prefix token offsets that cut a trajectory into S near-equal steps.
+
+    Chunk sizes differ by at most one, larger chunks first.  Returns the S
+    offsets (0 = empty prefix, then the start of each later step).
+    """
+    check_int64("S", S, 2)
+    if traj.length_tokens < S:
+        raise ValueError("trajectory too short to split")
+    base, extra = divmod(traj.length_tokens, S)
+    offsets = [0]
+    for s in range(S - 1):
+        offsets.append(offsets[-1] + base + (1 if s < extra else 0))
+    return tuple(offsets)
 
 
 def group(entries):
@@ -337,8 +389,8 @@ def train_reference(p_by_id, mu_log_len, params, training_set, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     pr = params
-    entries = training_set.entries
-    counts = Counter(t.query_id for _, t in entries)
+    rows = entries(training_set)
+    counts = Counter(t.query_id for _, t in rows)
     new_p: dict[int, float] = {}
     for qid, p in p_by_id.items():
         c = counts.get(qid, 0)
@@ -347,10 +399,10 @@ def train_reference(p_by_id, mu_log_len, params, training_set, k):
         else:
             new_p[qid] = (1.0 - pr.forget_rate) * p
     new_mu = dict(mu_log_len)
-    if entries:
-        distinct, where = np.unique([t.length_tokens for _, t in entries], return_inverse=True)
+    if rows:
+        distinct, where = np.unique([t.length_tokens for _, t in rows], return_inverse=True)
         logs = np.array([math.log(max(1, n)) for n in distinct.tolist()])[where]
-        level = np.array([r.level or 0 for r, _ in entries])
+        level = np.array([r.level or 0 for r, _ in rows])
         global_mean = float(np.mean(logs))
         lam = pr.length_imitation
         for lv in new_mu:

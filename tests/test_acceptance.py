@@ -35,6 +35,7 @@ from headtail.strategies import (
 )
 
 from conftest import ScriptedSampler, make_filter, make_query, make_sample
+import oracles
 from oracles import (
     guided_success_probability,
     oracle_ar_draws,
@@ -85,14 +86,14 @@ def test_criterion_01_strategy_oracle_equivalence():
         k_correct = {qid: int(rng.integers(0, K + 1)) for qid in range(n)}
         present = {q: k for q, k in k_correct.items() if k > 0}
         f, queries = make_filter(present)
-        entries = list(f.entries)
+        entries = list(oracles.entries(f))
         L = int(rng.integers(1, K + 1))
         seed = int(rng.integers(0, 2**63))
 
-        assert same_multiset(threshold_clip(f, L, seed).entries, oracle_tc(entries, L, seed))
-        assert same_multiset(head_clip(f, K).entries, oracle_hc(entries, K))
-        assert same_multiset(repeat_pad(f, K).entries, oracle_rp(entries, K))
-        assert same_multiset(repeat_invert(f, K).entries, oracle_ri(entries, K))
+        assert same_multiset(oracles.entries(threshold_clip(f, L, seed)), oracle_tc(entries, L, seed))
+        assert same_multiset(oracles.entries(head_clip(f, K)), oracle_hc(entries, K))
+        assert same_multiset(oracles.entries(repeat_pad(f, K)), oracle_rp(entries, K))
+        assert same_multiset(oracles.entries(repeat_invert(f, K)), oracle_ri(entries, K))
         checked += 1
 
         if checked % 25 == 0:
@@ -111,7 +112,7 @@ def test_criterion_01_strategy_oracle_equivalence():
             sc_sampler = ScriptedSampler(itertools.cycle([True, False, False]))
             self_correct_augment(ff, dd, sc_sampler, K, 0)
             assert sc_sampler.correct_calls == oracle_sc_attempts(
-                dd.entries, Counter(t.query_id for _, t in ff.entries), K
+                oracles.entries(dd), Counter(t.query_id for _, t in oracles.entries(ff)), K
             )
     elapsed = time.perf_counter() - t0
     ok = checked == 1000 and elapsed < 10.0
@@ -130,10 +131,10 @@ def test_criterion_02_partition_law():
         d = discard_dataset(sample)
         assert len(f) + len(d) == len(sample)
         recovered = sorted(
-            [(t.query_id, t.sample_index) for _, t in f]
-            + [(t.query_id, t.sample_index) for _, t in d]
+            [(t.query_id, t.sample_index) for _, t in oracles.entries(f)]
+            + [(t.query_id, t.sample_index) for _, t in oracles.entries(d)]
         )
-        assert recovered == [(t.query_id, t.sample_index) for _, t in sample]
+        assert recovered == [(t.query_id, t.sample_index) for _, t in oracles.entries(sample)]
     report_line(2, True, "filter/discard partition exact on 500 random fixtures")
 
 
@@ -230,10 +231,10 @@ def test_criterion_07_self_correction(vanilla_runs, sc_runs):
         s = scs[seed].rows_for("train")[-1]
         tail_ge += s.tail_share >= v.tail_share
         final_train = scs[seed].final_train
-        for record, traj in final_train:
+        for record, traj in oracles.entries(final_train):
             if traj.origin == ORIGIN_CORRECTED:
                 assert reward(record, traj.extracted_answer) == 1
-                assert traj.cot_length >= min_cot
+                assert traj.length_tokens - traj.prefix_tokens >= min_cot
     ok = tail_ge >= 8
     report_line(7, ok, f"sc tail share >= vanilla in {tail_ge}/10; sc entries all verified")
     assert ok

@@ -970,3 +970,76 @@ def test_cli_import_leaves_the_process_pool_out():
     proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+class TestOutputUnderADanglingLink:
+    """A symbolic link to nothing is no directory either: a target under one
+    is a config error (exit 2) raised before anything runs or is written,
+    and the link is left as it was.  A link to a directory is a directory."""
+
+    @pytest.mark.parametrize("verb, flag", [
+        ("run", "--output-dir"), ("sweep", "--output-dir"), ("rebalance", "--output"), ("rebalance", "--summary"),
+    ])
+    def test_target_under_the_link_exit_config(self, tmp_path, capsys, monkeypatch, verb, flag):
+        cfg, log = write_cfg(tmp_path), write_log(tmp_path, {1: 4}, K=4)
+        link = tmp_path / "L"
+        link.symlink_to(tmp_path / "nowhere")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_mode", no_work)
+        monkeypatch.setattr(harness, "load_log", no_work)
+        before = TestOutputUnderARegularFile.listing(tmp_path)
+        if verb == "rebalance":
+            paths = {"--output": str(tmp_path / "o.jsonl"), "--summary": str(tmp_path / "s.csv"),
+                     flag: str(link / "x")}
+            argv = ["rebalance", "--input", str(log), "--strategy", "rp", "--k", "4",
+                    *(arg for pair in paths.items() for arg in pair)]
+        else:
+            argv = [verb, "--config", str(cfg), "--seed", "0", flag, str(link / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{link}, which is not a directory" in err
+        assert TestOutputUnderARegularFile.listing(tmp_path) == before
+        assert os.readlink(link) == str(tmp_path / "nowhere") and not link.exists()
+
+    def test_target_under_a_link_to_a_directory_is_written(self, tmp_path):
+        log = write_log(tmp_path, {1: 4}, K=4)
+        (tmp_path / "real").mkdir()
+        (tmp_path / "L").symlink_to(tmp_path / "real")
+        argv = ["rebalance", "--input", str(log), "--strategy", "rp", "--k", "4",
+                "--output", str(tmp_path / "L" / "o.jsonl"), "--summary", str(tmp_path / "L" / "s.csv")]
+        assert main(argv) == 0
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["o.jsonl", "s.csv"]
+
+
+def test_program_paths_build_no_row_objects(tmp_path, monkeypatch, capsys):
+    # every verb works on columns: no path builds a QueryRecord, Trajectory
+    # or TrajectoryLogRecord, or packs pairs with from_entries
+    from headtail.core import QueryRecord, Trajectory, TrajectoryDataset
+    from headtail.harness import MODES, TrajectoryLogRecord
+    from headtail.strategies import KINDS
+
+    def built(*args, **kwargs):
+        raise AssertionError("a program path built row objects")
+
+    for cls in (QueryRecord, Trajectory, TrajectoryLogRecord):
+        monkeypatch.setattr(cls, "__post_init__", built)
+    monkeypatch.setattr(TrajectoryDataset, "from_entries", classmethod(built))
+    with pytest.raises(AssertionError, match="row objects"):
+        Trajectory(1, 1, 1, 5, "", False)
+
+    cfg = write_cfg(tmp_path, n_queries=30, iterations=2)
+    for mode in MODES:
+        for kind in KINDS:
+            out = tmp_path / mode / kind
+            assert main(["run", "--config", str(cfg), "--mode", mode, "--strategy", kind, "--seed", "0",
+                         "--output-dir", str(out)]) == 0
+    for dataset in ("train_final", "filter_final"):
+        assert main(["report", "--run-dir", str(tmp_path / "self_improve" / "gr"), "--dataset", dataset]) == 0
+    log = write_log(tmp_path, {1: 4, 2: 1, 3: 0, 4: 2}, K=4)
+    for kind in (kind for kind, facts in KINDS.items() if not facts.resamples):
+        assert main(["rebalance", "--input", str(log), "--output", str(tmp_path / f"{kind}.jsonl"),
+                     "--strategy", kind, "--k", "4", "--l", "2"]) == 0
+    capsys.readouterr()

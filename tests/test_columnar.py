@@ -25,13 +25,13 @@ from headtail.core import (
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
-    entry_sort_key,
     merge_datasets,
 )
 from headtail.metrics import build_row
 from headtail.strategies import head_clip, repeat_invert, repeat_pad, threshold_clip
 
-from oracles import oracle_build_row, oracle_hc, oracle_ri, oracle_rp, oracle_tc, snapshot_entry
+import oracles
+from oracles import entry_sort_key, oracle_build_row, oracle_hc, oracle_ri, oracle_rp, oracle_tc, snapshot_entry
 
 
 @st.composite
@@ -78,12 +78,12 @@ def datasets(draw, role=ROLE_SAMPLE, leveled=None):
 def test_build_row_matches_oracle(data, K, leveled):
     ds = data.draw(datasets(leveled=leveled or None))
     # a filter set holding 0..2K rows of each query of ds, and of one query outside its corpus
-    records = {**ds.corpus.records, 99: QueryRecord(id=99, gt_answer="a99")}
+    records = {**oracles.records(ds.corpus), 99: QueryRecord(id=99, gt_answer="a99")}
     k_counts = {q: data.draw(st.integers(0, 2 * K)) for q in records}
     pairs = [(r, Trajectory(q, j, 1, 10, r.gt_answer, True)) for q, r in records.items()
              for j in range(1, k_counts[q] + 1)]
     filtered = TrajectoryDataset.from_entries(pairs, ROLE_FILTER)
-    total, shares, buckets, mean, level_means = oracle_build_row(list(ds.entries), K, k_counts)
+    total, shares, buckets, mean, level_means = oracle_build_row(list(oracles.entries(ds)), K, k_counts)
     row = build_row(3, ROLE_SAMPLE, ds, K, filtered)
     assert row.total == total
     assert row.level_share == shares
@@ -108,7 +108,7 @@ def test_bucket_shares_are_sequential_sums():
 @given(datasets(), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
 def test_snapshot_lines_equal_json_dumps(ds, chunk):
-    expected = "".join(json.dumps(snapshot_entry(r, t), sort_keys=True) + "\n" for r, t in ds.entries)
+    expected = "".join(json.dumps(snapshot_entry(r, t), sort_keys=True) + "\n" for r, t in oracles.entries(ds))
     real = harness._SNAPSHOT_CHUNK
     harness._SNAPSHOT_CHUNK = chunk  # several chunks per dataset
     try:
@@ -136,7 +136,7 @@ def test_snapshot_lines_cover_every_origin_and_unset_level(tmp_path):
 
 def snapshot_text(ds):
     """The reference encoding of ``ds``'s snapshot: ``json.dumps`` of each pair."""
-    return "".join(json.dumps(snapshot_entry(r, t), sort_keys=True) + "\n" for r, t in ds.entries)
+    return "".join(json.dumps(snapshot_entry(r, t), sort_keys=True) + "\n" for r, t in oracles.entries(ds))
 
 
 def dataset_of_rows(n):
@@ -224,15 +224,15 @@ def test_snapshot_chunks_hold_at_most_a_chunk_of_lines(n):
 @settings(max_examples=50, deadline=None)
 def test_snapshot_round_trip_through_emit_report(filtered, train):
     train = TrajectoryDataset.from_entries(
-        [(r, replace(t, correct=True)) for r, t in train.entries], ROLE_FILTER
+        [(r, replace(t, correct=True)) for r, t in oracles.entries(train)], ROLE_FILTER
     )
     report = harness.RunReport(config=harness.RunConfig().to_dict(), final_filter=filtered, final_train=train)
     with tempfile.TemporaryDirectory() as tmp:
         harness.emit_report(report, tmp)
         for name, ds in (("filter_final", filtered), ("train_final", train)):
             decoded = harness.read_snapshot(Path(tmp, "datasets", f"{name}.jsonl"), ds.role)
-            assert [snapshot_entry(r, t) for r, t in decoded.entries] == [
-                snapshot_entry(r, t) for r, t in ds.entries
+            assert [snapshot_entry(r, t) for r, t in oracles.entries(decoded)] == [
+                snapshot_entry(r, t) for r, t in oracles.entries(ds)
             ]
             assert not decoded.columns["prefix_tokens"].any()
             assert (decoded.columns["corrected_from"] == -1).all()
@@ -245,7 +245,7 @@ def test_from_entries_round_trip(data, role):
     records = data.draw(corpora())
     entries = data.draw(entry_lists(records, correct=True if role == ROLE_FILTER else None))
     ds = TrajectoryDataset.from_entries(entries, role)
-    assert ds.entries == tuple(sorted(entries, key=entry_sort_key))
+    assert oracles.entries(ds) == tuple(sorted(entries, key=entry_sort_key))
 
 
 @given(st.data())
@@ -257,22 +257,22 @@ def test_merge_equals_sorted_concatenation(data):
     if data.draw(st.booleans()):
         # the program's shape: b holds a later iteration than any of a's, so a
         # sort by query id alone orders a + b; b + a still needs the full sort
-        later = max((t.iteration for _, t in a.entries), default=0)
+        later = max((t.iteration for _, t in oracles.entries(a)), default=0)
         b_entries = [(r, replace(t, iteration=t.iteration + later)) for r, t in b_entries]
     b = TrajectoryDataset.from_entries(b_entries, ROLE_FILTER)
-    expected = tuple(sorted(a.entries + b.entries, key=entry_sort_key))
-    assert merge_datasets(a, b).entries == expected
-    assert merge_datasets(b, a).entries == tuple(sorted(b.entries + a.entries, key=entry_sort_key))
+    a_rows, b_rows = oracles.entries(a), oracles.entries(b)
+    assert oracles.entries(merge_datasets(a, b)) == tuple(sorted(a_rows + b_rows, key=entry_sort_key))
+    assert oracles.entries(merge_datasets(b, a)) == tuple(sorted(b_rows + a_rows, key=entry_sort_key))
 
 
 @given(datasets(role=ROLE_FILTER), st.integers(1, 8), st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_reshaping_same_from_columns_alone(ds, K, seed):
     # the column transforms give the object references' entries, order included
-    entries = list(ds.entries)
+    entries = list(oracles.entries(ds))
     L = min(K, 3)
-    assert threshold_clip(ds, L, seed).entries == tuple(oracle_tc(entries, L, seed))
-    assert head_clip(ds, K).entries == tuple(oracle_hc(entries, K))
+    assert oracles.entries(threshold_clip(ds, L, seed)) == tuple(oracle_tc(entries, L, seed))
+    assert oracles.entries(head_clip(ds, K)) == tuple(oracle_hc(entries, K))
     # padded copies sit in construction order among equal keys (a stable sort)
-    assert repeat_pad(ds, K).entries == tuple(sorted(oracle_rp(entries, K), key=entry_sort_key))
-    assert repeat_invert(ds, K).entries == tuple(sorted(oracle_ri(entries, K), key=entry_sort_key))
+    assert oracles.entries(repeat_pad(ds, K)) == tuple(sorted(oracle_rp(entries, K), key=entry_sort_key))
+    assert oracles.entries(repeat_invert(ds, K)) == tuple(sorted(oracle_ri(entries, K), key=entry_sort_key))

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from headtail.core import (
     ORIGIN_RESAMPLED_AR,
     ORIGIN_RESAMPLED_GR,
     ORIGINS,
+    ROLE_DISCARD,
     ROLE_FILTER,
     ROLE_SAMPLE,
     Corpus,
@@ -18,11 +20,12 @@ from headtail.core import (
     Trajectory,
     TrajectoryDataset,
     array_mean,
-    entry_sort_key,
     merge_datasets,
 )
 
 from conftest import make_filter, make_query, make_sample, make_traj
+import oracles
+from oracles import entry_sort_key
 
 
 class TestTypes:
@@ -88,13 +91,13 @@ class TestCorpus:
 
     def test_records_round_trip(self):
         records = [make_query(2, level=3, latent_difficulty=0.2, base_log_length=4.0), make_query(-1)]
-        assert list(Corpus.of(records).records.values()) == [records[1], records[0]]
+        assert list(oracles.records(Corpus.of(records)).values()) == [records[1], records[0]]
 
     def test_union_keeps_every_query_once(self):
         a = Corpus.of([make_query(1), make_query(3, level=2)])
         b = Corpus.of([make_query(2), make_query(3, level=2)])
         assert a.union(a) is a
-        assert list(a.union(b).records.values()) == [make_query(1), make_query(2), make_query(3, level=2)]
+        assert list(oracles.records(a.union(b)).values()) == [make_query(1), make_query(2), make_query(3, level=2)]
         with pytest.raises(CorpusMismatchError, match="corpus mismatch"):
             a.union(Corpus.of([make_query(3, level=4)]))
 
@@ -130,7 +133,7 @@ class TestConstructorColumns:
             assert short.columns[name].tolist() == full.columns[name].tolist(), name
             assert short.columns[name].dtype == full.columns[name].dtype, name
             assert not short.columns[name].flags.writeable
-        assert [t.corrected_from for _, t in short] == [None, None, None]
+        assert [t.corrected_from for _, t in oracles.entries(short)] == [None, None, None]
 
     @pytest.mark.parametrize("name", REQUIRED)
     def test_required_column_missing_raises(self, name):
@@ -155,21 +158,21 @@ class TestCanonicalOrder:
             (q1, make_traj(1, 1)),
         ]
         ds = TrajectoryDataset.from_entries(entries, ROLE_FILTER)
-        assert [(t.query_id, t.sample_index) for _, t in ds] == [(1, 1), (1, 2), (2, 1)]
+        assert [(t.query_id, t.sample_index) for _, t in oracles.entries(ds)] == [(1, 1), (1, 2), (2, 1)]
 
     def test_origin_rank_orders_within_query(self):
         q = make_query(1)
         explored = make_traj(1, 5)
         ar = make_traj(1, 1, origin=ORIGIN_RESAMPLED_AR)
         ds = TrajectoryDataset.from_entries([(q, ar), (q, explored)], ROLE_FILTER)
-        assert [t.origin for _, t in ds] == ["explored", "resampled_ar"]
+        assert [t.origin for _, t in oracles.entries(ds)] == ["explored", "resampled_ar"]
 
     def test_iteration_before_origin(self):
         q = make_query(1)
         later = make_traj(1, 1, iteration=2)
         earlier = make_traj(1, 9, iteration=1)
         ds = TrajectoryDataset.from_entries([(q, later), (q, earlier)], ROLE_FILTER)
-        assert [t.iteration for _, t in ds] == [1, 2]
+        assert [t.iteration for _, t in oracles.entries(ds)] == [1, 2]
 
 
 class TestCountCorrect:
@@ -190,7 +193,7 @@ class TestCountCorrect:
     def test_from_eight_sample_fixture(self):
         # brute-force count over a hand-built 8-sample fixture
         sample, _ = make_sample({1: 6}, K=8)
-        correct_entries = [(r, t) for r, t in sample if t.correct]
+        correct_entries = [(r, t) for r, t in oracles.entries(sample) if t.correct]
         assert len(correct_entries) == 6
         ds = TrajectoryDataset.from_entries(correct_entries, ROLE_FILTER)
         assert ds.count_of([1]).tolist() == [6]
@@ -208,7 +211,7 @@ class TestMergeDatasets:
         b, _ = make_filter({1: 3})
         merged = merge_datasets(a, b)
         assert merged.role == ROLE_FILTER
-        assert merged.entries == b.entries
+        assert oracles.entries(merged) == oracles.entries(b)
 
     def test_hand_enumerated_union(self):
         # 12-entry filter plus a 5-entry filter set of resampled rows over 3 queries
@@ -219,7 +222,7 @@ class TestMergeDatasets:
         b = TrajectoryDataset.from_entries(extra, "filter")
         merged = merge_datasets(a, b)
         assert len(merged) == 17
-        qids = [t.query_id for _, t in merged]
+        qids = [t.query_id for _, t in oracles.entries(merged)]
         assert qids == sorted(qids)
 
     def test_corpus_mismatch(self):
@@ -237,7 +240,7 @@ class TestMergeDatasets:
     def test_commutative_up_to_resort(self):
         a, _ = make_filter({1: 2, 4: 1})
         b, _ = make_filter({2: 3})
-        assert merge_datasets(a, b).entries == merge_datasets(b, a).entries
+        assert oracles.entries(merge_datasets(a, b)) == oracles.entries(merge_datasets(b, a))
 
 
 @given(
@@ -267,9 +270,9 @@ def test_count_of_matches_counter(pairs, asked):
     # absent, negative and repeated ids, and the empty dataset, against a
     # Counter over the entries
     ds = TrajectoryDataset.from_entries(pairs, ROLE_FILTER)
-    counter = Counter(t.query_id for _, t in ds.entries)
+    counter = Counter(t.query_id for _, t in oracles.entries(ds))
     assert ds.count_of(asked).tolist() == [counter[q] for q in asked]
-    assert ds.row_counts().tolist() == [counter[t.query_id] for _, t in ds.entries]
+    assert ds.row_counts().tolist() == [counter[t.query_id] for _, t in oracles.entries(ds)]
 
 
 @given(pair_lists(), st.data())
@@ -279,10 +282,10 @@ def test_levels_match_corpus_records(pairs, data):
     assert ds.levels().tolist() == [r.level or 0 for r, _ in sorted(pairs, key=entry_sort_key)]
     # a subset of the rows keeps the whole corpus, so its queries sit at other corpus rows
     keep = data.draw(st.lists(st.booleans(), min_size=len(ds), max_size=len(ds)))
-    records = ds.corpus.records
+    records = oracles.records(ds.corpus)
     for part in (ds, ds.select(np.flatnonzero(keep), ROLE_FILTER)):
-        assert part.levels().tolist() == [records[t.query_id].level or 0 for _, t in part.entries]
-        assert part.gt_answers().tolist() == [records[t.query_id].gt_answer for _, t in part.entries]
+        assert part.levels().tolist() == [records[t.query_id].level or 0 for _, t in oracles.entries(part)]
+        assert part.gt_answers().tolist() == [records[t.query_id].gt_answer for _, t in oracles.entries(part)]
 
 
 @given(
@@ -301,7 +304,7 @@ def test_merge_associative_commutative(pairs_a, pairs_b):
         return TrajectoryDataset.from_entries(entries, ROLE_FILTER)
 
     a, b = build(pairs_a), build(pairs_b)
-    assert merge_datasets(a, b).entries == merge_datasets(b, a).entries
+    assert oracles.entries(merge_datasets(a, b)) == oracles.entries(merge_datasets(b, a))
 
 
 def test_sort_key_total_on_duplicates():
@@ -309,7 +312,8 @@ def test_sort_key_total_on_duplicates():
     t = make_traj(1, 1)
     ds = TrajectoryDataset.from_entries([(q, t), (q, t)], ROLE_FILTER)
     assert len(ds) == 2
-    assert entry_sort_key(ds.entries[0]) == entry_sort_key(ds.entries[1])
+    first, second = oracles.entries(ds)
+    assert entry_sort_key(first) == entry_sort_key(second)
 
 
 @st.composite
@@ -342,7 +346,7 @@ def test_constructor_sorts_rows_given_in_any_order(pairs, random):
     random.shuffle(order)
     shuffled = TrajectoryDataset(ROLE_SAMPLE, {name: col[order] for name, col in ds.columns.items()}, ds.corpus)
     reference = TrajectoryDataset.from_entries(
-        sorted((ds.entries[i] for i in order), key=entry_sort_key), ROLE_SAMPLE
+        sorted(map(oracles.entries(ds).__getitem__, order), key=entry_sort_key), ROLE_SAMPLE
     )
     assert shuffled == reference
     assert shuffled.answers.tolist() == reference.answers.tolist()
@@ -356,15 +360,15 @@ def test_select_puts_any_rows_in_canonical_order(pairs, data):
     ds = TrajectoryDataset.from_entries(pairs, ROLE_SAMPLE)
     rows = data.draw(st.lists(st.integers(0, max(len(ds) - 1, 0)), max_size=2 * len(ds))) if len(ds) else []
     picked = ds.select(rows, ROLE_SAMPLE)
-    assert picked.entries == tuple(sorted((ds.entries[i] for i in rows), key=entry_sort_key))
+    assert oracles.entries(picked) == tuple(sorted(map(oracles.entries(ds).__getitem__, rows), key=entry_sort_key))
 
 
 def test_select_sorts_descending_and_repeated_rows():
     ds, _ = make_sample({1: 2, 2: 1}, K=3)
     picked = ds.select([5, 4, 0, 3, 0, 1], ROLE_SAMPLE)
-    reference = sorted((ds.entries[i] for i in (5, 4, 0, 3, 0, 1)), key=entry_sort_key)
-    assert picked.entries == tuple(reference)
-    assert [(t.query_id, t.sample_index) for _, t in picked] == [(1, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
+    reference = sorted(map(oracles.entries(ds).__getitem__, (5, 4, 0, 3, 0, 1)), key=entry_sort_key)
+    assert oracles.entries(picked) == tuple(reference)
+    assert [(t.query_id, t.sample_index) for _, t in reference] == [(1, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
 
 
 class TestAnswerColumn:
@@ -389,7 +393,73 @@ class TestAnswerColumn:
     def test_columns_of_scalars_alone_make_one_row(self):
         ds = TrajectoryDataset(ROLE_SAMPLE, {"query_id": 1, "iteration": 1, "sample_index": 1,
                                              "length_tokens": 5, "correct": False}, Corpus.of([make_query(1)]))
-        assert [t for _, t in ds] == [Trajectory(1, 1, 1, 5, "", False)]
+        assert [t for _, t in oracles.entries(ds)] == [Trajectory(1, 1, 1, 5, "", False)]
+
+
+@st.composite
+def near_pairs(draw):
+    """Two datasets that are equal or miss by one thing: b holds a's pairs,
+    rebuilt over a corpus of its own, with one of its query's corpus
+    fields, one row's answer or correction link, or its role changed (to a
+    value that may equal the old one); or b is a over a corpus with one
+    more query, or a selected over a's own corpus."""
+    field_values = {
+        "gt_answer": st.sampled_from(["a", "b"]), "level": st.sampled_from([None, 1, 2]),
+        "latent_difficulty": st.sampled_from([0.0, -0.0, 0.5]), "base_log_length": st.sampled_from([0.0, -0.0, 1.5]),
+    }
+    qids = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    records = {q: QueryRecord(q, **{name: draw(values) for name, values in field_values.items()}) for q in qids}
+    correct = draw(st.sampled_from([True, False, None]))  # None: each row draws its own
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        q, origin = draw(st.sampled_from(qids)), draw(st.sampled_from(ORIGINS))
+        pairs.append((records[q], make_traj(
+            q, draw(st.integers(1, 2)), correct=draw(st.booleans()) if correct is None else correct,
+            iteration=draw(st.integers(1, 2)), origin=origin,
+            prefix_steps=draw(st.integers(0, 1)) if origin == ORIGIN_RESAMPLED_GR else 0,
+            corrected_from=draw(st.sampled_from((None, 1, 2))),
+        )))
+    flags = {t.correct for _, t in pairs}
+    roles = [ROLE_SAMPLE] + [role for role, flag in ((ROLE_FILTER, True), (ROLE_DISCARD, False)) if flags <= {flag}]
+    a = TrajectoryDataset.from_entries(pairs, draw(st.sampled_from(roles)))
+    change = draw(st.sampled_from(["none", "corpus", "answer", "corrected_from", "role", "wider", "select"]))
+    if change == "wider":
+        return a, TrajectoryDataset(a.role, dict(a.columns), a.corpus.union(Corpus.of([make_query(9)])))
+    if change == "select":
+        return a, a.select(np.arange(len(a)), a.role)
+    role = draw(st.sampled_from(roles)) if change == "role" else a.role
+    if change == "corpus":
+        q, name = draw(st.sampled_from(qids)), draw(st.sampled_from(sorted(field_values)))
+        record = replace(records[q], **{name: draw(field_values[name])})
+        pairs = [(record if r.id == q else r, t) for r, t in pairs]
+    elif change in ("answer", "corrected_from") and pairs:
+        i = draw(st.integers(0, len(pairs) - 1))
+        r, t = pairs[i]
+        if change == "answer":
+            t = replace(t, extracted_answer=draw(st.sampled_from(["", "x", t.extracted_answer + "y"])))
+        else:
+            t = replace(t, corrected_from=draw(st.sampled_from((None, 1, 2))))
+        pairs = pairs[:i] + [(r, t)] + pairs[i + 1:]
+    return a, TrajectoryDataset.from_entries(pairs, role)
+
+
+@given(near_pairs())
+@settings(max_examples=400, deadline=None)
+def test_equality_is_equality_of_role_and_pairs(pair):
+    a, b = pair
+    expected = a.role == b.role and oracles.entries(a) == oracles.entries(b)
+    assert (a == b) is expected and (b == a) is expected and (a != b) is not expected
+
+
+def test_equality_edge_cases():
+    q = make_query(1, base_log_length=0.0)
+    ds = TrajectoryDataset.from_entries([(q, make_traj(1))], ROLE_FILTER)
+    signed = TrajectoryDataset.from_entries([(replace(q, base_log_length=-0.0), make_traj(1))], ROLE_FILTER)
+    leveled = TrajectoryDataset.from_entries([(replace(q, level=1), make_traj(1))], ROLE_FILTER)
+    assert ds == signed and ds != leveled
+    assert ds.__eq__(oracles.entries(ds)) is NotImplemented and ds != oracles.entries(ds)
+    with pytest.raises(TypeError):
+        hash(ds)
 
 
 class TestDerivedDatasets:
@@ -457,7 +527,7 @@ def _facts(ds):
 
 def _facts_by_hand(ds):
     """The same facts from the rows' query ids and the corpus records, one row at a time."""
-    qids, records = ds.columns["query_id"].tolist(), ds.corpus.records
+    qids, records = ds.columns["query_id"].tolist(), oracles.records(ds.corpus)
     starts = [i for i, q in enumerate(qids) if i == 0 or q != qids[i - 1]]
     counts = [b - a for a, b in zip(starts, starts[1:] + [len(qids)])]
     levels = [records[q].level or 0 for q in qids]

@@ -26,6 +26,7 @@ from headtail.core import ORIGIN_EXPLORED, ORIGIN_RANK, ROLE_FILTER
 from headtail.learner import CorpusParams, LearnerParams
 from headtail.strategies import StrategyConfig
 
+import oracles
 from oracles import snapshot_entry
 
 SMALL = dict(n_queries=60, k_samples=4, iterations=2, calibration_shots=16)
@@ -162,7 +163,7 @@ class TestSelfImprovement:
             cfg = RunConfig(k_samples=8, strategy=StrategyConfig(kind="tc", L=2), seed=seed)
             return _apply_strategy(cfg, iteration, f, None, None)
 
-        assert any(clip(s, 2).entries != clip(s + 1, 1).entries for s in range(10))
+        assert any(oracles.entries(clip(s, 2)) != oracles.entries(clip(s + 1, 1)) for s in range(10))
 
     def test_restart_semantics_pure_function_of_init_and_train_set(self):
         cfg = small_config(restart_each_iteration=True)
@@ -270,7 +271,7 @@ class TestBatchBaseline:
         cfg = small_config(mode="batch_baseline")
         rep = run(dataclasses.replace(cfg, seed=2))
         # recompute from the final filter snapshot
-        brute = len({t.query_id for _, t in rep.final_filter})
+        brute = len({t.query_id for _, t in oracles.entries(rep.final_filter)})
         assert rep.distinct_solved == brute
 
 
@@ -418,8 +419,8 @@ class TestSnapshotCodec:
             rep = run(small_config(strategy=StrategyConfig(kind=kind), seed=0))
             emit_report(rep, tmp_path / kind)
             decoded = read_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl", ROLE_FILTER)
-            assert [snapshot_entry(r, t) for r, t in decoded] == [
-                snapshot_entry(r, t) for r, t in rep.final_train
+            assert [snapshot_entry(r, t) for r, t in oracles.entries(decoded)] == [
+                snapshot_entry(r, t) for r, t in oracles.entries(rep.final_train)
             ]
 
     @pytest.mark.parametrize(

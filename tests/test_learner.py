@@ -15,9 +15,10 @@ from headtail.learner import (
     init_learner,
     synth_corpus,
 )
-from headtail.strategies import SamplerError, _resampled, split_steps
+from headtail.strategies import SamplerError, _resampled
 
 from conftest import make_query, make_traj
+import oracles
 from oracles import (
     calibrate_difficulty_reference,
     correction_draw,
@@ -25,6 +26,7 @@ from oracles import (
     guided_draw,
     init_learner_reference,
     pass_rate,
+    split_steps,
     state_json_reference,
     train_reference,
 )
@@ -157,13 +159,13 @@ class TestSampleResponse:
         b = a.clone()
         batch = b.sample_batch(4)
         scalar = []
-        for q in list(corpus.records.values()):
+        for q in list(oracles.records(corpus).values()):
             for j in range(1, 5):
                 t = fresh_draw(a, q)
                 scalar.append((q.id, j, t.correct, t.length_tokens, t.extracted_answer))
         vec = [
             (t.query_id, t.sample_index, t.correct, t.length_tokens, t.extracted_answer)
-            for _, t in batch
+            for _, t in oracles.entries(batch)
         ]
         assert vec == scalar
         assert a.draw_counter.tolist() == b.draw_counter.tolist()
@@ -219,6 +221,16 @@ class TestGuidedSample:
         st_ = state_with({1: 0.5})
         with pytest.raises(ValueError, match="successful prefix"):
             st_.guided_sample(make_query(1), make_traj(1, correct=False), 2, 4)
+
+    def test_split_errors_come_in_order(self):
+        st_ = state_with({1: 0.5})
+        short = make_traj(1, length=3)
+        with pytest.raises(ValueError, match=r"^S must be < 2\*\*63$"):
+            st_.guided_sample(make_query(1), short, 2, 2**63)
+        with pytest.raises(ValueError, match="too short to split"):
+            st_.guided_sample(make_query(1), short, 2, 4)
+        # step 1 keeps no prefix, so a short donor is no error there
+        assert st_.guided_sample(make_query(1), short, 1, 4).prefix_tokens == 0
 
     def test_prefix_tokens_recorded(self):
         st_ = state_with({1: 0.5})
@@ -483,7 +495,7 @@ class TestPassRate:
         corpus = synth_corpus(25, seed=4)
         st_ = init_learner(corpus, seed=4)
         rates = st_.pass_rates(32)
-        for row, q in enumerate(list(corpus.records.values())):
+        for row, q in enumerate(list(oracles.records(corpus).values())):
             assert rates[row] == pass_rate(st_, q, 32)
 
     def test_pure_measurement(self):
@@ -527,7 +539,7 @@ class TestSnapshots:
         corpus = synth_corpus(5, seed=0)
         st_ = init_learner(corpus, seed=0)
         snap = st_.clone()
-        st_.sample_response(list(corpus.records.values())[0])
+        st_.sample_response(list(oracles.records(corpus).values())[0])
         assert snap.draw_counter.tolist() == [0] * 5
 
     @given(
@@ -559,7 +571,7 @@ class TestSnapshots:
 def test_synth_corpus_deterministic_and_in_range():
     a = synth_corpus(100, seed=8)
     b = synth_corpus(100, seed=8)
-    assert a.records == b.records
+    assert oracles.records(a) == oracles.records(b)
     assert all(0.0 <= d <= 1.0 for d in a.latent_difficulty.tolist())
     params = CorpusParams()
     easy = sum(
@@ -612,7 +624,7 @@ class TestAgainstDictReferences:
     @settings(max_examples=150, deadline=None)
     def test_init_learner(self, corpus, params, seed):
         state = init_learner(corpus, params, seed)
-        p, mu = init_learner_reference(list(corpus.records.values()), params, seed)
+        p, mu = init_learner_reference(list(oracles.records(corpus).values()), params, seed)
         assert dict(zip(corpus.ids.tolist(), state.p.tolist())) == p
         assert state.mu_log_len == mu
 
@@ -624,7 +636,7 @@ class TestAgainstDictReferences:
         state.p = np.array([data.draw(st.floats(0.0, 1.0)) for _ in ids])
         # train rows of corpus queries and of one query the corpus lacks
         counts = {q: data.draw(st.integers(0, 10)) for q in ids + [2**41]}
-        records = corpus.records
+        records = oracles.records(corpus)
         entries = [
             (records.get(q, make_query(q)), make_traj(q, j, length=data.draw(st.integers(0, 3000))))
             for q, c in counts.items()

@@ -12,6 +12,7 @@ from headtail.metrics import (
 )
 
 from conftest import make_query, make_traj
+import oracles
 
 
 def leveled_filter(spec):
@@ -37,7 +38,7 @@ class TestLevelDistribution:
     def test_unleveled_rejected(self):
         ds = leveled_filter([(1, 1, 2, 40)])
         bad = TrajectoryDataset.from_entries(
-            list(ds.entries) + [(make_query(9), make_traj(9))], ROLE_FILTER
+            list(oracles.entries(ds)) + [(make_query(9), make_traj(9))], ROLE_FILTER
         )
         assert row_of(bad).level_share is None
 
@@ -93,16 +94,16 @@ class TestLengthStats:
         ]
         ds = leveled_filter(spec)
         row = row_of(ds)
-        lengths = [t.length_tokens for _, t in ds]
+        lengths = [t.length_tokens for _, t in oracles.entries(ds)]
         assert row.mean_length == pytest.approx(np.mean(lengths))
         for lv, m in zip((1, 2, 3, 4, 5), row.level_mean_length):
-            manual = [t.length_tokens for r, t in ds if r.level == lv]
+            manual = [t.length_tokens for r, t in oracles.entries(ds) if r.level == lv]
             assert m == (pytest.approx(np.mean(manual)) if manual else None)
 
     def test_reorder_invariance(self):
         spec = [(1, 1, 3, 120), (2, 4, 2, 77)]
         ds = leveled_filter(spec)
-        reversed_ds = TrajectoryDataset.from_entries(list(ds.entries)[::-1], ROLE_FILTER)
+        reversed_ds = TrajectoryDataset.from_entries(list(oracles.entries(ds))[::-1], ROLE_FILTER)
         assert row_of(ds) == row_of(reversed_ds)
 
 

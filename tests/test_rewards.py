@@ -19,6 +19,7 @@ from headtail.rewards import (
 )
 
 from conftest import make_query, make_sample, make_traj
+import oracles
 from oracles import normalize_unguarded
 
 CUSTOM_ALIASES = (("half", "1/2"), (r"\s+", " "), ("^a", "A"))
@@ -174,7 +175,7 @@ class TestFilterDiscard:
         sample, _ = hand_sample
         f = filter_dataset(sample)
         assert f.role == ROLE_FILTER
-        assert sum(1 for _, t in f if t.query_id == 1) == 6
+        assert sum(1 for _, t in oracles.entries(f) if t.query_id == 1) == 6
 
     def test_all_wrong_gives_empty_filter(self):
         sample, _ = make_sample({1: 0, 2: 0}, K=4)
@@ -184,7 +185,7 @@ class TestFilterDiscard:
         sample, _ = hand_sample
         d = discard_dataset(sample)
         assert d.role == ROLE_DISCARD
-        assert sum(1 for _, t in d if t.query_id == 1) == 2
+        assert sum(1 for _, t in oracles.entries(d) if t.query_id == 1) == 2
 
     def test_all_correct_gives_empty_discard(self):
         sample, _ = make_sample({1: 4}, K=4)
@@ -198,9 +199,9 @@ class TestFilterDiscard:
         sample, _ = hand_sample
         f = filter_dataset(sample)
         kept_keys = [
-            (t.query_id, t.sample_index) for _, t in sample if t.correct
+            (t.query_id, t.sample_index) for _, t in oracles.entries(sample) if t.correct
         ]
-        assert [(t.query_id, t.sample_index) for _, t in f] == kept_keys
+        assert [(t.query_id, t.sample_index) for _, t in oracles.entries(f)] == kept_keys
 
     def test_requires_sample_like_role(self, hand_sample):
         sample, _ = hand_sample
@@ -220,10 +221,10 @@ class TestFilterDiscard:
         d = discard_dataset(sample)
         assert len(f) + len(d) == len(sample)
         recovered = sorted(
-            [(t.query_id, t.sample_index) for _, t in f]
-            + [(t.query_id, t.sample_index) for _, t in d]
+            [(t.query_id, t.sample_index) for _, t in oracles.entries(f)]
+            + [(t.query_id, t.sample_index) for _, t in oracles.entries(d)]
         )
-        assert recovered == [(t.query_id, t.sample_index) for _, t in sample]
+        assert recovered == [(t.query_id, t.sample_index) for _, t in oracles.entries(sample)]
 
 
 # Small alphabets make alias hits common; short ground truths repeat across
@@ -269,17 +270,17 @@ class TestGradingContract:
         sample = _graded_sample(rows)
         oracle = [
             int(normalize_answer(t.extracted_answer, aliases) == normalize_answer(r.gt_answer, aliases))
-            for r, t in sample.entries
+            for r, t in oracles.entries(sample)
         ]
         expect_kept = [
-            (r, dataclasses.replace(t, correct=True)) for (r, t), ok in zip(sample.entries, oracle) if ok
+            (r, dataclasses.replace(t, correct=True)) for (r, t), ok in zip(oracles.entries(sample), oracle) if ok
         ]
         expect_dropped = [
-            (r, dataclasses.replace(t, correct=False)) for (r, t), ok in zip(sample.entries, oracle) if not ok
+            (r, dataclasses.replace(t, correct=False)) for (r, t), ok in zip(oracles.entries(sample), oracle) if not ok
         ]
-        assert filter_dataset(sample, aliases).entries == tuple(expect_kept)
-        assert discard_dataset(sample, aliases).entries == tuple(expect_dropped)
-        assert [reward(r, t.extracted_answer, aliases) for r, t in sample.entries] == oracle
+        assert oracles.entries(filter_dataset(sample, aliases)) == tuple(expect_kept)
+        assert oracles.entries(discard_dataset(sample, aliases)) == tuple(expect_dropped)
+        assert [reward(r, t.extracted_answer, aliases) for r, t in oracles.entries(sample)] == oracle
 
     def test_each_row_and_distinct_ground_truth_normalized_once(self, monkeypatch):
         rows = [(f"g{j % 3}", answer, False) for j, answer in enumerate(["x", "y", "x", "G0", "y", "z"] * 4)]
@@ -301,12 +302,12 @@ class TestGradingContract:
         monkeypatch.setattr(rewards, "normalize_answer", single)
         kept = filter_dataset(sample)
         # "G0" normalizes to its ground truth "g0"
-        assert sorted((t.query_id, t.extracted_answer) for _, t in kept) == [
+        assert sorted((t.query_id, t.extracted_answer) for _, t in oracles.entries(kept)) == [
             (1, "G0"), (1, "G0"), (1, "G0"), (1, "G0"), (2, "g1"), (3, "g2"), (4, "g3")
         ]
         # one batch of the distinct ground truths of rows that differ from theirs
         # (g3's rows all match raw), one of those rows' distinct answers: they repeat
-        rest = [t.extracted_answer for r, t in sample.entries if t.extracted_answer != r.gt_answer]
+        rest = [t.extracted_answer for r, t in oracles.entries(sample) if t.extracted_answer != r.gt_answer]
         assert len(rest) == 24
         assert sorted(batches) == sorted([["g0", "g1", "g2"], list(dict.fromkeys(rest))])
         assert len(batches[-1]) == 4
@@ -317,7 +318,7 @@ class TestGradingContract:
         assert batches == [] and singles == []  # raw matches reach no normalizer
 
         kept = filter_dataset(_graded_sample([("g1", "G1", False), ("g1", "g\n1", False), ("g2", " G2 ", False)]))
-        assert [t.extracted_answer for _, t in kept] == ["G1", " G2 "]
+        assert [t.extracted_answer for _, t in oracles.entries(kept)] == ["G1", " G2 "]
         assert singles == ["g\n1"]  # a string holding the batch separator
 
 
@@ -361,7 +362,7 @@ class TestGradingContract:
         sample = _graded_sample([(gt, answer, False) for gt, answer in zip(gts, answers)])
         expected = [
             normalize_answer(t.extracted_answer, aliases) == normalize_answer(r.gt_answer, aliases)
-            for r, t in sample.entries
+            for r, t in oracles.entries(sample)
         ]
         assert rewards._graded(sample, aliases).tolist() == expected
 
@@ -375,7 +376,7 @@ class TestCotLengthFilter:
 
     def test_zero_floor_is_identity(self, hand_sample):
         sample, _ = hand_sample
-        assert cot_length_filter(sample, 0).entries == sample.entries
+        assert oracles.entries(cot_length_filter(sample, 0)) == oracles.entries(sample)
 
     def test_mixed_lengths(self):
         q = make_query(1)

@@ -23,12 +23,12 @@ from headtail.strategies import (
     repeat_invert,
     repeat_pad,
     self_correct_augment,
-    split_steps,
     threshold_clip,
     vanilla,
 )
 
 from conftest import FailingSampler, ScriptedSampler, make_filter, make_query, make_sample, make_traj
+import oracles
 from oracles import (
     oracle_ar_draws,
     oracle_hc,
@@ -36,12 +36,18 @@ from oracles import (
     oracle_rp,
     oracle_tc,
     same_multiset,
+    split_steps,
     uniform_scalar,
 )
 
 
 def per_query_counts(ds):
-    return dict(Counter(t.query_id for _, t in ds))
+    return dict(Counter(t.query_id for _, t in oracles.entries(ds)))
+
+
+def drawn(train, origin):
+    """The train set's rows a resampler drew: those of ``origin``."""
+    return [t for _, t in oracles.entries(train) if t.origin == origin]
 
 
 class TestVanilla:
@@ -59,7 +65,7 @@ class TestVanilla:
     @settings(deadline=None)
     def test_entrywise_equality(self, k_correct):
         f, _ = make_filter(k_correct)
-        assert vanilla(f).entries == f.entries
+        assert oracles.entries(vanilla(f)) == oracles.entries(f)
 
 
 class TestThresholdClip:
@@ -71,13 +77,13 @@ class TestThresholdClip:
 
     def test_large_threshold_is_identity(self, hand_filter):
         f, _ = hand_filter
-        assert threshold_clip(f, L=8, seed=3).entries == f.entries
+        assert oracles.entries(threshold_clip(f, L=8, seed=3)) == oracles.entries(f)
 
     def test_same_seed_same_selection(self, hand_filter):
         f, _ = hand_filter
         a = threshold_clip(f, L=2, seed=11)
         b = threshold_clip(f, L=2, seed=11)
-        assert a.entries == b.entries
+        assert oracles.entries(a) == oracles.entries(b)
 
     def test_counts_stable_across_seeds(self, hand_filter):
         f, _ = hand_filter
@@ -88,7 +94,7 @@ class TestThresholdClip:
     def test_selection_varies_with_seed(self, hand_filter):
         f, _ = hand_filter
         selections = {
-            tuple(t.sample_index for _, t in threshold_clip(f, L=4, seed=s) if t.query_id == 1)
+            tuple(t.sample_index for _, t in oracles.entries(threshold_clip(f, L=4, seed=s)) if t.query_id == 1)
             for s in range(30)
         }
         assert len(selections) > 1
@@ -96,8 +102,8 @@ class TestThresholdClip:
     def test_membership(self, hand_filter):
         f, _ = hand_filter
         out = threshold_clip(f, L=3, seed=5)
-        pool = set(f.entries)
-        assert all(e in pool for e in out.entries)
+        pool = set(oracles.entries(f))
+        assert all(e in pool for e in oracles.entries(out))
 
     @given(
         st.dictionaries(st.integers(-5, 30), st.integers(1, 12), min_size=1, max_size=10),
@@ -112,8 +118,8 @@ class TestThresholdClip:
         assert per_query_counts(out) == {q: min(k, L) for q, k in k_correct.items()}
         # an ordered subsequence of the input, by value: each input entry
         # has its own (query_id, sample_index), so no two compare equal
-        remaining = iter(f.entries)
-        assert all(any(kept == e for e in remaining) for kept in out.entries)
+        remaining = iter(oracles.entries(f))
+        assert all(any(kept == e for e in remaining) for kept in oracles.entries(out))
 
 
 class TestHeadClip:
@@ -125,7 +131,7 @@ class TestHeadClip:
 
     def test_no_fully_correct_is_identity(self, hand_filter):
         f, _ = hand_filter
-        assert head_clip(f, K=8).entries == f.entries
+        assert oracles.entries(head_clip(f, K=8)) == oracles.entries(f)
 
     def test_all_fully_correct_empties(self):
         f, _ = make_filter({1: 4, 2: 4})
@@ -137,14 +143,14 @@ class TestRepeatPad:
         f, _ = make_filter({7: 3})
         out = repeat_pad(f, K=8)
         reps = {}
-        for _, t in out:
+        for _, t in oracles.entries(out):
             reps[t.sample_index] = reps.get(t.sample_index, 0) + 1
         assert reps == {1: 3, 2: 3, 3: 2}
 
     def test_full_query_unchanged(self):
         f, _ = make_filter({1: 8})
         out = repeat_pad(f, K=8)
-        assert same_multiset(out.entries, f.entries)
+        assert same_multiset(oracles.entries(out), oracles.entries(f))
 
     def test_hand_fixture_total(self, hand_filter):
         f, _ = hand_filter
@@ -169,7 +175,7 @@ class TestRepeatInvert:
         f, _ = make_filter({1: 4})
         out = repeat_invert(f, K=8)
         assert per_query_counts(out) == {1: 4}
-        assert sorted(t.sample_index for _, t in out) == [1, 2, 3, 4]
+        assert sorted(t.sample_index for _, t in oracles.entries(out)) == [1, 2, 3, 4]
 
 
 class TestAdaptiveResample:
@@ -177,24 +183,26 @@ class TestAdaptiveResample:
         f, queries = hand_filter
         corpus = list(queries.values()) + [make_query(4)]
         sampler = ScriptedSampler(itertools.repeat(True))
-        resampled, refiltered, train = adaptive_resample(f, Corpus.of(corpus), sampler, K=8)
+        train = adaptive_resample(f, Corpus.of(corpus), sampler, K=8)
         assert sampler.fresh_calls == 2 + 5 + 7 + 8
-        assert len(resampled) == 22
-        assert all(t.origin == ORIGIN_RESAMPLED_AR for _, t in resampled)
+        assert len(drawn(train, ORIGIN_RESAMPLED_AR)) == 22
+        assert len(train) == len(f) + 22
 
     def test_no_deficit_no_resampling(self):
         f, queries = make_filter({1: 4, 2: 4})
         sampler = ScriptedSampler()
-        resampled, refiltered, train = adaptive_resample(f, Corpus.of(queries.values()), sampler, K=4)
+        train = adaptive_resample(f, Corpus.of(queries.values()), sampler, K=4)
         assert sampler.fresh_calls == 0
-        assert train.entries == f.entries
+        assert oracles.entries(train) == oracles.entries(f)
 
     def test_failed_draws_are_refiltered_out(self, hand_filter):
         f, queries = hand_filter
         sampler = ScriptedSampler(itertools.cycle([True, False]))
-        resampled, refiltered, train = adaptive_resample(f, Corpus.of(queries.values()), sampler, K=8)
-        assert len(refiltered) == sum(1 for _, t in resampled if t.correct)
-        assert len(train) == len(f) + len(refiltered)
+        train = adaptive_resample(f, Corpus.of(queries.values()), sampler, K=8)
+        kept = sum(ok for _, ok in sampler.served)
+        assert 0 < kept < len(sampler.served)
+        assert len(drawn(train, ORIGIN_RESAMPLED_AR)) == kept
+        assert len(train) == len(f) + kept
 
     def test_sampler_failure_aborts(self, hand_filter):
         f, queries = hand_filter
@@ -211,9 +219,9 @@ class TestAdaptiveResample:
         f, queries = make_filter(k_correct)
         corpus = [queries.get(qid, make_query(qid)) for qid in corpus_ids]
         sampler = ScriptedSampler(itertools.cycle([True, False, False]))
-        resampled, refiltered, train = adaptive_resample(f, Corpus.of(corpus), sampler, K=8)
+        train = adaptive_resample(f, Corpus.of(corpus), sampler, K=8)
         assert sampler.fresh_calls == oracle_ar_draws(k_correct, corpus_ids, 8)
-        assert len(train) == len(f) + len(refiltered)
+        assert len(train) == len(f) + sum(ok for _, ok in sampler.served)
 
 
 class TestSplitSteps:
@@ -246,30 +254,32 @@ class TestGuidedResample:
     def test_hand_fixture_draw_counts(self, hand_filter):
         f, _ = hand_filter
         sampler = ScriptedSampler()
-        resampled, _, _ = guided_resample(f, sampler, L=4, S=4)
+        train = guided_resample(f, sampler, L=4, S=4)
         # query 1 (k=6 >= L) skipped; queries 2 and 3 give k_i * S draws
         assert sampler.guided_calls == 3 * 4 + 1 * 4
-        assert len(resampled) == 16
+        assert [q for q, _ in sampler.served] == [2] * 12 + [3] * 4
+        assert len(train) == len(f) + 16
 
     def test_all_above_threshold(self):
         f, _ = make_filter({1: 5, 2: 4})
         sampler = ScriptedSampler()
-        _, _, train = guided_resample(f, sampler, L=4, S=4)
+        train = guided_resample(f, sampler, L=4, S=4)
         assert sampler.guided_calls == 0
-        assert train.entries == f.entries
+        assert oracles.entries(train) == oracles.entries(f)
 
     def test_prefix_steps_range(self, hand_filter):
         f, _ = hand_filter
-        resampled, _, _ = guided_resample(f, ScriptedSampler(), L=4, S=4)
-        assert {t.prefix_steps for _, t in resampled} == {0, 1, 2, 3}
-        assert all(t.origin == ORIGIN_RESAMPLED_GR for _, t in resampled)
+        train = guided_resample(f, ScriptedSampler(), L=4, S=4)
+        resampled = drawn(train, ORIGIN_RESAMPLED_GR)
+        assert len(resampled) == len(train) - len(f) == 16
+        assert {t.prefix_steps for t in resampled} == {0, 1, 2, 3}
 
     def test_short_trajectory_contributes_single_draw(self):
         f, _ = make_filter({1: 1}, lengths={1: 3})
         sampler = ScriptedSampler()
-        resampled, _, _ = guided_resample(f, sampler, L=4, S=4)
+        train = guided_resample(f, sampler, L=4, S=4)
         assert sampler.guided_calls == 1
-        assert [t.prefix_steps for _, t in resampled] == [0]
+        assert [t.prefix_steps for t in drawn(train, ORIGIN_RESAMPLED_GR)] == [0]
 
     def test_sampler_failure_aborts(self, hand_filter):
         f, _ = hand_filter
@@ -281,13 +291,13 @@ class TestGuidedResample:
     def test_prefix_tokens_are_split_steps_offsets(self, lengths, S):
         entries = [(make_query(1), make_traj(1, j, length=n)) for j, n in enumerate(lengths, 1)]
         f = TrajectoryDataset.from_entries(entries, "filter")
-        resampled, _, _ = guided_resample(f, ScriptedSampler(), L=len(lengths) + 1, S=S)
+        train = guided_resample(f, ScriptedSampler(), L=len(lengths) + 1, S=S)
         expected = [
             (t.sample_index, step, offset)
             for _, t in entries
             for step, offset in enumerate(split_steps(t, S) if t.length_tokens >= S else (0,))
         ]
-        got = [(t.sample_index, t.prefix_steps, t.prefix_tokens) for _, t in resampled]
+        got = [(t.sample_index, t.prefix_steps, t.prefix_tokens) for t in drawn(train, ORIGIN_RESAMPLED_GR)]
         assert got == expected
 
 
@@ -300,14 +310,14 @@ class TestSelfCorrectAugment:
         assert sampler.correct_calls == 2
         # one success -> pair entry + plain entry
         assert len(train) == len(f) + 2
-        corrected = [t for _, t in train if t.origin == ORIGIN_CORRECTED]
+        corrected = [t for _, t in oracles.entries(train) if t.origin == ORIGIN_CORRECTED]
         assert len(corrected) == 2
         assert {t.corrected_from for t in corrected} == {None, corrected[0].sample_index}
 
     def test_empty_discard(self, hand_filter):
         f, _ = hand_filter
         train = self_correct_augment(f, TrajectoryDataset.empty("discard"), ScriptedSampler(), 8, 10)
-        assert train.entries == f.entries
+        assert oracles.entries(train) == oracles.entries(f)
 
     def test_cot_floor_rejects_short_corrections(self):
         sample, _ = make_sample({1: 0}, K=2)
@@ -346,16 +356,17 @@ class TestOracleEquivalence:
     def test_tc_matches_oracle(self, k_correct, L, seed, iteration):
         f, _ = make_filter(k_correct)
         ours = threshold_clip(f, L, seed, iteration)
-        assert list(ours.entries) == oracle_tc(list(f.entries), L, seed, iteration)
+        assert list(oracles.entries(ours)) == oracle_tc(list(oracles.entries(f)), L, seed, iteration)
 
     @given(st.dictionaries(st.integers(0, 20), st.integers(1, 8), min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_hc_rp_ri_match_oracles(self, k_correct):
         f, _ = make_filter(k_correct)
         K = 8
-        assert same_multiset(head_clip(f, K).entries, oracle_hc(list(f.entries), K))
-        assert same_multiset(repeat_pad(f, K).entries, oracle_rp(list(f.entries), K))
-        assert same_multiset(repeat_invert(f, K).entries, oracle_ri(list(f.entries), K))
+        entries = list(oracles.entries(f))
+        assert same_multiset(oracles.entries(head_clip(f, K)), oracle_hc(entries, K))
+        assert same_multiset(oracles.entries(repeat_pad(f, K)), oracle_rp(entries, K))
+        assert same_multiset(oracles.entries(repeat_invert(f, K)), oracle_ri(entries, K))
 
 
 class TestSharedInvariants:
@@ -380,25 +391,29 @@ class TestSharedInvariants:
             head_clip(f, 8),
             repeat_pad(f, 8),
             repeat_invert(f, 8),
-            adaptive_resample(f, Corpus.of(queries.values()), sampler, 8)[2],
-            guided_resample(f, sampler, 4, 4)[2],
+            adaptive_resample(f, Corpus.of(queries.values()), sampler, 8),
+            guided_resample(f, sampler, 4, 4),
         ]
         for out in outputs:
             assert out.role == ROLE_FILTER
-            assert all(t.correct for _, t in out)
+            assert all(t.correct for _, t in oracles.entries(out))
 
     def test_determinism_of_transform_suite(self, hand_filter):
         f, queries = hand_filter
         corpus = list(queries.values())
         first = [
-            threshold_clip(f, 2, 9).entries,
-            repeat_pad(f, 8).entries,
-            adaptive_resample(f, Corpus.of(corpus), ScriptedSampler(itertools.cycle([True, False])), 8)[2].entries,
+            oracles.entries(threshold_clip(f, 2, 9)),
+            oracles.entries(repeat_pad(f, 8)),
+            oracles.entries(
+                adaptive_resample(f, Corpus.of(corpus), ScriptedSampler(itertools.cycle([True, False])), 8)
+            ),
         ]
         second = [
-            threshold_clip(f, 2, 9).entries,
-            repeat_pad(f, 8).entries,
-            adaptive_resample(f, Corpus.of(corpus), ScriptedSampler(itertools.cycle([True, False])), 8)[2].entries,
+            oracles.entries(threshold_clip(f, 2, 9)),
+            oracles.entries(repeat_pad(f, 8)),
+            oracles.entries(
+                adaptive_resample(f, Corpus.of(corpus), ScriptedSampler(itertools.cycle([True, False])), 8)
+            ),
         ]
         assert first == second
 
@@ -412,7 +427,7 @@ def test_rp_reduces_head_share_when_head_is_overrepresented():
     f = TrajectoryDataset.from_entries(entries, "filter")
     def head_share(ds):
         total = len(ds)
-        return sum(1 for r, _ in ds if r.level == 1) / total
+        return sum(1 for r, _ in oracles.entries(ds) if r.level == 1) / total
     assert head_share(repeat_pad(f, 8)) < head_share(vanilla(f))
 
 
