@@ -4,7 +4,15 @@ Pins the SHA-256 of every report file written by ``headtail run`` for
 3 modes x 8 strategies x 2 seeds x 3 loop variants (default, restart each
 iteration, per-iteration apply point) on a small config, of the ``report`` verb's
 stdout for both snapshots of each run, and of the ``rebalance`` outputs for
-tc and rp on a fixed log.  A failure names each file that differs, as
+tc and rp on a fixed log.
+
+A second tier (``large``) runs past every 1024-row switch of the writer,
+the readers and the grader, where the small tier stays inside one chunk:
+8 strategies in ``self_improve`` and in ``iterative_union`` at N=1500,
+K=8, T=3, seed 0, with their reports, and the same two rebalances of a
+generated log of ``LARGE_LOG_QUERIES`` x 8 lines.
+
+A failure names each file that differs, as
 ``self_improve/tc/default/seed0: config.json``.  A change that alters any
 output byte on purpose re-pins with ``python tests/test_golden.py --write``,
 which prints the entries it changed, and says so in CHANGES.md.
@@ -35,6 +43,9 @@ VARIANTS = {
     "per_iteration": {"apply_point": "per_iteration"},
 }
 SNAPSHOTS = ("filter_final", "train_final")
+LARGE = {"n_queries": 1500, "k_samples": 8, "iterations": 3}
+LARGE_MODES = ("self_improve", "iterative_union")
+LARGE_LOG_QUERIES = 500  # 4000 lines; tc keeps 1167 rows of them, rp 3400
 
 
 def _sha(data: bytes | str) -> str:
@@ -54,15 +65,25 @@ def collect_runs(mode: str, workdir: Path) -> dict[str, dict[str, str]]:
     """File and report-stdout hashes for every strategy, variant and seed in one mode."""
     pinned: dict[str, dict[str, str]] = {}
     for kind, (variant, extra) in itertools.product(KINDS, VARIANTS.items()):
-        pinned.update(_collect_one(mode, kind, variant, extra, workdir))
+        pinned.update(_collect_one(mode, kind, variant, {**SMALL, **extra}, SEEDS, workdir))
     return pinned
 
 
-def _collect_one(mode: str, kind: str, variant: str, extra: dict, workdir: Path) -> dict[str, dict[str, str]]:
+def collect_large_runs(mode: str, workdir: Path) -> dict[str, dict[str, str]]:
+    """The same hashes for every strategy of the large tier in one mode."""
+    pinned: dict[str, dict[str, str]] = {}
+    for kind in KINDS:
+        pinned.update(_collect_one(mode, kind, "default", LARGE, (0,), workdir))
+    return pinned
+
+
+def _collect_one(
+    mode: str, kind: str, variant: str, config: dict, seeds: tuple[int, ...], workdir: Path
+) -> dict[str, dict[str, str]]:
     pinned = {}
     cfg = workdir / f"{kind}_{variant}.json"
-    cfg.write_text(json.dumps({**SMALL, **extra, "mode": mode, "strategy": {"kind": kind}}))
-    for seed in SEEDS:
+    cfg.write_text(json.dumps({**config, "mode": mode, "strategy": {"kind": kind}}))
+    for seed in seeds:
         outdir = workdir / f"{kind}_{variant}_seed{seed}"
         code, _ = _cli(["run", "--config", str(cfg), "--seed", str(seed),
                         "--output-dir", str(outdir)])
@@ -79,10 +100,10 @@ def _collect_one(mode: str, kind: str, variant: str, extra: dict, workdir: Path)
     return pinned
 
 
-def fixed_log_lines() -> list[str]:
-    """A skewed 30-query, K=8 log with surface-form answers and step offsets."""
+def fixed_log_lines(queries: int = 30) -> list[str]:
+    """A skewed K=8 log of ``queries`` queries with surface-form answers and step offsets."""
     lines = []
-    for qid in range(1, 31):
+    for qid in range(1, queries + 1):
         k = (qid * 5) % 9
         for j in range(1, 9):
             tokens = 4 + (qid * 7 + j * 13) % 60
@@ -105,9 +126,9 @@ REBALANCE_CASES = {
 }
 
 
-def collect_rebalance(workdir: Path) -> dict[str, dict[str, str]]:
+def collect_rebalance(workdir: Path, queries: int = 30) -> dict[str, dict[str, str]]:
     log = workdir / "fixed_log.jsonl"
-    log.write_text("\n".join(fixed_log_lines()) + "\n", encoding="utf-8")
+    log.write_text("\n".join(fixed_log_lines(queries)) + "\n", encoding="utf-8")
     pinned = {}
     for name, flags in REBALANCE_CASES.items():
         out, summary = workdir / f"{name}.jsonl", workdir / f"{name}_summary.csv"
@@ -156,6 +177,22 @@ def test_rebalance_hashes(tmp_path):
     assert not differ, "\n".join(differ)
 
 
+@pytest.mark.parametrize("mode", LARGE_MODES)
+def test_large_run_report_hashes(mode, tmp_path, monkeypatch):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    expected = {k: v for k, v in _golden()["large"]["runs"].items() if k.startswith(mode + "/")}
+    actual = collect_large_runs(mode, tmp_path)
+    assert len(actual) == len(KINDS)
+    differ = _mismatches(expected, actual)
+    assert not differ, "\n".join(differ)
+
+
+def test_large_rebalance_hashes(tmp_path):
+    assert len(fixed_log_lines(LARGE_LOG_QUERIES)) >= 3000
+    differ = _mismatches(_golden()["large"]["rebalance"], collect_rebalance(tmp_path, LARGE_LOG_QUERIES))
+    assert not differ, "\n".join(differ)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden.py --write")
@@ -167,13 +204,31 @@ if __name__ == "__main__":
         for mode in MODES:
             (root / mode).mkdir()
             runs.update(collect_runs(mode, root / mode))
+        large: dict[str, dict[str, str]] = {}
+        for mode in LARGE_MODES:
+            (root / "large" / mode).mkdir(parents=True)
+            large.update(collect_large_runs(mode, root / "large" / mode))
         (root / "offline").mkdir()
-        golden = {"runs": runs, "rebalance": collect_rebalance(root / "offline")}
-    old = _golden() if GOLDEN_PATH.exists() else {"runs": {}, "rebalance": {}}
-    changed = _mismatches(old["runs"], runs) + [
-        f"rebalance/{line}" for line in _mismatches(old["rebalance"], golden["rebalance"])
+        (root / "large" / "offline").mkdir()
+        golden = {
+            "runs": runs,
+            "rebalance": collect_rebalance(root / "offline"),
+            "large": {"runs": large, "rebalance": collect_rebalance(root / "large" / "offline", LARGE_LOG_QUERIES)},
+        }
+    old = _golden() if GOLDEN_PATH.exists() else {}
+    old_large = old.get("large", {})
+    changed = [
+        f"{prefix}{line}"
+        for prefix, want, got in (
+            ("", old.get("runs", {}), golden["runs"]),
+            ("rebalance/", old.get("rebalance", {}), golden["rebalance"]),
+            ("large/", old_large.get("runs", {}), golden["large"]["runs"]),
+            ("large/rebalance/", old_large.get("rebalance", {}), golden["large"]["rebalance"]),
+        )
+        for line in _mismatches(want, got)
     ]
     GOLDEN_PATH.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     print("\n".join(changed))
-    entries = sum(map(len, runs.values())) + sum(map(len, golden["rebalance"].values()))
+    entries = sum(len(files) for tier in (golden, golden["large"]) for part in ("runs", "rebalance")
+                  for files in tier[part].values())
     print(f"wrote {GOLDEN_PATH}: {len(changed)} of {entries} entries changed")
