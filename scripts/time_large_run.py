@@ -15,8 +15,8 @@ seconds to read those snapshots back (``harness.read_snapshot``, as
 the ``report`` verb does) and the process's peak resident set size.  All
 but the wall seconds and the peak are totals over the runs.  For the
 read, each run's snapshots are written, untimed, to a temporary
-directory, and the columns read back are checked against the run's
-datasets (all but ``answer``, which a snapshot omits).  No other process
+directory, and each field a snapshot line carries
+(``harness._SNAPSHOT_FIELDS``) is checked against the run's datasets.  No other process
 is started, so the figures are those of one Python process.
 
 With ``--log``, it instead runs one ``harness.rebalance_offline`` of that
@@ -77,7 +77,8 @@ def _print_table(header: str, rows: list[tuple[str, str]]) -> None:
 
 def _read_back(report: harness.RunReport) -> float:
     """Seconds to read the run's final snapshots back, once written to a
-    temporary directory; the columns read must equal the run's datasets'."""
+    temporary directory; every field a snapshot line carries must read
+    back as the run's datasets hold it."""
     seconds = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         for name, dataset in (("train_final", report.final_train), ("filter_final", report.final_filter)):
@@ -86,9 +87,12 @@ def _read_back(report: harness.RunReport) -> float:
             start = time.perf_counter()
             read = read_snapshot(path, dataset.role)
             seconds += time.perf_counter() - start
-            for column, values in dataset.columns.items():
-                if column != "answer":  # a snapshot carries no answers
-                    assert np.array_equal(read.columns[column], values), f"{name}: {column} differs"
+            for column in sorted(harness._SNAPSHOT_FIELDS):  # the columns a snapshot line carries
+                got, want = (
+                    (read.levels(), dataset.levels()) if column == "level"
+                    else (read.columns[column], dataset.columns[column])
+                )
+                assert np.array_equal(got, want), f"{name}: {column} differs"
     return seconds
 
 

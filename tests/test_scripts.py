@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from headtail import cli, harness
+from headtail.strategies import KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -77,13 +78,14 @@ def test_demo_runs_share_each_seeds_calibrated_start(script, args, calibrations,
 
 def test_time_large_run_names_each_kind(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "argv", ["time_large_run.py", "--n", "20", "--k", "2", "--t", "2",
-                                      "--strategies", "vanilla,ar"])
+    # K=8 because gr's default L is 4, and the script has no --l for simulated runs
+    monkeypatch.setattr(sys, "argv", ["time_large_run.py", "--n", "200", "--k", "8", "--t", "2",
+                                      "--strategies", ",".join(KINDS)])
     runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")
     table = dict(line.split() for line in capsys.readouterr().out.splitlines()[2:])
-    assert list(table) == ["wall_s.vanilla", "wall_s.ar", "calibrate_s", "grade_s", "snapshot_s", "state_s",
-                           "read_s", "peak_rss_mib"]
-    assert float(table["read_s"]) > 0  # both runs' snapshots were read back, and matched their datasets
+    assert list(table) == [*(f"wall_s.{kind}" for kind in KINDS), "calibrate_s", "grade_s", "snapshot_s",
+                           "state_s", "read_s", "peak_rss_mib"]
+    assert float(table["read_s"]) > 0  # every run's snapshots were read back, and matched their datasets
     assert list(tmp_path.iterdir()) == []  # written to a temporary directory only
 
 
