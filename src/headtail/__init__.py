@@ -7,7 +7,6 @@ from .core import (
     ORIGIN_RESAMPLED_AR,
     ORIGIN_RESAMPLED_GR,
     Corpus,
-    CorpusMismatchError,
     QueryRecord,
     Trajectory,
     TrajectoryDataset,

@@ -18,7 +18,8 @@ Layout
 ------
 The queries live in a :class:`Corpus`, one read-only column per
 ``QueryRecord`` field in ascending id order; a run builds one, and every
-dataset of the run and the learner share it.  Per-query facts live only
+dataset of the run and the learner share it, which ``merge_datasets``
+enforces by refusing two corpus objects.  Per-query facts live only
 there (``levels`` and ``gt_answers`` spread them over a dataset's rows).
 A dataset is one read-only array per ``COLUMNS`` field, the extracted
 answers among them, and its corpus.  Every transform is index arithmetic
@@ -61,10 +62,6 @@ ROLE_DISCARD = "discard"
 ROLES = frozenset({ROLE_SAMPLE, ROLE_FILTER, ROLE_DISCARD})
 
 LEVELS = (1, 2, 3, 4, 5)
-
-
-class CorpusMismatchError(ValueError):
-    """Raised when two datasets disagree about the underlying query corpus."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,16 +294,6 @@ class Corpus:
             raise ValueError(f"unknown query {query_ids[~found][0]}")
         return rows
 
-    def union(self, other: "Corpus") -> "Corpus":
-        """Every query of both; a query in both must be equal in every field."""
-        if other is self:
-            return self
-        ids, *cols = (np.concatenate((getattr(self, name), getattr(other, name))) for name in _CORPUS_TYPES)
-        ids, cols, conflict = first_rows(ids, *cols)
-        if conflict is not None:
-            raise CorpusMismatchError("corpus mismatch")
-        return Corpus(ids, *cols)
-
 
 class TrajectoryDataset:
     """An immutable, canonically ordered multiset of trajectory rows.
@@ -492,13 +479,13 @@ def run_positions(counts: np.ndarray) -> np.ndarray:
 
 
 def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryDataset:
-    """Multiset union of two datasets over the same corpus, as a filter set.
+    """Multiset union of two datasets over one corpus, as a filter set.
 
     Duplicates are preserved and the result is in canonical order
     (entries of ``a`` before equal-keyed entries of ``b``), so the
-    operation is associative and commutative up to that order.  Datasets
-    of one run share one corpus; other corpora are united, and a query
-    they disagree on is a CorpusMismatchError.
+    operation is associative and commutative up to that order.  Both
+    must hold the same corpus object, as every dataset of a run does;
+    any other pair is a ValueError, even over equal corpora.
 
     A stable sort by query id alone gives that order unless some row's
     sort key falls below the row's before it, which it cannot when
@@ -506,7 +493,9 @@ def merge_datasets(a: TrajectoryDataset, b: TrajectoryDataset) -> TrajectoryData
     iteration, a resample's later origin); the dataset's own order check
     looks, and only a failed check runs the full sort.
     """
+    if a.corpus is not b.corpus:
+        raise ValueError("merge_datasets needs two datasets over one corpus object")
     qids = np.concatenate((a.columns["query_id"], b.columns["query_id"]))
     order = np.argsort(qids, kind="stable")
     columns = {name: np.concatenate((a.columns[name], b.columns[name]))[order] for name in COLUMNS}
-    return TrajectoryDataset._derived(ROLE_FILTER, columns, a.corpus.union(b.corpus), sort=_descends(columns))
+    return TrajectoryDataset._derived(ROLE_FILTER, columns, a.corpus, sort=_descends(columns))

@@ -285,7 +285,7 @@ def _apply_strategy(
     if not KINDS[cfg.kind].resamples:
         return reshape(cfg.kind, filtered, K, cfg.L, seed=config.seed, iteration=iteration)
     if cfg.kind == "ar":
-        return adaptive_resample(filtered, sampler.corpus, sampler, K)
+        return adaptive_resample(filtered, sampler, K)
     if cfg.kind == "gr":
         return guided_resample(filtered, sampler, cfg.L, cfg.S)
     return self_correct_augment(filtered, discarded, sampler, K, cfg.min_cot_tokens)

@@ -18,7 +18,9 @@ phenomenology (see README); they are knobs, not measurements.
 
 The policy is arrays aligned to its :class:`~headtail.core.Corpus`: ``p``
 and the draw counters hold one entry per query in ascending id order.
-Every draw is keyed by (root_seed, query_id, draw counter), so a query's
+The batched samplers take query ids only: a state answers for the
+corpus it was built over, and reads each query's facts there.  Every
+draw is keyed by (root_seed, query_id, draw counter), so a query's
 trajectories are a pure function of its counter sequence however draws
 interleave.  One kernel makes every draw: the batched samplers call it
 with one row per request, and ``sample_response``, ``guided_sample`` and
@@ -232,21 +234,17 @@ class LearnerState:
 
     # -- sampling ----------------------------------------------------------
 
-    def _mu(self, corpus: Corpus, rows: np.ndarray) -> np.ndarray:
-        """Per row of ``corpus``: its level's learned mean log-length, or its
-        base log-length while its level is unset or has no mean."""
+    def _mu(self, rows: np.ndarray) -> np.ndarray:
+        """Per corpus row: its level's learned mean log-length, or its base
+        log-length while its level is unset or has no mean."""
         by_level = np.array([np.nan] + [self.mu_log_len.get(level, np.nan) for level in LEVELS])
-        mu = by_level[corpus.level[rows]]
-        return np.where(np.isnan(mu), corpus.base_log_length[rows], mu)
+        mu = by_level[self.corpus.level[rows]]
+        return np.where(np.isnan(mu), self.corpus.base_log_length[rows], mu)
 
-    def _query_columns(
-        self, corpus: Corpus, query_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per row: its query's row in ``self.corpus``, p, log-length mean and
-        ground truth, the last two as ``corpus`` holds them."""
-        rows = corpus.rows(query_ids)
-        own = rows if corpus is self.corpus else self.corpus.rows(query_ids)
-        return own, self.p[own], self._mu(corpus, rows), corpus.gt_answer[rows]
+    def _query_columns(self, query_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per row: its query's corpus row, p, log-length mean and ground truth."""
+        rows = self.corpus.rows(query_ids)
+        return rows, self.p[rows], self._mu(rows), self.corpus.gt_answer[rows]
 
     def _draw_rows(
         self, own: np.ndarray, prob: np.ndarray, mu: np.ndarray, gt: np.ndarray, *,
@@ -290,17 +288,12 @@ class LearnerState:
         self.draw_counter[rows] += counts
         return Draws(self.iteration + 1, tokens, correct, np.where(correct, gt, ""))
 
-    def sample_fresh(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
+    def sample_fresh(self, query_ids: np.ndarray) -> Draws:
         """One fresh draw per row: correct w.p. p_i, length lognormal around the level mean."""
-        return self._draw_rows(*self._query_columns(corpus, query_ids))
+        return self._draw_rows(*self._query_columns(query_ids))
 
     def sample_guided(
-        self,
-        corpus: Corpus,
-        query_ids: np.ndarray,
-        prefix_tokens: np.ndarray,
-        steps: np.ndarray,
-        total_steps: int,
+        self, query_ids: np.ndarray, prefix_tokens: np.ndarray, steps: np.ndarray, total_steps: int
     ) -> Draws:
         """Row i continues the prefix before step ``steps[i]``,
         ``prefix_tokens[i]`` tokens of a successful response.
@@ -312,7 +305,7 @@ class LearnerState:
         steps = np.asarray(steps, dtype=np.int64)
         if np.any((steps < 1) | (steps > total_steps)):
             raise ValueError(f"steps must be in [1, {total_steps}]")
-        own, p, mu, gt = self._query_columns(corpus, query_ids)
+        own, p, mu, gt = self._query_columns(query_ids)
         # per step in Python floats, as the scalar reference in tests/oracles.py computes them
         kept = [(step - 1) / total_steps for step in range(1, total_steps + 1)]
         factor = np.array([(1.0 - f) ** self.params.prefix_gain for f in kept])[steps - 1]
@@ -326,10 +319,10 @@ class LearnerState:
             prefix_tokens=np.asarray(prefix_tokens, dtype=np.int64),
         )
 
-    def sample_corrections(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
+    def sample_corrections(self, query_ids: np.ndarray) -> Draws:
         """One revision of a failed response per row; revisions run longer than fresh samples."""
         pr = self.params
-        own, p, mu, gt = self._query_columns(corpus, query_ids)
+        own, p, mu, gt = self._query_columns(query_ids)
         prob = np.minimum(1.0, np.maximum(0.0, pr.correction_base + pr.correction_slope * p))
         return self._draw_rows(own, prob, mu + math.log1p(pr.correction_length_boost), gt)
 
@@ -338,7 +331,7 @@ class LearnerState:
         check_int64("k", k, 1)
         c = self.corpus
         own = np.repeat(np.arange(len(c)), k)
-        draws = self._draw_rows(own, self.p[own], self._mu(c, own), c.gt_answer[own])
+        draws = self._draw_rows(own, self.p[own], self._mu(own), c.gt_answer[own])
         columns = {
             "query_id": c.ids[own],
             "iteration": draws.iteration,
@@ -352,9 +345,10 @@ class LearnerState:
     # -- one-row sampling --------------------------------------------------
 
     def _one_row(self, query: QueryRecord, sample, *args, **fields) -> Trajectory:
-        """One draw of ``query`` by a batched sampler, over the corpus of
-        just that record, as a trajectory with the given fields."""
-        draws = sample(Corpus.of([query]), np.array([query.id]), *args)
+        """One draw for ``query``'s id by a batched sampler, as a trajectory
+        with the given fields; the draw reads the query's facts from this
+        state's corpus, so of ``query`` only its id is read."""
+        draws = sample(np.array([query.id]), *args)
         return Trajectory(
             query_id=query.id, sample_index=1, iteration=draws.iteration,
             length_tokens=int(draws.length_tokens[0]), extracted_answer=draws.answers[0],
@@ -362,7 +356,7 @@ class LearnerState:
         )
 
     def sample_response(self, query: QueryRecord) -> Trajectory:
-        """One-row :meth:`sample_fresh`."""
+        """One-row :meth:`sample_fresh`; of ``query`` only its id is read."""
         return self._one_row(query, self.sample_fresh)
 
     def guided_sample(
@@ -370,7 +364,8 @@ class LearnerState:
     ) -> Trajectory:
         """One-row :meth:`sample_guided`, continuing ``prefix`` from the given
         step: past step 1 it keeps the tokens before that step of ``prefix``
-        cut into ``total_steps`` near-equal steps, which must each hold one."""
+        cut into ``total_steps`` near-equal steps, which must each hold one.
+        Of ``query`` only its id is read."""
         if not 1 <= step <= total_steps:
             raise ValueError(f"step must be in [1, {total_steps}], got {step}")
         if not prefix.correct:
@@ -387,7 +382,8 @@ class LearnerState:
         )
 
     def correct_response(self, query: QueryRecord, wrong: Trajectory) -> Trajectory:
-        """One-row :meth:`sample_corrections`, revising ``wrong``."""
+        """One-row :meth:`sample_corrections`, revising ``wrong``; of
+        ``query`` only its id is read."""
         if wrong.correct:
             raise ValueError("correct_response expects a failed trajectory")
         return self._one_row(query, self.sample_corrections, origin=ORIGIN_CORRECTED)

@@ -25,11 +25,13 @@ The five sampler-free strategies are index maps on the dataset's columns:
 select rows, repeat them per query, restore canonical order.  The
 resampling family builds one pass's requests as columns (query ids, plus
 prefix lengths and steps for guided draws), makes them in one batched
-sampler call against the run's :class:`~headtail.core.Corpus`, and
-assembles the returned :class:`Draws` into a sample dataset over that
-corpus, its rows' ``origin`` saying how they were drawn, which goes
-through the shared grader like any other.  Every strategy returns just
-its train set.
+sampler call, and assembles the returned :class:`Draws` into a sample
+dataset over the input's :class:`~headtail.core.Corpus`, its rows'
+``origin`` saying how they were drawn, which goes through the shared
+grader like any other.  A run has one corpus, shared by its datasets and
+by the sampler, so the sampler is asked by query id alone, and merging
+the draws into a dataset over another corpus is a ValueError.  Every
+strategy returns just its train set.
 
 Determinism: identical (input, config, seed) always yields the identical
 dataset.  Random truncation draws one counter-keyed ``rng`` value per
@@ -98,30 +100,25 @@ class Draws(NamedTuple):
 
 
 class Sampler(Protocol):
-    """Sampling capability bound to the current-iteration policy.
+    """Sampling capability bound to the current-iteration policy and the
+    run's corpus.
 
-    Each method makes one pass's requests in one call.  ``corpus`` holds
-    every requested query and ``query_ids`` holds one request per row; row
-    i of the returned :class:`Draws` answers request i, and requests for
-    one query are drawn in row order.
+    Each method makes one pass's requests in one call.  ``query_ids``
+    holds one request per row; row i of the returned :class:`Draws`
+    answers request i, and requests for one query are drawn in row order.
     """
 
-    def sample_fresh(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
+    def sample_fresh(self, query_ids: np.ndarray) -> Draws:
         """One fresh response per row."""
 
     def sample_guided(
-        self,
-        corpus: Corpus,
-        query_ids: np.ndarray,
-        prefix_tokens: np.ndarray,
-        steps: np.ndarray,
-        total_steps: int,
+        self, query_ids: np.ndarray, prefix_tokens: np.ndarray, steps: np.ndarray, total_steps: int
     ) -> Draws:
         """Per row: continue a successful response of the query from the
         prefix before step ``steps[i]`` of ``total_steps``, which is
         ``prefix_tokens[i]`` tokens long."""
 
-    def sample_corrections(self, corpus: Corpus, query_ids: np.ndarray) -> Draws:
+    def sample_corrections(self, query_ids: np.ndarray) -> Draws:
         """Per row: a revision of a failed response of the query."""
 
 
@@ -266,23 +263,23 @@ def _resampled(
     )
 
 
-def adaptive_resample(
-    filtered: TrajectoryDataset, corpus: Corpus, sampler: Sampler, K: int
-) -> TrajectoryDataset:
-    """Draw K - k_i fresh responses per corpus query, refilter, merge.
+def adaptive_resample(filtered: TrajectoryDataset, sampler: Sampler, K: int) -> TrajectoryDataset:
+    """Draw K - k_i fresh responses per query of ``filtered.corpus``, refilter, merge.
 
     Resampling weight follows the fail rate: queries the policy already
-    masters get nothing, unsolved queries get the full K extra draws.  A
-    query holding K or more rows (a union pool can) gets nothing either.
+    masters get nothing, unsolved queries (those with no row in
+    ``filtered``) get the full K extra draws.  A query holding K or more
+    rows (a union pool can) gets nothing either.
     Returns the train set: ``filtered`` merged with the correct draws, its
     ``resampled_ar`` rows.
     """
     _require_filter(filtered)
     check_int64("K", K, 1)
+    corpus = filtered.corpus
     deficit = np.maximum(K - filtered.count_of(corpus.ids), 0)
     query_ids = np.repeat(corpus.ids, deficit)
     resampled = _resampled(
-        _drawn(sampler.sample_fresh, corpus, query_ids),
+        _drawn(sampler.sample_fresh, query_ids),
         corpus,
         ORIGIN_RESAMPLED_AR,
         query_id=query_ids,
@@ -321,7 +318,7 @@ def guided_resample(
     prefix_tokens = _prefix_tokens(c["length_tokens"][rows], S, kept)
     query_ids = c["query_id"][rows]
     resampled = _resampled(
-        _drawn(sampler.sample_guided, filtered.corpus, query_ids, prefix_tokens, kept + 1, S),
+        _drawn(sampler.sample_guided, query_ids, prefix_tokens, kept + 1, S),
         filtered.corpus,
         ORIGIN_RESAMPLED_GR,
         query_id=query_ids,
@@ -341,7 +338,8 @@ def self_correct_augment(
     attempt.  A correction survives only if it earns reward 1 and its length
     clears the reasoning floor; each survivor contributes two train entries:
     the correction pair (linked to the wrong response it fixes) and the
-    plain corrected response.
+    plain corrected response.  ``discard`` must share ``filtered``'s
+    corpus object: the merge refuses any other with a ValueError.
     """
     _require_filter(filtered)
     if discard.role != ROLE_DISCARD:
@@ -351,7 +349,7 @@ def self_correct_augment(
     rows = np.flatnonzero(filtered.count_of(c["query_id"]) < K)
     query_ids = c["query_id"][rows]
     attempts = _resampled(
-        _drawn(sampler.sample_corrections, discard.corpus, query_ids),
+        _drawn(sampler.sample_corrections, query_ids),
         discard.corpus,
         ORIGIN_CORRECTED,
         query_id=query_ids,

@@ -10,12 +10,15 @@ import pytest
 from headtail.core import (
     ROLE_FILTER,
     ROLE_SAMPLE,
+    Corpus,
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
     object_array,
 )
 from headtail.strategies import Draws
+
+import oracles
 
 
 def make_query(qid: int, gt: str | None = None, level: int | None = None, **kw) -> QueryRecord:
@@ -69,6 +72,23 @@ def make_filter(k_correct: dict[int, int], lengths: dict[int, int] | None = None
     return TrajectoryDataset.from_entries(entries, ROLE_FILTER), queries
 
 
+def over(dataset: TrajectoryDataset, corpus: Corpus) -> TrajectoryDataset:
+    """``dataset``'s rows over ``corpus``, which holds each of their queries
+    (and maybe more): a dataset to merge with others over that corpus."""
+    return TrajectoryDataset(dataset.role, dict(dataset.columns), corpus)
+
+
+def over_one_corpus(*datasets: TrajectoryDataset) -> list[TrajectoryDataset]:
+    """The datasets' rows over one corpus of all their queries, on which
+    their corpora must agree."""
+    records: dict[int, QueryRecord] = {}
+    for dataset in datasets:
+        for qid, record in oracles.records(dataset.corpus).items():
+            assert records.setdefault(qid, record) == record, f"the corpora disagree on query {qid}"
+    corpus = Corpus.of(records.values())
+    return [over(dataset, corpus) for dataset in datasets]
+
+
 @pytest.fixture
 def hand_filter():
     """The recurring worked fixture: three queries with k = (6, 3, 1), K = 8."""
@@ -81,14 +101,16 @@ def hand_sample():
 
 
 class ScriptedSampler:
-    """Sampler returning pre-set correctness; counts and records every draw.
+    """Sampler over ``corpus`` returning pre-set correctness; counts and
+    records every draw.
 
     The pattern is consumed one draw at a time in row order, and the
     ``*_calls`` counters count draws, not batched calls.  ``served`` holds
     each draw's (query id, correct flag), in the order they were made.
     """
 
-    def __init__(self, correct_pattern=itertools.repeat(True), length: int = 50):
+    def __init__(self, corpus, correct_pattern=itertools.repeat(True), length: int = 50):
+        self.corpus = corpus
         self._pattern = iter(correct_pattern)
         self.length = length
         self.fresh_calls = 0
@@ -96,9 +118,9 @@ class ScriptedSampler:
         self.correct_calls = 0
         self.served: list[tuple[int, bool]] = []
 
-    def _draws(self, corpus, query_ids, counter, prefix_tokens=0):
+    def _draws(self, query_ids, counter, prefix_tokens=0):
         correct, answers = [], []
-        gts = corpus.gt_answer[corpus.rows(query_ids)].tolist()
+        gts = self.corpus.gt_answer[self.corpus.rows(query_ids)].tolist()
         for q, gt in zip(np.asarray(query_ids).tolist(), gts):
             setattr(self, counter, getattr(self, counter) + 1)
             ok = next(self._pattern)
@@ -109,22 +131,22 @@ class ScriptedSampler:
         lengths = np.asarray(prefix_tokens, dtype=np.int64) + np.full(n, self.length)
         return Draws(1, lengths, np.array(correct, dtype=bool), object_array(answers))
 
-    def sample_fresh(self, corpus, query_ids):
-        return self._draws(corpus, query_ids, "fresh_calls")
+    def sample_fresh(self, query_ids):
+        return self._draws(query_ids, "fresh_calls")
 
-    def sample_guided(self, corpus, query_ids, prefix_tokens, steps, total_steps):
-        return self._draws(corpus, query_ids, "guided_calls", prefix_tokens)
+    def sample_guided(self, query_ids, prefix_tokens, steps, total_steps):
+        return self._draws(query_ids, "guided_calls", prefix_tokens)
 
-    def sample_corrections(self, corpus, query_ids):
-        return self._draws(corpus, query_ids, "correct_calls")
+    def sample_corrections(self, query_ids):
+        return self._draws(query_ids, "correct_calls")
 
 
 class FailingSampler:
-    def sample_fresh(self, corpus, query_ids):
+    def sample_fresh(self, query_ids):
         raise RuntimeError("backend down")
 
-    def sample_guided(self, corpus, query_ids, prefix_tokens, steps, total_steps):
+    def sample_guided(self, query_ids, prefix_tokens, steps, total_steps):
         raise RuntimeError("backend down")
 
-    def sample_corrections(self, corpus, query_ids):
+    def sample_corrections(self, query_ids):
         raise RuntimeError("backend down")

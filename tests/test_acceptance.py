@@ -34,7 +34,7 @@ from headtail.strategies import (
     threshold_clip,
 )
 
-from conftest import ScriptedSampler, make_filter, make_query, make_sample
+from conftest import ScriptedSampler, make_filter, make_query, make_sample, over
 import oracles
 from oracles import (
     guided_success_probability,
@@ -98,18 +98,19 @@ def test_criterion_01_strategy_oracle_equivalence():
 
         if checked % 25 == 0:
             # resampling draw-count laws on a subsample (mock sampler)
-            corpus = [queries.get(qid, make_query(qid)) for qid in sorted(k_correct)]
-            ar_sampler = ScriptedSampler(itertools.cycle([True, False]))
-            adaptive_resample(f, Corpus.of(corpus), ar_sampler, K)
+            # adaptive resampling tops up every query of the corpus, the unsolved ones too
+            fa = over(f, Corpus.of(queries.get(qid, make_query(qid)) for qid in sorted(k_correct)))
+            ar_sampler = ScriptedSampler(fa.corpus, itertools.cycle([True, False]))
+            adaptive_resample(fa, ar_sampler, K)
             assert ar_sampler.fresh_calls == oracle_ar_draws(present, sorted(k_correct), K)
 
-            gr_sampler = ScriptedSampler(itertools.cycle([True, False]))
+            gr_sampler = ScriptedSampler(f.corpus, itertools.cycle([True, False]))
             guided_resample(f, gr_sampler, L, 4)
             assert gr_sampler.guided_calls == oracle_gr_draws(entries, L, 4)
 
             sample, _ = make_sample(present or {0: 0}, K)
             ff, dd = filter_dataset(sample), discard_dataset(sample)
-            sc_sampler = ScriptedSampler(itertools.cycle([True, False, False]))
+            sc_sampler = ScriptedSampler(ff.corpus, itertools.cycle([True, False, False]))
             self_correct_augment(ff, dd, sc_sampler, K, 0)
             assert sc_sampler.correct_calls == oracle_sc_attempts(
                 oracles.entries(dd), Counter(t.query_id for _, t in oracles.entries(ff)), K

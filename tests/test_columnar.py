@@ -30,6 +30,7 @@ from headtail.core import (
 from headtail.metrics import build_row
 from headtail.strategies import head_clip, repeat_invert, repeat_pad, threshold_clip
 
+from conftest import over_one_corpus
 import oracles
 from oracles import entry_sort_key, oracle_build_row, oracle_hc, oracle_ri, oracle_rp, oracle_tc, snapshot_entry
 
@@ -259,7 +260,7 @@ def test_merge_equals_sorted_concatenation(data):
         # sort by query id alone orders a + b; b + a still needs the full sort
         later = max((t.iteration for _, t in oracles.entries(a)), default=0)
         b_entries = [(r, replace(t, iteration=t.iteration + later)) for r, t in b_entries]
-    b = TrajectoryDataset.from_entries(b_entries, ROLE_FILTER)
+    a, b = over_one_corpus(a, TrajectoryDataset.from_entries(b_entries, ROLE_FILTER))
     a_rows, b_rows = oracles.entries(a), oracles.entries(b)
     assert oracles.entries(merge_datasets(a, b)) == tuple(sorted(a_rows + b_rows, key=entry_sort_key))
     assert oracles.entries(merge_datasets(b, a)) == tuple(sorted(b_rows + a_rows, key=entry_sort_key))

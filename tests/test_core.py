@@ -15,7 +15,6 @@ from headtail.core import (
     ROLE_FILTER,
     ROLE_SAMPLE,
     Corpus,
-    CorpusMismatchError,
     QueryRecord,
     Trajectory,
     TrajectoryDataset,
@@ -23,7 +22,7 @@ from headtail.core import (
     merge_datasets,
 )
 
-from conftest import make_filter, make_query, make_sample, make_traj
+from conftest import make_filter, make_query, make_sample, make_traj, over, over_one_corpus
 import oracles
 from oracles import entry_sort_key
 
@@ -92,14 +91,6 @@ class TestCorpus:
     def test_records_round_trip(self):
         records = [make_query(2, level=3, latent_difficulty=0.2, base_log_length=4.0), make_query(-1)]
         assert list(oracles.records(Corpus.of(records)).values()) == [records[1], records[0]]
-
-    def test_union_keeps_every_query_once(self):
-        a = Corpus.of([make_query(1), make_query(3, level=2)])
-        b = Corpus.of([make_query(2), make_query(3, level=2)])
-        assert a.union(a) is a
-        assert list(oracles.records(a.union(b)).values()) == [make_query(1), make_query(2), make_query(3, level=2)]
-        with pytest.raises(CorpusMismatchError, match="corpus mismatch"):
-            a.union(Corpus.of([make_query(3, level=4)]))
 
 
 class TestConstructorColumns:
@@ -202,13 +193,12 @@ class TestCountCorrect:
 
 class TestMergeDatasets:
     def test_cardinality_additivity(self):
-        a, _ = make_filter({1: 6, 2: 4})
-        b, _ = make_filter({3: 4})
+        a, b = over_one_corpus(make_filter({1: 6, 2: 4})[0], make_filter({3: 4})[0])
         assert len(merge_datasets(a, b)) == 14
 
     def test_empty_identity_is_a_filter_set(self):
-        a = TrajectoryDataset.empty(ROLE_FILTER)
         b, _ = make_filter({1: 3})
+        a = over(TrajectoryDataset.empty(ROLE_FILTER), b.corpus)
         merged = merge_datasets(a, b)
         assert merged.role == ROLE_FILTER
         assert oracles.entries(merged) == oracles.entries(b)
@@ -219,16 +209,18 @@ class TestMergeDatasets:
         extra = [
             (queries[1], make_traj(1, j, origin=ORIGIN_RESAMPLED_AR)) for j in (1, 2)
         ] + [(queries[3], make_traj(3, j, origin=ORIGIN_RESAMPLED_AR)) for j in (1, 2, 3)]
-        b = TrajectoryDataset.from_entries(extra, "filter")
+        b = over(TrajectoryDataset.from_entries(extra, "filter"), a.corpus)
         merged = merge_datasets(a, b)
         assert len(merged) == 17
         qids = [t.query_id for _, t in oracles.entries(merged)]
         assert qids == sorted(qids)
 
-    def test_corpus_mismatch(self):
-        a = TrajectoryDataset.from_entries([(make_query(1, gt="x"), make_traj(1, gt="x"))], ROLE_FILTER)
-        b = TrajectoryDataset.from_entries([(make_query(1, gt="y"), make_traj(1, gt="y"))], ROLE_FILTER)
-        with pytest.raises(CorpusMismatchError, match="corpus mismatch"):
+    def test_equal_but_distinct_corpora_do_not_merge(self):
+        # one corpus per run: equal corpus objects are still two corpora
+        a, _ = make_filter({1: 2})
+        b = over(a, Corpus.of(oracles.records(a.corpus).values()))
+        assert a == b and a.corpus is not b.corpus
+        with pytest.raises(ValueError, match="one corpus object"):
             merge_datasets(a, b)
 
     def test_datasets_of_one_corpus_merge_over_it(self):
@@ -238,8 +230,7 @@ class TestMergeDatasets:
         assert merge_datasets(a, b).corpus is sample.corpus
 
     def test_commutative_up_to_resort(self):
-        a, _ = make_filter({1: 2, 4: 1})
-        b, _ = make_filter({2: 3})
+        a, b = over_one_corpus(make_filter({1: 2, 4: 1})[0], make_filter({2: 3})[0])
         assert oracles.entries(merge_datasets(a, b)) == oracles.entries(merge_datasets(b, a))
 
 
@@ -303,7 +294,7 @@ def test_merge_associative_commutative(pairs_a, pairs_b):
             entries.extend((q, make_traj(qid, start + j)) for j in range(1, count + 1))
         return TrajectoryDataset.from_entries(entries, ROLE_FILTER)
 
-    a, b = build(pairs_a), build(pairs_b)
+    a, b = over_one_corpus(build(pairs_a), build(pairs_b))
     assert oracles.entries(merge_datasets(a, b)) == oracles.entries(merge_datasets(b, a))
 
 
@@ -424,7 +415,7 @@ def near_pairs(draw):
     a = TrajectoryDataset.from_entries(pairs, draw(st.sampled_from(roles)))
     change = draw(st.sampled_from(["none", "corpus", "answer", "corrected_from", "role", "wider", "select"]))
     if change == "wider":
-        return a, TrajectoryDataset(a.role, dict(a.columns), a.corpus.union(Corpus.of([make_query(9)])))
+        return a, over(a, Corpus.of([*oracles.records(a.corpus).values(), make_query(9)]))
     if change == "select":
         return a, a.select(np.arange(len(a)), a.role)
     role = draw(st.sampled_from(roles)) if change == "role" else a.role

@@ -32,8 +32,9 @@ from oracles import (
 )
 
 
-def state_with(p_map, seed=0, params=None, mu=None):
-    corpus = Corpus.of(make_query(q) for q in p_map)
+def state_with(p_map, seed=0, params=None, mu=None, queries=None):
+    """A state over ``queries`` (by default ``make_query`` of each id of ``p_map``)."""
+    corpus = Corpus.of(queries or [make_query(q) for q in p_map])
     return LearnerState(
         iteration=0,
         corpus=corpus,
@@ -58,18 +59,16 @@ def counter_of(state, qid):
 
 
 def fresh(state, query, n):
-    return state.sample_fresh(Corpus.of([query]), np.full(n, query.id))
+    return state.sample_fresh(np.full(n, query.id))
 
 
 def guided(state, query, prefix, step, total_steps, n):
     tokens = 0 if step == 1 else split_steps(prefix, total_steps)[step - 1]
-    return state.sample_guided(
-        Corpus.of([query]), np.full(n, query.id), np.full(n, tokens), np.full(n, step), total_steps
-    )
+    return state.sample_guided(np.full(n, query.id), np.full(n, tokens), np.full(n, step), total_steps)
 
 
 def corrections(state, query, n):
-    return state.sample_corrections(Corpus.of([query]), np.full(n, query.id))
+    return state.sample_corrections(np.full(n, query.id))
 
 
 class TestInitLearner:
@@ -142,8 +141,9 @@ class TestSampleResponse:
             st_.sample_response(make_query(2))
 
     def test_wrong_answers_do_not_match_gt(self):
-        st_ = state_with({1: 0.0})
-        traj = st_.sample_response(make_query(1, gt="42"))
+        q = make_query(1, gt="42")
+        st_ = state_with({1: 0.0}, queries=[q])
+        traj = st_.sample_response(q)
         assert traj.extracted_answer != "42"
 
     def test_counter_advances_and_draws_differ(self):
@@ -177,7 +177,7 @@ class TestSampleResponse:
         b = a.clone()
         batch = a.sample_batch(3)
         qids = np.repeat(corpus.ids, 3)
-        fresh = b.sample_fresh(corpus, qids)
+        fresh = b.sample_fresh(qids)
         assert batch.columns["query_id"].tolist() == qids.tolist()
         assert batch.columns["length_tokens"].tolist() == fresh.length_tokens.tolist()
         assert batch.columns["correct"].tolist() == fresh.correct.tolist()
@@ -263,9 +263,9 @@ class TestCorrectResponse:
         assert not corrections(st_, make_query(1), 300).correct.any()
 
     def test_corrections_longer_than_fresh(self):
-        st_a = state_with({1: 0.5}, seed=21)
-        st_b = state_with({1: 0.5}, seed=21)
         q = make_query(1, level=3)
+        st_a = state_with({1: 0.5}, seed=21, queries=[q])
+        st_b = state_with({1: 0.5}, seed=21, queries=[q])
         plain = np.mean(fresh(st_a, q, 10_000).length_tokens)
         corrected = np.mean(corrections(st_b, q, 10_000).length_tokens)
         assert corrected > plain
@@ -325,15 +325,15 @@ class TestBatchedSamplers:
     """Each batched sampler, and a loop of its one-row method, equals a loop
     of its scalar reference in tests/oracles.py on a clone.
 
-    The requests name their queries through a corpus equal to, but not the
-    same object as, the state's; ``sample_batch`` covers the shared one."""
+    The requests are query ids of the state's corpus, whose records the
+    scalar references and the one-row methods are given."""
 
     @given(batched_requests())
     @settings(max_examples=80, deadline=None)
     def test_fresh_replays_sample_response(self, request):
         state, records, query_ids = request
         loop, one_row = state.clone(), state.clone()
-        draws = state.sample_fresh(Corpus.of(records.values()), query_ids)
+        draws = state.sample_fresh(query_ids)
         scalar = [fresh_draw(loop, records[q]) for q in query_ids.tolist()]
         assert_replays(draws, scalar, state.iteration + 1)
         assert [one_row.sample_response(records[q]) for q in query_ids.tolist()] == scalar
@@ -349,7 +349,7 @@ class TestBatchedSamplers:
         donors = [make_traj(q, length=n) for q, n in zip(query_ids.tolist(), lengths)]
         prefix = [0 if s == 1 else split_steps(d, S)[s - 1] for d, s in zip(donors, steps)]
         loop, one_row = state.clone(), state.clone()
-        draws = state.sample_guided(Corpus.of(records.values()), query_ids, np.array(prefix), np.array(steps), S)
+        draws = state.sample_guided(query_ids, np.array(prefix), np.array(steps), S)
         scalar = [guided_draw(loop, records[d.query_id], d, s, S) for d, s in zip(donors, steps)]
         assert_replays(draws, scalar, state.iteration + 1)
         assert [t.prefix_tokens for t in scalar] == prefix
@@ -363,7 +363,7 @@ class TestBatchedSamplers:
     def test_corrections_replay_correct_response(self, request):
         state, records, query_ids = request
         loop, one_row = state.clone(), state.clone()
-        draws = state.sample_corrections(Corpus.of(records.values()), query_ids)
+        draws = state.sample_corrections(query_ids)
         scalar = [correction_draw(loop, records[q]) for q in query_ids.tolist()]
         assert_replays(draws, scalar, state.iteration + 1)
         assert [
@@ -374,14 +374,14 @@ class TestBatchedSamplers:
     def test_guided_rejects_steps_out_of_range(self):
         st_ = state_with({1: 0.5})
         with pytest.raises(ValueError, match="steps must be in"):
-            st_.sample_guided(st_.corpus, np.array([1]), np.array([0]), np.array([5]), 4)
+            st_.sample_guided(np.array([1]), np.array([0]), np.array([5]), 4)
 
     def test_length_past_64_bits_with_its_prefix_is_a_sampler_error(self):
         st_ = state_with({1: 0.5})
         big = np.array([2**63 - 1])
         with pytest.raises(SamplerError, match="does not fit in 64 bits"):
-            st_.sample_guided(st_.corpus, np.array([1]), big, np.array([2]), 4)
-        draws = st_.sample_guided(st_.corpus, np.array([1]), big - 10**6, np.array([2]), 4)
+            st_.sample_guided(np.array([1]), big, np.array([2]), 4)
+        draws = st_.sample_guided(np.array([1]), big - 10**6, np.array([2]), 4)
         assert draws.length_tokens[0] > 2**63 - 10**6
         assert st_.draw_counter.tolist() == [1]  # the failed call moved no counter
 
@@ -397,9 +397,9 @@ class TestBatchedSamplers:
         st_.draw_counter[0] = 3
         none = np.zeros(0, dtype=np.int64)
         for draws in (
-            st_.sample_fresh(st_.corpus, none),
-            st_.sample_guided(st_.corpus, none, none, none, 4),
-            st_.sample_corrections(st_.corpus, none),
+            st_.sample_fresh(none),
+            st_.sample_guided(none, none, none, 4),
+            st_.sample_corrections(none),
         ):
             assert len(draws.length_tokens) == len(draws.correct) == len(draws.answers) == 0
         assert st_.draw_counter.tolist() == [3]
@@ -684,11 +684,11 @@ def test_grading_agrees_with_each_draws_own_flag(n, seed, k, S, data):
     datasets = [
         state.sample_batch(k),
         _resampled(
-            state.sample_guided(corpus, qids, prefix, steps, S), corpus, ORIGIN_RESAMPLED_GR,
+            state.sample_guided(qids, prefix, steps, S), corpus, ORIGIN_RESAMPLED_GR,
             query_id=qids, sample_index=index, prefix_steps=steps - 1, prefix_tokens=prefix,
         ),
         _resampled(
-            state.sample_corrections(corpus, qids), corpus, ORIGIN_CORRECTED,
+            state.sample_corrections(qids), corpus, ORIGIN_CORRECTED,
             query_id=qids, sample_index=index,
         ),
     ]

@@ -11,7 +11,7 @@ from headtail.metrics import (
     rows_to_csv,
 )
 
-from conftest import make_query, make_traj
+from conftest import make_query, make_traj, over_one_corpus
 import oracles
 
 
@@ -60,8 +60,9 @@ class TestLevelDistribution:
         assert sum(shares) == pytest.approx(1.0, abs=1e-9)
 
     def test_merge_is_weighted_average(self):
-        a = leveled_filter([(1, 1, 4, 40), (2, 5, 2, 40)])
-        b = leveled_filter([(3, 2, 3, 40)])
+        a, b = over_one_corpus(
+            leveled_filter([(1, 1, 4, 40), (2, 5, 2, 40)]), leveled_filter([(3, 2, 3, 40)])
+        )
         merged = merge_datasets(a, b)
         sa, sb, sm = (
             np.array(row_of(x).level_share) for x in (a, b, merged)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from collections import Counter
 
@@ -14,7 +15,9 @@ from headtail.core import (
     TrajectoryDataset,
 )
 from headtail.rewards import discard_dataset, filter_dataset
+from headtail.learner import LearnerState
 from headtail.strategies import (
+    Sampler,
     SamplerError,
     StrategyConfig,
     adaptive_resample,
@@ -27,7 +30,7 @@ from headtail.strategies import (
     vanilla,
 )
 
-from conftest import FailingSampler, ScriptedSampler, make_filter, make_query, make_sample, make_traj
+from conftest import FailingSampler, ScriptedSampler, make_filter, make_query, make_sample, make_traj, over
 import oracles
 from oracles import (
     oracle_ar_draws,
@@ -181,33 +184,33 @@ class TestRepeatInvert:
 class TestAdaptiveResample:
     def test_hand_fixture_draw_counts(self, hand_filter):
         f, queries = hand_filter
-        corpus = list(queries.values()) + [make_query(4)]
-        sampler = ScriptedSampler(itertools.repeat(True))
-        train = adaptive_resample(f, Corpus.of(corpus), sampler, K=8)
+        f = over(f, Corpus.of([*queries.values(), make_query(4)]))  # query 4 has no row
+        sampler = ScriptedSampler(f.corpus, itertools.repeat(True))
+        train = adaptive_resample(f, sampler, K=8)
         assert sampler.fresh_calls == 2 + 5 + 7 + 8
         assert len(drawn(train, ORIGIN_RESAMPLED_AR)) == 22
         assert len(train) == len(f) + 22
 
     def test_no_deficit_no_resampling(self):
-        f, queries = make_filter({1: 4, 2: 4})
-        sampler = ScriptedSampler()
-        train = adaptive_resample(f, Corpus.of(queries.values()), sampler, K=4)
+        f, _ = make_filter({1: 4, 2: 4})
+        sampler = ScriptedSampler(f.corpus)
+        train = adaptive_resample(f, sampler, K=4)
         assert sampler.fresh_calls == 0
         assert oracles.entries(train) == oracles.entries(f)
 
     def test_failed_draws_are_refiltered_out(self, hand_filter):
-        f, queries = hand_filter
-        sampler = ScriptedSampler(itertools.cycle([True, False]))
-        train = adaptive_resample(f, Corpus.of(queries.values()), sampler, K=8)
+        f, _ = hand_filter
+        sampler = ScriptedSampler(f.corpus, itertools.cycle([True, False]))
+        train = adaptive_resample(f, sampler, K=8)
         kept = sum(ok for _, ok in sampler.served)
         assert 0 < kept < len(sampler.served)
         assert len(drawn(train, ORIGIN_RESAMPLED_AR)) == kept
         assert len(train) == len(f) + kept
 
     def test_sampler_failure_aborts(self, hand_filter):
-        f, queries = hand_filter
+        f, _ = hand_filter
         with pytest.raises(SamplerError, match="sampler error"):
-            adaptive_resample(f, Corpus.of(queries.values()), FailingSampler(), K=8)
+            adaptive_resample(f, FailingSampler(), K=8)
 
     @given(
         st.dictionaries(st.integers(0, 14), st.integers(0, 8), min_size=1, max_size=10),
@@ -217,9 +220,9 @@ class TestAdaptiveResample:
         corpus_ids = sorted(k_partial)
         k_correct = {q: k for q, k in k_partial.items() if k > 0}
         f, queries = make_filter(k_correct)
-        corpus = [queries.get(qid, make_query(qid)) for qid in corpus_ids]
-        sampler = ScriptedSampler(itertools.cycle([True, False, False]))
-        train = adaptive_resample(f, Corpus.of(corpus), sampler, K=8)
+        f = over(f, Corpus.of(queries.get(qid, make_query(qid)) for qid in corpus_ids))
+        sampler = ScriptedSampler(f.corpus, itertools.cycle([True, False, False]))
+        train = adaptive_resample(f, sampler, K=8)
         assert sampler.fresh_calls == oracle_ar_draws(k_correct, corpus_ids, 8)
         assert len(train) == len(f) + sum(ok for _, ok in sampler.served)
 
@@ -253,7 +256,7 @@ class TestSplitSteps:
 class TestGuidedResample:
     def test_hand_fixture_draw_counts(self, hand_filter):
         f, _ = hand_filter
-        sampler = ScriptedSampler()
+        sampler = ScriptedSampler(f.corpus)
         train = guided_resample(f, sampler, L=4, S=4)
         # query 1 (k=6 >= L) skipped; queries 2 and 3 give k_i * S draws
         assert sampler.guided_calls == 3 * 4 + 1 * 4
@@ -262,21 +265,21 @@ class TestGuidedResample:
 
     def test_all_above_threshold(self):
         f, _ = make_filter({1: 5, 2: 4})
-        sampler = ScriptedSampler()
+        sampler = ScriptedSampler(f.corpus)
         train = guided_resample(f, sampler, L=4, S=4)
         assert sampler.guided_calls == 0
         assert oracles.entries(train) == oracles.entries(f)
 
     def test_prefix_steps_range(self, hand_filter):
         f, _ = hand_filter
-        train = guided_resample(f, ScriptedSampler(), L=4, S=4)
+        train = guided_resample(f, ScriptedSampler(f.corpus), L=4, S=4)
         resampled = drawn(train, ORIGIN_RESAMPLED_GR)
         assert len(resampled) == len(train) - len(f) == 16
         assert {t.prefix_steps for t in resampled} == {0, 1, 2, 3}
 
     def test_short_trajectory_contributes_single_draw(self):
         f, _ = make_filter({1: 1}, lengths={1: 3})
-        sampler = ScriptedSampler()
+        sampler = ScriptedSampler(f.corpus)
         train = guided_resample(f, sampler, L=4, S=4)
         assert sampler.guided_calls == 1
         assert [t.prefix_steps for t in drawn(train, ORIGIN_RESAMPLED_GR)] == [0]
@@ -291,7 +294,7 @@ class TestGuidedResample:
     def test_prefix_tokens_are_split_steps_offsets(self, lengths, S):
         entries = [(make_query(1), make_traj(1, j, length=n)) for j, n in enumerate(lengths, 1)]
         f = TrajectoryDataset.from_entries(entries, "filter")
-        train = guided_resample(f, ScriptedSampler(), L=len(lengths) + 1, S=S)
+        train = guided_resample(f, ScriptedSampler(f.corpus), L=len(lengths) + 1, S=S)
         expected = [
             (t.sample_index, step, offset)
             for _, t in entries
@@ -305,7 +308,7 @@ class TestSelfCorrectAugment:
     def test_hand_count(self):
         sample, _ = make_sample({1: 6}, K=8)
         f, d = filter_dataset(sample), discard_dataset(sample)
-        sampler = ScriptedSampler(itertools.cycle([True, False]))
+        sampler = ScriptedSampler(f.corpus, itertools.cycle([True, False]))
         train = self_correct_augment(f, d, sampler, K=8, min_cot_tokens=10)
         assert sampler.correct_calls == 2
         # one success -> pair entry + plain entry
@@ -316,22 +319,52 @@ class TestSelfCorrectAugment:
 
     def test_empty_discard(self, hand_filter):
         f, _ = hand_filter
-        train = self_correct_augment(f, TrajectoryDataset.empty("discard"), ScriptedSampler(), 8, 10)
+        discard = over(TrajectoryDataset.empty("discard"), f.corpus)
+        train = self_correct_augment(f, discard, ScriptedSampler(f.corpus), 8, 10)
         assert oracles.entries(train) == oracles.entries(f)
 
     def test_cot_floor_rejects_short_corrections(self):
         sample, _ = make_sample({1: 0}, K=2)
         f, d = filter_dataset(sample), discard_dataset(sample)
-        sampler = ScriptedSampler(itertools.repeat(True), length=5)
+        sampler = ScriptedSampler(f.corpus, itertools.repeat(True), length=5)
         train = self_correct_augment(f, d, sampler, K=2, min_cot_tokens=10)
         assert len(train) == 0
 
     def test_fully_correct_queries_never_corrected(self):
         sample, _ = make_sample({1: 2, 2: 1}, K=2)
         f, d = filter_dataset(sample), discard_dataset(sample)
-        sampler = ScriptedSampler()
+        sampler = ScriptedSampler(f.corpus)
         self_correct_augment(f, d, sampler, K=2, min_cot_tokens=0)
         assert sampler.correct_calls == 1  # only query 2's single wrong draw
+
+
+class TestOneCorpus:
+    """A run has one corpus: the resamplers top up and merge over their input's."""
+
+    def test_adaptive_resample_tops_up_a_query_with_no_row(self):
+        f, queries = make_filter({1: 3})
+        f = over(f, Corpus.of([*queries.values(), make_query(2)]))
+        sampler = ScriptedSampler(f.corpus)
+        train = adaptive_resample(f, sampler, K=4)
+        assert sampler.served == [(1, True)] + [(2, True)] * 4
+        assert [t.sample_index for t in drawn(train, ORIGIN_RESAMPLED_AR) if t.query_id == 2] == [1, 2, 3, 4]
+
+    def test_self_correct_augment_refuses_a_discard_set_over_another_corpus(self):
+        sample, _ = make_sample({1: 1}, K=3)
+        f, d = filter_dataset(sample), discard_dataset(sample)
+        elsewhere = over(d, Corpus.of(oracles.records(d.corpus).values()))  # equal, but not the same object
+        with pytest.raises(ValueError, match="one corpus object"):
+            self_correct_augment(f, elsewhere, ScriptedSampler(d.corpus), K=3, min_cot_tokens=0)
+        assert len(self_correct_augment(f, d, ScriptedSampler(d.corpus), K=3, min_cot_tokens=0)) == 1 + 4
+
+
+@pytest.mark.parametrize("method", ["sample_fresh", "sample_guided", "sample_corrections"])
+def test_samplers_take_the_protocols_parameters(method):
+    """The learner and the test fakes name the Sampler protocol's parameters, in its order."""
+    def names(owner):
+        return [name for name in inspect.signature(getattr(owner, method)).parameters if name != "self"]
+
+    assert names(LearnerState) == names(ScriptedSampler) == names(FailingSampler) == names(Sampler)
 
 
 class TestOracleEquivalence:
@@ -383,15 +416,15 @@ class TestSharedInvariants:
     @given(st.dictionaries(st.integers(0, 15), st.integers(1, 8), min_size=1, max_size=10))
     @settings(max_examples=50, deadline=None)
     def test_train_entries_all_correct(self, k_correct):
-        f, queries = make_filter(k_correct)
-        sampler = ScriptedSampler(itertools.cycle([True, True, False]))
+        f, _ = make_filter(k_correct)
+        sampler = ScriptedSampler(f.corpus, itertools.cycle([True, True, False]))
         outputs = [
             vanilla(f),
             threshold_clip(f, 4, 1),
             head_clip(f, 8),
             repeat_pad(f, 8),
             repeat_invert(f, 8),
-            adaptive_resample(f, Corpus.of(queries.values()), sampler, 8),
+            adaptive_resample(f, sampler, 8),
             guided_resample(f, sampler, 4, 4),
         ]
         for out in outputs:
@@ -399,20 +432,19 @@ class TestSharedInvariants:
             assert all(t.correct for _, t in oracles.entries(out))
 
     def test_determinism_of_transform_suite(self, hand_filter):
-        f, queries = hand_filter
-        corpus = list(queries.values())
+        f, _ = hand_filter
         first = [
             oracles.entries(threshold_clip(f, 2, 9)),
             oracles.entries(repeat_pad(f, 8)),
             oracles.entries(
-                adaptive_resample(f, Corpus.of(corpus), ScriptedSampler(itertools.cycle([True, False])), 8)
+                adaptive_resample(f, ScriptedSampler(f.corpus, itertools.cycle([True, False])), 8)
             ),
         ]
         second = [
             oracles.entries(threshold_clip(f, 2, 9)),
             oracles.entries(repeat_pad(f, 8)),
             oracles.entries(
-                adaptive_resample(f, Corpus.of(corpus), ScriptedSampler(itertools.cycle([True, False])), 8)
+                adaptive_resample(f, ScriptedSampler(f.corpus, itertools.cycle([True, False])), 8)
             ),
         ]
         assert first == second
@@ -450,10 +482,10 @@ def test_strategy_config_validation():
     ("K", 1, lambda f, d, v: head_clip(f, v)),
     ("K", 1, lambda f, d, v: repeat_pad(f, v)),
     ("K", 1, lambda f, d, v: repeat_invert(f, v)),
-    ("K", 1, lambda f, d, v: adaptive_resample(f, f.corpus, ScriptedSampler(), v)),
-    ("K", 1, lambda f, d, v: self_correct_augment(f, d, ScriptedSampler(), v, 0)),
-    ("L", 1, lambda f, d, v: guided_resample(f, ScriptedSampler(), v, 2)),
-    ("S", 2, lambda f, d, v: guided_resample(f, ScriptedSampler(), 1, v)),
+    ("K", 1, lambda f, d, v: adaptive_resample(f, ScriptedSampler(f.corpus), v)),
+    ("K", 1, lambda f, d, v: self_correct_augment(f, d, ScriptedSampler(f.corpus), v, 0)),
+    ("L", 1, lambda f, d, v: guided_resample(f, ScriptedSampler(f.corpus), v, 2)),
+    ("S", 2, lambda f, d, v: guided_resample(f, ScriptedSampler(f.corpus), 1, v)),
     ("S", 2, lambda f, d, v: split_steps(make_traj(1, length=100), v)),
 ])
 def test_each_bound_is_checked_below_and_past_int64(name, low, call):
