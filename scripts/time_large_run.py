@@ -2,7 +2,7 @@
 """Time one large run per strategy, or one offline rebalance, in this process.
 
 Runs ``harness.run`` once per strategy kind (self_improve mode) at the
-given N, K and T, in the order given, and prints: each run's wall seconds
+given N, K, T and L, in the order given, and prints: each run's wall seconds
 (``wall_s.<kind>``), the seconds spent preparing the runs' calibrated
 start (``harness._prepared_corpus_and_learner``: the first run computes
 it, the later ones reuse it), the seconds spent inside ``rewards._graded``
@@ -25,7 +25,9 @@ trajectory log with ``--strategy``, ``--k``, ``--l``, ``--seed`` and
 output is the verb's), writing the output to a temporary directory, and
 prints the seconds spent in ``harness.load_log`` (``load_s``) and in
 ``rewards._graded`` (``grade_s``), the call's wall seconds (``wall_s``),
-the process's peak resident set size and the output's sha256.
+the process's peak resident set size and the output's sha256.  A
+config the run or the rebalance rejects ends the script with exit 2 and a
+one-line usage error.
 
     PYTHONPATH=src python3 scripts/time_large_run.py --n 200000 --k 8 --t 5
     PYTHONPATH=src python3 scripts/time_large_run.py --n 2000 --strategies vanilla,tc,hc,rp,ri,ar,gr,sc
@@ -43,7 +45,9 @@ from pathlib import Path
 import numpy as np
 
 from headtail import harness, rewards
-from headtail.harness import RunConfig, _snapshot_chunks, read_snapshot, rebalance_offline, run, write_atomic
+from headtail.harness import (
+    ConfigError, RunConfig, _snapshot_chunks, read_snapshot, rebalance_offline, run, write_atomic,
+)
 from headtail.strategies import StrategyConfig
 
 
@@ -127,9 +131,17 @@ def main() -> None:
     parser.add_argument("--strategies", default="vanilla", help="comma-separated strategy kinds, run in order")
     parser.add_argument("--log", help="time one offline rebalance of this trajectory log instead")
     parser.add_argument("--strategy", default="tc", help="with --log: the reshaping strategy")
-    parser.add_argument("--l", type=int, default=4, help="with --log: tail threshold L (tc)")
+    parser.add_argument("--l", type=int, default=4, help="tail threshold L (tc and gr; with --log, tc)")
     parser.add_argument("--min-cot-tokens", type=int, default=0, help="with --log: reasoning length floor")
     args = parser.parse_args()
+    try:
+        time_runs(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
+
+
+def time_runs(args: argparse.Namespace) -> None:
+    """Time ``args.log``'s rebalance, or one run per kind of ``args.strategies``, and print its table."""
     if args.log:
         time_rebalance(args)
         return
@@ -142,7 +154,7 @@ def main() -> None:
     try:
         for kind in kinds:
             # one base config, so every run shares its learner and corpus params and so its start
-            point = dataclasses.replace(cfg, strategy=StrategyConfig(kind=kind))
+            point = dataclasses.replace(cfg, strategy=StrategyConfig(kind=kind, L=args.l))
             start = time.perf_counter()
             report = run(point)
             walls[kind] = time.perf_counter() - start

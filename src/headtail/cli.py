@@ -42,7 +42,7 @@ from .harness import (
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_SYMBOL_ALIASES, load_alias_table
 from .strategies import KINDS, StrategyConfig
-from .core import ROLE_FILTER, TrajectoryDataset
+from .core import ROLE_FILTER
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -229,16 +229,6 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 _SNAPSHOT_STAGES = {"train_final": "train", "filter_final": "filter"}
 
 
-def _read_named_snapshot(path: Path) -> TrajectoryDataset:
-    """``read_snapshot`` as a filter set, with every SchemaError naming ``path`` once."""
-    try:
-        return read_snapshot(path, ROLE_FILTER)
-    except SchemaError as exc:
-        if str(exc).startswith(f"{path}: "):  # a file-level error names it already
-            raise
-        raise SchemaError(f"{path}: {exc}") from exc
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg_path = run_dir / "config.json"
@@ -247,15 +237,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         cfg.validate()
     else:
         cfg = RunConfig()
-    snapshot = run_dir / "datasets" / (args.dataset + ".jsonl")
-    if not snapshot.exists():
-        raise SchemaError(f"no snapshot at {snapshot}")
-    dataset = _read_named_snapshot(snapshot)
+    dataset = read_snapshot(run_dir / "datasets" / (args.dataset + ".jsonl"), ROLE_FILTER)
     # per-query counts come from the final filtered set, as in metrics.csv
     filtered_path = run_dir / "datasets" / "filter_final.jsonl"
     filtered = dataset
     if args.dataset != "filter_final" and filtered_path.exists():
-        filtered = _read_named_snapshot(filtered_path)
+        filtered = read_snapshot(filtered_path, ROLE_FILTER)
     # an empty snapshot reports at the run's last round, as metrics.csv does
     iteration = int(dataset.columns["iteration"].max()) if len(dataset) else cfg.rounds
     row = build_row(iteration, _SNAPSHOT_STAGES[args.dataset], dataset, cfg.k_samples, filtered)

@@ -33,17 +33,19 @@ templates (``_snapshot_line``), with one array call per field
 scanned: each line is one call to the C scanner behind ``json.loads``
 (``_decode_lines``), and a pass with a line the scanner cannot take whole
 (leading whitespace, a BOM, extra data, bad JSON) goes through
-``json.loads`` instead.  A field whose values are all ints (or all
-strings) becomes an array in one call, while any other is converted value
-by value in a record's order, and a log is sorted by query id once
+``json.loads`` instead.  No value is converted: a field holds exactly the
+JSON type its schema names (an integer, never a bool, a float or a string
+of digits; a string; an array of integers), and an integer field must fit
+in 64 bits (``_typed``, ``_int64``), or its line is bad.  Each field
+becomes an array in one call, and a log is sorted by query id once
 (``_log_dataset``).  Both snapshot decoders end in one column checker
 (``_checked_snapshot``).  A pass that fails decodes its lines again one at
 a time, in memory, scanned through the same pass decoder
-(``_decode_chunk``), and raises the SchemaError naming the first bad line
-with the message a line-by-line read gives, whichever decoder the pass
-took; faults only the whole file shows (two ground truths or levels for
-one query) are raised once every line has decoded.  A file is taken whole
-or not at all.
+(``_decode_chunk``), and raises the SchemaError naming the file and its
+first bad line (``{path}: line N: ...``) with the message a line-by-line
+read gives, whichever decoder the pass took; faults only the whole file
+shows (two ground truths or levels for one query) are raised once every
+line has decoded, naming the file.  A file is taken whole or not at all.
 
 Snapshots are written by one writer (``_snapshot_chunks``),
 ``_SNAPSHOT_CHUNK`` (1024) rows per string.  A line is five texts: a head
@@ -129,7 +131,7 @@ class ConfigError(ValueError):
 
 
 class SchemaError(ValueError):
-    """Malformed offline input; carries the offending line number."""
+    """Malformed offline input; its message names the file, and the line or record."""
 
 
 class RunAborted(RuntimeError):
@@ -461,14 +463,15 @@ def _read_columns(
 
     ``pull`` turns a chunk of rows into arrays by name, failing on exactly
     the rows that fail alone, and ``build`` makes the dataset of their
-    concatenation, raising the SchemaError for faults only the whole file
+    concatenation, raising a ValueError for faults only the whole file
     shows.  ``fast``, if given, decodes a chunk's lines as ``pull`` of
     their rows would, or gives None to have them scanned.  A failed chunk
     is decoded again one line at a time, through the same
     ``_decode_chunk`` but never ``fast``, to raise the SchemaError naming
     its first bad line; a chunk whose every line decodes alone is a bug,
-    re-raised.  A file that cannot be opened or read is a SchemaError
-    naming ``path`` and ``what`` it is.
+    re-raised.  Every SchemaError starts with ``path``: ``{path}: line N:``
+    for a bad line, ``{path}:`` for what ``build`` raises, and
+    ``{path}: cannot read {what}`` for a file that cannot be opened or read.
     """
     parts = [pull([])]  # an empty file still has every column
     try:
@@ -478,34 +481,42 @@ def _read_columns(
             while chunk := list(itertools.islice(fh, _READ_CHUNK)):
                 try:
                     parts.append(_decode_chunk(list(filter(str.strip, chunk)), fields, required, pull, fast))
-                except (TypeError, ValueError, OverflowError):  # OverflowError: int() of Infinity
+                except (TypeError, ValueError):
                     for lineno, line in enumerate(chunk, start):
                         try:
                             if line.strip():
                                 _decode_chunk([line], fields, required, pull)
-                        except (TypeError, ValueError, OverflowError) as exc:
-                            raise SchemaError(f"line {lineno}: {exc}") from exc
+                        except (TypeError, ValueError) as exc:
+                            raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
                     raise
                 start += len(chunk)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read {what} ({exc.strerror or exc})") from exc
-    return build({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
-
-
-def _converted(values: Iterable[Any], kind: type) -> list[Any]:
-    """``kind(v)`` of each value; a list whose values are all of type ``kind``
-    is that list (``int`` and ``str`` give back such a value itself)."""
-    values = list(values)
-    return values if countOf(map(type, values), kind) == len(values) else list(map(kind, values))
-
-
-def _int64(values: Iterable[Any]) -> np.ndarray:
-    """``int(v)`` of each value: an int64 array, an object array if one is past 64 bits."""
-    ints = _converted(values, int)
     try:
-        return np.array(ints, dtype=np.int64)
+        return build({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false", list: "an array"}
+
+
+def _typed(values: Iterable[Any], kind: type, field: str) -> list[Any]:
+    """The values as a list, each exactly of type ``kind`` (so a bool is
+    no integer), or a TypeError naming ``field``."""
+    values = list(values)
+    if countOf(map(type, values), kind) != len(values):
+        raise TypeError(f"{field} must be {_TYPE_NAMES[kind]}")
+    return values
+
+
+def _int64(values: Iterable[Any], field: str) -> np.ndarray:
+    """The values, each an integer, as an int64 array, or a ValueError
+    naming ``field`` if one is past 64 bits."""
+    try:
+        return np.array(_typed(values, int, field), dtype=np.int64)
     except OverflowError:
-        return object_array(ints)
+        raise ValueError(f"{field} must fit in 64 bits") from None
 
 
 # json.dumps(oracles.snapshot_entry(...), sort_keys=True) of a row is the head of
@@ -524,15 +535,15 @@ _SNAPSHOT_REQUIRED = {"query_id", "sample_index", "iteration", "length_tokens", 
 
 
 def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
-    """Snapshot rows as columns, converted and checked in the order a
-    ``QueryRecord`` and then a ``Trajectory`` of each row would be.  Values
-    past 64 bits pass, as they do there; the dataset constructor rejects them."""
-    correct = list(map(itemgetter("correct"), rows))
-    if not all(type(ok) is bool for ok in correct):
-        raise TypeError("correct must be true or false")
-    query_id = _int64(map(itemgetter("query_id"), rows))
+    """Snapshot rows as columns.  Each field is type-checked and, an integer
+    one, checked to fit in 64 bits as it is taken, in the order ``correct``,
+    ``query_id``, ``level`` (and its range), ``sample_index``, ``iteration``,
+    ``length_tokens``, ``prefix_steps``, ``origin``; then the ``Trajectory``
+    checks run (``_checked_snapshot``)."""
+    correct = _typed(map(itemgetter("correct"), rows), bool, "correct")
+    query_id = _int64(map(itemgetter("query_id"), rows), "query_id")
     levels = [r.get("level") for r in rows]
-    level = _int64(0 if lv is None else lv for lv in levels)
+    level = _int64((0 if lv is None else lv for lv in levels), "level")
     given = np.array([lv is not None for lv in levels], dtype=bool)
     bad = np.flatnonzero(given & ((level < LEVELS[0]) | (level > LEVELS[-1])))
     if len(bad):
@@ -540,12 +551,12 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     return _checked_snapshot({
         "query_id": query_id,
         "level": level,
-        "sample_index": _int64(map(itemgetter("sample_index"), rows)),
-        "iteration": _int64(map(itemgetter("iteration"), rows)),
-        "length_tokens": _int64(map(itemgetter("length_tokens"), rows)),
-        "prefix_steps": _int64(r.get("prefix_steps", 0) for r in rows),
+        "sample_index": _int64(map(itemgetter("sample_index"), rows), "sample_index"),
+        "iteration": _int64(map(itemgetter("iteration"), rows), "iteration"),
+        "length_tokens": _int64(map(itemgetter("length_tokens"), rows), "length_tokens"),
+        "prefix_steps": _int64((r.get("prefix_steps", 0) for r in rows), "prefix_steps"),
         "correct": np.array(correct, dtype=bool),
-    }, [r.get("origin", ORIGIN_EXPLORED) for r in rows])
+    }, _typed([r.get("origin", ORIGIN_EXPLORED) for r in rows], str, "origin"))
 
 
 def _checked_snapshot(c: dict[str, np.ndarray], origins: Sequence[Any]) -> dict[str, np.ndarray]:
@@ -610,31 +621,28 @@ def _snapshot_lines_chunk(lines: list[str]) -> dict[str, np.ndarray] | None:
     }, origin)
 
 
-def _snapshot_dataset(path: str | Path, c: dict[str, np.ndarray], role: str) -> TrajectoryDataset:
-    """The dataset of a snapshot's rows; what breaks it is a SchemaError naming
-    the file, in ``from_entries``' order: a query given two levels, a value
-    past 64 bits, a row that ``role`` does not allow."""
+def _snapshot_dataset(c: dict[str, np.ndarray], role: str) -> TrajectoryDataset:
+    """The dataset of a snapshot's rows; what breaks it is a ValueError, in
+    ``from_entries``' order: a query given two levels, a row that ``role``
+    does not allow."""
     qids = c["query_id"]
     ids, (levels,), conflict = first_rows(qids, c.pop("level"))
     if conflict is not None:
-        raise SchemaError(f"{path}: conflicting records for query {qids[conflict]}")
-    try:
-        return TrajectoryDataset(role, c, Corpus(ids, "", levels))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise ValueError(f"conflicting records for query {qids[conflict]}")
+    return TrajectoryDataset(role, c, Corpus(ids, "", levels))
 
 
 def read_snapshot(path: str | Path, role: str) -> TrajectoryDataset:
     """A ``datasets/*.jsonl`` snapshot as a dataset tagged ``role``.
 
-    Decoded straight into columns.  A bad line is a SchemaError naming it;
-    lines that break a dataset invariant together (two levels for one
-    query, a value past 64 bits, a wrong row for ``role``) are a SchemaError
-    naming the file.
+    Decoded straight into columns.  Every SchemaError names ``path``: a bad
+    line as ``{path}: line N: ...``, lines that break a dataset invariant
+    together (two levels for one query, a wrong row for ``role``) as
+    ``{path}: ...``.
     """
     return _read_columns(
         path, "snapshot", _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _snapshot_chunk,
-        lambda c: _snapshot_dataset(path, c, role), _snapshot_lines_chunk,
+        lambda c: _snapshot_dataset(c, role), _snapshot_lines_chunk,
     )
 
 
@@ -774,21 +782,22 @@ def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
 
 
 def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
-    """Log rows as columns, converted and checked in the order a
-    ``TrajectoryLogRecord`` of each row would be."""
-    query_id = _int64(map(itemgetter("query_id"), rows))
-    gt_answer = object_array(_converted(map(itemgetter("gt_answer"), rows), str))
-    answer = object_array(_converted(map(itemgetter("extracted_answer"), rows), str))
-    token_count = _int64(map(itemgetter("token_count"), rows))
-    offsets = [r.get("step_offsets", ()) for r in rows]
-    flat = _converted(itertools.chain.from_iterable(offsets), int)
-    iteration = _int64(r.get("iteration", 1) for r in rows)
+    """Log rows as columns.  Each field is type-checked and, an integer one,
+    checked to fit in 64 bits as it is taken, in the order ``query_id``,
+    ``gt_answer``, ``extracted_answer``, ``token_count``, ``step_offsets``,
+    ``iteration``; then the value checks run in a ``TrajectoryLogRecord``'s
+    order."""
+    query_id = _int64(map(itemgetter("query_id"), rows), "query_id")
+    gt_answer = object_array(_typed(map(itemgetter("gt_answer"), rows), str, "gt_answer"))
+    answer = object_array(_typed(map(itemgetter("extracted_answer"), rows), str, "extracted_answer"))
+    token_count = _int64(map(itemgetter("token_count"), rows), "token_count")
+    offsets = _typed([r.get("step_offsets", []) for r in rows], list, "step_offsets")
+    flat = _typed(itertools.chain.from_iterable(offsets), int, "step_offsets element")
+    iteration = _int64([r.get("iteration", 1) for r in rows], "iteration")
     if np.any(token_count < 0):
         raise ValueError("token_count must be >= 0")
     if np.any(iteration < 1):
         raise ValueError("iteration must be >= 1")
-    if any(col.dtype == object for col in (query_id, token_count, iteration)):
-        raise ValueError("query_id, token_count and iteration must fit in 64 bits")
     try:
         flat = np.array(flat, dtype=np.int64)
     except OverflowError:  # clamped to [0, 2**63-1], an offset is inside (0, token_count) iff it was
@@ -842,9 +851,10 @@ def load_log(path: str | Path) -> TrajectoryDataset:
     """A trajectory log as a sample dataset, decoded straight into columns.
 
     It equals :func:`log_to_dataset` of the log's lines read as
-    ``TrajectoryLogRecord`` objects.  A bad line is a SchemaError naming it;
-    a record that gives its query a second ``gt_answer`` is one naming that
-    record.  Its length is the log's record count.
+    ``TrajectoryLogRecord`` objects, each field of its JSON type.  Every
+    SchemaError names ``path``: a bad line as ``{path}: line N: ...``, a
+    record that gives its query a second ``gt_answer`` as
+    ``{path}: record N: ...``.  Its length is the log's record count.
     """
     return _read_columns(path, "log", _LOG_FIELDS, _LOG_REQUIRED, _log_chunk, _log_dataset)
 
@@ -881,8 +891,6 @@ def rebalance_offline(
     check_output_path(output_path)
     if Path(output_path).resolve() == Path(input_path).resolve():
         raise ConfigError(f"output path {output_path} is the input log")
-    if not Path(input_path).is_file():
-        raise SchemaError(f"no input log at {input_path}")
     sample = load_log(input_path)
     filtered = filter_dataset(sample, aliases)
     if strategy.min_cot_tokens > 0:

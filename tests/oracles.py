@@ -47,6 +47,7 @@ from headtail.harness import (
     _SNAPSHOT_REQUIRED,
     SchemaError,
     TrajectoryLogRecord,
+    log_to_dataset,
 )
 from headtail.strategies import check_int64
 
@@ -463,6 +464,21 @@ def normalize_unguarded(raw, aliases):
 # -- per-line JSONL codec ----------------------------------------------------
 # One object per line: the reference the columnar readers (harness.load_log,
 # harness.read_snapshot) must match, result for result and message for message.
+# No value is converted: each field is taken with its exact JSON type checked
+# (a bool is no integer) and, an integer, checked to fit in 64 bits.
+
+
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false", list: "an array"}
+
+
+def _take(value: Any, kind: type, field: str) -> Any:
+    """``value`` if it is exactly of type ``kind``, else a TypeError naming
+    ``field``; an integer must fit in 64 bits, or it is a ValueError."""
+    if type(value) is not kind:
+        raise TypeError(f"{field} must be {_TYPE_NAMES[kind]}")
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{field} must fit in 64 bits")
+    return value
 
 
 def _decode_line(
@@ -492,24 +508,36 @@ def _decode_line(
         raise SchemaError(f"line {lineno}: missing fields {sorted(missing)}")
     try:
         return build(data)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of Infinity
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"line {lineno}: {exc}") from exc
 
 
 def _read_jsonl(path: str | Path, parse: Callable[[str, int], Any]) -> list[Any]:
-    """Parse every non-blank line of a JSONL file, numbering lines from 1."""
+    """Parse every non-blank line of a JSONL file, numbering lines from 1;
+    a SchemaError is prefixed with ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [parse(line, lineno) for lineno, line in enumerate(fh, start=1) if line.strip()]
+        try:
+            return [parse(line, lineno) for lineno, line in enumerate(fh, start=1) if line.strip()]
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _log_record(data: dict[str, Any]) -> TrajectoryLogRecord:
+    query_id = _take(data["query_id"], int, "query_id")
+    gt_answer = _take(data["gt_answer"], str, "gt_answer")
+    extracted_answer = _take(data["extracted_answer"], str, "extracted_answer")
+    token_count = _take(data["token_count"], int, "token_count")
+    offsets = _take(data.get("step_offsets", []), list, "step_offsets")
+    for b in offsets:  # no 64-bit check: an offset past it lies outside (0, token_count), so is ignored
+        if type(b) is not int:
+            raise TypeError("step_offsets element must be an integer")
     return TrajectoryLogRecord(
-        query_id=int(data["query_id"]),
-        gt_answer=str(data["gt_answer"]),
-        extracted_answer=str(data["extracted_answer"]),
-        token_count=int(data["token_count"]),
-        step_offsets=tuple(int(x) for x in data.get("step_offsets", ())),
-        iteration=int(data.get("iteration", 1)),
+        query_id=query_id,
+        gt_answer=gt_answer,
+        extracted_answer=extracted_answer,
+        token_count=token_count,
+        step_offsets=tuple(offsets),
+        iteration=_take(data.get("iteration", 1), int, "iteration"),
     )
 
 
@@ -517,21 +545,33 @@ def parse_log_line(line: str, lineno: int) -> TrajectoryLogRecord:
     return _decode_line(line, lineno, _LOG_FIELDS, _LOG_REQUIRED, _log_record)
 
 
+def log_reference(path: str | Path) -> TrajectoryDataset:
+    """``log_to_dataset`` of the log's records; its SchemaError names ``path``."""
+    records = _read_jsonl(path, parse_log_line)
+    try:
+        return log_to_dataset(records)
+    except SchemaError as exc:  # a second gt_answer for a query
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def _entry_from_snapshot(data: dict[str, Any]) -> Entry:
-    if not isinstance(data["correct"], bool):
-        raise TypeError("correct must be true or false")
+    correct = _take(data["correct"], bool, "correct")
+    qid = _take(data["query_id"], int, "query_id")
     level = data.get("level")
-    qid = int(data["query_id"])
-    record = QueryRecord(id=qid, gt_answer="", level=None if level is None else int(level))
+    record = QueryRecord(id=qid, gt_answer="", level=None if level is None else _take(level, int, "level"))
+    sample_index = _take(data["sample_index"], int, "sample_index")
+    iteration = _take(data["iteration"], int, "iteration")
+    length_tokens = _take(data["length_tokens"], int, "length_tokens")
+    prefix_steps = _take(data.get("prefix_steps", 0), int, "prefix_steps")
     traj = Trajectory(
         query_id=qid,
-        sample_index=int(data["sample_index"]),
-        iteration=int(data["iteration"]),
-        length_tokens=int(data["length_tokens"]),
+        sample_index=sample_index,
+        iteration=iteration,
+        length_tokens=length_tokens,
         extracted_answer="",
-        correct=data["correct"],
-        origin=data.get("origin", ORIGIN_EXPLORED),
-        prefix_steps=int(data.get("prefix_steps", 0)),
+        correct=correct,
+        origin=_take(data.get("origin", ORIGIN_EXPLORED), str, "origin"),
+        prefix_steps=prefix_steps,
     )
     return record, traj
 
@@ -550,5 +590,5 @@ def _snapshot_reference(path: str | Path, role: str) -> TrajectoryDataset:
     entries = load_snapshot(path)
     try:
         return TrajectoryDataset.from_entries(entries, role)
-    except ValueError as exc:  # levels that differ within a query, 64-bit overflow, role invariants
+    except ValueError as exc:  # levels that differ within a query, role invariants
         raise SchemaError(f"{path}: {exc}") from exc

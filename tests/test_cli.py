@@ -372,7 +372,8 @@ class TestRebalanceVerb:
         code = main(["rebalance", "--input", str(tmp_path / "absent.jsonl"), "--output", str(out),
                      "--strategy", "vanilla", "--k", "4"])
         assert code == 3
-        assert f"schema error: no input log at {tmp_path / 'absent.jsonl'}" in capsys.readouterr().err
+        absent = tmp_path / "absent.jsonl"
+        assert capsys.readouterr().err == f"schema error: {absent}: cannot read log (No such file or directory)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("fault, reason", [("open", "Permission denied"), ("read", "Input/output error")])
@@ -518,7 +519,7 @@ class TestRebalanceVerb:
         out = tmp_path / "o.jsonl"
         code = main(["rebalance", "--input", str(src), "--output", str(out), "--strategy", "vanilla", "--k", "2"])
         assert code == 3
-        assert capsys.readouterr().err == "schema error: line 4: not valid UTF-8\n"
+        assert capsys.readouterr().err == f"schema error: {src}: line 4: not valid UTF-8\n"
         assert not out.exists()
 
 
@@ -629,6 +630,9 @@ class TestReportVerb:
 
     def test_missing_snapshot(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 3
+        snapshot = tmp_path / "datasets" / "train_final.jsonl"
+        assert capsys.readouterr() == (
+            "", f"schema error: {snapshot}: cannot read snapshot (No such file or directory)\n")
 
     @pytest.mark.parametrize("name", ["train_final", "filter_final"])
     def test_snapshot_that_is_a_directory_exit_schema(self, tmp_path, capsys, name):
@@ -703,7 +707,7 @@ class TestReportVerb:
         snapshot.parent.mkdir()
         snapshot.write_text(json.dumps(line) + "\n")
         assert main(["report", "--run-dir", str(tmp_path)]) == 3
-        assert "64-bit" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"schema error: {snapshot}: line 1: length_tokens must fit in 64 bits\n"
 
 
 class TestSweepVerb:

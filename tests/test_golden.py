@@ -15,7 +15,8 @@ generated log of ``LARGE_LOG_QUERIES`` x 8 lines.
 A failure names each file that differs, as
 ``self_improve/tc/default/seed0: config.json``.  A change that alters any
 output byte on purpose re-pins with ``python tests/test_golden.py --write``,
-which prints the entries it changed, and says so in CHANGES.md.
+which prints the files it changed and counts the changed entries (run or
+rebalance keys) and files, and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -160,6 +161,42 @@ def _mismatches(expected: dict, actual: dict) -> list[str]:
     return out
 
 
+def _entries(golden: dict) -> dict[str, dict[str, str]]:
+    """Every entry of a golden dict, keyed as ``--write`` prints it: a run
+    key as it is, the others prefixed with their tier and section."""
+    large = golden.get("large", {})
+    return {
+        **golden.get("runs", {}),
+        **{f"rebalance/{k}": v for k, v in golden.get("rebalance", {}).items()},
+        **{f"large/{k}": v for k, v in large.get("runs", {}).items()},
+        **{f"large/rebalance/{k}": v for k, v in large.get("rebalance", {}).items()},
+    }
+
+
+def change_counts(old: dict, new: dict) -> tuple[int, int, int, int]:
+    """From golden dict ``old`` to ``new``: the entries that are new, gone or
+    hold a changed file, all entries of ``new``, the files that are new,
+    gone or rehashed, and all files of ``new``."""
+    before, after = _entries(old), _entries(new)
+    changed = {}
+    for key in set(before) | set(after):
+        want, got = before.get(key, {}), after.get(key, {})
+        changed[key] = sum(want.get(name) != got.get(name) for name in set(want) | set(got))
+    return sum(map(bool, changed.values())), len(after), sum(changed.values()), sum(map(len, after.values()))
+
+
+def test_change_counts_tell_entries_from_files():
+    old = {"runs": {"a": {"x": "1", "y": "2"}, "b": {"x": "3"}}, "rebalance": {"tc": {"output": "4"}},
+           "large": {"runs": {"a": {"x": "5"}}, "rebalance": {}}}
+    one_file = json.loads(json.dumps(old))
+    one_file["runs"]["a"]["y"] = "9"
+    assert change_counts(old, one_file) == (1, 4, 1, 5)
+    new_entry = json.loads(json.dumps(old))
+    new_entry["large"]["rebalance"]["rp"] = {"output": "6", "summary": "7"}
+    assert change_counts(old, new_entry) == (1, 5, 2, 7)
+    assert change_counts(old, old) == (0, 4, 0, 5)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_run_report_hashes(mode, tmp_path, monkeypatch):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
@@ -216,19 +253,7 @@ if __name__ == "__main__":
             "large": {"runs": large, "rebalance": collect_rebalance(root / "large" / "offline", LARGE_LOG_QUERIES)},
         }
     old = _golden() if GOLDEN_PATH.exists() else {}
-    old_large = old.get("large", {})
-    changed = [
-        f"{prefix}{line}"
-        for prefix, want, got in (
-            ("", old.get("runs", {}), golden["runs"]),
-            ("rebalance/", old.get("rebalance", {}), golden["rebalance"]),
-            ("large/", old_large.get("runs", {}), golden["large"]["runs"]),
-            ("large/rebalance/", old_large.get("rebalance", {}), golden["large"]["rebalance"]),
-        )
-        for line in _mismatches(want, got)
-    ]
     GOLDEN_PATH.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    print("\n".join(changed))
-    entries = sum(len(files) for tier in (golden, golden["large"]) for part in ("runs", "rebalance")
-                  for files in tier[part].values())
-    print(f"wrote {GOLDEN_PATH}: {len(changed)} of {entries} entries changed")
+    print("\n".join(_mismatches(_entries(old), _entries(golden))))
+    entries_changed, entries, files_changed, files = change_counts(old, golden)
+    print(f"wrote {GOLDEN_PATH}: {entries_changed} of {entries} entries and {files_changed} of {files} files changed")

@@ -6,9 +6,12 @@ one call to the C scanner behind ``json.loads`` (``_decode_lines``) and
 falls back to ``json.loads`` for a pass with a line the scanner cannot take
 whole; when a pass fails they decode its lines one at a time to name the
 bad one.  The reference in ``oracles.py`` decodes every line into objects
-(``parse_log_line`` + ``log_to_dataset``, ``load_snapshot`` +
-``from_entries``).  On every file both must give the same columns,
-answers and records, or raise the same SchemaError.  The files mix in
+(``log_reference``, ``load_snapshot`` + ``from_entries``).  On every file
+both must give the same columns, answers and records, or raise the same
+SchemaError, which names the file.  No value is converted: a field of the
+wrong JSON type (a string of digits, a float or a bool for an integer, a
+number or null for a string) is a bad line, so the generators draw such
+spellings as faults only.  The files mix in
 padded records, BOMs, extra data and a last line without its newline, so
 the fallback runs too.  The chunk size is patched down to 1-3 lines so
 that chunk boundaries, and bad lines past the first chunk, are exercised.
@@ -38,7 +41,7 @@ from headtail.harness import SchemaError, load_log, read_snapshot
 
 import oracles
 
-# values int() may or may not take, in every JSON type
+# values of every JSON type but an integer, and integers at the 64-bit edges
 HOSTILE_INTS = st.one_of(
     st.sampled_from(["5", " 7 ", "x", "2.5", "", "-1"]),
     st.sampled_from([2.5, 0.0, -1.5, 1e30, float("nan"), float("inf")]),
@@ -56,19 +59,18 @@ PAD = st.sampled_from(["", "", " ", "\t", " \t "])  # json whitespace that may s
 
 
 @st.composite
-def spelled(draw, n):
-    """``n`` as a JSON value that int() reads back as ``n``."""
-    forms = [n, n, str(n), f" {n} ", n + 0.25 if n >= 0 else n - 0.25]
+def misspelled(draw, lo, hi):
+    """An integer in ``[lo, hi]`` spelled as a JSON value that int() would
+    read back as it: a string of digits, padded or not, a float or a bool.
+    Each is a bad value."""
+    n = draw(st.integers(lo, hi))
+    forms = [str(n), f" {n} ", n + 0.25 if n >= 0 else n - 0.25]
     if n in (0, 1):
         forms.append(bool(n))
     return draw(st.sampled_from(forms))
 
 
-def ints(lo, hi):
-    return st.integers(lo, hi).flatmap(spelled)
-
-
-GT = {1: "a1", 2: 2, 3: None}  # str() of each is the query's ground truth
+GT = {1: "a1", 2: "2", 3: "None"}
 LEVEL = {1: None, 2: 3, 3: 5}
 
 
@@ -77,24 +79,22 @@ def offsets(draw):
     """Valid step offsets: ascending inside (0, token_count), anything outside."""
     inner = sorted(draw(st.sets(st.integers(1, 14), max_size=4)))
     outer = draw(st.lists(st.sampled_from([0, -4, 15, 2**63, 2**64, -(2**64)]), max_size=2))
-    if not outer and draw(st.booleans()):
-        return draw(st.sampled_from(["", "123", "59", {}, {"2": 0, "6": 1}]))
-    return [draw(spelled(b)) if b < 2**63 else b for b in inner] + outer
+    return inner + outer
 
 
 @st.composite
 def log_records(draw):
     q = draw(st.integers(1, 3))
     record = {
-        "query_id": draw(spelled(q)),
+        "query_id": q,
         "gt_answer": GT[q],
-        "extracted_answer": draw(st.sampled_from(["a1", "2", "x", 7, None])),
-        "token_count": draw(st.one_of(ints(0, 20), st.just(2**63 - 1))),
+        "extracted_answer": draw(st.sampled_from(["a1", "2", "x", "None"])),
+        "token_count": draw(st.one_of(st.integers(0, 20), st.just(2**63 - 1))),
     }
     if draw(st.booleans()):
         record["step_offsets"] = draw(offsets())
     if draw(st.booleans()):
-        record["iteration"] = draw(ints(1, 3))
+        record["iteration"] = draw(st.integers(1, 3))
     return record
 
 
@@ -111,14 +111,17 @@ def missing(required):
 
 
 LOG_FAULTS = (
-    # inner offsets out of order, spelled as int() would read them
+    # inner offsets out of order, or spelled as int() would read them
     faults(token_count=st.just(10), step_offsets=st.sampled_from([[5, 3], [2, 2], [4, "4"], [9, 1.5], [1, True]])),
-    faults(step_offsets=st.sampled_from([["3a"], [None], [[1]], None, 5, 2.5, "3a", {"x": 1}])),
-    faults(gt_answer=st.sampled_from(["b", [1], 3])),  # conflicts with the query's other records
-    faults(token_count=st.one_of(st.sampled_from([-1, 2**63, -(2**64)]), HOSTILE_INTS)),
-    faults(iteration=st.one_of(st.sampled_from([0, -3, 2**63]), HOSTILE_INTS)),
-    faults(query_id=st.one_of(st.sampled_from([2**63, -(2**63) - 1]), HOSTILE_INTS)),
-    faults(extracted_answer=st.sampled_from([[1], {"a": 1}, 2.5])),
+    faults(step_offsets=st.one_of(
+        st.sampled_from([["3a"], [None], [[1]], None, 5, 2.5, "3a", {"x": 1}, "", "123", "59", {}, {"2": 0, "6": 1}]),
+        misspelled(1, 14).map(lambda b: [b]),
+    )),
+    faults(gt_answer=st.sampled_from(["b", [1], 3, 2, None])),  # "b" conflicts with the query's other records
+    faults(token_count=st.one_of(st.sampled_from([-1, 2**63, -(2**64)]), HOSTILE_INTS, misspelled(0, 20))),
+    faults(iteration=st.one_of(st.sampled_from([0, -3, 2**63]), HOSTILE_INTS, misspelled(1, 3))),
+    faults(query_id=st.one_of(st.sampled_from([2**63, -(2**63) - 1]), HOSTILE_INTS, misspelled(1, 3))),
+    faults(extracted_answer=st.sampled_from([[1], {"a": 1}, 2.5, 7, None])),
     missing(harness._LOG_REQUIRED),
     st.just({"mystery": 1}),
 )
@@ -129,34 +132,34 @@ def snapshot_records(draw):
     q = draw(st.integers(1, 3))
     origin = draw(st.sampled_from(ORIGINS))
     record = {
-        "query_id": draw(spelled(q)),
-        "sample_index": draw(ints(1, 3)),
-        "iteration": draw(ints(1, 3)),
-        "length_tokens": draw(ints(0, 50)),
+        "query_id": q,
+        "sample_index": draw(st.integers(1, 3)),
+        "iteration": draw(st.integers(1, 3)),
+        "length_tokens": draw(st.integers(0, 50)),
         "correct": draw(st.sampled_from([True, True, False])),
     }
     if origin != ORIGINS[0] or draw(st.booleans()):
         record["origin"] = origin
     if origin == ORIGIN_RESAMPLED_GR or draw(st.booleans()):
-        record["prefix_steps"] = draw(ints(0, 2)) if origin == ORIGIN_RESAMPLED_GR else 0
+        record["prefix_steps"] = draw(st.integers(0, 2)) if origin == ORIGIN_RESAMPLED_GR else 0
     if LEVEL[q] is not None:
-        record["level"] = draw(spelled(LEVEL[q]))
+        record["level"] = LEVEL[q]
     elif draw(st.booleans()):
         record["level"] = None
     return record
 
 
 SNAPSHOT_FAULTS = (
-    faults(level=st.sampled_from([1, 4, "4"])),  # a second level for a query
-    faults(level=st.one_of(st.sampled_from([0, 9, -1, False, "0", 0.5]), HOSTILE_INTS)),
+    faults(level=st.sampled_from([1, 4, "4"])),  # a second level for a query, or a string
+    faults(level=st.one_of(st.sampled_from([0, 9, -1, False, "0", 0.5]), HOSTILE_INTS, misspelled(1, 5))),
     faults(origin=st.sampled_from(["bogus", 3, None, ["explored"]])),
     faults(origin=st.just("explored"), prefix_steps=st.sampled_from([1, "2", True])),
-    faults(prefix_steps=st.one_of(st.just(-1), HOSTILE_INTS)),
+    faults(prefix_steps=st.one_of(st.just(-1), HOSTILE_INTS, misspelled(0, 2))),
     faults(correct=st.sampled_from(["yes", 1, None, 0])),
-    faults(length_tokens=st.one_of(st.sampled_from([-1, 2**63]), HOSTILE_INTS)),
-    faults(sample_index=st.one_of(st.sampled_from([0, 2**64]), HOSTILE_INTS)),
-    faults(iteration=st.one_of(st.just(0), HOSTILE_INTS)),
-    faults(query_id=st.one_of(st.just(2**63), HOSTILE_INTS)),
+    faults(length_tokens=st.one_of(st.sampled_from([-1, 2**63]), HOSTILE_INTS, misspelled(0, 50))),
+    faults(sample_index=st.one_of(st.sampled_from([0, 2**64]), HOSTILE_INTS, misspelled(1, 3))),
+    faults(iteration=st.one_of(st.just(0), HOSTILE_INTS, misspelled(1, 3))),
+    faults(query_id=st.one_of(st.just(2**63), HOSTILE_INTS, misspelled(1, 3))),
     missing(harness._SNAPSHOT_REQUIRED),
     st.just({"mystery": 1}),
 )
@@ -195,11 +198,12 @@ def jsonl_files(draw, records, fault_list):
 
 
 def outcome(read, path):
-    """What a reader makes of ``path``: its SchemaError message, or the dataset's contents."""
+    """What a reader makes of ``path``: its SchemaError message, with
+    ``path`` written as ``{path}``, or the dataset's contents."""
     try:
         ds = read(path)
     except SchemaError as exc:
-        return str(exc)
+        return str(exc).replace(str(path), "{path}")
     columns = {name: col.tolist() for name, col in ds.columns.items()}
     corpus = {f.name: getattr(ds.corpus, f.name).tolist() for f in dataclasses.fields(ds.corpus)}
     return ds.role, columns, ds.answers.tolist(), corpus
@@ -213,14 +217,10 @@ def both_outcomes(text, chunk, columnar, reference):
             return outcome(columnar, path), outcome(reference, path)
 
 
-def log_reference(path):
-    return harness.log_to_dataset(oracles._read_jsonl(path, oracles.parse_log_line))
-
-
 @given(jsonl_files(log_records(), LOG_FAULTS), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_log_reader_matches_per_line_reference(text, chunk):
-    got, expected = both_outcomes(text, chunk, load_log, log_reference)
+    got, expected = both_outcomes(text, chunk, load_log, oracles.log_reference)
     assert got == expected
 
 
@@ -262,10 +262,10 @@ def test_valid_log_is_decoded_by_the_scanner_alone(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (_log_line(2, offsets=(5, 3)), "line 5: step_offsets must be strictly ascending"),
-        (_log_line(2, gt="b"), "record 4: conflicting gt_answer for query 2"),
-        (_log_line(2, tokens=2**63), "line 5: query_id, token_count and iteration must fit in 64 bits"),
-        (_log_line(2, tokens=float("inf")), "line 5: cannot convert float infinity to integer"),
+        (_log_line(2, offsets=(5, 3)), "{path}: line 5: step_offsets must be strictly ascending"),
+        (_log_line(2, gt="b"), "{path}: record 4: conflicting gt_answer for query 2"),
+        (_log_line(2, tokens=2**63), "{path}: line 5: token_count must fit in 64 bits"),
+        (_log_line(2, tokens=float("inf")), "{path}: line 5: token_count must be an integer"),
     ],
 )
 def test_log_error_past_the_first_chunk(tmp_path, monkeypatch, bad, message):
@@ -275,7 +275,7 @@ def test_log_error_past_the_first_chunk(tmp_path, monkeypatch, bad, message):
     monkeypatch.setattr(harness, "_READ_CHUNK", 2)
     with pytest.raises(SchemaError) as info:
         load_log(path)
-    assert str(info.value) == message
+    assert str(info.value) == message.format(path=path)
 
 
 def _snapshot_line(qid, **fields):
@@ -286,13 +286,13 @@ def _snapshot_line(qid, **fields):
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (_snapshot_line(2, correct=1), "line 5: correct must be true or false"),
-        (_snapshot_line(2, level=0), "line 5: level must be in (1, 2, 3, 4, 5) when set, got 0"),
-        (_snapshot_line(2, origin="bogus"), "line 5: unknown origin 'bogus'"),
-        (_snapshot_line(2, prefix_steps=1), "line 5: prefix_steps is only meaningful for guided resamples"),
+        (_snapshot_line(2, correct=1), "{path}: line 5: correct must be true or false"),
+        (_snapshot_line(2, level=0), "{path}: line 5: level must be in (1, 2, 3, 4, 5) when set, got 0"),
+        (_snapshot_line(2, origin="bogus"), "{path}: line 5: unknown origin 'bogus'"),
+        (_snapshot_line(2, prefix_steps=1), "{path}: line 5: prefix_steps is only meaningful for guided resamples"),
         (_snapshot_line(2, level=4), "{path}: conflicting records for query 2"),
-        (_snapshot_line(2, length_tokens=2**63), "{path}: dataset fields must fit in 64-bit integers"),
-        (_snapshot_line(2**63, level=2), "{path}: dataset fields must fit in 64-bit integers"),
+        (_snapshot_line(2, length_tokens=2**63), "{path}: line 5: length_tokens must fit in 64 bits"),
+        (_snapshot_line(2**63, level=2), "{path}: line 5: query_id must fit in 64 bits"),
         (_snapshot_line(2, correct=False), "{path}: filter datasets may only contain correct trajectories"),
     ],
 )
@@ -320,9 +320,9 @@ def test_snapshot_error_past_the_first_chunk(tmp_path, monkeypatch, bad, message
 )
 def test_log_line_with_two_faults_matches_reference(fault):
     bad = json.dumps({**json.loads(_log_line(2)), **fault})
-    got, expected = both_outcomes(_log_line(1) + "\n" + bad + "\n", 2, load_log, log_reference)
+    got, expected = both_outcomes(_log_line(1) + "\n" + bad + "\n", 2, load_log, oracles.log_reference)
     assert got == expected
-    assert got.startswith("line 2: ")
+    assert got.startswith("{path}: line 2: ")
 
 
 @pytest.mark.parametrize(
@@ -347,7 +347,7 @@ def test_snapshot_line_with_two_faults_matches_reference(fault):
         lambda p: read_snapshot(p, ROLE_FILTER), lambda p: oracles._snapshot_reference(p, ROLE_FILTER),
     )
     assert got == expected
-    assert got.startswith("line 2: ")
+    assert got.startswith("{path}: line 2: ")
 
 
 # the keys are checked once per distinct key order, so a line whose keys differ
@@ -355,15 +355,15 @@ def test_snapshot_line_with_two_faults_matches_reference(fault):
 @pytest.mark.parametrize(
     "keys, message",
     [
-        ({"mystery": 1}, "line 3: unknown fields ['mystery']"),
-        ({"token_count": DROP}, "line 3: missing fields ['token_count']"),
-        ({"iteration": 1, "gt_answer": DROP, "mystery": 1}, "line 3: unknown fields ['mystery']"),
+        ({"mystery": 1}, "{path}: line 3: unknown fields ['mystery']"),
+        ({"token_count": DROP}, "{path}: line 3: missing fields ['token_count']"),
+        ({"iteration": 1, "gt_answer": DROP, "mystery": 1}, "{path}: line 3: unknown fields ['mystery']"),
     ],
 )
 def test_line_with_other_keys_than_its_chunk_is_checked(keys, message):
     record = {name: v for name, v in {**json.loads(_log_line(2)), **keys}.items() if v is not DROP}
     text = _log_line(1) + "\n" + _log_line(3) + "\n" + json.dumps(record) + "\n"
-    got, expected = both_outcomes(text, 3, load_log, log_reference)
+    got, expected = both_outcomes(text, 3, load_log, oracles.log_reference)
     assert got == expected == message
 
 
@@ -385,7 +385,7 @@ def mixed_key_chunks(draw):
 @given(mixed_key_chunks())
 @settings(max_examples=100, deadline=None)
 def test_chunk_of_mixed_key_orders_matches_per_line_reference(text):
-    got, expected = both_outcomes(text, 8, load_log, log_reference)  # every line in one chunk
+    got, expected = both_outcomes(text, 8, load_log, oracles.log_reference)  # every line in one chunk
     assert got == expected
 
 
@@ -395,10 +395,11 @@ _NOT_UTF8 = b'{"query_id": 2, "gt_answer": "a\xff", "extracted_answer": "a", "to
 @pytest.mark.parametrize(
     "lines, message",
     [
-        ([_log_line(1), "", _log_line(2), _log_line(3), _NOT_UTF8, _log_line(4)], "line 5: not valid UTF-8"),
+        ([_log_line(1), "", _log_line(2), _log_line(3), _NOT_UTF8, _log_line(4)], "{path}: line 5: not valid UTF-8"),
         # within a chunk, the first bad line wins, whatever its fault
-        ([_log_line(1), _NOT_UTF8, _log_line(2, offsets=(5, 3))], "line 2: not valid UTF-8"),
-        ([_log_line(1), _log_line(2, offsets=(5, 3)), _NOT_UTF8], "line 2: step_offsets must be strictly ascending"),
+        ([_log_line(1), _NOT_UTF8, _log_line(2, offsets=(5, 3))], "{path}: line 2: not valid UTF-8"),
+        ([_log_line(1), _log_line(2, offsets=(5, 3)), _NOT_UTF8],
+         "{path}: line 2: step_offsets must be strictly ascending"),
     ],
 )
 def test_line_that_is_not_utf8_is_named(tmp_path, monkeypatch, lines, message):
@@ -407,7 +408,7 @@ def test_line_that_is_not_utf8_is_named(tmp_path, monkeypatch, lines, message):
     monkeypatch.setattr(harness, "_READ_CHUNK", 3)
     with pytest.raises(SchemaError) as info:
         load_log(path)
-    assert str(info.value) == message
+    assert str(info.value) == message.format(path=path)
 
 
 def test_chunk_error_no_single_line_reproduces_is_reraised(tmp_path, monkeypatch):
@@ -444,13 +445,13 @@ def _rebalance_outcome(tmp_path, capsys, bad):
 def test_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
     code, err = _rebalance_outcome(tmp_path, capsys, _LONG_INT_LINE)
     assert code == 3
-    assert err.startswith("schema error: line 2: cannot decode JSON (Exceeds the limit (4300 digits)")
+    assert err.startswith(f"schema error: {tmp_path / 'log.jsonl'}: line 2: cannot decode JSON (Exceeds the limit (4300 digits)")
 
 
 def test_line_nested_too_deeply_is_a_schema_error(tmp_path, capsys):
     code, err = _rebalance_outcome(tmp_path, capsys, _DEEP_LINE)
     assert code == 3
-    assert err == "schema error: line 2: cannot decode JSON (nested too deeply)\n"
+    assert err == f"schema error: {tmp_path / 'log.jsonl'}: line 2: cannot decode JSON (nested too deeply)\n"
     run_dir = tmp_path / "run"
     snapshot = run_dir / "datasets" / "train_final.jsonl"
     snapshot.parent.mkdir(parents=True)
@@ -459,6 +460,85 @@ def test_line_nested_too_deeply_is_a_schema_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"schema error: {snapshot}: line 2: cannot decode JSON (nested too deeply)\n"
     assert captured.out == ""
+
+
+# -- one type rule: a field holds exactly its JSON type ------------------------
+
+# every typed field of each reader, a value of another JSON type, and the message it gives
+_TYPED_FIELDS = [
+    *((load_log, f, v, f"{f} must be an integer") for f in ("query_id", "token_count", "iteration")
+      for v in ("5", 5.0, True, None, [5])),
+    *((load_log, "step_offsets", [2, v], "step_offsets element must be an integer")
+      for v in ("5", 5.0, True, None, [5])),
+    *((load_log, "step_offsets", v, "step_offsets must be an array") for v in ("25", 25, {"2": 5}, None)),
+    *((load_log, f, v, f"{f} must be a string") for f in ("gt_answer", "extracted_answer")
+      for v in (5, None, True, ["x"])),
+    *((read_snapshot, f, v, f"{f} must be an integer")
+      for f in ("query_id", "sample_index", "iteration", "length_tokens", "prefix_steps", "level")
+      for v in ("5", 5.0, True, None, [5]) if not (f == "level" and v is None)),  # a null level is unset
+    *((read_snapshot, "origin", v, "origin must be a string") for v in (5, None, True, ["x"])),
+]
+
+
+@pytest.mark.parametrize("read, field, value, message", _TYPED_FIELDS)
+def test_field_of_another_json_type_is_a_bad_line(tmp_path, read, field, value, message):
+    make = _log_line if read is load_log else _snapshot_line
+    path = tmp_path / "in.jsonl"
+    path.write_text(make(1) + "\n" + json.dumps({**json.loads(make(2)), field: value}) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_log(path) if read is load_log else read_snapshot(path, ROLE_SAMPLE)
+    assert str(info.value) == f"{path}: line 2: {message}"
+
+
+# lines that a coercing reader took as valid: null answers graded as strings,
+# a float truncated, a bool read as 0, digits in a string, a string of offsets
+_PROBES = {
+    "null answers": {"gt_answer": None, "extracted_answer": None},
+    "float token_count": {"token_count": 30.9},
+    "bool query_id": {"query_id": False},
+    "digit string token_count": {"token_count": "1_5"},
+    "string step_offsets": {"step_offsets": "123"},
+}
+_PROBE_ERRORS = {
+    "null answers": "gt_answer must be a string",
+    "float token_count": "token_count must be an integer",
+    "bool query_id": "query_id must be an integer",
+    "digit string token_count": "token_count must be an integer",
+    "string step_offsets": "step_offsets must be an array",
+}
+
+
+@pytest.mark.parametrize("probe", list(_PROBES))
+def test_coercible_log_line_fails_rebalance_and_writes_nothing(tmp_path, capsys, probe):
+    bad = json.dumps({**json.loads(_log_line(2)), **_PROBES[probe]})
+    code, err = _rebalance_outcome(tmp_path, capsys, bad)  # asserts no --output, no --summary
+    assert code == 3
+    assert err == f"schema error: {tmp_path / 'log.jsonl'}: line 2: {_PROBE_ERRORS[probe]}\n"
+
+
+def test_coercible_snapshot_line_fails_report(tmp_path, capsys):
+    snapshot = tmp_path / "datasets" / "train_final.jsonl"
+    snapshot.parent.mkdir()
+    bad = _snapshot_line(2, iteration=1.7, length_tokens="12", level=True)
+    snapshot.write_text(_snapshot_line(1) + "\n" + bad + "\n", encoding="utf-8")
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr() == ("", f"schema error: {snapshot}: line 2: level must be an integer\n")
+
+
+@given(st.sampled_from(["log", "snapshot"]), st.lists(JUNK, min_size=1, max_size=2), st.integers(0, 3),
+       st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_every_schema_error_names_its_file(kind, junk, at, chunk):
+    make = _log_line if kind == "log" else _snapshot_line
+    lines = [make(q) for q in (1, 2, 3)]
+    for line in junk:
+        lines.insert(min(at, len(lines)), line)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "_READ_CHUNK", chunk):
+        path = Path(tmp) / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_log(path) if kind == "log" else read_snapshot(path, ROLE_FILTER)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 # -- the chunk decoder against json.loads ------------------------------------

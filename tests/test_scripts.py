@@ -78,7 +78,7 @@ def test_demo_runs_share_each_seeds_calibrated_start(script, args, calibrations,
 
 def test_time_large_run_names_each_kind(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    # K=8 because gr's default L is 4, and the script has no --l for simulated runs
+    # K=8 because gr's default L is 4
     monkeypatch.setattr(sys, "argv", ["time_large_run.py", "--n", "200", "--k", "8", "--t", "2",
                                       "--strategies", ",".join(KINDS)])
     runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")
@@ -87,6 +87,26 @@ def test_time_large_run_names_each_kind(tmp_path, monkeypatch, capsys):
                            "state_s", "read_s", "peak_rss_mib"]
     assert float(table["read_s"]) > 0  # every run's snapshots were read back, and matched their datasets
     assert list(tmp_path.iterdir()) == []  # written to a temporary directory only
+
+
+def test_time_large_run_reads_l_for_simulated_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["time_large_run.py", "--n", "20", "--k", "2", "--t", "2", "--l", "2",
+                                      "--strategies", "gr,tc"])
+    runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")  # exit 0: no SystemExit
+    assert capsys.readouterr().out.splitlines()[0] == "gr,tc runs, in-process: N=20 K=2 T=2 seed=0"
+
+
+def test_time_large_run_config_error_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["time_large_run.py", "--n", "20", "--k", "2", "--t", "2", "--strategies", "gr"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "time_large_run.py: error: L must not exceed K (4 > 2)"
+    assert "Traceback" not in captured.err
 
 
 def test_time_large_run_hashes_what_rebalance_writes(tmp_path, monkeypatch, capsys):
