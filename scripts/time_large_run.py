@@ -27,7 +27,9 @@ prints the seconds spent in ``harness.load_log`` (``load_s``) and in
 ``rewards._graded`` (``grade_s``), the call's wall seconds (``wall_s``),
 the process's peak resident set size and the output's sha256.  A
 config the run or the rebalance rejects ends the script with exit 2 and a
-one-line usage error.
+one-line usage error; a log that cannot be read or holds a bad line ends
+it with exit 3 and one ``schema error:`` line, as ``headtail rebalance``
+does.
 
     PYTHONPATH=src python3 scripts/time_large_run.py --n 200000 --k 8 --t 5
     PYTHONPATH=src python3 scripts/time_large_run.py --n 2000 --strategies vanilla,tc,hc,rp,ri,ar,gr,sc
@@ -46,7 +48,8 @@ import numpy as np
 
 from headtail import harness, rewards
 from headtail.harness import (
-    ConfigError, RunConfig, _snapshot_chunks, read_snapshot, rebalance_offline, run, write_atomic,
+    EXIT_SCHEMA, ConfigError, RunConfig, SchemaError, _snapshot_chunks, read_snapshot, rebalance_offline, run,
+    write_atomic,
 )
 from headtail.strategies import StrategyConfig
 
@@ -138,6 +141,8 @@ def main() -> None:
         time_runs(args)
     except ConfigError as exc:
         parser.error(str(exc))
+    except SchemaError as exc:
+        parser.exit(EXIT_SCHEMA, f"schema error: {exc}\n")
 
 
 def time_runs(args: argparse.Namespace) -> None:

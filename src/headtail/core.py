@@ -166,12 +166,20 @@ def _descends(cols: Mapping[str, np.ndarray]) -> bool:
     return bool(descends.any())
 
 
-def first_rows(ids: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], int | None]:
-    """The distinct ids ascending, each of ``values`` at each id's first row,
-    and the first row where some value differs from its id's first, if any."""
-    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    conflicts = np.flatnonzero(np.any([v != v[first][inverse] for v in values], axis=0))
-    return distinct, tuple(v[first] for v in values), int(conflicts[0]) if len(conflicts) else None
+def first_rows(
+    ids: np.ndarray, *values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], int | None]:
+    """The stable order that sorts ``ids``; each distinct id's row count,
+    ids ascending; ``ids`` and each of ``values`` at each id's first row;
+    and the first row, in input order, where some value differs from its
+    id's first, if any."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))[: len(ids)]
+    counts = np.diff(np.append(starts, len(ids)))
+    firsts = tuple(v[order[starts]] for v in (ids, *values))
+    conflicts = order[np.any([v[order] != np.repeat(f, counts) for v, f in zip(values, firsts[1:])], axis=0)]
+    return order, counts, firsts, int(conflicts.min()) if len(conflicts) else None
 
 
 def array_mean(values: np.ndarray) -> float:

@@ -26,11 +26,13 @@ offline the log's sampling number and ``rebalance_offline``'s ``seed``.
 Logs and dataset snapshots are read by one chunked reader
 (``_read_columns``): it decodes a fixed number of lines per pass straight
 into dataset columns and checks them column by column, building no
-per-line objects.  A snapshot pass whose every line is in headtail's own
+per-line objects.  Each format has one pass decoder.  A log pass is
+scanned (``_scanned``) and its rows made columns (``_log_chunk``).  A
+snapshot pass (``_snapshot_decode``) whose every line is in headtail's own
 line form is decoded by one compiled pattern built from the writer's
 templates (``_snapshot_line``), with one array call per field
-(``_snapshot_lines_chunk``).  Any other pass, and every log pass, is
-scanned: each line is one call to the C scanner behind ``json.loads``
+(``_snapshot_lines_chunk``); any other snapshot pass is scanned.  To scan
+is to decode each line by one call to the C scanner behind ``json.loads``
 (``_decode_lines``), and a pass with a line the scanner cannot take whole
 (leading whitespace, a BOM, extra data, bad JSON) goes through
 ``json.loads`` instead.  No value is converted: a field holds exactly the
@@ -38,14 +40,15 @@ JSON type its schema names (an integer, never a bool, a float or a string
 of digits; a string; an array of integers), and an integer field must fit
 in 64 bits (``_typed``, ``_int64``), or its line is bad.  Each field
 becomes an array in one call, and a log is sorted by query id once
-(``_log_dataset``).  Both snapshot decoders end in one column checker
+(``_log_dataset``, through ``core.first_rows``, which groups a snapshot's
+queries too).  Both snapshot decoders end in one column checker
 (``_checked_snapshot``).  A pass that fails decodes its lines again one at
-a time, in memory, scanned through the same pass decoder
-(``_decode_chunk``), and raises the SchemaError naming the file and its
-first bad line (``{path}: line N: ...``) with the message a line-by-line
-read gives, whichever decoder the pass took; faults only the whole file
-shows (two ground truths or levels for one query) are raised once every
-line has decoded, naming the file.  A file is taken whole or not at all.
+a time, in memory, through the same pass decoder, and raises the
+SchemaError naming the file and its first bad line (``{path}: line N:
+...``) with the message a line-by-line read gives, whichever way the pass
+was decoded; faults only the whole file shows (two ground truths or
+levels for one query) are raised once every line has decoded, naming the
+file.  A file is taken whole or not at all.
 
 Snapshots are written by one writer (``_snapshot_chunks``),
 ``_SNAPSHOT_CHUNK`` (1024) rows per string.  A line is five texts: a head
@@ -321,11 +324,8 @@ def _prepared_corpus_and_learner(config: RunConfig) -> LearnerState:
 def _train_next(
     config: RunConfig, base: LearnerState, current: LearnerState, train_set: TrajectoryDataset
 ) -> LearnerState:
-    if config.restart_each_iteration:
-        source = base.clone()
-        source.draw_counter = current.draw_counter.copy()
-        source.iteration = current.iteration
-        return source.train(train_set, config.k_samples)
+    if config.restart_each_iteration:  # train leaves its receiver untouched, so base is shared
+        current = dataclasses.replace(base, iteration=current.iteration, draw_counter=current.draw_counter)
     return current.train(train_set, config.k_samples)
 
 
@@ -411,23 +411,10 @@ def _decode_lines(lines: list[str]) -> list[Any]:
     return list(map(json.loads, lines))
 
 
-def _decode_chunk(
-    lines: list[str],
-    fields: set[str],
-    required: set[str],
-    pull: Callable[[list[dict[str, Any]]], dict[str, np.ndarray]],
-    fast: Callable[[list[str]], dict[str, np.ndarray] | None] | None = None,
-) -> dict[str, np.ndarray]:
-    """``pull`` of the JSONL ``lines``, each a UTF-8 JSON object whose keys
-    are among ``fields`` and include every ``required`` one.
-
-    What breaks a lone line raises the error ``_read_columns`` reports for
-    it: a ValueError saying what is wrong, or what ``pull`` raises.  A
-    ``fast`` decoder, when given, takes the whole chunk first; where it
-    gives None the lines are scanned.
-    """
-    if fast is not None and (columns := fast(lines)) is not None:
-        return columns
+def _scanned(lines: list[str], fields: set[str], required: set[str]) -> list[dict[str, Any]]:
+    """The rows of the JSONL ``lines``, each a UTF-8 JSON object whose keys
+    are among ``fields`` and include every ``required`` one; what breaks a
+    lone line raises a ValueError saying what is wrong."""
     try:
         "".join(itertools.filterfalse(str.isascii, lines)).encode("utf-8")
     except UnicodeEncodeError:  # an undecodable byte, kept as a lone surrogate
@@ -447,51 +434,48 @@ def _decode_chunk(
             raise ValueError(f"unknown fields {sorted(unknown)}")
         if missing := required - set(keys):
             raise ValueError(f"missing fields {sorted(missing)}")
-    return pull(rows)
+    return rows
 
 
 def _read_columns(
     path: str | Path,
     what: str,
-    fields: set[str],
-    required: set[str],
-    pull: Callable[[list[dict[str, Any]]], dict[str, np.ndarray]],
+    decode: Callable[[list[str]], dict[str, np.ndarray]],
     build: Callable[[dict[str, np.ndarray]], TrajectoryDataset],
-    fast: Callable[[list[str]], dict[str, np.ndarray] | None] | None = None,
 ) -> TrajectoryDataset:
     """Decode a JSONL file straight into a dataset, ``_READ_CHUNK`` lines at a time.
 
-    ``pull`` turns a chunk of rows into arrays by name, failing on exactly
-    the rows that fail alone, and ``build`` makes the dataset of their
-    concatenation, raising a ValueError for faults only the whole file
-    shows.  ``fast``, if given, decodes a chunk's lines as ``pull`` of
-    their rows would, or gives None to have them scanned.  A failed chunk
-    is decoded again one line at a time, through the same
-    ``_decode_chunk`` but never ``fast``, to raise the SchemaError naming
-    its first bad line; a chunk whose every line decodes alone is a bug,
-    re-raised.  Every SchemaError starts with ``path``: ``{path}: line N:``
-    for a bad line, ``{path}:`` for what ``build`` raises, and
-    ``{path}: cannot read {what}`` for a file that cannot be opened or read.
+    ``decode`` turns a chunk's non-blank lines into arrays by name, failing
+    on exactly the lines that fail alone, and ``build`` makes the dataset
+    of their concatenation, raising a ValueError for faults only the whole
+    file shows.  A file with no lines is ``decode([])``.  A failed chunk is
+    decoded again one line at a time, through the same ``decode``, to raise
+    the SchemaError naming its first bad line; a chunk whose every line
+    decodes alone is a bug, re-raised.  Every SchemaError starts with
+    ``path``: ``{path}: line N:`` for a bad line, ``{path}:`` for what
+    ``build`` raises, and ``{path}: cannot read {what}`` for a file that
+    cannot be opened or read.
     """
-    parts = [pull([])]  # an empty file still has every column
+    parts = []
     try:
         # an undecodable byte is kept as a lone surrogate, which fails its line's check
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             start = 1  # the number of the chunk's first line
             while chunk := list(itertools.islice(fh, _READ_CHUNK)):
                 try:
-                    parts.append(_decode_chunk(list(filter(str.strip, chunk)), fields, required, pull, fast))
+                    parts.append(decode(list(filter(str.strip, chunk))))
                 except (TypeError, ValueError):
                     for lineno, line in enumerate(chunk, start):
                         try:
                             if line.strip():
-                                _decode_chunk([line], fields, required, pull)
+                                decode([line])
                         except (TypeError, ValueError) as exc:
                             raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
                     raise
                 start += len(chunk)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read {what} ({exc.strerror or exc})") from exc
+    parts = parts or [decode([])]  # an empty file still has every column
     try:
         return build({name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
     except ValueError as exc:
@@ -621,12 +605,21 @@ def _snapshot_lines_chunk(lines: list[str]) -> dict[str, np.ndarray] | None:
     }, origin)
 
 
+def _snapshot_decode(lines: list[str]) -> dict[str, np.ndarray]:
+    """Snapshot lines as columns: by the writer's pattern if it takes every
+    line, else scanned."""
+    columns = _snapshot_lines_chunk(lines)
+    if columns is None:
+        columns = _snapshot_chunk(_scanned(lines, _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED))
+    return columns
+
+
 def _snapshot_dataset(c: dict[str, np.ndarray], role: str) -> TrajectoryDataset:
     """The dataset of a snapshot's rows; what breaks it is a ValueError, in
     ``from_entries``' order: a query given two levels, a row that ``role``
     does not allow."""
     qids = c["query_id"]
-    ids, (levels,), conflict = first_rows(qids, c.pop("level"))
+    _, _, (ids, levels), conflict = first_rows(qids, c.pop("level"))
     if conflict is not None:
         raise ValueError(f"conflicting records for query {qids[conflict]}")
     return TrajectoryDataset(role, c, Corpus(ids, "", levels))
@@ -640,10 +633,7 @@ def read_snapshot(path: str | Path, role: str) -> TrajectoryDataset:
     together (two levels for one query, a wrong row for ``role``) as
     ``{path}: ...``.
     """
-    return _read_columns(
-        path, "snapshot", _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED, _snapshot_chunk,
-        lambda c: _snapshot_dataset(c, role), _snapshot_lines_chunk,
-    )
+    return _read_columns(path, "snapshot", _snapshot_decode, lambda c: _snapshot_dataset(c, role))
 
 
 _SNAPSHOT_CHUNK = 1024  # rows formatted per write
@@ -771,14 +761,10 @@ _LOG_REQUIRED = {"query_id", "gt_answer", "extracted_answer", "token_count"}
 
 
 def log_to_dataset(records: list[TrajectoryLogRecord]) -> TrajectoryDataset:
-    """Assemble log records into a sample dataset; gt conflicts are schema errors."""
-    return _log_dataset({
-        "query_id": np.array([rec.query_id for rec in records], dtype=np.int64),
-        "iteration": np.array([rec.iteration for rec in records], dtype=np.int64),
-        "length_tokens": np.array([rec.token_count for rec in records], dtype=np.int64),
-        "gt_answer": object_array(rec.gt_answer for rec in records),
-        "answer": object_array(rec.extracted_answer for rec in records),
-    })
+    """Assemble log records into a sample dataset, as ``load_log`` does a
+    log's lines: a field not of its JSON type is a TypeError (a tuple of
+    ``step_offsets`` is an array), gt conflicts are schema errors."""
+    return _log_dataset(_log_chunk([{**vars(rec), "step_offsets": list(rec.step_offsets)} for rec in records]))
 
 
 def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
@@ -819,32 +805,25 @@ def _log_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
 def _log_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
     """A sample dataset of log rows; each query's responses are numbered 1, 2, ... in log order.
 
-    One stable sort by query gives every per-query fact: each query's run
-    of rows in log order, whose first row holds the query's ``gt_answer``
-    (the first row in log order whose ``gt_answer`` differs from its run's
-    first is the conflict) and whose positions are the sample indices.  It
-    is the canonical order too, unless a query's iterations descend, since
-    the log's rows differ in nothing else that orders them."""
-    qids, gt = c["query_id"], c["gt_answer"]
-    by_query = np.argsort(qids, kind="stable")
-    sorted_ids = qids[by_query]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))[: len(qids)]
-    counts = np.diff(np.append(starts, len(qids)))
-    sorted_gts = gt[by_query]
-    gts = sorted_gts[starts]
-    conflicts = by_query[sorted_gts != np.repeat(gts, counts)]
-    if len(conflicts):
-        conflict = conflicts.min()
+    One stable sort by query (``first_rows``) gives every per-query fact:
+    each query's run of rows in log order, whose first row holds the
+    query's ``gt_answer`` (the first row in log order with another one is
+    the conflict) and whose positions are the sample indices.  It is the
+    canonical order too, unless a query's iterations descend, since the
+    log's rows differ in nothing else that orders them."""
+    qids = c["query_id"]
+    by_query, counts, (ids, gts), conflict = first_rows(qids, c["gt_answer"])
+    if conflict is not None:
         raise SchemaError(f"record {conflict + 1}: conflicting gt_answer for query {qids[conflict]}")
     columns = {
-        "query_id": sorted_ids,
+        "query_id": qids[by_query],
         "iteration": c["iteration"][by_query],
         "sample_index": run_positions(counts) + 1,
         "length_tokens": c["length_tokens"][by_query],
         "correct": False,
         "answer": c["answer"][by_query],
     }
-    return TrajectoryDataset(ROLE_SAMPLE, columns, Corpus(sorted_ids[starts], gts))
+    return TrajectoryDataset(ROLE_SAMPLE, columns, Corpus(ids, gts))
 
 
 def load_log(path: str | Path) -> TrajectoryDataset:
@@ -856,7 +835,9 @@ def load_log(path: str | Path) -> TrajectoryDataset:
     record that gives its query a second ``gt_answer`` as
     ``{path}: record N: ...``.  Its length is the log's record count.
     """
-    return _read_columns(path, "log", _LOG_FIELDS, _LOG_REQUIRED, _log_chunk, _log_dataset)
+    return _read_columns(
+        path, "log", lambda lines: _log_chunk(_scanned(lines, _LOG_FIELDS, _LOG_REQUIRED)), _log_dataset
+    )
 
 
 def rebalance_offline(

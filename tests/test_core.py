@@ -19,7 +19,9 @@ from headtail.core import (
     Trajectory,
     TrajectoryDataset,
     array_mean,
+    first_rows,
     merge_datasets,
+    object_array,
 )
 
 from conftest import make_filter, make_query, make_sample, make_traj, over, over_one_corpus
@@ -560,3 +562,29 @@ def test_array_mean_is_np_mean_on_long_arrays(make):
     for n in (8191, 8193, 40_000):
         values = make(g, n)
         assert repr(array_mean(values)) == repr(float(np.mean(values)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_first_rows_matches_a_per_row_dict(data):
+    ids = data.draw(st.lists(st.sampled_from([-(2**63), -1, 0, 1, 2, 7, 2**63 - 1]), max_size=30))
+    # a level and a ground truth per row: as the id's own, or drawn freely (often a conflict)
+    free = st.tuples(st.integers(0, 5), st.sampled_from("ab"))
+    own = {i: data.draw(free) for i in sorted(set(ids))}
+    rows = [own[i] if data.draw(st.booleans()) else data.draw(free) for i in ids]
+    levels = np.array([lv for lv, _ in rows], dtype=np.int64)
+    gts = object_array(gt for _, gt in rows)
+    first, count, conflict = {}, Counter(), None
+    for row, (i, values) in enumerate(zip(ids, rows)):
+        count[i] += 1
+        first.setdefault(i, values)
+        if conflict is None and values != first[i]:
+            conflict = row
+    distinct = sorted(first)
+
+    order, counts, (got_ids, got_levels, got_gts), got_conflict = first_rows(np.asarray(ids, np.int64), levels, gts)
+    assert order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)  # sorted() is stable
+    assert counts.tolist() == [count[i] for i in distinct]
+    assert got_ids.tolist() == distinct
+    assert list(zip(got_levels.tolist(), got_gts.tolist())) == [first[i] for i in distinct]
+    assert got_conflict == conflict

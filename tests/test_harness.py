@@ -400,6 +400,25 @@ class TestOfflineLogs:
         with pytest.raises(SchemaError, match="conflicting gt_answer"):
             log_to_dataset(records)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (TrajectoryLogRecord(True, None, None, 5), "query_id must be an integer"),
+            (TrajectoryLogRecord(1, None, "a", 5), "gt_answer must be a string"),
+        ],
+        ids=["bool query_id", "null gt_answer"],
+    )
+    def test_log_to_dataset_applies_the_readers_type_rule(self, record, message):
+        with pytest.raises(TypeError) as info:
+            log_to_dataset([TrajectoryLogRecord(2, "a", "a", 5), record])
+        assert str(info.value) == message
+
+    def test_log_to_dataset_takes_tuple_step_offsets(self):
+        sample = log_to_dataset([TrajectoryLogRecord(1, "a", "b", 10, step_offsets=(2, 5)),
+                                 TrajectoryLogRecord(1, "a", "a", 7)])
+        assert sample.columns["length_tokens"].tolist() == [10, 7]
+        assert sample.columns["sample_index"].tolist() == [1, 2]
+
     def test_parse_rejects_missing_fields(self, tmp_path):
         src = self.write_log(tmp_path, [""] * 6 + ['{"query_id": 1}'])
         with pytest.raises(SchemaError, match="line 7: missing fields"):

@@ -243,8 +243,8 @@ def _log_line(qid, gt="a", offsets=(2, 5), tokens=10):
 def test_valid_log_is_decoded_once_per_chunk(tmp_path, monkeypatch, pad):
     path = tmp_path / "log.jsonl"
     path.write_text("".join(pad + _log_line(q) + "\n" for q in (1, 2, 1)), encoding="utf-8")
-    decode = mock.Mock(wraps=harness._decode_chunk)
-    monkeypatch.setattr(harness, "_decode_chunk", decode)
+    decode = mock.Mock(wraps=harness._scanned)
+    monkeypatch.setattr(harness, "_scanned", decode)
     monkeypatch.setattr(harness, "_READ_CHUNK", 2)
     sample = load_log(path)
     assert decode.call_count == 2  # chunks of 2 and 1 lines; no line decoded again alone
@@ -619,14 +619,15 @@ def written_datasets(draw):
 def fast_and_scanned(path, role):
     """What ``read_snapshot`` makes of ``path``, as ``outcome`` gives it,
     with the writer-form decoder and with every chunk scanned; and whether
-    that decoder took every chunk (a chunk it took may fail a check)."""
+    that decoder took every chunk with a line (a chunk it took may fail a
+    check; the empty columns of a file with no lines are scanned)."""
     taken = []
     decode = harness._snapshot_lines_chunk
 
     def recording(lines):
         taken.append(True)
         columns = decode(lines)
-        taken[-1] = columns is not None
+        taken[-1] = columns is not None or not lines
         return columns
 
     with mock.patch.object(harness, "_snapshot_lines_chunk", recording):

@@ -109,6 +109,28 @@ def test_time_large_run_config_error_is_a_usage_error(tmp_path, monkeypatch, cap
     assert "Traceback" not in captured.err
 
 
+_BAD_LINE = '{"query_id": 1, "gt_answer": "a", "extracted_answer": "a", "token_count": "7"}\n'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "log.jsonl: cannot read log (No such file or directory)"),
+        (_BAD_LINE.replace('"7"', "7") + _BAD_LINE, "log.jsonl: line 2: token_count must be an integer"),
+    ],
+    ids=["missing", "bad line"],
+)
+def test_time_large_run_schema_error_is_one_line(text, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "log.jsonl").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["time_large_run.py", "--log", "log.jsonl", "--k", "4"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(SCRIPTS / "time_large_run.py"), run_name="__main__")
+    assert info.value.code == harness.EXIT_SCHEMA
+    assert capsys.readouterr() == ("", f"schema error: {message}\n")  # no traceback
+
+
 def test_time_large_run_hashes_what_rebalance_writes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write_log(tmp_path / "log.jsonl")
