@@ -92,7 +92,7 @@ def _read_back(report: harness.RunReport) -> float:
             path = Path(tmp) / f"{name}.jsonl"
             write_atomic(path, _snapshot_chunks(dataset))
             start = time.perf_counter()
-            read = read_snapshot(path, dataset.role)
+            read = read_snapshot(path)
             seconds += time.perf_counter() - start
             for column in sorted(harness._SNAPSHOT_FIELDS):  # the columns a snapshot line carries
                 got, want = (

@@ -42,7 +42,6 @@ from .harness import (
 from .metrics import CSV_COLUMNS, build_row, rows_to_csv
 from .rewards import DEFAULT_SYMBOL_ALIASES, load_alias_table
 from .strategies import KINDS, StrategyConfig
-from .core import ROLE_FILTER
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -237,12 +236,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         cfg.validate()
     else:
         cfg = RunConfig()
-    dataset = read_snapshot(run_dir / "datasets" / (args.dataset + ".jsonl"), ROLE_FILTER)
+    dataset = read_snapshot(run_dir / "datasets" / (args.dataset + ".jsonl"))
     # per-query counts come from the final filtered set, as in metrics.csv
     filtered_path = run_dir / "datasets" / "filter_final.jsonl"
     filtered = dataset
     if args.dataset != "filter_final" and filtered_path.exists():
-        filtered = read_snapshot(filtered_path, ROLE_FILTER)
+        filtered = read_snapshot(filtered_path)
     # an empty snapshot reports at the run's last round, as metrics.csv does
     iteration = int(dataset.columns["iteration"].max()) if len(dataset) else cfg.rounds
     row = build_row(iteration, _SNAPSHOT_STAGES[args.dataset], dataset, cfg.k_samples, filtered)

@@ -41,9 +41,11 @@ of digits; a string; an array of integers), and an integer field must fit
 in 64 bits (``_typed``, ``_int64``), or its line is bad.  Each field
 becomes an array in one call, and a log is sorted by query id once
 (``_log_dataset``, through ``core.first_rows``, which groups a snapshot's
-queries too).  Both snapshot decoders end in one column checker
-(``_checked_snapshot``).  A pass that fails decodes its lines again one at
-a time, in memory, through the same pass decoder, and raises the
+queries too).  A snapshot is read as the filter set it is written as:
+whichever way a pass was decoded, ``_snapshot_decode`` runs the dataset's
+own row checker (``core._check_columns``, correct flags included) on it
+once.  A pass that fails decodes its lines again
+one at a time, in memory, through the same pass decoder, and raises the
 SchemaError naming the file and its first bad line (``{path}: line N:
 ...``) with the message a line-by-line read gives, whichever way the pass
 was decoded; faults only the whole file shows (two ground truths or
@@ -73,7 +75,7 @@ import typing
 from dataclasses import dataclass, field
 from operator import countOf, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -81,11 +83,13 @@ from .core import (
     LEVELS,
     ORIGIN_EXPLORED,
     ORIGIN_RANK,
-    ORIGIN_RESAMPLED_GR,
     ORIGINS,
+    ROLE_FILTER,
     ROLE_SAMPLE,
+    _UNSET,
     Corpus,
     TrajectoryDataset,
+    _check_columns,
     first_rows,
     merge_datasets,
     object_array,
@@ -169,6 +173,15 @@ def _has_type(value: Any, hint: Any) -> bool:
     return isinstance(value, hint)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The JSON object of ``pairs``; a key given twice is a ValueError naming it."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is given twice")
+    return data
+
+
 _type_hints = functools.cache(typing.get_type_hints)  # resolved once per config class
 
 
@@ -241,12 +254,13 @@ class RunConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunConfig":
-        """The config in a JSON file; anything but a JSON object is a ConfigError."""
+        """The config in a JSON file; anything but a JSON object, or an
+        object that gives a key twice at any depth, is a ConfigError."""
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-        except ValueError as exc:  # bad JSON, or not UTF-8
+        except ValueError as exc:  # bad JSON, a key given twice, or not UTF-8
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         except RecursionError:
             raise ConfigError("config cannot be decoded: nested too deeply") from None
@@ -321,14 +335,6 @@ def _prepared_corpus_and_learner(config: RunConfig) -> LearnerState:
     return _last_start[0][3].clone()  # the run draws, which advances its draw counters in place
 
 
-def _train_next(
-    config: RunConfig, base: LearnerState, current: LearnerState, train_set: TrajectoryDataset
-) -> LearnerState:
-    if config.restart_each_iteration:  # train leaves its receiver untouched, so base is shared
-        current = dataclasses.replace(base, iteration=current.iteration, draw_counter=current.draw_counter)
-    return current.train(train_set, config.k_samples)
-
-
 def run(config: RunConfig) -> RunReport:
     """Validate the config and run its mode with its seed."""
     config.validate()
@@ -366,7 +372,9 @@ def _run_loop(config: RunConfig) -> RunReport:
             solved |= filtered.count_of(learner.corpus.ids) > 0
             if len(train_set) == 0:
                 report.warnings.append(f"iteration {t}: empty training set, forgetting only")
-            learner = _train_next(config, base, learner, train_set)
+            if config.restart_each_iteration:  # train leaves its receiver untouched, so base is shared
+                learner = dataclasses.replace(base, iteration=learner.iteration, draw_counter=learner.draw_counter)
+            learner = learner.train(train_set, config.k_samples)
             report.evals.append(
                 IterationEval(
                     iteration=t,
@@ -522,8 +530,7 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     """Snapshot rows as columns.  Each field is type-checked and, an integer
     one, checked to fit in 64 bits as it is taken, in the order ``correct``,
     ``query_id``, ``level`` (and its range), ``sample_index``, ``iteration``,
-    ``length_tokens``, ``prefix_steps``, ``origin``; then the ``Trajectory``
-    checks run (``_checked_snapshot``)."""
+    ``length_tokens``, ``prefix_steps``, ``origin`` (and that it is known)."""
     correct = _typed(map(itemgetter("correct"), rows), bool, "correct")
     query_id = _int64(map(itemgetter("query_id"), rows), "query_id")
     levels = [r.get("level") for r in rows]
@@ -532,7 +539,7 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
     bad = np.flatnonzero(given & ((level < LEVELS[0]) | (level > LEVELS[-1])))
     if len(bad):
         raise ValueError(f"level must be in {LEVELS} when set, got {level[bad[0]]}")
-    return _checked_snapshot({
+    columns = {
         "query_id": query_id,
         "level": level,
         "sample_index": _int64(map(itemgetter("sample_index"), rows), "sample_index"),
@@ -540,30 +547,13 @@ def _snapshot_chunk(rows: list[dict[str, Any]]) -> dict[str, np.ndarray]:
         "length_tokens": _int64(map(itemgetter("length_tokens"), rows), "length_tokens"),
         "prefix_steps": _int64((r.get("prefix_steps", 0) for r in rows), "prefix_steps"),
         "correct": np.array(correct, dtype=bool),
-    }, _typed([r.get("origin", ORIGIN_EXPLORED) for r in rows], str, "origin"))
-
-
-def _checked_snapshot(c: dict[str, np.ndarray], origins: Sequence[Any]) -> dict[str, np.ndarray]:
-    """``c`` with the ``origin`` column, the ranks of ``origins``, added.
-
-    Raises what a ``Trajectory`` of the first bad row raises: the checks
-    run over whole columns, in its order, so an origin that is no dict key
-    fails only after the length check."""
-    if np.any(c["sample_index"] < 1):
-        raise ValueError("sample_index must be >= 1")
-    if np.any(c["iteration"] < 1):
-        raise ValueError("iteration must be >= 1")
-    if np.any(c["length_tokens"] < 0):
-        raise ValueError("length_tokens must be >= 0")
-    c["origin"] = origin = np.array([ORIGIN_RANK.get(o, -1) for o in origins], dtype=np.int64)
+    }
+    origins = _typed([r.get("origin", ORIGIN_EXPLORED) for r in rows], str, "origin")
+    columns["origin"] = origin = np.array([ORIGIN_RANK.get(o, -1) for o in origins], dtype=np.int64)
     bad = np.flatnonzero(origin < 0)
     if len(bad):
         raise ValueError(f"unknown origin {origins[bad[0]]!r}")
-    if np.any((c["prefix_steps"] != 0) & (origin != ORIGIN_RANK[ORIGIN_RESAMPLED_GR])):
-        raise ValueError("prefix_steps is only meaningful for guided resamples")
-    if np.any(c["prefix_steps"] < 0):
-        raise ValueError("prefix_steps must be >= 0")
-    return c
+    return columns
 
 
 @functools.cache  # compiled on first use, not at import
@@ -589,12 +579,12 @@ _LEVEL_OF_JSON = {text: level for level, text in enumerate(_JSON_LEVEL)}
 def _snapshot_lines_chunk(lines: list[str]) -> dict[str, np.ndarray] | None:
     """``_snapshot_chunk`` of the rows of ``lines`` if every line is in the
     writer's form (``_snapshot_line``), else None.  Such a line is ASCII,
-    valid JSON and of valid types, so only the ``Trajectory`` checks remain."""
+    valid JSON, of valid types and of a known origin."""
     found = _snapshot_line().findall("".join(lines))
     if not lines or len(found) != len(lines):
         return None
     correct, iteration, length_tokens, level, origin, prefix_steps, query_id, sample_index = zip(*found)
-    return _checked_snapshot({
+    return {
         "query_id": np.array(query_id, dtype=np.int64),
         "level": np.array(list(map(_LEVEL_OF_JSON.__getitem__, level)), dtype=np.int64),
         "sample_index": np.array(sample_index, dtype=np.int64),
@@ -602,38 +592,39 @@ def _snapshot_lines_chunk(lines: list[str]) -> dict[str, np.ndarray] | None:
         "length_tokens": np.array(length_tokens, dtype=np.int64),
         "prefix_steps": np.array(prefix_steps, dtype=np.int64),
         "correct": np.array(list(map("true".__eq__, correct)), dtype=bool),
-    }, origin)
+        "origin": np.array(list(map(ORIGIN_RANK.__getitem__, origin)), dtype=np.int64),
+    }
 
 
 def _snapshot_decode(lines: list[str]) -> dict[str, np.ndarray]:
-    """Snapshot lines as columns: by the writer's pattern if it takes every
-    line, else scanned."""
+    """Snapshot lines as columns, by the writer's pattern if it takes every
+    line, else scanned; then a filter set's row checks run, raising what a
+    ``Trajectory`` of the first bad row raises, and last a false flag."""
     columns = _snapshot_lines_chunk(lines)
     if columns is None:
         columns = _snapshot_chunk(_scanned(lines, _SNAPSHOT_FIELDS, _SNAPSHOT_REQUIRED))
+    _check_columns(ROLE_FILTER, {**_UNSET, **columns})
     return columns
 
 
-def _snapshot_dataset(c: dict[str, np.ndarray], role: str) -> TrajectoryDataset:
-    """The dataset of a snapshot's rows; what breaks it is a ValueError, in
-    ``from_entries``' order: a query given two levels, a row that ``role``
-    does not allow."""
+def _snapshot_dataset(c: dict[str, np.ndarray]) -> TrajectoryDataset:
+    """The filter set of a snapshot's checked rows; a query given two levels
+    is a ValueError."""
     qids = c["query_id"]
     _, _, (ids, levels), conflict = first_rows(qids, c.pop("level"))
     if conflict is not None:
         raise ValueError(f"conflicting records for query {qids[conflict]}")
-    return TrajectoryDataset(role, c, Corpus(ids, "", levels))
+    return TrajectoryDataset(ROLE_FILTER, c, Corpus(ids, "", levels))
 
 
-def read_snapshot(path: str | Path, role: str) -> TrajectoryDataset:
-    """A ``datasets/*.jsonl`` snapshot as a dataset tagged ``role``.
+def read_snapshot(path: str | Path) -> TrajectoryDataset:
+    """A ``datasets/*.jsonl`` snapshot as the filter set it was written from.
 
     Decoded straight into columns.  Every SchemaError names ``path``: a bad
-    line as ``{path}: line N: ...``, lines that break a dataset invariant
-    together (two levels for one query, a wrong row for ``role``) as
-    ``{path}: ...``.
+    line, a false ``correct`` flag included, as ``{path}: line N: ...``;
+    two levels for one query as ``{path}: ...``.
     """
-    return _read_columns(path, "snapshot", _snapshot_decode, lambda c: _snapshot_dataset(c, role))
+    return _read_columns(path, "snapshot", _snapshot_decode, _snapshot_dataset)
 
 
 _SNAPSHOT_CHUNK = 1024  # rows formatted per write
@@ -883,7 +874,6 @@ def rebalance_offline(
         "input_records": len(sample),
         "filtered": len(filtered),
         "output_records": len(train),
-        "distinct_queries": len(filtered.query_runs()[0]),
         "metrics_row": row,
     }
 

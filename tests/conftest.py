@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from headtail.core import (
     ROLE_FILTER,
@@ -19,6 +20,11 @@ from headtail.core import (
 from headtail.strategies import Draws
 
 import oracles
+
+# no property test has a per-example deadline: an example's time varies with the
+# machine's load, and a deadline turns that into a flaky failure
+settings.register_profile("headtail", deadline=None)
+settings.load_profile("headtail")
 
 
 def make_query(qid: int, gt: str | None = None, level: int | None = None, **kw) -> QueryRecord:

@@ -563,6 +563,9 @@ def _entry_from_snapshot(data: dict[str, Any]) -> Entry:
     iteration = _take(data["iteration"], int, "iteration")
     length_tokens = _take(data["length_tokens"], int, "length_tokens")
     prefix_steps = _take(data.get("prefix_steps", 0), int, "prefix_steps")
+    origin = _take(data.get("origin", ORIGIN_EXPLORED), str, "origin")
+    if origin not in ORIGIN_RANK:
+        raise ValueError(f"unknown origin {origin!r}")
     traj = Trajectory(
         query_id=qid,
         sample_index=sample_index,
@@ -570,9 +573,11 @@ def _entry_from_snapshot(data: dict[str, Any]) -> Entry:
         length_tokens=length_tokens,
         extracted_answer="",
         correct=correct,
-        origin=_take(data.get("origin", ORIGIN_EXPLORED), str, "origin"),
+        origin=origin,
         prefix_steps=prefix_steps,
     )
+    if not correct:  # a snapshot is a filter set
+        raise ValueError(f"{ROLE_FILTER} datasets may only contain correct trajectories")
     return record, traj
 
 
@@ -582,13 +587,14 @@ def parse_snapshot_line(line: str, lineno: int) -> Entry:
 
 
 def load_snapshot(path: str | Path) -> list[Entry]:
-    """Read a ``datasets/*.jsonl`` snapshot back into (query, trajectory) pairs."""
+    """Read a ``datasets/*.jsonl`` snapshot, whose every row is correct,
+    back into (query, trajectory) pairs."""
     return _read_jsonl(path, parse_snapshot_line)
 
 
-def _snapshot_reference(path: str | Path, role: str) -> TrajectoryDataset:
+def _snapshot_reference(path: str | Path) -> TrajectoryDataset:
     entries = load_snapshot(path)
     try:
-        return TrajectoryDataset.from_entries(entries, role)
-    except ValueError as exc:  # levels that differ within a query, role invariants
+        return TrajectoryDataset.from_entries(entries, ROLE_FILTER)
+    except ValueError as exc:  # levels that differ within a query
         raise SchemaError(f"{path}: {exc}") from exc

@@ -173,6 +173,31 @@ class TestRunVerb:
         assert capsys.readouterr().err == "config error: config cannot be decoded: nested too deeply\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"seed": 1, "n_queries": 10, "iterations": 1, "seed": 7}', "seed"),
+         ('{"n_queries": 10, "iterations": 1, "strategy": {"kind": "tc", "kind": "rp"}}', "kind")],
+        ids=["top-level", "nested"],
+    )
+    @pytest.mark.parametrize("verb", ["run", "sweep", "report"])
+    def test_key_given_twice_exit_config(self, tmp_path, capsys, text, key, verb):
+        # json.loads alone keeps the last value, which would run under a config.json that records only it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        if verb == "report":  # a run directory whose config.json gives a key twice
+            (out / "datasets").mkdir(parents=True)
+            (out / "datasets" / "train_final.jsonl").write_text("")
+            cfg.rename(out / "config.json")
+            argv = ["report", "--run-dir", str(out)]
+        else:
+            argv = [verb, "--config", str(cfg), "--output-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"config error: config is not valid JSON: key {key!r} is given twice\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == (
+            ["config.json", "datasets", "out", "train_final.jsonl"] if verb == "report" else ["cfg.json"]
+        )
+
     def test_env_output_dir_is_only_a_default(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         env_dir, given = tmp_path / "env", tmp_path / "given"
@@ -585,6 +610,20 @@ class TestReportVerb:
         assert "may only contain correct trajectories" in captured.err
         assert captured.out == ""
 
+    def test_false_flag_in_a_written_snapshot_names_its_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--n", "30", "--k", "4", "--t", "2", "--seed", "0", "--output-dir", str(out)]) == 0
+        snapshot = out / "datasets" / "filter_final.jsonl"
+        lines = snapshot.read_text().splitlines(keepends=True)
+        assert len(lines) > 3 and all(line.startswith('{"correct": true, ') for line in lines)
+        lines[2] = lines[2].replace('{"correct": true, ', '{"correct": false, ')
+        snapshot.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out), "--dataset", "filter_final"]) == 3
+        assert capsys.readouterr() == (
+            "", f"schema error: {snapshot}: line 3: filter datasets may only contain correct trajectories\n"
+        )
+
     def test_bad_config_file_exit_config(self, tmp_path, capsys):
         snapshot = tmp_path / "datasets" / "train_final.jsonl"
         snapshot.parent.mkdir()
@@ -732,7 +771,7 @@ class TestSweepVerb:
         ss=st.lists(st.integers(2, 3), min_size=1, max_size=2),
     )
     @example(seeds=[1, 1], kinds=["rp", "rp"], ks=[2, 2], ls=[1, 1], ss=[2, 2])
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8)
     def test_n_runs_give_n_dirs_and_n_summary_lines(self, seeds, kinds, ks, ls, ss):
         # tc and gr read L (and skip L > K), gr reads S; an axis a kind does
         # not read runs at its first value only

@@ -75,7 +75,7 @@ def datasets(draw, role=ROLE_SAMPLE, leveled=None):
 
 
 @given(st.data(), st.integers(1, 8), st.booleans())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_build_row_matches_oracle(data, K, leveled):
     ds = data.draw(datasets(leveled=leveled or None))
     # a filter set holding 0..2K rows of each query of ds, and of one query outside its corpus
@@ -107,7 +107,7 @@ def test_bucket_shares_are_sequential_sums():
 
 
 @given(datasets(), st.integers(1, 5))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_snapshot_lines_equal_json_dumps(ds, chunk):
     expected = "".join(json.dumps(snapshot_entry(r, t), sort_keys=True) + "\n" for r, t in oracles.entries(ds))
     real = harness._SNAPSHOT_CHUNK
@@ -222,7 +222,7 @@ def test_snapshot_chunks_hold_at_most_a_chunk_of_lines(n):
 
 
 @given(datasets(role=ROLE_FILTER), datasets())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_snapshot_round_trip_through_emit_report(filtered, train):
     train = TrajectoryDataset.from_entries(
         [(r, replace(t, correct=True)) for r, t in oracles.entries(train)], ROLE_FILTER
@@ -231,7 +231,7 @@ def test_snapshot_round_trip_through_emit_report(filtered, train):
     with tempfile.TemporaryDirectory() as tmp:
         harness.emit_report(report, tmp)
         for name, ds in (("filter_final", filtered), ("train_final", train)):
-            decoded = harness.read_snapshot(Path(tmp, "datasets", f"{name}.jsonl"), ds.role)
+            decoded = harness.read_snapshot(Path(tmp, "datasets", f"{name}.jsonl"))
             assert [snapshot_entry(r, t) for r, t in oracles.entries(decoded)] == [
                 snapshot_entry(r, t) for r, t in oracles.entries(ds)
             ]
@@ -240,7 +240,7 @@ def test_snapshot_round_trip_through_emit_report(filtered, train):
 
 
 @given(st.data(), st.sampled_from((ROLE_SAMPLE, ROLE_FILTER)))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_from_entries_round_trip(data, role):
     # every field of every pair survives packing into columns and back
     records = data.draw(corpora())
@@ -250,7 +250,7 @@ def test_from_entries_round_trip(data, role):
 
 
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_merge_equals_sorted_concatenation(data):
     records = data.draw(corpora())
     a = TrajectoryDataset.from_entries(data.draw(entry_lists(records, correct=True)), ROLE_FILTER)
@@ -267,7 +267,7 @@ def test_merge_equals_sorted_concatenation(data):
 
 
 @given(datasets(role=ROLE_FILTER), st.integers(1, 8), st.integers(0, 2**32))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_reshaping_same_from_columns_alone(ds, K, seed):
     # the column transforms give the object references' entries, order included
     entries = list(oracles.entries(ds))

@@ -239,7 +239,6 @@ class TestMergeDatasets:
 @given(
     st.dictionaries(st.integers(0, 30), st.integers(0, 8), min_size=1, max_size=20),
 )
-@settings(deadline=None)
 def test_filter_counts_sum_to_size(k_correct):
     k_correct = {q: k for q, k in k_correct.items() if k > 0}
     ds, _ = make_filter(k_correct)
@@ -258,7 +257,7 @@ def pair_lists(draw):
 
 
 @given(pair_lists(), st.lists(st.integers(-8, 24), max_size=12))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_count_of_matches_counter(pairs, asked):
     # absent, negative and repeated ids, and the empty dataset, against a
     # Counter over the entries
@@ -269,7 +268,7 @@ def test_count_of_matches_counter(pairs, asked):
 
 
 @given(pair_lists(), st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_levels_match_corpus_records(pairs, data):
     ds = TrajectoryDataset.from_entries(pairs, ROLE_FILTER)
     assert ds.levels().tolist() == [r.level or 0 for r, _ in sorted(pairs, key=entry_sort_key)]
@@ -285,7 +284,6 @@ def test_levels_match_corpus_records(pairs, data):
     st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=0, max_size=8),
     st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=0, max_size=8),
 )
-@settings(deadline=None)
 def test_merge_associative_commutative(pairs_a, pairs_b):
     def build(pairs):
         seen = {}
@@ -332,7 +330,7 @@ def _snapshot(ds):
 
 
 @given(keyed_pairs(), st.randoms(use_true_random=False))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_constructor_sorts_rows_given_in_any_order(pairs, random):
     ds = TrajectoryDataset.from_entries(pairs, ROLE_SAMPLE)
     order = list(range(len(ds)))
@@ -348,7 +346,7 @@ def test_constructor_sorts_rows_given_in_any_order(pairs, random):
 
 
 @given(keyed_pairs(), st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_select_puts_any_rows_in_canonical_order(pairs, data):
     ds = TrajectoryDataset.from_entries(pairs, ROLE_SAMPLE)
     rows = data.draw(st.lists(st.integers(0, max(len(ds) - 1, 0)), max_size=2 * len(ds))) if len(ds) else []
@@ -376,12 +374,14 @@ class TestAnswerColumn:
 
     def test_a_snapshot_read_has_empty_answers(self, hand_sample, tmp_path):
         sample, _ = hand_sample
-        path = tmp_path / "sample.jsonl"
-        path.write_text(_snapshot(sample), encoding="utf-8")
-        read = harness.read_snapshot(path, ROLE_SAMPLE)
-        assert read.answers.tolist() == [""] * len(sample)
+        kept = sample.select(np.flatnonzero(sample.columns["correct"]), ROLE_FILTER)
+        path = tmp_path / "filter.jsonl"
+        path.write_text(_snapshot(kept), encoding="utf-8")
+        read = harness.read_snapshot(path)
+        assert read.answers.tolist() == [""] * len(kept)
         assert not read.answers.flags.writeable
-        assert read.columns["correct"].tolist() == sample.columns["correct"].tolist()
+        assert read.role == ROLE_FILTER
+        assert read.columns["query_id"].tolist() == kept.columns["query_id"].tolist()
 
     def test_columns_of_scalars_alone_make_one_row(self):
         ds = TrajectoryDataset(ROLE_SAMPLE, {"query_id": 1, "iteration": 1, "sample_index": 1,
@@ -437,7 +437,7 @@ def near_pairs(draw):
 
 
 @given(near_pairs())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_equality_is_equality_of_role_and_pairs(pair):
     a, b = pair
     expected = a.role == b.role and oracles.entries(a) == oracles.entries(b)
@@ -528,7 +528,7 @@ def _facts_by_hand(ds):
 
 
 @given(pair_lists(), st.data(), st.booleans())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_cached_query_facts_equal_a_fresh_computation(pairs, data, parent_first):
     ds = TrajectoryDataset.from_entries(pairs, ROLE_FILTER)
     if parent_first:  # fill the parent's cache before its derived sets are made
@@ -544,7 +544,7 @@ def test_cached_query_facts_equal_a_fresh_computation(pairs, data, parent_first)
     st.lists(st.floats(width=64), min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.float64)),
     st.lists(st.booleans(), min_size=1, max_size=40).map(lambda v: np.array(v, dtype=bool)),
 ))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_array_mean_is_np_mean_bit_for_bit(values):
     with np.errstate(over="ignore", invalid="ignore"):  # floats near the limit sum to inf or nan in both
         assert repr(array_mean(values)) == repr(float(np.mean(values)))
@@ -565,7 +565,7 @@ def test_array_mean_is_np_mean_on_long_arrays(make):
 
 
 @given(st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_first_rows_matches_a_per_row_dict(data):
     ids = data.draw(st.lists(st.sampled_from([-(2**63), -1, 0, 1, 2, 7, 2**63 - 1]), max_size=30))
     # a level and a ground truth per row: as the id's own, or drawn freely (often a conflict)

@@ -22,7 +22,7 @@ from headtail.harness import (
     write_atomic,
 )
 from headtail.cli import main
-from headtail.core import ORIGIN_EXPLORED, ORIGIN_RANK, ROLE_FILTER
+from headtail.core import ORIGIN_EXPLORED, ORIGIN_RANK
 from headtail.learner import CorpusParams, LearnerParams
 from headtail.strategies import StrategyConfig
 
@@ -437,7 +437,7 @@ class TestSnapshotCodec:
         for kind in ("gr", "sc", "ar"):
             rep = run(small_config(strategy=StrategyConfig(kind=kind), seed=0))
             emit_report(rep, tmp_path / kind)
-            decoded = read_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl", ROLE_FILTER)
+            decoded = read_snapshot(tmp_path / kind / "datasets" / "train_final.jsonl")
             assert [snapshot_entry(r, t) for r, t in oracles.entries(decoded)] == [
                 snapshot_entry(r, t) for r, t in oracles.entries(rep.final_train)
             ]
@@ -457,7 +457,7 @@ class TestSnapshotCodec:
         path = tmp_path / "snapshot.jsonl"
         path.write_text("\n" * 3 + line + "\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=f"line 4: .*{message}"):
-            read_snapshot(path, ROLE_FILTER)
+            read_snapshot(path)
 
 
 class TestEmitReport:

@@ -329,7 +329,7 @@ class TestBatchedSamplers:
     scalar references and the one-row methods are given."""
 
     @given(batched_requests())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_fresh_replays_sample_response(self, request):
         state, records, query_ids = request
         loop, one_row = state.clone(), state.clone()
@@ -340,7 +340,7 @@ class TestBatchedSamplers:
         assert state.draw_counter.tolist() == loop.draw_counter.tolist() == one_row.draw_counter.tolist()
 
     @given(batched_requests(), st.integers(2, 5), st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_guided_replays_guided_sample(self, request, S, data):
         state, records, query_ids = request
         # one donor per row, some shorter than S (those continue only from step 1)
@@ -359,7 +359,7 @@ class TestBatchedSamplers:
         assert state.draw_counter.tolist() == loop.draw_counter.tolist() == one_row.draw_counter.tolist()
 
     @given(batched_requests())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_corrections_replay_correct_response(self, request):
         state, records, query_ids = request
         loop, one_row = state.clone(), state.clone()
@@ -457,7 +457,7 @@ class TestTrain:
         st.lists(st.integers(0, 12), min_size=1, max_size=8),
         st.integers(1, 8),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_p_stays_in_unit_interval(self, ps, counts, k):
         p_map = {i: p for i, p in enumerate(ps)}
         st_ = state_with(p_map)
@@ -470,7 +470,7 @@ class TestTrain:
         st.dictionaries(st.integers(0, 5), st.integers(0, 10), min_size=1, max_size=6),
         st.integers(0, 4),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_monotone_exposure(self, counts, bump_qid):
         p_map = {q: 0.35 for q in range(6)}
         bigger = dict(counts)
@@ -520,7 +520,7 @@ class TestCalibrateDifficulty:
             calibrate_difficulty(np.zeros(0))
 
     @given(st.dictionaries(st.integers(0, 4000), st.floats(0, 1), min_size=1, max_size=200))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_balanced_and_ordered(self, rates):
         ids = sorted(rates)
         levels = dict(zip(ids, calibrate_difficulty(np.array([rates[q] for q in ids])).tolist()))
@@ -554,7 +554,7 @@ class TestSnapshots:
         st.dictionaries(st.integers(1, 5), st.floats()),
         st.integers(0, 2**64),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_to_json_equals_json_dumps(self, n, first, ps, counters, learn_rate, mu, seed):
         state = LearnerState(
             iteration=n % 7,
@@ -606,7 +606,7 @@ learner_params = st.builds(
 
 
 @given(leveled_corpora(), learner_params, st.integers(1, 8), st.integers(0, 2**32))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_with_levels_equals_a_fresh_start_over_the_leveled_corpus(corpus, params, m, seed):
     probe = init_learner(corpus, params, seed)
     levels = calibrate_difficulty(probe.pass_rates(m))
@@ -621,7 +621,7 @@ class TestAgainstDictReferences:
     in tests/oracles.py, float for float."""
 
     @given(leveled_corpora(), learner_params, st.integers(0, 2**32))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_init_learner(self, corpus, params, seed):
         state = init_learner(corpus, params, seed)
         p, mu = init_learner_reference(list(oracles.records(corpus).values()), params, seed)
@@ -629,7 +629,7 @@ class TestAgainstDictReferences:
         assert state.mu_log_len == mu
 
     @given(leveled_corpora(), learner_params, st.integers(1, 8), st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_train(self, corpus, params, k, data):
         ids = corpus.ids.tolist()
         state = init_learner(corpus, params, data.draw(st.integers(0, 2**32)))
@@ -649,7 +649,7 @@ class TestAgainstDictReferences:
         assert out.mu_log_len == mu
 
     @given(leveled_corpora(), st.integers(1, 8), st.integers(0, 2**32))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_calibrate_difficulty(self, corpus, m, seed):
         rates = init_learner(corpus, seed=seed).pass_rates(m)  # few shots: many ties
         levels = calibrate_difficulty(rates)
@@ -671,7 +671,7 @@ def test_each_count_is_checked_below_and_past_int64(name, call):
 
 
 @given(st.integers(1, 30), st.integers(0, 2**32), st.integers(1, 4), st.integers(2, 5), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_grading_agrees_with_each_draws_own_flag(n, seed, k, S, data):
     """Every wrong draw shares the answer ``""``; graded against the corpus's
     ground truths, each sampler's rows still grade exactly as drawn."""

@@ -47,7 +47,7 @@ class TestLevelDistribution:
             st.tuples(st.integers(1, 5), st.integers(1, 6)), min_size=1, max_size=20
         )
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_matches_brute_count(self, rows):
         spec = [(i, lv, k, 40) for i, (lv, k) in enumerate(rows)]
         ds = leveled_filter(spec)

@@ -18,11 +18,12 @@ that chunk boundaries, and bad lines past the first chunk, are exercised.
 ``_decode_lines`` itself is checked against ``list(map(json.loads, ...))``
 on arbitrary JSON values and odd lines.
 
-A snapshot chunk in the writer's own line form is decoded by one pattern
-(``_snapshot_lines_chunk``) instead of the scanner.  Snapshots written by
-``_snapshot_chunks``, and the same file perturbed line by line, must read
-the same with that decoder and with every chunk scanned, and a written
-snapshot must never reach the scanner.
+A snapshot is read as a filter set, so a false ``correct`` flag is a bad
+line like any other.  A snapshot chunk in the writer's own line form is
+decoded by one pattern (``_snapshot_lines_chunk``) instead of the scanner.
+Snapshots written by ``_snapshot_chunks``, and the same file perturbed
+line by line, must read the same with that decoder and with every chunk
+scanned, and a written snapshot must never reach the scanner.
 """
 
 import dataclasses
@@ -136,7 +137,7 @@ def snapshot_records(draw):
         "sample_index": draw(st.integers(1, 3)),
         "iteration": draw(st.integers(1, 3)),
         "length_tokens": draw(st.integers(0, 50)),
-        "correct": draw(st.sampled_from([True, True, False])),
+        "correct": True,
     }
     if origin != ORIGINS[0] or draw(st.booleans()):
         record["origin"] = origin
@@ -155,7 +156,7 @@ SNAPSHOT_FAULTS = (
     faults(origin=st.sampled_from(["bogus", 3, None, ["explored"]])),
     faults(origin=st.just("explored"), prefix_steps=st.sampled_from([1, "2", True])),
     faults(prefix_steps=st.one_of(st.just(-1), HOSTILE_INTS, misspelled(0, 2))),
-    faults(correct=st.sampled_from(["yes", 1, None, 0])),
+    faults(correct=st.sampled_from([False, "yes", 1, None, 0])),  # a snapshot is a filter set
     faults(length_tokens=st.one_of(st.sampled_from([-1, 2**63]), HOSTILE_INTS, misspelled(0, 50))),
     faults(sample_index=st.one_of(st.sampled_from([0, 2**64]), HOSTILE_INTS, misspelled(1, 3))),
     faults(iteration=st.one_of(st.just(0), HOSTILE_INTS, misspelled(1, 3))),
@@ -218,19 +219,16 @@ def both_outcomes(text, chunk, columnar, reference):
 
 
 @given(jsonl_files(log_records(), LOG_FAULTS), st.integers(1, 3))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_log_reader_matches_per_line_reference(text, chunk):
     got, expected = both_outcomes(text, chunk, load_log, oracles.log_reference)
     assert got == expected
 
 
-@given(jsonl_files(snapshot_records(), SNAPSHOT_FAULTS), st.integers(1, 3),
-       st.sampled_from([ROLE_SAMPLE, ROLE_FILTER]))
-@settings(max_examples=100, deadline=None)
-def test_snapshot_reader_matches_per_line_reference(text, chunk, role):
-    got, expected = both_outcomes(
-        text, chunk, lambda p: read_snapshot(p, role), lambda p: oracles._snapshot_reference(p, role)
-    )
+@given(jsonl_files(snapshot_records(), SNAPSHOT_FAULTS), st.integers(1, 3))
+@settings(max_examples=100)
+def test_snapshot_reader_matches_per_line_reference(text, chunk):
+    got, expected = both_outcomes(text, chunk, read_snapshot, oracles._snapshot_reference)
     assert got == expected
 
 
@@ -283,6 +281,13 @@ def _snapshot_line(qid, **fields):
                        "prefix_steps": 0, "length_tokens": 30, "level": qid, "correct": True, **fields})
 
 
+def _written_line(qid, correct=True):
+    """``_snapshot_line(qid, correct=correct)``'s row in the writer's own line form."""
+    columns = {"query_id": qid, "sample_index": 1, "iteration": 1, "length_tokens": 30, "correct": correct}
+    dataset = harness.TrajectoryDataset(ROLE_SAMPLE, columns, harness.Corpus([qid], "", qid))
+    return "".join(harness._snapshot_chunks(dataset))[:-1]
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -293,7 +298,7 @@ def _snapshot_line(qid, **fields):
         (_snapshot_line(2, level=4), "{path}: conflicting records for query 2"),
         (_snapshot_line(2, length_tokens=2**63), "{path}: line 5: length_tokens must fit in 64 bits"),
         (_snapshot_line(2**63, level=2), "{path}: line 5: query_id must fit in 64 bits"),
-        (_snapshot_line(2, correct=False), "{path}: filter datasets may only contain correct trajectories"),
+        (_snapshot_line(2, correct=False), "{path}: line 5: filter datasets may only contain correct trajectories"),
     ],
 )
 def test_snapshot_error_past_the_first_chunk(tmp_path, monkeypatch, bad, message):
@@ -302,7 +307,7 @@ def test_snapshot_error_past_the_first_chunk(tmp_path, monkeypatch, bad, message
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     monkeypatch.setattr(harness, "_READ_CHUNK", 2)
     with pytest.raises(SchemaError) as info:
-        read_snapshot(path, ROLE_FILTER)
+        read_snapshot(path)
     assert str(info.value) == message.format(path=path)
 
 
@@ -338,14 +343,16 @@ def test_log_line_with_two_faults_matches_reference(fault):
         {"prefix_steps": "x", "length_tokens": -1},
         {"origin": "explored", "prefix_steps": -1},
         {"length_tokens": 2**64, "sample_index": 0},
+        {"sample_index": 0, "origin": "bogus"},  # the origin is known or not as it is taken
+        {"correct": False, "length_tokens": -1},  # the flag is checked after the Trajectory checks
+        {"correct": False, "origin": "explored", "prefix_steps": 1},
+        {"correct": False, "origin": "bogus"},
     ],
 )
 def test_snapshot_line_with_two_faults_matches_reference(fault):
     bad = _snapshot_line(2, **fault)
-    got, expected = both_outcomes(
-        _snapshot_line(1) + "\n" + bad + "\n", 2,
-        lambda p: read_snapshot(p, ROLE_FILTER), lambda p: oracles._snapshot_reference(p, ROLE_FILTER),
-    )
+    text = _snapshot_line(1) + "\n" + bad + "\n"
+    got, expected = both_outcomes(text, 2, read_snapshot, oracles._snapshot_reference)
     assert got == expected
     assert got.startswith("{path}: line 2: ")
 
@@ -383,7 +390,7 @@ def mixed_key_chunks(draw):
 
 
 @given(mixed_key_chunks())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_chunk_of_mixed_key_orders_matches_per_line_reference(text):
     got, expected = both_outcomes(text, 8, load_log, oracles.log_reference)  # every line in one chunk
     assert got == expected
@@ -486,7 +493,7 @@ def test_field_of_another_json_type_is_a_bad_line(tmp_path, read, field, value, 
     path = tmp_path / "in.jsonl"
     path.write_text(make(1) + "\n" + json.dumps({**json.loads(make(2)), field: value}) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError) as info:
-        load_log(path) if read is load_log else read_snapshot(path, ROLE_SAMPLE)
+        read(path)
     assert str(info.value) == f"{path}: line 2: {message}"
 
 
@@ -525,20 +532,32 @@ def test_coercible_snapshot_line_fails_report(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"schema error: {snapshot}: line 2: level must be an integer\n")
 
 
-@given(st.sampled_from(["log", "snapshot"]), st.lists(JUNK, min_size=1, max_size=2), st.integers(0, 3),
-       st.integers(1, 3))
-@settings(max_examples=60, deadline=None)
-def test_every_schema_error_names_its_file(kind, junk, at, chunk):
-    make = _log_line if kind == "log" else _snapshot_line
-    lines = [make(q) for q in (1, 2, 3)]
-    for line in junk:
+# a correct flag a snapshot may not hold, in the writer's form and scanned
+FALSE_LINES = (_written_line(2, correct=False), _snapshot_line(2, correct=False))
+
+
+@given(st.sampled_from(["log", "snapshot"]), st.booleans(), st.sampled_from([3, 1030]),
+       st.lists(st.tuples(st.one_of(JUNK, st.sampled_from(FALSE_LINES)), st.integers(0, 1030)),
+                min_size=1, max_size=2),
+       st.sampled_from([1, 2, 3, 1024]))
+@settings(max_examples=60)
+def test_every_schema_error_names_its_file(kind, written, n, bad, chunk):
+    """Junk lines or false flags among ``n`` good lines (in the writer's
+    form or not), read ``chunk`` lines at a time: a false flag, past the
+    first 1024-line chunk too, is named by its line."""
+    make = _log_line if kind == "log" else _written_line if written else _snapshot_line
+    lines = [make(q % 3 + 1) for q in range(n)]
+    for line, at in bad:
         lines.insert(min(at, len(lines)), line)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "_READ_CHUNK", chunk):
         path = Path(tmp) / "in.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(SchemaError) as info:
-            load_log(path) if kind == "log" else read_snapshot(path, ROLE_FILTER)
+            load_log(path) if kind == "log" else read_snapshot(path)
     assert str(info.value).startswith(f"{path}: ")
+    first = next(i for i, line in enumerate(lines) if line in {line for line, _ in bad})
+    if kind == "snapshot" and lines[first] in FALSE_LINES:
+        assert str(info.value) == f"{path}: line {first + 1}: filter datasets may only contain correct trajectories"
 
 
 # -- the chunk decoder against json.loads ------------------------------------
@@ -578,7 +597,7 @@ def decoded(decode, lines):
 @example(["{} x\n", "[" * 100_000])  # an earlier line's error wins over a later RecursionError
 @example(["[" * 100_000])
 @example(["[1\n", "2]\n", "3, 4"])  # never read as one array
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_decode_lines_matches_json_loads(lines):
     assert decoded(harness._decode_lines, lines) == decoded(lambda ls: list(map(json.loads, ls)), lines)
 
@@ -595,8 +614,8 @@ QUERY_IDS = st.one_of(st.integers(-5, 40), BIG_INTS, BIG_INTS.map(lambda n: -n),
 def written_datasets(draw):
     """A dataset of any rows over up to 4 queries, leveled or not, as
     ``_snapshot_chunks`` writes it: every origin, guided rows' prefix steps,
-    negative ids, ids and counts of 18 and 19 digits."""
-    role = draw(st.sampled_from([ROLE_SAMPLE, ROLE_FILTER]))
+    negative ids, ids and counts of 18 and 19 digits, and now and then a
+    false correct flag, which a snapshot may not hold."""
     levels = draw(st.dictionaries(QUERY_IDS, st.sampled_from([0, *harness.LEVELS]), min_size=1, max_size=4))
     positive = st.one_of(st.integers(1, 3), BIG_INTS)
     rows = []
@@ -607,16 +626,16 @@ def written_datasets(draw):
             draw(st.sampled_from(sorted(levels))), draw(positive), draw(positive),
             draw(st.one_of(st.integers(0, 50), BIG_INTS)), origin,
             draw(st.one_of(st.integers(0, 3), BIG_INTS)) if guided else 0,
-            True if role != ROLE_SAMPLE else draw(st.booleans()),
+            draw(st.sampled_from([True] * 7 + [False])),
         ))
     names = ("query_id", "sample_index", "iteration", "length_tokens", "origin", "prefix_steps", "correct")
     columns = {name: [row[i] for row in rows] for i, name in enumerate(names)}
     used = sorted({row[0] for row in rows})
     corpus = harness.Corpus(used, "", [levels[q] for q in used])
-    return harness.TrajectoryDataset(role, columns, corpus)
+    return harness.TrajectoryDataset(ROLE_SAMPLE, columns, corpus)
 
 
-def fast_and_scanned(path, role):
+def fast_and_scanned(path):
     """What ``read_snapshot`` makes of ``path``, as ``outcome`` gives it,
     with the writer-form decoder and with every chunk scanned; and whether
     that decoder took every chunk with a line (a chunk it took may fail a
@@ -631,21 +650,26 @@ def fast_and_scanned(path, role):
         return columns
 
     with mock.patch.object(harness, "_snapshot_lines_chunk", recording):
-        fast = outcome(lambda p: read_snapshot(p, role), path)
+        fast = outcome(read_snapshot, path)
     with mock.patch.object(harness, "_snapshot_lines_chunk", lambda lines: None):  # every chunk scanned
-        scanned = outcome(lambda p: read_snapshot(p, role), path)
+        scanned = outcome(read_snapshot, path)
     return fast, scanned, all(taken)
 
 
 @given(written_datasets(), st.integers(1, 4))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_written_snapshot_reads_the_same_by_pattern_and_by_scanner(dataset, chunk):
     text = "".join(harness._snapshot_chunks(dataset))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "_READ_CHUNK", chunk):
         path = Path(tmp) / "snap.jsonl"
         path.write_text(text, encoding="utf-8")
-        fast, scanned, taken = fast_and_scanned(path, dataset.role)
+        fast, scanned, taken = fast_and_scanned(path)
     assert fast == scanned
+    correct = dataset.columns["correct"]
+    if not correct.all():  # the first false row's line is named, whichever way it was decoded
+        line = int(np.argmin(correct)) + 1
+        assert fast == f"{{path}}: line {line}: filter datasets may only contain correct trajectories"
+        return
     columns = fast[1]
     assert columns == {name: col.tolist() for name, col in dataset.columns.items()}
     long_ints = any(len(str(abs(v))) > 18 for name, col in columns.items() if name != "answer" for v in col)
@@ -658,8 +682,8 @@ def _written_text():
     corpus = harness.Corpus([1, 2, 3], "", [2, 0, 5])
     columns = {"query_id": [1, 1, 2, 3], "sample_index": [1, 2, 1, 1], "iteration": [1, 1, 2, 1],
                "length_tokens": [30, 0, 12, 7], "origin": [0, 1, 2, 3], "prefix_steps": [0, 0, 2, 0],
-               "correct": [True, False, True, True]}
-    return "".join(harness._snapshot_chunks(harness.TrajectoryDataset(ROLE_SAMPLE, columns, corpus)))
+               "correct": True}
+    return "".join(harness._snapshot_chunks(harness.TrajectoryDataset(ROLE_FILTER, columns, corpus)))
 
 
 def _edit(*pairs):
@@ -710,6 +734,12 @@ PERTURBATIONS = {
                '"length_tokens": -1, "level": 2, "origin": "resampled_ar", "prefix_steps": 1')), True),
     "two faults out of the form": (
         _edit(('"level": 2, "origin": "resampled_ar"', '"level": 6, "origin": "bogus"')), False),
+    "false flag": (_edit(('{"correct": true, "iteration": 2', '{"correct": false, "iteration": 2')), True),
+    "false flag out of the form": (
+        _edit(('{"correct": true, "iteration": 2', '{"correct": false,  "iteration": 2')), False),
+    "false flag and a negative length": (
+        _edit(('{"correct": true, "iteration": 1, "length_tokens": 0,',
+               '{"correct": false, "iteration": 1, "length_tokens": -1,')), True),
 }
 
 
@@ -718,7 +748,7 @@ def test_perturbed_snapshot_reads_the_same_by_pattern_and_by_scanner(tmp_path, n
     perturb, taken = PERTURBATIONS[name]
     path = tmp_path / "snap.jsonl"
     path.write_bytes(perturb(_written_text()).encode("utf-8"))
-    fast, scanned, fast_took_all = fast_and_scanned(path, ROLE_SAMPLE)
+    fast, scanned, fast_took_all = fast_and_scanned(path)
     assert fast == scanned
     assert fast_took_all == taken
 
@@ -730,5 +760,5 @@ def test_written_snapshot_is_never_scanned(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_scan", mock.Mock(side_effect=AssertionError("scanned")))
     monkeypatch.setattr(json, "loads", mock.Mock(side_effect=AssertionError("scanned")))
     for name, dataset in (("train_final", report.final_train), ("filter_final", report.final_filter)):
-        read = read_snapshot(tmp_path / "datasets" / f"{name}.jsonl", dataset.role)
+        read = read_snapshot(tmp_path / "datasets" / f"{name}.jsonl")
         assert all(np.array_equal(read.columns[c], dataset.columns[c]) for c in dataset.columns if c != "answer")

@@ -45,7 +45,7 @@ class TestNormalizeAnswer:
         assert normalize_answer("East") == "east"
 
     @given(st.text(max_size=80))
-    @settings(max_examples=1000, deadline=None)
+    @settings(max_examples=1000)
     def test_idempotent(self, s):
         once = normalize_answer(s)
         assert normalize_answer(once) == once
@@ -88,12 +88,12 @@ class TestGuardedNormalization:
     """The guards skip only steps that cannot change the string."""
 
     @given(_ANSWERS, st.sampled_from([DEFAULT_SYMBOL_ALIASES, (), CUSTOM_ALIASES]))
-    @settings(max_examples=1000, deadline=None)
+    @settings(max_examples=1000)
     def test_equals_unguarded_on_fixed_alias_tables(self, s, aliases):
         assert normalize_answer(s, aliases) == normalize_unguarded(s, aliases)
 
     @given(st.lists(_ANSWERS, min_size=1, max_size=8), _RANDOM_ALIASES)
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     def test_equals_unguarded_on_random_alias_tables(self, answers, aliases):
         assert [normalize_answer(s, aliases) for s in answers] == [normalize_unguarded(s, aliases) for s in answers]
 
@@ -129,7 +129,7 @@ class TestBatchNormalization:
     """``_normalize_all`` equals ``normalize_answer`` string by string."""
 
     @given(st.lists(_ANSWERS, max_size=8), _RANDOM_ALIASES)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_equals_normalize_answer(self, answers, aliases):
         assert rewards._normalize_all(answers, aliases) == [normalize_answer(s, aliases) for s in answers]
 
@@ -163,7 +163,6 @@ class TestReward:
         assert reward(q, r"\pi/2", ()) == 0
 
     @given(st.text(max_size=40), st.text(max_size=40))
-    @settings(deadline=None)
     def test_symmetric_under_prenormalization(self, gt, extracted):
         q = make_query(1, gt=gt)
         pre = make_query(1, gt=normalize_answer(gt))
@@ -213,7 +212,7 @@ class TestFilterDiscard:
         st.dictionaries(st.integers(0, 20), st.integers(0, 6), min_size=1, max_size=12),
         st.integers(1, 6),
     )
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     def test_partition_recovers_sample(self, k_partial, K):
         k_correct = {q: min(k, K) for q, k in k_partial.items()}
         sample, _ = make_sample(k_correct, K=K)
@@ -265,7 +264,7 @@ class TestGradingContract:
         st.lists(_graded_row(), max_size=30),
         st.sampled_from([DEFAULT_SYMBOL_ALIASES, (), CUSTOM_ALIASES]),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_partition_matches_per_entry_oracle(self, rows, aliases):
         sample = _graded_sample(rows)
         oracle = [
@@ -350,7 +349,7 @@ class TestGradingContract:
         st.sampled_from([DEFAULT_SYMBOL_ALIASES, (), CUSTOM_ALIASES]),
         st.booleans(),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_graded_equals_per_row_normalization(self, data, aliases, repeats):
         if repeats:  # a small pool: most answers repeat
             pool = data.draw(st.lists(_ANSWER_TEXT, min_size=1, max_size=3))
@@ -399,7 +398,6 @@ class TestCotLengthFilter:
         st.integers(0, 100),
         st.integers(0, 100),
     )
-    @settings(deadline=None)
     def test_monotone_in_floor(self, lengths, a, b):
         lo, hi = min(a, b), max(a, b)
         q = make_query(1)

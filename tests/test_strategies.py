@@ -65,7 +65,6 @@ class TestVanilla:
         assert len(out) == 0
 
     @given(st.dictionaries(st.integers(0, 9), st.integers(1, 8), min_size=1, max_size=6))
-    @settings(deadline=None)
     def test_entrywise_equality(self, k_correct):
         f, _ = make_filter(k_correct)
         assert oracles.entries(vanilla(f)) == oracles.entries(f)
@@ -114,7 +113,7 @@ class TestThresholdClip:
         st.integers(0, 2**64 - 1),
         st.integers(1, 1000),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_keeps_min_k_l_per_query_in_input_order(self, k_correct, L, seed, iteration):
         f, _ = make_filter(k_correct)
         out = threshold_clip(f, L, seed, iteration)
@@ -215,7 +214,7 @@ class TestAdaptiveResample:
     @given(
         st.dictionaries(st.integers(0, 14), st.integers(0, 8), min_size=1, max_size=10),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_accounting_on_random_fixtures(self, k_partial):
         corpus_ids = sorted(k_partial)
         k_correct = {q: k for q, k in k_partial.items() if k > 0}
@@ -242,7 +241,6 @@ class TestSplitSteps:
             split_steps(make_traj(1, length=3), 4)
 
     @given(st.integers(2, 10), st.integers(2, 500))
-    @settings(deadline=None)
     def test_chunks_near_equal(self, S, length):
         if length < S:
             return
@@ -290,7 +288,7 @@ class TestGuidedResample:
             guided_resample(f, FailingSampler(), L=4, S=4)
 
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=6), st.integers(2, 6))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_prefix_tokens_are_split_steps_offsets(self, lengths, S):
         entries = [(make_query(1), make_traj(1, j, length=n)) for j, n in enumerate(lengths, 1)]
         f = TrajectoryDataset.from_entries(entries, "filter")
@@ -374,7 +372,7 @@ class TestOracleEquivalence:
         st.integers(-(2**63), 2**63 - 1),
         st.one_of(st.integers(0, 2**40), st.integers(2**32, 2**63 - 1)),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_scalar_uniform_equals_rng_uniform(self, seed, tag, qid, counter):
         # oracle_tc draws through the pure-Python reference; it must be rng.uniform bit for bit
         assert uniform_scalar(seed, tag, qid, counter) == float(rng.uniform(seed, tag, qid, counter))
@@ -385,14 +383,14 @@ class TestOracleEquivalence:
         st.integers(0, 2**32),
         st.integers(1, 50),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_tc_matches_oracle(self, k_correct, L, seed, iteration):
         f, _ = make_filter(k_correct)
         ours = threshold_clip(f, L, seed, iteration)
         assert list(oracles.entries(ours)) == oracle_tc(list(oracles.entries(f)), L, seed, iteration)
 
     @given(st.dictionaries(st.integers(0, 20), st.integers(1, 8), min_size=1, max_size=12))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_hc_rp_ri_match_oracles(self, k_correct):
         f, _ = make_filter(k_correct)
         K = 8
@@ -404,7 +402,7 @@ class TestOracleEquivalence:
 
 class TestSharedInvariants:
     @given(st.dictionaries(st.integers(0, 15), st.integers(1, 8), min_size=1, max_size=10))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_cardinality_laws(self, k_correct):
         f, _ = make_filter(k_correct)
         K = 8
@@ -414,7 +412,7 @@ class TestSharedInvariants:
         assert len(repeat_invert(f, K)) == sum(K - k for k in k_correct.values() if 0 < k < K)
 
     @given(st.dictionaries(st.integers(0, 15), st.integers(1, 8), min_size=1, max_size=10))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_train_entries_all_correct(self, k_correct):
         f, _ = make_filter(k_correct)
         sampler = ScriptedSampler(f.corpus, itertools.cycle([True, True, False]))
